@@ -12,8 +12,7 @@ in the deformation parameter q).
 from .scalars import (Q, QScalar, Rational, ScalarDomain, SYMBOLIC, at_q,
                       eval_at, format_scalar, parse_scalar, q_binomial,
                       q_factorial, q_int)
-from .tensor import LegOperator, Mat, embed_on_legs, exact_rank, \
-    weighted_partial_trace
+from .tensor import LegOperator, Mat, embed_on_legs, weighted_partial_trace
 from .hecke import (HeckeSymmetry, load_r_from_file, save_r_to_file,
                     skew_inverse_bc, standard_hecke, standard_r,
                     symmetry_rank, validate_hecke_symmetry)

@@ -8,13 +8,14 @@ Each subcommand runs a named suite of exact checks and writes one report:
 
 Reports are deterministic for fixed (arguments, seed) up to the timing
 fields; checks are sorted by id.  Exit code 0 means no failed check (open
-questions surface as status "finding", never as failures), 2 is a usage
-error, 3 a file error.
+questions surface as status "finding", never as failures; a check that
+raises is a failure all the same), 2 is a usage error, 3 a file error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -78,8 +79,9 @@ class CheckRecorder:
         t0 = time.perf_counter()
         try:
             ok, witness = fn()
-        except Exception as exc:           # a crash is a failed check
+        except Exception as exc:           # a crash is a failed check,
             ok, witness = False, f"{type(exc).__name__}: {exc}"
+            finding = False                # also where the outcome is a finding
         ms = (time.perf_counter() - t0) * 1000.0
         if finding:
             status = "finding" if ok else ("finding" if witness else "fail")
@@ -155,16 +157,21 @@ def suite_validate(args, rec, rng):
                 lambda rep=rep: (rep.even and rep.rank == args.n,
                                  rep.details.get("rank_outcome")))
 
-        def bc_checks(dom=dom, r=r):
-            h = hecke_mod.HeckeSymmetry(r, dom)
+        # one construction shared by both checks; the cache keeps no
+        # exception, so a failed construction fails each check in turn
+        symmetry = functools.cache(
+            lambda dom=dom, r=r: hecke_mod.HeckeSymmetry(r, dom))
+
+        def bc_checks(dom=dom, symmetry=symmetry):
+            h = symmetry()
             scale = dom.q_pow(-2 * h.p)
             ident = Mat.identity(h.n, dom.zero, dom.one)
             ok = (h.b * h.c == ident.scale(scale))
             return ok, None
         rec.run(f"validate.q{tag}.bc_product", "bc_product", params, bc_checks)
 
-        def bc_trace(dom=dom, r=r):
-            h = hecke_mod.HeckeSymmetry(r, dom)
+        def bc_trace(dom=dom, symmetry=symmetry):
+            h = symmetry()
             expect = dom.q_int(h.p) * dom.q_pow(-h.p)
             return (h.b.trace() == expect and h.c.trace() == expect), None
         rec.run(f"validate.q{tag}.bc_trace", "bc_trace", params, bc_trace)

@@ -20,12 +20,12 @@ Conventions frozen here once and used everywhere downstream:
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .scalars import ScalarDomain, SYMBOLIC, format_scalar, parse_scalar
+from .scalars import (ScalarDomain, SYMBOLIC, as_integer, format_scalar,
+                      parse_scalar)
 from .tensor import LegOperator, Mat, embed_on_legs, inverse, weighted_partial_trace
 
 
@@ -158,38 +158,33 @@ def symmetry_rank(r: LegOperator, domain: ScalarDomain,
     Ranks come from the trace of the certified projectors (exact, since an
     idempotent's rank equals its trace in characteristic zero).
     """
+    return _certified_antisymmetrizers(r, domain, max_p)[0]
+
+
+def _certified_antisymmetrizers(r: LegOperator, domain: ScalarDomain,
+                                max_p: Optional[int]):
+    """(p, [A(1), .., A(p+1)]) from one pass up the antisymmetrizer tower.
+
+    Every A(m) below the collapse is certified idempotent with an integer
+    trace; p is None when the tower does not collapse right after a rank-one
+    projector within max_p + 1 legs.
+    """
     from .projectors import antisymmetrizer_tower
     if max_p is None:
         max_p = r.n + 1
     prev_rank = None
+    tower = []
     for m, a_m in antisymmetrizer_tower(r, domain, max_p + 1):
+        tower.append(a_m)
         if a_m.is_zero():
-            if prev_rank == 1:
-                return m - 1
-            return None
+            return (m - 1 if prev_rank == 1 else None), tower
         if not ((a_m * a_m) == a_m):
             raise HeckeError(f"antisymmetrizer at height {m} is not idempotent")
-        tr = a_m.mat.trace()
-        rk = _as_int(tr, domain)
+        rk = as_integer(a_m.mat.trace())
         if rk is None:
             raise HeckeError(f"projector trace at height {m} is not an integer")
         prev_rank = rk
-    return None
-
-
-def _as_int(x, domain) -> Optional[int]:
-    if domain.symbolic:
-        try:
-            v = x.as_rational()
-        except (AttributeError, ValueError):
-            return None
-    else:
-        v = x
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return int(v)
-    if isinstance(v, int):
-        return v
-    return None
+    return None, tower
 
 
 def validate_hecke_symmetry(r: LegOperator, domain: ScalarDomain,
@@ -229,7 +224,9 @@ class HeckeSymmetry:
 
     Construction asserts the Yang-Baxter equation, the Hecke condition, both
     skew-inverse contractions, B C = q**(-2p) I, trace B = trace C =
-    p_q / q**p, and the antisymmetrizer collapse at rank p.
+    p_q / q**p, and the antisymmetrizer collapse at rank p.  The tower
+    A(1)..A(p+1) built for that last certificate is kept as the projector
+    cache's antisymmetrizers.
     """
 
     def __init__(self, r: LegOperator, domain: ScalarDomain = SYMBOLIC,
@@ -242,15 +239,14 @@ class HeckeSymmetry:
         if not check_hecke(r, domain):
             raise HeckeError("Hecke condition fails")
         self.psi, self.b, self.c = skew_inverse_bc(r, domain)
-        p = symmetry_rank(r, domain, max_p)
+        p, tower = _certified_antisymmetrizers(r, domain, max_p)
         if p is None:
             raise HeckeError(f"not even up to max_p={max_p or r.n + 1}")
         self.p = p
         self.r_inv = hecke_inverse(r, domain)
         self._check_bc()
-        self._proj_cache: dict = {}
-        # RLock: the projector recursion re-enters the cache while holding it
-        self._cache_lock = threading.RLock()
+        # the certified tower A(1)..A(p+1) seeds the projector cache
+        self._proj_cache: dict = {("A", m): a_m for m, a_m in enumerate(tower, 1)}
         self._rep_cache: dict = {}
 
     def _check_bc(self) -> None:

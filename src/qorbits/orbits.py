@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .scalars import ScalarDomain
-from .tensor import Mat
+from .scalars import ScalarDomain, as_integer
+from .tensor import Mat, inverse
 from .identities import (RootData, ch_verify, compositions,
                          conjecture_roots)
 from .casimir import q_dimension
@@ -401,8 +401,26 @@ def higher_newton_verify(spec: OrbitSpec, m: int, s_max: int, mode: str,
 # conjecture scan
 # ---------------------------------------------------------------------------
 
+class RootMultiplicity(NamedTuple):
+    """One distinct conjectured root value and its multiplicity in the scan."""
+
+    compositions: Tuple[Tuple[int, ...], ...]   # the compositions with this value
+    value: object
+    n: object             # an int once certified, else the solved field element
+
+
 @dataclass
 class ScanReport:
+    """Outcome of :func:`conjecture_scan`.
+
+    ``consistent`` is the certificate: the product of (M - r) over the
+    distinct conjectured roots vanishes (``product_zero``), and the
+    multiplicities solved from the power traces of M are nonnegative
+    integers that sum to ``dim`` and satisfy one more trace row.
+    ``eigen_dim_total`` sums the multiplicities that are nonnegative
+    integers.
+    """
+
     k: int
     m: int
     p: int
@@ -411,38 +429,81 @@ class ScanReport:
     eigen_dim_total: int
     consistent: bool
     witness: Optional[str]
+    multiplicities: List[RootMultiplicity] = field(default_factory=list)
+
+
+def trace_multiplicities(mat: Mat, values: Sequence,
+                         domain: ScalarDomain) -> Tuple[list, bool]:
+    """Solve tr(M**j) = sum_r n_r r**j, j < R, for pairwise distinct values.
+
+    One exact R x R Vandermonde solve.  Returns the n_r and whether the
+    extra row j = R also holds, which makes the system overdetermined.  When
+    M is diagonalizable with spectrum inside the values, the n_r are its
+    eigenspace dimensions.
+    """
+    big_r = len(values)
+    traces = [domain.lift(mat.nrows)]
+    power = mat
+    for j in range(1, big_r + 1):
+        traces.append(power.trace())
+        if j < big_r:
+            power = power * mat
+    rows = [[domain.one] * big_r]
+    for _ in range(big_r):
+        rows.append([x * v for x, v in zip(rows[-1], values)])
+    sol = inverse(Mat(rows[:big_r])) * Mat([[t] for t in traces[:big_r]])
+    counts = [row[0] for row in sol.rows]
+    extra = domain.zero
+    for n, x in zip(counts, rows[big_r]):
+        extra = extra + n * x
+    return counts, extra == traces[big_r]
 
 
 def conjecture_scan(h, k: int, m: int) -> ScanReport:
     """Exact spectrum test of the higher root formula in a left module.
 
-    Builds the generator matrix of degree m inside the left symmetric power
-    of degree k, forms the conjectured roots from the module's basic
-    eigenvalues (unit mass), and certifies that the matrix is annihilated by
-    the full root product and diagonalizable with eigenspace dimensions
-    summing to the module dimension.  For rank 2 this is a theorem; beyond,
-    a mismatch is a reportable finding, not an error.
+    Builds the generator matrix M of degree m inside the left symmetric
+    power of degree k and forms the conjectured roots from the module's
+    basic eigenvalues (unit mass).  The certificate is that the product of
+    (M - r) over the distinct root values vanishes, so M is diagonalizable
+    with its spectrum among them, and that the multiplicities solved from
+    the power traces of M (:func:`trace_multiplicities`) are nonnegative
+    integers summing to the module dimension.  For rank 2 this is a theorem;
+    beyond, a mismatch is a reportable finding, not an error.
     """
     from .casimir import left_casimir_matrix
-    from .tensor import rank
     dom = h.domain
     cm = left_casimir_matrix(h, k, m)
     mu = rep_eigenvalues((k,) + (0,) * (h.p - 1), h.p, "mrea_q", dom)
     rd = RootData(mu=mu, hbar=Fraction(1), domain=dom)
-    roots = conjecture_roots(rd, m, h.p)
-    ok, support = ch_verify(cm.op, [v for _, v in roots], dom)
-    ident = Mat.identity(cm.dim, dom.zero, dom.one)
-    total = 0
-    for _, r in roots:
-        total += cm.dim - rank(cm.op - ident.scale(r))
-    consistent = ok and total == cm.dim
+    values, groups = [], []
+    for kvec, r in conjecture_roots(rd, m, h.p):
+        if r in values:
+            groups[values.index(r)].append(kvec)
+        else:
+            values.append(r)
+            groups.append([kvec])
+    ok, support = ch_verify(cm.op, values, dom)
+    counts, extra_ok = trace_multiplicities(cm.op, values, dom)
+    mults = []
+    for kvecs, r, n in zip(groups, values, counts):
+        as_int = as_integer(n)
+        mults.append(RootMultiplicity(tuple(kvecs), r,
+                                      n if as_int is None else as_int))
+    certified = [x.n for x in mults if isinstance(x.n, int) and x.n >= 0]
+    total = sum(certified)
+    consistent = (ok and extra_ok and len(certified) == len(mults)
+                  and total == cm.dim)
     witness = None
     if not consistent:
-        witness = (f"root-product support {support}, eigenspace dimensions "
-                   f"sum to {total} of {cm.dim}")
+        listing = ", ".join("|".join(str(kv) for kv in x.compositions)
+                            + f": {x.n}" for x in mults)
+        witness = (f"root-product support {support}; multiplicities {listing}; "
+                   f"trace row {len(values)} {'holds' if extra_ok else 'fails'}; "
+                   f"certified multiplicities sum to {total} of {cm.dim}")
     return ScanReport(k=k, m=m, p=h.p, dim=cm.dim, product_zero=ok,
                       eigen_dim_total=total, consistent=consistent,
-                      witness=witness)
+                      witness=witness, multiplicities=mults)
 
 
 # ---------------------------------------------------------------------------

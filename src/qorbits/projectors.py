@@ -16,8 +16,11 @@ projector, absorption and rank invariants (rank = trace for an exact
 idempotent); those properties characterise it inside the Hecke-algebra
 image, so nothing is taken on faith from the recursion itself.
 
-Projectors are cached per (m, start, total) on the owning HeckeSymmetry;
-the cache takes a lock for insertion and is safe for concurrent readers.
+Projectors are cached per (m, start, total) on the owning HeckeSymmetry.
+Construction fills the cache with the antisymmetrizers A(1)..A(p+1) that
+the symmetry-rank certificate built (each idempotent with integer trace,
+A(p+1) = 0), so those are never built twice; everything else is built on
+first request.
 """
 
 from __future__ import annotations
@@ -61,54 +64,36 @@ def antisymmetrizer_tower(r: LegOperator, domain: ScalarDomain,
 
 def _cached_base(h, m: int, sign: int) -> LegOperator:
     key = ("S" if sign > 0 else "A", m)
-    cached = h._proj_cache.get(key)
-    if cached is not None:
-        return cached
-    with h._cache_lock:
-        cached = h._proj_cache.get(key)
-        if cached is not None:
-            return cached
+    op = h._proj_cache.get(key)
+    if op is None:
         if m == 1:
             op = LegOperator.identity(h.n, 1, h.domain)
         else:
             op = _tower_step(_cached_base(h, m - 1, sign), m, h.r, h.domain, sign)
         h._proj_cache[key] = op
-        return op
+    return op
+
+
+def _projector(h, m: int, total_legs, start: int, sign: int) -> LegOperator:
+    if m < 1:
+        raise ValueError("m must be positive")
+    base = _cached_base(h, m, sign)
+    if total_legs is None or (total_legs == m and start == 1):
+        return base
+    key = ("S" if sign > 0 else "A", m, start, total_legs)
+    op = h._proj_cache.get(key)
+    if op is None:
+        op = h._proj_cache[key] = embed_on_legs(base, start, total_legs)
+    return op
 
 
 def q_symmetrizer(h, m: int, total_legs: int | None = None,
                   start: int = 1) -> LegOperator:
     """S(m) embedded at legs start..start+m-1 of a total_legs space."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    base = _cached_base(h, m, +1)
-    if total_legs is None or (total_legs == m and start == 1):
-        return base
-    key = ("S", m, start, total_legs)
-    cached = h._proj_cache.get(key)
-    if cached is None:
-        with h._cache_lock:
-            cached = h._proj_cache.get(key)
-            if cached is None:
-                cached = embed_on_legs(base, start, total_legs)
-                h._proj_cache[key] = cached
-    return cached
+    return _projector(h, m, total_legs, start, +1)
 
 
 def q_antisymmetrizer(h, m: int, total_legs: int | None = None,
                       start: int = 1) -> LegOperator:
     """A(m) embedded at legs start..start+m-1 of a total_legs space."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    base = _cached_base(h, m, -1)
-    if total_legs is None or (total_legs == m and start == 1):
-        return base
-    key = ("A", m, start, total_legs)
-    cached = h._proj_cache.get(key)
-    if cached is None:
-        with h._cache_lock:
-            cached = h._proj_cache.get(key)
-            if cached is None:
-                cached = embed_on_legs(base, start, total_legs)
-                h._proj_cache[key] = cached
-    return cached
+    return _projector(h, m, total_legs, start, -1)

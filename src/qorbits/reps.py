@@ -43,6 +43,8 @@ class Compression:
     round trip T Y = X T is asserted.
     """
 
+    projector: Optional[LegOperator] = None    # set by of_projector
+
     def __init__(self, basis: Mat, check_rows: Optional[list] = None):
         self.basis = basis
         rows = check_rows if check_rows is not None else pivot_columns(basis.transpose())
@@ -57,7 +59,9 @@ class Compression:
         cols = pivot_columns(proj.mat)
         basis = Mat([[proj.mat.rows[i][c] for c in cols]
                      for i in range(proj.mat.nrows)])
-        return Compression(basis)
+        chart = Compression(basis)
+        chart.projector = proj
+        return chart
 
     @staticmethod
     def product(a: "Compression", b: "Compression") -> "Compression":
@@ -251,8 +255,8 @@ def sym_power_left(h, m: int) -> Representation:
         raise RepresentationError("m must be positive")
     fund = fundamental_left(h)
     n, dom = h.n, h.domain
-    s = q_symmetrizer(h, m)
     chart = sym_chart(h, m)
+    s = chart.projector
     scale = dom.q_pow(1 - m) * dom.q_int(m)
     ident_rest = Mat.identity(n ** (m - 1), dom.zero, dom.one)
     rho = []
@@ -296,8 +300,8 @@ def sym_power_right_p2(h, m: int) -> Representation:
         raise RepresentationError("m must be positive")
     n, dom = h.n, h.domain
     single_blocks = right_fundamental_blocks(h)
-    s = q_symmetrizer(h, m)
     chart = sym_chart(h, m)
+    s = chart.projector
     scale = dom.q_pow(1 - m) * dom.q_int(m)
     ident_rest = Mat.identity(n ** (m - 1), dom.zero, dom.one)
     rho = []

@@ -607,6 +607,20 @@ def format_scalar(s: QScalar) -> str:
     return "".join(parts)
 
 
+def as_integer(x):
+    """x as an int when it is an integer constant, else None.
+
+    Accepts the elements of either domain (Fraction or QScalar) and ints.
+    """
+    if isinstance(x, QScalar):
+        if not x.is_rational():
+            return None
+        x = x.as_rational()
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else None
+    return x if isinstance(x, int) else None
+
+
 # ---------------------------------------------------------------------------
 # scalar domain: one code path for symbolic q and sampled rational q
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Matrices hold exact field elements (Fraction in evaluated mode, QScalar in
 symbolic mode) in row-major lists.  Multiplication skips zero entries, which
 matters a lot here: R-matrices, q-(anti)symmetrizers and their embeddings are
 all very sparse, and the antisymmetrizer tower on four and five legs is only
-tractable because of it.  Matrices whose entries are all rational additionally
-take an integer-cleared numpy path for large dense products.
+tractable because of it.  Every product, rational or symbolic, is the same
+sparse-skipping Python loop: there is no dense or integer-cleared path, and
+no scan of the operands to choose one.
 
 Index encoding for leg operators is frozen package-wide: the row (column)
 index of an m-leg operator on an n-dimensional space is the mixed-radix
@@ -16,15 +17,9 @@ is ordinary matrix multiplication acting on column vectors.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-import numpy as np
-
 from .scalars import QScalar
-
-_INT_PATH_MIN_DIM = 48     # below this, python loops win over numpy object dot
-_INT_PATH_MIN_FILL = 0.18
 
 
 class Mat:
@@ -96,28 +91,10 @@ class Mat:
         return Mat([[s * a if a else a for a in row] for row in self.rows])
 
     def __mul__(self, other):
-        if isinstance(other, Mat):
-            return self._matmul(other)
-        return NotImplemented
-
-    def _matmul(self, other: "Mat") -> "Mat":
+        if not isinstance(other, Mat):
+            return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch")
-        if (self.nrows >= _INT_PATH_MIN_DIM and other.ncols >= _INT_PATH_MIN_DIM
-                and self._fraction_only() and other._fraction_only()
-                and self._fill() > _INT_PATH_MIN_FILL
-                and other._fill() > _INT_PATH_MIN_FILL):
-            return self._matmul_int(other)
-        return self._matmul_sparse(other)
-
-    def _fill(self) -> float:
-        total = self.nrows * self.ncols
-        return self.support() / total if total else 0.0
-
-    def _fraction_only(self) -> bool:
-        return all(isinstance(x, (Fraction, int)) for row in self.rows for x in row)
-
-    def _matmul_sparse(self, other: "Mat") -> "Mat":
         nzB = [[(j, x) for j, x in enumerate(row) if x] for row in other.rows]
         zero = _zero_like(self.rows[0][0])
         out = []
@@ -130,29 +107,6 @@ class Mat:
                     acc[j] = acc[j] + a * b
             out.append(acc)
         return Mat(out)
-
-    def _matmul_int(self, other: "Mat") -> "Mat":
-        na, da = self._to_int_array()
-        nb, db = other._to_int_array()
-        prod = np.dot(na, nb)
-        d = da * db
-        return Mat([[Fraction(int(prod[i, j]), d) for j in range(other.ncols)]
-                    for i in range(self.nrows)])
-
-    def _to_int_array(self):
-        den = 1
-        for row in self.rows:
-            for x in row:
-                if isinstance(x, Fraction):
-                    den = den * x.denominator // math.gcd(den, x.denominator)
-        arr = np.empty((self.nrows, self.ncols), dtype=object)
-        for i, row in enumerate(self.rows):
-            for j, x in enumerate(row):
-                if isinstance(x, Fraction):
-                    arr[i, j] = x.numerator * (den // x.denominator)
-                else:
-                    arr[i, j] = x * den
-        return arr, den
 
     def kron(self, other: "Mat") -> "Mat":
         zero = _zero_like(self.rows[0][0])
@@ -188,76 +142,8 @@ def _one_like(x):
 
 
 # ---------------------------------------------------------------------------
-# exact elimination: rank, inverse, solve, pivot columns
+# exact elimination: inverse, solve, pivot columns
 # ---------------------------------------------------------------------------
-
-def rank(mat: Mat) -> int:
-    """Exact rank by fraction-free (Bareiss) elimination.
-
-    Denominators are cleared row by row first, so all divisions along the way
-    are exact in the underlying ring; pivots stay polynomial for QScalar input
-    instead of blowing up as reduced fractions.
-    """
-    rows = [_clear_row(row) for row in mat.rows]
-    nr, nc = len(rows), mat.ncols if rows else 0
-    r = 0
-    prev = None
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, nr):
-            ri = rows[i]
-            if not any(ri[c:]):
-                continue
-            for j in range(nc - 1, c - 1, -1):
-                v = ri[j] * pv - ri[c] * rows[r][j]
-                if prev is not None:
-                    v = _exact_div(v, prev)
-                ri[j] = v
-        prev = pv
-        r += 1
-        if r == nr:
-            break
-    return r
-
-
-def _clear_row(row):
-    """Scale a row so entries live in Z or Q[q] (for Bareiss exactness)."""
-    if not row:
-        return []
-    if isinstance(row[0], QScalar):
-        out = list(row)
-        seen = set()
-        for x in row:
-            if isinstance(x, QScalar) and x.num and x.den not in seen:
-                seen.add(x.den)
-                den = QScalar(x.den, (Fraction(1),))
-                out = [y * den for y in out]
-        return out
-    den = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    return [x * den for x in row]
-
-
-def _exact_div(a, b):
-    if isinstance(a, QScalar) or isinstance(b, QScalar):
-        return a / b
-    if isinstance(a, Fraction) or isinstance(b, Fraction):
-        return a / b
-    q, r = divmod(a, b)
-    if r:
-        return Fraction(a, b)
-    return q
-
 
 def _field_elim(rows, ncols, augment=None):
     """In-place Gauss-Jordan over the field; returns pivot column list."""
@@ -481,6 +367,3 @@ def weighted_partial_trace(op: LegOperator, legs, weight: Mat) -> LegOperator:
             out.rows[ro][co] = out.rows[ro][co] + term
     return LegOperator(n, mk, out)
 
-
-def exact_rank(op: LegOperator) -> int:
-    return rank(op.mat)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from qorbits import hecke, orbits
 from qorbits.cli import run_suite, ANCHORS
 from qorbits.hecke import standard_hecke, save_r_to_file
 
@@ -55,6 +56,47 @@ class TestReports:
         statuses = {c["status"] for c in report["checks"]}
         assert statuses == {"finding"}
         assert all(c["witness"] == "consistent" for c in report["checks"])
+
+    def test_crash_in_finding_check_is_fail(self, tmp_path, monkeypatch):
+        def crash(h, k, m):
+            raise RuntimeError("scan crashed")
+        monkeypatch.setattr(orbits, "conjecture_scan", crash)
+        code, report = run_json(
+            tmp_path, ["conjecture", "--p", "3", "--k", "2", "--m", "2",
+                       "--samples", "1", "--seed", "5"])
+        assert code == 1
+        assert report["checks"]
+        for c in report["checks"]:
+            assert c["status"] == "fail"
+            assert c["witness"] == "RuntimeError: scan crashed"
+
+    def test_validate_builds_one_symmetry_per_q(self, tmp_path, monkeypatch):
+        built = []
+        real = hecke.HeckeSymmetry
+
+        def counting(r, dom, *args):
+            built.append(dom.describe())
+            return real(r, dom, *args)
+        monkeypatch.setattr(hecke, "HeckeSymmetry", counting)
+        code, report = run_json(tmp_path, ["validate", "--seed", "4"])
+        assert code == 0
+        assert len(report["checks"]) == 18
+        assert sorted(built) == sorted(report["q"])
+
+    def test_validate_failed_construction_fails_both_checks(
+            self, tmp_path, monkeypatch):
+        def broken(r, dom, *args):
+            raise hecke.HeckeError("construction broke")
+        monkeypatch.setattr(hecke, "HeckeSymmetry", broken)
+        code, report = run_json(tmp_path, ["validate", "--q", "2/3"])
+        assert code == 1
+        status = {c["id"].rsplit(".", 1)[1]: c for c in report["checks"]}
+        assert len(status) == 6
+        for name in ("bc_product", "bc_trace"):
+            assert status[name]["status"] == "fail"
+            assert "construction broke" in status[name]["witness"]
+        for name in ("ybe", "hecke", "skew", "rank"):
+            assert status[name]["status"] == "pass"
 
     def test_symbolic_mode(self, tmp_path):
         code, report = run_json(tmp_path, ["euler", "--symbolic"])

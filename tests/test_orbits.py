@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 from qorbits.scalars import SYMBOLIC, at_q, eval_at, random_rationals
-from qorbits.tensor import Mat
-from qorbits.casimir import split_casimir_matrix
+from qorbits import orbits
+from qorbits.tensor import Mat, pivot_columns
+from qorbits.casimir import left_casimir_matrix, split_casimir_matrix
+from qorbits.hecke import standard_hecke
 from qorbits.identities import RootData, compositions, omega_roots_p2
 from qorbits.orbits import (OrbitError, OrbitSpec, classical_dim_ratio,
                             classical_eigenvalues, classical_higher_eigenvalue,
@@ -13,7 +15,8 @@ from qorbits.orbits import (OrbitError, OrbitSpec, classical_dim_ratio,
                             higher_newton_quantum_p2, is_m_admissible,
                             multiplicities, quantum_dim_ratio,
                             rep_eigenvalues, signature_dual,
-                            spectral_idempotents, string_decompose)
+                            spectral_idempotents, string_decompose,
+                            trace_multiplicities)
 
 
 class TestSpectralIdempotents:
@@ -223,11 +226,75 @@ class TestConjectureScan:
 
     def test_p3_sampled(self):
         dom = at_q(Fraction(4, 7))
-        from qorbits.hecke import standard_hecke
         h3 = standard_hecke(3, dom)
         rep = conjecture_scan(h3, 2, 2)
         assert rep.consistent
         assert rep.dim == 36
+
+    def test_repeated_root_values_are_merged(self):
+        # six compositions of 2 into three parts, five distinct root values
+        h3 = standard_hecke(3, at_q(Fraction(4, 7)))
+        rep = conjecture_scan(h3, 2, 2)
+        groups = [x.compositions for x in rep.multiplicities]
+        assert len(groups) == 5
+        assert sorted(kv for g in groups for kv in g) == sorted(compositions(2, 3))
+        assert ((1, 1, 0), (0, 2, 0)) in groups
+        assert sum(x.n for x in rep.multiplicities) == rep.eigen_dim_total == 36
+
+    @pytest.mark.parametrize("k,m", [(2, 2), (3, 2), (3, 3)])
+    def test_rank2_multiplicities_match_two_row_dims(self, h2, k, m):
+        rep = conjecture_scan(h2, k, m)
+        got = {x.compositions: x.n for x in rep.multiplicities}
+        assert got == {((s, m - s),): max((k + s) - (m - s) + 1, 0)
+                       for s in range(m, -1, -1)}
+
+    @pytest.mark.parametrize("p,k,m", [(3, 2, 2), (3, 3, 2), (2, 2, 2),
+                                       (2, 3, 2), (2, 3, 3)])
+    def test_multiplicities_match_elimination(self, h2, p, k, m):
+        # the trace solve agrees with the kernel dimension of M - r by
+        # Gauss-Jordan elimination, value by value
+        h = h2 if p == 2 else standard_hecke(3, at_q(Fraction(4, 7)))
+        rep = conjecture_scan(h, k, m)
+        cm = left_casimir_matrix(h, k, m)
+        dom = h.domain
+        ident = Mat.identity(cm.dim, dom.zero, dom.one)
+        assert rep.consistent
+        for x in rep.multiplicities:
+            kernel = cm.dim - len(pivot_columns(cm.op - ident.scale(x.value)))
+            assert x.n == kernel, x
+
+    def test_wrong_root_set_is_inconsistent(self, monkeypatch):
+        # shifting one conjectured value breaks both certificates and the
+        # witness lists the solved multiplicities
+        real = orbits.conjecture_roots
+
+        def shifted(rd, m, p):
+            roots = real(rd, m, p)
+            kvec, v = roots[-1]
+            return roots[:-1] + [(kvec, v + 1)]
+        monkeypatch.setattr(orbits, "conjecture_roots", shifted)
+        rep = conjecture_scan(standard_hecke(3, at_q(Fraction(4, 7))), 2, 2)
+        assert not rep.product_zero and not rep.consistent
+        assert "multiplicities" in rep.witness
+
+
+class TestTraceMultiplicities:
+    def test_diagonal(self):
+        dom = at_q(Fraction(2))
+        mat = Mat([[Fraction(v) if i == j else Fraction(0) for j in range(4)]
+                   for i, v in enumerate((3, 5, 3, 3))])
+        counts, extra = trace_multiplicities(mat, [Fraction(5), Fraction(3)], dom)
+        assert counts == [1, 3] and extra
+
+    def test_extra_row_catches_a_missing_value(self):
+        # spectrum {1, 1, 2} against the values {1, 3}: the square system
+        # solves to n = 5/2, 1/2 and the row j = 2 fails
+        dom = at_q(Fraction(2))
+        mat = Mat([[Fraction(v) if i == j else Fraction(0) for j in range(3)]
+                   for i, v in enumerate((1, 1, 2))])
+        counts, extra = trace_multiplicities(mat, [Fraction(1), Fraction(3)], dom)
+        assert counts == [Fraction(5, 2), Fraction(1, 2)]
+        assert not extra
 
 
 class TestStrings:

@@ -5,8 +5,7 @@ import pytest
 
 from qorbits.scalars import SYMBOLIC, at_q
 from qorbits.tensor import (LegOperator, LegError, Mat, embed_on_legs,
-                            exact_rank, inverse, pivot_columns, rank,
-                            weighted_partial_trace)
+                            inverse, pivot_columns, weighted_partial_trace)
 
 
 def random_legop(rng, n, m, dom):
@@ -87,17 +86,18 @@ class TestPartialTrace:
 class TestExactLinearAlgebra:
     def test_rank_of_identity(self):
         for m in (1, 2, 3):
-            assert exact_rank(LegOperator.identity(2, m, SYMBOLIC)) == 2 ** m
+            ident = LegOperator.identity(2, m, SYMBOLIC)
+            assert len(pivot_columns(ident.mat)) == 2 ** m
 
     def test_rank_fraction_matrix(self):
         mat = Mat([[Fraction(1), Fraction(2), Fraction(3)],
                    [Fraction(2), Fraction(4), Fraction(6)],
                    [Fraction(0), Fraction(1), Fraction(1)]])
-        assert rank(mat) == 2
+        assert len(pivot_columns(mat)) == 2
 
     def test_rank_symbolic(self, h2):
         # the Hecke operator is invertible: full rank symbolically
-        assert rank(h2.r.mat) == 4
+        assert len(pivot_columns(h2.r.mat)) == 4
 
     def test_inverse_roundtrip(self, rng):
         dom = at_q(Fraction(3, 2))
@@ -119,14 +119,6 @@ class TestExactLinearAlgebra:
         mat = Mat([[Fraction(0), Fraction(1), Fraction(2)],
                    [Fraction(0), Fraction(2), Fraction(4)]])
         assert pivot_columns(mat) == [1]
-
-    def test_int_fastpath_matches_generic(self, rng):
-        dom = at_q(Fraction(7, 5))
-        a = random_legop(rng, 2, 3, dom)   # 8x8, exercises both paths
-        b = random_legop(rng, 2, 3, dom)
-        fast = a.mat._matmul_int(b.mat)
-        slow = a.mat._matmul_sparse(b.mat)
-        assert fast == slow
 
     def test_shape_mismatch(self):
         a = Mat.identity(2, Fraction(0), Fraction(1))
