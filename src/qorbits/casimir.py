@@ -74,18 +74,6 @@ class TraceWeights:
     norm_exponent: int
     domain: ScalarDomain
 
-    def trace_on_module(self, x: Mat):
-        """q**(p*(m-1)) * trace(weight * x) on a V_(m)-endomorphism."""
-        d = self.domain
-        acc = d.zero
-        for a in range(self.weight.nrows):
-            wrow = self.weight.rows[a]
-            for b in range(self.weight.ncols):
-                w = wrow[b]
-                if w:
-                    acc = acc + w * x.rows[b][a]
-        return acc * d.q_pow(self.p * (self.m - 1))
-
 
 def trace_weights(h, m: int) -> TraceWeights:
     """Calibrated weight on V_(m) (cached per symmetry)."""

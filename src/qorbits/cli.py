@@ -710,14 +710,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_args(parser, args) -> None:
+    """Reject bad arguments with a usage error (exit 2) before any check runs."""
+    if args.q != "random":
+        try:
+            q0 = Fraction(args.q)
+        except (ValueError, ZeroDivisionError):
+            parser.error(f"--q must be a rational or 'random', got {args.q!r}")
+        if q0 in (0, 1, -1):
+            parser.error(f"--q must avoid 0, 1 and -1, got {args.q!r}")
+    if args.n < 1:
+        parser.error(f"--n must be at least 1, got {args.n}")
+    if args.samples < 1:
+        parser.error(f"--samples must be at least 1, got {args.samples}")
+    for flag in ("m", "k", "p"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            parser.error(f"--{flag} must be at least 1 when given, got {value}")
+    if args.max_size < 1:
+        parser.error(f"--max-size must be at least 1, got {args.max_size}")
+
+
 def run_suite(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.q != "random":
-        try:
-            Fraction(args.q)
-        except (ValueError, ZeroDivisionError):
-            parser.error(f"--q must be a rational or 'random', got {args.q!r}")
+    _check_args(parser, args)
     rng = random.Random(args.seed)
     rec = CheckRecorder()
     runner = suite_all if args.suite == "all" else SUITES[args.suite]

@@ -82,25 +82,6 @@ class CentralValues:
     provenance: str
 
 
-def _oriented(rep: Representation) -> List[List[Mat]]:
-    return rep.oriented_blocks()
-
-
-def _block_matrix(blocks: List[List[Mat]], n: int, d: int, zero) -> Mat:
-    big = Mat.zeros(n * d, n * d, zero)
-    for i in range(n):
-        for j in range(n):
-            blk = blocks[i][j]
-            for r in range(d):
-                brow = blk.rows[r]
-                orow = big.rows[i * d + r]
-                base = j * d
-                for c in range(d):
-                    if brow[c]:
-                        orow[base + c] = brow[c]
-    return big
-
-
 def trace_r_blocks(blocks: List[List[Mat]], c_weight: Mat, zero) -> Mat:
     """trace(C X) over the generator index of an operator-valued matrix."""
     n = len(blocks)
@@ -133,7 +114,7 @@ def central_elements_in_rep(h, rep: Representation, up_to: int) -> CentralValues
         raise IdentityError("up_to exceeds the symmetry rank")
     dom = h.domain
     n, d = rep.n, rep.d
-    blocks = _oriented(rep)
+    blocks = rep.oriented_blocks()
     sigma = [dom.one]
     s_vals = [dom.one]
 
@@ -198,7 +179,6 @@ def _sigma_k(h, rep: Representation, blocks, k: int, rinv) -> object:
 
     # contract every auxiliary leg with C
     result = Mat.zeros(d, d, dom.zero)
-    nz = [(a, b) for a in range(dim_aux) for b in range(dim_aux)]
     c_rows = h.c.rows
     for a in range(dim_aux):
         for b in range(dim_aux):

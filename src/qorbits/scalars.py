@@ -1,11 +1,14 @@
 """Exact scalar arithmetic: rationals and rational functions in the deformation parameter q.
 
 The ground field is the rationals (stdlib ``fractions.Fraction``).  On top of
-it sits :class:`QScalar`, the field of rational functions in one variable q,
-stored in a unique canonical form so that equality of values is equality of
-representations.  Laurent polynomials in q (the common case: q-integers,
-q-binomials, R-matrix entries) are rational functions whose denominator is a
-pure power of q.
+it sits :class:`QScalar`, the field of rational functions in one variable q.
+A QScalar stores two integer polynomials n/d in a unique canonical form, so
+that equality of values is equality of representations, and all of its
+arithmetic runs on integer coefficient tuples: gcds are primitive
+pseudo-remainder sequences over Z[q] and divisions by a gcd are exact
+integer divisions (Gauss's lemma).  Laurent polynomials in q (the common
+case: q-integers, q-binomials, R-matrix entries) are rational functions whose
+denominator is a monomial c*q**k.
 
 Identities claimed "for symbolic q" may alternatively be certified by exact
 evaluation at several random rational points (see :func:`random_q`); all
@@ -13,13 +16,14 @@ degree bounds in this package are far below the sample space, so a handful of
 agreeing samples is decisive in practice.  Symbolic and evaluated modes share
 one code path through :class:`ScalarDomain`.
 
-All values are immutable and safe to share between threads.
+All values are immutable.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,7 +34,7 @@ _F1 = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Q, coefficient tuples indexed by degree
+# dense univariate polynomials over Z, coefficient tuples indexed by degree
 # ---------------------------------------------------------------------------
 
 def _ptrim(c: list) -> tuple:
@@ -43,9 +47,8 @@ def _ptrim(c: list) -> tuple:
 def _padd(a: tuple, b: tuple) -> tuple:
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] += x
+    out = [x + y for x, y in zip(a, b)]
+    out.extend(a[len(b):])
     return _ptrim(out)
 
 
@@ -53,86 +56,49 @@ def _pneg(a: tuple) -> tuple:
     return tuple(-x for x in a)
 
 
+def _is_monomial(a: tuple) -> bool:
+    """True for c*q**k with c != 0."""
+    return a.count(0) == len(a) - 1
+
+
 def _pmul(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return ()
-    # integer convolution with one common denominator per operand: much
-    # cheaper than per-coefficient Fraction arithmetic on long polynomials
-    ia, da = _int_scaled(a)
-    ib, db = _int_scaled(b)
-    out = [0] * (len(ia) + len(ib) - 1)
-    for i, x in enumerate(ia):
+    """Product of nonzero integer polynomials (Z is a domain: no trim)."""
+    if _is_monomial(a):
+        a, b = b, a
+    if _is_monomial(b):
+        c = b[-1]
+        return (0,) * (len(b) - 1) + tuple(c * x for x in a)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(ib):
-                if y:
-                    out[i + j] += x * y
-    d = da * db
-    return _ptrim([Fraction(c, d) for c in out])
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return tuple(out)
 
 
-def _int_scaled(a: tuple):
-    """(integer coefficients, common denominator) for a Fraction tuple."""
-    den = 1
-    for c in a:
-        cd = c.denominator
-        if cd != 1:
-            den = den * cd // math.gcd(den, cd)
-    if den == 1:
-        return [c.numerator for c in a], 1
-    return [c.numerator * (den // c.denominator) for c in a], den
-
-
-def _pscale(a: tuple, s: Fraction) -> tuple:
-    if not s:
-        return ()
-    return tuple(x * s for x in a)
-
-
-def _pshift(a: tuple, k: int) -> tuple:
-    """Multiply by q**k (k >= 0)."""
-    if not a:
-        return ()
-    return (_F0,) * k + tuple(a)
+def _low_coeff(a: tuple) -> int:
+    """Lowest-degree nonzero coefficient of a nonzero polynomial."""
+    return next(filter(None, a))
 
 
 def _plow(a: tuple) -> int:
-    for i, x in enumerate(a):
-        if x:
-            return i
-    raise ValueError("zero polynomial has no lowest term")
+    """Degree of the lowest nonzero term of a nonzero polynomial."""
+    return a.index(_low_coeff(a))
 
 
-def _pdivmod(a: tuple, b: tuple) -> tuple:
-    """Quotient and remainder over the rationals."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [_F0] * max(len(a) - db, 0)
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i]
-        if not c:
-            continue
-        c = c / lb
-        q[i - db] = c
-        for j in range(db + 1):
-            r[i - db + j] -= c * b[j]
-    return _ptrim(q), _ptrim(r)
+def _q_pow_poly(k: int) -> tuple:
+    return (0,) * k + (1,)
 
 
-def _pdiv_exact(a: tuple, b: tuple) -> tuple:
-    q, r = _pdivmod(a, b)
-    if r:
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
-def _int_div_exact(f: list, g: list) -> list:
-    """Exact division of integer polynomials (divisibility guaranteed)."""
-    if not f:
-        return []
-    r = list(f)
+def _int_div_exact(f: tuple, g: tuple) -> tuple:
+    """Exact quotient of integer polynomials (divisibility guaranteed)."""
     dg, lg = len(g) - 1, g[-1]
+    if lg == 1 and _is_monomial(g):
+        # g = q**dg: a shift
+        if any(f[:dg]):
+            raise ArithmeticError("inexact integer polynomial division")
+        return f[dg:]
+    r = list(f)
     q = [0] * (len(f) - dg)
     for i in range(len(r) - 1, dg - 1, -1):
         c = r[i]
@@ -146,30 +112,14 @@ def _int_div_exact(f: list, g: list) -> list:
             r[i - dg + j] -= c * g[j]
     if any(r):
         raise ArithmeticError("inexact integer polynomial division")
-    return q
-
-
-def _peval(a: tuple, x: Fraction) -> Fraction:
-    acc = _F0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
+    return tuple(q)
 
 
 # integer-polynomial gcd via primitive pseudo-remainder sequences; this keeps
 # coefficient growth under control compared to naive Euclid over Q
-def _int_content(a: list) -> int:
-    g = 0
-    for c in a:
-        g = math.gcd(g, abs(c))
-        if g == 1:
-            break
-    return g or 1
-
-
 def _int_primitive(a: list) -> list:
-    g = _int_content(a)
-    return [c // g for c in a]
+    g = math.gcd(*a)
+    return [c // g for c in a] if g > 1 else list(a)
 
 
 def _int_prem(f: list, g: list) -> list:
@@ -188,36 +138,34 @@ def _int_prem(f: list, g: list) -> list:
     return f
 
 
-def _pgcd_int(f: list, g: list) -> list:
-    """Primitive gcd of integer polynomials by primitive remainder sequences."""
-    f = _int_primitive(f)
-    g = _int_primitive(g)
+@lru_cache(maxsize=1 << 16)
+def _pgcd_int(a: tuple, b: tuple) -> tuple:
+    """Primitive gcd of integer polynomials by primitive remainder sequences.
+
+    Memoized: the same denominator pairs (small q-integer products) recur
+    millions of times across matrix entries.
+    """
+    f = _int_primitive(a)
+    g = _int_primitive(b)
     if len(f) < len(g):
         f, g = g, f
     while g:
         r = _int_prem(f, g)
         f, g = g, _int_primitive(r) if r else []
-    return f
+    return tuple(f)
 
 
-@lru_cache(maxsize=1 << 16)
 def _pgcd(a: tuple, b: tuple) -> tuple:
-    """Primitive gcd as a Fraction tuple (monic not enforced).
+    """Primitive gcd of nonzero integer polynomials, up to sign.
 
-    Memoized: the same denominator pairs (small q-integer products) recur
-    millions of times across matrix entries.
+    The gcd of f with a monomial c*q**k is q**min(k, low(f)), with no
+    remainder sequence and no cache lookup.
     """
-    if not a:
-        return b
-    if not b:
-        return a
-    f = _pgcd_int(_int_scaled(a)[0], _int_scaled(b)[0])
-    return tuple(Fraction(c) for c in f)
-
-
-@lru_cache(maxsize=1 << 16)
-def _pdiv_cached(a: tuple, b: tuple) -> tuple:
-    return _pdiv_exact(a, b)
+    if _is_monomial(b):
+        return _q_pow_poly(min(len(b) - 1, _plow(a)))
+    if _is_monomial(a):
+        return _q_pow_poly(min(len(a) - 1, _plow(b)))
+    return _pgcd_int(a, b)
 
 
 def _pstr(a: tuple, var: str = "q") -> str:
@@ -249,53 +197,105 @@ def _term_str(c: Fraction, e: int, lead: bool, var: str = "q") -> str:
 # QScalar: canonical rational function in q
 # ---------------------------------------------------------------------------
 
+class FractionView(Sequence):
+    """Read-only view of integer coefficients c as the Fractions c/low.
+
+    low is the lowest nonzero coefficient of the integer denominator the
+    view belongs to.  The view compares equal to the tuple of those
+    Fractions; they are made only when read, so taking a view and its
+    ``len`` is cheap.
+    """
+
+    __slots__ = ("_coeffs", "_den")
+
+    def __init__(self, coeffs: tuple, den: tuple):
+        self._coeffs = coeffs
+        self._den = den
+
+    def __len__(self):
+        return len(self._coeffs)
+
+    def __getitem__(self, i: int) -> Fraction:
+        return Fraction(self._coeffs[i], _low_coeff(self._den))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, FractionView)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
 class QScalar:
     """Rational function in q over the rationals, in unique canonical form.
 
-    Canonical form: num/den with den and num coprime polynomials and the
-    lowest-degree coefficient of den equal to 1.  Laurent polynomials carry a
-    denominator that is a pure power of q.  Equal values have equal (num, den)
-    tuples, so ``==`` and ``hash`` are structural.
+    Storage is a pair of integer polynomials n/d (coefficient tuples indexed
+    by degree) with n and d coprime in Q[q], the coefficients of n and d
+    together of gcd 1, and the lowest nonzero coefficient of d positive;
+    zero is ``((), (1,))``.  Equal values have equal (n, d), so ``==`` and
+    ``hash`` are structural.
+
+    ``num`` and ``den`` are Fraction views (:class:`FractionView`) of the
+    same value, scaled so that the lowest-degree coefficient of ``den`` is
+    1; a Laurent polynomial has ``den`` a pure power of q.
+    ``QScalar(num, den)`` accepts int or Fraction coefficient tuples and
+    canonicalizes them.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("_n", "_d", "_hash")
 
-    def __init__(self, num, den=(_F1,), _canonical=False):
-        if not _canonical:
-            num, den = _canonicalize(tuple(num), tuple(den))
-        self.num = num
-        self.den = den
+    def __init__(self, num, den=(1,)):
+        num, den = tuple(num), tuple(den)
+        scale = math.lcm(*(Fraction(c).denominator for c in num + den))
+        n = _ptrim([int(c * scale) for c in num])
+        d = _ptrim([int(c * scale) for c in den])
+        if not d:
+            raise ZeroDivisionError("zero denominator")
+        n, d = _reduced(n, d) if n else ((), (1,))
+        self._n = n
+        self._d = d
         self._hash = None
+
+    # -- Fraction views -----------------------------------------------------
+    @property
+    def num(self) -> "FractionView":
+        return FractionView(self._n, self._d)
+
+    @property
+    def den(self) -> "FractionView":
+        return FractionView(self._d, self._d)
 
     # -- constructors -----------------------------------------------------
     @staticmethod
     def from_rational(r) -> "QScalar":
-        r = Fraction(r)
+        if not isinstance(r, (int, Fraction)):
+            r = Fraction(r)
         if not r:
             return Q_ZERO
-        return QScalar((r,), (_F1,), _canonical=True)
+        return _make((r.numerator,), (r.denominator,))
 
     @staticmethod
     def q_power(k: int) -> "QScalar":
         if k >= 0:
-            return QScalar(_pshift((_F1,), k), (_F1,), _canonical=True)
-        return QScalar((_F1,), _pshift((_F1,), -k), _canonical=True)
+            return _make(_q_pow_poly(k), (1,))
+        return _make((1,), _q_pow_poly(-k))
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._n
 
     def is_laurent(self) -> bool:
         """True when the denominator is a pure power of q."""
-        return sum(1 for c in self.den if c) == 1
+        return _is_monomial(self._d)
 
     def is_rational(self) -> bool:
-        return len(self.den) == 1 and len(self.num) <= 1
+        return len(self._d) == 1 and len(self._n) <= 1
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not a constant: {self}")
-        return self.num[0] if self.num else _F0
+        return Fraction(self._n[0], self._d[0]) if self._n else _F0
 
     # -- arithmetic ---------------------------------------------------------
     def _coerce(self, other):
@@ -309,61 +309,34 @@ class QScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.num:
-            return o
-        if not o.num:
-            return self
-        if self.den == o.den:
-            num = _padd(self.num, o.num)
-            if not num:
-                return Q_ZERO
-            return _reduced_against(num, self.den)
-        # textbook rational addition: after splitting off the denominator
-        # gcd, the only factor the sum can share with the denominator is
-        # that gcd itself
-        g = _pgcd(self.den, o.den)
-        if len(g) > 1:
-            d1p = _pdiv_exact(self.den, g)
-            d2p = _pdiv_exact(o.den, g)
-        else:
-            d1p, d2p = self.den, o.den
-        num = _padd(_pmul(self.num, d2p), _pmul(o.num, d1p))
-        if not num:
-            return Q_ZERO
-        den = _pmul(self.den, d2p)
-        if len(g) > 1:
-            g2 = _pgcd(num, g)
-            if len(g2) > 1:
-                num = _pdiv_exact(num, g2)
-                den = _pdiv_exact(den, g2)
-        return QScalar(*_normalize_reduced(num, den), _canonical=True)
+        return _sum(self, o._n, o._d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if not self.num:
+        if not self._n:
             return self
-        return QScalar(_pneg(self.num), self.den, _canonical=True)
+        return _make(_pneg(self._n), self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _sum(self, _pneg(o._n), o._d)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return _sum(o, _pneg(self._n), self._d)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.num or not o.num:
+        if not self._n or not o._n:
             return Q_ZERO
-        return _cross_cancelled_product(self.num, self.den, o.num, o.den)
+        return _cross_cancelled_product(self._n, self._d, o._n, o._d)
 
     __rmul__ = __mul__
 
@@ -371,11 +344,11 @@ class QScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.num:
+        if not o._n:
             raise ZeroDivisionError("division by zero QScalar")
-        if not self.num:
+        if not self._n:
             return Q_ZERO
-        return _cross_cancelled_product(self.num, self.den, o.den, o.num)
+        return _cross_cancelled_product(self._n, self._d, o._d, o._n)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -384,19 +357,21 @@ class QScalar:
         return o / self
 
     def __pow__(self, k: int):
-        # powers of a reduced fraction stay reduced: no gcd work at all
+        # powers of a canonical pair stay coprime with content 1 (content
+        # is multiplicative): no gcd work at all
         if k == 0:
             return Q_ONE
-        if not self.num:
+        if not self._n:
             if k < 0:
                 raise ZeroDivisionError("zero to a negative power")
             return Q_ZERO
-        num, den = self.num, self.den
+        num, den = self._n, self._d
         if k < 0:
             num, den = den, num
-            num, den = _normalize_reduced(num, den)
+            if _low_coeff(den) < 0:
+                num, den = _pneg(num), _pneg(den)
             k = -k
-        out_n, out_d = (_F1,), (_F1,)
+        out_n, out_d = (1,), (1,)
         base_n, base_d = num, den
         while k:
             if k & 1:
@@ -406,21 +381,21 @@ class QScalar:
             if k:
                 base_n = _pmul(base_n, base_n)
                 base_d = _pmul(base_d, base_d)
-        return QScalar(out_n, out_d, _canonical=True)
+        return _make(out_n, out_d)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self._n == o._n and self._d == o._d
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            self._hash = hash((self._n, self._d))
         return self._hash
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._n)
 
     def __repr__(self):
         try:
@@ -429,66 +404,74 @@ class QScalar:
             return f"({_pstr(self.num)})/({_pstr(self.den)})"
 
 
-def _normalize_reduced(num: tuple, den: tuple) -> tuple:
-    """Scale an already-coprime pair so the denominator's low coefficient is 1."""
-    low = den[_plow(den)]
-    if low != 1:
-        inv = _F1 / low
-        num = _pscale(num, inv)
-        den = _pscale(den, inv)
-    return num, den
+_new = object.__new__
 
 
-def _reduced_against(num: tuple, den: tuple) -> "QScalar":
-    g = _pgcd(num, den)
+def _make(n: tuple, d: tuple) -> QScalar:
+    """A QScalar from a pair already in canonical form."""
+    s = _new(QScalar)
+    s._n = n
+    s._d = d
+    s._hash = None
+    return s
+
+
+def _content_and_sign(n: tuple, d: tuple) -> tuple:
+    """Divide a coprime pair by its joint content; make low(d) positive."""
+    g = math.gcd(*n, *d)
+    if g != 1:
+        n = tuple(c // g for c in n)
+        d = tuple(c // g for c in d)
+    if _low_coeff(d) < 0:
+        n, d = _pneg(n), _pneg(d)
+    return n, d
+
+
+def _cancel(a: tuple, b: tuple, g: tuple) -> tuple:
+    """(a/g, b/g) for a common divisor g of a and b."""
     if len(g) > 1:
-        num = _pdiv_exact(num, g)
-        den = _pdiv_exact(den, g)
-    return QScalar(*_normalize_reduced(num, den), _canonical=True)
+        return _int_div_exact(a, g), _int_div_exact(b, g)
+    return a, b
 
 
-def _cross_cancelled_product(n1, d1, n2, d2) -> "QScalar":
-    """(n1/d1)(n2/d2) for coprime pairs, cancelling across before multiplying."""
-    g1 = _pgcd(n1, d2)
-    if len(g1) > 1:
-        n1 = _pdiv_exact(n1, g1)
-        d2 = _pdiv_exact(d2, g1)
-    g2 = _pgcd(n2, d1)
-    if len(g2) > 1:
-        n2 = _pdiv_exact(n2, g2)
-        d1 = _pdiv_exact(d1, g2)
-    return QScalar(*_normalize_reduced(_pmul(n1, n2), _pmul(d1, d2)),
-                   _canonical=True)
+def _reduced(n: tuple, d: tuple) -> tuple:
+    """Canonical pair for n/d (n != 0): cancel the gcd, then content and sign."""
+    return _content_and_sign(*_cancel(n, d, _pgcd(n, d)))
 
 
-def _canonicalize(num: tuple, den: tuple) -> tuple:
-    num = _ptrim(list(num))
-    den = _ptrim(list(den))
-    if not den:
-        raise ZeroDivisionError("zero denominator")
+def _sum(x: QScalar, n2: tuple, d2: tuple) -> QScalar:
+    """x + n2/d2 for a canonical pair (n2, d2)."""
+    n1, d1 = x._n, x._d
+    if not n1:
+        return _make(n2, d2) if n2 else Q_ZERO
+    if not n2:
+        return x
+    if d1 == d2:
+        num = _padd(n1, n2)
+        return _make(*_reduced(num, d1)) if num else Q_ZERO
+    # textbook rational addition: after splitting off the denominator
+    # gcd, the only factor the sum can share with the denominator is
+    # that gcd itself
+    g = _pgcd(d1, d2)
+    d1p, d2p = _cancel(d1, d2, g)
+    num = _padd(_pmul(n1, d2p), _pmul(n2, d1p))
     if not num:
-        return (), (_F1,)
-    # integer pipeline: scale both to Z[q], cancel the primitive gcd there
-    # (Gauss: quotients stay integral), then normalize the denominator's
-    # lowest coefficient to one
-    n_int, n_den = _int_scaled(num)
-    d_int, d_den = _int_scaled(den)
-    g = _pgcd_int(n_int, d_int)
+        return Q_ZERO
+    den = _pmul(d1, d2p)
     if len(g) > 1:
-        n_int = _int_div_exact(n_int, g)
-        d_int = _int_div_exact(d_int, g)
-    low_idx = 0
-    while d_int[low_idx] == 0:
-        low_idx += 1
-    low = d_int[low_idx]
-    num_scale = Fraction(d_den, n_den * low)
-    den_out = tuple(Fraction(c, low) for c in d_int)
-    num_out = tuple(Fraction(c) * num_scale for c in n_int)
-    return _ptrim(list(num_out)), _ptrim(list(den_out))
+        num, den = _cancel(num, den, _pgcd(num, g))
+    return _make(*_content_and_sign(num, den))
 
 
-Q_ZERO = QScalar((), (_F1,), _canonical=True)
-Q_ONE = QScalar((_F1,), (_F1,), _canonical=True)
+def _cross_cancelled_product(n1, d1, n2, d2) -> QScalar:
+    """(n1/d1)(n2/d2) for coprime pairs, cancelling across before multiplying."""
+    n1, d2 = _cancel(n1, d2, _pgcd(n1, d2))
+    n2, d1 = _cancel(n2, d1, _pgcd(n2, d1))
+    return _make(*_content_and_sign(_pmul(n1, n2), _pmul(d1, d2)))
+
+
+Q_ZERO = _make((), (1,))
+Q_ONE = _make((1,), (1,))
 Q = QScalar.q_power(1)
 
 
@@ -502,10 +485,7 @@ def q_int(m: int) -> QScalar:
         return Q_ZERO
     if m < 0:
         return -q_int(-m)
-    num = [_F0] * (2 * m - 1)
-    for i in range(m):
-        num[2 * i] = _F1
-    return QScalar(tuple(num), _pshift((_F1,), m - 1), _canonical=True)
+    return _make((1, 0) * (m - 1) + (1,), _q_pow_poly(m - 1))
 
 
 def q_factorial(m: int) -> QScalar:
@@ -537,11 +517,23 @@ def eval_at(s: QScalar, q0) -> Fraction:
     q0 = Fraction(q0)
     if q0 == 0:
         raise QEvalError("q = 0 is outside the domain of q-scalars")
-    den = _peval(s.den, q0)
+    # homogenized over the common degree, so the sums stay in Z
+    a, b = q0.numerator, q0.denominator
+    top = max(len(s._n), len(s._d))
+    den = _hom_eval(s._d, a, b, top)
     if den == 0:
         raise QEvalError(
             f"denominator {_pstr(s.den)} vanishes at q = {q0}")
-    return _peval(s.num, q0) / den
+    return Fraction(_hom_eval(s._n, a, b, top), den)
+
+
+def _hom_eval(f: tuple, a: int, b: int, top: int) -> int:
+    """b**(top-1) * f(a/b) for an integer polynomial f of length <= top."""
+    acc, bp = 0, 1
+    for c in reversed(f):
+        acc = acc * a + c * bp
+        bp *= b
+    return acc * b ** (top - len(f))
 
 
 # ---------------------------------------------------------------------------
@@ -597,10 +589,11 @@ def format_scalar(s: QScalar) -> str:
         return "0"
     if not s.is_laurent():
         raise ValueError("only Laurent scalars have a canonical text form")
-    shift = _plow(s.den)
+    shift = _plow(s._d)
+    num = s.num
     parts = []
-    for d in range(len(s.num) - 1, -1, -1):
-        c = s.num[d]
+    for d in range(len(num) - 1, -1, -1):
+        c = num[d]
         if not c:
             continue
         parts.append(_term_str(c, d - shift, lead=not parts))

@@ -198,11 +198,6 @@ def pivot_columns(mat: Mat) -> list:
     return _field_elim(rows, mat.ncols)
 
 
-def solve_right(a: Mat, b: Mat) -> Mat:
-    """Solve a X = b exactly; a must be square invertible."""
-    return inverse(a) * b
-
-
 # ---------------------------------------------------------------------------
 # leg operators
 # ---------------------------------------------------------------------------
@@ -336,8 +331,6 @@ def weighted_partial_trace(op: LegOperator, legs, weight: Mat) -> LegOperator:
             code //= n
         return digits
 
-    nz_weight = [(a, b, weight.rows[a][b]) for a in range(n) for b in range(n)
-                 if weight.rows[a][b]]
     dim = op.dim()
     for r in range(dim):
         rdig = decode(r)

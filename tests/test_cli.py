@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qorbits
 from qorbits import hecke, orbits
 from qorbits.cli import run_suite, ANCHORS
 from qorbits.hecke import standard_hecke, save_r_to_file
@@ -122,6 +125,29 @@ class TestExitCodes:
             run_suite(["validate", "--q", "sideways"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--q", "0"],
+        ["validate", "--q", "1"],
+        ["validate", "--q", "-1"],
+        ["validate", "--n", "0"],
+        ["newton", "--samples", "0"],
+        ["newton", "--samples", "-1"],
+        ["projectors", "--m", "0"],
+        ["ch", "--k", "0"],
+        ["newton", "--p", "-2"],
+        ["projectors", "--max-size", "0"],
+    ], ids=["q0", "q1", "q-1", "n0", "samples0", "samples-1", "m0", "k0",
+            "p-2", "max-size0"])
+    def test_bad_argument_is_usage_error_before_any_check(
+            self, tmp_path, capsys, argv):
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as err:
+            run_suite(argv + ["--out", str(out)])
+        assert err.value.code == 2
+        assert not out.exists()
+        stderr = capsys.readouterr().err
+        assert "usage:" in stderr and "Traceback" not in stderr
+
     def test_missing_r_file_is_file_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             run_suite(["validate", "--r-file", "/definitely/not/here.json"])
@@ -141,9 +167,13 @@ class TestExitCodes:
         assert code == 0
 
     def test_module_entrypoint(self, tmp_path):
-        # the installed console path: python -m qorbits.cli
+        # the installed console path: python -m qorbits.cli, importing the
+        # same package these tests import
+        src = str(Path(qorbits.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run(
             [sys.executable, "-m", "qorbits.cli", "euler", "--seed", "1",
              "--out", str(tmp_path / "r.json")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert out.returncode == 0

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from qorbits.hecke import standard_hecke
-from qorbits.scalars import at_q
+from qorbits.scalars import at_q, eval_at, random_q
 from qorbits.tensor import embed_on_legs, pivot_columns
 from qorbits.projectors import (antisymmetrizer_tower, q_antisymmetrizer,
                                 q_symmetrizer)
@@ -97,3 +97,20 @@ class TestConstructionTower:
     def test_seeded_tower_matches_a_rebuild(self, h2):
         for m, a_m in antisymmetrizer_tower(h2.r, h2.domain, h2.p + 1):
             assert h2._proj_cache[("A", m)] == a_m
+
+
+class TestSymbolicAgainstSampled:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_evaluated_tower_equals_sampled_tower(self, h2, rng, m):
+        # oracle: the symbolic operator, evaluated entrywise at q0, is the
+        # operator the same recursion builds over the rationals at q0
+        sym_s = q_symmetrizer(h2, m)
+        sym_a = q_antisymmetrizer(h2, m)
+        for _ in range(3):
+            q0 = random_q(rng)
+            h = standard_hecke(2, at_q(q0))
+            for sym, sampled in ((sym_s, q_symmetrizer(h, m)),
+                                 (sym_a, q_antisymmetrizer(h, m))):
+                evaluated = [[eval_at(x, q0) for x in row]
+                             for row in sym.mat.rows]
+                assert evaluated == sampled.mat.rows

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, find, given, settings, strategies as st
 
 from qorbits.scalars import (Q, QScalar, Q_ONE, Q_ZERO, QEvalError,
                              ScalarParseError, at_q, eval_at, format_scalar,
@@ -113,6 +113,49 @@ class TestEvalAt:
 coeffs = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 laurents = st.lists(st.tuples(st.integers(-5, 5), coeffs), max_size=5).map(
     lambda pairs: brute_q_pow_sum(pairs))
+
+
+nonzero_laurents = laurents.filter(lambda x: not x.is_zero())
+# quotients of Laurent polynomials: the general rational functions, with
+# denominators that are not monomials
+rational_functions = st.tuples(laurents, nonzero_laurents).map(
+    lambda pair: pair[0] / pair[1])
+nonzero_coeffs = coeffs.filter(bool)
+
+
+class TestRationalFunctions:
+    @given(rational_functions, rational_functions,
+           st.fractions(min_value=-20, max_value=20, max_denominator=20))
+    @settings(max_examples=60, deadline=None)
+    def test_field_homomorphism(self, x, y, q0):
+        try:
+            ex, ey = eval_at(x, q0), eval_at(y, q0)
+        except QEvalError:
+            assume(False)
+        assert eval_at(x + y, q0) == ex + ey
+        assert eval_at(x - y, q0) == ex - ey
+        assert eval_at(x * y, q0) == ex * ey
+        if ey:
+            assert eval_at(x / y, q0) == ex / ey
+
+    @given(rational_functions, rational_functions)
+    @settings(max_examples=60, deadline=None)
+    def test_division_roundtrip(self, x, y):
+        assume(not y.is_zero())
+        assert (x / y) * y == x
+        assert (x * y) / y == x
+
+    @given(rational_functions, nonzero_coeffs)
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_uniqueness(self, x, c):
+        scaled = QScalar(tuple(c * a for a in x.num), tuple(c * a for a in x.den))
+        assert scaled.num == x.num and scaled.den == x.den
+        assert scaled == x and hash(scaled) == hash(x)
+
+    def test_strategy_reaches_general_denominators(self):
+        x = find(rational_functions, lambda x: not x.is_laurent(),
+                 settings=settings(database=None))
+        assert len(x.den) > 1 and sum(1 for c in x.den if c) > 1
 
 
 class TestCanonicalForm:
