@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .scalars import ScalarDomain
-from .tensor import Mat
+from .tensor import Mat, weighted_partial_trace
+from .identities import central_trace
 from .projectors import q_symmetrizer
 from .reps import (Compression, Representation, sym_chart, sym_power_left,
                    sym_power_right_rea_p2)
@@ -108,12 +109,8 @@ def generator_trace_identity(h, m: int) -> bool:
     """
     dom = h.domain
     rep = sym_power_left(h, m)
-    acc = Mat.zeros(rep.d, rep.d, dom.zero)
-    for i in range(h.n):
-        for j in range(h.n):
-            c = h.c.rows[i][j]
-            if c:
-                acc = acc + rep.rho[i][j].scale(c)
+    acc = weighted_partial_trace(rep.generator_matrix(), {1}, h.c.transpose(),
+                                 (h.n, rep.d))
     acc = acc.scale(dom.q_pow(2 * h.p))
     expect = Mat.identity(rep.d, dom.zero, dom.one).scale(
         dom.q_pow(1 - m) * dom.q_int(m))
@@ -138,87 +135,29 @@ class CasimirMatrix:
     def dim(self) -> int:
         return self.dk * self.dm
 
-    def trace_generators(self, weights: TraceWeights, certify: bool = True):
-        """Quantum trace over the V_(m) factor; scalar on the V_(k) factor.
 
-        Returns the scalar; with certify=True the partial trace must be an
-        exact multiple of the identity (centrality of the traced element).
-        """
-        return _certified_module_trace(self.op, self.dk, self.dm, weights,
-                                       certify)
+def module_trace(op: Mat, dk: int, dm: int, weights: TraceWeights):
+    """Certified quantum trace over the V_(m) factor of V_(k) (x) V_(m).
 
-
-def module_trace(op: Mat, dk: int, dm: int, weights: TraceWeights,
-                 certify: bool = True):
-    """Public entry for the certified weighted trace over the module factor."""
-    return _certified_module_trace(op, dk, dm, weights, certify)
-
-
-def quantum_trace(blocks, c_weight: Mat, weights: Optional[TraceWeights] = None,
-                  full_scalar: bool = False):
-    """Weighted trace of a generator-indexed matrix of module endomorphisms.
-
-    blocks[a][b] is the endomorphism sitting at generator position (a, b);
-    the generator index is contracted against the single-leg weight, and
-    with full_scalar=True the module factor is traced against the calibrated
-    weight as well.  Shapes must agree with the weight matrices.
+    The partial trace against the calibrated weight must be a scalar on the
+    first factor (centrality of the traced element); returns that scalar
+    times q**(p*(m-1)).
     """
-    n = len(blocks)
-    if c_weight.nrows != n or c_weight.ncols != n:
-        raise CasimirError("weight does not match the generator index")
-    d = blocks[0][0].nrows
-    zero = None
-    acc = None
-    for a in range(n):
-        for b in range(n):
-            blk = blocks[a][b]
-            if blk.nrows != d or blk.ncols != d:
-                raise CasimirError("ragged block matrix")
-            w = c_weight.rows[a][b]
-            if not w:
-                continue
-            term = blk.scale(w)
-            acc = term if acc is None else acc + term
-    if acc is None:
-        raise CasimirError("empty contraction")
-    if not full_scalar:
-        return acc
-    if weights is None:
-        raise CasimirError("full scalar trace needs calibrated weights")
-    dom = weights.domain
-    out = dom.zero
-    for a in range(weights.weight.nrows):
-        for b in range(weights.weight.ncols):
-            w = weights.weight.rows[a][b]
-            if w:
-                out = out + w * acc.rows[b][a]
-    return out * dom.q_pow(weights.p * (weights.m - 1))
+    value = central_trace(op, {2}, weights.weight, (dk, dm), "module trace")
+    return value * weights.domain.q_pow(weights.p * (weights.m - 1))
 
 
-def _certified_module_trace(op: Mat, dk: int, dm: int,
-                            weights: TraceWeights, certify: bool):
-    d = weights.domain
-    out = Mat.zeros(dk, dk, d.zero)
-    w = weights.weight
-    for a in range(dm):
-        for b in range(dm):
-            wv = w.rows[a][b]
-            if not wv:
-                continue
-            for r in range(dk):
-                orow = out.rows[r]
-                srow = op.rows[r * dm + b]
-                for c in range(dk):
-                    v = srow[c * dm + a]
-                    if v:
-                        orow[c] = orow[c] + wv * v
-    scale = d.q_pow(weights.p * (weights.m - 1))
-    value = out.rows[0][0] * scale
-    if certify:
-        ident = Mat.identity(dk, d.zero, d.one)
-        if not (out == ident.scale(out.rows[0][0])):
-            raise CasimirError("module trace is not scalar on the first factor")
-    return value
+def _casimir_pairing(h, first, second) -> Mat:
+    """q**(2p) sum_ij C[i][j] sum_a first[i][a] (x) second[a][j]."""
+    dim = first[0][0].nrows * second[0][0].nrows
+    acc = Mat.zeros(dim, dim, h.domain.zero)
+    for i in range(h.n):
+        for j in range(h.n):
+            c = h.c.rows[i][j]
+            if c:
+                for a in range(h.n):
+                    acc = acc + first[i][a].kron(second[a][j]).scale(c)
+    return acc.scale(h.domain.q_pow(2 * h.p))
 
 
 def split_casimir_matrix(h, k: int, m: int, algebra: str = "rea",
@@ -240,21 +179,11 @@ def split_casimir_matrix(h, k: int, m: int, algebra: str = "rea",
     right = right_rep if right_rep is not None else _cached_right_rea(h, k)
     left = left_rep if left_rep is not None else _cached_left(h, m)
     dk, dm = right.d, left.d
-    dim = dk * dm
-    acc = Mat.zeros(dim, dim, dom.zero)
-    for i in range(h.n):
-        for j in range(h.n):
-            c = h.c.rows[i][j]
-            if not c:
-                continue
-            for a in range(h.n):
-                term = right.rho[i][a].kron(left.rho[a][j])
-                acc = acc + term.scale(c)
-    acc = acc.scale(dom.q_pow(2 * h.p))
+    acc = _casimir_pairing(h, right.rho, left.rho)
     label = f"L(k={k},m={m})"
     if algebra == "mrea":
         shift = dom.q_pow(1 - m) * dom.q_int(m) / dom.zeta
-        acc = acc + Mat.identity(dim, dom.zero, dom.one).scale(shift)
+        acc = acc + Mat.identity(dk * dm, dom.zero, dom.one).scale(shift)
         label += " [mrea]"
     elif algebra != "rea":
         raise CasimirError(f"unknown algebra {algebra!r}")
@@ -291,20 +220,10 @@ def left_casimir_matrix(h, k: int, m: int) -> CasimirMatrix:
     """
     if k < 1 or m < 1:
         raise CasimirError("k and m must be positive")
-    dom = h.domain
     outer = _cached_left(h, k)
     inner = _cached_left(h, m)
-    dim = outer.d * inner.d
-    acc = Mat.zeros(dim, dim, dom.zero)
-    for i in range(h.n):
-        for j in range(h.n):
-            c = h.c.rows[i][j]
-            if not c:
-                continue
-            for a in range(h.n):
-                term = outer.rho[i][a].kron(inner.rho[a][j].transpose())
-                acc = acc + term.scale(c)
-    acc = acc.scale(dom.q_pow(2 * h.p))
+    acc = _casimir_pairing(h, outer.rho, [[blk.transpose() for blk in row]
+                                          for row in inner.rho])
     return CasimirMatrix(k=k, m=m, algebra="mrea", op=acc, dk=outer.d,
                          dm=inner.d, label=f"L(m={m}) in left sym power {k}")
 

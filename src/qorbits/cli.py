@@ -111,21 +111,40 @@ def _q_labels(domains) -> list:
     return [d.describe() for d in domains]
 
 
+def _r_matrix(args, domain):
+    """The --r-file R-matrix (exit 3 on a file error), else the standard one."""
+    if not args.r_file:
+        return hecke_mod.standard_r(args.n, domain)
+    try:
+        return hecke_mod.load_r_from_file(args.r_file, domain)
+    except (OSError, hecke_mod.RFileError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(3)
+
+
 def _hecke(args, domain) -> hecke_mod.HeckeSymmetry:
-    if args.r_file:
-        try:
-            r = hecke_mod.load_r_from_file(args.r_file, domain)
-        except (OSError, hecke_mod.RFileError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            raise SystemExit(3)
-        return hecke_mod.HeckeSymmetry(r, domain)
-    return hecke_mod.standard_hecke(args.n, domain)
+    return hecke_mod.HeckeSymmetry(_r_matrix(args, domain), domain)
 
 
-def _guard_size(args, legs: int):
-    if args.n ** legs > args.max_size:
-        raise SystemExit(
-            f"error: n**{legs} exceeds --max-size {args.max_size}")
+def _largest_spaces(args, file_n) -> dict:
+    """suite -> (n, legs) of the largest leg space the suite builds.
+
+    n is the dimension of the symmetry the suite really runs on: the
+    R-file's when one is given, else --n, 2 for the rank-2 suites and the
+    rank p for the conjecture scan.
+    """
+    k = args.k or 3
+    sizes = {
+        "projectors": (file_n or args.n, args.m or args.n + 1),
+        "reps": (file_n or args.n, args.m or 3),
+        "ch": (file_n or 2, k + min(k, args.m or 3)),     # closed form
+        "newton": (file_n or 2, k),
+        "calibrate-trace": (file_n or 2, args.m or 3),
+    }
+    m = min(k, args.m or 2)
+    if m >= 2:
+        sizes["conjecture"] = (file_n or args.p or 3, k + m)
+    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +155,7 @@ def suite_validate(args, rec, rng):
     domains = _domains(args, rng)
     for dom in domains:
         tag = dom.describe()
-        if args.r_file:
-            try:
-                r = hecke_mod.load_r_from_file(args.r_file, dom)
-            except (OSError, hecke_mod.RFileError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                raise SystemExit(3)
-        else:
-            r = hecke_mod.standard_r(args.n, dom)
+        r = _r_matrix(args, dom)
         rep = hecke_mod.validate_hecke_symmetry(r, dom)
         params = {"n": args.n, "q": tag}
         rec.run(f"validate.q{tag}.ybe", "ybe", params,
@@ -181,7 +193,6 @@ def suite_validate(args, rec, rng):
 def suite_projectors(args, rec, rng):
     domains = _domains(args, rng)
     m_max = args.m or (args.n + 1)
-    _guard_size(args, m_max)
     from math import comb
     for dom in domains:
         tag = dom.describe()
@@ -236,7 +247,6 @@ def suite_projectors(args, rec, rng):
 def suite_reps(args, rec, rng):
     domains = _domains(args, rng)
     m_max = args.m or 3
-    _guard_size(args, m_max)
     for dom in domains:
         tag = dom.describe()
         h = _hecke(args, dom)
@@ -456,8 +466,6 @@ def suite_conjecture(args, rec, rng):
         h = hecke_mod.standard_hecke(p, dom) if not args.r_file else _hecke(args, dom)
         for m in range(2, m_max + 1):
             for k in range(m, k_max + 1):
-                _guard_size(args, k + m)
-
                 def scan(h=h, k=k, m=m):
                     rep = orbit_mod.conjecture_scan(h, k, m)
                     return rep.consistent, rep.witness
@@ -666,10 +674,10 @@ SUITES = {
 
 
 def suite_all(args, rec, rng):
+    """Every suite in turn, each with the fresh rng a standalone run gets."""
     labels = []
-    for name in ("validate", "projectors", "reps", "ch", "newton",
-                 "conjecture", "orbit", "euler", "calibrate-trace"):
-        labels.extend(SUITES[name](args, rec, rng))
+    for suite in SUITES.values():
+        labels.extend(suite(args, rec, random.Random(args.seed)))
     return sorted(set(labels))
 
 
@@ -706,7 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="full rational-function arithmetic instead of "
                              "sampled q")
         sp.add_argument("--max-size", type=int, default=4096,
-                        help="guardrail on the ambient dimension n**legs")
+                        help="guardrail on the ambient dimension n**legs "
+                             "of the largest operator a suite builds")
     return parser
 
 
@@ -729,6 +738,12 @@ def _check_args(parser, args) -> None:
             parser.error(f"--{flag} must be at least 1 when given, got {value}")
     if args.max_size < 1:
         parser.error(f"--max-size must be at least 1, got {args.max_size}")
+    file_n = _r_matrix(args, SYMBOLIC).n if args.r_file else None
+    for suite, (n, legs) in _largest_spaces(args, file_n).items():
+        if args.suite in (suite, "all") and n ** legs > args.max_size:
+            parser.error(f"{suite} builds operators on {n}**{legs} = "
+                         f"{n ** legs} dimensions, above --max-size "
+                         f"{args.max_size}")
 
 
 def run_suite(argv=None) -> int:

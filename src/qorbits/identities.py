@@ -20,10 +20,9 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .scalars import ScalarDomain
-from .tensor import Mat, embed_on_legs
+from .tensor import Mat, embed_on_legs, weighted_partial_trace
 from .projectors import q_antisymmetrizer
 from .reps import Representation
-from .hecke import hecke_inverse
 
 
 class IdentityError(ValueError):
@@ -82,23 +81,16 @@ class CentralValues:
     provenance: str
 
 
-def trace_r_blocks(blocks: List[List[Mat]], c_weight: Mat, zero) -> Mat:
-    """trace(C X) over the generator index of an operator-valued matrix."""
-    n = len(blocks)
-    d = blocks[0][0].nrows
-    acc = Mat.zeros(d, d, zero)
-    for a in range(n):
-        for b in range(n):
-            w = c_weight.rows[a][b]
-            if w:
-                acc = acc + blocks[a][b].scale(w)
-    return acc
+def central_trace(op: Mat, legs, weight: Mat, dims, what: str):
+    """The scalar c with (weighted partial trace of op) == c I, certified.
 
-
-def _certify_scalar(mat: Mat, domain: ScalarDomain, what: str):
-    value = mat.rows[0][0]
-    ident = Mat.identity(mat.nrows, domain.zero, domain.one)
-    if not (mat == ident.scale(value)):
+    Every centrality certificate goes through here: s_k and sigma_k in a
+    module, and the module trace of a Casimir-matrix power.
+    """
+    traced = weighted_partial_trace(op, legs, weight, dims)
+    value = traced.rows[0][0]
+    if not all((x == value) if r == c else not x
+               for r, row in enumerate(traced.rows) for c, x in enumerate(row)):
         raise IdentityError(f"centrality violation: {what} is not scalar")
     return value
 
@@ -108,147 +100,42 @@ def central_elements_in_rep(h, rep: Representation, up_to: int) -> CentralValues
 
     sigma_k is q**k times the multi-leg weighted trace of
     A(k) L_1bar ... L_kbar with L_(t+1)bar = R_t L_tbar R_t**(-1); s_k is
-    q trace_R(L**k).  Every auxiliary leg is contracted with C.
+    q trace_R(L**k).  Every auxiliary leg is contracted with C, pairing
+    generator position (a, b) with C[a][b]: the trace weight C^T.
     """
     if up_to > h.p:
         raise IdentityError("up_to exceeds the symmetry rank")
     dom = h.domain
-    n, d = rep.n, rep.d
-    blocks = rep.oriented_blocks()
+    c_gen = h.c.transpose()
     sigma = [dom.one]
     s_vals = [dom.one]
-
-    # power sums: block-matrix powers, then the C-weighted generator trace
-    power = blocks
+    gen = rep.generator_matrix()
+    power = gen
     for k in range(1, up_to + 1):
         if k > 1:
-            power = _block_mul(power, blocks, n, d, dom.zero)
-        tr = trace_r_blocks(power, h.c, dom.zero)
-        s_vals.append(dom.q_pow(1) * _certify_scalar(tr, dom, f"s_{k}"))
-
-    rinv = hecke_inverse(h.r, h.domain)
+            power = power * gen
+        tr = central_trace(power, {1}, c_gen, (h.n, rep.d), f"s_{k}")
+        s_vals.append(dom.q_pow(1) * tr)
     for k in range(1, up_to + 1):
-        sigma.append(_sigma_k(h, rep, blocks, k, rinv))
+        sigma.append(_sigma_k(h, rep, k, c_gen))
     return CentralValues(sigma=sigma, s=s_vals, provenance=rep.label)
 
 
-def _block_mul(a: List[List[Mat]], b: List[List[Mat]], n: int, d: int, zero):
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = Mat.zeros(d, d, zero)
-            for t in range(n):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _sigma_k(h, rep: Representation, blocks, k: int, rinv) -> object:
+def _sigma_k(h, rep: Representation, k: int, c_gen: Mat) -> object:
     """q**k Tr_{R(1..k)} A(k) L_1bar ... L_kbar, all aux legs against C."""
     dom = h.domain
-    n, d = rep.n, rep.d
-    dim_aux = n ** k
-    # L_1bar as a big matrix on (aux (x) module): aux leg 1 carries the
-    # generator indices, the other legs are spectators
-    big_dim = dim_aux * d
-    rest = n ** (k - 1)
-    l_cur = Mat.zeros(big_dim, big_dim, dom.zero)
-    for i in range(n):
-        for j in range(n):
-            blk = blocks[i][j]
-            for t in range(rest):
-                arow = (i * rest + t) * d
-                acol = (j * rest + t) * d
-                for r in range(d):
-                    brow = blk.rows[r]
-                    orow = l_cur.rows[arow + r]
-                    for c in range(d):
-                        if brow[c]:
-                            orow[acol + c] = brow[c]
+    ident = Mat.identity(rep.d, dom.zero, dom.one)
+    l_cur = rep.generator_matrix(k)
     product = l_cur
     for t in range(1, k):
-        r_t = embed_on_legs(h.r, t, k).mat
-        rinv_t = embed_on_legs(rinv, t, k).mat
-        l_cur = _aux_conjugate(r_t, l_cur, rinv_t, d, dom.zero)
+        r_t = embed_on_legs(h.r, t, k).mat.kron(ident)
+        rinv_t = embed_on_legs(h.r_inv, t, k).mat.kron(ident)
+        l_cur = r_t * l_cur * rinv_t
         product = product * l_cur
-
-    a_k = q_antisymmetrizer(h, k).mat
-    product = _aux_mul_left(a_k, product, d, dom.zero)
-
-    # contract every auxiliary leg with C
-    result = Mat.zeros(d, d, dom.zero)
-    c_rows = h.c.rows
-    for a in range(dim_aux):
-        for b in range(dim_aux):
-            w = dom.one
-            ok = True
-            aa, bb = a, b
-            for _ in range(k):
-                da, db = aa % n, bb % n
-                # digits from least significant leg; weight factors commute
-                wv = c_rows[da][db]
-                if not wv:
-                    ok = False
-                    break
-                w = w * wv
-                aa //= n
-                bb //= n
-            if not ok:
-                continue
-            base_r, base_c = a * d, b * d
-            for r in range(d):
-                prow = product.rows[base_r + r]
-                orow = result.rows[r]
-                for c in range(d):
-                    v = prow[base_c + c]
-                    if v:
-                        orow[c] = orow[c] + w * v
-    value = _certify_scalar(result, dom, f"sigma_{k}")
+    product = q_antisymmetrizer(h, k).mat.kron(ident) * product
+    value = central_trace(product, range(1, k + 1), c_gen, [h.n] * k + [rep.d],
+                          f"sigma_{k}")
     return dom.q_pow(k) * value
-
-
-def _aux_conjugate(r_mat: Mat, big: Mat, rinv_mat: Mat, d: int, zero) -> Mat:
-    return _aux_mul_left(r_mat, _aux_mul_right(big, rinv_mat, d, zero), d, zero)
-
-
-def _aux_mul_left(aux: Mat, big: Mat, d: int, zero) -> Mat:
-    """(aux (x) I_d) big, exploiting sparsity of the aux factor."""
-    dim_aux = aux.nrows
-    out = Mat.zeros(dim_aux * d, big.ncols, zero)
-    for a in range(dim_aux):
-        arow = aux.rows[a]
-        for b in range(dim_aux):
-            v = arow[b]
-            if not v:
-                continue
-            for r in range(d):
-                srow = big.rows[b * d + r]
-                orow = out.rows[a * d + r]
-                for c, x in enumerate(srow):
-                    if x:
-                        orow[c] = orow[c] + v * x
-    return out
-
-
-def _aux_mul_right(big: Mat, aux: Mat, d: int, zero) -> Mat:
-    """big (aux (x) I_d)."""
-    dim_aux = aux.nrows
-    out = Mat.zeros(big.nrows, dim_aux * d, zero)
-    for b in range(dim_aux):
-        brow_nz = [(a, aux.rows[b][a]) for a in range(dim_aux) if aux.rows[b][a]]
-        if not brow_nz:
-            continue
-        for r in range(big.nrows):
-            srow = big.rows[r]
-            orow = out.rows[r]
-            for c in range(d):
-                x = srow[b * d + c]
-                if x:
-                    for a, v in brow_nz:
-                        orow[a * d + c] = orow[a * d + c] + x * v
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -336,7 +336,7 @@ def higher_newton_quantum_p2(h, k: int, m: int, s_max: int,
     q**(-p) sum_k mu_k(m)**s d_k(m) at the eigenvalues the module realizes
     ({1, q**(-2k-2)} for the REA form, their unit shifts for unit mass).
     """
-    from .casimir import split_casimir_matrix, trace_weights
+    from .casimir import module_trace, split_casimir_matrix, trace_weights
     if h.p != 2:
         raise OrbitError("requires symmetry rank 2")
     dom = h.domain
@@ -359,18 +359,13 @@ def higher_newton_quantum_p2(h, k: int, m: int, s_max: int,
     for s in range(1, s_max + 1):
         if s > 1:
             power = power * cm.op
-        lhs = _module_trace(power, cm.dk, cm.dm, weights, dom)
+        lhs = module_trace(power, cm.dk, cm.dm, weights)
         rhs = dom.zero
         for kvec, d_val in d_k.items():
             rhs = rhs + roots[kvec] ** s * d_val
         rhs = rhs * dom.q_pow(-2)
         report[s] = (lhs == rhs, lhs)
     return report
-
-
-def _module_trace(op: Mat, dk: int, dm: int, weights, dom):
-    from .casimir import _certified_module_trace
-    return _certified_module_trace(op, dk, dm, weights, certify=True)
 
 
 def higher_newton_verify(spec: OrbitSpec, m: int, s_max: int, mode: str,

@@ -44,15 +44,6 @@ def _tower_step(prev: LegOperator, m: int, r: LegOperator,
     return (outer * middle * outer).scale(domain.one / domain.q_int(m))
 
 
-def symmetrizer_tower(r: LegOperator, domain: ScalarDomain,
-                      max_m: int) -> Iterator[Tuple[int, LegOperator]]:
-    cur = LegOperator.identity(r.n, 1, domain)
-    yield 1, cur
-    for m in range(2, max_m + 1):
-        cur = _tower_step(cur, m, r, domain, +1)
-        yield m, cur
-
-
 def antisymmetrizer_tower(r: LegOperator, domain: ScalarDomain,
                           max_m: int) -> Iterator[Tuple[int, LegOperator]]:
     cur = LegOperator.identity(r.n, 1, domain)

@@ -112,28 +112,43 @@ class Representation:
     def block(self, i: int, j: int) -> Mat:
         return self.rho[i][j]
 
-    def oriented_blocks(self) -> List[List[Mat]]:
-        """Blocks that form an algebra homomorphism under plain products."""
-        if self.side == "left":
-            return self.rho
-        return [[self.rho[i][j].transpose() for j in range(self.n)]
-                for i in range(self.n)]
+    def generator_matrix(self, aux_legs: int = 1) -> Mat:
+        """sum_ij E_ij (x) I (x) B_ij on V**aux_legs (x) M.
+
+        B_ij are the blocks in the orientation that makes the block map a
+        homomorphism under plain products: rho_ij for left modules, its
+        transpose for right ones.  Aux leg 1 carries the generator indices,
+        the other aux legs are spectators and the module comes last, so an
+        auxiliary operator X acts as X.kron(I_d) or through embed_on_legs.
+        Entries are filled directly: no dense products are formed.
+        """
+        n, d = self.n, self.d
+        rest = n ** (aux_legs - 1)
+        dim = n * rest * d
+        out = Mat.zeros(dim, dim, self.domain.zero)
+        for i, brow in enumerate(self.rho):
+            for j, blk in enumerate(brow):
+                nz = [(r, c, v) for r, row in enumerate(blk.rows)
+                      for c, v in enumerate(row) if v]
+                if self.side == "right":
+                    nz = [(c, r, v) for r, c, v in nz]
+                for t in range(rest):
+                    rbase = (i * rest + t) * d
+                    cbase = (j * rest + t) * d
+                    for r, c, v in nz:
+                        out.rows[rbase + r][cbase + c] = v
+        return out
 
     def __repr__(self):
         return (f"Representation({self.label}, side={self.side}, "
                 f"algebra={self.algebra}, d={self.d})")
 
 
-def _identity_blocks_scale(rep: Representation, c) -> List[List[Mat]]:
-    ident = Mat.identity(rep.d, rep.domain.zero, rep.domain.one)
-    out = []
-    for i in range(rep.n):
-        row = []
-        for j in range(rep.n):
-            blk = rep.rho[i][j]
-            row.append(blk + ident.scale(c) if i == j else blk)
-        out.append(row)
-    return out
+def _affine_blocks(rep: Representation, a, c) -> List[List[Mat]]:
+    """a rho_ij + c delta_ij I: the unit-element shifts and rescalings."""
+    ident = Mat.identity(rep.d, rep.domain.zero, rep.domain.one).scale(c)
+    return [[blk.scale(a) + ident if i == j else blk.scale(a)
+             for j, blk in enumerate(row)] for i, row in enumerate(rep.rho)]
 
 
 def verify_defining_relations(rep: Representation, h, hbar_value=None) -> list:
@@ -147,53 +162,20 @@ def verify_defining_relations(rep: Representation, h, hbar_value=None) -> list:
     """
     n, d = rep.n, rep.d
     dom = rep.domain
-    blocks = rep.oriented_blocks()
     if hbar_value is not None:
         hbar = hbar_value
     else:
         hbar = dom.lift(rep.hbar) if rep.algebra == "mrea" else dom.zero
-    dim = n * n * d
-    zero = dom.zero
-
-    l1 = Mat.zeros(dim, dim, zero)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                blk = blocks[i][k]
-                rbase = (i * n + j) * d
-                cbase = (k * n + j) * d
-                for r in range(d):
-                    brow = blk.rows[r]
-                    orow = l1.rows[rbase + r]
-                    for c in range(d):
-                        if brow[c]:
-                            orow[cbase + c] = brow[c]
-
-    rbig = Mat.zeros(dim, dim, zero)
-    for a in range(n * n):
-        for b in range(n * n):
-            v = h.r.mat.rows[a][b]
-            if v:
-                for r in range(d):
-                    rbig.rows[a * d + r][b * d + r] = v
-
+    l1 = rep.generator_matrix(2)
+    rbig = h.r.mat.kron(Mat.identity(d, dom.zero, dom.one))
     rl = rbig * l1
     lr = l1 * rbig
     e = rl * rl - lr * lr
     if hbar:
         e = e - (rl - lr).scale(hbar)
-    violations = []
-    for a in range(n * n):
-        for b in range(n * n):
-            bad = False
-            for r in range(d):
-                row = e.rows[a * d + r]
-                if any(row[b * d: (b + 1) * d]):
-                    bad = True
-                    break
-            if bad:
-                violations.append(((a // n, a % n), (b // n, b % n)))
-    return violations
+    bad = sorted({(r // d, c // d) for r, row in enumerate(e.rows) if any(row)
+                  for c, x in enumerate(row) if x})
+    return [((a // n, a % n), (b // n, b % n)) for a, b in bad]
 
 
 def _checked(rep: Representation, h) -> Representation:
@@ -331,17 +313,7 @@ def sym_power_right_rea_p2(h, m: int) -> Representation:
     """
     base = sym_power_right_p2(h, m)
     dom = h.domain
-    zeta = dom.zeta
-    ident = Mat.identity(base.d, dom.zero, dom.one)
-    rho = []
-    for i in range(h.n):
-        row = []
-        for j in range(h.n):
-            blk = base.rho[i][j].scale(-zeta)
-            if i == j:
-                blk = blk + ident
-            row.append(blk)
-        rho.append(row)
+    rho = _affine_blocks(base, -dom.zeta, dom.one)
     rep = Representation("right", "rea", Fraction(0), h.n, base.d, rho,
                          f"sym_power_right m={m} [rea, spectral scale]", dom,
                          chart=base.chart)
@@ -362,16 +334,14 @@ def shift_reps(rep: Representation, mode: str, value=None, h=None) -> Representa
         if rep.algebra != "mrea":
             raise RepresentationError("mrea_to_rea needs an mREA representation")
         hbar = Fraction(value) if value is not None else rep.hbar
-        c = dom.lift(hbar) / zeta
-        rho = _identity_blocks_scale(rep, -c)
+        rho = _affine_blocks(rep, dom.one, -dom.lift(hbar) / zeta)
         out = Representation(rep.side, "rea", Fraction(0), rep.n, rep.d, rho,
                              rep.label + " [rea]", dom, chart=rep.chart)
     elif mode == "rea_to_mrea":
         if rep.algebra != "rea":
             raise RepresentationError("rea_to_mrea needs an REA representation")
         hbar = Fraction(value if value is not None else 1)
-        c = dom.lift(hbar) / zeta
-        rho = _identity_blocks_scale(rep, c)
+        rho = _affine_blocks(rep, dom.one, dom.lift(hbar) / zeta)
         out = Representation(rep.side, "mrea", hbar, rep.n, rep.d, rho,
                              rep.label + " [mrea]", dom, chart=rep.chart)
     elif mode == "z_shift":
@@ -379,17 +349,7 @@ def shift_reps(rep: Representation, mode: str, value=None, h=None) -> Representa
         if z == 0:
             raise RepresentationError("z must be nonzero")
         zl = dom.lift(z)
-        c = (dom.one - zl) * dom.lift(rep.hbar) / zeta
-        ident = Mat.identity(rep.d, dom.zero, dom.one)
-        rho = []
-        for i in range(rep.n):
-            row = []
-            for j in range(rep.n):
-                blk = rep.rho[i][j].scale(zl)
-                if i == j:
-                    blk = blk + ident.scale(c)
-                row.append(blk)
-            rho.append(row)
+        rho = _affine_blocks(rep, zl, (dom.one - zl) * dom.lift(rep.hbar) / zeta)
         out = Representation(rep.side, rep.algebra, rep.hbar, rep.n, rep.d,
                              rho, rep.label + f" [z={z}]", dom, chart=rep.chart)
     else:

@@ -300,63 +300,57 @@ def embed_on_legs(op: LegOperator, start: int, total: int) -> LegOperator:
     return LegOperator(n, total, out)
 
 
-def weighted_partial_trace(op: LegOperator, legs, weight: Mat) -> LegOperator:
-    """Contract the listed legs against an n x n weight matrix.
+def weighted_partial_trace(op, legs, weight: Mat, dims=None):
+    """Contract the listed legs of an operator against a weight matrix.
 
-    Each traced leg contributes a factor sum_{a,b} weight[a][b] picking the
-    entry with output index b and input index a on that leg; weight = I is
-    the ordinary partial trace, weight = C is the quantum trace weight.
+    op is a LegOperator, or a Mat on a tensor product of factors with the
+    given dims (V**k (x) M, V_(k) (x) V_(m), ...), indexed like a leg
+    operator: mixed radix with leg 1 most significant, output index on
+    rows.  Each traced leg contributes sum_{a,b} weight[a][b] times the
+    entry with output index b and input index a on that leg, i.e. tr(W X)
+    leg by leg: weight = I is the ordinary partial trace, weight = C the
+    quantum trace.  Every traced leg must have the weight's dimension.
+    Returns the operator on the kept legs, of the same kind as op.
     """
+    mat = op.mat if isinstance(op, LegOperator) else op
+    if dims is None:
+        dims = [op.n] * op.m
     legs = sorted(set(legs))
     if not legs:
         return op
-    n, m = op.n, op.m
-    if legs[0] < 1 or legs[-1] > m:
-        raise LegError(f"trace legs {legs} out of range 1..{m}")
-    if weight.nrows != n or weight.ncols != n:
-        raise LegError("weight must be n x n")
-    if op.dim() == 0:
+    if legs[0] < 1 or legs[-1] > len(dims):
+        raise LegError(f"trace legs {legs} out of range 1..{len(dims)}")
+    w = weight.nrows
+    if weight.ncols != w or any(dims[t - 1] != w for t in legs):
+        raise LegError(f"weight is {weight.nrows}x{weight.ncols}, "
+                       f"traced legs have dims {[dims[t - 1] for t in legs]}")
+    if mat.nrows == 0:
         raise LegError("empty operator")
-    keep = [t for t in range(m) if (t + 1) not in legs]
-    traced = [t - 1 for t in legs]
-    zero = _zero_like(op.mat.rows[0][0])
-    mk = len(keep)
-    dim_out = n ** mk
+    # every full index splits into (kept code, traced code)
+    split = [(0, 0)]
+    for t, dt in enumerate(dims, 1):
+        if t in legs:
+            split = [(kc, tc * dt + a) for kc, tc in split for a in range(dt)]
+        else:
+            split = [(kc * dt + a, tc) for kc, tc in split for a in range(dt)]
+    # weight of a (traced output, traced input) pair: prod_t weight[in_t][out_t]
+    wt = weight.transpose().rows
+    pair = wt
+    for _ in legs[1:]:
+        pair = [[x * y for x in prow for y in wrow] for prow in pair for wrow in wt]
+    zero = _zero_like(mat.rows[0][0])
+    dim_out = mat.nrows // w ** len(legs)
     out = Mat.zeros(dim_out, dim_out, zero)
-
-    def decode(code):
-        digits = [0] * m
-        for t in range(m - 1, -1, -1):
-            digits[t] = code % n
-            code //= n
-        return digits
-
-    dim = op.dim()
-    for r in range(dim):
-        rdig = decode(r)
-        row = op.mat.rows[r]
-        for c in range(dim):
-            v = row[c]
-            if not v:
-                continue
-            cdig = decode(c)
-            w = None
-            ok = True
-            for t in traced:
-                b, a = rdig[t], cdig[t]
-                wv = weight.rows[a][b]
-                if not wv:
-                    ok = False
-                    break
-                w = wv if w is None else w * wv
-            if not ok:
-                continue
-            ro = 0
-            co = 0
-            for t in keep:
-                ro = ro * n + rdig[t]
-                co = co * n + cdig[t]
-            term = v if w is None else v * w
-            out.rows[ro][co] = out.rows[ro][co] + term
-    return LegOperator(n, mk, out)
-
+    for r, row in enumerate(mat.rows):
+        ko, to = split[r]
+        orow = out.rows[ko]
+        prow = pair[to]
+        for c, v in enumerate(row):
+            if v:
+                kc, tc = split[c]
+                pv = prow[tc]
+                if pv:
+                    orow[kc] = orow[kc] + pv * v
+    if isinstance(op, LegOperator):
+        return LegOperator(op.n, op.m - len(legs), out)
+    return out

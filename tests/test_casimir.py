@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qorbits.scalars import SYMBOLIC, eval_at, q_binomial
-from qorbits.tensor import Mat, pivot_columns
+from qorbits.tensor import Mat, pivot_columns, weighted_partial_trace
 from qorbits.casimir import (CasimirError, closed_form_p2,
                              generator_trace_identity, module_trace,
                              q_dimension, split_casimir_matrix,
@@ -162,26 +162,29 @@ class TestSplitCasimir:
 
 class TestQuantumTraceEntry:
     def test_block_contraction_matches_trace_weights(self, h2):
-        # the generator-index contraction reproduces tr(C X), and the full
-        # scalar form reproduces the calibrated module trace
-        from qorbits.casimir import quantum_trace
+        # contracting the generator index of a module's generator matrix
+        # against C gives tr_R L, which is central: a scalar multiple of
+        # the identity on the module
         from qorbits.reps import sym_power_right_rea_p2
         dom = h2.domain
         rep = sym_power_right_rea_p2(h2, 2)
-        traced = quantum_trace(rep.rho, h2.c)
+        traced = weighted_partial_trace(rep.generator_matrix(), {1},
+                                        h2.c.transpose(), (2, rep.d))
         ident = Mat.identity(rep.d, dom.zero, dom.one)
-        # tr_R L is central: a scalar multiple of the identity
         value = traced.rows[0][0]
-        assert traced == ident.scale(value)
+        assert value and traced == ident.scale(value)
 
     def test_full_scalar_on_identity(self, h2):
-        from qorbits.casimir import quantum_trace
+        # tr_R(I_n) with the module factor traced as well:
+        # (tr C) * q**(p(m-1)) * tr(W), one leg at a time or through
+        # module_trace
         dom = h2.domain
         w = trace_weights(h2, 2)
-        ident = Mat.identity(w.weight.nrows, dom.zero, dom.one)
-        blocks = [[ident if i == j else Mat.zeros(ident.nrows, ident.nrows, dom.zero)
-                   for j in range(2)] for i in range(2)]
-        # tr_R(I_n) with the module factor traced: (tr C) * q**p(m-1) * tr(W)
-        got = quantum_trace(blocks, h2.c, weights=w, full_scalar=True)
-        expect = h2.c.trace() * dom.q_pow(2) * w.weight.trace()
-        assert got == expect
+        dm = w.weight.nrows
+        ident = Mat.identity(2 * dm, dom.zero, dom.one)
+        gen = weighted_partial_trace(ident, {1}, h2.c, (2, dm))
+        full = weighted_partial_trace(gen, {1}, w.weight, (dm,))
+        expect = h2.c.trace() * w.weight.trace()
+        assert full.nrows == 1 and full.rows[0][0] == expect
+        assert (h2.c.trace() * module_trace(ident, 2, dm, w)
+                == expect * dom.q_pow(2))

@@ -46,6 +46,25 @@ class TestReports:
                 c.pop("ms")
         assert a == b
 
+    def test_all_sections_equal_standalone_reports(self, tmp_path):
+        # each suite inside `all` draws from its own fresh rng, exactly as a
+        # standalone run with the same seed does
+        _, everything = run_json(tmp_path, ["all", "--seed", "7"])
+        prefixes = {"calibrate-trace": "calibrate"}
+        seen = 0
+        for suite in ("validate", "projectors", "reps", "ch", "newton",
+                      "conjecture", "orbit", "euler", "calibrate-trace"):
+            _, alone = run_json(tmp_path, [suite, "--seed", "7"])
+            prefix = prefixes.get(suite, suite) + "."
+            section = [c for c in everything["checks"]
+                       if c["id"].startswith(prefix)]
+            for c in section + alone["checks"]:
+                c.pop("ms")
+            assert section and section == alone["checks"], suite
+            assert set(alone["q"]) <= set(everything["q"])
+            seen += len(section)
+        assert seen == len(everything["checks"])
+
     def test_seed_changes_samples(self, tmp_path):
         _, a = run_json(tmp_path, ["newton", "--seed", "1"])
         _, b = run_json(tmp_path, ["newton", "--seed", "2"])
@@ -153,10 +172,20 @@ class TestExitCodes:
             run_suite(["validate", "--r-file", "/definitely/not/here.json"])
         assert err.value.code == 3
 
-    def test_max_size_guard(self):
-        with pytest.raises(SystemExit):
-            run_suite(["conjecture", "--p", "3", "--n", "3", "--k", "9",
-                       "--m", "9", "--max-size", "10", "--samples", "1"])
+    def test_max_size_guard(self, tmp_path):
+        out = tmp_path / "report.json"
+        for argv in (
+                ["conjecture", "--p", "3", "--n", "3", "--k", "9", "--m", "9",
+                 "--max-size", "10", "--samples", "1"],
+                # rank-3 scan on 3 + 3 legs: 3**6 = 729, though 2**6 fits
+                ["conjecture", "--p", "3", "--k", "3", "--m", "3",
+                 "--max-size", "300"],
+                # conjecture (3**5) and ch (2**6) exceed it: nothing runs
+                ["all", "--max-size", "20"]):
+            with pytest.raises(SystemExit) as err:
+                run_suite(argv + ["--out", str(out)])
+            assert err.value.code == 2, argv
+            assert not out.exists()
 
     def test_r_file_round_trip_through_cli(self, tmp_path):
         path = tmp_path / "r.json"

@@ -6,7 +6,9 @@ import pytest
 
 from qorbits.scalars import SYMBOLIC, at_q, eval_at, random_q, random_rationals
 from qorbits.tensor import Mat
-from qorbits.reps import sym_power_right_rea_p2
+from qorbits.hecke import standard_hecke
+from qorbits.reps import (fundamental_left, shift_reps, sym_power_left,
+                          sym_power_right_rea_p2)
 from qorbits.identities import (CentralValues, IdentityError, RootData,
                                 central_elements_in_rep, ch_verify,
                                 ch_verify_coefficients, compositions,
@@ -46,6 +48,19 @@ class TestNewton:
         rep = sym_power_right_rea_p2(h2, k)
         cv = central_elements_in_rep(h2, rep, 2)
         assert all(newton_check(cv, 2, h2.domain).values())
+
+    def test_rows_with_three_aux_legs(self):
+        # rank 3: sigma_3 contracts three auxiliary legs; REA-shifted
+        # fundamental and S^2 left modules, certified scalar in all six
+        # central values, with every Newton row exact
+        h = standard_hecke(3, at_q(Fraction(3, 5)))
+        for rep in (fundamental_left(h), sym_power_left(h, 2)):
+            rea = shift_reps(rep, "mrea_to_rea", h=h)
+            cv = central_elements_in_rep(h, rea, 3)
+            assert len(cv.sigma) == len(cv.s) == 4
+            assert all(cv.sigma[1:]) and all(cv.s[1:])
+            rows = newton_check(cv, 3, h.domain)
+            assert rows == {1: True, 2: True, 3: True}, rep.label
 
     def test_row_two_shape(self, h2):
         # -s2 + s1 sigma1 = 2_q q**-1 sigma2, checked on explicit values

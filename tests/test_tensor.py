@@ -75,6 +75,23 @@ class TestPartialTrace:
         both = weighted_partial_trace(op, {1, 3}, w)
         assert one_then_three == both
 
+    def test_unequal_factors(self, rng):
+        # A (x) B on a 2-dim and a 3-dim factor: tracing either factor
+        # against a weight W leaves the other one times tr(W X)
+        dom = at_q(Fraction(2, 7))
+        a = random_legop(rng, 2, 1, dom).mat
+        b = random_legop(rng, 3, 1, dom).mat
+        wa = random_legop(rng, 2, 1, dom).mat
+        wb = random_legop(rng, 3, 1, dom).mat
+        op = a.kron(b)
+        assert weighted_partial_trace(op, {2}, wb, (2, 3)) == a.scale((wb * b).trace())
+        assert weighted_partial_trace(op, {1}, wa, (2, 3)) == b.scale((wa * a).trace())
+        full = weighted_partial_trace(weighted_partial_trace(op, {1}, wa, (2, 3)),
+                                      {1}, wb, (3,))
+        assert full.rows == [[(wa * a).trace() * (wb * b).trace()]]
+        with pytest.raises(LegError):
+            weighted_partial_trace(op, {1}, wb, (2, 3))
+
     def test_out_of_range_leg(self):
         dom = SYMBOLIC
         op = LegOperator.identity(2, 2, dom)
