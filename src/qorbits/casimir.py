@@ -151,12 +151,9 @@ def _casimir_pairing(h, first, second) -> Mat:
     """q**(2p) sum_ij C[i][j] sum_a first[i][a] (x) second[a][j]."""
     dim = first[0][0].nrows * second[0][0].nrows
     acc = Mat.zeros(dim, dim, h.domain.zero)
-    for i in range(h.n):
-        for j in range(h.n):
-            c = h.c.rows[i][j]
-            if c:
-                for a in range(h.n):
-                    acc = acc + first[i][a].kron(second[a][j]).scale(c)
+    for i, j, c in h.c.entries():
+        for a in range(h.n):
+            acc = acc + first[i][a].kron(second[a][j]).scale(c)
     return acc.scale(h.domain.q_pow(2 * h.p))
 
 

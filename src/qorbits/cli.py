@@ -131,20 +131,25 @@ def _largest_spaces(args, file_n) -> dict:
 
     n is the dimension of the symmetry the suite really runs on: the
     R-file's when one is given, else --n, 2 for the rank-2 suites and the
-    rank p for the conjecture scan.
+    rank p for the conjecture scan.  Every symmetry a suite builds or
+    validates certifies its antisymmetrizer tower up to the collapse on
+    n + 1 legs, so no suite builds fewer legs than that.
     """
     k = args.k or 3
+    n = file_n or args.n
+    rank2 = file_n or 2
+    m_scan = min(k, args.m or 2)
     sizes = {
-        "projectors": (file_n or args.n, args.m or args.n + 1),
-        "reps": (file_n or args.n, args.m or 3),
-        "ch": (file_n or 2, k + min(k, args.m or 3)),     # closed form
-        "newton": (file_n or 2, k),
-        "calibrate-trace": (file_n or 2, args.m or 3),
+        "validate": (n, n + 1),
+        "projectors": (n, args.m or n + 1),
+        "reps": (n, args.m or 3),
+        "ch": (rank2, k + min(k, args.m or 3)),     # closed form
+        "newton": (rank2, k),
+        "conjecture": (file_n or args.p or 3, k + m_scan if m_scan >= 2 else 0),
+        "orbit": (2, 0),                             # the symmetry only
+        "calibrate-trace": (rank2, args.m or 3),
     }
-    m = min(k, args.m or 2)
-    if m >= 2:
-        sizes["conjecture"] = (file_n or args.p or 3, k + m)
-    return sizes
+    return {suite: (dim, max(legs, dim + 1)) for suite, (dim, legs) in sizes.items()}
 
 
 # ---------------------------------------------------------------------------

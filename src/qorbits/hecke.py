@@ -55,12 +55,12 @@ def standard_r(n: int, domain: ScalarDomain = SYMBOLIC) -> LegOperator:
     zeta = domain.zeta
     mat = Mat.zeros(n * n, n * n, domain.zero)
     for i in range(n):
-        mat.rows[i * n + i][i * n + i] = q
+        mat[i * n + i, i * n + i] = q
         for j in range(n):
             if i != j:
-                mat.rows[j * n + i][i * n + j] = domain.one
+                mat[j * n + i, i * n + j] = domain.one
             if i < j:
-                mat.rows[i * n + j][i * n + j] = zeta
+                mat[i * n + j, i * n + j] = zeta
     return LegOperator(n, 2, mat)
 
 
@@ -113,25 +113,20 @@ def skew_inverse_bc(r: LegOperator, domain: ScalarDomain):
     """
     n = r.n
     dim = n * n
-    a = Mat.zeros(dim, dim, domain.zero)
-    for i in range(n):
-        for j in range(n):
-            for aa in range(n):
-                for b in range(n):
-                    # row (i,j), col (a,b) holds the entry with output (j,b)
-                    # and input (i,a)
-                    a.rows[i * n + j][aa * n + b] = r.mat.rows[j * n + b][i * n + aa]
+    # row (i,j), col (a,b) holds the entry with output (j,b) and input (i,a)
+    a = []
+    for jb, ia, v in r.mat.entries():
+        (j, b), (i, aa) = divmod(jb, n), divmod(ia, n)
+        a.append((i * n + j, aa * n + b, v))
     try:
-        ainv = inverse(a)
+        ainv = inverse(Mat.from_entries(dim, dim, domain.zero, a))
     except ValueError as exc:
         raise HeckeError("not skew-invertible") from exc
-    psi_mat = Mat.zeros(dim, dim, domain.zero)
-    for aa in range(n):
-        for b in range(n):
-            for s in range(n):
-                for k in range(n):
-                    psi_mat.rows[aa * n + s][b * n + k] = ainv.rows[aa * n + b][s * n + k]
-    psi = LegOperator(n, 2, psi_mat)
+    psi_entries = []
+    for ab, sk, v in ainv.entries():
+        (aa, b), (s, k) = divmod(ab, n), divmod(sk, n)
+        psi_entries.append((aa * n + s, b * n + k, v))
+    psi = LegOperator(n, 2, Mat.from_entries(dim, dim, domain.zero, psi_entries))
 
     ident_w = Mat.identity(n, domain.zero, domain.one)
     flip = LegOperator.flip(n, domain)
@@ -326,7 +321,7 @@ def load_r_from_file(path, domain: ScalarDomain = SYMBOLIC) -> LegOperator:
             scal = parse_scalar(value)
         except ValueError as exc:
             raise RFileError(f"{path}: entry #{idx}: {exc}") from exc
-        mat.rows[(k - 1) * n + (l - 1)][(i - 1) * n + (j - 1)] = domain.lift(scal)
+        mat[(k - 1) * n + (l - 1), (i - 1) * n + (j - 1)] = domain.lift(scal)
     return LegOperator(n, 2, mat)
 
 
@@ -334,19 +329,14 @@ def save_r_to_file(path, r: LegOperator) -> None:
     """Write an R-matrix in canonical form (sorted entries, canonical scalars)."""
     n = r.n
     entries = []
-    for ko in range(n):
-        for lo in range(n):
-            for ki in range(n):
-                for li in range(n):
-                    v = r.mat.rows[ko * n + lo][ki * n + li]
-                    if not v:
-                        continue
-                    text = str(v) if isinstance(v, Fraction) else format_scalar(v)
-                    entries.append({
-                        "out": [ko + 1, lo + 1],
-                        "in": [ki + 1, li + 1],
-                        "value": text,
-                    })
+    for out, inp, v in r.mat.entries():
+        (ko, lo), (ki, li) = divmod(out, n), divmod(inp, n)
+        text = str(v) if isinstance(v, Fraction) else format_scalar(v)
+        entries.append({
+            "out": [ko + 1, lo + 1],
+            "in": [ki + 1, li + 1],
+            "value": text,
+        })
     payload = {"n": n, "parameter": "q", "entries": entries}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)

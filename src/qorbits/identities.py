@@ -88,9 +88,8 @@ def central_trace(op: Mat, legs, weight: Mat, dims, what: str):
     module, and the module trace of a Casimir-matrix power.
     """
     traced = weighted_partial_trace(op, legs, weight, dims)
-    value = traced.rows[0][0]
-    if not all((x == value) if r == c else not x
-               for r, row in enumerate(traced.rows) for c, x in enumerate(row)):
+    value = traced[0, 0]
+    if not traced == Mat.identity(traced.nrows, traced.zero, value):
         raise IdentityError(f"centrality violation: {what} is not scalar")
     return value
 

@@ -447,7 +447,7 @@ def trace_multiplicities(mat: Mat, values: Sequence,
     for _ in range(big_r):
         rows.append([x * v for x, v in zip(rows[-1], values)])
     sol = inverse(Mat(rows[:big_r])) * Mat([[t] for t in traces[:big_r]])
-    counts = [row[0] for row in sol.rows]
+    counts = [sol[i, 0] for i in range(big_r)]
     extra = domain.zero
     for n, x in zip(counts, rows[big_r]):
         extra = extra + n * x

@@ -48,17 +48,15 @@ class Compression:
     def __init__(self, basis: Mat, check_rows: Optional[list] = None):
         self.basis = basis
         rows = check_rows if check_rows is not None else pivot_columns(basis.transpose())
-        self.rows = rows
-        sub = Mat([basis.rows[r] for r in rows])
-        self.inv = inverse(sub)
+        self.check_rows = rows
+        self.inv = inverse(basis.take_rows(rows))
         self.dim = basis.ncols
         self.ambient = basis.nrows
 
     @staticmethod
     def of_projector(proj: LegOperator) -> "Compression":
         cols = pivot_columns(proj.mat)
-        basis = Mat([[proj.mat.rows[i][c] for c in cols]
-                     for i in range(proj.mat.nrows)])
+        basis = proj.mat.transpose().take_rows(cols).transpose()
         chart = Compression(basis)
         chart.projector = proj
         return chart
@@ -66,10 +64,10 @@ class Compression:
     @staticmethod
     def product(a: "Compression", b: "Compression") -> "Compression":
         basis = a.basis.kron(b.basis)
-        rows = [ra * b.ambient + rb for ra in a.rows for rb in b.rows]
+        rows = [ra * b.ambient + rb for ra in a.check_rows for rb in b.check_rows]
         out = Compression.__new__(Compression)
         out.basis = basis
-        out.rows = rows
+        out.check_rows = rows
         out.inv = a.inv.kron(b.inv)
         out.dim = a.dim * b.dim
         out.ambient = a.ambient * b.ambient
@@ -77,7 +75,7 @@ class Compression:
 
     def compress(self, x: Mat, check: bool = True) -> Mat:
         xt = x * self.basis
-        y = self.inv * Mat([xt.rows[r] for r in self.rows])
+        y = self.inv * xt.take_rows(self.check_rows)
         if check and not (self.basis * y == xt):
             raise RepresentationError("operator does not preserve the image")
         return y
@@ -124,20 +122,18 @@ class Representation:
         """
         n, d = self.n, self.d
         rest = n ** (aux_legs - 1)
-        dim = n * rest * d
-        out = Mat.zeros(dim, dim, self.domain.zero)
+        out = []
         for i, brow in enumerate(self.rho):
             for j, blk in enumerate(brow):
-                nz = [(r, c, v) for r, row in enumerate(blk.rows)
-                      for c, v in enumerate(row) if v]
+                nz = list(blk.entries())
                 if self.side == "right":
                     nz = [(c, r, v) for r, c, v in nz]
                 for t in range(rest):
                     rbase = (i * rest + t) * d
                     cbase = (j * rest + t) * d
-                    for r, c, v in nz:
-                        out.rows[rbase + r][cbase + c] = v
-        return out
+                    out.extend((rbase + r, cbase + c, v) for r, c, v in nz)
+        dim = n * rest * d
+        return Mat.from_entries(dim, dim, self.domain.zero, out)
 
     def __repr__(self):
         return (f"Representation({self.label}, side={self.side}, "
@@ -173,8 +169,7 @@ def verify_defining_relations(rep: Representation, h, hbar_value=None) -> list:
     e = rl * rl - lr * lr
     if hbar:
         e = e - (rl - lr).scale(hbar)
-    bad = sorted({(r // d, c // d) for r, row in enumerate(e.rows) if any(row)
-                  for c, x in enumerate(row) if x})
+    bad = sorted({(r // d, c // d) for r, c, _ in e.entries()})
     return [((a // n, a % n), (b // n, b % n)) for a, b in bad]
 
 
@@ -196,9 +191,7 @@ def fundamental_left(h) -> Representation:
         for j in range(n):
             blk = Mat.zeros(n, n, dom.zero)
             for k in range(n):
-                v = h.b.rows[j][k]
-                if v:
-                    blk.rows[i][k] = v
+                blk[i, k] = h.b[j, k]
             row.append(blk)
         rho.append(row)
     rep = Representation("left", "mrea", Fraction(1), n, n, rho,
@@ -266,9 +259,9 @@ def right_fundamental_blocks(h) -> List[List[Mat]]:
             blk = Mat.zeros(n, n, dom.zero)
             for s in range(n):
                 for k in range(n):
-                    v = a2.mat.rows[s * n + j][k * n + i]
+                    v = a2.mat[s * n + j, k * n + i]
                     if v:
-                        blk.rows[s][k] = coeff * v
+                        blk[s, k] = coeff * v
             row.append(blk)
         rho.append(row)
     return rho
@@ -378,14 +371,13 @@ def corollary_phi_blocks(h, m: int) -> List[List[Mat]]:
             blk = Mat.zeros(n, n, dom.zero)
             for s in range(n):
                 for k in range(n):
-                    v = a2.mat.rows[s * n + j][k * n + i]
+                    v = a2.mat[s * n + j, k * n + i]
                     acc = dom.zero
                     if v:
                         acc = acc - coeff * v
                     if i == j and s == k:
                         acc = acc + lead
-                    if acc:
-                        blk.rows[s][k] = acc
+                    blk[s, k] = acc
             row.append(blk)
         rho.append(row)
     return rho

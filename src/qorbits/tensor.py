@@ -1,12 +1,12 @@
-"""Exact dense linear algebra and operators on tensor powers V**m.
+"""Exact sparse linear algebra and operators on tensor powers V**m.
 
 Matrices hold exact field elements (Fraction in evaluated mode, QScalar in
-symbolic mode) in row-major lists.  Multiplication skips zero entries, which
-matters a lot here: R-matrices, q-(anti)symmetrizers and their embeddings are
-all very sparse, and the antisymmetrizer tower on four and five legs is only
-tractable because of it.  Every product, rational or symbolic, is the same
-sparse-skipping Python loop: there is no dense or integer-cleared path, and
-no scan of the operands to choose one.
+symbolic mode) in sparse rows: row i is a dict from column to nonzero
+entry.  R-matrices, q-(anti)symmetrizers, their embeddings and the module
+operators are all very sparse, so every operation touches nonzeros only;
+the product is the row-wise sparse product (Gustavson 1978).  Elimination
+(inverse, pivot columns) works densely on a copy, at most a few hundred
+rows in scope.
 
 Index encoding for leg operators is frozen package-wide: the row (column)
 index of an m-leg operator on an n-dimensional space is the mixed-radix
@@ -17,136 +17,224 @@ is ordinary matrix multiplication acting on column vectors.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import QScalar
-
 
 class Mat:
-    """Exact dense matrix over a field (Fraction or QScalar entries)."""
+    """Exact sparse matrix over a field (Fraction or QScalar entries).
 
-    __slots__ = ("rows", "nrows", "ncols")
+    ``data[i]`` maps column -> entry for row i.  Every operation keeps three
+    invariants:
 
-    def __init__(self, rows):
-        self.rows = rows
+    * no zero is stored, so equal matrices have equal ``data``;
+    * the keys of each row are in ascending column order, so a product
+      accumulates each entry over k in the order of the dense loop (the
+      partial sums of a symbolic entry are reduced in that order, which
+      keeps them small);
+    * the matrix carries its domain's ``zero``, the value of an absent
+      entry.
+
+    ``mat[i, j]`` reads an entry and ``mat[i, j] = v`` writes one (a zero
+    removes it).  ``rows`` is a dense list-of-lists copy built on each
+    access: writing into it changes nothing, and no library hot path uses it.
+    """
+
+    __slots__ = ("data", "nrows", "ncols", "zero")
+
+    def __init__(self, rows, zero=None):
+        """From dense rows (small literal matrices, elimination results);
+        the zero defaults to that of the first entry."""
+        if zero is None:
+            if not rows or not rows[0]:
+                raise ValueError("an empty matrix needs its zero")
+            zero = rows[0][0] * 0
+        self.data = [{c: v for c, v in enumerate(row) if v} for row in rows]
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else 0
+        self.zero = zero
 
     # -- constructors -------------------------------------------------------
     @staticmethod
+    def from_entries(nrows: int, ncols: int, zero, entries) -> "Mat":
+        """From (row, column, value) triples in any order, one per position;
+        zero values are dropped."""
+        data = [{} for _ in range(nrows)]
+        for i, j, v in entries:
+            _check_index(i, j, nrows, ncols)
+            data[i][j] = v
+        return _mat([{c: row[c] for c in sorted(row) if row[c]} for row in data],
+                    nrows, ncols, zero)
+
+    @staticmethod
     def zeros(nr: int, nc: int, zero) -> "Mat":
-        return Mat([[zero] * nc for _ in range(nr)])
+        return _mat([{} for _ in range(nr)], nr, nc, zero)
 
     @staticmethod
     def identity(n: int, zero, one) -> "Mat":
-        rows = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = one
-        return Mat(rows)
-
-    def copy(self) -> "Mat":
-        return Mat([row[:] for row in self.rows])
+        """``one`` on the diagonal; any value, so a zero gives the zero matrix."""
+        return _mat([{i: one} if one else {} for i in range(n)], n, n, zero)
 
     # -- structure -----------------------------------------------------------
     def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
+        i, j = ij
+        _check_index(i, j, self.nrows, self.ncols)
+        return self.data[i].get(j, self.zero)
+
+    def __setitem__(self, ij, value):
+        i, j = ij
+        _check_index(i, j, self.nrows, self.ncols)
+        row = self.data[i]
+        if not value:
+            row.pop(j, None)
+        elif j in row or not row or j > next(reversed(row)):
+            row[j] = value
+        else:
+            row[j] = value
+            self.data[i] = {c: row[c] for c in sorted(row)}
+
+    def entries(self):
+        """The nonzero entries as (row, column, value), row by row, each row
+        in column order."""
+        for i, row in enumerate(self.data):
+            for j, v in row.items():
+                yield i, j, v
+
+    def take_rows(self, indices) -> "Mat":
+        """The matrix of the listed rows, in the listed order."""
+        return _mat([dict(self.data[i]) for i in indices], len(indices),
+                    self.ncols, self.zero)
+
+    @property
+    def rows(self) -> list:
+        """Dense copy of the entries (a view for reading and comparing)."""
+        return _dense(self)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
         return (self.nrows == other.nrows and self.ncols == other.ncols
-                and all(a == b for ra, rb in zip(self.rows, other.rows)
-                        for a, b in zip(ra, rb)))
+                and self.data == other.data)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
+        return not any(self.data)
 
     def support(self) -> int:
         """Number of nonzero entries (the residual witness for exact checks)."""
-        return sum(1 for row in self.rows for x in row if x)
+        return sum(map(len, self.data))
 
     def transpose(self) -> "Mat":
-        return Mat([list(col) for col in zip(*self.rows)])
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.data):
+            for j, v in row.items():
+                cols[j][i] = v
+        return _mat(cols, self.ncols, self.nrows, self.zero)
 
     def trace(self):
-        out = self.rows[0][0]
-        for i in range(1, self.nrows):
-            out = out + self.rows[i][i]
+        diag = [row[i] for i, row in enumerate(self.data) if i in row]
+        if not diag:
+            return self.zero
+        out = diag[0]
+        for v in diag[1:]:
+            out = out + v
         return out
 
-    # -- arithmetic (zero entries are skipped: operands are usually sparse) --
+    # -- arithmetic on nonzeros ---------------------------------------------
     def __add__(self, other):
-        return Mat([[(a + b) if (a and b) else (b if b else a)
-                     for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.rows, other.rows)])
+        return self._combine(other, False)
 
     def __sub__(self, other):
-        return Mat([[(a - b) if b else a for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.rows, other.rows)])
+        return self._combine(other, True)
+
+    def _combine(self, other, subtract: bool) -> "Mat":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("matrix shape mismatch")
+        out = []
+        for ra, rb in zip(self.data, other.data):
+            row = dict(ra)
+            grew = False
+            for c, b in rb.items():
+                a = row.get(c)
+                if a is None:
+                    row[c] = -b if subtract else b
+                    grew = True
+                else:
+                    s = a - b if subtract else a + b
+                    if s:
+                        row[c] = s
+                    else:
+                        del row[c]
+            if grew and ra:       # new columns were appended after the old ones
+                row = {c: row[c] for c in sorted(row)}
+            out.append(row)
+        return _mat(out, self.nrows, self.ncols, self.zero)
 
     def __neg__(self):
-        return Mat([[-a if a else a for a in row] for row in self.rows])
+        return _mat([{c: -v for c, v in row.items()} for row in self.data],
+                    self.nrows, self.ncols, self.zero)
 
     def scale(self, s) -> "Mat":
-        return Mat([[s * a if a else a for a in row] for row in self.rows])
+        if not s:
+            return Mat.zeros(self.nrows, self.ncols, self.zero)
+        return _mat([{c: s * v for c, v in row.items()} for row in self.data],
+                    self.nrows, self.ncols, self.zero)
 
     def __mul__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch")
-        nzB = [[(j, x) for j, x in enumerate(row) if x] for row in other.rows]
-        zero = _zero_like(self.rows[0][0])
+        bdata = other.data
         out = []
-        for arow in self.rows:
-            acc = [zero] * other.ncols
-            for k, a in enumerate(arow):
-                if not a:
-                    continue
-                for j, b in nzB[k]:
-                    acc[j] = acc[j] + a * b
-            out.append(acc)
-        return Mat(out)
+        for arow in self.data:
+            acc = {}
+            for k, a in arow.items():
+                for j, b in bdata[k].items():
+                    x = acc.get(j)
+                    acc[j] = a * b if x is None else x + a * b
+            out.append({j: acc[j] for j in sorted(acc) if acc[j]})
+        return _mat(out, self.nrows, other.ncols, self.zero)
 
     def kron(self, other: "Mat") -> "Mat":
-        zero = _zero_like(self.rows[0][0])
-        out = Mat.zeros(self.nrows * other.nrows, self.ncols * other.ncols, zero)
-        for i, arow in enumerate(self.rows):
-            for j, a in enumerate(arow):
-                if not a:
-                    continue
-                for k, brow in enumerate(other.rows):
-                    orow = out.rows[i * other.nrows + k]
-                    base = j * other.ncols
-                    for l, b in enumerate(brow):
-                        if b:
-                            orow[base + l] = a * b
-        return Mat(out.rows)
+        bdata, bcols = other.data, other.ncols
+        out = []
+        for arow in self.data:
+            for brow in bdata:
+                out.append({j * bcols + l: a * b for j, a in arow.items()
+                            for l, b in brow.items()})
+        return _mat(out, self.nrows * other.nrows, self.ncols * bcols,
+                    self.zero)
 
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols})"
 
 
-def _zero_like(x):
-    if isinstance(x, QScalar):
-        from .scalars import Q_ZERO
-        return Q_ZERO
-    return Fraction(0)
+_new = object.__new__
 
 
-def _one_like(x):
-    if isinstance(x, QScalar):
-        from .scalars import Q_ONE
-        return Q_ONE
-    return Fraction(1)
+def _check_index(i: int, j: int, nrows: int, ncols: int) -> None:
+    if not (0 <= i < nrows and 0 <= j < ncols):
+        raise IndexError(f"entry ({i}, {j}) outside a {nrows}x{ncols} matrix")
+
+
+def _dense(mat: Mat) -> list:
+    zero, cols = mat.zero, range(mat.ncols)
+    return [[row.get(c, zero) for c in cols] for row in mat.data]
+
+
+def _mat(data, nrows: int, ncols: int, zero) -> Mat:
+    """A Mat from rows that already hold the invariants."""
+    out = _new(Mat)
+    out.data = data
+    out.nrows = nrows
+    out.ncols = ncols
+    out.zero = zero
+    return out
 
 
 # ---------------------------------------------------------------------------
-# exact elimination: inverse, solve, pivot columns
+# exact elimination: inverse, pivot columns
 # ---------------------------------------------------------------------------
 
-def _field_elim(rows, ncols, augment=None):
-    """In-place Gauss-Jordan over the field; returns pivot column list."""
+def _field_elim(rows, ncols, one, augment=None):
+    """In-place Gauss-Jordan over the field on dense rows; returns pivot columns."""
     nr = len(rows)
     pivots = []
     r = 0
@@ -161,7 +249,7 @@ def _field_elim(rows, ncols, augment=None):
         rows[r], rows[piv] = rows[piv], rows[r]
         if augment is not None:
             augment[r], augment[piv] = augment[piv], augment[r]
-        inv = _one_like(rows[r][c]) / rows[r][c]
+        inv = one / rows[r][c]
         rows[r] = [x * inv for x in rows[r]]
         if augment is not None:
             augment[r] = [x * inv for x in augment[r]]
@@ -181,21 +269,18 @@ def _field_elim(rows, ncols, augment=None):
 def inverse(mat: Mat) -> Mat:
     if mat.nrows != mat.ncols:
         raise ValueError("inverse needs a square matrix")
-    n = mat.nrows
-    zero = _zero_like(mat.rows[0][0])
-    one = _one_like(mat.rows[0][0])
-    rows = [row[:] for row in mat.rows]
-    aug = Mat.identity(n, zero, one).rows
-    pivots = _field_elim(rows, n, aug)
+    n, zero = mat.nrows, mat.zero
+    one = zero + 1
+    aug = _dense(Mat.identity(n, zero, one))
+    pivots = _field_elim(_dense(mat), n, one, aug)
     if len(pivots) != n:
         raise ValueError("matrix is singular")
-    return Mat(aug)
+    return Mat(aug, zero)
 
 
 def pivot_columns(mat: Mat) -> list:
     """Deterministic pivot columns (first-nonzero rule) of an exact matrix."""
-    rows = [row[:] for row in mat.rows]
-    return _field_elim(rows, mat.ncols)
+    return _field_elim(_dense(mat), mat.ncols, mat.zero + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +311,8 @@ class LegOperator:
     @staticmethod
     def flip(n: int, domain) -> "LegOperator":
         """The permutation operator P on two legs (P**2 = I)."""
-        mat = Mat.zeros(n * n, n * n, domain.zero)
-        for i in range(n):
-            for j in range(n):
-                mat.rows[j * n + i][i * n + j] = domain.one
-        return LegOperator(n, 2, mat)
+        data = [{(r % n) * n + r // n: domain.one} for r in range(n * n)]
+        return LegOperator(n, 2, _mat(data, n * n, n * n, domain.zero))
 
     def dim(self) -> int:
         return self.n ** self.m
@@ -281,23 +363,16 @@ def embed_on_legs(op: LegOperator, start: int, total: int) -> LegOperator:
     n = op.n
     left = start - 1
     right = total - left - m0
-    nl, nm, nr = n ** left, n ** m0, n ** right
+    nm, nr = n ** m0, n ** right
     dim = n ** total
-    zero = _zero_like(op.mat.rows[0][0])
-    out = Mat.zeros(dim, dim, zero)
-    for a in range(nl):
+    out = []
+    for a in range(n ** left):
         abase = a * nm * nr
-        for i in range(nm):
-            row = op.mat.rows[i]
-            for j in range(nm):
-                v = row[j]
-                if not v:
-                    continue
-                rbase = abase + i * nr
-                cbase = abase + j * nr
-                for c in range(nr):
-                    out.rows[rbase + c][cbase + c] = v
-    return LegOperator(n, total, out)
+        for row in op.mat.data:
+            cols = [(abase + j * nr, v) for j, v in row.items()]
+            for c in range(nr):
+                out.append({base + c: v for base, v in cols})
+    return LegOperator(n, total, _mat(out, dim, dim, op.mat.zero))
 
 
 def weighted_partial_trace(op, legs, weight: Mat, dims=None):
@@ -334,23 +409,27 @@ def weighted_partial_trace(op, legs, weight: Mat, dims=None):
         else:
             split = [(kc * dt + a, tc) for kc, tc in split for a in range(dt)]
     # weight of a (traced output, traced input) pair: prod_t weight[in_t][out_t]
-    wt = weight.transpose().rows
+    wt = weight.transpose().data
     pair = wt
     for _ in legs[1:]:
-        pair = [[x * y for x in prow for y in wrow] for prow in pair for wrow in wt]
-    zero = _zero_like(mat.rows[0][0])
+        pair = [{pc * w + wc: x * y for pc, x in prow.items()
+                 for wc, y in wrow.items()} for prow in pair for wrow in wt]
     dim_out = mat.nrows // w ** len(legs)
-    out = Mat.zeros(dim_out, dim_out, zero)
-    for r, row in enumerate(mat.rows):
+    acc = [{} for _ in range(dim_out)]
+    for r, row in enumerate(mat.data):
         ko, to = split[r]
-        orow = out.rows[ko]
         prow = pair[to]
-        for c, v in enumerate(row):
-            if v:
-                kc, tc = split[c]
-                pv = prow[tc]
-                if pv:
-                    orow[kc] = orow[kc] + pv * v
+        if not prow:
+            continue
+        orow = acc[ko]
+        for c, v in row.items():
+            kc, tc = split[c]
+            pv = prow.get(tc)
+            if pv is not None:
+                x = orow.get(kc)
+                orow[kc] = pv * v if x is None else x + pv * v
+    out = _mat([{c: row[c] for c in sorted(row) if row[c]} for row in acc],
+               dim_out, dim_out, mat.zero)
     if isinstance(op, LegOperator):
         return LegOperator(op.n, op.m - len(legs), out)
     return out

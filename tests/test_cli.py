@@ -8,7 +8,7 @@ import pytest
 
 import qorbits
 from qorbits import hecke, orbits
-from qorbits.cli import run_suite, ANCHORS
+from qorbits.cli import ANCHORS, SUITES, _check_args, build_parser, run_suite
 from qorbits.hecke import standard_hecke, save_r_to_file
 
 
@@ -181,11 +181,18 @@ class TestExitCodes:
                 ["conjecture", "--p", "3", "--k", "3", "--m", "3",
                  "--max-size", "300"],
                 # conjecture (3**5) and ch (2**6) exceed it: nothing runs
-                ["all", "--max-size", "20"]):
+                ["all", "--max-size", "20"],
+                # the rank certificate builds A(6) on 5**6 dimensions
+                ["validate", "--n", "5", "--q", "2/3", "--max-size", "100"]):
             with pytest.raises(SystemExit) as err:
                 run_suite(argv + ["--out", str(out)])
             assert err.value.code == 2, argv
             assert not out.exists()
+
+    def test_max_size_guard_admits_defaults(self):
+        parser = build_parser()
+        for suite in list(SUITES) + ["all"]:
+            _check_args(parser, parser.parse_args([suite]))
 
     def test_r_file_round_trip_through_cli(self, tmp_path):
         path = tmp_path / "r.json"

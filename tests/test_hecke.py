@@ -48,7 +48,7 @@ class TestValidation:
         dom = at_q(Fraction(5, 2))
         mat = Mat.zeros(4, 4, dom.zero)
         for i, v in enumerate((1, 2, 3, 4)):
-            mat.rows[i][i] = Fraction(v)
+            mat[i, i] = Fraction(v)
         rep = validate_hecke_symmetry(LegOperator(2, 2, mat), dom)
         assert not rep.ybe
 

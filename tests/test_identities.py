@@ -30,11 +30,11 @@ class TestCentralElements:
 
     def test_centrality_is_certified(self, h2):
         rep = sym_power_right_rea_p2(h2, 2)
-        rep.rho[0][0].rows[0][1] = rep.rho[0][0].rows[0][1] + h2.domain.one
+        rep.rho[0][0][0, 1] = rep.rho[0][0][0, 1] + h2.domain.one
         with pytest.raises(IdentityError, match="centrality"):
             central_elements_in_rep(h2, rep, 2)
         # un-perturb: the fixture rep object is cached per test run only
-        rep.rho[0][0].rows[0][1] = rep.rho[0][0].rows[0][1] - h2.domain.one
+        rep.rho[0][0][0, 1] = rep.rho[0][0][0, 1] - h2.domain.one
 
     def test_up_to_bound(self, h2):
         rep = sym_power_right_rea_p2(h2, 1)

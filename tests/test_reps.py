@@ -28,7 +28,7 @@ class TestFundamental:
 
     def test_perturbed_blocks_fail(self, h2):
         rep = fundamental_left(h2)
-        rep.rho[0][1].rows[0][0] = rep.rho[0][1].rows[0][0] + h2.domain.one
+        rep.rho[0][1][0, 0] = rep.rho[0][1][0, 0] + h2.domain.one
         assert verify_defining_relations(rep, h2) != []
 
     def test_zero_rep_solves_massless_relations(self, h2):

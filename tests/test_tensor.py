@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qorbits.scalars import SYMBOLIC, at_q
+from qorbits.scalars import Q_ZERO, SYMBOLIC, QScalar, at_q, q_int
 from qorbits.tensor import (LegOperator, LegError, Mat, embed_on_legs,
                             inverse, pivot_columns, weighted_partial_trace)
 
@@ -142,3 +144,197 @@ class TestExactLinearAlgebra:
         b = Mat.identity(3, Fraction(0), Fraction(1))
         with pytest.raises(ValueError):
             a * b
+
+
+# ---------------------------------------------------------------------------
+# sparse storage against a dense reference computed here
+# ---------------------------------------------------------------------------
+
+FRACTION_POOL = [Fraction(v, d) for v in range(-3, 4) for d in (1, 2) if v]
+QSCALAR_POOL = [QScalar.q_power(1), QScalar.q_power(-2), q_int(2),
+                QScalar.from_rational(Fraction(-3, 2)),
+                QScalar.q_power(1) - 1, q_int(3) / (QScalar.q_power(1) + 1)]
+DOMAINS = {"fraction": (Fraction(0), FRACTION_POOL),
+           "qscalar": (Q_ZERO, QSCALAR_POOL)}
+
+
+def dense(draw, zero, pool, nr, nc):
+    """Dense rows with about half the entries zero."""
+    return [[draw(st.sampled_from(pool)) if draw(st.booleans()) else zero
+             for _ in range(nc)] for _ in range(nr)]
+
+
+@st.composite
+def domain_case(draw):
+    zero, pool = DOMAINS[draw(st.sampled_from(sorted(DOMAINS)))]
+    return zero, pool, lambda nr, nc: dense(draw, zero, pool, nr, nc)
+
+
+def assert_canonical(mat):
+    """No stored zero, keys in ascending column order and in range."""
+    assert len(mat.data) == mat.nrows
+    for row in mat.data:
+        keys = list(row)
+        assert keys == sorted(keys)
+        assert all(0 <= c < mat.ncols for c in keys)
+        assert all(row.values())
+
+
+def ref_mul(a, b, zero):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), zero)
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def ref_kron(a, b):
+    return [[a[i][j] * b[k][l] for j in range(len(a[0])) for l in range(len(b[0]))]
+            for i in range(len(a)) for k in range(len(b))]
+
+
+def ref_embed(op, n, m0, start, total, zero):
+    left, right = start - 1, total - start - m0 + 1
+    nm, nr = n ** m0, n ** right
+    out = []
+    for l, i, r in product(range(n ** left), range(nm), range(nr)):
+        out.append([op[i][j] if (l, r) == (l2, r2) else zero
+                    for l2, j, r2 in product(range(n ** left), range(nm),
+                                             range(nr))])
+    return out
+
+
+def ref_partial_trace(x, legs, w, dims, zero):
+    """sum over traced (out b, in a) of prod_t W[a_t][b_t] X[(k, b)][(k', a)]."""
+    def code(digits):
+        out = 0
+        for d, dt in zip(digits, dims):
+            out = out * dt + d
+        return out
+    kept = [t for t in range(len(dims)) if t + 1 not in legs]
+    traced = [t for t in range(len(dims)) if t + 1 in legs]
+
+    def full(kd, td):
+        digits = [0] * len(dims)
+        for t, d in zip(kept, kd):
+            digits[t] = d
+        for t, d in zip(traced, td):
+            digits[t] = d
+        return code(digits)
+    kspace = list(product(*[range(dims[t]) for t in kept]))
+    tspace = list(product(*[range(dims[t]) for t in traced]))
+    out = []
+    for ko in kspace:
+        row = []
+        for ki in kspace:
+            acc = zero
+            for b in tspace:
+                for a in tspace:
+                    weight = zero + 1
+                    for at, bt in zip(a, b):
+                        weight = weight * w[at][bt]
+                    acc = acc + weight * x[full(ko, b)][full(ki, a)]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+class TestSparseAgainstDense:
+    @settings(max_examples=60, deadline=None)
+    @given(domain_case(), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+    def test_product_sum_difference(self, case, nr, nk, nc):
+        zero, _, draw = case
+        a, b, c = draw(nr, nk), draw(nk, nc), draw(nr, nk)
+        ma, mb, mc = Mat(a, zero), Mat(b, zero), Mat(c, zero)
+        for got, want in ((ma * mb, ref_mul(a, b, zero)),
+                          (ma + mc, [[x + y for x, y in zip(ra, rc)]
+                                     for ra, rc in zip(a, c)]),
+                          (ma - mc, [[x - y for x, y in zip(ra, rc)]
+                                     for ra, rc in zip(a, c)]),
+                          (-ma, [[-x for x in ra] for ra in a])):
+            assert_canonical(got)
+            assert got.rows == want
+            assert got.support() == sum(1 for row in want for x in row if x)
+            assert got.is_zero() == (got.support() == 0)
+            assert got.zero == zero
+
+    @settings(max_examples=60, deadline=None)
+    @given(domain_case(), st.integers(1, 4), st.integers(1, 4))
+    def test_cancellation(self, case, nr, nc):
+        zero, _, draw = case
+        ma = Mat(draw(nr, nc), zero)
+        for diff in (ma - ma, ma + (-ma), ma.scale(zero), ma * Mat.zeros(nc, 2, zero)):
+            assert_canonical(diff)
+            assert diff.is_zero() and diff.support() == 0
+            assert diff == Mat.zeros(diff.nrows, diff.ncols, zero)
+
+    @settings(max_examples=60, deadline=None)
+    @given(domain_case(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3), st.data())
+    def test_scale_kron_transpose_trace(self, case, nr, nc, nr2, nc2, data):
+        zero, pool, draw = case
+        a, b = draw(nr, nc), draw(nr2, nc2)
+        s = data.draw(st.sampled_from(pool))
+        ma, mb = Mat(a, zero), Mat(b, zero)
+        for got, want in ((ma.scale(s), [[s * x for x in ra] for ra in a]),
+                          (ma.kron(mb), ref_kron(a, b)),
+                          (ma.transpose(), [list(col) for col in zip(*a)])):
+            assert_canonical(got)
+            assert got.rows == want
+        sq = draw(nr, nr)
+        assert Mat(sq, zero).trace() == sum((sq[i][i] for i in range(nr)), zero)
+
+    @settings(max_examples=40, deadline=None)
+    @given(domain_case(), st.integers(1, 2), st.integers(1, 3), st.data())
+    def test_embed_on_legs(self, case, m0, total, data):
+        zero, _, draw = case
+        n = 2
+        total = max(total, m0)
+        start = data.draw(st.integers(1, total - m0 + 1))
+        op = draw(n ** m0, n ** m0)
+        got = embed_on_legs(LegOperator(n, m0, Mat(op, zero)), start, total)
+        assert_canonical(got.mat)
+        assert got.mat.rows == ref_embed(op, n, m0, start, total, zero)
+
+    @settings(max_examples=40, deadline=None)
+    @given(domain_case(), st.integers(1, 2), st.lists(st.booleans(), min_size=1,
+                                                      max_size=3), st.data())
+    def test_weighted_partial_trace(self, case, w, traced_flags, data):
+        zero, _, draw = case
+        # traced legs have the weight's dimension, kept legs may differ
+        dims = [w if t else data.draw(st.integers(1, 3)) for t in traced_flags]
+        legs = {i + 1 for i, t in enumerate(traced_flags) if t}
+        dim = 1
+        for d in dims:
+            dim *= d
+        x, weight = draw(dim, dim), draw(w, w)
+        got = weighted_partial_trace(Mat(x, zero), legs, Mat(weight, zero), dims)
+        if not legs:
+            assert got.rows == x
+            return
+        assert_canonical(got)
+        assert got.rows == ref_partial_trace(x, legs, weight, dims, zero)
+
+    def test_writes_keep_the_invariants(self):
+        mat = Mat.zeros(2, 4, Fraction(0))
+        for j, v in ((3, 1), (1, 2), (0, 3), (1, 0), (2, 5)):
+            mat[0, j] = Fraction(v)
+        assert_canonical(mat)
+        assert mat.rows[0] == [3, 0, 5, 1] and mat[1, 2] == 0
+        view = mat.rows
+        view[1][1] = Fraction(9)          # the dense view is a copy
+        assert mat.is_zero() is False and mat[1, 1] == 0
+        with pytest.raises(IndexError):
+            mat[0, 4] = Fraction(1)
+        built = Mat.from_entries(2, 4, Fraction(0), [(0, 2, Fraction(5)), (1, 1, Fraction(0)),
+                                                     (0, 0, Fraction(3)), (0, 3, Fraction(1))])
+        assert_canonical(built)
+        assert built == mat and list(built.entries()) == [(0, 0, 3), (0, 2, 5), (0, 3, 1)]
+        picked = built.take_rows([1, 0])
+        assert picked.rows == [[0, 0, 0, 0], [3, 0, 5, 1]]
+        picked[1, 1] = Fraction(7)           # rows are copied, not shared
+        assert built[0, 1] == 0
+        assert Mat.identity(3, Fraction(0), Fraction(0)) == Mat.zeros(3, 3, Fraction(0))
+
+    def test_trace_of_empty_matrix_is_zero(self):
+        for zero in (Fraction(0), Q_ZERO):
+            assert Mat.zeros(0, 0, zero).trace() == zero
+            assert Mat([], zero).trace() == zero
+            assert Mat.zeros(3, 3, zero).trace() == zero
