@@ -20,13 +20,13 @@ q**(p*(m-1)) so that the single-leg case reduces to trace(C X).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .scalars import ScalarDomain
 from .tensor import Mat, weighted_partial_trace
 from .identities import central_trace
 from .projectors import q_symmetrizer
-from .reps import (Compression, Representation, sym_chart, sym_power_left,
+from .reps import (Compression, sym_chart, sym_power_left,
                    sym_power_right_rea_p2)
 
 
@@ -77,17 +77,16 @@ class TraceWeights:
 
 
 def trace_weights(h, m: int) -> TraceWeights:
-    """Calibrated weight on V_(m) (cached per symmetry)."""
-    key = ("weights", m)
-    cached = h._rep_cache.get(key)
-    if cached is not None:
-        return cached
+    """Calibrated weight on V_(m) (memoized on the symmetry)."""
+    return h.memo(("weights", m), lambda: _calibrated_weights(h, m))
+
+
+def _calibrated_weights(h, m: int) -> TraceWeights:
     dom = h.domain
-    chart = sym_chart(h, m)
     cw = h.c
     for _ in range(m - 1):
         cw = cw.kron(h.c)
-    compressed = chart.compress(cw)
+    compressed = sym_chart(h, m).compress(cw)
     w = TraceWeights(m=m, p=h.p, weight=compressed, norm_exponent=h.p * m,
                      domain=dom)
     total = compressed.trace() * dom.q_pow(w.norm_exponent)
@@ -96,7 +95,6 @@ def trace_weights(h, m: int) -> TraceWeights:
         raise CasimirError(
             f"weight calibration failed at m={m}: q**{w.norm_exponent} * "
             f"trace = {total}, q-dimension = {expected}")
-    h._rep_cache[key] = w
     return w
 
 
@@ -157,9 +155,7 @@ def _casimir_pairing(h, first, second) -> Mat:
     return acc.scale(h.domain.q_pow(2 * h.p))
 
 
-def split_casimir_matrix(h, k: int, m: int, algebra: str = "rea",
-                         right_rep: Optional[Representation] = None,
-                         left_rep: Optional[Representation] = None) -> CasimirMatrix:
+def split_casimir_matrix(h, k: int, m: int, algebra: str = "rea") -> CasimirMatrix:
     """Image of the split Casimir under (right sym power k) (x) (left sym power m).
 
     The k side carries the spectrally normalized right REA module, so
@@ -173,8 +169,8 @@ def split_casimir_matrix(h, k: int, m: int, algebra: str = "rea",
     if h.p != 2:
         raise CasimirError("requires symmetry rank 2")
     dom = h.domain
-    right = right_rep if right_rep is not None else _cached_right_rea(h, k)
-    left = left_rep if left_rep is not None else _cached_left(h, m)
+    right = sym_power_right_rea_p2(h, k)
+    left = sym_power_left(h, m)
     dk, dm = right.d, left.d
     acc = _casimir_pairing(h, right.rho, left.rho)
     label = f"L(k={k},m={m})"
@@ -188,24 +184,6 @@ def split_casimir_matrix(h, k: int, m: int, algebra: str = "rea",
                          label=label)
 
 
-def _cached_right_rea(h, k: int) -> Representation:
-    key = ("right_rea", k)
-    rep = h._rep_cache.get(key)
-    if rep is None:
-        rep = sym_power_right_rea_p2(h, k)
-        h._rep_cache[key] = rep
-    return rep
-
-
-def _cached_left(h, m: int) -> Representation:
-    key = ("left", m)
-    rep = h._rep_cache.get(key)
-    if rep is None:
-        rep = sym_power_left(h, m)
-        h._rep_cache[key] = rep
-    return rep
-
-
 def left_casimir_matrix(h, k: int, m: int) -> CasimirMatrix:
     """Casimir image with left symmetric powers on both factors (any rank).
 
@@ -217,8 +195,8 @@ def left_casimir_matrix(h, k: int, m: int) -> CasimirMatrix:
     """
     if k < 1 or m < 1:
         raise CasimirError("k and m must be positive")
-    outer = _cached_left(h, k)
-    inner = _cached_left(h, m)
+    outer = sym_power_left(h, k)
+    inner = sym_power_left(h, m)
     acc = _casimir_pairing(h, outer.rho, [[blk.transpose() for blk in row]
                                           for row in inner.rho])
     return CasimirMatrix(k=k, m=m, algebra="mrea", op=acc, dk=outer.d,

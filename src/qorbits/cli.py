@@ -15,7 +15,6 @@ raises is a failure all the same), 2 is a usage error, 3 a file error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import random
 import sys
@@ -162,54 +161,35 @@ def suite_validate(args, rec, rng):
         tag = dom.describe()
         r = _r_matrix(args, dom)
         rep = hecke_mod.validate_hecke_symmetry(r, dom)
-        params = {"n": args.n, "q": tag}
-        rec.run(f"validate.q{tag}.ybe", "ybe", params,
-                lambda rep=rep: (rep.ybe, None))
-        rec.run(f"validate.q{tag}.hecke", "hecke", params,
-                lambda rep=rep: (rep.hecke, None))
-        rec.run(f"validate.q{tag}.skew", "skew", params,
-                lambda rep=rep: (rep.skew_invertible,
-                                 rep.details.get("skew_error")))
-        rec.run(f"validate.q{tag}.rank", "rank", params,
-                lambda rep=rep: (rep.even and rep.rank == args.n,
-                                 rep.details.get("rank_outcome")))
-
-        # one construction shared by both checks; the cache keeps no
-        # exception, so a failed construction fails each check in turn
-        symmetry = functools.cache(
-            lambda dom=dom, r=r: hecke_mod.HeckeSymmetry(r, dom))
-
-        def bc_checks(dom=dom, symmetry=symmetry):
-            h = symmetry()
-            scale = dom.q_pow(-2 * h.p)
-            ident = Mat.identity(h.n, dom.zero, dom.one)
-            ok = (h.b * h.c == ident.scale(scale))
-            return ok, None
-        rec.run(f"validate.q{tag}.bc_product", "bc_product", params, bc_checks)
-
-        def bc_trace(dom=dom, symmetry=symmetry):
-            h = symmetry()
-            expect = dom.q_int(h.p) * dom.q_pow(-h.p)
-            return (h.b.trace() == expect and h.c.trace() == expect), None
-        rec.run(f"validate.q{tag}.bc_trace", "bc_trace", params, bc_trace)
+        params = {"n": r.n, "q": tag}
+        for name, ok, reason in (
+                ("ybe", rep.ybe, None),
+                ("hecke", rep.hecke, None),
+                ("skew", rep.skew_invertible, "skew_error"),
+                ("rank", rep.rank == r.n, "rank_outcome"),
+                ("bc_product", rep.bc_product, "bc_product_error"),
+                ("bc_trace", rep.bc_trace, "bc_trace_error")):
+            rec.run(f"validate.q{tag}.{name}", name, params,
+                    lambda ok=ok, reason=reason: (ok, rep.details.get(reason)))
     return _q_labels(domains)
 
 
 def suite_projectors(args, rec, rng):
     domains = _domains(args, rng)
-    m_max = args.m or (args.n + 1)
     from math import comb
     for dom in domains:
         tag = dom.describe()
         h = _hecke(args, dom)
+        n = h.n
+        m_max = args.m or (n + 1)
         for m in range(1, m_max + 1):
             s = proj_mod.q_symmetrizer(h, m)
             a = proj_mod.q_antisymmetrizer(h, m)
-            params = {"n": args.n, "m": m, "q": tag}
+            params = {"n": n, "m": m, "q": tag}
             rec.run(f"projectors.q{tag}.m{m}.idempotent", "sym_proj", params,
                     lambda s=s, a=a: ((s * s == s) and (a * a == a), None))
-            exp_s = comb(args.n + m - 1, m)
-            exp_a = comb(args.n, m)
+            exp_s = comb(n + m - 1, m)
+            exp_a = comb(n, m)
 
             def ranks(s=s, a=a, exp_s=exp_s, exp_a=exp_a, dom=dom):
                 rs = s.mat.trace()
@@ -234,7 +214,7 @@ def suite_projectors(args, rec, rng):
             a2 = proj_mod.q_antisymmetrizer(h, 2)
             return (s2 + a2 == h.identity(2)), None
         rec.run(f"projectors.q{tag}.complement", "sym_proj",
-                {"n": args.n, "q": tag}, complement)
+                {"n": n, "q": tag}, complement)
 
         def nested(h=h, m_max=m_max):
             for m in range(2, m_max + 1):
@@ -245,7 +225,7 @@ def suite_projectors(args, rec, rng):
                         return False, f"nested absorption fails at ({m},{k})"
             return True, None
         rec.run(f"projectors.q{tag}.nested", "sym_proj",
-                {"n": args.n, "q": tag}, nested)
+                {"n": n, "q": tag}, nested)
     return _q_labels(domains)
 
 
@@ -255,7 +235,7 @@ def suite_reps(args, rec, rng):
     for dom in domains:
         tag = dom.describe()
         h = _hecke(args, dom)
-        params = {"n": args.n, "q": tag}
+        params = {"n": h.n, "q": tag}
 
         def fundamental(h=h):
             rep = reps_mod.fundamental_left(h)
@@ -295,7 +275,7 @@ def suite_reps(args, rec, rng):
             rec.run(f"reps.q{tag}.invariance.m{m}", "sym_module", pm,
                     invariance)
 
-        if args.n == 2:
+        if h.p == 2:
             for m in range(1, m_max + 1):
                 def right(h=h, m=m):
                     rep = reps_mod.sym_power_right_p2(h, m)

@@ -64,31 +64,40 @@ def standard_r(n: int, domain: ScalarDomain = SYMBOLIC) -> LegOperator:
     return LegOperator(n, 2, mat)
 
 
-def hecke_inverse(r: LegOperator, domain: ScalarDomain) -> LegOperator:
-    """R**-1 = R - (q - 1/q) I, forced by the Hecke condition."""
-    ident = LegOperator.identity(r.n, 2, domain)
-    inv = r - ident.scale(domain.zeta)
-    if not (r * inv == ident):
-        raise HeckeError("closed-form inverse failed; operator is not Hecke")
-    return inv
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ValidationReport:
+    """One entry per Hecke axiom; details holds the traces of B and C and the
+    reason for each failed entry.  The report holds no operators."""
     ybe: bool
     hecke: bool
     skew_invertible: bool
     even: bool
     rank: Optional[int]
+    bc_product: bool
+    bc_trace: bool
     details: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
-        return self.ybe and self.hecke and self.skew_invertible and self.even
+        return (self.ybe and self.hecke and self.skew_invertible and self.even
+                and self.bc_product and self.bc_trace)
+
+    def first_failure(self) -> Optional[str]:
+        """The first failed axiom in certification order, or None."""
+        d = self.details
+        for ok, reason in ((self.ybe, "Yang-Baxter equation fails"),
+                           (self.hecke, "Hecke condition fails"),
+                           (self.skew_invertible, d.get("skew_error")),
+                           (self.even, d.get("rank_error", d.get("rank_outcome"))),
+                           (self.bc_product, d.get("bc_product_error")),
+                           (self.bc_trace, d.get("bc_trace_error"))):
+            if not ok:
+                return reason
+        return None
 
 
 def check_ybe(r: LegOperator) -> bool:
@@ -157,7 +166,7 @@ def symmetry_rank(r: LegOperator, domain: ScalarDomain,
 
 
 def _certified_antisymmetrizers(r: LegOperator, domain: ScalarDomain,
-                                max_p: Optional[int]):
+                                max_p: Optional[int] = None):
     """(p, [A(1), .., A(p+1)]) from one pass up the antisymmetrizer tower.
 
     Every A(m) below the collapse is certified idempotent with an integer
@@ -182,32 +191,54 @@ def _certified_antisymmetrizers(r: LegOperator, domain: ScalarDomain,
     return None, tower
 
 
-def validate_hecke_symmetry(r: LegOperator, domain: ScalarDomain,
-                            max_p: Optional[int] = None) -> ValidationReport:
-    """Independent axiom checks; failures are report entries, not faults."""
+def _certify(r: LegOperator, domain: ScalarDomain):
+    """(report, (Psi, B, C) or None, [A(1), ..]): every axiom, checked once.
+
+    The tower is built only for a Yang-Baxter Hecke operator, and the B C
+    normalization is checked only when the skew inverse and the rank exist.
+    """
     ybe = check_ybe(r)
     hecke = check_hecke(r, domain)
     details: dict = {}
-    skew = False
-    even = False
-    rank_p: Optional[int] = None
+    weights = None
     try:
-        psi, b, c = skew_inverse_bc(r, domain)
-        skew = True
-        details["trace_b"] = b.trace()
-        details["trace_c"] = c.trace()
+        weights = skew_inverse_bc(r, domain)
+        details["trace_b"] = weights[1].trace()
+        details["trace_c"] = weights[2].trace()
     except HeckeError as exc:
         details["skew_error"] = str(exc)
+    p, tower = None, []
     if ybe and hecke:
         try:
-            rank_p = symmetry_rank(r, domain, max_p)
+            p, tower = _certified_antisymmetrizers(r, domain)
         except HeckeError as exc:
             details["rank_error"] = str(exc)
-        even = rank_p is not None
-        if not even:
-            details["rank_outcome"] = f"not even up to max_p={max_p or r.n + 1}"
-    return ValidationReport(ybe=ybe, hecke=hecke, skew_invertible=skew,
-                            even=even, rank=rank_p, details=details)
+        if p is None:
+            details["rank_outcome"] = f"not even up to max_p={r.n + 1}"
+    bc_product = bc_trace = False
+    if weights is None or p is None:
+        details["bc_product_error"] = details["bc_trace_error"] = (
+            "not checked: needs the skew inverse and the symmetry rank")
+    else:
+        ident = Mat.identity(r.n, domain.zero, domain.one)
+        bc_product = weights[1] * weights[2] == ident.scale(domain.q_pow(-2 * p))
+        if not bc_product:
+            details["bc_product_error"] = "B C != q**(-2p) I"
+        expect = domain.q_int(p) * domain.q_pow(-p)
+        bc_trace = details["trace_b"] == expect == details["trace_c"]
+        if not bc_trace:
+            details["bc_trace_error"] = "trace of B or C is not p_q / q**p"
+    report = ValidationReport(ybe=ybe, hecke=hecke,
+                              skew_invertible=weights is not None,
+                              even=p is not None, rank=p, bc_product=bc_product,
+                              bc_trace=bc_trace, details=details)
+    return report, weights, tower
+
+
+def validate_hecke_symmetry(r: LegOperator,
+                            domain: ScalarDomain) -> ValidationReport:
+    """Independent axiom checks; failures are report entries, not faults."""
+    return _certify(r, domain)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -215,46 +246,36 @@ def validate_hecke_symmetry(r: LegOperator, domain: ScalarDomain,
 # ---------------------------------------------------------------------------
 
 class HeckeSymmetry:
-    """Validated bundle (n, R, Psi, B, C, p); immutable after construction.
+    """Validated bundle (n, R, Psi, B, C, p) with one memo of derived objects.
 
-    Construction asserts the Yang-Baxter equation, the Hecke condition, both
-    skew-inverse contractions, B C = q**(-2p) I, trace B = trace C =
-    p_q / q**p, and the antisymmetrizer collapse at rank p.  The tower
-    A(1)..A(p+1) built for that last certificate is kept as the projector
-    cache's antisymmetrizers.
+    Construction runs the same certifier as :func:`validate_hecke_symmetry`
+    (Yang-Baxter equation, Hecke condition, both skew-inverse contractions,
+    the antisymmetrizer collapse at rank p, B C = q**(-2p) I and trace B =
+    trace C = p_q / q**p) and raises HeckeError naming the first failed
+    axiom.  The bundle is immutable after construction; everything derived
+    from it (projectors, charts, modules, trace weights) lives in one memo,
+    seeded with the certified tower A(1)..A(p+1).
     """
 
-    def __init__(self, r: LegOperator, domain: ScalarDomain = SYMBOLIC,
-                 max_p: Optional[int] = None):
+    def __init__(self, r: LegOperator, domain: ScalarDomain = SYMBOLIC):
+        report, weights, tower = _certify(r, domain)
+        if not report.passed:
+            raise HeckeError(report.first_failure())
         self.n = r.n
         self.domain = domain
         self.r = r
-        if not check_ybe(r):
-            raise HeckeError("Yang-Baxter equation fails")
-        if not check_hecke(r, domain):
-            raise HeckeError("Hecke condition fails")
-        self.psi, self.b, self.c = skew_inverse_bc(r, domain)
-        p, tower = _certified_antisymmetrizers(r, domain, max_p)
-        if p is None:
-            raise HeckeError(f"not even up to max_p={max_p or r.n + 1}")
-        self.p = p
-        self.r_inv = hecke_inverse(r, domain)
-        self._check_bc()
-        # the certified tower A(1)..A(p+1) seeds the projector cache
-        self._proj_cache: dict = {("A", m): a_m for m, a_m in enumerate(tower, 1)}
-        self._rep_cache: dict = {}
+        self.psi, self.b, self.c = weights
+        self.p = report.rank
+        # R**-1 = R - (q - 1/q) I, forced by the Hecke condition
+        self.r_inv = r - LegOperator.identity(r.n, 2, domain).scale(domain.zeta)
+        self._memo: dict = {("A", m): a_m for m, a_m in enumerate(tower, 1)}
 
-    def _check_bc(self) -> None:
-        d = self.domain
-        n, p = self.n, self.p
-        scale = d.q_pow(-2 * p)
-        prod = self.b * self.c
-        ident = Mat.identity(n, d.zero, d.one)
-        if not (prod == ident.scale(scale)):
-            raise HeckeError("B C != q**(-2p) I")
-        expect = d.q_int(p) * d.q_pow(-p)
-        if self.b.trace() != expect or self.c.trace() != expect:
-            raise HeckeError("trace of B or C is not p_q / q**p")
+    def memo(self, key, build):
+        """The derived object stored under key; build() makes it on first
+        request.  Only a returned value is stored, never an exception."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     @property
     def q(self):

@@ -160,7 +160,6 @@ class OrbitSpec:
     mu: list
     hbar: Fraction
     domain: ScalarDomain
-    _generic: Dict[int, bool] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if len(self.mu) != self.p:
@@ -176,22 +175,16 @@ class OrbitSpec:
         mode selects which family: the deformed root formula ("quantum") or
         the integer-coefficient classical one ("classical").
         """
-        cached = self._generic.get((m, mode))
-        if cached is not None:
-            return cached
-        ok = self.is_1_generic()
-        if ok:
-            if mode == "quantum":
-                vals = [v for _, v in
-                        conjecture_roots(self.root_data(), m, self.p)]
-            else:
-                mu = [self.domain.lift(v) for v in self.mu]
-                hbar = self.domain.lift(self.hbar)
-                vals = [classical_higher_eigenvalue(kvec, mu, hbar)
-                        for kvec in compositions(m, self.p)]
-            ok = len(set(vals)) == len(vals)
-        self._generic[(m, mode)] = ok
-        return ok
+        if not self.is_1_generic():
+            return False
+        if mode == "quantum":
+            vals = [v for _, v in conjecture_roots(self.root_data(), m, self.p)]
+        else:
+            mu = [self.domain.lift(v) for v in self.mu]
+            hbar = self.domain.lift(self.hbar)
+            vals = [classical_higher_eigenvalue(kvec, mu, hbar)
+                    for kvec in compositions(m, self.p)]
+        return len(set(vals)) == len(vals)
 
     def root_data(self) -> RootData:
         return RootData(mu=self.mu, hbar=self.hbar, domain=self.domain)

@@ -16,11 +16,11 @@ projector, absorption and rank invariants (rank = trace for an exact
 idempotent); those properties characterise it inside the Hecke-algebra
 image, so nothing is taken on faith from the recursion itself.
 
-Projectors are cached per (m, start, total) on the owning HeckeSymmetry.
-Construction fills the cache with the antisymmetrizers A(1)..A(p+1) that
-the symmetry-rank certificate built (each idempotent with integer trace,
-A(p+1) = 0), so those are never built twice; everything else is built on
-first request.
+Every projector, plain or embedded, is kept in the owning symmetry's memo
+under ("S" | "A", m) or ("S" | "A", m, start, total).  Construction seeds
+the memo with the antisymmetrizers A(1)..A(p+1) that the symmetry-rank
+certificate built (each idempotent with integer trace, A(p+1) = 0), so
+those are never built twice; everything else is built on first request.
 """
 
 from __future__ import annotations
@@ -32,12 +32,12 @@ from .tensor import LegOperator, embed_on_legs
 
 
 def _tower_step(prev: LegOperator, m: int, r: LegOperator,
-                domain: ScalarDomain, sign: int) -> LegOperator:
-    """One recursion step on m legs; sign +1 builds S, -1 builds A."""
+                domain: ScalarDomain, kind: str) -> LegOperator:
+    """One recursion step on m legs; kind "S" or "A" names the tower."""
     outer = embed_on_legs(prev, 2, m)
     r12 = embed_on_legs(r, 1, m)
     ident = LegOperator.identity(r.n, m, domain)
-    if sign > 0:
+    if kind == "S":
         middle = ident.scale(domain.q_pow(1 - m)) + r12.scale(domain.q_int(m - 1))
     else:
         middle = ident.scale(domain.q_pow(m - 1)) - r12.scale(domain.q_int(m - 1))
@@ -49,42 +49,35 @@ def antisymmetrizer_tower(r: LegOperator, domain: ScalarDomain,
     cur = LegOperator.identity(r.n, 1, domain)
     yield 1, cur
     for m in range(2, max_m + 1):
-        cur = _tower_step(cur, m, r, domain, -1)
+        cur = _tower_step(cur, m, r, domain, "A")
         yield m, cur
 
 
-def _cached_base(h, m: int, sign: int) -> LegOperator:
-    key = ("S" if sign > 0 else "A", m)
-    op = h._proj_cache.get(key)
-    if op is None:
+def _base(h, m: int, kind: str) -> LegOperator:
+    def build():
         if m == 1:
-            op = LegOperator.identity(h.n, 1, h.domain)
-        else:
-            op = _tower_step(_cached_base(h, m - 1, sign), m, h.r, h.domain, sign)
-        h._proj_cache[key] = op
-    return op
+            return LegOperator.identity(h.n, 1, h.domain)
+        return _tower_step(_base(h, m - 1, kind), m, h.r, h.domain, kind)
+    return h.memo((kind, m), build)
 
 
-def _projector(h, m: int, total_legs, start: int, sign: int) -> LegOperator:
+def _projector(h, m: int, total_legs, start: int, kind: str) -> LegOperator:
     if m < 1:
         raise ValueError("m must be positive")
-    base = _cached_base(h, m, sign)
+    base = _base(h, m, kind)
     if total_legs is None or (total_legs == m and start == 1):
         return base
-    key = ("S" if sign > 0 else "A", m, start, total_legs)
-    op = h._proj_cache.get(key)
-    if op is None:
-        op = h._proj_cache[key] = embed_on_legs(base, start, total_legs)
-    return op
+    return h.memo((kind, m, start, total_legs),
+                  lambda: embed_on_legs(base, start, total_legs))
 
 
 def q_symmetrizer(h, m: int, total_legs: int | None = None,
                   start: int = 1) -> LegOperator:
     """S(m) embedded at legs start..start+m-1 of a total_legs space."""
-    return _projector(h, m, total_legs, start, +1)
+    return _projector(h, m, total_legs, start, "S")
 
 
 def q_antisymmetrizer(h, m: int, total_legs: int | None = None,
                       start: int = 1) -> LegOperator:
     """A(m) embedded at legs start..start+m-1 of a total_legs space."""
-    return _projector(h, m, total_legs, start, -1)
+    return _projector(h, m, total_legs, start, "A")

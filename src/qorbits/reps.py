@@ -12,7 +12,10 @@ The defining relations live on V (x) V with operator-valued entries:
 
     R L1 R L1 - L1 R L1 R = hbar (R L1 - L1 R),   L1 = L (x) I.
 
-Every constructor in this module verifies them before returning.
+Every constructor in this module verifies them once, when first built for a
+symmetry; the module is kept in that symmetry's memo under the constructor's
+name and arguments, so later requests share it and nobody may write into
+its blocks.
 """
 
 from __future__ import annotations
@@ -82,13 +85,9 @@ class Compression:
 
 
 def sym_chart(h, m: int) -> Compression:
-    """Cached chart for the q-symmetric component on m legs."""
-    key = ("chart", m)
-    chart = h._rep_cache.get(key)
-    if chart is None:
-        chart = Compression.of_projector(q_symmetrizer(h, m))
-        h._rep_cache[key] = chart
-    return chart
+    """Chart for the q-symmetric component on m legs (memoized)."""
+    return h.memo(("chart", m),
+                  lambda: Compression.of_projector(q_symmetrizer(h, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +181,19 @@ def _checked(rep: Representation, h) -> Representation:
     return rep
 
 
+def _built_once(build):
+    """Memoize a module constructor on its symmetry under (name, *args),
+    verifying the defining relations once, when the module is built."""
+    def constructor(h, *args):
+        return h.memo((build.__name__,) + args,
+                      lambda: _checked(build(h, *args), h))
+    constructor.__name__ = constructor.__qualname__ = build.__name__
+    constructor.__doc__ = build.__doc__
+    constructor.__wrapped__ = build
+    return constructor
+
+
+@_built_once
 def fundamental_left(h) -> Representation:
     """Left fundamental module: the generator block sends x_k to x_i B_k^j."""
     n, dom = h.n, h.domain
@@ -196,9 +208,10 @@ def fundamental_left(h) -> Representation:
         rho.append(row)
     rep = Representation("left", "mrea", Fraction(1), n, n, rho,
                          "fundamental", dom)
-    return _checked(rep, h)
+    return rep
 
 
+@_built_once
 def tensor_power_left(h, m: int) -> Representation:
     """Reducible module on the full tensor power via inverse-braiding chains."""
     if m < 1:
@@ -221,9 +234,10 @@ def tensor_power_left(h, m: int) -> Representation:
         rho.append(row)
     rep = Representation("left", "mrea", Fraction(1), n, d, rho,
                          f"tensor_power m={m}", dom)
-    return _checked(rep, h)
+    return rep
 
 
+@_built_once
 def sym_power_left(h, m: int) -> Representation:
     """Compression of the tensor power to the q-symmetric component."""
     if m < 1:
@@ -244,7 +258,7 @@ def sym_power_left(h, m: int) -> Representation:
         rho.append(row)
     rep = Representation("left", "mrea", Fraction(1), n, chart.dim, rho,
                          f"sym_power m={m}", dom, chart=chart)
-    return _checked(rep, h)
+    return rep
 
 
 def right_fundamental_blocks(h) -> List[List[Mat]]:
@@ -267,6 +281,7 @@ def right_fundamental_blocks(h) -> List[List[Mat]]:
     return rho
 
 
+@_built_once
 def sym_power_right_p2(h, m: int) -> Representation:
     """Right module on the q-symmetric component; rank-2 symmetries only."""
     if h.p != 2:
@@ -290,9 +305,10 @@ def sym_power_right_p2(h, m: int) -> Representation:
         rho.append(row)
     rep = Representation("right", "mrea", Fraction(1), n, chart.dim, rho,
                          f"sym_power_right m={m}", dom, chart=chart)
-    return _checked(rep, h)
+    return rep
 
 
+@_built_once
 def sym_power_right_rea_p2(h, m: int) -> Representation:
     """Right REA module on the q-symmetric component, in spectral normalization.
 
@@ -310,7 +326,7 @@ def sym_power_right_rea_p2(h, m: int) -> Representation:
     rep = Representation("right", "rea", Fraction(0), h.n, base.d, rho,
                          f"sym_power_right m={m} [rea, spectral scale]", dom,
                          chart=base.chart)
-    return _checked(rep, h)
+    return rep
 
 
 def shift_reps(rep: Representation, mode: str, value=None, h=None) -> Representation:

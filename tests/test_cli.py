@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import qorbits
-from qorbits import hecke, orbits
+from qorbits import hecke, orbits, projectors
 from qorbits.cli import ANCHORS, SUITES, _check_args, build_parser, run_suite
 from qorbits.hecke import standard_hecke, save_r_to_file
 
@@ -92,33 +92,51 @@ class TestReports:
             assert c["status"] == "fail"
             assert c["witness"] == "RuntimeError: scan crashed"
 
-    def test_validate_builds_one_symmetry_per_q(self, tmp_path, monkeypatch):
-        built = []
-        real = hecke.HeckeSymmetry
+    def test_validate_builds_one_tower_per_q(self, tmp_path, monkeypatch):
+        # one certification per q: the validation report carries all six
+        # checks, so no second antisymmetrizer tower is built for B and C
+        calls = []
+        real = projectors.antisymmetrizer_tower
 
-        def counting(r, dom, *args):
-            built.append(dom.describe())
-            return real(r, dom, *args)
-        monkeypatch.setattr(hecke, "HeckeSymmetry", counting)
-        code, report = run_json(tmp_path, ["validate", "--seed", "4"])
+        def counting(r, dom, max_m):
+            calls.append(dom.describe())
+            return real(r, dom, max_m)
+        monkeypatch.setattr(projectors, "antisymmetrizer_tower", counting)
+        code, report = run_json(tmp_path, ["validate", "--seed", "7"])
         assert code == 0
         assert len(report["checks"]) == 18
-        assert sorted(built) == sorted(report["q"])
+        assert len(calls) == 3
+        assert sorted(calls) == sorted(report["q"])
 
-    def test_validate_failed_construction_fails_both_checks(
+    def test_validate_failed_normalization_fails_both_checks(
             self, tmp_path, monkeypatch):
-        def broken(r, dom, *args):
-            raise hecke.HeckeError("construction broke")
-        monkeypatch.setattr(hecke, "HeckeSymmetry", broken)
+        real = hecke.skew_inverse_bc
+
+        def doubled_b(r, dom):
+            psi, b, c = real(r, dom)
+            return psi, b.scale(dom.lift(2)), c
+        monkeypatch.setattr(hecke, "skew_inverse_bc", doubled_b)
         code, report = run_json(tmp_path, ["validate", "--q", "2/3"])
         assert code == 1
         status = {c["id"].rsplit(".", 1)[1]: c for c in report["checks"]}
         assert len(status) == 6
-        for name in ("bc_product", "bc_trace"):
-            assert status[name]["status"] == "fail"
-            assert "construction broke" in status[name]["witness"]
+        assert status["bc_product"]["status"] == "fail"
+        assert status["bc_product"]["witness"] == "B C != q**(-2p) I"
+        assert status["bc_trace"]["status"] == "fail"
+        assert "trace of B or C" in status["bc_trace"]["witness"]
         for name in ("ybe", "hecke", "skew", "rank"):
             assert status[name]["status"] == "pass"
+
+    @pytest.mark.parametrize("suite", ["validate", "projectors", "reps"])
+    def test_r_file_sets_the_rank(self, tmp_path, suite):
+        # the symmetry's n comes from the file, not from the default --n 2
+        path = tmp_path / "r3.json"
+        save_r_to_file(path, hecke.standard_r(3))
+        code, report = run_json(
+            tmp_path, [suite, "--r-file", str(path), "--q", "2/3"])
+        assert code == 0
+        assert all(c["status"] == "pass" for c in report["checks"])
+        assert {c["params"]["n"] for c in report["checks"]} == {3}
 
     def test_symbolic_mode(self, tmp_path):
         code, report = run_json(tmp_path, ["euler", "--symbolic"])

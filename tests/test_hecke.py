@@ -57,6 +57,21 @@ class TestValidation:
         assert rep.ybe and rep.hecke and rep.skew_invertible and rep.even
         assert rep.rank == 2 and rep.passed
 
+    def test_zero_operator_reports_unchecked_normalization(self):
+        dom = at_q(Fraction(3, 4))
+        zero = LegOperator(2, 2, Mat.zeros(4, 4, dom.zero))
+        rep = validate_hecke_symmetry(zero, dom)
+        assert not rep.bc_product and not rep.bc_trace and not rep.passed
+        assert rep.details["bc_product_error"].startswith("not checked")
+        assert rep.details["bc_trace_error"].startswith("not checked")
+        assert rep.details["skew_error"] == "not skew-invertible"
+
+    def test_constructor_names_first_failed_axiom(self):
+        dom = at_q(Fraction(3, 4))
+        zero = LegOperator(2, 2, Mat.zeros(4, 4, dom.zero))
+        with pytest.raises(HeckeError, match="^Hecke condition fails$"):
+            HeckeSymmetry(zero, dom)
+
     def test_constructor_asserts(self):
         with pytest.raises(HeckeError):
             HeckeSymmetry(LegOperator.flip(2, SYMBOLIC), SYMBOLIC)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -29,12 +30,13 @@ class TestCentralElements:
         assert cv.s[1] == cv.sigma[1]
 
     def test_centrality_is_certified(self, h2):
-        rep = sym_power_right_rea_p2(h2, 2)
+        # perturb a copy: the module itself is shared through h2's memo
+        shared = sym_power_right_rea_p2(h2, 2)
+        rep = replace(shared, rho=[[blk.take_rows(range(blk.nrows))
+                                    for blk in row] for row in shared.rho])
         rep.rho[0][0][0, 1] = rep.rho[0][0][0, 1] + h2.domain.one
         with pytest.raises(IdentityError, match="centrality"):
             central_elements_in_rep(h2, rep, 2)
-        # un-perturb: the fixture rep object is cached per test run only
-        rep.rho[0][0][0, 1] = rep.rho[0][0][0, 1] - h2.domain.one
 
     def test_up_to_bound(self, h2):
         rep = sym_power_right_rea_p2(h2, 1)

@@ -88,7 +88,7 @@ class TestConstructionTower:
     def test_requests_return_the_certified_tower(self, n):
         # construction seeds A(1)..A(p+1); requests hand back those objects
         h = standard_hecke(n, at_q(Fraction(5, 3)))
-        seeded = dict(h._proj_cache)
+        seeded = dict(h._memo)
         assert sorted(seeded) == [("A", m) for m in range(1, h.p + 2)]
         for m in range(1, h.p + 2):
             assert q_antisymmetrizer(h, m) is seeded[("A", m)]
@@ -96,7 +96,7 @@ class TestConstructionTower:
 
     def test_seeded_tower_matches_a_rebuild(self, h2):
         for m, a_m in antisymmetrizer_tower(h2.r, h2.domain, h2.p + 1):
-            assert h2._proj_cache[("A", m)] == a_m
+            assert h2._memo[("A", m)] == a_m
 
 
 class TestSymbolicAgainstSampled:

@@ -1,7 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from qorbits import casimir, reps
+from qorbits.hecke import standard_hecke
+from qorbits.scalars import at_q
 from qorbits.tensor import Mat
 from qorbits.projectors import q_antisymmetrizer, q_symmetrizer
 from qorbits.reps import (Representation, RepresentationError,
@@ -9,6 +13,11 @@ from qorbits.reps import (Representation, RepresentationError,
                           shift_reps, sym_chart, sym_power_left,
                           sym_power_right_p2, sym_power_right_rea_p2,
                           tensor_power_left, verify_defining_relations)
+
+
+def _with_copied_blocks(rep):
+    return replace(rep, rho=[[blk.take_rows(range(blk.nrows)) for blk in row]
+                             for row in rep.rho])
 
 
 class TestFundamental:
@@ -27,9 +36,11 @@ class TestFundamental:
         assert verify_defining_relations(rep, h2) == []
 
     def test_perturbed_blocks_fail(self, h2):
-        rep = fundamental_left(h2)
+        # perturb a copy: the module itself is shared through h2's memo
+        rep = _with_copied_blocks(fundamental_left(h2))
         rep.rho[0][1][0, 0] = rep.rho[0][1][0, 0] + h2.domain.one
         assert verify_defining_relations(rep, h2) != []
+        assert verify_defining_relations(fundamental_left(h2), h2) == []
 
     def test_zero_rep_solves_massless_relations(self, h2):
         zero_blocks = [[Mat.zeros(3, 3, h2.domain.zero) for _ in range(2)]
@@ -218,3 +229,36 @@ class TestPrintedClosedFormFinding:
         assert (lit.rho[1][0] - auth.rho[1][0]).is_zero()
         for i in range(2):
             assert lit.rho[i][i] - auth.rho[i][i] == ident.scale(c * c - dom.one)
+
+
+class TestMemo:
+    REQUESTS = [(fundamental_left,), (tensor_power_left, 2),
+                (sym_power_left, 2), (sym_power_right_p2, 2),
+                (sym_power_right_rea_p2, 2), (sym_power_left, 3)]
+
+    def test_modules_are_built_and_verified_once(self, monkeypatch):
+        h = standard_hecke(2, at_q(Fraction(5, 3)))
+        verified = []
+        real = reps.verify_defining_relations
+
+        def counting(rep, hh, hbar_value=None):
+            verified.append(rep.label)
+            return real(rep, hh, hbar_value)
+        monkeypatch.setattr(reps, "verify_defining_relations", counting)
+        first = [build(h, *args) for build, *args in self.REQUESTS]
+        second = [build(h, *args) for build, *args in self.REQUESTS]
+        assert all(a is b for a, b in zip(first, second))
+        assert sorted(verified) == sorted(rep.label for rep in first)
+
+    def test_charts_and_weights_are_memoized(self):
+        h = standard_hecke(2, at_q(Fraction(5, 3)))
+        assert sym_chart(h, 2) is sym_chart(h, 2)
+        assert sym_power_left(h, 2).chart is sym_chart(h, 2)
+        assert casimir.trace_weights(h, 2) is casimir.trace_weights(h, 2)
+
+    def test_failed_build_is_not_memoized(self):
+        h = standard_hecke(3, at_q(Fraction(5, 3)))
+        for _ in range(2):
+            with pytest.raises(RepresentationError, match="rank 2"):
+                sym_power_right_p2(h, 1)
+        assert not any(key[0] == "sym_power_right_p2" for key in h._memo)
