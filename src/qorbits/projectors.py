@@ -1,26 +1,25 @@
 """q-symmetrizers and q-antisymmetrizers on tensor powers.
 
-The symmetrizer tower follows the two-sided recursion
+Both towers come from the factorization over the minimal coset
+representatives of S_{m-1} in S_m (Dipper-James 1986; Jimbo 1986):
 
-    S(1) = I,
-    S(m) on legs 1..m = (1/m_q) S(m-1)|_{2..m} (q**(1-m) I + (m-1)_q R_12)
-                                    S(m-1)|_{2..m},
+    x_1 = I,
+    x_m = x_{m-1}|_{1..m-1} (I + sum_{j=1}^{m-1} c**j R_{m-1} R_{m-2} .. R_{m-j}),
 
-and the antisymmetrizer is its mirror under q -> -1/q,
-
-    A(1) = I,  A(2) = (q I - R)/2_q,
-    A(m) = (1/m_q) A(m-1)|_{2..m} (q**(m-1) I - (m-1)_q R_12) A(m-1)|_{2..m}.
-
-The higher antisymmetrizer recursion is certified after the fact by the
-projector, absorption and rank invariants (rank = trace for an exact
-idempotent); those properties characterise it inside the Hecke-algebra
-image, so nothing is taken on faith from the recursion itself.
+with c = q for S and c = -1/q for A, so x_m = sum_w c**l(w) R_w.  Keeping
+y_j = y_{j-1} R_{m-j} makes a level m - 1 products with a sparse embedded R
+and no division.  x_m x_m = gamma_m x_m with gamma_m = q**(+-m(m-1)/2) [m]_q!
+(plus for S, minus for A), and the projector is x_m scaled once by
+1/gamma_m, taken from that formula.  Nothing is taken on faith: the
+certifier checks each A(m) idempotent with integer trace and A(p+1) = 0, so
+a wrong gamma_m fails construction.
 
 Every projector, plain or embedded, is kept in the owning symmetry's memo
 under ("S" | "A", m) or ("S" | "A", m, start, total).  Construction seeds
 the memo with the antisymmetrizers A(1)..A(p+1) that the symmetry-rank
-certificate built (each idempotent with integer trace, A(p+1) = 0), so
-those are never built twice; everything else is built on first request.
+certificate built, so those are never built twice; every other level is
+built on first request from the memoized level below, rescaled by its
+gamma to x_{m-1}.
 """
 
 from __future__ import annotations
@@ -31,33 +30,40 @@ from .scalars import ScalarDomain
 from .tensor import LegOperator, embed_on_legs
 
 
-def _tower_step(prev: LegOperator, m: int, r: LegOperator,
-                domain: ScalarDomain, kind: str) -> LegOperator:
-    """One recursion step on m legs; kind "S" or "A" names the tower."""
-    outer = embed_on_legs(prev, 2, m)
-    r12 = embed_on_legs(r, 1, m)
-    ident = LegOperator.identity(r.n, m, domain)
-    if kind == "S":
-        middle = ident.scale(domain.q_pow(1 - m)) + r12.scale(domain.q_int(m - 1))
-    else:
-        middle = ident.scale(domain.q_pow(m - 1)) - r12.scale(domain.q_int(m - 1))
-    return (outer * middle * outer).scale(domain.one / domain.q_int(m))
+def _gamma(domain: ScalarDomain, m: int, kind: str):
+    """gamma_m = q**(+-m(m-1)/2) [m]_q!, so that x_m x_m = gamma_m x_m."""
+    sign = 1 if kind == "S" else -1
+    return domain.q_pow(sign * m * (m - 1) // 2) * domain.q_factorial(m)
+
+
+def _unnormalized(x_prev: LegOperator, m: int, r: LegOperator,
+                  domain: ScalarDomain, kind: str) -> LegOperator:
+    """x_m = x_{m-1} (I + sum_{j<m} c**j R_{m-1} R_{m-2} .. R_{m-j})."""
+    c = domain.q if kind == "S" else -domain.q_pow(-1)
+    y = x = embed_on_legs(x_prev, 1, m)
+    for j in range(1, m):
+        y = y * embed_on_legs(r, m - j, m)
+        x = x + y.scale(c ** j)
+    return x
 
 
 def antisymmetrizer_tower(r: LegOperator, domain: ScalarDomain,
                           max_m: int) -> Iterator[Tuple[int, LegOperator]]:
-    cur = LegOperator.identity(r.n, 1, domain)
-    yield 1, cur
+    x = LegOperator.identity(r.n, 1, domain)
+    yield 1, x
     for m in range(2, max_m + 1):
-        cur = _tower_step(cur, m, r, domain, "A")
-        yield m, cur
+        x = _unnormalized(x, m, r, domain, "A")
+        yield m, x.scale(domain.one / _gamma(domain, m, "A"))
 
 
 def _base(h, m: int, kind: str) -> LegOperator:
     def build():
+        dom = h.domain
         if m == 1:
-            return LegOperator.identity(h.n, 1, h.domain)
-        return _tower_step(_base(h, m - 1, kind), m, h.r, h.domain, kind)
+            return LegOperator.identity(h.n, 1, dom)
+        x_prev = _base(h, m - 1, kind).scale(_gamma(dom, m - 1, kind))
+        x = _unnormalized(x_prev, m, h.r, dom, kind)
+        return x.scale(dom.one / _gamma(dom, m, kind))
     return h.memo((kind, m), build)
 
 

@@ -3,11 +3,28 @@ from math import comb
 
 import pytest
 
-from qorbits.hecke import standard_hecke
-from qorbits.scalars import at_q, eval_at, random_q
-from qorbits.tensor import embed_on_legs, pivot_columns
+from qorbits import projectors
+from qorbits.hecke import (HeckeError, standard_hecke, standard_r,
+                           validate_hecke_symmetry)
+from qorbits.scalars import SYMBOLIC, at_q, eval_at, random_q
+from qorbits.tensor import LegOperator, embed_on_legs, pivot_columns
 from qorbits.projectors import (antisymmetrizer_tower, q_antisymmetrizer,
                                 q_symmetrizer)
+
+
+def two_sided_step(prev, m, r, domain, kind):
+    """Reference oracle, independent of the coset factorization: the
+    two-sided recursion
+    S(m) = (1/m_q) S(m-1)|_{2..m} (q**(1-m) I + (m-1)_q R_12) S(m-1)|_{2..m},
+    and its mirror under q -> -1/q for A(m)."""
+    outer = embed_on_legs(prev, 2, m)
+    r12 = embed_on_legs(r, 1, m)
+    ident = LegOperator.identity(r.n, m, domain)
+    if kind == "S":
+        middle = ident.scale(domain.q_pow(1 - m)) + r12.scale(domain.q_int(m - 1))
+    else:
+        middle = ident.scale(domain.q_pow(m - 1)) - r12.scale(domain.q_int(m - 1))
+    return (outer * middle * outer).scale(domain.one / domain.q_int(m))
 
 
 class TestLowDegrees:
@@ -114,3 +131,65 @@ class TestSymbolicAgainstSampled:
                 evaluated = [[eval_at(x, q0) for x in row]
                              for row in sym.mat.rows]
                 assert evaluated == sampled.mat.rows
+
+
+class TestAgreementWithTwoSidedRecursion:
+    @pytest.mark.parametrize("n, q0, kinds, top", [
+        (2, None, "SA", 6),
+        (3, None, "SA", 4),
+        (4, Fraction(2, 15), "A", 5),
+        (3, Fraction(-77, 101), "SA", 5),
+    ])
+    def test_coset_tower_equals_the_oracle(self, n, q0, kinds, top):
+        h = standard_hecke(n, SYMBOLIC if q0 is None else at_q(q0))
+        build = {"S": q_symmetrizer, "A": q_antisymmetrizer}
+        for kind in kinds:
+            ref = h.identity(1)
+            assert build[kind](h, 1) == ref
+            for m in range(2, top + 1):
+                ref = two_sided_step(ref, m, h.r, h.domain, kind)
+                assert build[kind](h, m) == ref, (kind, m)
+
+
+class TestNormalization:
+    def test_wrong_gamma_fails_construction(self, monkeypatch):
+        # the scale 1/gamma_m is certified by idempotency, not trusted
+        real = projectors._gamma
+        monkeypatch.setattr(projectors, "_gamma",
+                            lambda dom, m, kind: real(dom, m, kind) * dom.q)
+        dom = at_q(Fraction(3, 5))
+        with pytest.raises(HeckeError,
+                           match="antisymmetrizer at height 2 is not idempotent"):
+            standard_hecke(3, dom)
+        report = validate_hecke_symmetry(standard_r(3, dom), dom)
+        assert not report.even
+        assert "not idempotent" in report.details["rank_error"]
+
+    @pytest.mark.parametrize("kind", ["S", "A"])
+    def test_unnormalized_tower(self, h2, kind):
+        # x_m = sum_w c**l(w) R_w: x_m x_m = gamma_m x_m, R_i x_m = x_m R_i
+        # = c x_m, and x_m / gamma_m is the projector
+        dom = h2.domain
+        c = dom.q if kind == "S" else -dom.q_pow(-1)
+        build = {"S": q_symmetrizer, "A": q_antisymmetrizer}[kind]
+        x = h2.identity(1)
+        for m in range(2, 6):
+            x = projectors._unnormalized(x, m, h2.r, dom, kind)
+            gamma = projectors._gamma(dom, m, kind)
+            assert x * x == x.scale(gamma)
+            for i in range(1, m):
+                r_i = h2.r_on(i, m)
+                assert r_i * x == x.scale(c) == x * r_i
+            assert x.scale(dom.one / gamma) == build(h2, m)
+
+
+class TestBeyondTwoSidedBudget:
+    def test_symbolic_s7_trace(self, h2):
+        assert q_symmetrizer(h2, 7).mat.trace() == h2.domain.lift(8)
+
+    def test_sampled_s8_trace_and_absorption(self, h2_sampled):
+        h = h2_sampled
+        s = q_symmetrizer(h, 8)
+        assert s.mat.trace() == 9
+        for i in range(1, 8):
+            assert h.r_on(i, 8) * s == s.scale(h.q)
