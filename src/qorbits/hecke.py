@@ -53,15 +53,15 @@ def standard_r(n: int, domain: ScalarDomain = SYMBOLIC) -> LegOperator:
         raise HeckeError("n must be positive")
     q = domain.q
     zeta = domain.zeta
-    mat = Mat.zeros(n * n, n * n, domain.zero)
+    entries = []
     for i in range(n):
-        mat[i * n + i, i * n + i] = q
+        entries.append((i * n + i, i * n + i, q))
         for j in range(n):
             if i != j:
-                mat[j * n + i, i * n + j] = domain.one
+                entries.append((j * n + i, i * n + j, domain.one))
             if i < j:
-                mat[i * n + j, i * n + j] = zeta
-    return LegOperator(n, 2, mat)
+                entries.append((i * n + j, i * n + j, zeta))
+    return LegOperator(n, 2, Mat.from_entries(n * n, n * n, domain.zero, entries))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +321,7 @@ def load_r_from_file(path, domain: ScalarDomain = SYMBOLIC) -> LegOperator:
         raise RFileError(f"{path}: field 'n' must be a positive integer")
     if data.get("parameter", "q") != "q":
         raise RFileError(f"{path}: unsupported parameter {data.get('parameter')!r}")
-    mat = Mat.zeros(n * n, n * n, domain.zero)
+    entries = []
     seen = set()
     for idx, entry in enumerate(data.get("entries", [])):
         try:
@@ -342,8 +342,9 @@ def load_r_from_file(path, domain: ScalarDomain = SYMBOLIC) -> LegOperator:
             scal = parse_scalar(value)
         except ValueError as exc:
             raise RFileError(f"{path}: entry #{idx}: {exc}") from exc
-        mat[(k - 1) * n + (l - 1), (i - 1) * n + (j - 1)] = domain.lift(scal)
-    return LegOperator(n, 2, mat)
+        entries.append(((k - 1) * n + (l - 1), (i - 1) * n + (j - 1),
+                        domain.lift(scal)))
+    return LegOperator(n, 2, Mat.from_entries(n * n, n * n, domain.zero, entries))
 
 
 def save_r_to_file(path, r: LegOperator) -> None:

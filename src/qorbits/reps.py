@@ -201,10 +201,8 @@ def fundamental_left(h) -> Representation:
     for i in range(n):
         row = []
         for j in range(n):
-            blk = Mat.zeros(n, n, dom.zero)
-            for k in range(n):
-                blk[i, k] = h.b[j, k]
-            row.append(blk)
+            row.append(Mat.from_entries(n, n, dom.zero,
+                                        ((i, k, h.b[j, k]) for k in range(n))))
         rho.append(row)
     rep = Representation("left", "mrea", Fraction(1), n, n, rho,
                          "fundamental", dom)
@@ -270,13 +268,13 @@ def right_fundamental_blocks(h) -> List[List[Mat]]:
     for i in range(n):
         row = []
         for j in range(n):
-            blk = Mat.zeros(n, n, dom.zero)
+            entries = []
             for s in range(n):
                 for k in range(n):
                     v = a2.mat[s * n + j, k * n + i]
                     if v:
-                        blk[s, k] = coeff * v
-            row.append(blk)
+                        entries.append((s, k, coeff * v))
+            row.append(Mat.from_entries(n, n, dom.zero, entries))
         rho.append(row)
     return rho
 
@@ -384,7 +382,7 @@ def corollary_phi_blocks(h, m: int) -> List[List[Mat]]:
     for i in range(n):
         row = []
         for j in range(n):
-            blk = Mat.zeros(n, n, dom.zero)
+            entries = []
             for s in range(n):
                 for k in range(n):
                     v = a2.mat[s * n + j, k * n + i]
@@ -393,7 +391,7 @@ def corollary_phi_blocks(h, m: int) -> List[List[Mat]]:
                         acc = acc - coeff * v
                     if i == j and s == k:
                         acc = acc + lead
-                    blk[s, k] = acc
-            row.append(blk)
+                    entries.append((s, k, acc))
+            row.append(Mat.from_entries(n, n, dom.zero, entries))
         rho.append(row)
     return rho

@@ -662,11 +662,17 @@ class ScalarDomain:
         return self.q0 ** k
 
     def q_int(self, m: int):
+        """[m]_q; at q0 = a/b it is (a**2m - b**2m) / (a**(m-1) b**(m-1) (a**2 - b**2)),
+        one Fraction built from integer powers."""
         if self.symbolic:
             return q_int(m)
         if m == 0:
             return _F0
-        return (self.q0 ** m - self.q0 ** (-m)) / (self.q0 - 1 / self.q0)
+        if m < 0:
+            return -self.q_int(-m)
+        a, b = self.q0.numerator, self.q0.denominator
+        return Fraction(a ** (2 * m) - b ** (2 * m),
+                        (a * b) ** (m - 1) * (a * a - b * b))
 
     def q_factorial(self, m: int):
         out = self.one

@@ -1,12 +1,18 @@
 """Exact sparse linear algebra and operators on tensor powers V**m.
 
-Matrices hold exact field elements (Fraction in evaluated mode, QScalar in
-symbolic mode) in sparse rows: row i is a dict from column to nonzero
-entry.  R-matrices, q-(anti)symmetrizers, their embeddings and the module
-operators are all very sparse, so every operation touches nonzeros only;
-the product is the row-wise sparse product (Gustavson 1978).  Elimination
-(inverse, pivot columns) works densely on a copy, at most a few hundred
-rows in scope.
+A matrix is stored as numerators over one denominator: ``data[i]`` maps
+column -> nonzero numerator for row i, and entry (i, j) is
+``data[i][j] / den``.  In evaluated mode (q a rational number, Fraction
+entries) the numerators are ints and ``den`` is a positive int, so products,
+sums, kron and embeddings run on integers and each result is reduced once by
+its content.  In symbolic mode (QScalar entries) the numerators are the
+entries themselves and ``den`` is 1; the same kernels then do exactly the
+QScalar arithmetic of an entrywise matrix.  R-matrices,
+q-(anti)symmetrizers, their embeddings and the module operators are all very
+sparse, so every operation touches nonzeros only; the product is the
+row-wise sparse product (Gustavson 1978).  Elimination (inverse, pivot
+columns) works densely on a copy of the entries, at most a few hundred rows
+in scope.
 
 Index encoding for leg operators is frozen package-wide: the row (column)
 index of an m-leg operator on an n-dimensional space is the mixed-radix
@@ -17,27 +23,39 @@ is ordinary matrix multiplication acting on column vectors.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 
 class Mat:
-    """Exact sparse matrix over a field (Fraction or QScalar entries).
+    """Exact sparse matrix over a field: numerators over one denominator.
 
-    ``data[i]`` maps column -> entry for row i.  Every operation keeps three
+    ``data[i]`` maps column -> numerator for row i and ``den`` is the common
+    denominator: ints over a positive int for Fraction entries, the QScalar
+    entries themselves over 1 in symbolic mode.  Every operation keeps four
     invariants:
 
-    * no zero is stored, so equal matrices have equal ``data``;
+    * no zero is stored;
     * the keys of each row are in ascending column order, so a product
       accumulates each entry over k in the order of the dense loop (the
       partial sums of a symbolic entry are reduced in that order, which
       keeps them small);
+    * the form is reduced: gcd(den, all numerators) = 1, so the zero matrix
+      and every symbolic matrix have den 1, and equal matrices have equal
+      ``den`` and ``data``;
     * the matrix carries its domain's ``zero``, the value of an absent
       entry.
 
-    ``mat[i, j]`` reads an entry and ``mat[i, j] = v`` writes one (a zero
-    removes it).  ``rows`` is a dense list-of-lists copy built on each
-    access: writing into it changes nothing, and no library hot path uses it.
+    Reads return entries of the domain (Fraction or QScalar), never
+    numerators: ``mat[i, j]``, ``entries()``, ``trace()`` and ``rows``, a
+    dense list-of-lists copy built on each access (writing into it changes
+    nothing, and no library hot path uses it).  ``mat[i, j] = v`` writes one
+    entry (a zero removes it) and rescales the matrix when v's denominator
+    does not divide ``den``; build a matrix in one pass with
+    ``from_entries`` instead of a loop of writes.
     """
 
-    __slots__ = ("data", "nrows", "ncols", "zero")
+    __slots__ = ("data", "den", "nrows", "ncols", "zero")
 
     def __init__(self, rows, zero=None):
         """From dense rows (small literal matrices, elimination results);
@@ -46,7 +64,8 @@ class Mat:
             if not rows or not rows[0]:
                 raise ValueError("an empty matrix needs its zero")
             zero = rows[0][0] * 0
-        self.data = [{c: v for c, v in enumerate(row) if v} for row in rows]
+        self.data, self.den = _numerators(
+            [{c: v for c, v in enumerate(row) if v} for row in rows], zero)
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else 0
         self.zero = zero
@@ -60,47 +79,62 @@ class Mat:
         for i, j, v in entries:
             _check_index(i, j, nrows, ncols)
             data[i][j] = v
-        return _mat([{c: row[c] for c in sorted(row) if row[c]} for row in data],
-                    nrows, ncols, zero)
+        data, den = _numerators(
+            [{c: row[c] for c in sorted(row) if row[c]} for row in data], zero)
+        return _mat(data, den, nrows, ncols, zero)
 
     @staticmethod
     def zeros(nr: int, nc: int, zero) -> "Mat":
-        return _mat([{} for _ in range(nr)], nr, nc, zero)
+        return _mat([{} for _ in range(nr)], 1, nr, nc, zero)
 
     @staticmethod
     def identity(n: int, zero, one) -> "Mat":
         """``one`` on the diagonal; any value, so a zero gives the zero matrix."""
-        return _mat([{i: one} if one else {} for i in range(n)], n, n, zero)
+        if not one:
+            return Mat.zeros(n, n, zero)
+        num, den = _split(zero, one)
+        return _mat([{i: num} for i in range(n)], den, n, n, zero)
 
     # -- structure -----------------------------------------------------------
     def __getitem__(self, ij):
         i, j = ij
         _check_index(i, j, self.nrows, self.ncols)
-        return self.data[i].get(j, self.zero)
+        v = self.data[i].get(j)
+        return self.zero if v is None else _entry(self.zero, v, self.den)
 
     def __setitem__(self, ij, value):
         i, j = ij
         _check_index(i, j, self.nrows, self.ncols)
-        row = self.data[i]
+        data = self.data
         if not value:
-            row.pop(j, None)
-        elif j in row or not row or j > next(reversed(row)):
-            row[j] = value
+            data[i].pop(j, None)
         else:
-            row[j] = value
-            self.data[i] = {c: row[c] for c in sorted(row)}
+            num, d = _split(self.zero, value)
+            if self.den % d:      # bring the whole matrix to lcm(den, d)
+                f = lcm(self.den, d) // self.den
+                data = _rescaled(data, f)
+                self.den *= f
+            if d != self.den:
+                num = num * (self.den // d)
+            row = data[i]
+            in_order = j in row or not row or j > next(reversed(row))
+            row[j] = num
+            if not in_order:
+                data[i] = {c: row[c] for c in sorted(row)}
+        self.data, self.den = _reduce(data, self.den)
 
     def entries(self):
         """The nonzero entries as (row, column, value), row by row, each row
         in column order."""
+        zero, den = self.zero, self.den
         for i, row in enumerate(self.data):
             for j, v in row.items():
-                yield i, j, v
+                yield i, j, _entry(zero, v, den)
 
     def take_rows(self, indices) -> "Mat":
         """The matrix of the listed rows, in the listed order."""
-        return _mat([dict(self.data[i]) for i in indices], len(indices),
-                    self.ncols, self.zero)
+        return _reduced([dict(self.data[i]) for i in indices], self.den,
+                        len(indices), self.ncols, self.zero)
 
     @property
     def rows(self) -> list:
@@ -111,7 +145,7 @@ class Mat:
         if not isinstance(other, Mat):
             return NotImplemented
         return (self.nrows == other.nrows and self.ncols == other.ncols
-                and self.data == other.data)
+                and self.den == other.den and self.data == other.data)
 
     def is_zero(self) -> bool:
         return not any(self.data)
@@ -125,7 +159,7 @@ class Mat:
         for i, row in enumerate(self.data):
             for j, v in row.items():
                 cols[j][i] = v
-        return _mat(cols, self.ncols, self.nrows, self.zero)
+        return _mat(cols, self.den, self.ncols, self.nrows, self.zero)
 
     def trace(self):
         diag = [row[i] for i, row in enumerate(self.data) if i in row]
@@ -134,7 +168,7 @@ class Mat:
         out = diag[0]
         for v in diag[1:]:
             out = out + v
-        return out
+        return _entry(self.zero, out, self.den)
 
     # -- arithmetic on nonzeros ---------------------------------------------
     def __add__(self, other):
@@ -144,10 +178,13 @@ class Mat:
         return self._combine(other, True)
 
     def _combine(self, other, subtract: bool) -> "Mat":
+        """Sum or difference over lcm(den_a, den_b)."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("matrix shape mismatch")
+        den = lcm(self.den, other.den)
         out = []
-        for ra, rb in zip(self.data, other.data):
+        for ra, rb in zip(_rescaled(self.data, den // self.den),
+                          _rescaled(other.data, den // other.den)):
             row = dict(ra)
             grew = False
             for c, b in rb.items():
@@ -164,17 +201,18 @@ class Mat:
             if grew and ra:       # new columns were appended after the old ones
                 row = {c: row[c] for c in sorted(row)}
             out.append(row)
-        return _mat(out, self.nrows, self.ncols, self.zero)
+        return _reduced(out, den, self.nrows, self.ncols, self.zero)
 
     def __neg__(self):
         return _mat([{c: -v for c, v in row.items()} for row in self.data],
-                    self.nrows, self.ncols, self.zero)
+                    self.den, self.nrows, self.ncols, self.zero)
 
     def scale(self, s) -> "Mat":
         if not s:
             return Mat.zeros(self.nrows, self.ncols, self.zero)
-        return _mat([{c: s * v for c, v in row.items()} for row in self.data],
-                    self.nrows, self.ncols, self.zero)
+        num, den = _split(self.zero, s)
+        return _reduced([{c: num * v for c, v in row.items()} for row in self.data],
+                        self.den * den, self.nrows, self.ncols, self.zero)
 
     def __mul__(self, other):
         if not isinstance(other, Mat):
@@ -190,7 +228,8 @@ class Mat:
                     x = acc.get(j)
                     acc[j] = a * b if x is None else x + a * b
             out.append({j: acc[j] for j in sorted(acc) if acc[j]})
-        return _mat(out, self.nrows, other.ncols, self.zero)
+        return _reduced(out, self.den * other.den, self.nrows, other.ncols,
+                        self.zero)
 
     def kron(self, other: "Mat") -> "Mat":
         bdata, bcols = other.data, other.ncols
@@ -199,8 +238,8 @@ class Mat:
             for brow in bdata:
                 out.append({j * bcols + l: a * b for j, a in arow.items()
                             for l, b in brow.items()})
-        return _mat(out, self.nrows * other.nrows, self.ncols * bcols,
-                    self.zero)
+        return _reduced(out, self.den * other.den, self.nrows * other.nrows,
+                        self.ncols * bcols, self.zero)
 
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols})"
@@ -214,19 +253,88 @@ def _check_index(i: int, j: int, nrows: int, ncols: int) -> None:
         raise IndexError(f"entry ({i}, {j}) outside a {nrows}x{ncols} matrix")
 
 
+# The domain-specific steps: an entry to a numerator and back, and the
+# content reduction.  Evaluated mode is recognised by a rational zero; every
+# other domain (QScalar) keeps its entries as numerators over 1.
+
+def _rational(zero) -> bool:
+    return isinstance(zero, (int, Fraction))
+
+
+def _split(zero, v) -> tuple:
+    """(numerator, denominator) of an entry."""
+    if _rational(zero):
+        return v.numerator, v.denominator
+    return v, 1
+
+
+def _entry(zero, num, den):
+    """The entry num / den, in the domain of zero."""
+    if _rational(zero):
+        return Fraction(num, den)
+    return num
+
+
+def _reduce(data, den) -> tuple:
+    """Divide the numerators and den by their content; returns (data, den).
+    Exits at once when den is 1, which it always is in symbolic mode."""
+    if den == 1:
+        return data, den
+    g = den
+    for row in data:
+        if row:
+            g = gcd(g, *row.values())
+            if g == 1:
+                return data, den
+    return [{c: v // g for c, v in row.items()} for row in data], den // g
+
+
+def _rescaled(data, f) -> list:
+    """The numerator rows times the integer f (the rows themselves if f is 1)."""
+    if f == 1:
+        return data
+    return [{c: v * f for c, v in row.items()} for row in data]
+
+
+def _numerators(rows, zero) -> tuple:
+    """Rows of column -> nonzero entry as (rows of numerators over their
+    least common denominator, that denominator)."""
+    if not _rational(zero):
+        return rows, 1
+    den = 1
+    for row in rows:
+        for v in row.values():
+            d = v.denominator
+            if den % d:
+                den = lcm(den, d)
+    if den == 1:
+        return [{c: v.numerator for c, v in row.items()} for row in rows], 1
+    return [{c: v.numerator * (den // v.denominator) for c, v in row.items()}
+            for row in rows], den
+
+
 def _dense(mat: Mat) -> list:
-    zero, cols = mat.zero, range(mat.ncols)
-    return [[row.get(c, zero) for c in cols] for row in mat.data]
+    zero, den, cols = mat.zero, mat.den, range(mat.ncols)
+    return [[_entry(zero, row[c], den) if c in row else zero for c in cols]
+            for row in mat.data]
 
 
-def _mat(data, nrows: int, ncols: int, zero) -> Mat:
-    """A Mat from rows that already hold the invariants."""
+def _mat(data, den, nrows: int, ncols: int, zero) -> Mat:
+    """A Mat from numerator rows that already hold the invariants."""
     out = _new(Mat)
     out.data = data
+    out.den = den
     out.nrows = nrows
     out.ncols = ncols
     out.zero = zero
     return out
+
+
+def _reduced(data, den, nrows: int, ncols: int, zero) -> Mat:
+    """A Mat from numerator rows that hold the invariants up to the content
+    reduction."""
+    data, den = _reduce(data, den)
+    return _mat(data, den, nrows, ncols, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +419,9 @@ class LegOperator:
     @staticmethod
     def flip(n: int, domain) -> "LegOperator":
         """The permutation operator P on two legs (P**2 = I)."""
-        data = [{(r % n) * n + r // n: domain.one} for r in range(n * n)]
-        return LegOperator(n, 2, _mat(data, n * n, n * n, domain.zero))
+        return LegOperator(n, 2, Mat.from_entries(
+            n * n, n * n, domain.zero,
+            ((r, (r % n) * n + r // n, domain.one) for r in range(n * n))))
 
     def dim(self) -> int:
         return self.n ** self.m
@@ -372,7 +481,7 @@ def embed_on_legs(op: LegOperator, start: int, total: int) -> LegOperator:
             cols = [(abase + j * nr, v) for j, v in row.items()]
             for c in range(nr):
                 out.append({base + c: v for base, v in cols})
-    return LegOperator(n, total, _mat(out, dim, dim, op.mat.zero))
+    return LegOperator(n, total, _mat(out, op.mat.den, dim, dim, op.mat.zero))
 
 
 def weighted_partial_trace(op, legs, weight: Mat, dims=None):
@@ -428,8 +537,8 @@ def weighted_partial_trace(op, legs, weight: Mat, dims=None):
             if pv is not None:
                 x = orow.get(kc)
                 orow[kc] = pv * v if x is None else x + pv * v
-    out = _mat([{c: row[c] for c in sorted(row) if row[c]} for row in acc],
-               dim_out, dim_out, mat.zero)
+    out = _reduced([{c: row[c] for c in sorted(row) if row[c]} for row in acc],
+                   mat.den * weight.den ** len(legs), dim_out, dim_out, mat.zero)
     if isinstance(op, LegOperator):
         return LegOperator(op.n, op.m - len(legs), out)
     return out

@@ -1,10 +1,17 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from qorbits.scalars import at_q
 from qorbits.hecke import standard_hecke
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run and prints the
+# blob that replays a failing one, so a CI failure reproduces locally.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

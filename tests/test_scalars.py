@@ -239,6 +239,17 @@ class TestDomain:
             assert dom.q_int(m) == eval_at(q_int(m), q0)
             assert dom.q_binomial(5, 2) == eval_at(q_binomial(5, 2), q0)
 
+    def test_sampled_q_int_from_integer_powers(self):
+        # the evaluated [m] is built from powers of q0's numerator and
+        # denominator; it must equal the symbolic q-integer evaluated there
+        for q0 in (Fraction(2, 15), Fraction(-77, 101), Fraction(3, 5),
+                   Fraction(-128, 127)):
+            dom = at_q(q0)
+            for m in range(-6, 7):
+                got = dom.q_int(m)
+                assert isinstance(got, Fraction)
+                assert got == eval_at(q_int(m), q0)
+
     def test_rejects_degenerate_points(self):
         for bad in (0, 1, -1):
             with pytest.raises(ValueError):

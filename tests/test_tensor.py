@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qorbits.hecke import standard_hecke, standard_r
+from qorbits.projectors import q_antisymmetrizer
 from qorbits.scalars import Q_ZERO, SYMBOLIC, QScalar, at_q, q_int
 from qorbits.tensor import (LegOperator, LegError, Mat, embed_on_legs,
                             inverse, pivot_columns, weighted_partial_trace)
@@ -150,7 +153,10 @@ class TestExactLinearAlgebra:
 # sparse storage against a dense reference computed here
 # ---------------------------------------------------------------------------
 
-FRACTION_POOL = [Fraction(v, d) for v in range(-3, 4) for d in (1, 2) if v]
+# denominators beyond 2 make sums and products take an lcm and reduce by a
+# content other than 1
+FRACTION_POOL = [Fraction(v, d) for v in range(-3, 4)
+                 for d in (1, 2, 3, 7, 15, 101) if v]
 QSCALAR_POOL = [QScalar.q_power(1), QScalar.q_power(-2), q_int(2),
                 QScalar.from_rational(Fraction(-3, 2)),
                 QScalar.q_power(1) - 1, q_int(3) / (QScalar.q_power(1) + 1)]
@@ -171,13 +177,22 @@ def domain_case(draw):
 
 
 def assert_canonical(mat):
-    """No stored zero, keys in ascending column order and in range."""
+    """No stored zero, keys in ascending column order and in range, and the
+    reduced form: den > 0 and gcd(den, numerators) = 1, so den = 1 for the
+    zero matrix and for every symbolic matrix."""
     assert len(mat.data) == mat.nrows
     for row in mat.data:
         keys = list(row)
         assert keys == sorted(keys)
         assert all(0 <= c < mat.ncols for c in keys)
         assert all(row.values())
+    assert isinstance(mat.den, int) and mat.den > 0
+    if isinstance(mat.zero, QScalar) or mat.is_zero():
+        assert mat.den == 1
+    else:
+        nums = [v for row in mat.data for v in row.values()]
+        assert all(isinstance(v, int) for v in nums)
+        assert gcd(mat.den, *nums) == 1
 
 
 def ref_mul(a, b, zero):
@@ -266,6 +281,21 @@ class TestSparseAgainstDense:
             assert diff == Mat.zeros(diff.nrows, diff.ncols, zero)
 
     @settings(max_examples=60, deadline=None)
+    @given(domain_case(), st.integers(1, 4), st.integers(1, 4))
+    def test_route_independence(self, case, nr, nc):
+        # the reduced form is canonical: equal matrices reached by different
+        # routes compare equal structurally
+        zero, _, draw = case
+        ma = Mat(draw(nr, nc), zero)
+        third = zero + Fraction(1, 3)
+        for got in (ma.scale(3).scale(Fraction(1, 3)), (ma + ma) - ma,
+                    ma * Mat.identity(nc, zero, third).scale(3),
+                    (ma * Mat.identity(nc, zero, third)).scale(3)):
+            assert_canonical(got)
+            assert got == ma
+        assert Mat.identity(nc, zero, third).scale(3) == Mat.identity(nc, zero, zero + 1)
+
+    @settings(max_examples=60, deadline=None)
     @given(domain_case(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
            st.integers(1, 3), st.data())
     def test_scale_kron_transpose_trace(self, case, nr, nc, nr2, nc2, data):
@@ -333,8 +363,59 @@ class TestSparseAgainstDense:
         assert built[0, 1] == 0
         assert Mat.identity(3, Fraction(0), Fraction(0)) == Mat.zeros(3, 3, Fraction(0))
 
+    def test_writes_rescale_and_reduce(self):
+        # a write whose denominator does not divide den brings the matrix to
+        # the lcm; removing it again reduces back
+        mat = Mat.from_entries(2, 2, Fraction(0), [(0, 0, Fraction(1, 3)),
+                                                   (1, 1, Fraction(2, 3))])
+        assert mat.den == 3
+        mat[0, 1] = Fraction(5, 7)
+        assert_canonical(mat)
+        assert mat.den == 21 and mat.rows == [[Fraction(1, 3), Fraction(5, 7)],
+                                              [0, Fraction(2, 3)]]
+        mat[0, 1] = Fraction(0)
+        assert_canonical(mat)
+        assert mat.den == 3
+        mat[0, 0] = Fraction(2)
+        mat[1, 1] = Fraction(-4)
+        assert_canonical(mat)
+        assert mat.den == 1 and mat.rows == [[2, 0], [0, -4]]
+        assert all(type(x) is Fraction for row in mat.rows for x in row)
+        assert type(mat[0, 0]) is Fraction and type(mat.trace()) is Fraction
+
     def test_trace_of_empty_matrix_is_zero(self):
         for zero in (Fraction(0), Q_ZERO):
             assert Mat.zeros(0, 0, zero).trace() == zero
             assert Mat([], zero).trace() == zero
             assert Mat.zeros(3, 3, zero).trace() == zero
+
+
+def test_sampled_antisymmetrizer_against_dense_oracle():
+    """A(3) of standard_r(3) at q = -77/101 equals the coset tower
+    A(m) = x_m / gamma_m, x_m = x_{m-1} (I + sum_{j<m} c**j R_{m-1}..R_{m-j}),
+    c = -1/q, rebuilt here on dense Fraction rows."""
+    q0 = Fraction(-77, 101)
+    dom = at_q(q0)
+    n, zero = 3, Fraction(0)
+    r = standard_r(n, dom).mat.rows
+    c = -1 / q0
+
+    def q_int_at(m):
+        return (q0 ** m - q0 ** -m) / (q0 - 1 / q0)
+
+    def add(a, b):
+        return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+    x = [[Fraction(1) if i == j else zero for j in range(n)] for i in range(n)]
+    for m in (2, 3):
+        x = ref_embed(x, n, m - 1, 1, m, zero)
+        y, total = x, x
+        for j in range(1, m):
+            y = ref_mul(y, ref_embed(r, n, 2, m - j, m, zero), zero)
+            total = add(total, [[c ** j * v for v in row] for row in y])
+        x = total
+    gamma = q0 ** -3 * q_int_at(2) * q_int_at(3)
+    want = [[v / gamma for v in row] for row in x]
+    got = q_antisymmetrizer(standard_hecke(n, dom), 3).mat
+    assert_canonical(got)
+    assert got.den > 1 and got.rows == want
