@@ -20,11 +20,12 @@ q**(p*(m-1)) so that the single-leg case reduces to trace(C X).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .scalars import ScalarDomain
 from .tensor import Mat, weighted_partial_trace
-from .identities import central_trace
+from .identities import RootData, central_trace
 from .projectors import q_symmetrizer
 from .reps import (Compression, sym_chart, sym_power_left,
                    sym_power_right_rea_p2)
@@ -160,7 +161,7 @@ def split_casimir_matrix(h, k: int, m: int, algebra: str = "rea") -> CasimirMatr
 
     The k side carries the spectrally normalized right REA module, so
     algebra="rea" yields the matrix whose basic roots at m=1 are
-    {1, q**(-2k-2)}; algebra="mrea" adds the unit shift
+    {1, q**(-2k-2)} (:func:`basic_roots`); algebra="mrea" adds the unit shift
     q**(1-m) m_q / zeta times the identity (mass parameter 1).  Requires
     symmetry rank 2 on the k side, where right modules exist.
     """
@@ -182,6 +183,24 @@ def split_casimir_matrix(h, k: int, m: int, algebra: str = "rea") -> CasimirMatr
         raise CasimirError(f"unknown algebra {algebra!r}")
     return CasimirMatrix(k=k, m=m, algebra=algebra, op=acc, dk=dk, dm=dm,
                          label=label)
+
+
+def basic_roots(domain: ScalarDomain, k: int, algebra: str = "rea") -> RootData:
+    """The basic roots of split_casimir_matrix(h, k, 1, algebra).
+
+    algebra="rea": {1, q**(-2k-2)} with hbar = 0, the spectral normalization
+    of the right module; algebra="mrea": both roots shifted by 1/zeta, with
+    hbar = 1.  The higher roots at m > 1 follow from these by
+    :func:`qorbits.identities.omega_roots_p2`.
+    """
+    mu = [domain.one, domain.q_pow(-2 * k - 2)]
+    if algebra == "rea":
+        return RootData(mu=mu, hbar=Fraction(0), domain=domain)
+    if algebra == "mrea":
+        shift = domain.one / domain.zeta
+        return RootData(mu=[v + shift for v in mu], hbar=Fraction(1),
+                        domain=domain)
+    raise CasimirError(f"unknown algebra {algebra!r}")
 
 
 def left_casimir_matrix(h, k: int, m: int) -> CasimirMatrix:

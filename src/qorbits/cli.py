@@ -106,14 +106,11 @@ def _domains(args, rng) -> list:
     return [at_q(Fraction(args.q))]
 
 
-def _q_labels(domains) -> list:
-    return [d.describe() for d in domains]
-
-
-def _r_matrix(args, domain):
-    """The --r-file R-matrix (exit 3 on a file error), else the standard one."""
+def _r_matrix(args, domain, n: int):
+    """The --r-file R-matrix (exit 3 on a file error), else the standard one
+    on an n-dimensional space."""
     if not args.r_file:
-        return hecke_mod.standard_r(args.n, domain)
+        return hecke_mod.standard_r(n, domain)
     try:
         return hecke_mod.load_r_from_file(args.r_file, domain)
     except (OSError, hecke_mod.RFileError) as exc:
@@ -121,8 +118,8 @@ def _r_matrix(args, domain):
         raise SystemExit(3)
 
 
-def _hecke(args, domain) -> hecke_mod.HeckeSymmetry:
-    return hecke_mod.HeckeSymmetry(_r_matrix(args, domain), domain)
+def _hecke(args, domain, n: int) -> hecke_mod.HeckeSymmetry:
+    return hecke_mod.HeckeSymmetry(_r_matrix(args, domain, n), domain)
 
 
 def _largest_spaces(args, file_n) -> dict:
@@ -141,7 +138,7 @@ def _largest_spaces(args, file_n) -> dict:
     sizes = {
         "validate": (n, n + 1),
         "projectors": (n, args.m or n + 1),
-        "reps": (n, args.m or 3),
+        "reps": (n, (args.m or 3) + 2),             # relations on 2 + m legs
         "ch": (rank2, k + min(k, args.m or 3)),     # closed form
         "newton": (rank2, k),
         "conjecture": (file_n or args.p or 3, k + m_scan if m_scan >= 2 else 0),
@@ -155,11 +152,10 @@ def _largest_spaces(args, file_n) -> dict:
 # suites
 # ---------------------------------------------------------------------------
 
-def suite_validate(args, rec, rng):
-    domains = _domains(args, rng)
+def suite_validate(args, rec, rng, domains):
     for dom in domains:
         tag = dom.describe()
-        r = _r_matrix(args, dom)
+        r = _r_matrix(args, dom, args.n)
         rep = hecke_mod.validate_hecke_symmetry(r, dom)
         params = {"n": r.n, "q": tag}
         for name, ok, reason in (
@@ -171,15 +167,13 @@ def suite_validate(args, rec, rng):
                 ("bc_trace", rep.bc_trace, "bc_trace_error")):
             rec.run(f"validate.q{tag}.{name}", name, params,
                     lambda ok=ok, reason=reason: (ok, rep.details.get(reason)))
-    return _q_labels(domains)
 
 
-def suite_projectors(args, rec, rng):
-    domains = _domains(args, rng)
+def suite_projectors(args, rec, rng, domains):
     from math import comb
     for dom in domains:
         tag = dom.describe()
-        h = _hecke(args, dom)
+        h = _hecke(args, dom, args.n)
         n = h.n
         m_max = args.m or (n + 1)
         for m in range(1, m_max + 1):
@@ -226,15 +220,13 @@ def suite_projectors(args, rec, rng):
             return True, None
         rec.run(f"projectors.q{tag}.nested", "sym_proj",
                 {"n": n, "q": tag}, nested)
-    return _q_labels(domains)
 
 
-def suite_reps(args, rec, rng):
-    domains = _domains(args, rng)
+def suite_reps(args, rec, rng, domains):
     m_max = args.m or 3
     for dom in domains:
         tag = dom.describe()
-        h = _hecke(args, dom)
+        h = _hecke(args, dom, args.n)
         params = {"n": h.n, "q": tag}
 
         def fundamental(h=h):
@@ -301,22 +293,20 @@ def suite_reps(args, rec, rng):
                      for i in range(h.n) for j in range(h.n))
             return ok, None
         rec.run(f"reps.q{tag}.z_shift_action", "z_shift", params, z_action)
-    return _q_labels(domains)
 
 
-def suite_ch(args, rec, rng):
-    domains = _domains(args, rng)
+def suite_ch(args, rec, rng, domains):
     k_max = args.k or 3
     m_max = args.m or min(k_max, 3)
     for dom in domains:
         tag = dom.describe()
-        h = _hecke_p2(args, dom)
+        h = _hecke(args, dom, 2)
         for k in range(1, k_max + 1):
             pm = {"k": k, "q": tag}
 
             def basic(h=h, k=k, dom=dom):
                 cm = casimir_mod.split_casimir_matrix(h, k, 1, "rea")
-                roots = [dom.one, dom.q_pow(-2 * k - 2)]
+                roots = casimir_mod.basic_roots(dom, k).mu
                 ok, support = ident_mod.ch_verify(cm.op, roots, dom)
                 return ok, None if ok else f"residual support {support}"
             rec.run(f"ch.q{tag}.basic.k{k}", "ch_basic", pm, basic)
@@ -324,8 +314,9 @@ def suite_ch(args, rec, rng):
             def sigma_values(h=h, k=k, dom=dom):
                 rep = reps_mod.sym_power_right_rea_p2(h, k)
                 cv = ident_mod.central_elements_in_rep(h, rep, 2)
-                ok = (cv.sigma[1] == dom.one + dom.q_pow(-2 * k - 2)
-                      and cv.sigma[2] == dom.q_pow(-2 * k - 2))
+                mu = casimir_mod.basic_roots(dom, k).mu
+                ok = (cv.sigma[1] == mu[0] + mu[1]
+                      and cv.sigma[2] == mu[0] * mu[1])
                 return ok, None
             rec.run(f"ch.q{tag}.basic_sigma.k{k}", "ch_basic", pm, sigma_values)
 
@@ -351,14 +342,7 @@ def suite_ch(args, rec, rng):
                 for algebra in ("rea", "mrea"):
                     def higher(h=h, k=k, m=m, algebra=algebra, dom=dom):
                         cm = casimir_mod.split_casimir_matrix(h, k, m, algebra)
-                        if algebra == "rea":
-                            mu = [dom.one, dom.q_pow(-2 * k - 2)]
-                            hb = Fraction(0)
-                        else:
-                            sh = dom.one / dom.zeta
-                            mu = [dom.one + sh, dom.q_pow(-2 * k - 2) + sh]
-                            hb = Fraction(1)
-                        rd = ident_mod.RootData(mu=mu, hbar=hb, domain=dom)
+                        rd = casimir_mod.basic_roots(dom, k, algebra)
                         roots = ident_mod.omega_roots_p2(rd, m)
                         ok, support = ident_mod.ch_verify(
                             cm.op, [v for _, v in roots], dom)
@@ -372,23 +356,14 @@ def suite_ch(args, rec, rng):
                     return (a.op == b.op), None
                 rec.run(f"ch.q{tag}.closed_form.k{k}.m{m}", "closed_form", pm,
                         closed)
-    return _q_labels(domains)
 
 
-def _hecke_p2(args, dom):
-    if args.r_file:
-        return _hecke(args, dom)
-    return hecke_mod.standard_hecke(2, dom)
-
-
-def suite_newton(args, rec, rng):
-    domains = _domains(args, rng)
+def suite_newton(args, rec, rng, domains):
     k_max = args.k or 3
     p_max = args.p or 4
-    labels = _q_labels(domains)
     for dom in domains:
         tag = dom.describe()
-        h = _hecke_p2(args, dom)
+        h = _hecke(args, dom, 2)
         for k in range(1, k_max + 1):
             def rows(h=h, k=k, dom=dom):
                 rep = reps_mod.sym_power_right_rea_p2(h, k)
@@ -438,17 +413,15 @@ def suite_newton(args, rec, rng):
                 return False, f"weighted sum identity fails at k={k}"
         return True, None
     rec.run("newton.esp_props", "esp", {}, esp_props)
-    return labels
 
 
-def suite_conjecture(args, rec, rng):
+def suite_conjecture(args, rec, rng, domains):
     p = args.p or 3
-    domains = _domains(args, rng)
     k_max = args.k or 3
     m_max = args.m or 2
     for dom in domains:
         tag = dom.describe()
-        h = hecke_mod.standard_hecke(p, dom) if not args.r_file else _hecke(args, dom)
+        h = _hecke(args, dom, p)
         for m in range(2, m_max + 1):
             for k in range(m, k_max + 1):
                 def scan(h=h, k=k, m=m):
@@ -457,11 +430,9 @@ def suite_conjecture(args, rec, rng):
                 rec.run(f"conjecture.q{tag}.k{k}.m{m}", "conjecture",
                         {"p": p, "k": k, "m": m, "q": tag}, scan,
                         finding=(p > 2))
-    return _q_labels(domains)
 
 
-def suite_orbit(args, rec, rng):
-    domains = _domains(args, rng)
+def suite_orbit(args, rec, rng, domains):
     p = args.p or 3
     m_max = args.m or 3
     for dom in domains:
@@ -520,8 +491,7 @@ def suite_orbit(args, rec, rng):
         def idempotents(h2=h2, dom=dom):
             for (k, m) in [(2, 2), (3, 2)]:
                 cm = casimir_mod.split_casimir_matrix(h2, k, m, "rea")
-                mu = [dom.one, dom.q_pow(-2 * k - 2)]
-                rd = ident_mod.RootData(mu=mu, hbar=Fraction(0), domain=dom)
+                rd = casimir_mod.basic_roots(dom, k)
                 roots = [v for _, v in ident_mod.omega_roots_p2(rd, m)]
                 es = orbit_mod.spectral_idempotents(cm.op, roots, dom)
                 total = Mat.zeros(cm.dim, cm.dim, dom.zero)
@@ -565,11 +535,9 @@ def suite_orbit(args, rec, rng):
                 return False, "generic set should give singleton strings"
             return True, None
         rec.run(f"orbit.q{tag}.strings", "strings", {"q": tag}, strings)
-    return _q_labels(domains)
 
 
-def suite_euler(args, rec, rng):
-    domains = _domains(args, rng)
+def suite_euler(args, rec, rng, domains):
     p_max = args.p or 4
     m_max = args.m or 5
     for dom in domains:
@@ -622,15 +590,13 @@ def suite_euler(args, rec, rng):
             return True, None
         rec.run(f"euler.q{tag}.classical_limit", "euler", {"q": tag},
                 classical_limit)
-    return _q_labels(domains)
 
 
-def suite_calibrate(args, rec, rng):
-    domains = _domains(args, rng)
+def suite_calibrate(args, rec, rng, domains):
     m_max = args.m or 3
     for dom in domains:
         tag = dom.describe()
-        h = _hecke_p2(args, dom)
+        h = _hecke(args, dom, 2)
         for m in range(1, m_max + 1):
             def weights(h=h, m=m):
                 w = casimir_mod.trace_weights(h, m)
@@ -642,7 +608,6 @@ def suite_calibrate(args, rec, rng):
                 return casimir_mod.generator_trace_identity(h, m), None
             rec.run(f"calibrate.q{tag}.generator_trace.m{m}", "calibration",
                     {"m": m, "q": tag}, gen_trace)
-    return _q_labels(domains)
 
 
 SUITES = {
@@ -656,14 +621,6 @@ SUITES = {
     "euler": suite_euler,
     "calibrate-trace": suite_calibrate,
 }
-
-
-def suite_all(args, rec, rng):
-    """Every suite in turn, each with the fresh rng a standalone run gets."""
-    labels = []
-    for suite in SUITES.values():
-        labels.extend(suite(args, rec, random.Random(args.seed)))
-    return sorted(set(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +680,7 @@ def _check_args(parser, args) -> None:
             parser.error(f"--{flag} must be at least 1 when given, got {value}")
     if args.max_size < 1:
         parser.error(f"--max-size must be at least 1, got {args.max_size}")
-    file_n = _r_matrix(args, SYMBOLIC).n if args.r_file else None
+    file_n = _r_matrix(args, SYMBOLIC, args.n).n if args.r_file else None
     for suite, (n, legs) in _largest_spaces(args, file_n).items():
         if args.suite in (suite, "all") and n ** legs > args.max_size:
             parser.error(f"{suite} builds operators on {n}**{legs} = "
@@ -735,10 +692,16 @@ def run_suite(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _check_args(parser, args)
-    rng = random.Random(args.seed)
     rec = CheckRecorder()
-    runner = suite_all if args.suite == "all" else SUITES[args.suite]
-    q_labels = runner(args, rec, rng)
+    for name in SUITES if args.suite == "all" else [args.suite]:
+        # every suite gets the fresh rng a standalone run gets and draws its
+        # domains from it first
+        rng = random.Random(args.seed)
+        domains = _domains(args, rng)
+        SUITES[name](args, rec, rng, domains)
+    q_labels = [d.describe() for d in domains]
+    if args.suite == "all":
+        q_labels = sorted(set(q_labels))
     rec.checks.sort(key=lambda c: c["id"])
     report = {
         "schema": SCHEMA_VERSION,

@@ -17,6 +17,7 @@ from typing import Optional, Sequence, Tuple
 from .scalars import ScalarDomain
 from .casimir import q_dimension
 from .identities import compositions
+from .orbits import frobenius_dim
 
 
 class EulerError(ValueError):
@@ -50,9 +51,11 @@ def q_index_and_euler(k: Sequence[int], p: int, domain: ScalarDomain,
                       lam: Optional[Sequence[int]] = None):
     """Product over pairs of (lam_i - lam_j + k_i - k_j + i - j)_q / (i - j)_q.
 
-    With lam omitted this is the q-Euler characteristic chi_q, invariant
-    under shifting k by a common integer; the classical Euler number is its
-    value at q -> 1 (the same formula over an evaluated domain).
+    This is the q-dimension of the signature -(lam + k) (the Weyl dimension
+    formula evaluated there), computed by :func:`qorbits.casimir.q_dimension`.
+    With lam omitted it is the q-Euler characteristic chi_q, invariant under
+    shifting k by a common integer; the classical Euler number is its value
+    at q -> 1.
     """
     k = list(k)
     if len(k) != p:
@@ -63,24 +66,16 @@ def q_index_and_euler(k: Sequence[int], p: int, domain: ScalarDomain,
         lam = list(lam)
         if len(lam) != p:
             raise EulerError("signature length mismatch")
-    out = domain.one
-    for i in range(p):
-        for j in range(i + 1, p):
-            e = lam[i] - lam[j] + k[i] - k[j] + (i + 1) - (j + 1)
-            out = out * domain.q_int(e) / domain.q_int((i + 1) - (j + 1))
-    return out
+    return q_dimension([-(a + b) for a, b in zip(lam, k)], p, domain)
 
 
 def classical_euler(k: Sequence[int], p: int) -> Fraction:
-    """Classical Euler number: the q -> 1 limit, taken term by term."""
+    """Classical Euler number, the q -> 1 limit: the classical dimension
+    :func:`qorbits.orbits.frobenius_dim` of the signature -k."""
     k = list(k)
     if len(k) != p:
         raise EulerError(f"expected a length-{p} vector, got {len(k)}")
-    out = Fraction(1)
-    for i in range(p):
-        for j in range(i + 1, p):
-            out *= Fraction(k[i] - k[j] + (i + 1) - (j + 1), (i + 1) - (j + 1))
-    return out
+    return frobenius_dim([-x for x in k])
 
 
 def q_algebra_check(p: int, domain: ScalarDomain, m_max: int = 5) -> dict:

@@ -170,23 +170,42 @@ class RootData:
                         f"repeated eigenvalue at positions {i}, {j}")
 
 
+def multiplicity(kvec: Sequence[int], mu: Sequence, hbar, domain=None):
+    """The multiplicity d_k of one composition k: a product over pairs i < j.
+
+    Over a scalar domain it is the quantum form
+        (q**(k_i-k_j) mu_i - q**(k_j-k_i) mu_j - hbar (k_i-k_j)_q) / (mu_i - mu_j);
+    with domain None it is that form at q = 1, the classical one
+        (mu_i - mu_j - hbar (k_i - k_j)) / (mu_i - mu_j),
+    over any exact scalars.
+    """
+    acc = Fraction(1) if domain is None else domain.one
+    for i in range(len(mu)):
+        for j in range(i + 1, len(mu)):
+            diff = kvec[i] - kvec[j]
+            if domain is None:
+                num = mu[i] - mu[j] - hbar * diff
+            else:
+                num = (domain.q_pow(diff) * mu[i] - domain.q_pow(-diff) * mu[j]
+                       - hbar * domain.q_int(diff))
+            acc = acc * num / (mu[i] - mu[j])
+    return acc
+
+
 def parametric_newton(rd: RootData, k: int):
-    """trace_R(L**k) = q**(-p) sum_i mu_i**k d_i with Vandermonde-ratio d_i."""
+    """trace_R(L**k) = q**(-p) sum_i mu_i**k d_i.
+
+    The Vandermonde-ratio weights d_i = prod_(j != i) (q mu_i - mu_j / q)
+    / (mu_i - mu_j) are the degree-1 quantum multiplicities at hbar = 0.
+    """
     rd.require_distinct()
     dom = rd.domain
-    p = len(rd.mu)
     mu = [dom.lift(v) for v in rd.mu]
     total = dom.zero
-    q = dom.q_pow(1)
-    qi = dom.q_pow(-1)
-    for i in range(p):
-        d_i = dom.one
-        for j in range(p):
-            if j == i:
-                continue
-            d_i = d_i * (q * mu[i] - qi * mu[j]) / (mu[i] - mu[j])
-        total = total + mu[i] ** k * d_i
-    return dom.q_pow(-p) * total
+    for kvec in compositions(1, len(mu)):
+        d_i = multiplicity(kvec, mu, dom.zero, dom)
+        total = total + mu[kvec.index(1)] ** k * d_i
+    return dom.q_pow(-len(mu)) * total
 
 
 def parametric_central_values(rd: RootData, p: int) -> CentralValues:

@@ -18,8 +18,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .scalars import ScalarDomain, as_integer
 from .tensor import Mat, inverse
 from .identities import (RootData, ch_verify, compositions,
-                         conjecture_roots)
-from .casimir import q_dimension
+                         conjecture_roots, multiplicity)
+from .casimir import (basic_roots, left_casimir_matrix, module_trace,
+                      q_dimension, split_casimir_matrix, trace_weights)
 
 
 class OrbitError(ValueError):
@@ -37,14 +38,6 @@ def is_signature(lam: Sequence[int]) -> bool:
 def signature_dual(lam: Sequence[int]) -> Tuple[int, ...]:
     """The label of the dual module: negate and reverse."""
     return tuple(-x for x in reversed(lam))
-
-
-def partition_normalize(lam: Sequence[int]) -> Tuple[int, ...]:
-    """Shift so the last part is zero (the canonical partition in the class)."""
-    if not lam:
-        return ()
-    last = lam[-1]
-    return tuple(x - last for x in lam)
 
 
 def frobenius_dim(lam: Sequence[int]) -> Fraction:
@@ -230,7 +223,8 @@ def spectral_idempotents(mat: Mat, roots: Sequence,
 # ---------------------------------------------------------------------------
 
 def multiplicities(spec: OrbitSpec, m: int, mode: str) -> Dict[Tuple[int, ...], object]:
-    """Eigenvalue multiplicities d_k(m) over all compositions of m.
+    """Eigenvalue multiplicities d_k(m) over all compositions of m, each
+    from :func:`qorbits.identities.multiplicity`.
 
     mode="classical": product over pairs of
         (mu_i - mu_j - (k_i - k_j) hbar) / (mu_i - mu_j);
@@ -243,26 +237,14 @@ def multiplicities(spec: OrbitSpec, m: int, mode: str) -> Dict[Tuple[int, ...], 
     """
     if not spec.is_m_generic(m, mode):
         raise OrbitError(f"orbit is not {m}-generic")
+    if mode not in ("classical", "quantum"):
+        raise OrbitError(f"unknown mode {mode!r}")
     dom = spec.domain
     mu = [dom.lift(v) for v in spec.mu]
     hbar = dom.lift(spec.hbar)
-    p = spec.p
-    out = {}
-    for kvec in compositions(m, p):
-        acc = dom.one
-        for i in range(p):
-            for j in range(i + 1, p):
-                if mode == "classical":
-                    num = mu[i] - mu[j] - hbar * (kvec[i] - kvec[j])
-                elif mode == "quantum":
-                    diff = kvec[i] - kvec[j]
-                    num = (dom.q_pow(diff) * mu[i] - dom.q_pow(-diff) * mu[j]
-                           - hbar * dom.q_int(diff))
-                else:
-                    raise OrbitError(f"unknown mode {mode!r}")
-                acc = acc * num / (mu[i] - mu[j])
-        out[kvec] = acc
-    return out
+    qdom = dom if mode == "quantum" else None
+    return {kvec: multiplicity(kvec, mu, hbar, qdom)
+            for kvec in compositions(m, spec.p)}
 
 
 def quantum_dim_ratio(lam: Sequence[int], kvec: Sequence[int], p: int,
@@ -296,18 +278,11 @@ def higher_newton_classical(lam: Sequence[int], m: int, s_max: int,
     """
     p = len(lam)
     mu = classical_eigenvalues(list(lam))
+    if len(set(mu)) != p:
+        raise OrbitError("orbit is not 1-generic")
+    d_formula = {kvec: multiplicity(kvec, mu, Fraction(hbar))
+                 for kvec in compositions(m, p)}
     report = {}
-    d_formula = {}
-    for kvec in compositions(m, p):
-        acc = Fraction(1)
-        for i in range(p):
-            for j in range(i + 1, p):
-                num = mu[i] - mu[j] - Fraction(hbar) * (kvec[i] - kvec[j])
-                den = mu[i] - mu[j]
-                if den == 0:
-                    raise OrbitError("orbit is not 1-generic")
-                acc *= num / den
-        d_formula[kvec] = acc
     for s in range(1, s_max + 1):
         route_a = Fraction(0)
         route_b = Fraction(0)
@@ -329,22 +304,15 @@ def higher_newton_quantum_p2(h, k: int, m: int, s_max: int,
     q**(-p) sum_k mu_k(m)**s d_k(m) at the eigenvalues the module realizes
     ({1, q**(-2k-2)} for the REA form, their unit shifts for unit mass).
     """
-    from .casimir import module_trace, split_casimir_matrix, trace_weights
     if h.p != 2:
         raise OrbitError("requires symmetry rank 2")
-    dom = h.domain
-    if algebra == "rea":
-        mu = [dom.one, dom.q_pow(-2 * k - 2)]
-        hbar = Fraction(0)
-    elif algebra == "mrea":
-        shift = dom.one / dom.zeta
-        mu = [dom.one + shift, dom.q_pow(-2 * k - 2) + shift]
-        hbar = Fraction(1)
-    else:
+    if algebra not in ("rea", "mrea"):
         raise OrbitError(f"unknown algebra {algebra!r}")
-    spec = OrbitSpec(p=2, mu=mu, hbar=hbar, domain=dom)
-    d_k = multiplicities(spec, m, "quantum")
-    roots = dict(conjecture_roots(spec.root_data(), m, 2))
+    dom = h.domain
+    rd = basic_roots(dom, k, algebra)
+    d_k = multiplicities(OrbitSpec(p=2, mu=rd.mu, hbar=rd.hbar, domain=dom),
+                         m, "quantum")
+    roots = dict(conjecture_roots(rd, m, 2))
     cm = split_casimir_matrix(h, k, m, algebra)
     weights = trace_weights(h, m)
     report = {}
@@ -359,30 +327,6 @@ def higher_newton_quantum_p2(h, k: int, m: int, s_max: int,
         rhs = rhs * dom.q_pow(-2)
         report[s] = (lhs == rhs, lhs)
     return report
-
-
-def higher_newton_verify(spec: OrbitSpec, m: int, s_max: int, mode: str,
-                         lam: Optional[Sequence[int]] = None, h=None,
-                         k: Optional[int] = None, algebra: str = "rea") -> dict:
-    """Dispatching front end for the higher Newton checks.
-
-    mode="classical" verifies the two-route agreement at the signature the
-    orbit data came from (lam required); mode="quantum" verifies the
-    weighted matrix trace against the formula on the rank-2 symmetry h in
-    the degree-k module.  Both delegate to the dedicated routines and return
-    their s -> (ok, value) reports.
-    """
-    if not spec.is_m_generic(m, "quantum" if mode == "quantum" else "classical"):
-        raise OrbitError(f"orbit is not {m}-generic")
-    if mode == "classical":
-        if lam is None:
-            raise OrbitError("classical mode needs the signature")
-        return higher_newton_classical(lam, m, s_max, spec.hbar)
-    if mode == "quantum":
-        if h is None or k is None:
-            raise OrbitError("quantum mode needs the symmetry and the degree")
-        return higher_newton_quantum_p2(h, k, m, s_max, algebra)
-    raise OrbitError(f"unknown mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +403,6 @@ def conjecture_scan(h, k: int, m: int) -> ScanReport:
     integers summing to the module dimension.  For rank 2 this is a theorem;
     beyond, a mismatch is a reportable finding, not an error.
     """
-    from .casimir import left_casimir_matrix
     dom = h.domain
     cm = left_casimir_matrix(h, k, m)
     mu = rep_eigenvalues((k,) + (0,) * (h.p - 1), h.p, "mrea_q", dom)

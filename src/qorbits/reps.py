@@ -48,11 +48,10 @@ class Compression:
 
     projector: Optional[LegOperator] = None    # set by of_projector
 
-    def __init__(self, basis: Mat, check_rows: Optional[list] = None):
+    def __init__(self, basis: Mat):
         self.basis = basis
-        rows = check_rows if check_rows is not None else pivot_columns(basis.transpose())
-        self.check_rows = rows
-        self.inv = inverse(basis.take_rows(rows))
+        self.check_rows = pivot_columns(basis.transpose())
+        self.inv = inverse(basis.take_rows(self.check_rows))
         self.dim = basis.ncols
         self.ambient = basis.nrows
 
@@ -76,10 +75,10 @@ class Compression:
         out.ambient = a.ambient * b.ambient
         return out
 
-    def compress(self, x: Mat, check: bool = True) -> Mat:
+    def compress(self, x: Mat) -> Mat:
         xt = x * self.basis
         y = self.inv * xt.take_rows(self.check_rows)
-        if check and not (self.basis * y == xt):
+        if not (self.basis * y == xt):
             raise RepresentationError("operator does not preserve the image")
         return y
 
@@ -105,9 +104,6 @@ class Representation:
     label: str
     domain: ScalarDomain
     chart: Optional[Compression] = field(default=None, repr=False)
-
-    def block(self, i: int, j: int) -> Mat:
-        return self.rho[i][j]
 
     def generator_matrix(self, aux_legs: int = 1) -> Mat:
         """sum_ij E_ij (x) I (x) B_ij on V**aux_legs (x) M.
@@ -235,28 +231,35 @@ def tensor_power_left(h, m: int) -> Representation:
     return rep
 
 
+def _sym_power(h, m: int, side: str, single_blocks, label: str) -> Representation:
+    """m_q q**(1-m) S(m) B S(m) compressed to the q-symmetric component, for
+    each single-leg block B placed on leg 1 (side="left") or on leg m
+    (side="right")."""
+    if m < 1:
+        raise RepresentationError("m must be positive")
+    n, dom = h.n, h.domain
+    chart = sym_chart(h, m)
+    s = chart.projector.mat
+    scale = dom.q_pow(1 - m) * dom.q_int(m)
+    rest = Mat.identity(n ** (m - 1), dom.zero, dom.one)
+    rho = []
+    for row in single_blocks:
+        out = []
+        for blk in row:
+            # at m = 1 a kron with the 1 x 1 identity would only multiply
+            # every symbolic entry by one through the gcd path
+            if m > 1:
+                blk = blk.kron(rest) if side == "left" else rest.kron(blk)
+            out.append(chart.compress((s * blk * s).scale(scale)))
+        rho.append(out)
+    return Representation(side, "mrea", Fraction(1), n, chart.dim, rho, label,
+                          dom, chart=chart)
+
+
 @_built_once
 def sym_power_left(h, m: int) -> Representation:
     """Compression of the tensor power to the q-symmetric component."""
-    if m < 1:
-        raise RepresentationError("m must be positive")
-    fund = fundamental_left(h)
-    n, dom = h.n, h.domain
-    chart = sym_chart(h, m)
-    s = chart.projector
-    scale = dom.q_pow(1 - m) * dom.q_int(m)
-    ident_rest = Mat.identity(n ** (m - 1), dom.zero, dom.one)
-    rho = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            single = fund.rho[i][j].kron(ident_rest) if m > 1 else fund.rho[i][j]
-            full = (s.mat * single * s.mat).scale(scale)
-            row.append(chart.compress(full))
-        rho.append(row)
-    rep = Representation("left", "mrea", Fraction(1), n, chart.dim, rho,
-                         f"sym_power m={m}", dom, chart=chart)
-    return rep
+    return _sym_power(h, m, "left", fundamental_left(h).rho, f"sym_power m={m}")
 
 
 def right_fundamental_blocks(h) -> List[List[Mat]]:
@@ -284,26 +287,8 @@ def sym_power_right_p2(h, m: int) -> Representation:
     """Right module on the q-symmetric component; rank-2 symmetries only."""
     if h.p != 2:
         raise RepresentationError("requires symmetry rank 2")
-    if m < 1:
-        raise RepresentationError("m must be positive")
-    n, dom = h.n, h.domain
-    single_blocks = right_fundamental_blocks(h)
-    chart = sym_chart(h, m)
-    s = chart.projector
-    scale = dom.q_pow(1 - m) * dom.q_int(m)
-    ident_rest = Mat.identity(n ** (m - 1), dom.zero, dom.one)
-    rho = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            single = (ident_rest.kron(single_blocks[i][j]) if m > 1
-                      else single_blocks[i][j])
-            full = (s.mat * single * s.mat).scale(scale)
-            row.append(chart.compress(full))
-        rho.append(row)
-    rep = Representation("right", "mrea", Fraction(1), n, chart.dim, rho,
-                         f"sym_power_right m={m}", dom, chart=chart)
-    return rep
+    return _sym_power(h, m, "right", right_fundamental_blocks(h),
+                      f"sym_power_right m={m}")
 
 
 @_built_once

@@ -4,7 +4,7 @@ import pytest
 
 from qorbits.scalars import SYMBOLIC, eval_at, q_binomial
 from qorbits.tensor import Mat, pivot_columns, weighted_partial_trace
-from qorbits.casimir import (CasimirError, closed_form_p2,
+from qorbits.casimir import (CasimirError, basic_roots, closed_form_p2,
                              generator_trace_identity, module_trace,
                              q_dimension, split_casimir_matrix,
                              trace_weights)
@@ -91,6 +91,25 @@ class TestSplitCasimir:
             cm = split_casimir_matrix(h2, k, 1, "rea")
             ok, _ = ch_verify(cm.op, [dom.one, dom.q_pow(-2 * k - 2)], dom)
             assert ok
+
+    @pytest.mark.parametrize("algebra", ["rea", "mrea"])
+    def test_basic_roots(self, h2, h2_sampled, algebra):
+        for h in (h2, h2_sampled):
+            dom = h.domain
+            for k in (1, 2, 3):
+                op = split_casimir_matrix(h, k, 1, algebra).op
+                rd = basic_roots(dom, k, algebra)
+                assert rd.hbar == (0 if algebra == "rea" else 1)
+                assert ch_verify(op, rd.mu, dom)[0]
+                # a root shifted by one fails, so the check is not vacuous
+                for i in range(2):
+                    moved = list(rd.mu)
+                    moved[i] = moved[i] + dom.one
+                    assert not ch_verify(op, moved, dom)[0]
+
+    def test_basic_roots_unknown_algebra(self):
+        with pytest.raises(CasimirError):
+            basic_roots(SYMBOLIC, 1, "xrea")
 
     def test_dimension_product(self, h2):
         cm = split_casimir_matrix(h2, 2, 1, "rea")

@@ -201,7 +201,10 @@ class TestExitCodes:
                 # conjecture (3**5) and ch (2**6) exceed it: nothing runs
                 ["all", "--max-size", "20"],
                 # the rank certificate builds A(6) on 5**6 dimensions
-                ["validate", "--n", "5", "--q", "2/3", "--max-size", "100"]):
+                ["validate", "--n", "5", "--q", "2/3", "--max-size", "100"],
+                # the relation check of tensor_power_left(h, 3) acts on
+                # 2 + 3 legs: 3**5 = 243
+                ["reps", "--n", "3", "--q", "2/3", "--max-size", "81"]):
             with pytest.raises(SystemExit) as err:
                 run_suite(argv + ["--out", str(out)])
             assert err.value.code == 2, argv

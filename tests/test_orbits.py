@@ -205,6 +205,15 @@ class TestHigherNewton:
             rep = higher_newton_quantum_p2(h2, k, m, 3, algebra)
             assert all(ok for ok, _ in rep.values())
 
+    def test_bad_input_raises_orbit_error(self, h2, h3):
+        # (0, 1) is no signature: its eigenvalues mu = (1, 1) coincide
+        with pytest.raises(OrbitError, match="not 1-generic"):
+            higher_newton_classical((0, 1), 2, 2)
+        with pytest.raises(OrbitError, match="unknown algebra"):
+            higher_newton_quantum_p2(h2, 2, 2, 2, "xrea")
+        with pytest.raises(OrbitError, match="rank 2"):
+            higher_newton_quantum_p2(h3, 2, 2, 2)
+
     def test_s2_route_consistency(self, rng):
         # the quadratic-Casimir route equals the direct formula
         for lam in [(6, 2, 0), (7, 4, 1), (5, 0)]:
@@ -386,29 +395,3 @@ class TestSignatureHelpers:
         assert frobenius_dim([2, 0]) == 3
         assert frobenius_dim([1, 1, 0]) == 3
         assert frobenius_dim([0, 0, 0]) == 1
-
-
-class TestHigherNewtonFrontEnd:
-    def test_classical_dispatch(self):
-        lam = (5, 2)
-        mu = classical_eigenvalues(list(lam))
-        spec = OrbitSpec(p=2, mu=mu, hbar=Fraction(1), domain=at_q(Fraction(2)))
-        from qorbits.orbits import higher_newton_verify
-        rep = higher_newton_verify(spec, 2, 3, "classical", lam=lam)
-        assert all(ok for ok, _ in rep.values())
-
-    def test_quantum_dispatch(self, h2):
-        dom = h2.domain
-        k = 2
-        spec = OrbitSpec(p=2, mu=[dom.one, dom.q_pow(-2 * k - 2)],
-                         hbar=Fraction(0), domain=dom)
-        from qorbits.orbits import higher_newton_verify
-        rep = higher_newton_verify(spec, 2, 2, "quantum", h=h2, k=k)
-        assert all(ok for ok, _ in rep.values())
-
-    def test_rejects_nongeneric(self):
-        spec = OrbitSpec(p=2, mu=[Fraction(3), Fraction(3)], hbar=Fraction(0),
-                         domain=at_q(Fraction(2)))
-        from qorbits.orbits import higher_newton_verify
-        with pytest.raises(OrbitError):
-            higher_newton_verify(spec, 1, 1, "classical", lam=(1, 0))
