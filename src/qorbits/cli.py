@@ -1,6 +1,7 @@
 """Command-line verification driver with machine-readable JSON reports.
 
-Each subcommand runs a named suite of exact checks and writes one report:
+Each run names a suite of exact checks (or all of them) and writes one
+report:
 
     {"schema": 1, "suite": ..., "seed": ..., "q": [...], "checks": [
         {"id": ..., "anchor": ..., "params": {...},
@@ -632,52 +633,67 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qorbits",
         description="Exact verification suites for Hecke symmetries and "
                     "reflection-equation orbit identities.")
-    sub = parser.add_subparsers(dest="suite", required=True)
-    for name in list(SUITES) + ["all"]:
-        sp = sub.add_parser(name, help=f"run the {name} suite")
-        sp.add_argument("--n", type=int, default=2,
+    parser.add_argument("suite", choices=list(SUITES) + ["all"],
+                        help="the suite to run, or all of them")
+    parser.add_argument("--n", type=int, default=2,
                         help="dimension of the base space (default 2)")
-        sp.add_argument("--p", type=int, default=None,
-                        help="symmetry rank for rank-parametrized checks")
-        sp.add_argument("--q", type=str, default="random",
+    parser.add_argument("--p", type=int, default=None,
+                        help="symmetry rank for rank-parametrized checks "
+                             "(at least 2)")
+    parser.add_argument("--q", type=str, default="random",
                         help="rational like 2/3, or 'random' (default)")
-        sp.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=int, default=0,
                         help="seed for sampled parameters (default 0)")
-        sp.add_argument("--samples", type=int, default=3,
+    parser.add_argument("--samples", type=int, default=3,
                         help="number of random q samples (default 3)")
-        sp.add_argument("--m", type=int, default=None)
-        sp.add_argument("--k", type=int, default=None)
-        sp.add_argument("--mu", type=str, default=None,
-                        help="comma-separated rational eigenvalues")
-        sp.add_argument("--hbar", type=str, default="1")
-        sp.add_argument("--r-file", type=str, default=None)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--symbolic", action="store_true",
+    parser.add_argument("--m", type=int, default=None)
+    parser.add_argument("--k", type=int, default=None)
+    parser.add_argument("--mu", type=str, default=None,
+                        help="comma-separated distinct rational eigenvalues")
+    parser.add_argument("--hbar", type=str, default="1",
+                        help="rational mass parameter (default 1)")
+    parser.add_argument("--r-file", type=str, default=None)
+    parser.add_argument("--out", type=str, default=None)
+    parser.add_argument("--symbolic", action="store_true",
                         help="full rational-function arithmetic instead of "
                              "sampled q")
-        sp.add_argument("--max-size", type=int, default=4096,
+    parser.add_argument("--max-size", type=int, default=4096,
                         help="guardrail on the ambient dimension n**legs "
                              "of the largest operator a suite builds")
     return parser
 
 
+def _fraction(text: str):
+    """text as a Fraction, or None when it does not name a rational."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
 def _check_args(parser, args) -> None:
     """Reject bad arguments with a usage error (exit 2) before any check runs."""
     if args.q != "random":
-        try:
-            q0 = Fraction(args.q)
-        except (ValueError, ZeroDivisionError):
+        q0 = _fraction(args.q)
+        if q0 is None:
             parser.error(f"--q must be a rational or 'random', got {args.q!r}")
         if q0 in (0, 1, -1):
             parser.error(f"--q must avoid 0, 1 and -1, got {args.q!r}")
+    if _fraction(args.hbar) is None:
+        parser.error(f"--hbar must be a rational, got {args.hbar!r}")
+    if args.mu is not None:
+        mu = [_fraction(x) for x in args.mu.split(",")]
+        if None in mu or len(set(mu)) != len(mu):
+            parser.error(f"--mu must be distinct comma-separated rationals, "
+                         f"got {args.mu!r}")
     if args.n < 1:
         parser.error(f"--n must be at least 1, got {args.n}")
     if args.samples < 1:
         parser.error(f"--samples must be at least 1, got {args.samples}")
-    for flag in ("m", "k", "p"):
+    for flag, low in (("m", 1), ("k", 1), ("p", 2)):
         value = getattr(args, flag)
-        if value is not None and value < 1:
-            parser.error(f"--{flag} must be at least 1 when given, got {value}")
+        if value is not None and value < low:
+            parser.error(f"--{flag} must be at least {low} when given, got {value}")
     if args.max_size < 1:
         parser.error(f"--max-size must be at least 1, got {args.max_size}")
     file_n = _r_matrix(args, SYMBOLIC, args.n).n if args.r_file else None

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .scalars import ScalarDomain, as_integer
-from .tensor import Mat, inverse
+from .tensor import Mat, row_reduce
 from .identities import (RootData, ch_verify, compositions,
                          conjecture_roots, multiplicity)
 from .casimir import (basic_roots, left_casimir_matrix, module_trace,
@@ -368,10 +368,11 @@ def trace_multiplicities(mat: Mat, values: Sequence,
                          domain: ScalarDomain) -> Tuple[list, bool]:
     """Solve tr(M**j) = sum_r n_r r**j, j < R, for pairwise distinct values.
 
-    One exact R x R Vandermonde solve.  Returns the n_r and whether the
-    extra row j = R also holds, which makes the system overdetermined.  When
-    M is diagonalizable with spectrum inside the values, the n_r are its
-    eigenspace dimensions.
+    One exact R x R Vandermonde solve V n = t, by reducing [V | t].  Returns
+    the n_r and whether the extra row j = R also holds, which makes the
+    system overdetermined.  When M is diagonalizable with spectrum inside the
+    values, the n_r are its eigenspace dimensions.  Repeated values leave V
+    singular and raise ValueError.
     """
     big_r = len(values)
     traces = [domain.lift(mat.nrows)]
@@ -383,8 +384,11 @@ def trace_multiplicities(mat: Mat, values: Sequence,
     rows = [[domain.one] * big_r]
     for _ in range(big_r):
         rows.append([x * v for x, v in zip(rows[-1], values)])
-    sol = inverse(Mat(rows[:big_r])) * Mat([[t] for t in traces[:big_r]])
-    counts = [sol[i, 0] for i in range(big_r)]
+    pivots, reduced = row_reduce(
+        Mat([row + [t] for row, t in zip(rows, traces[:big_r])]), big_r)
+    if len(pivots) != big_r:
+        raise ValueError("trace multiplicities need pairwise distinct values")
+    counts = [reduced[i, big_r] for i in range(big_r)]
     extra = domain.zero
     for n, x in zip(counts, rows[big_r]):
         extra = extra + n * x

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .scalars import ScalarDomain
-from .tensor import LegOperator, Mat, embed_on_legs, inverse, pivot_columns
+from .tensor import LegOperator, Mat, embed_on_legs, row_reduce
 from .projectors import q_symmetrizer, q_antisymmetrizer
 
 
@@ -38,46 +38,40 @@ class RepresentationError(ValueError):
 # ---------------------------------------------------------------------------
 
 class Compression:
-    """Deterministic exact chart for the image of a projector.
+    """Deterministic exact chart for the image of a projector P.
 
-    The basis is the pivot-column set of the projector matrix; the left
-    inverse on the image is read off from an invertible row submatrix, so
-    compressing an image-preserving operator is one exact solve and the
-    round trip T Y = X T is asserted.
+    One reduction of P gives both halves of the chart: the basis B is the
+    pivot columns of P and the left inverse L is the nonzero rows of P's
+    reduced row echelon form.  P = B L is then the rank factorization, and
+    P**2 = P gives L B = I.  Compressing an image-preserving operator X is
+    the product L X B, and the round trip B Y = X B is asserted, so a wrong
+    chart fails loudly.  The chart of a tensor product of images is the
+    Kronecker product of the charts.
     """
 
     projector: Optional[LegOperator] = None    # set by of_projector
 
-    def __init__(self, basis: Mat):
+    def __init__(self, basis: Mat, left_inverse: Mat):
         self.basis = basis
-        self.check_rows = pivot_columns(basis.transpose())
-        self.inv = inverse(basis.take_rows(self.check_rows))
+        self.left_inverse = left_inverse
         self.dim = basis.ncols
-        self.ambient = basis.nrows
 
     @staticmethod
     def of_projector(proj: LegOperator) -> "Compression":
-        cols = pivot_columns(proj.mat)
+        cols, reduced = row_reduce(proj.mat)
         basis = proj.mat.transpose().take_rows(cols).transpose()
-        chart = Compression(basis)
+        chart = Compression(basis, reduced)
         chart.projector = proj
         return chart
 
     @staticmethod
     def product(a: "Compression", b: "Compression") -> "Compression":
-        basis = a.basis.kron(b.basis)
-        rows = [ra * b.ambient + rb for ra in a.check_rows for rb in b.check_rows]
-        out = Compression.__new__(Compression)
-        out.basis = basis
-        out.check_rows = rows
-        out.inv = a.inv.kron(b.inv)
-        out.dim = a.dim * b.dim
-        out.ambient = a.ambient * b.ambient
-        return out
+        return Compression(a.basis.kron(b.basis),
+                           a.left_inverse.kron(b.left_inverse))
 
     def compress(self, x: Mat) -> Mat:
         xt = x * self.basis
-        y = self.inv * xt.take_rows(self.check_rows)
+        y = self.left_inverse * xt
         if not (self.basis * y == xt):
             raise RepresentationError("operator does not preserve the image")
         return y

@@ -10,9 +10,10 @@ entries themselves and ``den`` is 1; the same kernels then do exactly the
 QScalar arithmetic of an entrywise matrix.  R-matrices,
 q-(anti)symmetrizers, their embeddings and the module operators are all very
 sparse, so every operation touches nonzeros only; the product is the
-row-wise sparse product (Gustavson 1978).  Elimination (inverse, pivot
-columns) works densely on a copy of the entries, at most a few hundred rows
-in scope.
+row-wise sparse product (Gustavson 1978).  Exact solves go through one
+routine, ``row_reduce`` (Gauss-Jordan on a dense copy of the entries, at most
+a few hundred rows in scope): ``inverse`` reduces [A | I], and a projector's
+reduction yields both its pivot columns and a left inverse on its image.
 
 Index encoding for leg operators is frozen package-wide: the row (column)
 index of an m-leg operator on an n-dimensional space is the mixed-radix
@@ -49,10 +50,9 @@ class Mat:
     Reads return entries of the domain (Fraction or QScalar), never
     numerators: ``mat[i, j]``, ``entries()``, ``trace()`` and ``rows``, a
     dense list-of-lists copy built on each access (writing into it changes
-    nothing, and no library hot path uses it).  ``mat[i, j] = v`` writes one
-    entry (a zero removes it) and rescales the matrix when v's denominator
-    does not divide ``den``; build a matrix in one pass with
-    ``from_entries`` instead of a loop of writes.
+    nothing, and no library hot path uses it).  A matrix is never written
+    into: every operation returns a new one, and ``from_entries`` builds one
+    in a single pass.
     """
 
     __slots__ = ("data", "den", "nrows", "ncols", "zero")
@@ -101,27 +101,6 @@ class Mat:
         _check_index(i, j, self.nrows, self.ncols)
         v = self.data[i].get(j)
         return self.zero if v is None else _entry(self.zero, v, self.den)
-
-    def __setitem__(self, ij, value):
-        i, j = ij
-        _check_index(i, j, self.nrows, self.ncols)
-        data = self.data
-        if not value:
-            data[i].pop(j, None)
-        else:
-            num, d = _split(self.zero, value)
-            if self.den % d:      # bring the whole matrix to lcm(den, d)
-                f = lcm(self.den, d) // self.den
-                data = _rescaled(data, f)
-                self.den *= f
-            if d != self.den:
-                num = num * (self.den // d)
-            row = data[i]
-            in_order = j in row or not row or j > next(reversed(row))
-            row[j] = num
-            if not in_order:
-                data[i] = {c: row[c] for c in sorted(row)}
-        self.data, self.den = _reduce(data, self.den)
 
     def entries(self):
         """The nonzero entries as (row, column, value), row by row, each row
@@ -338,57 +317,58 @@ def _reduced(data, den, nrows: int, ncols: int, zero) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# exact elimination: inverse, pivot columns
+# exact elimination
 # ---------------------------------------------------------------------------
 
-def _field_elim(rows, ncols, one, augment=None):
-    """In-place Gauss-Jordan over the field on dense rows; returns pivot columns."""
+def row_reduce(mat: Mat, ncols=None) -> tuple:
+    """Gauss-Jordan elimination over the field, on a dense copy.
+
+    Pivots are sought in the first ``ncols`` columns only (all of them by
+    default), each the first nonzero at or below the current row, so the
+    result is deterministic.  Returns (pivot columns, the reduced rows that
+    hold them as a Mat).  With every column eligible these are the nonzero
+    rows of the reduced row echelon form; with ``ncols`` short of the width
+    the other columns ride along, so reducing [A | B] solves A X = B.
+    """
+    zero = mat.zero
+    one = zero + 1
+    rows = _dense(mat)
     nr = len(rows)
     pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                piv = i
-                break
+    for c in range(mat.ncols if ncols is None else ncols):
+        r = len(pivots)
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        if augment is not None:
-            augment[r], augment[piv] = augment[piv], augment[r]
         inv = one / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        if augment is not None:
-            augment[r] = [x * inv for x in augment[r]]
+        prow = rows[r] = [x * inv for x in rows[r]]
         for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-                if augment is not None:
-                    augment[i] = [x - f * y for x, y in zip(augment[i], augment[r])]
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
         pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return pivots
+    return pivots, Mat.from_entries(
+        len(pivots), mat.ncols, zero,
+        ((i, j, v) for i, row in enumerate(rows[:len(pivots)])
+         for j, v in enumerate(row) if v))
 
 
 def inverse(mat: Mat) -> Mat:
-    if mat.nrows != mat.ncols:
+    """A**-1, the right half of the reduced [A | I]."""
+    n = mat.nrows
+    if n != mat.ncols:
         raise ValueError("inverse needs a square matrix")
-    n, zero = mat.nrows, mat.zero
-    one = zero + 1
-    aug = _dense(Mat.identity(n, zero, one))
-    pivots = _field_elim(_dense(mat), n, one, aug)
+    zero, one = mat.zero, mat.zero + 1
+    pivots, rows = row_reduce(Mat(
+        [row + [one if j == i else zero for j in range(n)]
+         for i, row in enumerate(_dense(mat))], zero), n)
     if len(pivots) != n:
         raise ValueError("matrix is singular")
-    return Mat(aug, zero)
-
-
-def pivot_columns(mat: Mat) -> list:
-    """Deterministic pivot columns (first-nonzero rule) of an exact matrix."""
-    return _field_elim(_dense(mat), mat.ncols, mat.zero + 1)
+    return Mat.from_entries(n, n, zero, ((i, j - n, v)
+                                         for i, j, v in rows.entries() if j >= n))
 
 
 # ---------------------------------------------------------------------------

@@ -173,8 +173,15 @@ class TestExitCodes:
         ["ch", "--k", "0"],
         ["newton", "--p", "-2"],
         ["projectors", "--max-size", "0"],
+        ["orbit", "--q", "2/3", "--hbar", "abc"],
+        ["orbit", "--q", "2/3", "--hbar", "1/0"],
+        ["orbit", "--q", "2/3", "--mu", "1,x"],
+        ["orbit", "--q", "2/3", "--mu", "1,1,2"],
+        ["euler", "--p", "1", "--q", "2/3"],
+        ["newton", "--p", "1", "--q", "2/3"],
     ], ids=["q0", "q1", "q-1", "n0", "samples0", "samples-1", "m0", "k0",
-            "p-2", "max-size0"])
+            "p-2", "max-size0", "hbar-abc", "hbar-1/0", "mu-1,x", "mu-1,1,2",
+            "euler-p1", "newton-p1"])
     def test_bad_argument_is_usage_error_before_any_check(
             self, tmp_path, capsys, argv):
         out = tmp_path / "report.json"

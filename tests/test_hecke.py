@@ -46,9 +46,8 @@ class TestValidation:
 
     def test_diagonal_fails_ybe(self):
         dom = at_q(Fraction(5, 2))
-        mat = Mat.zeros(4, 4, dom.zero)
-        for i, v in enumerate((1, 2, 3, 4)):
-            mat[i, i] = Fraction(v)
+        mat = Mat.from_entries(4, 4, dom.zero, ((i, i, Fraction(v))
+                                                for i, v in enumerate((1, 2, 3, 4))))
         rep = validate_hecke_symmetry(LegOperator(2, 2, mat), dom)
         assert not rep.ybe
 

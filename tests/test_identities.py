@@ -30,11 +30,14 @@ class TestCentralElements:
         assert cv.s[1] == cv.sigma[1]
 
     def test_centrality_is_certified(self, h2):
-        # perturb a copy: the module itself is shared through h2's memo
+        # add one to entry (0, 1) of block (0, 0); the module shared through
+        # h2's memo keeps its blocks
         shared = sym_power_right_rea_p2(h2, 2)
-        rep = replace(shared, rho=[[blk.take_rows(range(blk.nrows))
-                                    for blk in row] for row in shared.rho])
-        rep.rho[0][0][0, 1] = rep.rho[0][0][0, 1] + h2.domain.one
+        rho = [list(row) for row in shared.rho]
+        blk = rho[0][0]
+        rho[0][0] = blk + Mat.from_entries(blk.nrows, blk.ncols, h2.domain.zero,
+                                           [(0, 1, h2.domain.one)])
+        rep = replace(shared, rho=rho)
         with pytest.raises(IdentityError, match="centrality"):
             central_elements_in_rep(h2, rep, 2)
 

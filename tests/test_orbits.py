@@ -4,7 +4,7 @@ import pytest
 
 from qorbits.scalars import SYMBOLIC, at_q, eval_at, random_rationals
 from qorbits import orbits
-from qorbits.tensor import Mat, pivot_columns
+from qorbits.tensor import Mat, row_reduce
 from qorbits.casimir import left_casimir_matrix, split_casimir_matrix
 from qorbits.hecke import standard_hecke
 from qorbits.identities import RootData, compositions, omega_roots_p2
@@ -269,7 +269,7 @@ class TestConjectureScan:
         ident = Mat.identity(cm.dim, dom.zero, dom.one)
         assert rep.consistent
         for x in rep.multiplicities:
-            kernel = cm.dim - len(pivot_columns(cm.op - ident.scale(x.value)))
+            kernel = cm.dim - len(row_reduce(cm.op - ident.scale(x.value))[0])
             assert x.n == kernel, x
 
     def test_wrong_root_set_is_inconsistent(self, monkeypatch):
@@ -294,6 +294,12 @@ class TestTraceMultiplicities:
                    for i, v in enumerate((3, 5, 3, 3))])
         counts, extra = trace_multiplicities(mat, [Fraction(5), Fraction(3)], dom)
         assert counts == [1, 3] and extra
+
+    def test_repeated_value_raises(self):
+        dom = at_q(Fraction(2))
+        mat = Mat.identity(3, dom.zero, dom.one)
+        with pytest.raises(ValueError, match="distinct"):
+            trace_multiplicities(mat, [Fraction(1), Fraction(2), Fraction(1)], dom)
 
     def test_extra_row_catches_a_missing_value(self):
         # spectrum {1, 1, 2} against the values {1, 3}: the square system

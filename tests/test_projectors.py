@@ -7,7 +7,7 @@ from qorbits import projectors
 from qorbits.hecke import (HeckeError, standard_hecke, standard_r,
                            validate_hecke_symmetry)
 from qorbits.scalars import SYMBOLIC, at_q, eval_at, random_q
-from qorbits.tensor import LegOperator, embed_on_legs, pivot_columns
+from qorbits.tensor import LegOperator, embed_on_legs, row_reduce
 from qorbits.projectors import (antisymmetrizer_tower, q_antisymmetrizer,
                                 q_symmetrizer)
 
@@ -55,10 +55,10 @@ class TestProjectorProperties:
     def test_symmetric_cube_rank(self, h2):
         # n = 2: the symmetric component in degree 3 has dimension 4
         s3 = q_symmetrizer(h2, 3)
-        assert len(pivot_columns(s3.mat)) == 4
+        assert len(row_reduce(s3.mat)[0]) == 4
 
     def test_antisymmetrizer_collapse(self, h2):
-        assert len(pivot_columns(q_antisymmetrizer(h2, 2).mat)) == 1
+        assert len(row_reduce(q_antisymmetrizer(h2, 2).mat)[0]) == 1
         assert q_antisymmetrizer(h2, 3).is_zero()
         assert q_antisymmetrizer(h2, 4).is_zero()
 

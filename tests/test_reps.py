@@ -15,9 +15,14 @@ from qorbits.reps import (Representation, RepresentationError,
                           tensor_power_left, verify_defining_relations)
 
 
-def _with_copied_blocks(rep):
-    return replace(rep, rho=[[blk.take_rows(range(blk.nrows)) for blk in row]
-                             for row in rep.rho])
+def _bumped(rep, i, j):
+    """rep with one added to entry (0, 0) of block (i, j); the blocks are
+    never written into, so the module shared through the memo stays as it is."""
+    rho = [list(row) for row in rep.rho]
+    blk = rho[i][j]
+    rho[i][j] = blk + Mat.from_entries(blk.nrows, blk.ncols, rep.domain.zero,
+                                       [(0, 0, rep.domain.one)])
+    return replace(rep, rho=rho)
 
 
 class TestFundamental:
@@ -36,9 +41,7 @@ class TestFundamental:
         assert verify_defining_relations(rep, h2) == []
 
     def test_perturbed_blocks_fail(self, h2):
-        # perturb a copy: the module itself is shared through h2's memo
-        rep = _with_copied_blocks(fundamental_left(h2))
-        rep.rho[0][1][0, 0] = rep.rho[0][1][0, 0] + h2.domain.one
+        rep = _bumped(fundamental_left(h2), 0, 1)
         assert verify_defining_relations(rep, h2) != []
         assert verify_defining_relations(fundamental_left(h2), h2) == []
 
@@ -108,6 +111,39 @@ class TestSymPower:
         for m in (2, 3):
             rep = sym_power_left(h3, m)
             assert verify_defining_relations(rep, h3) == []
+
+
+class TestCharts:
+    """The left inverse L read off the projector's reduction: L B = I."""
+
+    @pytest.mark.parametrize("q", [None, Fraction(3, 5)],
+                             ids=["symbolic", "q3/5"])
+    @pytest.mark.parametrize("n, m_max", [(2, 4), (3, 2)])
+    def test_left_inverse_of_sym_chart(self, n, m_max, q):
+        h = standard_hecke(n) if q is None else standard_hecke(n, at_q(q))
+        dom = h.domain
+        for m in range(1, m_max + 1):
+            chart = sym_chart(h, m)
+            assert (chart.left_inverse * chart.basis
+                    == Mat.identity(chart.dim, dom.zero, dom.one))
+            assert chart.basis * chart.left_inverse == chart.projector.mat
+
+    def test_left_inverse_of_product_chart(self, h2, h2_sampled):
+        for h in (h2, h2_sampled):
+            dom = h.domain
+            chart = reps.Compression.product(sym_chart(h, 3), sym_chart(h, 2))
+            assert chart.dim == 12
+            assert (chart.left_inverse * chart.basis
+                    == Mat.identity(12, dom.zero, dom.one))
+
+    def test_compress_rejects_an_operator_leaving_the_image(self, h2, h2_sampled):
+        # x1 x1 spans a line of S(2)'s image; sending it to x1 x2 alone leaves
+        # the image, whose other vectors mix x1 x2 with x2 x1
+        for h in (h2, h2_sampled):
+            dom = h.domain
+            off = Mat.from_entries(4, 4, dom.zero, [(1, 0, dom.one)])
+            with pytest.raises(RepresentationError, match="preserve the image"):
+                sym_chart(h, 2).compress(off)
 
 
 class TestRightModules:
