@@ -27,7 +27,7 @@ from .identities import (CentralValues, RootData, central_elements_in_rep,
                          ch_verify, ch_verify_coefficients, compositions,
                          conjecture_roots, newton_check, omega_roots_p2,
                          parametric_central_values, parametric_newton)
-from .orbits import (OrbitSpec, conjecture_scan, higher_newton_classical,
+from .orbits import (conjecture_scan, higher_newton_classical,
                      higher_newton_quantum_p2, multiplicities,
                      rep_eigenvalues, spectral_idempotents, string_decompose)
 from .euler import ModuleClass, classical_euler, q_algebra_check, \

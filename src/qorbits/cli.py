@@ -444,10 +444,10 @@ def suite_orbit(args, rec, rng, domains):
             gaps = [m_max + 5 ** (i + 2) for i in range(p - 1)]
             lam = tuple(sum(gaps[i:]) for i in range(p - 1)) + (0,)
             mu = orbit_mod.classical_eigenvalues(list(lam))
-            spec = orbit_mod.OrbitSpec(p=p, mu=mu, hbar=Fraction(1),
-                                       domain=at_q(Fraction(2)))
+            rd = ident_mod.RootData(mu=mu, hbar=Fraction(1),
+                                    domain=at_q(Fraction(2)))
             for m in range(1, m_max + 1):
-                d = orbit_mod.multiplicities(spec, m, "classical")
+                d = orbit_mod.multiplicities(rd, m, "classical")
                 for kv, val in d.items():
                     if val != orbit_mod.classical_dim_ratio(lam, kv, p):
                         return False, f"mismatch at {kv}, m={m}"
@@ -458,10 +458,9 @@ def suite_orbit(args, rec, rng, domains):
         def mult_quantum(dom=dom, p=p, m_max=m_max):
             lam = tuple(range(3 * (p - 1), -1, -3))[:p]
             mu = orbit_mod.rep_eigenvalues(lam, p, "rea_q", dom)
-            spec = orbit_mod.OrbitSpec(p=p, mu=mu, hbar=Fraction(0),
-                                       domain=dom)
+            rd = ident_mod.RootData(mu=mu, hbar=Fraction(0), domain=dom)
             for m in range(1, m_max + 1):
-                d = orbit_mod.multiplicities(spec, m, "quantum")
+                d = orbit_mod.multiplicities(rd, m, "quantum")
                 for kv, val in d.items():
                     if val != orbit_mod.quantum_dim_ratio(lam, kv, p, dom):
                         return False, f"mismatch at {kv}, m={m}"
@@ -512,30 +511,32 @@ def suite_orbit(args, rec, rng, domains):
                 idempotents)
 
         def strings(dom=dom):
-            qd = dom
             hb = Fraction(args.hbar)
-            if args.mu:
-                vals = [qd.lift(Fraction(x)) for x in args.mu.split(",")]
-                spec0 = orbit_mod.OrbitSpec(p=len(vals), mu=vals, hbar=hb,
-                                            domain=qd)
-                orbit_mod.string_decompose(spec0)
-            a, b = qd.lift(Fraction(5)), qd.lift(Fraction(100))
-            succ = lambda v: qd.q_pow(-2) * v + qd.q_pow(-1) * qd.lift(hb)
-            spec = orbit_mod.OrbitSpec(p=3, mu=[a, succ(a), b], hbar=hb,
-                                       domain=qd)
-            sd = orbit_mod.string_decompose(spec)
+            generic = ident_mod.RootData(mu=[5, 100, 7], hbar=hb, domain=dom)
+            a, b, _ = generic.mu
+            sd = orbit_mod.string_decompose(ident_mod.RootData(
+                mu=[a, generic.successor(a), b], hbar=hb, domain=dom))
             lens = sorted(l for _, l in sd.strings)
             if lens != [1, 2]:
                 return False, f"string lengths {lens}"
             if len(sd.minimal_roots) != 2:
                 return False, "wrong number of minimal roots"
-            spec2 = orbit_mod.OrbitSpec(p=3, mu=[a, b, qd.lift(Fraction(7))],
-                                        hbar=hb, domain=qd)
-            sd2 = orbit_mod.string_decompose(spec2)
+            sd2 = orbit_mod.string_decompose(generic)
             if sorted(l for _, l in sd2.strings) != [1, 1, 1]:
                 return False, "generic set should give singleton strings"
             return True, None
         rec.run(f"orbit.q{tag}.strings", "strings", {"q": tag}, strings)
+
+        if args.mu:
+            def user_strings(dom=dom):
+                mu = [Fraction(x) for x in args.mu.split(",")]
+                rd = ident_mod.RootData(mu=mu, hbar=Fraction(args.hbar),
+                                        domain=dom)
+                sd = orbit_mod.string_decompose(rd)
+                return True, ", ".join(f"{v}:{n}" for v, n in sd.strings)
+            rec.run(f"orbit.q{tag}.user_strings", "strings",
+                    {"q": tag, "mu": args.mu, "hbar": args.hbar},
+                    user_strings, finding=True)
 
 
 def suite_euler(args, rec, rng, domains):

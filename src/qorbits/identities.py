@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .scalars import ScalarDomain
 from .tensor import Mat, embed_on_legs, weighted_partial_trace
@@ -156,18 +156,58 @@ def newton_check(cv: CentralValues, p: int, domain: ScalarDomain) -> dict:
     return report
 
 
-@dataclass
+def repeated_pair(values: Sequence) -> Optional[Tuple[int, int]]:
+    """The first positions i < j with values[i] == values[j], or None."""
+    for i, v in enumerate(values):
+        for j in range(i + 1, len(values)):
+            if values[j] == v:
+                return i, j
+    return None
+
+
+@dataclass(frozen=True)
 class RootData:
-    mu: list
-    hbar: Fraction
+    """One orbit: p eigenvalues mu and the mass hbar over a scalar domain.
+
+    Construction lifts mu (to a tuple) and hbar into the domain, once, so
+    every formula reads them as domain elements.
+    """
+
+    mu: tuple
+    hbar: object
     domain: ScalarDomain
 
-    def require_distinct(self):
-        for i in range(len(self.mu)):
-            for j in range(i + 1, len(self.mu)):
-                if self.mu[i] == self.mu[j]:
-                    raise IdentityError(
-                        f"repeated eigenvalue at positions {i}, {j}")
+    def __post_init__(self):
+        lift = self.domain.lift
+        object.__setattr__(self, "mu", tuple(lift(v) for v in self.mu))
+        object.__setattr__(self, "hbar", lift(self.hbar))
+
+    @property
+    def p(self) -> int:
+        return len(self.mu)
+
+    def is_1_generic(self) -> bool:
+        return repeated_pair(self.mu) is None
+
+    def is_m_generic(self, m: int, mode: str = "quantum") -> bool:
+        """Pairwise distinctness of the derived degree-m eigenvalue family.
+
+        mode selects which family: the deformed root formula ("quantum") or
+        the integer-coefficient classical one ("classical").
+        """
+        if not self.is_1_generic():
+            return False
+        if mode == "quantum":
+            vals = [v for _, v in conjecture_roots(self, m)]
+        else:
+            vals = [classical_higher_eigenvalue(kvec, self.mu, self.hbar)
+                    for kvec in compositions(m, self.p)]
+        return repeated_pair(vals) is None
+
+    def successor(self, nu):
+        """The string successor nu/q**2 + hbar/q."""
+        dom = self.domain
+        return dom.q_pow(-2) * nu + dom.q_pow(-1) * self.hbar
 
 
 def multiplicity(kvec: Sequence[int], mu: Sequence, hbar, domain=None):
@@ -198,24 +238,24 @@ def parametric_newton(rd: RootData, k: int):
     The Vandermonde-ratio weights d_i = prod_(j != i) (q mu_i - mu_j / q)
     / (mu_i - mu_j) are the degree-1 quantum multiplicities at hbar = 0.
     """
-    rd.require_distinct()
+    pair = repeated_pair(rd.mu)
+    if pair is not None:
+        raise IdentityError("repeated eigenvalue at positions %d, %d" % pair)
     dom = rd.domain
-    mu = [dom.lift(v) for v in rd.mu]
     total = dom.zero
-    for kvec in compositions(1, len(mu)):
-        d_i = multiplicity(kvec, mu, dom.zero, dom)
-        total = total + mu[kvec.index(1)] ** k * d_i
-    return dom.q_pow(-len(mu)) * total
+    for kvec in compositions(1, rd.p):
+        d_i = multiplicity(kvec, rd.mu, dom.zero, dom)
+        total = total + rd.mu[kvec.index(1)] ** k * d_i
+    return dom.q_pow(-rd.p) * total
 
 
 def parametric_central_values(rd: RootData, p: int) -> CentralValues:
     """CentralValues built from eigenvalue data instead of a module."""
     dom = rd.domain
-    mu = [dom.lift(v) for v in rd.mu]
     sigma = [dom.one]
     s_vals = [dom.one]
     for k in range(1, p + 1):
-        sigma.append(elementary_symmetric(mu, k, dom.zero, dom.one))
+        sigma.append(elementary_symmetric(rd.mu, k, dom.zero, dom.one))
         s_vals.append(dom.q_pow(1) * parametric_newton(rd, k))
     return CentralValues(sigma=sigma, s=s_vals, provenance="parametric")
 
@@ -234,7 +274,7 @@ def ch_verify(mat: Mat, roots: Sequence, domain: ScalarDomain) -> Tuple[bool, in
     ident = Mat.identity(n, domain.zero, domain.one)
     prod = ident
     for r in roots:
-        prod = prod * (mat - ident.scale(domain.lift(r) if isinstance(r, (int, Fraction)) else r))
+        prod = prod * (mat - ident.scale(domain.lift(r)))
     return prod.is_zero(), prod.support()
 
 
@@ -270,24 +310,34 @@ def xi_symmetric(kvec: Sequence[int], m: int, domain: ScalarDomain):
     return acc
 
 
-def conjecture_roots(rd: RootData, m: int, p: int) -> List[Tuple[Tuple[int, ...], object]]:
+def classical_higher_eigenvalue(kvec: Sequence[int], mu: Sequence, hbar):
+    """mu_k(m) = sum k_i mu_i + hbar sum_{i<j} k_i k_j (any exact scalars)."""
+    acc = 0
+    for k, v in zip(kvec, mu):
+        if k:
+            acc = acc + k * v
+    cross = 0
+    p = len(kvec)
+    for i in range(p):
+        for j in range(i + 1, p):
+            cross += kvec[i] * kvec[j]
+    return acc + hbar * cross
+
+
+def conjecture_roots(rd: RootData, m: int) -> List[Tuple[Tuple[int, ...], object]]:
     """Conjectured higher roots mu_k(m) for all length-p compositions of m.
 
     q**(m-1) mu_k(m) = sum_i (k_i)_q q**(k_i - m) mu_i + hbar xi(k); the list
     has binomial(m + p - 1, m) entries in deterministic order.
     """
     dom = rd.domain
-    if len(rd.mu) != p:
-        raise IdentityError("eigenvalue list does not match p")
-    mu = [dom.lift(v) for v in rd.mu]
-    hbar = dom.lift(rd.hbar)
     out = []
-    for kvec in compositions(m, p):
+    for kvec in compositions(m, rd.p):
         acc = dom.zero
         for i, ki in enumerate(kvec):
             if ki:
-                acc = acc + dom.q_int(ki) * dom.q_pow(ki - m) * mu[i]
-        acc = acc + hbar * xi_symmetric(kvec, m, dom)
+                acc = acc + dom.q_int(ki) * dom.q_pow(ki - m) * rd.mu[i]
+        acc = acc + rd.hbar * xi_symmetric(kvec, m, dom)
         out.append((kvec, acc * dom.q_pow(1 - m)))
     return out
 
@@ -299,10 +349,9 @@ def omega_roots_p2(rd: RootData, m: int) -> List[Tuple[Tuple[int, int], object]]
                        + hbar s_q (m-s)_q,  s = 0..m, k = (s, m-s).
     """
     dom = rd.domain
-    if len(rd.mu) != 2:
+    if rd.p != 2:
         raise IdentityError("rank-2 form needs two eigenvalues")
-    mu1, mu2 = (dom.lift(v) for v in rd.mu)
-    hbar = dom.lift(rd.hbar)
+    (mu1, mu2), hbar = rd.mu, rd.hbar
     out = []
     for s in range(m, -1, -1):
         val = (dom.q_pow(s - m) * dom.q_int(s) * mu1

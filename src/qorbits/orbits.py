@@ -1,7 +1,8 @@
 """Noncommutative orbits: genericity, idempotents, multiplicities, strings.
 
 An orbit is the data of p pairwise distinct eigenvalues (the central
-character), a mass parameter and a scalar domain.  This module carries the
+character), a mass parameter and a scalar domain, held in one record,
+:class:`qorbits.identities.RootData`.  This module carries the
 spectral decomposition machinery (Lagrange idempotents of an exactly
 verified Cayley-Hamilton identity), the classical and quantum multiplicity
 formulas with their independent dimension-ratio oracles, the eigenvalue
@@ -17,8 +18,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .scalars import ScalarDomain, as_integer
 from .tensor import Mat, row_reduce
-from .identities import (RootData, ch_verify, compositions,
-                         conjecture_roots, multiplicity)
+from .identities import (RootData, ch_verify, classical_higher_eigenvalue,
+                         compositions, conjecture_roots, multiplicity,
+                         repeated_pair)
 from .casimir import (basic_roots, left_casimir_matrix, module_trace,
                       q_dimension, split_casimir_matrix, trace_weights)
 
@@ -67,13 +69,8 @@ def is_m_admissible(lam: Sequence[int], m: int, hbar=Fraction(1)) -> bool:
     if any(lam[i] - lam[i + 1] < m for i in range(len(lam) - 1)):
         return False
     mu = classical_eigenvalues(lam)
-    seen = set()
-    for kvec in compositions(m, len(lam)):
-        v = classical_higher_eigenvalue(kvec, mu, hbar)
-        if v in seen:
-            return False
-        seen.add(v)
-    return True
+    return repeated_pair([classical_higher_eigenvalue(kvec, mu, hbar)
+                          for kvec in compositions(m, len(lam))]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -84,20 +81,6 @@ def classical_eigenvalues(lam: Sequence[int]) -> List[Fraction]:
     """mu_i = lam_(p-i+1) + i - 1 at unit mass scale."""
     p = len(lam)
     return [Fraction(lam[p - i] + i - 1) for i in range(1, p + 1)]
-
-
-def classical_higher_eigenvalue(kvec: Sequence[int], mu: Sequence, hbar):
-    """mu_k(m) = sum k_i mu_i + hbar sum_{i<j} k_i k_j (any exact scalars)."""
-    acc = 0
-    for k, v in zip(kvec, mu):
-        if k:
-            acc = acc + k * v
-    cross = 0
-    p = len(kvec)
-    for i in range(p):
-        for j in range(i + 1, p):
-            cross += kvec[i] * kvec[j]
-    return acc + hbar * cross
 
 
 def classical_higher_eigenvalue_s2(lam: Sequence[int], kvec: Sequence[int],
@@ -144,46 +127,6 @@ def rep_eigenvalues(lam: Sequence[int], p: int, mode: str,
 
 
 # ---------------------------------------------------------------------------
-# orbit data
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OrbitSpec:
-    p: int
-    mu: list
-    hbar: Fraction
-    domain: ScalarDomain
-
-    def __post_init__(self):
-        if len(self.mu) != self.p:
-            raise OrbitError("eigenvalue list must have length p")
-
-    def is_1_generic(self) -> bool:
-        vals = [self.domain.lift(v) for v in self.mu]
-        return len(set(vals)) == len(vals)
-
-    def is_m_generic(self, m: int, mode: str = "quantum") -> bool:
-        """Pairwise distinctness of the derived degree-m eigenvalue family.
-
-        mode selects which family: the deformed root formula ("quantum") or
-        the integer-coefficient classical one ("classical").
-        """
-        if not self.is_1_generic():
-            return False
-        if mode == "quantum":
-            vals = [v for _, v in conjecture_roots(self.root_data(), m, self.p)]
-        else:
-            mu = [self.domain.lift(v) for v in self.mu]
-            hbar = self.domain.lift(self.hbar)
-            vals = [classical_higher_eigenvalue(kvec, mu, hbar)
-                    for kvec in compositions(m, self.p)]
-        return len(set(vals)) == len(vals)
-
-    def root_data(self) -> RootData:
-        return RootData(mu=self.mu, hbar=self.hbar, domain=self.domain)
-
-
-# ---------------------------------------------------------------------------
 # spectral idempotents
 # ---------------------------------------------------------------------------
 
@@ -194,12 +137,10 @@ def spectral_idempotents(mat: Mat, roots: Sequence,
     e_j = prod_{i != j} (M - r_i)/(r_j - r_i); requires pairwise distinct
     roots and an exactly vanishing product over all of them.
     """
-    roots = [domain.lift(r) if isinstance(r, (int, Fraction)) else r
-             for r in roots]
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if roots[i] == roots[j]:
-                raise OrbitError(f"repeated roots at positions {i}, {j}")
+    roots = [domain.lift(r) for r in roots]
+    pair = repeated_pair(roots)
+    if pair is not None:
+        raise OrbitError("repeated roots at positions %d, %d" % pair)
     ok, support = ch_verify(mat, roots, domain)
     if not ok:
         raise OrbitError(
@@ -222,7 +163,7 @@ def spectral_idempotents(mat: Mat, roots: Sequence,
 # multiplicities
 # ---------------------------------------------------------------------------
 
-def multiplicities(spec: OrbitSpec, m: int, mode: str) -> Dict[Tuple[int, ...], object]:
+def multiplicities(rd: RootData, m: int, mode: str) -> Dict[Tuple[int, ...], object]:
     """Eigenvalue multiplicities d_k(m) over all compositions of m, each
     from :func:`qorbits.identities.multiplicity`.
 
@@ -235,16 +176,13 @@ def multiplicities(spec: OrbitSpec, m: int, mode: str) -> Dict[Tuple[int, ...], 
     The quantum form is proven for rank 2; for p > 2 it is conditional
     evidence (it presumes the representation category is faithful).
     """
-    if not spec.is_m_generic(m, mode):
+    if not rd.is_m_generic(m, mode):
         raise OrbitError(f"orbit is not {m}-generic")
     if mode not in ("classical", "quantum"):
         raise OrbitError(f"unknown mode {mode!r}")
-    dom = spec.domain
-    mu = [dom.lift(v) for v in spec.mu]
-    hbar = dom.lift(spec.hbar)
-    qdom = dom if mode == "quantum" else None
-    return {kvec: multiplicity(kvec, mu, hbar, qdom)
-            for kvec in compositions(m, spec.p)}
+    qdom = rd.domain if mode == "quantum" else None
+    return {kvec: multiplicity(kvec, rd.mu, rd.hbar, qdom)
+            for kvec in compositions(m, rd.p)}
 
 
 def quantum_dim_ratio(lam: Sequence[int], kvec: Sequence[int], p: int,
@@ -278,7 +216,7 @@ def higher_newton_classical(lam: Sequence[int], m: int, s_max: int,
     """
     p = len(lam)
     mu = classical_eigenvalues(list(lam))
-    if len(set(mu)) != p:
+    if repeated_pair(mu) is not None:
         raise OrbitError("orbit is not 1-generic")
     d_formula = {kvec: multiplicity(kvec, mu, Fraction(hbar))
                  for kvec in compositions(m, p)}
@@ -310,9 +248,8 @@ def higher_newton_quantum_p2(h, k: int, m: int, s_max: int,
         raise OrbitError(f"unknown algebra {algebra!r}")
     dom = h.domain
     rd = basic_roots(dom, k, algebra)
-    d_k = multiplicities(OrbitSpec(p=2, mu=rd.mu, hbar=rd.hbar, domain=dom),
-                         m, "quantum")
-    roots = dict(conjecture_roots(rd, m, 2))
+    d_k = multiplicities(rd, m, "quantum")
+    roots = dict(conjecture_roots(rd, m))
     cm = split_casimir_matrix(h, k, m, algebra)
     weights = trace_weights(h, m)
     report = {}
@@ -411,17 +348,14 @@ def conjecture_scan(h, k: int, m: int) -> ScanReport:
     cm = left_casimir_matrix(h, k, m)
     mu = rep_eigenvalues((k,) + (0,) * (h.p - 1), h.p, "mrea_q", dom)
     rd = RootData(mu=mu, hbar=Fraction(1), domain=dom)
-    values, groups = [], []
-    for kvec, r in conjecture_roots(rd, m, h.p):
-        if r in values:
-            groups[values.index(r)].append(kvec)
-        else:
-            values.append(r)
-            groups.append([kvec])
+    groups = {}                      # root value -> its compositions
+    for kvec, r in conjecture_roots(rd, m):
+        groups.setdefault(r, []).append(kvec)
+    values = list(groups)
     ok, support = ch_verify(cm.op, values, dom)
     counts, extra_ok = trace_multiplicities(cm.op, values, dom)
     mults = []
-    for kvecs, r, n in zip(groups, values, counts):
+    for (r, kvecs), n in zip(groups.items(), counts):
         as_int = as_integer(n)
         mults.append(RootMultiplicity(tuple(kvecs), r,
                                       n if as_int is None else as_int))
@@ -451,49 +385,34 @@ class StringDecomposition:
     minimal_roots: List[object]              # heads, the suggested simple roots
 
 
-def string_decompose(spec: OrbitSpec) -> StringDecomposition:
+def string_decompose(rd: RootData) -> StringDecomposition:
     """Split the eigenvalue set into maximal successor chains.
 
-    The successor map nu -> nu/q**2 + hbar/q chains eigenvalues that arise
-    from quantizing a degenerate orbit; each maximal chain contributes its
-    head as a simple root of the suggested minimal polynomial.  Independent
-    of the input ordering.
+    The successor map nu -> nu/q**2 + hbar/q (:meth:`RootData.successor`)
+    chains eigenvalues that arise from quantizing a degenerate orbit; each
+    chain is walked from its head, a value that is no other value's
+    successor, and contributes its head as a simple root of the suggested
+    minimal polynomial.  The map is affine with slope q**(-2) != 1, so its
+    only periodic point is its fixed point hbar/zeta, a string of length 1,
+    and every walk ends.  Independent of the input ordering.
     """
-    if not spec.is_1_generic():
+    if not rd.is_1_generic():
         raise OrbitError("orbit is not 1-generic")
-    dom = spec.domain
-    vals = [dom.lift(v) for v in spec.mu]
-    hbar = dom.lift(spec.hbar)
-    q2 = dom.q_pow(-2)
-    q1 = dom.q_pow(-1)
-
-    def successor(v):
-        return q2 * v + q1 * hbar
-
     succ_of = {}
-    is_succ = [False] * len(vals)
-    for i, v in enumerate(vals):
-        s = successor(v)
-        for j, w in enumerate(vals):
-            if j != i and w == s:
-                succ_of[i] = j
-                is_succ[j] = True
-                break
-    heads = [i for i in range(len(vals)) if not is_succ[i]]
+    for v in rd.mu:
+        s = rd.successor(v)
+        if s != v and s in rd.mu:
+            succ_of[v] = s
     strings = []
-    seen = set()
-    for i in sorted(heads):
-        length = 1
-        cur = i
-        seen.add(cur)
+    for head in rd.mu:
+        if head in succ_of.values():
+            continue
+        length, cur = 1, head
         while cur in succ_of:
             cur = succ_of[cur]
-            if cur in seen:
-                break
-            seen.add(cur)
             length += 1
-        strings.append((vals[i], length))
-    if len(seen) != len(vals):
+        strings.append((head, length))
+    if sum(length for _, length in strings) != rd.p:
         raise OrbitError("string decomposition did not cover all eigenvalues")
     return StringDecomposition(strings=strings,
                                minimal_roots=[s[0] for s in strings])

@@ -24,7 +24,7 @@ from qorbits.casimir import closed_form_p2, q_dimension, split_casimir_matrix
 from qorbits.identities import (RootData, central_elements_in_rep, ch_verify,
                                 compositions, newton_check, omega_roots_p2,
                                 parametric_central_values)
-from qorbits.orbits import (OrbitSpec, classical_dim_ratio,
+from qorbits.orbits import (classical_dim_ratio,
                             classical_eigenvalues, conjecture_scan,
                             higher_newton_classical, higher_newton_quantum_p2,
                             is_m_admissible, multiplicities,
@@ -185,8 +185,8 @@ def test_criterion_07_multiplicities():
             if not is_m_admissible(lam, m):
                 continue
             mu = classical_eigenvalues(list(lam))
-            spec = OrbitSpec(p=n, mu=mu, hbar=Fraction(1),
-                             domain=at_q(Fraction(2)))
+            spec = RootData(mu=mu, hbar=Fraction(1),
+                            domain=at_q(Fraction(2)))
             d = multiplicities(spec, m, "classical")
             for kvec, val in d.items():
                 assert val == classical_dim_ratio(lam, kvec, n)
@@ -198,7 +198,7 @@ def test_criterion_07_multiplicities():
         for m in range(1, 6):
             lam = tuple(range(m * (p - 1), -1, -m))[:p]
             mu = rep_eigenvalues(lam, p, "rea_q", dom)
-            spec = OrbitSpec(p=p, mu=mu, hbar=Fraction(0), domain=dom)
+            spec = RootData(mu=mu, hbar=Fraction(0), domain=dom)
             d = multiplicities(spec, m, "quantum")
             for kvec, val in d.items():
                 assert val == quantum_dim_ratio(lam, kvec, p, dom)
@@ -229,8 +229,8 @@ def test_criterion_09_idempotents():
     skipped = []
     for k in (1, 2, 3):
         for m in (1, 2, 3):
-            spec = OrbitSpec(p=2, mu=[dom.one, dom.q_pow(-2 * k - 2)],
-                             hbar=Fraction(0), domain=dom)
+            spec = RootData(mu=[dom.one, dom.q_pow(-2 * k - 2)],
+                            hbar=Fraction(0), domain=dom)
             if not spec.is_m_generic(m):
                 # degenerate root multiset: idempotents are undefined there
                 skipped.append((k, m))
@@ -291,25 +291,25 @@ def test_criterion_11_strings():
 
     a = dom.lift(Fraction(5))
     b = dom.lift(Fraction(100))
-    sd = string_decompose(OrbitSpec(p=2, mu=[a, succ(a)], hbar=hb, domain=dom))
+    sd = string_decompose(RootData(mu=[a, succ(a)], hbar=hb, domain=dom))
     assert sd.strings == [(a, 2)] and sd.minimal_roots == [a]
     rng = random.Random(1111)
     mu = random_rationals(rng, 3, distinct=True)
-    sd = string_decompose(OrbitSpec(p=3, mu=mu, hbar=hb, domain=dom))
+    sd = string_decompose(RootData(mu=mu, hbar=hb, domain=dom))
     assert sorted(l for _, l in sd.strings) == [1, 1, 1]
-    sd = string_decompose(OrbitSpec(p=3, mu=[a, succ(a), b], hbar=hb,
-                                    domain=dom))
+    sd = string_decompose(RootData(mu=[a, succ(a), b], hbar=hb,
+                                   domain=dom))
     assert {(v, l) for v, l in sd.strings} == {(a, 2), (b, 1)}
     assert set(sd.minimal_roots) == {a, b}
     # appending a successor extends exactly one string by one
     for _ in range(10):
         mu = [dom.lift(v) for v in random_rationals(rng, 3, distinct=True)]
-        before = string_decompose(OrbitSpec(p=3, mu=mu, hbar=hb, domain=dom))
+        before = string_decompose(RootData(mu=mu, hbar=hb, domain=dom))
         tail = mu[0]
         while succ(tail) in mu:
             tail = succ(tail)
-        after = string_decompose(OrbitSpec(p=4, mu=mu + [succ(tail)], hbar=hb,
-                                           domain=dom))
+        after = string_decompose(RootData(mu=mu + [succ(tail)], hbar=hb,
+                                          domain=dom))
         assert sum(l for _, l in after.strings) == 4
         assert len(after.strings) == len(before.strings)
     report(11, "string decomposition and extension property", t0)

@@ -143,6 +143,33 @@ class TestReports:
         assert code == 0
         assert report["q"] == ["q"]
 
+    def test_mu_adds_one_user_strings_check(self, tmp_path):
+        # 6 = 2 q**-2 + hbar q**-1 at q = 2/3, hbar = 1: strings 2:2 and 100:1
+        _, plain = run_json(tmp_path, ["orbit", "--q", "2/3"])
+        code, report = run_json(tmp_path, ["orbit", "--q", "2/3",
+                                           "--mu", "2,6,100"])
+        assert code == 0
+        user = [c for c in report["checks"] if c["id"].endswith("user_strings")]
+        assert [c["id"] for c in user] == ["orbit.q2/3.user_strings"]
+        assert user[0]["status"] == "finding"
+        assert user[0]["witness"] == "2:2, 100:1"
+        assert user[0]["anchor"] == ANCHORS["strings"]
+        for rep in (plain, report):
+            for c in rep["checks"]:
+                c.pop("ms")
+        assert [c for c in report["checks"] if c not in user] == plain["checks"]
+
+    def test_user_strings_crash_is_fail(self, tmp_path, monkeypatch):
+        def crash(rd):
+            raise RuntimeError("decomposition crashed")
+        monkeypatch.setattr(orbits, "string_decompose", crash)
+        code, report = run_json(tmp_path, ["orbit", "--q", "2/3",
+                                           "--mu", "2,6,100"])
+        assert code == 1
+        user = {c["id"]: c for c in report["checks"]}["orbit.q2/3.user_strings"]
+        assert user["status"] == "fail"
+        assert user["witness"] == "RuntimeError: decomposition crashed"
+
     def test_ch_documented_invocation(self, tmp_path):
         code, report = run_json(
             tmp_path, ["ch", "--n", "2", "--k", "3", "--m", "2",

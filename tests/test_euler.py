@@ -50,7 +50,7 @@ class TestQEuler:
         # (the dimension-ratio form).
         from qorbits.casimir import split_casimir_matrix, trace_weights
         from qorbits.identities import RootData, omega_roots_p2
-        from qorbits.orbits import OrbitSpec, multiplicities, spectral_idempotents
+        from qorbits.orbits import multiplicities, spectral_idempotents
         dom = h2.domain
         for (k, m) in [(2, 1), (2, 2), (3, 2)]:
             cm = split_casimir_matrix(h2, k, m, "rea")
@@ -60,7 +60,7 @@ class TestQEuler:
             es = spectral_idempotents(cm.op, [v for _, v in roots], dom)
             wboth = trace_weights(h2, k).weight.kron(trace_weights(h2, m).weight)
             prefactor = dom.q_pow(2 * (k + m))
-            spec = OrbitSpec(p=2, mu=mu, hbar=Fraction(0), domain=dom)
+            spec = RootData(mu=mu, hbar=Fraction(0), domain=dom)
             d_k = multiplicities(spec, m, "quantum")
             dim_module = q_dimension([k], 2, dom)
             for (kvec, _), e in zip(roots, es):

@@ -5,7 +5,8 @@ from math import comb
 
 import pytest
 
-from qorbits.scalars import SYMBOLIC, at_q, eval_at, random_q, random_rationals
+from qorbits.scalars import (SYMBOLIC, QScalar, at_q, eval_at, random_q,
+                             random_rationals)
 from qorbits.tensor import Mat
 from qorbits.hecke import standard_hecke
 from qorbits.reps import (fundamental_left, shift_reps, sym_power_left,
@@ -16,7 +17,50 @@ from qorbits.identities import (CentralValues, IdentityError, RootData,
                                 conjecture_roots, elementary_symmetric,
                                 elementary_symmetric_without, newton_check,
                                 omega_roots_p2, parametric_central_values,
-                                parametric_newton, xi_symmetric)
+                                parametric_newton, repeated_pair,
+                                xi_symmetric)
+
+
+class TestRootData:
+    def test_symbolic_record_lifts_fractions(self):
+        rd = RootData(mu=[Fraction(1, 2), Fraction(-3)], hbar=Fraction(2),
+                      domain=SYMBOLIC)
+        assert rd.p == len(rd.mu) == 2
+        assert all(isinstance(v, QScalar) for v in rd.mu + (rd.hbar,))
+        assert rd.mu == (SYMBOLIC.lift(Fraction(1, 2)), SYMBOLIC.lift(-3))
+
+    def test_sampled_record_evaluates_qscalars(self):
+        dom = at_q(Fraction(2, 3))
+        rd = RootData(mu=[SYMBOLIC.q_pow(2), SYMBOLIC.q_int(3),
+                          SYMBOLIC.one], hbar=SYMBOLIC.q_pow(-1), domain=dom)
+        assert rd.p == len(rd.mu) == 3
+        assert all(type(v) is Fraction for v in rd.mu + (rd.hbar,))
+        assert rd.mu == (Fraction(4, 9), dom.q_int(3), Fraction(1))
+        assert rd.hbar == Fraction(3, 2)
+
+    def test_record_is_frozen(self):
+        rd = RootData(mu=[Fraction(1)], hbar=Fraction(0), domain=SYMBOLIC)
+        with pytest.raises(AttributeError):
+            rd.hbar = Fraction(1)
+
+    def test_repeated_pair_is_the_first_in_order(self):
+        assert repeated_pair([5, 7, 7, 5]) == (0, 3)
+        assert repeated_pair([5, 7, 9, 7]) == (1, 3)
+        assert repeated_pair([5, 7, 9]) is None
+        assert repeated_pair([]) is None
+
+    def test_genericity(self):
+        dom = at_q(Fraction(2))
+        rd = RootData(mu=[Fraction(0), Fraction(1)], hbar=Fraction(1),
+                      domain=dom)
+        assert rd.is_1_generic()
+        # classically k = (2, 0) and (0, 2) give 0 and 2, k = (1, 1) gives
+        # 0 + 1 + hbar = 2: not 2-generic; the quantum roots stay apart
+        assert not rd.is_m_generic(2, "classical")
+        assert rd.is_m_generic(2, "quantum")
+        flat = RootData(mu=[Fraction(1), Fraction(1)], hbar=Fraction(0),
+                        domain=dom)
+        assert not flat.is_1_generic() and not flat.is_m_generic(1)
 
 
 class TestCentralElements:
@@ -117,6 +161,11 @@ class TestNewton:
                       domain=at_q(Fraction(2)))
         with pytest.raises(IdentityError, match="positions 0, 1"):
             parametric_newton(rd, 1)
+        rd = RootData(mu=[Fraction(1), Fraction(2), Fraction(3), Fraction(2)],
+                      hbar=Fraction(0), domain=SYMBOLIC)
+        with pytest.raises(IdentityError) as err:
+            parametric_newton(rd, 1)
+        assert str(err.value) == "repeated eigenvalue at positions 1, 3"
 
 
 class TestElementarySymmetric:
@@ -206,7 +255,7 @@ class TestConjectureRoots:
     def test_count(self):
         rd = RootData(mu=[Fraction(i + 1) for i in range(3)],
                       hbar=Fraction(1), domain=at_q(Fraction(2)))
-        assert len(conjecture_roots(rd, 2, 3)) == 6 == comb(2 + 3 - 1, 2)
+        assert len(conjecture_roots(rd, 2)) == 6 == comb(2 + 3 - 1, 2)
         assert len(compositions(5, 4)) == comb(5 + 4 - 1, 5)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -215,7 +264,7 @@ class TestConjectureRoots:
         dom = SYMBOLIC
         mu = [dom.q_int(3), dom.q_pow(-4)]
         rd = RootData(mu=mu, hbar=Fraction(2), domain=dom)
-        general = dict(conjecture_roots(rd, m, 2))
+        general = dict(conjecture_roots(rd, m))
         for (kvec, val) in omega_roots_p2(rd, m):
             assert general[kvec] == val
 
@@ -225,7 +274,7 @@ class TestConjectureRoots:
         mu = random_rationals(rng, p, distinct=True)
         hbar = Fraction(3, 2)
         rd = RootData(mu=mu, hbar=hbar, domain=SYMBOLIC)
-        for kvec, val in conjecture_roots(rd, m, p):
+        for kvec, val in conjecture_roots(rd, m):
             classical = sum(k * v for k, v in zip(kvec, mu))
             classical += hbar * sum(kvec[i] * kvec[j]
                                     for i in range(p) for j in range(i + 1, p))

@@ -8,7 +8,7 @@ from qorbits.tensor import Mat, row_reduce
 from qorbits.casimir import left_casimir_matrix, split_casimir_matrix
 from qorbits.hecke import standard_hecke
 from qorbits.identities import RootData, compositions, omega_roots_p2
-from qorbits.orbits import (OrbitError, OrbitSpec, classical_dim_ratio,
+from qorbits.orbits import (OrbitError, classical_dim_ratio,
                             classical_eigenvalues, classical_higher_eigenvalue,
                             classical_higher_eigenvalue_s2, conjecture_scan,
                             frobenius_dim, higher_newton_classical,
@@ -107,15 +107,15 @@ class TestEigenvalueFormulas:
 class TestMultiplicities:
     def test_classical_top_component(self):
         # k = (m, 0): single pair factor (mu1 - mu2 - m hbar)/(mu1 - mu2)
-        spec = OrbitSpec(p=2, mu=[Fraction(5), Fraction(1)], hbar=Fraction(1),
-                         domain=at_q(Fraction(2)))
+        spec = RootData(mu=[Fraction(5), Fraction(1)], hbar=Fraction(1),
+                        domain=at_q(Fraction(2)))
         d = multiplicities(spec, 3, "classical")
         assert d[(3, 0)] == Fraction(5 - 1 - 3, 5 - 1)
 
     def test_quantum_pair_factor(self, h2):
         dom = h2.domain
         mu = [dom.q_pow(3), dom.q_pow(-5)]
-        spec = OrbitSpec(p=2, mu=mu, hbar=Fraction(1), domain=dom)
+        spec = RootData(mu=mu, hbar=Fraction(1), domain=dom)
         d = multiplicities(spec, 2, "quantum")
         k1, k2 = 2, 0
         expect = ((dom.q_pow(k1 - k2) * mu[0] - dom.q_pow(k2 - k1) * mu[1]
@@ -123,15 +123,15 @@ class TestMultiplicities:
         assert d[(2, 0)] == expect
 
     def test_non_generic_rejected(self):
-        spec = OrbitSpec(p=2, mu=[Fraction(1), Fraction(1)], hbar=Fraction(0),
-                         domain=at_q(Fraction(2)))
+        spec = RootData(mu=[Fraction(1), Fraction(1)], hbar=Fraction(0),
+                        domain=at_q(Fraction(2)))
         with pytest.raises(OrbitError):
             multiplicities(spec, 1, "classical")
 
     def test_quantum_equal_parts_at_zero_mass(self):
         dom = at_q(Fraction(5, 3))
-        spec = OrbitSpec(p=2, mu=[Fraction(2), Fraction(7)], hbar=Fraction(0),
-                         domain=dom)
+        spec = RootData(mu=[Fraction(2), Fraction(7)], hbar=Fraction(0),
+                        domain=dom)
         d = multiplicities(spec, 4, "quantum")
         assert d[(2, 2)] == dom.one
 
@@ -142,7 +142,7 @@ class TestMultiplicities:
         dom = SYMBOLIC
         lam = tuple(range(m * (p - 1), -1, -m))[:p]
         mu = rep_eigenvalues(lam, p, "rea_q", dom)
-        spec = OrbitSpec(p=p, mu=mu, hbar=Fraction(0), domain=dom)
+        spec = RootData(mu=mu, hbar=Fraction(0), domain=dom)
         d = multiplicities(spec, m, "quantum")
         for kvec, val in d.items():
             assert val == quantum_dim_ratio(lam, kvec, p, dom)
@@ -154,7 +154,7 @@ class TestMultiplicities:
         lam = tuple(sum(gaps[i:]) for i in range(n - 1)) + (0,)
         assert is_m_admissible(lam, m)
         mu = classical_eigenvalues(list(lam))
-        spec = OrbitSpec(p=n, mu=mu, hbar=Fraction(1), domain=at_q(Fraction(2)))
+        spec = RootData(mu=mu, hbar=Fraction(1), domain=at_q(Fraction(2)))
         d = multiplicities(spec, m, "classical")
         for kvec, val in d.items():
             assert val == classical_dim_ratio(lam, kvec, n)
@@ -163,7 +163,7 @@ class TestMultiplicities:
         # all multiplicities over weight m sum to the symmetric power dim
         lam = (155, 30, 0)
         mu = classical_eigenvalues(list(lam))
-        spec = OrbitSpec(p=3, mu=mu, hbar=Fraction(1), domain=at_q(Fraction(2)))
+        spec = RootData(mu=mu, hbar=Fraction(1), domain=at_q(Fraction(2)))
         for m in (1, 2, 3):
             assert is_m_admissible(lam, m)
             d = multiplicities(spec, m, "classical")
@@ -277,8 +277,8 @@ class TestConjectureScan:
         # witness lists the solved multiplicities
         real = orbits.conjecture_roots
 
-        def shifted(rd, m, p):
-            roots = real(rd, m, p)
+        def shifted(rd, m):
+            roots = real(rd, m)
             kvec, v = roots[-1]
             return roots[:-1] + [(kvec, v + 1)]
         monkeypatch.setattr(orbits, "conjecture_roots", shifted)
@@ -322,8 +322,8 @@ class TestStrings:
     def test_chain_of_two(self):
         dom = self._dom()
         a = dom.lift(Fraction(5))
-        spec = OrbitSpec(p=2, mu=[a, self._succ(dom, a)], hbar=Fraction(1),
-                         domain=dom)
+        spec = RootData(mu=[a, self._succ(dom, a)], hbar=Fraction(1),
+                        domain=dom)
         sd = string_decompose(spec)
         assert sd.strings == [(a, 2)]
         assert sd.minimal_roots == [a]
@@ -331,7 +331,7 @@ class TestStrings:
     def test_generic_set_is_singletons(self, rng):
         dom = self._dom()
         mu = random_rationals(rng, 4, distinct=True)
-        spec = OrbitSpec(p=4, mu=mu, hbar=Fraction(1), domain=dom)
+        spec = RootData(mu=mu, hbar=Fraction(1), domain=dom)
         sd = string_decompose(spec)
         assert sorted(l for _, l in sd.strings) == [1, 1, 1, 1]
         assert len(sd.minimal_roots) == 4
@@ -340,8 +340,8 @@ class TestStrings:
         dom = self._dom()
         a = dom.lift(Fraction(5))
         b = dom.lift(Fraction(100))
-        spec = OrbitSpec(p=3, mu=[a, self._succ(dom, a), b], hbar=Fraction(1),
-                         domain=dom)
+        spec = RootData(mu=[a, self._succ(dom, a), b], hbar=Fraction(1),
+                        domain=dom)
         sd = string_decompose(spec)
         as_set = {(v, l) for v, l in sd.strings}
         assert as_set == {(a, 2), (b, 1)}
@@ -353,20 +353,20 @@ class TestStrings:
         b = dom.lift(Fraction(100))
         mus = [a, self._succ(dom, a), b]
         base = {(v, l) for v, l in string_decompose(
-            OrbitSpec(p=3, mu=mus, hbar=Fraction(1), domain=dom)).strings}
+            RootData(mu=mus, hbar=Fraction(1), domain=dom)).strings}
         import itertools
         for perm in itertools.permutations(mus):
             got = {(v, l) for v, l in string_decompose(
-                OrbitSpec(p=3, mu=list(perm), hbar=Fraction(1),
-                          domain=dom)).strings}
+                RootData(mu=list(perm), hbar=Fraction(1),
+                         domain=dom)).strings}
             assert got == base
 
     def test_append_extends_exactly_one_string(self, rng):
         dom = self._dom()
         for _ in range(10):
             mu = random_rationals(rng, 3, distinct=True)
-            spec = OrbitSpec(p=3, mu=[dom.lift(v) for v in mu],
-                             hbar=Fraction(1), domain=dom)
+            spec = RootData(mu=[dom.lift(v) for v in mu],
+                            hbar=Fraction(1), domain=dom)
             before = string_decompose(spec)
             tails = set(mu)
             # append the successor of one existing string tail
@@ -376,8 +376,8 @@ class TestStrings:
                 if nxt not in [dom.lift(v) for v in mu]:
                     break
                 target = nxt
-            extended = OrbitSpec(p=4, mu=[dom.lift(v) for v in mu] + [nxt],
-                                 hbar=Fraction(1), domain=dom)
+            extended = RootData(mu=[dom.lift(v) for v in mu] + [nxt],
+                                hbar=Fraction(1), domain=dom)
             after = string_decompose(extended)
             lens_before = sorted(l for _, l in before.strings)
             lens_after = sorted(l for _, l in after.strings)
@@ -386,10 +386,54 @@ class TestStrings:
 
     def test_non_generic_rejected(self):
         dom = self._dom()
-        spec = OrbitSpec(p=2, mu=[Fraction(1), Fraction(1)], hbar=Fraction(0),
-                         domain=dom)
+        spec = RootData(mu=[Fraction(1), Fraction(1)], hbar=Fraction(0),
+                        domain=dom)
         with pytest.raises(OrbitError):
             string_decompose(spec)
+
+    def test_fixed_point_is_a_string_of_length_one(self):
+        # nu = hbar/zeta is its own successor: -6/5 at q = 2/3, hbar = 1
+        dom = at_q(Fraction(2, 3))
+        fixed = Fraction(-6, 5)
+        rd = RootData(mu=[Fraction(2), fixed, Fraction(6)], hbar=Fraction(1),
+                      domain=dom)
+        assert rd.successor(fixed) == fixed == dom.one / dom.zeta
+        sd = string_decompose(rd)
+        assert sd.strings == [(Fraction(2), 2), (fixed, 1)]
+        alone = RootData(mu=[fixed], hbar=Fraction(1), domain=dom)
+        assert string_decompose(alone).strings == [(fixed, 1)]
+
+
+class TestRepeatedValues:
+    """Each distinctness check keeps its own error type and message."""
+
+    def test_multiplicities(self):
+        rd = RootData(mu=[Fraction(1), Fraction(4), Fraction(1)],
+                      hbar=Fraction(1), domain=at_q(Fraction(2)))
+        for mode in ("classical", "quantum"):
+            with pytest.raises(OrbitError) as err:
+                multiplicities(rd, 2, mode)
+            assert str(err.value) == "orbit is not 2-generic"
+
+    def test_string_decompose(self):
+        rd = RootData(mu=[Fraction(3), Fraction(4), Fraction(4)],
+                      hbar=Fraction(1), domain=SYMBOLIC)
+        with pytest.raises(OrbitError) as err:
+            string_decompose(rd)
+        assert str(err.value) == "orbit is not 1-generic"
+
+    def test_spectral_idempotents(self):
+        dom = at_q(Fraction(2))
+        mat = Mat.identity(2, dom.zero, dom.one)
+        with pytest.raises(OrbitError) as err:
+            spectral_idempotents(mat, [Fraction(3), 1, Fraction(2), 1], dom)
+        assert str(err.value) == "repeated roots at positions 1, 3"
+
+    def test_higher_newton_classical(self):
+        # (2, 3) is no signature: its eigenvalues mu = (3, 3) coincide
+        with pytest.raises(OrbitError) as err:
+            higher_newton_classical((2, 3), 1, 2)
+        assert str(err.value) == "orbit is not 1-generic"
 
 
 class TestSignatureHelpers:
