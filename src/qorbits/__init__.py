@@ -9,17 +9,16 @@ characteristics -- all over exact scalars (rationals, or rational functions
 in the deformation parameter q).
 """
 
-from .scalars import (Q, QScalar, Rational, ScalarDomain, SYMBOLIC, at_q,
-                      eval_at, format_scalar, parse_scalar, q_binomial,
-                      q_factorial, q_int)
+from .scalars import (Q, QScalar, ScalarDomain, SYMBOLIC, at_q, eval_at,
+                      format_scalar, parse_scalar, q_binomial, q_int)
 from .tensor import LegOperator, Mat, embed_on_legs, weighted_partial_trace
 from .hecke import (HeckeSymmetry, load_r_from_file, save_r_to_file,
                     skew_inverse_bc, standard_hecke, standard_r,
                     symmetry_rank, validate_hecke_symmetry)
 from .projectors import q_antisymmetrizer, q_symmetrizer
-from .reps import (Representation, fundamental_left, shift_reps,
+from .reps import (Representation, fundamental_left, rescaled,
                    sym_power_left, sym_power_right_p2, sym_power_right_rea_p2,
-                   tensor_power_left, verify_defining_relations)
+                   tensor_power_left, verify_defining_relations, with_mass)
 from .casimir import (CasimirMatrix, TraceWeights, closed_form_p2,
                       left_casimir_matrix, module_trace, q_dimension,
                       split_casimir_matrix, trace_weights)

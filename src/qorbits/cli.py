@@ -278,8 +278,7 @@ def suite_reps(args, rec, rng, domains):
 
         def shifts(h=h):
             f = reps_mod.fundamental_left(h)
-            rr = reps_mod.shift_reps(f, "mrea_to_rea", 1, h=h)
-            back = reps_mod.shift_reps(rr, "rea_to_mrea", 1, h=h)
+            back = reps_mod.with_mass(reps_mod.with_mass(f, 0, h), 1, h)
             ok = all(back.rho[i][j] == f.rho[i][j]
                      for i in range(h.n) for j in range(h.n))
             return ok, None
@@ -287,9 +286,8 @@ def suite_reps(args, rec, rng, domains):
 
         def z_action(h=h):
             f = reps_mod.fundamental_left(h)
-            a = reps_mod.shift_reps(
-                reps_mod.shift_reps(f, "z_shift", 3, h=h), "z_shift", 2, h=h)
-            b = reps_mod.shift_reps(f, "z_shift", 6, h=h)
+            a = reps_mod.rescaled(reps_mod.rescaled(f, 3, h), 2, h)
+            b = reps_mod.rescaled(f, 6, h)
             ok = all(a.rho[i][j] == b.rho[i][j]
                      for i in range(h.n) for j in range(h.n))
             return ok, None

@@ -12,15 +12,17 @@ The defining relations live on V (x) V with operator-valued entries:
 
     R L1 R L1 - L1 R L1 R = hbar (R L1 - L1 R),   L1 = L (x) I.
 
-Every constructor in this module verifies them once, when first built for a
-symmetry; the module is kept in that symmetry's memo under the constructor's
-name and arguments, so later requests share it and nobody may write into
-its blocks.
+A module carries its mass hbar and nothing else about the algebra: hbar = 0
+is the REA.  Every constructor in this module verifies the relations once,
+when first built for a symmetry; the module is kept in that symmetry's memo
+under the constructor's name and arguments, so later requests share it and
+nobody may write into its blocks.  The shifts :func:`with_mass` and
+:func:`rescaled` verify every module they return.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import List, Optional
 
@@ -90,8 +92,7 @@ def sym_chart(h, m: int) -> Compression:
 @dataclass
 class Representation:
     side: str                       # "left" | "right"
-    algebra: str                    # "mrea" | "rea"
-    hbar: Fraction
+    hbar: Fraction                  # the mass; 0 is the REA
     n: int
     d: int
     rho: List[List[Mat]]
@@ -126,31 +127,27 @@ class Representation:
 
     def __repr__(self):
         return (f"Representation({self.label}, side={self.side}, "
-                f"algebra={self.algebra}, d={self.d})")
+                f"hbar={self.hbar}, d={self.d})")
 
 
-def _affine_blocks(rep: Representation, a, c) -> List[List[Mat]]:
+def _affine_blocks(rho: List[List[Mat]], a, c, dom) -> List[List[Mat]]:
     """a rho_ij + c delta_ij I: the unit-element shifts and rescalings."""
-    ident = Mat.identity(rep.d, rep.domain.zero, rep.domain.one).scale(c)
+    ident = Mat.identity(rho[0][0].nrows, dom.zero, dom.one).scale(c)
     return [[blk.scale(a) + ident if i == j else blk.scale(a)
-             for j, blk in enumerate(row)] for i, row in enumerate(rep.rho)]
+             for j, blk in enumerate(row)] for i, row in enumerate(rho)]
 
 
-def verify_defining_relations(rep: Representation, h, hbar_value=None) -> list:
-    """Exact check of the reflection-equation relations; empty list iff valid.
+def verify_defining_relations(rep: Representation, h) -> list:
+    """Exact check of the (m)REA relations at the module's mass rep.hbar;
+    empty list iff valid.
 
     Returns the block positions ((i, j), (k, l)) at which the relation matrix
     is nonzero.  For side="right" the products are evaluated in the opposite
-    multiplication order, as befits an anti-homomorphism.  hbar_value
-    overrides the mass parameter with an arbitrary domain element (used to
-    diagnose which mass a candidate family actually satisfies).
+    multiplication order, as befits an anti-homomorphism.
     """
     n, d = rep.n, rep.d
     dom = rep.domain
-    if hbar_value is not None:
-        hbar = hbar_value
-    else:
-        hbar = dom.lift(rep.hbar) if rep.algebra == "mrea" else dom.zero
+    hbar = dom.lift(rep.hbar)
     l1 = rep.generator_matrix(2)
     rbig = h.r.mat.kron(Mat.identity(d, dom.zero, dom.one))
     rl = rbig * l1
@@ -194,7 +191,7 @@ def fundamental_left(h) -> Representation:
             row.append(Mat.from_entries(n, n, dom.zero,
                                         ((i, k, h.b[j, k]) for k in range(n))))
         rho.append(row)
-    rep = Representation("left", "mrea", Fraction(1), n, n, rho,
+    rep = Representation("left", Fraction(1), n, n, rho,
                          "fundamental", dom)
     return rep
 
@@ -220,7 +217,7 @@ def tensor_power_left(h, m: int) -> Representation:
                 total = total + cur
             row.append(total)
         rho.append(row)
-    rep = Representation("left", "mrea", Fraction(1), n, d, rho,
+    rep = Representation("left", Fraction(1), n, d, rho,
                          f"tensor_power m={m}", dom)
     return rep
 
@@ -246,7 +243,7 @@ def _sym_power(h, m: int, side: str, single_blocks, label: str) -> Representatio
                 blk = blk.kron(rest) if side == "left" else rest.kron(blk)
             out.append(chart.compress((s * blk * s).scale(scale)))
         rho.append(out)
-    return Representation(side, "mrea", Fraction(1), n, chart.dim, rho, label,
+    return Representation(side, Fraction(1), n, chart.dim, rho, label,
                           dom, chart=chart)
 
 
@@ -299,78 +296,50 @@ def sym_power_right_rea_p2(h, m: int) -> Representation:
     """
     base = sym_power_right_p2(h, m)
     dom = h.domain
-    rho = _affine_blocks(base, -dom.zeta, dom.one)
-    rep = Representation("right", "rea", Fraction(0), h.n, base.d, rho,
-                         f"sym_power_right m={m} [rea, spectral scale]", dom,
-                         chart=base.chart)
-    return rep
+    rho = _affine_blocks(base.rho, -dom.zeta, dom.one, dom)
+    return Representation("right", Fraction(0), h.n, base.d, rho,
+                          f"sym_power_right m={m} [rea, spectral scale]", dom,
+                          chart=base.chart)
 
 
-def shift_reps(rep: Representation, mode: str, value=None, h=None) -> Representation:
-    """Unit-element shifts between conventions.
+def with_mass(rep: Representation, hbar, h) -> Representation:
+    """The module at mass hbar: rho + (hbar - rep.hbar)/zeta on the diagonal.
 
-    mode="mrea_to_rea": subtract (hbar/zeta) on the diagonal, retag as REA.
-    mode="rea_to_mrea": inverse shift with the supplied hbar.
-    mode="z_shift": rho -> z rho + (1-z) hbar/zeta on the diagonal (z != 0),
-    which preserves the algebra tag and hbar.
+    The unit-element shift L -> L + c I with c zeta = hbar - rep.hbar carries
+    solutions of the relations at one mass onto those at another; hbar = 0
+    lands on the REA.  The result is verified against h.
     """
     dom = rep.domain
-    zeta = dom.zeta
-    if mode == "mrea_to_rea":
-        if rep.algebra != "mrea":
-            raise RepresentationError("mrea_to_rea needs an mREA representation")
-        hbar = Fraction(value) if value is not None else rep.hbar
-        rho = _affine_blocks(rep, dom.one, -dom.lift(hbar) / zeta)
-        out = Representation(rep.side, "rea", Fraction(0), rep.n, rep.d, rho,
-                             rep.label + " [rea]", dom, chart=rep.chart)
-    elif mode == "rea_to_mrea":
-        if rep.algebra != "rea":
-            raise RepresentationError("rea_to_mrea needs an REA representation")
-        hbar = Fraction(value if value is not None else 1)
-        rho = _affine_blocks(rep, dom.one, dom.lift(hbar) / zeta)
-        out = Representation(rep.side, "mrea", hbar, rep.n, rep.d, rho,
-                             rep.label + " [mrea]", dom, chart=rep.chart)
-    elif mode == "z_shift":
-        z = Fraction(value)
-        if z == 0:
-            raise RepresentationError("z must be nonzero")
-        zl = dom.lift(z)
-        rho = _affine_blocks(rep, zl, (dom.one - zl) * dom.lift(rep.hbar) / zeta)
-        out = Representation(rep.side, rep.algebra, rep.hbar, rep.n, rep.d,
-                             rho, rep.label + f" [z={z}]", dom, chart=rep.chart)
-    else:
-        raise RepresentationError(f"unknown shift mode {mode!r}")
-    if h is not None:
-        return _checked(out, h)
-    return out
+    hbar = Fraction(hbar)
+    c = (dom.lift(hbar) - dom.lift(rep.hbar)) / dom.zeta
+    return _checked(replace(rep, hbar=hbar,
+                            rho=_affine_blocks(rep.rho, dom.one, c, dom),
+                            label=rep.label + f" [hbar={hbar}]"), h)
+
+
+def rescaled(rep: Representation, z, h) -> Representation:
+    """rho -> z rho + (1 - z) hbar/zeta on the diagonal (z != 0) at the same
+    mass: the rescaling of the REA shifted to the module's mass.  The result
+    is verified against h."""
+    z = Fraction(z)
+    if z == 0:
+        raise RepresentationError("z must be nonzero")
+    dom = rep.domain
+    zl = dom.lift(z)
+    c = (dom.one - zl) * dom.lift(rep.hbar) / dom.zeta
+    return _checked(replace(rep, rho=_affine_blocks(rep.rho, zl, c, dom),
+                            label=rep.label + f" [z={z}]"), h)
 
 
 def corollary_phi_blocks(h, m: int) -> List[List[Mat]]:
-    """Single-leg blocks of the printed closed form for the shifted right action.
+    """Single-leg blocks of the printed closed form for the shifted right action:
+    q**(1-m) m_q delta_ij I - zeta * (single-leg right action).
 
     Kept verbatim as a cross-check: the shift route through
     :func:`sym_power_right_p2` is authoritative, and the comparison test
     records how this form deviates (overall -zeta scale at m = 1, an extra
     unit-matrix summand beyond).
     """
-    n, dom = h.n, h.domain
-    a2 = q_antisymmetrizer(h, 2)
-    lead = dom.q_pow(1 - m) * dom.q_int(m)
-    coeff = dom.zeta * dom.q_int(2) * dom.q_pow(-2)
-    rho = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entries = []
-            for s in range(n):
-                for k in range(n):
-                    v = a2.mat[s * n + j, k * n + i]
-                    acc = dom.zero
-                    if v:
-                        acc = acc - coeff * v
-                    if i == j and s == k:
-                        acc = acc + lead
-                    entries.append((s, k, acc))
-            row.append(Mat.from_entries(n, n, dom.zero, entries))
-        rho.append(row)
-    return rho
+    dom = h.domain
+    return _affine_blocks(right_fundamental_blocks(h), -dom.zeta,
+                          dom.q_pow(1 - m) * dom.q_int(m), dom)

@@ -27,8 +27,6 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-Rational = Fraction
-
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
@@ -486,13 +484,6 @@ def q_int(m: int) -> QScalar:
     if m < 0:
         return -q_int(-m)
     return _make((1, 0) * (m - 1) + (1,), _q_pow_poly(m - 1))
-
-
-def q_factorial(m: int) -> QScalar:
-    out = Q_ONE
-    for i in range(2, m + 1):
-        out = out * q_int(i)
-    return out
 
 
 def q_binomial(p: int, k: int) -> QScalar:

@@ -403,9 +403,6 @@ class LegOperator:
             n * n, n * n, domain.zero,
             ((r, (r % n) * n + r // n, domain.one) for r in range(n * n))))
 
-    def dim(self) -> int:
-        return self.n ** self.m
-
     def __mul__(self, other):
         if isinstance(other, LegOperator):
             if (self.n, self.m) != (other.n, other.m):
@@ -423,9 +420,6 @@ class LegOperator:
             raise LegError("leg mismatch in difference")
         return LegOperator(self.n, self.m, self.mat - other.mat)
 
-    def __neg__(self):
-        return LegOperator(self.n, self.m, -self.mat)
-
     def scale(self, s) -> "LegOperator":
         return LegOperator(self.n, self.m, self.mat.scale(s))
 
@@ -436,9 +430,6 @@ class LegOperator:
 
     def is_zero(self) -> bool:
         return self.mat.is_zero()
-
-    def transpose(self) -> "LegOperator":
-        return LegOperator(self.n, self.m, self.mat.transpose())
 
     def __repr__(self):
         return f"LegOperator(n={self.n}, m={self.m})"

@@ -9,8 +9,8 @@ from qorbits.scalars import (SYMBOLIC, QScalar, at_q, eval_at, random_q,
                              random_rationals)
 from qorbits.tensor import Mat
 from qorbits.hecke import standard_hecke
-from qorbits.reps import (fundamental_left, shift_reps, sym_power_left,
-                          sym_power_right_rea_p2)
+from qorbits.reps import (fundamental_left, sym_power_left,
+                          sym_power_right_rea_p2, with_mass)
 from qorbits.identities import (CentralValues, IdentityError, RootData,
                                 central_elements_in_rep, ch_verify,
                                 ch_verify_coefficients, compositions,
@@ -104,7 +104,7 @@ class TestNewton:
         # central values, with every Newton row exact
         h = standard_hecke(3, at_q(Fraction(3, 5)))
         for rep in (fundamental_left(h), sym_power_left(h, 2)):
-            rea = shift_reps(rep, "mrea_to_rea", h=h)
+            rea = with_mass(rep, 0, h)
             cv = central_elements_in_rep(h, rea, 3)
             assert len(cv.sigma) == len(cv.s) == 4
             assert all(cv.sigma[1:]) and all(cv.s[1:])

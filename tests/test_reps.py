@@ -9,10 +9,10 @@ from qorbits.scalars import at_q
 from qorbits.tensor import Mat
 from qorbits.projectors import q_antisymmetrizer, q_symmetrizer
 from qorbits.reps import (Representation, RepresentationError,
-                          corollary_phi_blocks, fundamental_left,
-                          shift_reps, sym_chart, sym_power_left,
-                          sym_power_right_p2, sym_power_right_rea_p2,
-                          tensor_power_left, verify_defining_relations)
+                          corollary_phi_blocks, fundamental_left, rescaled,
+                          sym_chart, sym_power_left, sym_power_right_p2,
+                          sym_power_right_rea_p2, tensor_power_left,
+                          verify_defining_relations, with_mass)
 
 
 def _bumped(rep, i, j):
@@ -48,8 +48,8 @@ class TestFundamental:
     def test_zero_rep_solves_massless_relations(self, h2):
         zero_blocks = [[Mat.zeros(3, 3, h2.domain.zero) for _ in range(2)]
                        for _ in range(2)]
-        rep = Representation("left", "rea", Fraction(0), 2, 3, zero_blocks,
-                             "zero", h2.domain)
+        rep = Representation("left", Fraction(0), 2, 3, zero_blocks, "zero",
+                             h2.domain)
         assert verify_defining_relations(rep, h2) == []
 
 
@@ -173,46 +173,65 @@ class TestRightModules:
         # reading the right blocks as a left representation must fail:
         # the engine's order reversal is doing real work
         rep = sym_power_right_p2(h2, 2)
-        fake = Representation("left", "mrea", Fraction(1), rep.n, rep.d,
-                              rep.rho, "wrong side", rep.domain)
+        fake = Representation("left", Fraction(1), rep.n, rep.d, rep.rho,
+                              "wrong side", rep.domain)
         assert verify_defining_relations(fake, h2) != []
+        # and no shift hands it back as a module
+        for shift in (lambda: with_mass(fake, 0, h2),
+                      lambda: with_mass(fake, 1, h2),
+                      lambda: rescaled(fake, 2, h2)):
+            with pytest.raises(RepresentationError, match="wrong side"):
+                shift()
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_spectral_normalization_is_rea(self, h2, m):
         rep = sym_power_right_rea_p2(h2, m)
-        assert rep.algebra == "rea"
+        assert rep.hbar == 0
         assert verify_defining_relations(rep, h2) == []
 
 
 class TestShifts:
     def test_round_trip(self, h2):
         f = fundamental_left(h2)
-        back = shift_reps(shift_reps(f, "mrea_to_rea", 1, h=h2),
-                          "rea_to_mrea", 1, h=h2)
+        back = with_mass(with_mass(f, 0, h2), 1, h2)
+        assert all(back.rho[i][j] == f.rho[i][j]
+                   for i in range(2) for j in range(2))
+
+    def test_mass_to_mass_round_trip(self, h2):
+        f = fundamental_left(h2)
+        other = with_mass(f, Fraction(2, 3), h2)
+        assert other.hbar == Fraction(2, 3)
+        assert other.rho[0][0] != f.rho[0][0]
+        back = with_mass(other, 1, h2)
+        assert back.hbar == 1
         assert all(back.rho[i][j] == f.rho[i][j]
                    for i in range(2) for j in range(2))
 
     def test_z_shift_identity(self, h2):
         f = fundamental_left(h2)
-        same = shift_reps(f, "z_shift", 1, h=h2)
+        same = rescaled(f, 1, h2)
         assert all(same.rho[i][j] == f.rho[i][j]
                    for i in range(2) for j in range(2))
 
     def test_z_shift_group_action(self, h2):
         f = fundamental_left(h2)
-        two_steps = shift_reps(shift_reps(f, "z_shift", Fraction(3, 2), h=h2),
-                               "z_shift", Fraction(4, 3), h=h2)
-        direct = shift_reps(f, "z_shift", 2, h=h2)
+        two_steps = rescaled(rescaled(f, Fraction(3, 2), h2), Fraction(4, 3), h2)
+        direct = rescaled(f, 2, h2)
         assert all(two_steps.rho[i][j] == direct.rho[i][j]
                    for i in range(2) for j in range(2))
 
     def test_z_zero_rejected(self, h2):
         with pytest.raises(RepresentationError):
-            shift_reps(fundamental_left(h2), "z_shift", 0)
+            rescaled(fundamental_left(h2), 0, h2)
+
+    def test_rescaling_keeps_the_mass(self, h2):
+        for rep in (fundamental_left(h2), sym_power_right_rea_p2(h2, 2),
+                    with_mass(fundamental_left(h2), Fraction(2, 3), h2)):
+            assert rescaled(rep, Fraction(3, 2), h2).hbar == rep.hbar
 
     def test_shifted_rea_satisfies_massless_relations(self, h2):
-        rea = shift_reps(sym_power_right_p2(h2, 2), "mrea_to_rea", 1)
-        assert rea.algebra == "rea"
+        rea = with_mass(sym_power_right_p2(h2, 2), 0, h2)
+        assert rea.hbar == 0
         assert verify_defining_relations(rea, h2) == []
 
 
@@ -235,9 +254,8 @@ class TestPrintedClosedFormFinding:
                           else blocks[i][j])
                 row.append(chart.compress((s.mat * single * s.mat).scale(scale)))
             rho.append(row)
-        return Representation("right", "rea", Fraction(0), h.n, chart.dim,
-                              rho, f"printed closed form m={m}", dom,
-                              chart=chart)
+        return Representation("right", Fraction(0), h.n, chart.dim, rho,
+                              f"printed closed form m={m}", dom, chart=chart)
 
     def test_degree_one_agrees_up_to_scale(self, h2):
         lit = self._assemble(h2, 1)
@@ -256,7 +274,7 @@ class TestPrintedClosedFormFinding:
         dom = h2.domain
         c = dom.q_pow(1 - m) * dom.q_int(m)
         mass = dom.zeta * (c * c - dom.one)
-        assert verify_defining_relations(lit, h2, hbar_value=mass) == []
+        assert verify_defining_relations(replace(lit, hbar=mass), h2) == []
         auth = sym_power_right_rea_p2(h2, m)
         ident = Mat.identity(lit.d, dom.zero, dom.one)
         # off-diagonal generators agree; the diagonal ones differ by exactly
@@ -277,9 +295,9 @@ class TestMemo:
         verified = []
         real = reps.verify_defining_relations
 
-        def counting(rep, hh, hbar_value=None):
+        def counting(rep, hh):
             verified.append(rep.label)
-            return real(rep, hh, hbar_value)
+            return real(rep, hh)
         monkeypatch.setattr(reps, "verify_defining_relations", counting)
         first = [build(h, *args) for build, *args in self.REQUESTS]
         second = [build(h, *args) for build, *args in self.REQUESTS]
