@@ -119,8 +119,24 @@ def _r_matrix(args, domain, n: int):
         raise SystemExit(3)
 
 
-def _hecke(args, domain, n: int) -> hecke_mod.HeckeSymmetry:
-    return hecke_mod.HeckeSymmetry(_r_matrix(args, domain, n), domain)
+def _hecke(args, domain, n: int, standard: bool = False) -> hecke_mod.HeckeSymmetry:
+    """The symmetry on the --r-file R-matrix (the standard one on an
+    n-dimensional space when there is none, or when standard is set).
+
+    One run builds each (n, q, R-file) symmetry once: the suites of ``all``
+    share it and its memo of projectors, charts and modules.  A single
+    suite asks for each symmetry once, so only ``all`` keeps them.
+    """
+    r_file = None if standard else args.r_file
+    key = (r_file or n, domain.describe())
+    h = args.symmetries.get(key)
+    if h is None:
+        r = (hecke_mod.standard_r(n, domain) if standard
+             else _r_matrix(args, domain, n))
+        h = hecke_mod.HeckeSymmetry(r, domain)
+        if args.suite == "all":
+            args.symmetries[key] = h
+    return h
 
 
 def _largest_spaces(args, file_n) -> dict:
@@ -475,7 +491,7 @@ def suite_orbit(args, rec, rng, domains):
         rec.run(f"orbit.q{tag}.hn_classical", "hn_classical", {"q": tag},
                 hn_classical)
 
-        h2 = hecke_mod.standard_hecke(2, dom)
+        h2 = _hecke(args, dom, 2, standard=True)
 
         def hn_quantum(h2=h2):
             for algebra in ("rea", "mrea"):
@@ -707,6 +723,7 @@ def run_suite(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _check_args(parser, args)
+    args.symmetries = {}
     rec = CheckRecorder()
     for name in SUITES if args.suite == "all" else [args.suite]:
         # every suite gets the fresh rng a standalone run gets and draws its

@@ -10,11 +10,16 @@ integer divisions (Gauss's lemma).  Laurent polynomials in q (the common
 case: q-integers, q-binomials, R-matrix entries) are rational functions whose
 denominator is a monomial c*q**k.
 
-Identities claimed "for symbolic q" may alternatively be certified by exact
-evaluation at several random rational points (see :func:`random_q`); all
-degree bounds in this package are far below the sample space, so a handful of
-agreeing samples is decisive in practice.  Symbolic and evaluated modes share
-one code path through :class:`ScalarDomain`.
+Identities claimed "for symbolic q" may alternatively be checked by exact
+evaluation at random rational points (see :func:`random_q`).  Such a check
+is a Schwartz-Zippel test: :func:`random_q` draws (num, den) uniformly from
+the 257 * 128 - 384 pairs with |num|, den <= 128 that give neither 0 nor
++-1, and no value is given by more than 64 of them, so a nonzero rational
+function whose numerator has degree d vanishes at the drawn q with
+probability at most 64 d / 32512 < d / 500; k independent samples pass a
+false identity of that degree with probability at most (d / 500)**k.
+Symbolic and evaluated modes share one code path through
+:class:`ScalarDomain`.
 
 All values are immutable.
 """
@@ -25,7 +30,6 @@ import math
 import re
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -136,13 +140,8 @@ def _int_prem(f: list, g: list) -> list:
     return f
 
 
-@lru_cache(maxsize=1 << 16)
 def _pgcd_int(a: tuple, b: tuple) -> tuple:
-    """Primitive gcd of integer polynomials by primitive remainder sequences.
-
-    Memoized: the same denominator pairs (small q-integer products) recur
-    millions of times across matrix entries.
-    """
+    """Primitive gcd of integer polynomials by primitive remainder sequences."""
     f = _int_primitive(a)
     g = _int_primitive(b)
     if len(f) < len(g):
@@ -157,7 +156,7 @@ def _pgcd(a: tuple, b: tuple) -> tuple:
     """Primitive gcd of nonzero integer polynomials, up to sign.
 
     The gcd of f with a monomial c*q**k is q**min(k, low(f)), with no
-    remainder sequence and no cache lookup.
+    remainder sequence.
     """
     if _is_monomial(b):
         return _q_pow_poly(min(len(b) - 1, _plow(a)))
@@ -471,6 +470,173 @@ def _cross_cancelled_product(n1, d1, n2, d2) -> QScalar:
 Q_ZERO = _make((), (1,))
 Q_ONE = _make((1,), (1,))
 Q = QScalar.q_power(1)
+
+
+# ---------------------------------------------------------------------------
+# a symbolic matrix as integer Laurent numerators over one denominator
+# ---------------------------------------------------------------------------
+#
+# The numerators are QScalars over a monic q**k (integer Laurent
+# polynomials); the denominator is a QScalar over 1 whose constant term is
+# positive (an integer polynomial that q does not divide).  Products of
+# numerators run on Python ints by Kronecker substitution (Kronecker 1882;
+# Schoenhage 1982): a numerator becomes its value at X = 2**bits, relative to
+# a low exponent, and a sum of products is read back from balanced base-X
+# digits, which is exact while every coefficient is below 2**(bits - 1) in
+# absolute value.
+
+def _poly(n: tuple) -> QScalar:
+    return Q_ONE if n == (1,) else _make(n, (1,))
+
+
+def _laurent(n: tuple, low: int) -> QScalar:
+    """sum_i n[i] q**(low + i) for integer coefficients, n[0] != 0."""
+    if low < 0:
+        return _make(n, _q_pow_poly(-low))
+    return _make((0,) * low + n, (1,))
+
+
+def laurent_split(s: QScalar) -> tuple:
+    """(N, D) with s = N / D: N an integer Laurent polynomial, D an integer
+    polynomial with D(0) > 0, coprime in Z[q]; s may be a rational."""
+    if not isinstance(s, QScalar):
+        s = QScalar.from_rational(s)
+    d = s._d
+    k = _plow(d)
+    if not k:
+        return _make(s._n, (1,)), _poly(d)
+    return _make(s._n, _q_pow_poly(k)), _poly(d[k:])
+
+
+def laurent_rows(rows) -> tuple:
+    """Rows of column -> nonzero QScalar as (rows of integer Laurent
+    numerators over their least common denominator, that denominator)."""
+    split = [{c: laurent_split(v) for c, v in row.items()} for row in rows]
+    dens = {d._n: d for row in split for _, d in row.values()}
+    den = Q_ONE
+    for d in dens.values():
+        den = lcm_factors(den, d)[0]
+    factor = {k: _poly(_int_div_exact(den._n, k)) for k in dens}
+    return [{c: n if factor[d._n] is Q_ONE else n * factor[d._n]
+             for c, (n, d) in row.items()} for row in split], den
+
+
+def lcm_factors(a: QScalar, b: QScalar) -> tuple:
+    """(l, l / a, l / b) for the least common multiple l of two denominators."""
+    if a._n == b._n:
+        return a, Q_ONE, Q_ONE
+    g = common_divisor(a, (b,))._n
+    fa = _int_div_exact(b._n, g)
+    return _poly(_pmul(a._n, fa)), _poly(fa), _poly(_int_div_exact(a._n, g))
+
+
+def common_divisor(den: QScalar, nums) -> QScalar:
+    """gcd in Z[q] of a denominator and integer Laurent polynomials, as a
+    denominator; q is a unit here, since it does not divide den.
+
+    The gcd is kept as an integer content times a primitive polynomial and
+    updated numerator by numerator, skipping repeats (a projector's entries
+    take few distinct values); the scan stops as soon as it is 1.
+    """
+    d = den._n
+    c = math.gcd(*d)
+    p = tuple(x // c for x in d) if c > 1 else d
+    seen = set()
+    for v in nums:
+        if c == 1 and len(p) == 1:
+            return Q_ONE
+        n = v._n
+        if n in seen:
+            continue
+        seen.add(n)
+        if c > 1:
+            c = math.gcd(c, *n)
+        if len(p) > 1:
+            p = _pgcd(p, n)
+    if c == 1 and len(p) == 1:
+        return Q_ONE
+    if p[0] < 0:
+        p = _pneg(p)
+    return _poly(tuple(c * x for x in p) if c > 1 else p)
+
+
+def divide_exact(v: QScalar, g: QScalar) -> QScalar:
+    """v / g for an integer Laurent polynomial or a denominator v and a
+    denominator g that divides it in Z[q]."""
+    return _make(_int_div_exact(v._n, g._n), v._d)
+
+
+def laurent_scaled(rows, s: QScalar) -> list:
+    """Rows of integer Laurent polynomials, each times the integer Laurent
+    polynomial s."""
+    sn, sk = s._n, len(s._d) - 1
+    out = []
+    for row in rows:
+        new = {}
+        for c, v in row.items():
+            n = _pmul(v._n, sn)
+            skip = 0
+            while not n[skip]:
+                skip += 1
+            new[c] = _laurent(n[skip:], skip - sk - len(v._d) + 1)
+        out.append(new)
+    return out
+
+
+def pack_width(arows, brows) -> int:
+    """Bits B of a packing in which the product of two matrices of integer
+    Laurent numerators is exact: 2**(B - 1) > H, where H = max_i sum_k
+    |a_ik|_1 * max_kj |b_kj|_inf bounds every coefficient of the product;
+    at least 2, the least width :func:`unpack_rows` reads."""
+    top = max((sum(sum(map(abs, v._n)) for v in row.values()) for row in arows),
+              default=0)
+    big = max((max(map(abs, v._n)) for row in brows for v in row.values()),
+              default=0)
+    return max(2, (top * big).bit_length() + 1)
+
+
+def pack_rows(rows, bits: int) -> tuple:
+    """(rows of each numerator's value at X = 2**bits times X**-low, low),
+    where q**low, low <= 0, is the lowest negative power in the rows."""
+    top = max((len(v._d) for row in rows for v in row.values()), default=1)
+    out = []
+    for row in rows:
+        new = {}
+        for c, v in row.items():
+            acc = 0
+            for x in reversed(v._n):
+                acc = (acc << bits) + x
+            new[c] = acc << (bits * (top - len(v._d)))
+        out.append(new)
+    return out, 1 - top
+
+
+def unpack_rows(rows, bits: int, low: int) -> list:
+    """Inverse of :func:`pack_rows` on nonzero values whose balanced base
+    2**bits digits, in [-2**(bits - 1), 2**(bits - 1)), are the coefficients
+    from q**low up.  Every int has such digits when bits >= 2."""
+    if bits < 2:
+        raise ValueError("balanced digits need at least 2 bits")
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    full = 1 << bits
+    out = []
+    for row in rows:
+        new = {}
+        for c, acc in row.items():
+            digits = []
+            while acc:
+                x = acc & mask
+                if x >= half:
+                    x -= full
+                digits.append(x)
+                acc = (acc - x) >> bits
+            skip = 0
+            while not digits[skip]:
+                skip += 1
+            new[c] = _laurent(tuple(digits[skip:]), low + skip)
+        out.append(new)
+    return out
 
 
 # ---------------------------------------------------------------------------

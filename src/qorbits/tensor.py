@@ -5,12 +5,15 @@ column -> nonzero numerator for row i, and entry (i, j) is
 ``data[i][j] / den``.  In evaluated mode (q a rational number, Fraction
 entries) the numerators are ints and ``den`` is a positive int, so products,
 sums, kron and embeddings run on integers and each result is reduced once by
-its content.  In symbolic mode (QScalar entries) the numerators are the
-entries themselves and ``den`` is 1; the same kernels then do exactly the
-QScalar arithmetic of an entrywise matrix.  R-matrices,
-q-(anti)symmetrizers, their embeddings and the module operators are all very
-sparse, so every operation touches nonzeros only; the product is the
-row-wise sparse product (Gustavson 1978).  Exact solves go through one
+its content.  In symbolic mode (QScalar entries) the numerators are integer
+Laurent polynomials in q and ``den`` is an integer polynomial with positive
+constant term; a product packs the numerators into ints at q = 2**B
+(Kronecker substitution, with B taken from the operands so that it is
+exact), runs the same integer kernel and reads the result back from
+balanced base-2**B digits.  R-matrices, q-(anti)symmetrizers, their
+embeddings and the module operators are all very sparse, so every operation
+touches nonzeros only; the product is the row-wise sparse product
+(Gustavson 1978).  Exact solves go through one
 routine, ``row_reduce`` (Gauss-Jordan on a dense copy of the entries, at most
 a few hundred rows in scope): ``inverse`` reduces [A | I], and a projector's
 reduction yields both its pivot columns and a left inverse on its image.
@@ -27,23 +30,26 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .scalars import (Q_ONE, common_divisor, divide_exact, laurent_rows,
+                      laurent_scaled, laurent_split, lcm_factors, pack_rows,
+                      pack_width, unpack_rows)
+
 
 class Mat:
     """Exact sparse matrix over a field: numerators over one denominator.
 
     ``data[i]`` maps column -> numerator for row i and ``den`` is the common
-    denominator: ints over a positive int for Fraction entries, the QScalar
-    entries themselves over 1 in symbolic mode.  Every operation keeps four
+    denominator: ints over a positive int for Fraction entries; in symbolic
+    mode integer Laurent polynomials (QScalars over a monic power of q) over
+    an integer polynomial (a QScalar over 1) whose constant term is
+    positive, so that q does not divide it.  Every operation keeps four
     invariants:
 
     * no zero is stored;
-    * the keys of each row are in ascending column order, so a product
-      accumulates each entry over k in the order of the dense loop (the
-      partial sums of a symbolic entry are reduced in that order, which
-      keeps them small);
-    * the form is reduced: gcd(den, all numerators) = 1, so the zero matrix
-      and every symbolic matrix have den 1, and equal matrices have equal
-      ``den`` and ``data``;
+    * the keys of each row are in ascending column order;
+    * the form is reduced: gcd(den, all numerators) = 1, in Z or in Z[q],
+      so the zero matrix has den 1, and equal matrices have equal ``den``
+      and ``data``;
     * the matrix carries its domain's ``zero``, the value of an absent
       entry.
 
@@ -85,7 +91,8 @@ class Mat:
 
     @staticmethod
     def zeros(nr: int, nc: int, zero) -> "Mat":
-        return _mat([{} for _ in range(nr)], 1, nr, nc, zero)
+        return _mat([{} for _ in range(nr)], 1 if _rational(zero) else Q_ONE,
+                    nr, nc, zero)
 
     @staticmethod
     def identity(n: int, zero, one) -> "Mat":
@@ -160,10 +167,9 @@ class Mat:
         """Sum or difference over lcm(den_a, den_b)."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("matrix shape mismatch")
-        den = lcm(self.den, other.den)
+        den, fa, fb = _lcm(self.zero, self.den, other.den)
         out = []
-        for ra, rb in zip(_rescaled(self.data, den // self.den),
-                          _rescaled(other.data, den // other.den)):
+        for ra, rb in zip(_rescaled(self.data, fa), _rescaled(other.data, fb)):
             row = dict(ra)
             grew = False
             for c, b in rb.items():
@@ -190,23 +196,25 @@ class Mat:
         if not s:
             return Mat.zeros(self.nrows, self.ncols, self.zero)
         num, den = _split(self.zero, s)
-        return _reduced([{c: num * v for c, v in row.items()} for row in self.data],
-                        self.den * den, self.nrows, self.ncols, self.zero)
+        if _rational(self.zero):
+            data = [{c: num * v for c, v in row.items()} for row in self.data]
+        else:
+            data = laurent_scaled(self.data, num)
+        return _reduced(data, self.den * den, self.nrows, self.ncols, self.zero)
 
     def __mul__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch")
-        bdata = other.data
-        out = []
-        for arow in self.data:
-            acc = {}
-            for k, a in arow.items():
-                for j, b in bdata[k].items():
-                    x = acc.get(j)
-                    acc[j] = a * b if x is None else x + a * b
-            out.append({j: acc[j] for j in sorted(acc) if acc[j]})
+        if _rational(self.zero):
+            out = _product(self.data, other.data)
+        else:
+            # Kronecker substitution: exact at a width taken from the operands
+            bits = pack_width(self.data, other.data)
+            adata, alow = pack_rows(self.data, bits)
+            bdata, blow = pack_rows(other.data, bits)
+            out = unpack_rows(_product(adata, bdata), bits, alow + blow)
         return _reduced(out, self.den * other.den, self.nrows, other.ncols,
                         self.zero)
 
@@ -227,14 +235,29 @@ class Mat:
 _new = object.__new__
 
 
+def _product(adata, bdata) -> list:
+    """Rows of the product of two matrices of numerators, with no zero
+    stored and each row in column order."""
+    out = []
+    for arow in adata:
+        acc = {}
+        for k, a in arow.items():
+            for j, b in bdata[k].items():
+                x = acc.get(j)
+                acc[j] = a * b if x is None else x + a * b
+        out.append({j: acc[j] for j in sorted(acc) if acc[j]})
+    return out
+
+
 def _check_index(i: int, j: int, nrows: int, ncols: int) -> None:
     if not (0 <= i < nrows and 0 <= j < ncols):
         raise IndexError(f"entry ({i}, {j}) outside a {nrows}x{ncols} matrix")
 
 
-# The domain-specific steps: an entry to a numerator and back, and the
-# content reduction.  Evaluated mode is recognised by a rational zero; every
-# other domain (QScalar) keeps its entries as numerators over 1.
+# The domain-specific steps: an entry to a numerator and back, the lcm of two
+# denominators and the content reduction.  Evaluated mode is recognised by a
+# rational zero; every other domain is symbolic (QScalar) and uses the
+# numerator helpers of the scalars module.
 
 def _rational(zero) -> bool:
     return isinstance(zero, (int, Fraction))
@@ -244,32 +267,51 @@ def _split(zero, v) -> tuple:
     """(numerator, denominator) of an entry."""
     if _rational(zero):
         return v.numerator, v.denominator
-    return v, 1
+    return laurent_split(v)
 
 
 def _entry(zero, num, den):
     """The entry num / den, in the domain of zero."""
     if _rational(zero):
         return Fraction(num, den)
-    return num
+    return num if den is Q_ONE else num / den
+
+
+def _lcm(zero, a, b) -> tuple:
+    """(l, l / a, l / b) for the least common multiple l of two denominators."""
+    if _rational(zero):
+        den = lcm(a, b)
+        return den, den // a, den // b
+    return lcm_factors(a, b)
 
 
 def _reduce(data, den) -> tuple:
     """Divide the numerators and den by their content; returns (data, den).
-    Exits at once when den is 1, which it always is in symbolic mode."""
-    if den == 1:
+    The content is a running gcd that stops once it is 1, and exits at once
+    when den is 1."""
+    if isinstance(den, int):
+        if den == 1:
+            return data, den
+        g = den
+        for row in data:
+            if row:
+                g = gcd(g, *row.values())
+                if g == 1:
+                    return data, den
+        return [{c: v // g for c, v in row.items()} for row in data], den // g
+    if den == Q_ONE:
+        return data, Q_ONE
+    g = common_divisor(den, (v for row in data for v in row.values()))
+    if g is Q_ONE:
         return data, den
-    g = den
-    for row in data:
-        if row:
-            g = gcd(g, *row.values())
-            if g == 1:
-                return data, den
-    return [{c: v // g for c, v in row.items()} for row in data], den // g
+    den = divide_exact(den, g)
+    return ([{c: divide_exact(v, g) for c, v in row.items()} for row in data],
+            Q_ONE if den == Q_ONE else den)
 
 
 def _rescaled(data, f) -> list:
-    """The numerator rows times the integer f (the rows themselves if f is 1)."""
+    """The numerator rows times the denominator factor f (the rows
+    themselves if f is 1)."""
     if f == 1:
         return data
     return [{c: v * f for c, v in row.items()} for row in data]
@@ -279,7 +321,7 @@ def _numerators(rows, zero) -> tuple:
     """Rows of column -> nonzero entry as (rows of numerators over their
     least common denominator, that denominator)."""
     if not _rational(zero):
-        return rows, 1
+        return laurent_rows(rows)
     den = 1
     for row in rows:
         for v in row.values():

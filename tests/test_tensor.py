@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qorbits.hecke import standard_hecke, standard_r
-from qorbits.projectors import q_antisymmetrizer
-from qorbits.scalars import Q_ZERO, SYMBOLIC, QScalar, at_q, q_int
+from qorbits.projectors import q_antisymmetrizer, q_symmetrizer
+from qorbits.scalars import (Q, Q_ZERO, SYMBOLIC, QScalar, at_q, pack_rows,
+                             pack_width, q_int, unpack_rows)
 from qorbits.tensor import (LegOperator, LegError, Mat, embed_on_legs,
                             inverse, row_reduce, weighted_partial_trace)
 
@@ -154,12 +155,17 @@ class TestExactLinearAlgebra:
 # ---------------------------------------------------------------------------
 
 # denominators beyond 2 make sums and products take an lcm and reduce by a
-# content other than 1
+# content other than 1; in symbolic mode the pool also holds coefficients
+# near 2**70 and a power q**-40 (wide and long packings), denominators that
+# share the factors q**2 + 1 and q + 1, and rational contents 1/3 and -3/2
 FRACTION_POOL = [Fraction(v, d) for v in range(-3, 4)
                  for d in (1, 2, 3, 7, 15, 101) if v]
-QSCALAR_POOL = [QScalar.q_power(1), QScalar.q_power(-2), q_int(2),
+QSCALAR_POOL = [Q, Q ** -2, q_int(2),
                 QScalar.from_rational(Fraction(-3, 2)),
-                QScalar.q_power(1) - 1, q_int(3) / (QScalar.q_power(1) + 1)]
+                Q - 1, q_int(3) / (Q + 1),
+                (2 ** 70 - 1) * Q ** -1 - (2 ** 70 - 3) * Q ** 2, Q ** -40,
+                q_int(2) ** -2, 1 / (q_int(2) * (Q + 1)),
+                QScalar.from_rational(Fraction(1, 3))]
 DOMAINS = {"fraction": (Fraction(0), FRACTION_POOL),
            "qscalar": (Q_ZERO, QSCALAR_POOL)}
 
@@ -176,23 +182,60 @@ def domain_case(draw):
     return zero, pool, lambda nr, nc: dense(draw, zero, pool, nr, nc)
 
 
+def qpoly_gcd(a, b):
+    """Monic gcd over Q of two polynomials (Fraction coefficient lists indexed
+    by degree, no trailing zeros), by Euclid: an oracle independent of the
+    integer remainder sequences of the library."""
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            f = r[-1] / b[-1]
+            shift = len(r) - len(b)
+            for i, y in enumerate(b):
+                r[shift + i] -= f * y
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, r
+    return [x / a[-1] for x in a]
+
+
 def assert_canonical(mat):
     """No stored zero, keys in ascending column order and in range, and the
-    reduced form: den > 0 and gcd(den, numerators) = 1, so den = 1 for the
-    zero matrix and for every symbolic matrix."""
+    reduced form, so that equal matrices have equal ``den`` and ``data``.
+
+    Evaluated mode: int numerators over an int den > 0 with gcd 1.  Symbolic
+    mode: integer Laurent numerators (QScalars over a monic power of q) over
+    an integer polynomial den with positive constant term, with gcd 1 in
+    Z[q]: no common integer content and no common factor in Q[q].  The zero
+    matrix has den 1 in both."""
     assert len(mat.data) == mat.nrows
     for row in mat.data:
         keys = list(row)
         assert keys == sorted(keys)
         assert all(0 <= c < mat.ncols for c in keys)
         assert all(row.values())
-    assert isinstance(mat.den, int) and mat.den > 0
-    if isinstance(mat.zero, QScalar) or mat.is_zero():
-        assert mat.den == 1
-    else:
-        nums = [v for row in mat.data for v in row.values()]
+    nums = [v for row in mat.data for v in row.values()]
+    if not isinstance(mat.zero, QScalar):
+        assert isinstance(mat.den, int) and mat.den > 0
         assert all(isinstance(v, int) for v in nums)
         assert gcd(mat.den, *nums) == 1
+        return
+    den = mat.den
+    assert isinstance(den, QScalar) and tuple(den.den) == (1,)
+    assert den.num[0] > 0
+    if mat.is_zero():
+        assert den == 1
+    coeffs = [list(den.num)]
+    for v in nums:
+        shift = len(v.den) - 1
+        assert tuple(v.den) == (0,) * shift + (1,)
+        assert all(c.denominator == 1 for c in v.num)
+        coeffs.append(list(v.num))
+    assert gcd(*(int(c) for cs in coeffs for c in cs)) == 1
+    g = coeffs[0]
+    for cs in coeffs[1:]:
+        g = qpoly_gcd(g, cs)
+    assert len(g) == 1
 
 
 def ref_mul(a, b, zero):
@@ -383,6 +426,37 @@ class TestSparseAgainstDense:
             assert Mat.zeros(0, 0, zero).trace() == zero
             assert Mat([], zero).trace() == zero
             assert Mat.zeros(3, 3, zero).trace() == zero
+
+
+class TestSymbolicLayout:
+    def test_symmetrizer_over_one_polynomial(self, h2):
+        # row 1 of S(2) is (0, q**2, q, 0) / (q**2 + 1): integer Laurent
+        # numerators over the polynomial part of gamma_2 = q [2]_q
+        s2 = q_symmetrizer(h2, 2).mat
+        assert_canonical(s2)
+        assert s2.den == Q ** 2 + 1
+        assert s2.data[1] == {1: Q ** 2, 2: Q}
+        assert s2[1, 2] == Q / (Q ** 2 + 1)
+
+    def test_product_coefficient_at_the_digit_bound(self):
+        # H = max_i sum_k |a_ik|_1 * max_kj |b_kj|_inf = 1025 * 1023
+        # = 2**20 - 1, and the q**2 coefficient of the product is H itself:
+        # 21 bits are the least with 2**(bits - 1) > H
+        a = Mat([[1000 * Q ** -2, 25 * Q ** 3], [Q, Q_ZERO]])
+        b = Mat([[1023 * Q ** 4 - 17 * Q ** -1], [1023 * Q ** -1 + 5 * Q ** 2]])
+        h = 2 ** 20 - 1
+        want = h * Q ** 2 - 17000 * Q ** -3 + 125 * Q ** 5
+        bits = pack_width(a.data, b.data)
+        assert bits == 21
+        got = a * b
+        assert_canonical(got)
+        assert got.rows == ref_mul(a.rows, b.rows, Q_ZERO)
+        assert got[0, 0] == want
+        # one bit less reads the digit H as H - 2**20 and carries 1 into q**3
+        (pa, low_a), (pb, low_b) = pack_rows(a.data, 20), pack_rows(b.data, 20)
+        value = sum(pa[0][k] * pb[k][0] for k in (0, 1))
+        short = unpack_rows([{0: value}], 20, low_a + low_b)[0][0]
+        assert short == want - 2 ** 20 * Q ** 2 + Q ** 3
 
 
 def test_sampled_antisymmetrizer_against_dense_oracle():
