@@ -124,11 +124,9 @@ def generator_trace_identity(h, m: int) -> bool:
 class CasimirMatrix:
     k: int
     m: int
-    algebra: str                 # "mrea" (unit mass) | "rea"
     op: Mat                      # operator on V_(k) (x) V_(m)
     dk: int
     dm: int
-    label: str
 
     @property
     def dim(self) -> int:
@@ -174,15 +172,12 @@ def split_casimir_matrix(h, k: int, m: int, algebra: str = "rea") -> CasimirMatr
     left = sym_power_left(h, m)
     dk, dm = right.d, left.d
     acc = _casimir_pairing(h, right.rho, left.rho)
-    label = f"L(k={k},m={m})"
     if algebra == "mrea":
         shift = dom.q_pow(1 - m) * dom.q_int(m) / dom.zeta
         acc = acc + Mat.identity(dk * dm, dom.zero, dom.one).scale(shift)
-        label += " [mrea]"
     elif algebra != "rea":
         raise CasimirError(f"unknown algebra {algebra!r}")
-    return CasimirMatrix(k=k, m=m, algebra=algebra, op=acc, dk=dk, dm=dm,
-                         label=label)
+    return CasimirMatrix(k=k, m=m, op=acc, dk=dk, dm=dm)
 
 
 def basic_roots(domain: ScalarDomain, k: int, algebra: str = "rea") -> RootData:
@@ -218,8 +213,7 @@ def left_casimir_matrix(h, k: int, m: int) -> CasimirMatrix:
     inner = sym_power_left(h, m)
     acc = _casimir_pairing(h, outer.rho, [[blk.transpose() for blk in row]
                                           for row in inner.rho])
-    return CasimirMatrix(k=k, m=m, algebra="mrea", op=acc, dk=outer.d,
-                         dm=inner.d, label=f"L(m={m}) in left sym power {k}")
+    return CasimirMatrix(k=k, m=m, op=acc, dk=outer.d, dm=inner.d)
 
 
 def closed_form_p2(h, k: int, m: int) -> CasimirMatrix:
@@ -247,5 +241,4 @@ def closed_form_p2(h, k: int, m: int) -> CasimirMatrix:
     compressed = chart.compress(big).scale(dom.q_pow(1 - m))
     dk = sym_chart(h, k).dim
     dm = sym_chart(h, m).dim
-    return CasimirMatrix(k=k, m=m, algebra="rea", op=compressed, dk=dk, dm=dm,
-                         label=f"L(k={k},m={m}) [closed form]")
+    return CasimirMatrix(k=k, m=m, op=compressed, dk=dk, dm=dm)

@@ -146,7 +146,9 @@ def _largest_spaces(args, file_n) -> dict:
     R-file's when one is given, else --n, 2 for the rank-2 suites and the
     rank p for the conjecture scan.  Every symmetry a suite builds or
     validates certifies its antisymmetrizer tower up to the collapse on
-    n + 1 legs, so no suite builds fewer legs than that.
+    n + 1 legs, so no suite builds fewer legs than that.  A module of
+    degree m, tensor or symmetric power, has its relations checked on
+    V (x) V (x) M when it is built, so it counts m + 2 legs.
     """
     k = args.k or 3
     n = file_n or args.n
@@ -155,12 +157,14 @@ def _largest_spaces(args, file_n) -> dict:
     sizes = {
         "validate": (n, n + 1),
         "projectors": (n, args.m or n + 1),
-        "reps": (n, (args.m or 3) + 2),             # relations on 2 + m legs
-        "ch": (rank2, k + min(k, args.m or 3)),     # closed form
-        "newton": (rank2, k),
+        "reps": (n, (args.m or 3) + 2),             # modules of degree m
+        # modules of degree k, closed form on k + m legs
+        "ch": (rank2, k + max(2, min(k, args.m or 3))),
+        "newton": (rank2, k + 2),                    # modules of degree k
+        # scan on k + m legs with modules of degree k
         "conjecture": (file_n or args.p or 3, k + m_scan if m_scan >= 2 else 0),
-        "orbit": (2, 0),                             # the symmetry only
-        "calibrate-trace": (rank2, args.m or 3),
+        "orbit": (2, 3 + 2),                         # modules of degree 3
+        "calibrate-trace": (rank2, (args.m or 3) + 2),  # modules of degree m
     }
     return {suite: (dim, max(legs, dim + 1)) for suite, (dim, legs) in sizes.items()}
 

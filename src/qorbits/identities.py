@@ -122,17 +122,16 @@ def central_elements_in_rep(h, rep: Representation, up_to: int) -> CentralValues
 
 def _sigma_k(h, rep: Representation, k: int, c_gen: Mat) -> object:
     """q**k Tr_{R(1..k)} A(k) L_1bar ... L_kbar, all aux legs against C."""
-    dom = h.domain
-    ident = Mat.identity(rep.d, dom.zero, dom.one)
+    dom, d = h.domain, rep.d
     l_cur = rep.generator_matrix(k)
     product = l_cur
     for t in range(1, k):
-        r_t = embed_on_legs(h.r, t, k).mat.kron(ident)
-        rinv_t = embed_on_legs(h.r_inv, t, k).mat.kron(ident)
+        r_t = embed_on_legs(h.r, t, k).mat.embed(1, d)
+        rinv_t = embed_on_legs(h.r_inv, t, k).mat.embed(1, d)
         l_cur = r_t * l_cur * rinv_t
         product = product * l_cur
-    product = q_antisymmetrizer(h, k).mat.kron(ident) * product
-    value = central_trace(product, range(1, k + 1), c_gen, [h.n] * k + [rep.d],
+    product = q_antisymmetrizer(h, k).mat.embed(1, d) * product
+    value = central_trace(product, range(1, k + 1), c_gen, [h.n] * k + [d],
                           f"sigma_{k}")
     return dom.q_pow(k) * value
 

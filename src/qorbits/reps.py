@@ -107,7 +107,7 @@ class Representation:
         homomorphism under plain products: rho_ij for left modules, its
         transpose for right ones.  Aux leg 1 carries the generator indices,
         the other aux legs are spectators and the module comes last, so an
-        auxiliary operator X acts as X.kron(I_d) or through embed_on_legs.
+        auxiliary operator X acts as X.embed(1, d).
         Entries are filled directly: no dense products are formed.
         """
         n, d = self.n, self.d
@@ -149,7 +149,7 @@ def verify_defining_relations(rep: Representation, h) -> list:
     dom = rep.domain
     hbar = dom.lift(rep.hbar)
     l1 = rep.generator_matrix(2)
-    rbig = h.r.mat.kron(Mat.identity(d, dom.zero, dom.one))
+    rbig = h.r.mat.embed(1, d)
     rl = rbig * l1
     lr = l1 * rbig
     e = rl * rl - lr * lr
@@ -205,12 +205,11 @@ def tensor_power_left(h, m: int) -> Representation:
     n, dom = h.n, h.domain
     d = n ** m
     rinv = [embed_on_legs(h.r_inv, r, m).mat for r in range(1, m)]
-    ident_rest = Mat.identity(n ** (m - 1), dom.zero, dom.one)
     rho = []
     for i in range(n):
         row = []
         for j in range(n):
-            cur = fund.rho[i][j].kron(ident_rest) if m > 1 else fund.rho[i][j]
+            cur = fund.rho[i][j].embed(1, n ** (m - 1))
             total = cur
             for r in range(m - 1):
                 cur = rinv[r] * cur * rinv[r]
@@ -232,15 +231,12 @@ def _sym_power(h, m: int, side: str, single_blocks, label: str) -> Representatio
     chart = sym_chart(h, m)
     s = chart.projector.mat
     scale = dom.q_pow(1 - m) * dom.q_int(m)
-    rest = Mat.identity(n ** (m - 1), dom.zero, dom.one)
+    rest = n ** (m - 1)
     rho = []
     for row in single_blocks:
         out = []
         for blk in row:
-            # at m = 1 a kron with the 1 x 1 identity would only multiply
-            # every symbolic entry by one through the gcd path
-            if m > 1:
-                blk = blk.kron(rest) if side == "left" else rest.kron(blk)
+            blk = blk.embed(1, rest) if side == "left" else blk.embed(rest, 1)
             out.append(chart.compress((s * blk * s).scale(scale)))
         rho.append(out)
     return Representation(side, Fraction(1), n, chart.dim, rho, label,

@@ -165,7 +165,7 @@ def _pgcd(a: tuple, b: tuple) -> tuple:
     return _pgcd_int(a, b)
 
 
-def _pstr(a: tuple, var: str = "q") -> str:
+def _pstr(a: tuple) -> str:
     if not a:
         return "0"
     parts = []
@@ -173,11 +173,11 @@ def _pstr(a: tuple, var: str = "q") -> str:
         c = a[d]
         if not c:
             continue
-        parts.append(_term_str(c, d, lead=not parts, var=var))
+        parts.append(_term_str(c, d, lead=not parts))
     return "".join(parts)
 
 
-def _term_str(c: Fraction, e: int, lead: bool, var: str = "q") -> str:
+def _term_str(c: Fraction, e: int, lead: bool) -> str:
     sign = "-" if c < 0 else ("" if lead else "+")
     if not lead:
         sign = " - " if c < 0 else " + "
@@ -185,7 +185,7 @@ def _term_str(c: Fraction, e: int, lead: bool, var: str = "q") -> str:
     if e == 0:
         body = str(mag)
     else:
-        pw = var if e == 1 else f"{var}^{e}"
+        pw = "q" if e == 1 else f"q^{e}"
         body = pw if mag == 1 else f"{mag}*{pw}"
     return sign + body
 
@@ -656,13 +656,7 @@ def q_binomial(p: int, k: int) -> QScalar:
     """q-binomial p_q!/(k_q! (p-k)_q!); zero outside 0 <= k <= p."""
     if p < 0:
         raise ValueError("p must be nonnegative")
-    if k < 0 or k > p:
-        return Q_ZERO
-    k = min(k, p - k)
-    out = Q_ONE
-    for i in range(1, k + 1):
-        out = out * q_int(p - k + i) / q_int(i)
-    return out
+    return SYMBOLIC.q_binomial(p, k)
 
 
 class QEvalError(ZeroDivisionError):
@@ -878,14 +872,13 @@ def random_q(rng) -> Fraction:
             return v
 
 
-def random_rationals(rng, count: int, distinct: bool = True,
-                     nonzero: bool = True) -> list:
-    """Random rational parameter points for identity testing."""
+def random_rationals(rng, count: int, distinct: bool = True) -> list:
+    """Random nonzero rational parameter points for identity testing."""
     out = []
     seen = set()
     while len(out) < count:
         v = Fraction(rng.randint(-_PIT_BOUND, _PIT_BOUND), rng.randint(1, _PIT_BOUND))
-        if nonzero and v == 0:
+        if v == 0:
             continue
         if distinct and v in seen:
             continue

@@ -4,12 +4,14 @@ A matrix is stored as numerators over one denominator: ``data[i]`` maps
 column -> nonzero numerator for row i, and entry (i, j) is
 ``data[i][j] / den``.  In evaluated mode (q a rational number, Fraction
 entries) the numerators are ints and ``den`` is a positive int, so products,
-sums, kron and embeddings run on integers and each result is reduced once by
-its content.  In symbolic mode (QScalar entries) the numerators are integer
-Laurent polynomials in q and ``den`` is an integer polynomial with positive
-constant term; a product packs the numerators into ints at q = 2**B
-(Kronecker substitution, with B taken from the operands so that it is
-exact), runs the same integer kernel and reads the result back from
+sums and kron run on integers and each result is reduced once by its
+content.  An embedding I (x) X (x) I (``Mat.embed``, the one way a block is
+placed between identities) copies the numerators into place and does no
+integer arithmetic.  In symbolic mode (QScalar entries) the numerators
+are integer Laurent polynomials in q and ``den`` is an integer polynomial
+with positive constant term; a product packs the numerators into ints at
+q = 2**B (Kronecker substitution, with B taken from the operands so that it
+is exact), runs the same integer kernel and reads the result back from
 balanced base-2**B digits.  R-matrices, q-(anti)symmetrizers, their
 embeddings and the module operators are all very sparse, so every operation
 touches nonzeros only; the product is the row-wise sparse product
@@ -227,6 +229,21 @@ class Mat:
                             for l, b in brow.items()})
         return _reduced(out, self.den * other.den, self.nrows * other.nrows,
                         self.ncols * bcols, self.zero)
+
+    def embed(self, left: int, right: int) -> "Mat":
+        """I_left (x) self (x) I_right.  The numerators and ``den`` are
+        copied into place: no arithmetic, and the set of numerators, hence
+        the reduced form, is unchanged."""
+        ncols = self.ncols * right
+        out = []
+        for a in range(left):
+            abase = a * ncols
+            for row in self.data:
+                cols = [(abase + j * right, v) for j, v in row.items()]
+                for c in range(right):
+                    out.append({base + c: v for base, v in cols})
+        return _mat(out, self.den, left * self.nrows * right, left * ncols,
+                    self.zero)
 
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols})"
@@ -483,18 +500,8 @@ def embed_on_legs(op: LegOperator, start: int, total: int) -> LegOperator:
     if start < 1 or start + m0 - 1 > total:
         raise LegError(f"legs [{start}, {start + m0 - 1}] do not fit in {total}")
     n = op.n
-    left = start - 1
-    right = total - left - m0
-    nm, nr = n ** m0, n ** right
-    dim = n ** total
-    out = []
-    for a in range(n ** left):
-        abase = a * nm * nr
-        for row in op.mat.data:
-            cols = [(abase + j * nr, v) for j, v in row.items()]
-            for c in range(nr):
-                out.append({base + c: v for base, v in cols})
-    return LegOperator(n, total, _mat(out, op.mat.den, dim, dim, op.mat.zero))
+    return LegOperator(n, total, op.mat.embed(n ** (start - 1),
+                                              n ** (total - start - m0 + 1)))
 
 
 def weighted_partial_trace(op, legs, weight: Mat, dims=None):

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import qorbits
-from qorbits import hecke, orbits, projectors
-from qorbits.cli import ANCHORS, SUITES, _check_args, build_parser, run_suite
+from qorbits import hecke, orbits, projectors, tensor
+from qorbits.cli import (ANCHORS, SUITES, _check_args, _largest_spaces,
+                         build_parser, run_suite)
 from qorbits.hecke import standard_hecke, save_r_to_file
 
 
@@ -238,7 +239,12 @@ class TestExitCodes:
                 ["validate", "--n", "5", "--q", "2/3", "--max-size", "100"],
                 # the relation check of tensor_power_left(h, 3) acts on
                 # 2 + 3 legs: 3**5 = 243
-                ["reps", "--n", "3", "--q", "2/3", "--max-size", "81"]):
+                ["reps", "--n", "3", "--q", "2/3", "--max-size", "81"],
+                # the relation check of the degree-3 symmetric-power module
+                # acts on V (x) V (x) V_(3): 2 * 2 * 4 = 16
+                ["newton", "--q", "2/3", "--max-size", "8"],
+                ["orbit", "--q", "2/3", "--max-size", "8"],
+                ["calibrate-trace", "--q", "2/3", "--max-size", "8"]):
             with pytest.raises(SystemExit) as err:
                 run_suite(argv + ["--out", str(out)])
             assert err.value.code == 2, argv
@@ -248,6 +254,32 @@ class TestExitCodes:
         parser = build_parser()
         for suite in list(SUITES) + ["all"]:
             _check_args(parser, parser.parse_args([suite]))
+
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_max_size_guard_bounds_every_matrix_built(self, tmp_path,
+                                                      monkeypatch, suite):
+        # every Mat is made by Mat.__init__ or tensor._mat
+        built = [0]
+        make, init = tensor._mat, tensor.Mat.__init__
+
+        def record(mat):
+            built[0] = max(built[0], mat.nrows, mat.ncols)
+            return mat
+
+        def init_and_record(self, *args):
+            init(self, *args)
+            record(self)
+
+        monkeypatch.setattr(tensor, "_mat", lambda *a: record(make(*a)))
+        monkeypatch.setattr(tensor.Mat, "__init__", init_and_record)
+        argv = [suite, "--q", "2/3"]
+        assert run_suite(argv + ["--out", str(tmp_path / "r.json")]) == 0
+        spaces = _largest_spaces(build_parser().parse_args(argv), None)
+        if suite not in spaces:
+            assert built[0] == 0
+        else:
+            n, legs = spaces[suite]
+            assert 0 < built[0] <= n ** legs
 
     def test_r_file_round_trip_through_cli(self, tmp_path):
         path = tmp_path / "r.json"

@@ -345,12 +345,20 @@ class TestSparseAgainstDense:
         zero, pool, draw = case
         a, b = draw(nr, nc), draw(nr2, nc2)
         s = data.draw(st.sampled_from(pool))
+        left, right = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
         ma, mb = Mat(a, zero), Mat(b, zero)
+
+        def ident(k):
+            return [[zero + 1 if i == j else zero for j in range(k)]
+                    for i in range(k)]
         for got, want in ((ma.scale(s), [[s * x for x in ra] for ra in a]),
                           (ma.kron(mb), ref_kron(a, b)),
+                          (ma.embed(left, right),
+                           ref_kron(ref_kron(ident(left), a), ident(right))),
                           (ma.transpose(), [list(col) for col in zip(*a)])):
             assert_canonical(got)
             assert got.rows == want
+        assert ma.embed(left, right).den == ma.den
         sq = draw(nr, nr)
         assert Mat(sq, zero).trace() == sum((sq[i][i] for i in range(nr)), zero)
 
