@@ -27,8 +27,8 @@ from .scalars import ScalarDomain
 from .tensor import Mat, weighted_partial_trace
 from .identities import RootData, central_trace
 from .projectors import q_symmetrizer
-from .reps import (Compression, sym_chart, sym_power_left,
-                   sym_power_right_rea_p2)
+from .reps import (Compression, Representation, place_blocks, sym_chart,
+                   sym_power_left, sym_power_right_rea_p2)
 
 
 class CasimirError(ValueError):
@@ -111,9 +111,7 @@ def generator_trace_identity(h, m: int) -> bool:
     acc = weighted_partial_trace(rep.generator_matrix(), {1}, h.c.transpose(),
                                  (h.n, rep.d))
     acc = acc.scale(dom.q_pow(2 * h.p))
-    expect = Mat.identity(rep.d, dom.zero, dom.one).scale(
-        dom.q_pow(1 - m) * dom.q_int(m))
-    return acc == expect
+    return acc == Mat.identity(rep.d, dom.zero, dom.q_pow(1 - m) * dom.q_int(m))
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +142,19 @@ def module_trace(op: Mat, dk: int, dm: int, weights: TraceWeights):
     return value * weights.domain.q_pow(weights.p * (weights.m - 1))
 
 
-def _casimir_pairing(h, first, second) -> Mat:
-    """q**(2p) sum_ij C[i][j] sum_a first[i][a] (x) second[a][j]."""
-    dim = first[0][0].nrows * second[0][0].nrows
-    acc = Mat.zeros(dim, dim, h.domain.zero)
-    for i, j, c in h.c.entries():
-        for a in range(h.n):
-            acc = acc + first[i][a].kron(second[a][j]).scale(c)
+def _casimir_pairing(h, first: Representation, second: Representation,
+                     transpose: bool) -> Mat:
+    """q**(2p) C_j^i (L1 L2)_i^j = q**(2p) sum_ij C[i][j] sum_a F_ia (x) B_aj.
+
+    The C-weighted trace over the auxiliary index of the product of
+    L1 = sum_ia E_ia (x) F_ia (x) I and L2 = sum_aj E_aj (x) I (x) B_aj on
+    V (x) V_first (x) V_second: F are the first module's blocks, B the
+    second's, transposed when transpose is set."""
+    d1, d2 = first.d, second.d
+    product = (first.blocks.embed(1, d2)
+               * place_blocks(second.blocks, d2, d1, transpose))
+    acc = weighted_partial_trace(product, {1}, h.c.transpose(),
+                                 (h.n, d1 * d2))
     return acc.scale(h.domain.q_pow(2 * h.p))
 
 
@@ -171,10 +175,10 @@ def split_casimir_matrix(h, k: int, m: int, algebra: str = "rea") -> CasimirMatr
     right = sym_power_right_rea_p2(h, k)
     left = sym_power_left(h, m)
     dk, dm = right.d, left.d
-    acc = _casimir_pairing(h, right.rho, left.rho)
+    acc = _casimir_pairing(h, right, left, False)
     if algebra == "mrea":
         shift = dom.q_pow(1 - m) * dom.q_int(m) / dom.zeta
-        acc = acc + Mat.identity(dk * dm, dom.zero, dom.one).scale(shift)
+        acc = acc + Mat.identity(dk * dm, dom.zero, shift)
     elif algebra != "rea":
         raise CasimirError(f"unknown algebra {algebra!r}")
     return CasimirMatrix(k=k, m=m, op=acc, dk=dk, dm=dm)
@@ -211,8 +215,7 @@ def left_casimir_matrix(h, k: int, m: int) -> CasimirMatrix:
         raise CasimirError("k and m must be positive")
     outer = sym_power_left(h, k)
     inner = sym_power_left(h, m)
-    acc = _casimir_pairing(h, outer.rho, [[blk.transpose() for blk in row]
-                                          for row in inner.rho])
+    acc = _casimir_pairing(h, outer, inner, True)
     return CasimirMatrix(k=k, m=m, op=acc, dk=outer.d, dm=inner.d)
 
 

@@ -21,6 +21,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from math import comb
 
 from . import euler as euler_mod
 from . import hecke as hecke_mod
@@ -133,14 +134,19 @@ def _hecke(args, domain, n: int, standard: bool = False) -> hecke_mod.HeckeSymme
     if h is None:
         r = (hecke_mod.standard_r(n, domain) if standard
              else _r_matrix(args, domain, n))
-        h = hecke_mod.HeckeSymmetry(r, domain)
+        try:
+            h = hecke_mod.HeckeSymmetry(r, domain)
+        except hecke_mod.HeckeError as exc:
+            print(f"error: {r_file}: not a Hecke symmetry at "
+                  f"q={domain.describe()}: {exc}", file=sys.stderr)
+            raise SystemExit(3)
         if args.suite == "all":
             args.symmetries[key] = h
     return h
 
 
 def _largest_spaces(args, file_n) -> dict:
-    """suite -> (n, legs) of the largest leg space the suite builds.
+    """suite -> dimension of the largest operator the suite builds.
 
     n is the dimension of the symmetry the suite really runs on: the
     R-file's when one is given, else --n, 2 for the rank-2 suites and the
@@ -148,25 +154,34 @@ def _largest_spaces(args, file_n) -> dict:
     validates certifies its antisymmetrizer tower up to the collapse on
     n + 1 legs, so no suite builds fewer legs than that.  A module of
     degree m, tensor or symmetric power, has its relations checked on
-    V (x) V (x) M when it is built, so it counts m + 2 legs.
+    V (x) V (x) M when it is built, so it counts m + 2 legs.  A split
+    Casimir of degrees (k, m) traces a product on V (x) V_(k) (x) V_(m).
     """
     k = args.k or 3
     n = file_n or args.n
     rank2 = file_n or 2
+    m_ch = min(k, args.m or 3)
     m_scan = min(k, args.m or 2)
+    n_scan = file_n or args.p or 3
+
+    def pairing(n, k, m):
+        return n * comb(n + k - 1, k) * comb(n + m - 1, m)
+    # (n, legs, largest split Casimir product)
     sizes = {
-        "validate": (n, n + 1),
-        "projectors": (n, args.m or n + 1),
-        "reps": (n, (args.m or 3) + 2),             # modules of degree m
+        "validate": (n, n + 1, 0),
+        "projectors": (n, args.m or n + 1, 0),
+        "reps": (n, (args.m or 3) + 2, 0),              # modules of degree m
         # modules of degree k, closed form on k + m legs
-        "ch": (rank2, k + max(2, min(k, args.m or 3))),
-        "newton": (rank2, k + 2),                    # modules of degree k
+        "ch": (rank2, k + max(2, m_ch), pairing(rank2, k, m_ch)),
+        "newton": (rank2, k + 2, 0),                     # modules of degree k
         # scan on k + m legs with modules of degree k
-        "conjecture": (file_n or args.p or 3, k + m_scan if m_scan >= 2 else 0),
-        "orbit": (2, 3 + 2),                         # modules of degree 3
-        "calibrate-trace": (rank2, (args.m or 3) + 2),  # modules of degree m
+        "conjecture": ((n_scan, k + m_scan, pairing(n_scan, k, m_scan))
+                       if m_scan >= 2 else (n_scan, 0, 0)),
+        "orbit": (2, 3 + 2, pairing(2, 3, 2)),           # modules of degree 3
+        "calibrate-trace": (rank2, (args.m or 3) + 2, 0),  # modules of degree m
     }
-    return {suite: (dim, max(legs, dim + 1)) for suite, (dim, legs) in sizes.items()}
+    return {suite: max(dim ** max(legs, dim + 1), pair)
+            for suite, (dim, legs, pair) in sizes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +206,6 @@ def suite_validate(args, rec, rng, domains):
 
 
 def suite_projectors(args, rec, rng, domains):
-    from math import comb
     for dom in domains:
         tag = dom.describe()
         h = _hecke(args, dom, args.n)
@@ -266,25 +280,15 @@ def suite_reps(args, rec, rng, domains):
             def sym_eq(h=h, m=m):
                 sym = reps_mod.sym_power_left(h, m)
                 tp = reps_mod.tensor_power_left(h, m)
-                chart = sym.chart
-                for i in range(h.n):
-                    for j in range(h.n):
-                        if not (chart.compress(tp.rho[i][j])
-                                == sym.rho[i][j]):
-                            return False, f"blocks differ at ({i},{j})"
-                return True, None
+                return (sym.chart.on_blocks(h.n).compress(tp.blocks)
+                        == sym.blocks), None
             rec.run(f"reps.q{tag}.sym_eq_compressed.m{m}", "sym_module", pm,
                     sym_eq)
 
             def invariance(h=h, m=m):
-                tp = reps_mod.tensor_power_left(h, m)
-                s = proj_mod.q_symmetrizer(h, m).mat
-                for i in range(h.n):
-                    for j in range(h.n):
-                        x = tp.rho[i][j]
-                        if not (s * x * s == x * s):
-                            return False, f"invariance fails at ({i},{j})"
-                return True, None
+                x = reps_mod.tensor_power_left(h, m).blocks
+                s = proj_mod.q_symmetrizer(h, m).mat.embed(h.n, 1)
+                return (s * x * s == x * s), None
             rec.run(f"reps.q{tag}.invariance.m{m}", "sym_module", pm,
                     invariance)
 
@@ -299,18 +303,14 @@ def suite_reps(args, rec, rng, domains):
         def shifts(h=h):
             f = reps_mod.fundamental_left(h)
             back = reps_mod.with_mass(reps_mod.with_mass(f, 0, h), 1, h)
-            ok = all(back.rho[i][j] == f.rho[i][j]
-                     for i in range(h.n) for j in range(h.n))
-            return ok, None
+            return back.blocks == f.blocks, None
         rec.run(f"reps.q{tag}.shift_round_trip", "shift", params, shifts)
 
         def z_action(h=h):
             f = reps_mod.fundamental_left(h)
             a = reps_mod.rescaled(reps_mod.rescaled(f, 3, h), 2, h)
             b = reps_mod.rescaled(f, 6, h)
-            ok = all(a.rho[i][j] == b.rho[i][j]
-                     for i in range(h.n) for j in range(h.n))
-            return ok, None
+            return a.blocks == b.blocks, None
         rec.run(f"reps.q{tag}.z_shift_action", "z_shift", params, z_action)
 
 
@@ -398,7 +398,7 @@ def suite_newton(args, rec, rng, domains):
         for trial in range(3):
             q0 = random_q(rng)
             dom = at_q(q0)
-            mu = random_rationals(rng, p, distinct=True)
+            mu = random_rationals(rng, p)
 
             def param(p=p, dom=dom, mu=mu):
                 rd = ident_mod.RootData(mu=mu, hbar=Fraction(0), domain=dom)
@@ -411,7 +411,7 @@ def suite_newton(args, rec, rng, domains):
                     param)
 
     def esp_props():
-        t = random_rationals(rng, 5, distinct=True)
+        t = random_rationals(rng, 5)
         n = len(t)
         es = ident_mod.elementary_symmetric
         esw = ident_mod.elementary_symmetric_without
@@ -677,8 +677,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="full rational-function arithmetic instead of "
                              "sampled q")
     parser.add_argument("--max-size", type=int, default=4096,
-                        help="guardrail on the ambient dimension n**legs "
-                             "of the largest operator a suite builds")
+                        help="guardrail on the dimension of the largest "
+                             "operator a suite builds")
     return parser
 
 
@@ -716,11 +716,10 @@ def _check_args(parser, args) -> None:
     if args.max_size < 1:
         parser.error(f"--max-size must be at least 1, got {args.max_size}")
     file_n = _r_matrix(args, SYMBOLIC, args.n).n if args.r_file else None
-    for suite, (n, legs) in _largest_spaces(args, file_n).items():
-        if args.suite in (suite, "all") and n ** legs > args.max_size:
-            parser.error(f"{suite} builds operators on {n}**{legs} = "
-                         f"{n ** legs} dimensions, above --max-size "
-                         f"{args.max_size}")
+    for suite, dim in _largest_spaces(args, file_n).items():
+        if args.suite in (suite, "all") and dim > args.max_size:
+            parser.error(f"{suite} builds operators on {dim} dimensions, "
+                         f"above --max-size {args.max_size}")
 
 
 def run_suite(argv=None) -> int:

@@ -220,8 +220,8 @@ def _certify(r: LegOperator, domain: ScalarDomain):
         details["bc_product_error"] = details["bc_trace_error"] = (
             "not checked: needs the skew inverse and the symmetry rank")
     else:
-        ident = Mat.identity(r.n, domain.zero, domain.one)
-        bc_product = weights[1] * weights[2] == ident.scale(domain.q_pow(-2 * p))
+        bc_product = (weights[1] * weights[2]
+                      == Mat.identity(r.n, domain.zero, domain.q_pow(-2 * p)))
         if not bc_product:
             details["bc_product_error"] = "B C != q**(-2p) I"
         expect = domain.q_int(p) * domain.q_pow(-p)
@@ -267,7 +267,8 @@ class HeckeSymmetry:
         self.psi, self.b, self.c = weights
         self.p = report.rank
         # R**-1 = R - (q - 1/q) I, forced by the Hecke condition
-        self.r_inv = r - LegOperator.identity(r.n, 2, domain).scale(domain.zeta)
+        self.r_inv = r - LegOperator(
+            r.n, 2, Mat.identity(r.n ** 2, domain.zero, domain.zeta))
         self._memo: dict = {("A", m): a_m for m, a_m in enumerate(tower, 1)}
 
     def memo(self, key, build):

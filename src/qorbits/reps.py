@@ -1,12 +1,13 @@
 """Finite-dimensional left and right representations of the (m)REA.
 
-A representation is a side-tagged family of d x d blocks rho[i][j] realizing
-the generator matrix entries.  Left blocks are ordinary operator matrices
-(the block map is an algebra homomorphism under matrix product).  Right
-blocks are stored in the same column-action convention, which makes the
-block map an anti-homomorphism; the relations engine therefore evaluates
-all products in the opposite order for side="right" (implemented by running
-the one engine on transposed blocks).
+A representation is one operator on V (x) M, the image of the generator
+matrix: blocks = sum_ij E_ij (x) rho_ij, where the d x d block rho_ij
+realizes the entry l_i^j.  Left blocks are ordinary operator matrices (the
+block map is an algebra homomorphism under matrix product).  Right blocks
+are stored in the same column-action convention, which makes the block map
+an anti-homomorphism; the relations engine therefore evaluates all products
+in the opposite order for side="right" (implemented by running the one
+engine on transposed blocks, :func:`place_blocks`).
 
 The defining relations live on V (x) V with operator-valued entries:
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import List, Optional
+from typing import Optional
 
 from .scalars import ScalarDomain
 from .tensor import LegOperator, Mat, embed_on_legs, row_reduce
@@ -71,6 +72,11 @@ class Compression:
         return Compression(a.basis.kron(b.basis),
                            a.left_inverse.kron(b.left_inverse))
 
+    def on_blocks(self, n: int) -> "Compression":
+        """The chart of V (x) image for an n-dimensional V: it compresses a
+        block matrix sum_ij E_ij (x) X_ij block by block."""
+        return Compression(self.basis.embed(n, 1), self.left_inverse.embed(n, 1))
+
     def compress(self, x: Mat) -> Mat:
         xt = x * self.basis
         y = self.left_inverse * xt
@@ -91,11 +97,12 @@ def sym_chart(h, m: int) -> Compression:
 
 @dataclass
 class Representation:
+    """A module as one operator: blocks = sum_ij E_ij (x) rho_ij on V (x) M."""
     side: str                       # "left" | "right"
     hbar: Fraction                  # the mass; 0 is the REA
     n: int
     d: int
-    rho: List[List[Mat]]
+    blocks: Mat                     # sum_ij E_ij (x) rho_ij on V (x) M
     label: str
     domain: ScalarDomain
     chart: Optional[Compression] = field(default=None, repr=False)
@@ -108,33 +115,31 @@ class Representation:
         transpose for right ones.  Aux leg 1 carries the generator indices,
         the other aux legs are spectators and the module comes last, so an
         auxiliary operator X acts as X.embed(1, d).
-        Entries are filled directly: no dense products are formed.
         """
-        n, d = self.n, self.d
-        rest = n ** (aux_legs - 1)
-        out = []
-        for i, brow in enumerate(self.rho):
-            for j, blk in enumerate(brow):
-                nz = list(blk.entries())
-                if self.side == "right":
-                    nz = [(c, r, v) for r, c, v in nz]
-                for t in range(rest):
-                    rbase = (i * rest + t) * d
-                    cbase = (j * rest + t) * d
-                    out.extend((rbase + r, cbase + c, v) for r, c, v in nz)
-        dim = n * rest * d
-        return Mat.from_entries(dim, dim, self.domain.zero, out)
+        if aux_legs == 1 and self.side == "left":
+            return self.blocks
+        return place_blocks(self.blocks, self.d, self.n ** (aux_legs - 1),
+                            self.side == "right")
 
     def __repr__(self):
         return (f"Representation({self.label}, side={self.side}, "
                 f"hbar={self.hbar}, d={self.d})")
 
 
-def _affine_blocks(rho: List[List[Mat]], a, c, dom) -> List[List[Mat]]:
-    """a rho_ij + c delta_ij I: the unit-element shifts and rescalings."""
-    ident = Mat.identity(rho[0][0].nrows, dom.zero, dom.one).scale(c)
-    return [[blk.scale(a) + ident if i == j else blk.scale(a)
-             for j, blk in enumerate(row)] for i, row in enumerate(rho)]
+def place_blocks(blocks: Mat, d: int, rest: int,
+                 transpose: bool = False) -> Mat:
+    """sum_ij E_ij (x) I_rest (x) B_ij from blocks = sum_ij E_ij (x) B_ij with
+    d x d blocks B_ij, each transposed when transpose is set.  Entries are
+    copied into place: no products are formed."""
+    out = []
+    for r, c, v in blocks.entries():
+        (i, s), (j, k) = divmod(r, d), divmod(c, d)
+        if transpose:
+            s, k = k, s
+        for t in range(rest):
+            out.append(((i * rest + t) * d + s, (j * rest + t) * d + k, v))
+    dim = blocks.nrows * rest
+    return Mat.from_entries(dim, dim, blocks.zero, out)
 
 
 def verify_defining_relations(rep: Representation, h) -> list:
@@ -184,16 +189,10 @@ def _built_once(build):
 def fundamental_left(h) -> Representation:
     """Left fundamental module: the generator block sends x_k to x_i B_k^j."""
     n, dom = h.n, h.domain
-    rho = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(Mat.from_entries(n, n, dom.zero,
-                                        ((i, k, h.b[j, k]) for k in range(n))))
-        rho.append(row)
-    rep = Representation("left", Fraction(1), n, n, rho,
-                         "fundamental", dom)
-    return rep
+    blocks = Mat.from_entries(n * n, n * n, dom.zero,
+                              ((i * n + i, j * n + k, v)
+                               for i in range(n) for j, k, v in h.b.entries()))
+    return Representation("left", Fraction(1), n, n, blocks, "fundamental", dom)
 
 
 @_built_once
@@ -201,72 +200,49 @@ def tensor_power_left(h, m: int) -> Representation:
     """Reducible module on the full tensor power via inverse-braiding chains."""
     if m < 1:
         raise RepresentationError("m must be positive")
-    fund = fundamental_left(h)
-    n, dom = h.n, h.domain
-    d = n ** m
-    rinv = [embed_on_legs(h.r_inv, r, m).mat for r in range(1, m)]
-    rho = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            cur = fund.rho[i][j].embed(1, n ** (m - 1))
-            total = cur
-            for r in range(m - 1):
-                cur = rinv[r] * cur * rinv[r]
-                total = total + cur
-            row.append(total)
-        rho.append(row)
-    rep = Representation("left", Fraction(1), n, d, rho,
-                         f"tensor_power m={m}", dom)
-    return rep
+    n = h.n
+    cur = total = fundamental_left(h).blocks.embed(1, n ** (m - 1))
+    for r in range(1, m):
+        rinv = embed_on_legs(h.r_inv, r, m).mat.embed(n, 1)
+        cur = rinv * cur * rinv
+        total = total + cur
+    return Representation("left", Fraction(1), n, n ** m, total,
+                          f"tensor_power m={m}", h.domain)
 
 
-def _sym_power(h, m: int, side: str, single_blocks, label: str) -> Representation:
-    """m_q q**(1-m) S(m) B S(m) compressed to the q-symmetric component, for
-    each single-leg block B placed on leg 1 (side="left") or on leg m
-    (side="right")."""
+def _sym_power(h, m: int, side: str, single: Mat, label: str) -> Representation:
+    """m_q q**(1-m) (I (x) S(m)) X (I (x) S(m)) compressed to V (x) the
+    q-symmetric component, where X places the single-leg block matrix
+    sum_ij E_ij (x) B_ij on leg 1 (side="left") or on leg m (side="right")."""
     if m < 1:
         raise RepresentationError("m must be positive")
     n, dom = h.n, h.domain
     chart = sym_chart(h, m)
-    s = chart.projector.mat
-    scale = dom.q_pow(1 - m) * dom.q_int(m)
+    s = chart.projector.mat.embed(n, 1)
     rest = n ** (m - 1)
-    rho = []
-    for row in single_blocks:
-        out = []
-        for blk in row:
-            blk = blk.embed(1, rest) if side == "left" else blk.embed(rest, 1)
-            out.append(chart.compress((s * blk * s).scale(scale)))
-        rho.append(out)
-    return Representation(side, Fraction(1), n, chart.dim, rho, label,
+    x = single.embed(1, rest) if side == "left" else place_blocks(single, n, rest)
+    scale = dom.q_pow(1 - m) * dom.q_int(m)
+    blocks = chart.on_blocks(n).compress((s * x * s).scale(scale))
+    return Representation(side, Fraction(1), n, chart.dim, blocks, label,
                           dom, chart=chart)
 
 
 @_built_once
 def sym_power_left(h, m: int) -> Representation:
     """Compression of the tensor power to the q-symmetric component."""
-    return _sym_power(h, m, "left", fundamental_left(h).rho, f"sym_power m={m}")
+    return _sym_power(h, m, "left", fundamental_left(h).blocks,
+                      f"sym_power m={m}")
 
 
-def right_fundamental_blocks(h) -> List[List[Mat]]:
+def right_fundamental_blocks(h) -> Mat:
     """Single-leg right action: x_k picks up the antisymmetrizer contraction."""
     n, dom = h.n, h.domain
-    a2 = q_antisymmetrizer(h, 2)
-    coeff = dom.q_int(2) * dom.q_pow(-2)
-    rho = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entries = []
-            for s in range(n):
-                for k in range(n):
-                    v = a2.mat[s * n + j, k * n + i]
-                    if v:
-                        entries.append((s, k, coeff * v))
-            row.append(Mat.from_entries(n, n, dom.zero, entries))
-        rho.append(row)
-    return rho
+    entries = []
+    for r, c, v in q_antisymmetrizer(h, 2).mat.entries():
+        (s, j), (k, i) = divmod(r, n), divmod(c, n)
+        entries.append((i * n + s, j * n + k, v))
+    return Mat.from_entries(n * n, n * n, dom.zero, entries).scale(
+        dom.q_int(2) * dom.q_pow(-2))
 
 
 @_built_once
@@ -292,8 +268,9 @@ def sym_power_right_rea_p2(h, m: int) -> Representation:
     """
     base = sym_power_right_p2(h, m)
     dom = h.domain
-    rho = _affine_blocks(base.rho, -dom.zeta, dom.one, dom)
-    return Representation("right", Fraction(0), h.n, base.d, rho,
+    blocks = (base.blocks.scale(-dom.zeta)
+              + Mat.identity(base.blocks.nrows, dom.zero, dom.one))
+    return Representation("right", Fraction(0), h.n, base.d, blocks,
                           f"sym_power_right m={m} [rea, spectral scale]", dom,
                           chart=base.chart)
 
@@ -308,8 +285,8 @@ def with_mass(rep: Representation, hbar, h) -> Representation:
     dom = rep.domain
     hbar = Fraction(hbar)
     c = (dom.lift(hbar) - dom.lift(rep.hbar)) / dom.zeta
-    return _checked(replace(rep, hbar=hbar,
-                            rho=_affine_blocks(rep.rho, dom.one, c, dom),
+    blocks = rep.blocks + Mat.identity(rep.blocks.nrows, dom.zero, c)
+    return _checked(replace(rep, hbar=hbar, blocks=blocks,
                             label=rep.label + f" [hbar={hbar}]"), h)
 
 
@@ -323,13 +300,14 @@ def rescaled(rep: Representation, z, h) -> Representation:
     dom = rep.domain
     zl = dom.lift(z)
     c = (dom.one - zl) * dom.lift(rep.hbar) / dom.zeta
-    return _checked(replace(rep, rho=_affine_blocks(rep.rho, zl, c, dom),
-                            label=rep.label + f" [z={z}]"), h)
+    blocks = rep.blocks.scale(zl) + Mat.identity(rep.blocks.nrows, dom.zero, c)
+    return _checked(replace(rep, blocks=blocks, label=rep.label + f" [z={z}]"),
+                    h)
 
 
-def corollary_phi_blocks(h, m: int) -> List[List[Mat]]:
-    """Single-leg blocks of the printed closed form for the shifted right action:
-    q**(1-m) m_q delta_ij I - zeta * (single-leg right action).
+def corollary_phi_blocks(h, m: int) -> Mat:
+    """Single-leg block matrix of the printed closed form for the shifted
+    right action: q**(1-m) m_q delta_ij I - zeta * (single-leg right action).
 
     Kept verbatim as a cross-check: the shift route through
     :func:`sym_power_right_p2` is authoritative, and the comparison test
@@ -337,5 +315,6 @@ def corollary_phi_blocks(h, m: int) -> List[List[Mat]]:
     unit-matrix summand beyond).
     """
     dom = h.domain
-    return _affine_blocks(right_fundamental_blocks(h), -dom.zeta,
-                          dom.q_pow(1 - m) * dom.q_int(m), dom)
+    return (right_fundamental_blocks(h).scale(-dom.zeta)
+            + Mat.identity(h.n * h.n, dom.zero,
+                           dom.q_pow(1 - m) * dom.q_int(m)))

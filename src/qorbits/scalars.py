@@ -872,15 +872,13 @@ def random_q(rng) -> Fraction:
             return v
 
 
-def random_rationals(rng, count: int, distinct: bool = True) -> list:
-    """Random nonzero rational parameter points for identity testing."""
+def random_rationals(rng, count: int) -> list:
+    """Distinct random nonzero rational parameter points for identity testing."""
     out = []
     seen = set()
     while len(out) < count:
         v = Fraction(rng.randint(-_PIT_BOUND, _PIT_BOUND), rng.randint(1, _PIT_BOUND))
-        if v == 0:
-            continue
-        if distinct and v in seen:
+        if v == 0 or v in seen:
             continue
         seen.add(v)
         out.append(v)

@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from qorbits.scalars import SYMBOLIC, eval_at, q_binomial
+from qorbits.hecke import standard_hecke
+from qorbits.scalars import SYMBOLIC, at_q, eval_at, q_binomial
 from qorbits.tensor import Mat, row_reduce, weighted_partial_trace
 from qorbits.casimir import (CasimirError, basic_roots, closed_form_p2,
-                             generator_trace_identity, module_trace,
-                             q_dimension, split_casimir_matrix,
+                             generator_trace_identity, left_casimir_matrix,
+                             module_trace, q_dimension, split_casimir_matrix,
                              trace_weights)
+from qorbits.reps import sym_power_left, sym_power_right_rea_p2
 from qorbits.identities import RootData, ch_verify, omega_roots_p2
 from qorbits.orbits import frobenius_dim
 
@@ -177,6 +179,55 @@ class TestSplitCasimir:
         from qorbits.orbits import conjecture_scan
         rep = conjecture_scan(h2, 2, 2)
         assert rep.consistent
+
+
+def _block(rep, i, j):
+    """The d x d block rho_ij sliced out of rep.blocks."""
+    d = rep.d
+    return Mat.from_entries(d, d, rep.domain.zero,
+                            ((r - i * d, c - j * d, v)
+                             for r, c, v in rep.blocks.entries()
+                             if r // d == i and c // d == j))
+
+
+def _pairing_oracle(h, first, second, transpose):
+    """q**(2p) sum_{(i, j, c) in C} sum_a c rho_ia (x) rho'_aj, one kron per
+    term, with the second module's blocks transposed when transpose is set."""
+    dim = first.d * second.d
+    acc = Mat.zeros(dim, dim, h.domain.zero)
+    for i, j, c in h.c.entries():
+        for a in range(h.n):
+            right = _block(second, a, j)
+            if transpose:
+                right = right.transpose()
+            acc = acc + _block(first, i, a).kron(right).scale(c)
+    return acc.scale(h.domain.q_pow(2 * h.p))
+
+
+class TestPairingFormula:
+    """The split Casimir as the C-weighted trace of a product of generator
+    matrices equals the sum of block krons it stands for."""
+
+    @pytest.mark.parametrize("algebra", ["rea", "mrea"])
+    @pytest.mark.parametrize("km", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2),
+                                    (3, 3)])
+    def test_split_casimir_rank2(self, h2, km, algebra):
+        k, m = km
+        dom = h2.domain
+        expect = _pairing_oracle(h2, sym_power_right_rea_p2(h2, k),
+                                 sym_power_left(h2, m), False)
+        if algebra == "mrea":
+            shift = dom.q_pow(1 - m) * dom.q_int(m) / dom.zeta
+            expect = expect + Mat.identity(expect.nrows, dom.zero, shift)
+        assert split_casimir_matrix(h2, k, m, algebra).op.rows == expect.rows
+
+    @pytest.mark.parametrize("km", [(2, 2), (3, 2)])
+    def test_left_casimir_rank3(self, km):
+        k, m = km
+        h = standard_hecke(3, at_q(Fraction(3, 5)))
+        expect = _pairing_oracle(h, sym_power_left(h, k), sym_power_left(h, m),
+                                 True)
+        assert left_casimir_matrix(h, k, m).op.rows == expect.rows
 
 
 class TestQuantumTraceEntry:

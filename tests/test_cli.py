@@ -225,6 +225,30 @@ class TestExitCodes:
             run_suite(["validate", "--r-file", "/definitely/not/here.json"])
         assert err.value.code == 3
 
+    @pytest.mark.parametrize("suite", ["projectors", "all"])
+    def test_non_hecke_r_file_is_file_error(self, tmp_path, capsys, suite):
+        # R = I on one dimension satisfies Yang-Baxter but not the Hecke
+        # condition (R - q)(R + 1/q) = 0
+        path = tmp_path / "identity.json"
+        path.write_text('{"n": 1, "entries": '
+                        '[{"out": [1, 1], "in": [1, 1], "value": "1"}]}')
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as err:
+            run_suite([suite, "--q", "2/3", "--r-file", str(path),
+                       "--out", str(out)])
+        assert err.value.code == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: {path}: not a Hecke symmetry at q=2/3: "
+            f"Hecke condition fails\n")
+        # validate reports the failed axiom instead
+        code, report = run_json(tmp_path, ["validate", "--q", "2/3",
+                                           "--r-file", str(path)])
+        assert code == 1
+        status = {c["id"]: c["status"] for c in report["checks"]}
+        assert status["validate.q2/3.hecke"] == "fail"
+        assert status["validate.q2/3.ybe"] == "pass"
+
     def test_max_size_guard(self, tmp_path):
         out = tmp_path / "report.json"
         for argv in (
@@ -244,7 +268,13 @@ class TestExitCodes:
                 # acts on V (x) V (x) V_(3): 2 * 2 * 4 = 16
                 ["newton", "--q", "2/3", "--max-size", "8"],
                 ["orbit", "--q", "2/3", "--max-size", "8"],
-                ["calibrate-trace", "--q", "2/3", "--max-size", "8"]):
+                ["calibrate-trace", "--q", "2/3", "--max-size", "8"],
+                # the split Casimir product on V (x) V_(2) (x) V_(2):
+                # 2 * 3 * 3 = 18 > 2**4, and 3 * 6 * 6 = 108 > 3**4 for
+                # the rank-3 scan
+                ["ch", "--q", "2/3", "--k", "2", "--max-size", "16"],
+                ["conjecture", "--q", "2/3", "--k", "2", "--m", "2",
+                 "--max-size", "81"]):
             with pytest.raises(SystemExit) as err:
                 run_suite(argv + ["--out", str(out)])
             assert err.value.code == 2, argv
@@ -255,9 +285,12 @@ class TestExitCodes:
         for suite in list(SUITES) + ["all"]:
             _check_args(parser, parser.parse_args([suite]))
 
-    @pytest.mark.parametrize("suite", list(SUITES))
+    @pytest.mark.parametrize(
+        "argv", [[suite] for suite in SUITES]
+        + [["ch", "--k", "2"], ["conjecture", "--k", "2", "--m", "2"]],
+        ids=list(SUITES) + ["ch-k2", "conjecture-k2-m2"])
     def test_max_size_guard_bounds_every_matrix_built(self, tmp_path,
-                                                      monkeypatch, suite):
+                                                      monkeypatch, argv):
         # every Mat is made by Mat.__init__ or tensor._mat
         built = [0]
         make, init = tensor._mat, tensor.Mat.__init__
@@ -272,14 +305,13 @@ class TestExitCodes:
 
         monkeypatch.setattr(tensor, "_mat", lambda *a: record(make(*a)))
         monkeypatch.setattr(tensor.Mat, "__init__", init_and_record)
-        argv = [suite, "--q", "2/3"]
+        argv = argv + ["--q", "2/3"]
         assert run_suite(argv + ["--out", str(tmp_path / "r.json")]) == 0
         spaces = _largest_spaces(build_parser().parse_args(argv), None)
-        if suite not in spaces:
+        if argv[0] not in spaces:
             assert built[0] == 0
         else:
-            n, legs = spaces[suite]
-            assert 0 < built[0] <= n ** legs
+            assert 0 < built[0] <= spaces[argv[0]]
 
     def test_r_file_round_trip_through_cli(self, tmp_path):
         path = tmp_path / "r.json"

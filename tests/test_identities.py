@@ -77,11 +77,9 @@ class TestCentralElements:
         # add one to entry (0, 1) of block (0, 0); the module shared through
         # h2's memo keeps its blocks
         shared = sym_power_right_rea_p2(h2, 2)
-        rho = [list(row) for row in shared.rho]
-        blk = rho[0][0]
-        rho[0][0] = blk + Mat.from_entries(blk.nrows, blk.ncols, h2.domain.zero,
-                                           [(0, 1, h2.domain.one)])
-        rep = replace(shared, rho=rho)
+        dim = shared.blocks.nrows
+        rep = replace(shared, blocks=shared.blocks + Mat.from_entries(
+            dim, dim, h2.domain.zero, [(0, 1, h2.domain.one)]))
         with pytest.raises(IdentityError, match="centrality"):
             central_elements_in_rep(h2, rep, 2)
 
@@ -134,7 +132,7 @@ class TestNewton:
         # exact random (mu, q) samples; zero residual in every row
         for _ in range(3):
             dom = at_q(random_q(rng))
-            mu = random_rationals(rng, p, distinct=True)
+            mu = random_rationals(rng, p)
             rd = RootData(mu=mu, hbar=Fraction(0), domain=dom)
             cv = parametric_central_values(rd, p)
             assert all(newton_check(cv, p, dom).values())
@@ -150,7 +148,7 @@ class TestNewton:
 
     def test_classical_limit_of_weights(self, rng):
         # at q -> 1 every Vandermonde ratio becomes 1: the power sums
-        mu = random_rationals(rng, 3, distinct=True)
+        mu = random_rationals(rng, 3)
         rd = RootData(mu=mu, hbar=Fraction(0), domain=SYMBOLIC)
         for k in (1, 2, 3):
             sym = parametric_newton(rd, k) * SYMBOLIC.q_pow(3)
@@ -170,7 +168,7 @@ class TestNewton:
 
 class TestElementarySymmetric:
     def test_deletion_recurrence(self, rng):
-        t = random_rationals(rng, 6, distinct=True)
+        t = random_rationals(rng, 6)
         for k in range(1, 7):
             for i in range(6):
                 assert (elementary_symmetric(t, k)
@@ -178,7 +176,7 @@ class TestElementarySymmetric:
                         + t[i] * elementary_symmetric_without(t, k - 1, [i]))
 
     def test_difference_identity(self, rng):
-        t = random_rationals(rng, 5, distinct=True)
+        t = random_rationals(rng, 5)
         for k in range(1, 6):
             for i in range(5):
                 for j in range(5):
@@ -191,7 +189,7 @@ class TestElementarySymmetric:
                     assert lhs == rhs
 
     def test_weighted_sum(self, rng):
-        t = random_rationals(rng, 5, distinct=True)
+        t = random_rationals(rng, 5)
         for k in range(1, 6):
             total = sum((t[i] * elementary_symmetric_without(t, k - 1, [i])
                          for i in range(5)), Fraction(0))
@@ -200,7 +198,7 @@ class TestElementarySymmetric:
     def test_hatted_vandermonde_determinant(self, rng):
         # the deleted-variable matrix has the reversed Vandermonde determinant
         for n in (2, 3, 4, 5):
-            t = random_rationals(rng, n, distinct=True)
+            t = random_rationals(rng, n)
             rows = [[elementary_symmetric_without(t, k, [i]) for i in range(n)]
                     for k in range(n)]
             det = _det(rows)
@@ -271,7 +269,7 @@ class TestConjectureRoots:
     def test_classical_limit(self, rng):
         # q -> 1 gives sum k_i mu_i + hbar sum_{i<j} k_i k_j
         p, m = 3, 3
-        mu = random_rationals(rng, p, distinct=True)
+        mu = random_rationals(rng, p)
         hbar = Fraction(3, 2)
         rd = RootData(mu=mu, hbar=hbar, domain=SYMBOLIC)
         for kvec, val in conjecture_roots(rd, m):

@@ -330,7 +330,7 @@ class TestStrings:
 
     def test_generic_set_is_singletons(self, rng):
         dom = self._dom()
-        mu = random_rationals(rng, 4, distinct=True)
+        mu = random_rationals(rng, 4)
         spec = RootData(mu=mu, hbar=Fraction(1), domain=dom)
         sd = string_decompose(spec)
         assert sorted(l for _, l in sd.strings) == [1, 1, 1, 1]
@@ -364,7 +364,7 @@ class TestStrings:
     def test_append_extends_exactly_one_string(self, rng):
         dom = self._dom()
         for _ in range(10):
-            mu = random_rationals(rng, 3, distinct=True)
+            mu = random_rationals(rng, 3)
             spec = RootData(mu=[dom.lift(v) for v in mu],
                             hbar=Fraction(1), domain=dom)
             before = string_decompose(spec)
