@@ -22,7 +22,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .scalars import (ScalarDomain, SYMBOLIC, as_integer, format_scalar,
                       parse_scalar)
@@ -68,10 +70,12 @@ def standard_r(n: int, domain: ScalarDomain = SYMBOLIC) -> LegOperator:
 # validation
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
     """One entry per Hecke axiom; details holds the traces of B and C and the
-    reason for each failed entry.  The report holds no operators."""
+    reason for each failed entry.  The report holds no operators and is
+    read-only (details is a read-only view): one report is shared by every
+    caller that certifies the same R at the same q."""
     ybe: bool
     hecke: bool
     skew_invertible: bool
@@ -79,7 +83,10 @@ class ValidationReport:
     rank: Optional[int]
     bc_product: bool
     bc_trace: bool
-    details: dict = field(default_factory=dict)
+    details: Mapping = field(hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "details", MappingProxyType(dict(self.details)))
 
     @property
     def passed(self) -> bool:
@@ -167,7 +174,7 @@ def symmetry_rank(r: LegOperator, domain: ScalarDomain,
 
 def _certified_antisymmetrizers(r: LegOperator, domain: ScalarDomain,
                                 max_p: Optional[int] = None):
-    """(p, [A(1), .., A(p+1)]) from one pass up the antisymmetrizer tower.
+    """(p, (A(1), .., A(p+1))) from one pass up the antisymmetrizer tower.
 
     Every A(m) below the collapse is certified idempotent with an integer
     trace; p is None when the tower does not collapse right after a rank-one
@@ -181,18 +188,18 @@ def _certified_antisymmetrizers(r: LegOperator, domain: ScalarDomain,
     for m, a_m in antisymmetrizer_tower(r, domain, max_p + 1):
         tower.append(a_m)
         if a_m.is_zero():
-            return (m - 1 if prev_rank == 1 else None), tower
+            return (m - 1 if prev_rank == 1 else None), tuple(tower)
         if not ((a_m * a_m) == a_m):
             raise HeckeError(f"antisymmetrizer at height {m} is not idempotent")
         rk = as_integer(a_m.mat.trace())
         if rk is None:
             raise HeckeError(f"projector trace at height {m} is not an integer")
         prev_rank = rk
-    return None, tower
+    return None, tuple(tower)
 
 
 def _certify(r: LegOperator, domain: ScalarDomain):
-    """(report, (Psi, B, C) or None, [A(1), ..]): every axiom, checked once.
+    """(report, (Psi, B, C) or None, (A(1), ..)): every axiom, checked once.
 
     The tower is built only for a Yang-Baxter Hecke operator, and the B C
     normalization is checked only when the skew inverse and the rank exist.
@@ -207,7 +214,7 @@ def _certify(r: LegOperator, domain: ScalarDomain):
         details["trace_c"] = weights[2].trace()
     except HeckeError as exc:
         details["skew_error"] = str(exc)
-    p, tower = None, []
+    p, tower = None, ()
     if ybe and hecke:
         try:
             p, tower = _certified_antisymmetrizers(r, domain)
@@ -235,10 +242,42 @@ def _certify(r: LegOperator, domain: ScalarDomain):
     return report, weights, tower
 
 
+# An `all` run certifies 6 symmetries at its default 3 q samples (ranks 2
+# and 3); the table keeps the most recently used certifications up to this
+# bound.
+_CERTIFICATES = 32
+
+
+class _Content(tuple):
+    """The exact content of (R, q) as a key: q (None when symbolic), n, the
+    number of legs, the common denominator and every stored (row, column,
+    numerator).  It carries R and the domain to the certifier."""
+
+    def __new__(cls, r: LegOperator, domain: ScalarDomain):
+        key = super().__new__(cls, (
+            domain.q0, r.n, r.m, r.mat.den,
+            tuple((i, j, v) for i, row in enumerate(r.mat.data)
+                  for j, v in row.items())))
+        key.r, key.domain = r, domain
+        return key
+
+
+@lru_cache(maxsize=_CERTIFICATES)
+def _certified(content: _Content):
+    """:func:`_certify` at most once per exact (R, q) in a process; an
+    exception is never stored.  ``_certified.cache_clear()`` empties the
+    table."""
+    return _certify(content.r, content.domain)
+
+
 def validate_hecke_symmetry(r: LegOperator,
                             domain: ScalarDomain) -> ValidationReport:
-    """Independent axiom checks; failures are report entries, not faults."""
-    return _certify(r, domain)[0]
+    """Independent axiom checks; failures are report entries, not faults.
+
+    The report is the certification of this exact (R, q), shared with
+    :class:`HeckeSymmetry`: the certifier runs only if neither certified
+    the same content before in this process."""
+    return _certified(_Content(r, domain))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +287,19 @@ def validate_hecke_symmetry(r: LegOperator,
 class HeckeSymmetry:
     """Validated bundle (n, R, Psi, B, C, p) with one memo of derived objects.
 
-    Construction runs the same certifier as :func:`validate_hecke_symmetry`
-    (Yang-Baxter equation, Hecke condition, both skew-inverse contractions,
-    the antisymmetrizer collapse at rank p, B C = q**(-2p) I and trace B =
-    trace C = p_q / q**p) and raises HeckeError naming the first failed
-    axiom.  The bundle is immutable after construction; everything derived
-    from it (projectors, charts, modules, trace weights) lives in one memo,
-    seeded with the certified tower A(1)..A(p+1).
+    Construction reads the certification :func:`validate_hecke_symmetry`
+    reads (Yang-Baxter equation, Hecke condition, both skew-inverse
+    contractions, the antisymmetrizer collapse at rank p, B C = q**(-2p) I
+    and trace B = trace C = p_q / q**p), certifying R only if this exact
+    (R, q) was not certified before in the process, and raises HeckeError
+    naming the first failed axiom.  The bundle is immutable after
+    construction; everything derived from it (projectors, charts, modules,
+    trace weights) lives in one memo, seeded with the certified tower
+    A(1)..A(p+1).
     """
 
     def __init__(self, r: LegOperator, domain: ScalarDomain = SYMBOLIC):
-        report, weights, tower = _certify(r, domain)
+        report, weights, tower = _certified(_Content(r, domain))
         if not report.passed:
             raise HeckeError(report.first_failure())
         self.n = r.n

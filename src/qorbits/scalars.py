@@ -583,6 +583,30 @@ def laurent_scaled(rows, s: QScalar) -> list:
     return out
 
 
+def laurent_sum(a: QScalar, b: QScalar) -> QScalar:
+    """a + b for integer Laurent polynomials: the coefficients are added at
+    aligned exponents and both ends trimmed, with no gcd."""
+    an, bn = a._n, b._n
+    ka, kb = len(a._d) - 1, len(b._d) - 1      # the low exponents are -ka, -kb
+    if ka < kb:
+        an, bn, ka, kb = bn, an, kb, ka
+    out = list(an)
+    top = len(bn) + ka - kb
+    if top > len(out):
+        out.extend([0] * (top - len(out)))
+    for i, y in enumerate(bn, ka - kb):
+        out[i] += y
+    hi = len(out)
+    while hi and not out[hi - 1]:
+        hi -= 1
+    if not hi:
+        return Q_ZERO
+    lo = 0
+    while not out[lo]:
+        lo += 1
+    return _laurent(tuple(out[lo:hi]), lo - ka)
+
+
 def pack_width(arows, brows) -> int:
     """Bits B of a packing in which the product of two matrices of integer
     Laurent numerators is exact: 2**(B - 1) > H, where H = max_i sum_k

@@ -29,12 +29,13 @@ is ordinary matrix multiplication acting on column vectors.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
 from .scalars import (Q_ONE, common_divisor, divide_exact, laurent_rows,
-                      laurent_scaled, laurent_split, lcm_factors, pack_rows,
-                      pack_width, unpack_rows)
+                      laurent_scaled, laurent_split, laurent_sum, lcm_factors,
+                      pack_rows, pack_width, unpack_rows)
 
 
 class Mat:
@@ -166,12 +167,21 @@ class Mat:
         return self._combine(other, True)
 
     def _combine(self, other, subtract: bool) -> "Mat":
-        """Sum or difference over lcm(den_a, den_b)."""
+        """Sum or difference over lcm(den_a, den_b): the numerators, times
+        the lcm cofactors, are combined as ints or, in symbolic mode, added
+        as integer Laurent polynomials with no gcd (a difference negates
+        the cofactor of the second operand)."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("matrix shape mismatch")
-        den, fa, fb = _lcm(self.zero, self.den, other.den)
+        zero = self.zero
+        rational = _rational(zero)
+        den, fa, fb = _lcm(zero, self.den, other.den)
+        if subtract and not rational:
+            fb, subtract = -fb, False
+        add = operator.add if rational else laurent_sum
         out = []
-        for ra, rb in zip(_rescaled(self.data, fa), _rescaled(other.data, fb)):
+        for ra, rb in zip(_rescaled(zero, self.data, fa),
+                          _rescaled(zero, other.data, fb)):
             row = dict(ra)
             grew = False
             for c, b in rb.items():
@@ -180,7 +190,7 @@ class Mat:
                     row[c] = -b if subtract else b
                     grew = True
                 else:
-                    s = a - b if subtract else a + b
+                    s = a - b if subtract else add(a, b)
                     if s:
                         row[c] = s
                     else:
@@ -188,7 +198,7 @@ class Mat:
             if grew and ra:       # new columns were appended after the old ones
                 row = {c: row[c] for c in sorted(row)}
             out.append(row)
-        return _reduced(out, den, self.nrows, self.ncols, self.zero)
+        return _reduced(out, den, self.nrows, self.ncols, zero)
 
     def __neg__(self):
         return _mat([{c: -v for c, v in row.items()} for row in self.data],
@@ -326,11 +336,13 @@ def _reduce(data, den) -> tuple:
             Q_ONE if den == Q_ONE else den)
 
 
-def _rescaled(data, f) -> list:
-    """The numerator rows times the denominator factor f (the rows
-    themselves if f is 1)."""
+def _rescaled(zero, data, f) -> list:
+    """The numerator rows times the factor f, an int or in symbolic mode
+    an integer Laurent polynomial (the rows themselves if f is 1)."""
     if f == 1:
         return data
+    if not _rational(zero):
+        return laurent_scaled(data, f)
     return [{c: v * f for c, v in row.items()} for row in data]
 
 

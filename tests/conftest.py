@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
+from qorbits import hecke
 from qorbits.scalars import at_q
 from qorbits.hecke import standard_hecke
 
@@ -12,6 +13,13 @@ from qorbits.hecke import standard_hecke
 # blob that replays a failing one, so a CI failure reproduces locally.
 settings.register_profile("ci", derandomize=True, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@pytest.fixture(autouse=True)
+def fresh_certificates():
+    """Every test starts with an empty certificate table, so no test reads a
+    certification made by an earlier one (some monkeypatch the certifier)."""
+    hecke._certified.cache_clear()
 
 
 @pytest.fixture(scope="session")

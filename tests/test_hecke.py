@@ -1,8 +1,10 @@
 import json
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 
+from qorbits import hecke, projectors
 from qorbits.scalars import SYMBOLIC, at_q, q_int, QScalar, Q
 from qorbits.tensor import LegOperator, Mat
 from qorbits.hecke import (HeckeError, HeckeSymmetry, RFileError,
@@ -74,6 +76,117 @@ class TestValidation:
     def test_constructor_asserts(self):
         with pytest.raises(HeckeError):
             HeckeSymmetry(LegOperator.flip(2, SYMBOLIC), SYMBOLIC)
+
+
+class TestCertificateCache:
+    """One certification per exact (R, q), shared by validate_hecke_symmetry
+    and HeckeSymmetry; tests/conftest.py empties the table before each test."""
+
+    @pytest.fixture()
+    def certify_calls(self, monkeypatch):
+        calls = []
+        real = hecke._certify
+
+        def counting(r, dom):
+            calls.append(dom.describe())
+            return real(r, dom)
+        monkeypatch.setattr(hecke, "_certify", counting)
+        return calls
+
+    def test_validate_then_construct_builds_one_tower(self, monkeypatch):
+        builds = []
+        real = projectors.antisymmetrizer_tower
+
+        def counting(r, dom, max_m):
+            builds.append(dom.describe())
+            return real(r, dom, max_m)
+        monkeypatch.setattr(projectors, "antisymmetrizer_tower", counting)
+        dom = at_q(Fraction(2, 3))
+        rep = validate_hecke_symmetry(standard_r(3, dom), dom)
+        h = standard_hecke(3, dom)
+        assert builds == ["2/3"]
+        assert rep.passed and h.p == 3
+        assert validate_hecke_symmetry(h.r, dom) is rep
+
+    def test_one_entry_differs(self, certify_calls):
+        # a failing R after a passing one at the same n and q
+        dom = at_q(Fraction(2, 3))
+        good = standard_r(2, dom)
+        entries = [(i, j, v + 1 if (i, j) == (0, 0) else v)
+                   for i, j, v in good.mat.entries()]
+        bad = LegOperator(2, 2, Mat.from_entries(4, 4, dom.zero, entries))
+        assert validate_hecke_symmetry(good, dom).passed
+        rep = validate_hecke_symmetry(bad, dom)
+        assert not rep.hecke and not rep.passed
+        with pytest.raises(HeckeError, match=f"^{rep.first_failure()}$"):
+            HeckeSymmetry(bad, dom)
+        assert len(certify_calls) == 2
+
+    def test_same_numerators_over_another_denominator(self, certify_calls):
+        dom = at_q(Fraction(2))
+        r = standard_r(2, dom)
+        half = LegOperator(2, 2, r.mat.scale(Fraction(1, 2)))
+        assert half.mat.data == r.mat.data and half.mat.den == 2 * r.mat.den
+        assert validate_hecke_symmetry(r, dom).passed
+        assert not validate_hecke_symmetry(half, dom).hecke
+        assert len(certify_calls) == 2
+
+    def test_same_content_at_another_q(self, certify_calls):
+        r = standard_r(2, at_q(Fraction(2)))
+        assert validate_hecke_symmetry(r, at_q(Fraction(2))).passed
+        assert not validate_hecke_symmetry(r, at_q(Fraction(3))).hecke
+        assert certify_calls == ["2", "3"]
+
+    def test_symbolic_and_sampled_are_certified_apart(self, certify_calls):
+        dom = at_q(Fraction(2, 3))
+        for _ in range(2):
+            assert standard_hecke(2).p == 2
+            assert standard_hecke(2, dom).p == 2
+        assert certify_calls == ["q", "2/3"]
+
+    def test_cache_clear_certifies_again(self, certify_calls):
+        dom = at_q(Fraction(3, 5))
+        first = validate_hecke_symmetry(standard_r(2, dom), dom)
+        assert validate_hecke_symmetry(standard_r(2, dom), dom) is first
+        hecke._certified.cache_clear()
+        again = validate_hecke_symmetry(standard_r(2, dom), dom)
+        assert again is not first and again == first
+        assert len(certify_calls) == 2
+
+    def test_table_is_bounded(self, certify_calls):
+        bound = hecke._CERTIFICATES
+        doms = [at_q(Fraction(k + 2)) for k in range(bound + 3)]
+        for dom in doms:
+            assert validate_hecke_symmetry(standard_r(1, dom), dom).passed
+            assert hecke._certified.cache_info().currsize <= bound
+        assert hecke._certified.cache_info().currsize == bound
+        # the least recently used certifications were dropped
+        validate_hecke_symmetry(standard_r(1, doms[-1]), doms[-1])
+        validate_hecke_symmetry(standard_r(1, doms[0]), doms[0])
+        assert len(certify_calls) == bound + 4
+
+    def test_exception_is_not_stored(self, monkeypatch, certify_calls):
+        real = hecke.check_ybe
+        monkeypatch.setattr(hecke, "check_ybe", lambda r: 1 / 0)
+        dom = at_q(Fraction(3, 5))
+        with pytest.raises(ZeroDivisionError):
+            validate_hecke_symmetry(standard_r(2, dom), dom)
+        monkeypatch.setattr(hecke, "check_ybe", real)
+        assert validate_hecke_symmetry(standard_r(2, dom), dom).passed
+        assert len(certify_calls) == 2
+
+    def test_report_is_read_only(self):
+        dom = at_q(Fraction(3, 4))
+        zero = LegOperator(2, 2, Mat.zeros(4, 4, dom.zero))
+        rep = validate_hecke_symmetry(zero, dom)
+        with pytest.raises(FrozenInstanceError):
+            rep.rank = 2
+        with pytest.raises(TypeError):
+            rep.details["skew_error"] = None
+        assert rep.details["skew_error"] == "not skew-invertible"
+        hecke._certified.cache_clear()
+        again = validate_hecke_symmetry(zero, dom)
+        assert again is not rep and again == rep and hash(again) == hash(rep)
 
 
 class TestSkewInverse:

@@ -446,6 +446,17 @@ class TestSymbolicLayout:
         assert s2.data[1] == {1: Q ** 2, 2: Q}
         assert s2[1, 2] == Q / (Q ** 2 + 1)
 
+    def test_sums_agree_with_qscalar_arithmetic(self):
+        # numerators are added as integer Laurent polynomials, over the lcm
+        # of the two denominators; the scalar sum is the oracle
+        for x, y in product(QSCALAR_POOL, repeat=2):
+            a = Mat([[x, y, Q_ZERO]], Q_ZERO)
+            b = Mat([[y, -y, x]], Q_ZERO)
+            for got, want in ((a + b, [x + y, Q_ZERO, x]),
+                              (a - b, [x - y, 2 * y, -x])):
+                assert_canonical(got)
+                assert got.rows == [want]
+
     def test_product_coefficient_at_the_digit_bound(self):
         # H = max_i sum_k |a_ik|_1 * max_kj |b_kj|_inf = 1025 * 1023
         # = 2**20 - 1, and the q**2 coefficient of the product is H itself:
