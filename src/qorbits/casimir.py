@@ -61,7 +61,7 @@ def q_dimension(lam: Sequence[int], p: int, domain: ScalarDomain):
 # trace weights on symmetric powers
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TraceWeights:
     """Quantum-trace data for V_(m): compressed weight and its normalization.
 
@@ -78,7 +78,8 @@ class TraceWeights:
 
 
 def trace_weights(h, m: int) -> TraceWeights:
-    """Calibrated weight on V_(m) (memoized on the symmetry)."""
+    """Calibrated weight on V_(m) (memoized with the symmetry's
+    certification)."""
     return h.memo(("weights", m), lambda: _calibrated_weights(h, m))
 
 
@@ -118,7 +119,7 @@ def generator_trace_identity(h, m: int) -> bool:
 # split Casimir matrices
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class CasimirMatrix:
     k: int
     m: int
@@ -149,7 +150,8 @@ def _casimir_pairing(h, first: Representation, second: Representation,
     The C-weighted trace over the auxiliary index of the product of
     L1 = sum_ia E_ia (x) F_ia (x) I and L2 = sum_aj E_aj (x) I (x) B_aj on
     V (x) V_first (x) V_second: F are the first module's blocks, B the
-    second's, transposed when transpose is set."""
+    second's, transposed when transpose is set.  Its callers memoize it
+    under ("pairing", k, m, transpose)."""
     d1, d2 = first.d, second.d
     product = (first.blocks.embed(1, d2)
                * place_blocks(second.blocks, d2, d1, transpose))
@@ -171,17 +173,17 @@ def split_casimir_matrix(h, k: int, m: int, algebra: str = "rea") -> CasimirMatr
         raise CasimirError("k and m must be positive")
     if h.p != 2:
         raise CasimirError("requires symmetry rank 2")
+    if algebra not in ("rea", "mrea"):
+        raise CasimirError(f"unknown algebra {algebra!r}")
     dom = h.domain
     right = sym_power_right_rea_p2(h, k)
     left = sym_power_left(h, m)
-    dk, dm = right.d, left.d
-    acc = _casimir_pairing(h, right, left, False)
+    acc = h.memo(("pairing", k, m, False),
+                 lambda: _casimir_pairing(h, right, left, False))
     if algebra == "mrea":
         shift = dom.q_pow(1 - m) * dom.q_int(m) / dom.zeta
-        acc = acc + Mat.identity(dk * dm, dom.zero, shift)
-    elif algebra != "rea":
-        raise CasimirError(f"unknown algebra {algebra!r}")
-    return CasimirMatrix(k=k, m=m, op=acc, dk=dk, dm=dm)
+        acc = acc + Mat.identity(acc.nrows, dom.zero, shift)
+    return CasimirMatrix(k=k, m=m, op=acc, dk=right.d, dm=left.d)
 
 
 def basic_roots(domain: ScalarDomain, k: int, algebra: str = "rea") -> RootData:
@@ -215,7 +217,8 @@ def left_casimir_matrix(h, k: int, m: int) -> CasimirMatrix:
         raise CasimirError("k and m must be positive")
     outer = sym_power_left(h, k)
     inner = sym_power_left(h, m)
-    acc = _casimir_pairing(h, outer, inner, True)
+    acc = h.memo(("pairing", k, m, True),
+                 lambda: _casimir_pairing(h, outer, inner, True))
     return CasimirMatrix(k=k, m=m, op=acc, dk=outer.d, dm=inner.d)
 
 

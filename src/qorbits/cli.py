@@ -124,25 +124,18 @@ def _hecke(args, domain, n: int, standard: bool = False) -> hecke_mod.HeckeSymme
     """The symmetry on the --r-file R-matrix (the standard one on an
     n-dimensional space when there is none, or when standard is set).
 
-    One run builds each (n, q, R-file) symmetry once: the suites of ``all``
-    share it and its memo of projectors, charts and modules.  A single
-    suite asks for each symmetry once, so only ``all`` keeps them.
+    Symmetries of the same exact (R, q) share their certification and its
+    memo of projectors, charts and modules, so the suites of ``all`` build
+    each of those once; the CLI keeps nothing of its own.
     """
-    r_file = None if standard else args.r_file
-    key = (r_file or n, domain.describe())
-    h = args.symmetries.get(key)
-    if h is None:
-        r = (hecke_mod.standard_r(n, domain) if standard
-             else _r_matrix(args, domain, n))
-        try:
-            h = hecke_mod.HeckeSymmetry(r, domain)
-        except hecke_mod.HeckeError as exc:
-            print(f"error: {r_file}: not a Hecke symmetry at "
-                  f"q={domain.describe()}: {exc}", file=sys.stderr)
-            raise SystemExit(3)
-        if args.suite == "all":
-            args.symmetries[key] = h
-    return h
+    r = (hecke_mod.standard_r(n, domain) if standard
+         else _r_matrix(args, domain, n))
+    try:
+        return hecke_mod.HeckeSymmetry(r, domain)
+    except hecke_mod.HeckeError as exc:
+        print(f"error: {args.r_file}: not a Hecke symmetry at "
+              f"q={domain.describe()}: {exc}", file=sys.stderr)
+        raise SystemExit(3)
 
 
 def _largest_spaces(args, file_n) -> dict:
@@ -726,7 +719,6 @@ def run_suite(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _check_args(parser, args)
-    args.symmetries = {}
     rec = CheckRecorder()
     for name in SUITES if args.suite == "all" else [args.suite]:
         # every suite gets the fresh rng a standalone run gets and draws its

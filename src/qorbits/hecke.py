@@ -264,10 +264,12 @@ class _Content(tuple):
 
 @lru_cache(maxsize=_CERTIFICATES)
 def _certified(content: _Content):
-    """:func:`_certify` at most once per exact (R, q) in a process; an
-    exception is never stored.  ``_certified.cache_clear()`` empties the
-    table."""
-    return _certify(content.r, content.domain)
+    """:func:`_certify` at most once per exact (R, q) in a process, and the
+    memo of (R, q), seeded with the tower; an exception is never stored.
+    ``_certified.cache_clear()`` empties the table, memos included."""
+    report, weights, tower = _certify(content.r, content.domain)
+    return (report, weights, tower,
+            {("A", m): a_m for m, a_m in enumerate(tower, 1)})
 
 
 def validate_hecke_symmetry(r: LegOperator,
@@ -285,21 +287,21 @@ def validate_hecke_symmetry(r: LegOperator,
 # ---------------------------------------------------------------------------
 
 class HeckeSymmetry:
-    """Validated bundle (n, R, Psi, B, C, p) with one memo of derived objects.
+    """Validated bundle (n, R, Psi, B, C, p) with the memo of derived objects.
 
     Construction reads the certification :func:`validate_hecke_symmetry`
     reads (Yang-Baxter equation, Hecke condition, both skew-inverse
     contractions, the antisymmetrizer collapse at rank p, B C = q**(-2p) I
     and trace B = trace C = p_q / q**p), certifying R only if this exact
     (R, q) was not certified before in the process, and raises HeckeError
-    naming the first failed axiom.  The bundle is immutable after
-    construction; everything derived from it (projectors, charts, modules,
-    trace weights) lives in one memo, seeded with the certified tower
-    A(1)..A(p+1).
+    naming the first failed axiom.  The bundle is immutable.  Everything
+    derived from it (projectors, charts, modules, trace weights, Casimir
+    pairings) lives in its certification's memo, seeded with the certified
+    tower A(1)..A(p+1) and shared by every symmetry of the same exact (R, q).
     """
 
     def __init__(self, r: LegOperator, domain: ScalarDomain = SYMBOLIC):
-        report, weights, tower = _certified(_Content(r, domain))
+        report, weights, _, self._memo = _certified(_Content(r, domain))
         if not report.passed:
             raise HeckeError(report.first_failure())
         self.n = r.n
@@ -310,7 +312,6 @@ class HeckeSymmetry:
         # R**-1 = R - (q - 1/q) I, forced by the Hecke condition
         self.r_inv = r - LegOperator(
             r.n, 2, Mat.identity(r.n ** 2, domain.zero, domain.zeta))
-        self._memo: dict = {("A", m): a_m for m, a_m in enumerate(tower, 1)}
 
     def memo(self, key, build):
         """The derived object stored under key; build() makes it on first

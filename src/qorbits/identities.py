@@ -51,7 +51,8 @@ def elementary_symmetric(values: Sequence, k: int, zero=Fraction(0),
 def elementary_symmetric_without(values: Sequence, k: int, skip: Sequence[int],
                                  zero=Fraction(0), one=Fraction(1)):
     """e_k with the listed positions deleted."""
-    kept = [v for i, v in enumerate(values) if i not in set(skip)]
+    skip = set(skip)
+    kept = [v for i, v in enumerate(values) if i not in skip]
     return elementary_symmetric(kept, k, zero, one)
 
 

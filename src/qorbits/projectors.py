@@ -14,12 +14,12 @@ and no division.  x_m x_m = gamma_m x_m with gamma_m = q**(+-m(m-1)/2) [m]_q!
 certifier checks each A(m) idempotent with integer trace and A(p+1) = 0, so
 a wrong gamma_m fails construction.
 
-Every projector, plain or embedded, is kept in the owning symmetry's memo
-under ("S" | "A", m) or ("S" | "A", m, start, total).  Construction seeds
-the memo with the antisymmetrizers A(1)..A(p+1) that the symmetry-rank
-certificate built, so those are never built twice; every other level is
-built on first request from the memoized level below, rescaled by its
-gamma to x_{m-1}.
+Every projector, plain or embedded, is kept in the memo of the symmetry's
+certification under ("S" | "A", m) or ("S" | "A", m, start, total).  The
+certification seeds the memo with the antisymmetrizers A(1)..A(p+1) that
+the symmetry-rank certificate built, so those are never built twice; every
+other level is built on first request from the memoized level below,
+rescaled by its gamma to x_{m-1}.
 """
 
 from __future__ import annotations

@@ -15,9 +15,10 @@ The defining relations live on V (x) V with operator-valued entries:
 
 A module carries its mass hbar and nothing else about the algebra: hbar = 0
 is the REA.  Every constructor in this module verifies the relations once,
-when first built for a symmetry; the module is kept in that symmetry's memo
-under the constructor's name and arguments, so later requests share it and
-nobody may write into its blocks.  The shifts :func:`with_mass` and
+when first built; the module is kept in the memo of its symmetry's
+certification under the constructor's name and arguments, so every symmetry
+of the same exact (R, q) shares it.  A module is frozen, and nobody may
+write into its blocks.  The shifts :func:`with_mass` and
 :func:`rescaled` verify every module they return.
 """
 
@@ -95,7 +96,7 @@ def sym_chart(h, m: int) -> Compression:
 # representations
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Representation:
     """A module as one operator: blocks = sum_ij E_ij (x) rho_ij on V (x) M."""
     side: str                       # "left" | "right"

@@ -1,7 +1,9 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 
+from qorbits import casimir
 from qorbits.hecke import standard_hecke
 from qorbits.scalars import SYMBOLIC, at_q, eval_at, q_binomial
 from qorbits.tensor import Mat, row_reduce, weighted_partial_trace
@@ -228,6 +230,58 @@ class TestPairingFormula:
         expect = _pairing_oracle(h, sym_power_left(h, k), sym_power_left(h, m),
                                  True)
         assert left_casimir_matrix(h, k, m).op.rows == expect.rows
+
+
+class TestPairingMemo:
+    """One pairing per (k, m, transpose) and exact (R, q), shared by every
+    symmetry of that content and by both algebras."""
+
+    @pytest.fixture()
+    def pairings(self, monkeypatch):
+        calls = []
+        real = casimir._casimir_pairing
+
+        def counting(h, first, second, transpose):
+            calls.append((first.d, second.d, transpose))
+            return real(h, first, second, transpose)
+        monkeypatch.setattr(casimir, "_casimir_pairing", counting)
+        return calls
+
+    def test_algebras_and_symmetries_share_one_pairing(self, pairings):
+        k, m = 3, 2
+        dom = at_q(Fraction(3, 5))
+        h = standard_hecke(2, dom)
+        rea = split_casimir_matrix(h, k, m, "rea")
+        mrea = split_casimir_matrix(h, k, m, "mrea")
+        again = split_casimir_matrix(standard_hecke(2, at_q(Fraction(3, 5))),
+                                     k, m, "rea")
+        assert pairings == [(4, 3, False)]
+        assert again.op is rea.op
+        shift = dom.q_pow(1 - m) * dom.q_int(m) / dom.zeta
+        assert mrea.op == rea.op + Mat.identity(rea.dim, dom.zero, shift)
+
+    def test_left_pairing_is_kept_apart(self, pairings):
+        h = standard_hecke(2, at_q(Fraction(3, 5)))
+        split = split_casimir_matrix(h, 2, 2, "rea")
+        left = left_casimir_matrix(h, 2, 2)
+        assert left_casimir_matrix(h, 2, 2).op is left.op
+        assert pairings == [(3, 3, False), (3, 3, True)]
+        assert left.op is not split.op
+
+    def test_unknown_algebra_forms_no_pairing(self, pairings):
+        with pytest.raises(CasimirError, match="unknown algebra"):
+            split_casimir_matrix(standard_hecke(2, at_q(Fraction(3, 5))), 1, 1,
+                                 "rea2")
+        assert pairings == []
+
+    def test_shared_values_are_frozen(self):
+        h = standard_hecke(2, at_q(Fraction(3, 5)))
+        cm = split_casimir_matrix(h, 2, 1)
+        with pytest.raises(FrozenInstanceError):
+            cm.op = cm.op.scale(h.domain.lift(2))
+        w = trace_weights(h, 2)
+        with pytest.raises(FrozenInstanceError):
+            w.weight = w.weight.scale(h.domain.lift(2))
 
 
 class TestQuantumTraceEntry:

@@ -12,6 +12,7 @@ from qorbits.hecke import (HeckeError, HeckeSymmetry, RFileError,
                            standard_hecke, standard_r, symmetry_rank,
                            validate_hecke_symmetry, check_ybe, check_hecke)
 from qorbits.projectors import q_antisymmetrizer, q_symmetrizer
+from qorbits.reps import sym_chart
 
 
 class TestStandardR:
@@ -174,6 +175,63 @@ class TestCertificateCache:
         monkeypatch.setattr(hecke, "check_ybe", real)
         assert validate_hecke_symmetry(standard_r(2, dom), dom).passed
         assert len(certify_calls) == 2
+
+    def test_symmetries_of_one_content_share_a_memo(self, certify_calls):
+        q = Fraction(2, 3)
+        first, second = standard_hecke(3, at_q(q)), standard_hecke(3, at_q(q))
+        assert first is not second and first._memo is second._memo
+        assert q_symmetrizer(first, 2) is q_symmetrizer(second, 2)
+        assert sym_chart(first, 2) is sym_chart(second, 2)
+        assert certify_calls == ["2/3"]
+
+    def test_other_content_gets_a_fresh_memo(self):
+        dom = at_q(Fraction(2, 3))
+        h = standard_hecke(2, dom)
+        s2 = q_symmetrizer(h, 2)
+        entries = [(i, j, v + 1 if (i, j) == (0, 0) else v)
+                   for i, j, v in h.r.mat.entries()]
+        bumped = LegOperator(2, 2, Mat.from_entries(4, 4, dom.zero, entries))
+        others = [standard_hecke(2, at_q(Fraction(3, 2)))._memo,
+                  hecke._certified(hecke._Content(bumped, dom))[3],
+                  standard_hecke(2)._memo]
+        assert all(memo is not h._memo and ("S", 2) not in memo
+                   for memo in others)
+        assert standard_hecke(2, at_q(Fraction(2, 3)))._memo[("S", 2)] is s2
+
+    def test_cache_clear_gives_a_fresh_memo(self):
+        dom = at_q(Fraction(2, 3))
+        h = standard_hecke(2, dom)
+        s2 = q_symmetrizer(h, 2)
+        hecke._certified.cache_clear()
+        again = standard_hecke(2, dom)
+        assert again._memo is not h._memo and ("S", 2) not in again._memo
+        assert q_symmetrizer(again, 2) == s2
+        assert q_symmetrizer(again, 2) is not s2
+        assert q_symmetrizer(h, 2) is s2    # h keeps the memo it adopted
+
+    def test_failed_builder_stores_nothing(self):
+        dom = at_q(Fraction(2, 3))
+        h = standard_hecke(2, dom)
+        with pytest.raises(ZeroDivisionError):
+            h.memo("key", lambda: 1 / 0)
+        other = standard_hecke(2, dom)
+        assert "key" not in other._memo
+        assert other.memo("key", lambda: 7) == 7
+        assert h.memo("key", lambda: 8) == 7
+
+    def test_validate_seeds_the_memo_with_the_tower(self, monkeypatch):
+        dom = at_q(Fraction(2, 3))
+        r = standard_r(3, dom)
+        assert validate_hecke_symmetry(r, dom).passed
+        tower = hecke._certified(hecke._Content(r, dom))[2]
+
+        def no_tower(*args):
+            raise AssertionError("tower rebuilt")
+        monkeypatch.setattr(projectors, "antisymmetrizer_tower", no_tower)
+        h = HeckeSymmetry(r, dom)
+        assert sorted(h._memo) == [("A", m) for m in range(1, h.p + 2)]
+        for m, a_m in enumerate(tower, 1):
+            assert q_antisymmetrizer(h, m) is a_m
 
     def test_report_is_read_only(self):
         dom = at_q(Fraction(3, 4))

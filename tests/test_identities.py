@@ -1,7 +1,8 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import comb
+from itertools import combinations
+from math import comb, prod
 
 import pytest
 
@@ -167,6 +168,17 @@ class TestNewton:
 
 
 class TestElementarySymmetric:
+    @pytest.mark.parametrize("skip", [[], [2], [4, 0]])
+    def test_without_deletes_the_positions(self, rng, skip):
+        t = random_rationals(rng, 5)
+        kept = list(t)
+        for i in sorted(skip, reverse=True):
+            del kept[i]
+        for k in range(len(t) + 1):
+            expect = sum((prod(c, start=Fraction(1))
+                          for c in combinations(kept, k)), Fraction(0))
+            assert elementary_symmetric_without(t, k, skip) == expect
+
     def test_deletion_recurrence(self, rng):
         t = random_rationals(rng, 6)
         for k in range(1, 7):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -295,6 +295,15 @@ class TestMemo:
         assert sym_chart(h, 2) is sym_chart(h, 2)
         assert sym_power_left(h, 2).chart is sym_chart(h, 2)
         assert casimir.trace_weights(h, 2) is casimir.trace_weights(h, 2)
+
+    def test_shared_module_is_frozen(self):
+        h = standard_hecke(2, at_q(Fraction(5, 3)))
+        rep = sym_power_left(h, 2)
+        with pytest.raises(FrozenInstanceError):
+            rep.blocks = rep.blocks.scale(h.domain.lift(2))
+        with pytest.raises(FrozenInstanceError):
+            rep.hbar = Fraction(0)
+        assert sym_power_left(standard_hecke(2, at_q(Fraction(5, 3))), 2) is rep
 
     def test_failed_build_is_not_memoized(self):
         h = standard_hecke(3, at_q(Fraction(5, 3)))
