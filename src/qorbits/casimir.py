@@ -228,8 +228,10 @@ def closed_form_p2(h, k: int, m: int) -> CasimirMatrix:
     q**(m-1) L = (m_q / q**(2k+2)) S(k) S(m)
                + (zeta m_q (k+1)_q / q**(k+1)) S(m) S(k+1) S(m)
 
-    on k+m legs, compressed to the product basis of V_(k) (x) V_(m); must
-    equal :func:`split_casimir_matrix` exactly.
+    on k+m legs.  Each product is compressed to the product basis of
+    V_(k) (x) V_(m) first, with its own round-trip check, and only then
+    scaled, so no operator above dk*dm is scaled; must equal
+    :func:`split_casimir_matrix` exactly.
     """
     if h.p != 2:
         raise CasimirError("requires symmetry rank 2")
@@ -240,11 +242,12 @@ def closed_form_p2(h, k: int, m: int) -> CasimirMatrix:
     sk = q_symmetrizer(h, k, total, 1)
     sm = q_symmetrizer(h, m, total, k + 1)
     sk1 = q_symmetrizer(h, k + 1, total, 1)
-    c1 = dom.q_int(m) / dom.q_pow(2 * k + 2)
-    c2 = dom.zeta * dom.q_int(m) * dom.q_int(k + 1) / dom.q_pow(k + 1)
-    big = (sk.mat * sm.mat).scale(c1) + (sm.mat * sk1.mat * sm.mat).scale(c2)
+    # the two coefficients above, each times q**(1-m)
+    c1 = dom.q_int(m) / dom.q_pow(2 * k + m + 1)
+    c2 = dom.zeta * dom.q_int(m) * dom.q_int(k + 1) / dom.q_pow(k + m)
     chart = Compression.product(sym_chart(h, k), sym_chart(h, m))
-    compressed = chart.compress(big).scale(dom.q_pow(1 - m))
+    compressed = (chart.compress(sk.mat * sm.mat).scale(c1)
+                  + chart.compress(sm.mat * sk1.mat * sm.mat).scale(c2))
     dk = sym_chart(h, k).dim
     dm = sym_chart(h, m).dim
     return CasimirMatrix(k=k, m=m, op=compressed, dk=dk, dm=dm)

@@ -6,20 +6,21 @@ representatives of S_{m-1} in S_m (Dipper-James 1986; Jimbo 1986):
     x_1 = I,
     x_m = x_{m-1}|_{1..m-1} (I + sum_{j=1}^{m-1} c**j R_{m-1} R_{m-2} .. R_{m-j}),
 
-with c = q for S and c = -1/q for A, so x_m = sum_w c**l(w) R_w.  Keeping
-y_j = y_{j-1} R_{m-j} makes a level m - 1 products with a sparse embedded R
-and no division.  x_m x_m = gamma_m x_m with gamma_m = q**(+-m(m-1)/2) [m]_q!
-(plus for S, minus for A), and the projector is x_m scaled once by
-1/gamma_m, taken from that formula.  Nothing is taken on faith: the
-certifier checks each A(m) idempotent with integer trace and A(p+1) = 0, so
-a wrong gamma_m fails construction.
+with c = q for S and c = -1/q for A, so x_m = sum_w c**l(w) R_w and
+x_m x_m = gamma_m x_m with gamma_m = q**(+-m(m-1)/2) [m]_q! (plus for S,
+minus for A).  The projector is x_m / gamma_m, and one recurrence builds
+level m from the normalized level m - 1: c is folded into R once per
+level, so y_j = y_{j-1} (c R)_{m-j} makes m - 1 products with a sparse
+embedded cR and no scale of a large operator, and the sum is scaled once
+by gamma_{m-1}/gamma_m = 1/(q**(+-(m-1)) [m]_q).  Nothing is taken on
+faith: the certifier checks each A(m) idempotent with integer trace and
+A(p+1) = 0, so a wrong factor fails construction.
 
 Every projector, plain or embedded, is kept in the memo of the symmetry's
 certification under ("S" | "A", m) or ("S" | "A", m, start, total).  The
 certification seeds the memo with the antisymmetrizers A(1)..A(p+1) that
 the symmetry-rank certificate built, so those are never built twice; every
-other level is built on first request from the memoized level below,
-rescaled by its gamma to x_{m-1}.
+other level is built on first request from the memoized level below.
 """
 
 from __future__ import annotations
@@ -30,21 +31,28 @@ from .scalars import ScalarDomain
 from .tensor import LegOperator, embed_on_legs
 
 
-def _gamma(domain: ScalarDomain, m: int, kind: str):
-    """gamma_m = q**(+-m(m-1)/2) [m]_q!, so that x_m x_m = gamma_m x_m."""
+def _level_factor(domain: ScalarDomain, m: int, kind: str):
+    """gamma_{m-1}/gamma_m = 1/(q**(+-(m-1)) [m]_q)."""
     sign = 1 if kind == "S" else -1
-    return domain.q_pow(sign * m * (m - 1) // 2) * domain.q_factorial(m)
+    return domain.q_pow(-sign * (m - 1)) / domain.q_int(m)
 
 
 def _unnormalized(x_prev: LegOperator, m: int, r: LegOperator,
                   domain: ScalarDomain, kind: str) -> LegOperator:
-    """x_m = x_{m-1} (I + sum_{j<m} c**j R_{m-1} R_{m-2} .. R_{m-j})."""
-    c = domain.q if kind == "S" else -domain.q_pow(-1)
+    """x_{m-1}|_{1..m-1} (I + sum_{j<m} (cR)_{m-1} (cR)_{m-2} .. (cR)_{m-j})."""
+    cr = r.scale(domain.q if kind == "S" else -domain.q_pow(-1))
     y = x = embed_on_legs(x_prev, 1, m)
     for j in range(1, m):
-        y = y * embed_on_legs(r, m - j, m)
-        x = x + y.scale(c ** j)
+        y = y * embed_on_legs(cr, m - j, m)
+        x = x + y
     return x
+
+
+def _next_level(prev: LegOperator, m: int, r: LegOperator,
+                domain: ScalarDomain, kind: str) -> LegOperator:
+    """The projector on m legs from the projector on m - 1 legs."""
+    return _unnormalized(prev, m, r, domain, kind).scale(
+        _level_factor(domain, m, kind))
 
 
 def antisymmetrizer_tower(r: LegOperator, domain: ScalarDomain,
@@ -52,18 +60,15 @@ def antisymmetrizer_tower(r: LegOperator, domain: ScalarDomain,
     x = LegOperator.identity(r.n, 1, domain)
     yield 1, x
     for m in range(2, max_m + 1):
-        x = _unnormalized(x, m, r, domain, "A")
-        yield m, x.scale(domain.one / _gamma(domain, m, "A"))
+        x = _next_level(x, m, r, domain, "A")
+        yield m, x
 
 
 def _base(h, m: int, kind: str) -> LegOperator:
     def build():
-        dom = h.domain
         if m == 1:
-            return LegOperator.identity(h.n, 1, dom)
-        x_prev = _base(h, m - 1, kind).scale(_gamma(dom, m - 1, kind))
-        x = _unnormalized(x_prev, m, h.r, dom, kind)
-        return x.scale(dom.one / _gamma(dom, m, kind))
+            return LegOperator.identity(h.n, 1, h.domain)
+        return _next_level(_base(h, m - 1, kind), m, h.r, h.domain, kind)
     return h.memo((kind, m), build)
 
 

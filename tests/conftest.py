@@ -8,6 +8,7 @@ from hypothesis import settings
 from qorbits import hecke
 from qorbits.scalars import at_q
 from qorbits.hecke import standard_hecke
+from qorbits.tensor import Mat
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run and prints the
 # blob that replays a failing one, so a CI failure reproduces locally.
@@ -42,3 +43,21 @@ def h2_sampled():
 @pytest.fixture()
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture()
+def scale_sizes(monkeypatch):
+    """scale_sizes(fn) runs fn() and returns its result with the row counts
+    of the matrices that Mat.scale was called on meanwhile."""
+    def run(fn):
+        sizes = []
+        real = Mat.scale
+
+        def counting(mat, s):
+            sizes.append(mat.nrows)
+            return real(mat, s)
+        with monkeypatch.context() as patch:
+            patch.setattr(Mat, "scale", counting)
+            out = fn()
+        return out, sizes
+    return run

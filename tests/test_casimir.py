@@ -1,17 +1,21 @@
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+import random
+from types import SimpleNamespace
 
 import pytest
 
 from qorbits import casimir
 from qorbits.hecke import standard_hecke
-from qorbits.scalars import SYMBOLIC, at_q, eval_at, q_binomial
+from qorbits.scalars import SYMBOLIC, at_q, eval_at, q_binomial, random_q
 from qorbits.tensor import Mat, row_reduce, weighted_partial_trace
 from qorbits.casimir import (CasimirError, basic_roots, closed_form_p2,
                              generator_trace_identity, left_casimir_matrix,
                              module_trace, q_dimension, split_casimir_matrix,
                              trace_weights)
-from qorbits.reps import sym_power_left, sym_power_right_rea_p2
+from qorbits.projectors import q_symmetrizer
+from qorbits.reps import (Compression, sym_chart, sym_power_left,
+                          sym_power_right_rea_p2)
 from qorbits.identities import RootData, ch_verify, omega_roots_p2
 from qorbits.orbits import frobenius_dim
 
@@ -231,6 +235,20 @@ class TestPairingFormula:
                                  True)
         assert left_casimir_matrix(h, k, m).op.rows == expect.rows
 
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_weight_orientation(self, transpose):
+        # a stand-in symmetry with the modules of a standard one and a
+        # non-symmetric C pins which index of C the pairing contracts
+        h = standard_hecke(3, at_q(Fraction(3, 5)))
+        dom = h.domain
+        c = Mat.from_entries(3, 3, dom.zero, (
+            (0, 0, Fraction(2)), (0, 1, Fraction(1, 3)), (1, 2, Fraction(-5)),
+            (2, 0, Fraction(7, 4)), (2, 2, Fraction(1))))
+        stand_in = SimpleNamespace(c=c, n=h.n, p=h.p, domain=dom)
+        first, second = sym_power_left(h, 2), sym_power_left(h, 1)
+        assert (casimir._casimir_pairing(stand_in, first, second, transpose)
+                == _pairing_oracle(stand_in, first, second, transpose))
+
 
 class TestPairingMemo:
     """One pairing per (k, m, transpose) and exact (R, q), shared by every
@@ -312,3 +330,41 @@ class TestQuantumTraceEntry:
         assert full.nrows == 1 and full.rows[0][0] == expect
         assert (h2.c.trace() * module_trace(ident, 2, dm, w)
                 == expect * dom.q_pow(2))
+
+
+def _one_compression(h, k, m):
+    """Oracle: the closed form as one compression of the scaled sum,
+    compress(c1 S(k) S(m) + c2 S(m) S(k+1) S(m)) q**(1-m)."""
+    dom = h.domain
+    total = k + m
+    sk = q_symmetrizer(h, k, total, 1).mat
+    sm = q_symmetrizer(h, m, total, k + 1).mat
+    sk1 = q_symmetrizer(h, k + 1, total, 1).mat
+    c1 = dom.q_int(m) / dom.q_pow(2 * k + 2)
+    c2 = dom.zeta * dom.q_int(m) * dom.q_int(k + 1) / dom.q_pow(k + 1)
+    chart = Compression.product(sym_chart(h, k), sym_chart(h, m))
+    big = (sk * sm).scale(c1) + (sm * sk1 * sm).scale(c2)
+    return chart.compress(big).scale(dom.q_pow(1 - m))
+
+
+class TestClosedFormCompression:
+    """The closed form compresses each product before it scales it."""
+
+    KM = [(k, m) for k in range(1, 4) for m in range(1, k + 1)]
+
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_equals_one_compression(self, h2, seed):
+        h = h2 if seed is None else standard_hecke(
+            2, at_q(random_q(random.Random(seed))))
+        for k, m in self.KM:
+            assert closed_form_p2(h, k, m).op == _one_compression(h, k, m), (k, m)
+
+    @pytest.mark.parametrize("km", KM)
+    def test_scales_only_compressed_operators(self, scale_sizes, km):
+        # the projectors and charts are memoized by the first call
+        k, m = km
+        h = standard_hecke(2)
+        cm = closed_form_p2(h, k, m)
+        again, sizes = scale_sizes(lambda: closed_form_p2(h, k, m))
+        assert again.op == cm.op
+        assert sizes and max(sizes) <= cm.dim

@@ -151,11 +151,19 @@ class TestAgreementWithTwoSidedRecursion:
                 assert build[kind](h, m) == ref, (kind, m)
 
 
+def _gamma(domain, m, kind):
+    """Oracle: gamma_m = q**(+-m(m-1)/2) [m]_q!, so that x_m x_m = gamma_m x_m
+    (plus for S, minus for A)."""
+    sign = 1 if kind == "S" else -1
+    return domain.q_pow(sign * m * (m - 1) // 2) * domain.q_factorial(m)
+
+
 class TestNormalization:
     def test_wrong_gamma_fails_construction(self, monkeypatch):
-        # the scale 1/gamma_m is certified by idempotency, not trusted
-        real = projectors._gamma
-        monkeypatch.setattr(projectors, "_gamma",
+        # the per-level scale gamma_{m-1}/gamma_m is certified by
+        # idempotency, not trusted
+        real = projectors._level_factor
+        monkeypatch.setattr(projectors, "_level_factor",
                             lambda dom, m, kind: real(dom, m, kind) * dom.q)
         dom = at_q(Fraction(3, 5))
         with pytest.raises(HeckeError,
@@ -175,12 +183,36 @@ class TestNormalization:
         x = h2.identity(1)
         for m in range(2, 6):
             x = projectors._unnormalized(x, m, h2.r, dom, kind)
-            gamma = projectors._gamma(dom, m, kind)
+            gamma = _gamma(dom, m, kind)
             assert x * x == x.scale(gamma)
             for i in range(1, m):
                 r_i = h2.r_on(i, m)
                 assert r_i * x == x.scale(c) == x * r_i
             assert x.scale(dom.one / gamma) == build(h2, m)
+
+    @pytest.mark.parametrize("kind", ["S", "A"])
+    def test_level_factor_is_the_gamma_ratio(self, h2, kind):
+        dom = h2.domain
+        for m in range(2, 8):
+            assert (projectors._level_factor(dom, m, kind)
+                    == _gamma(dom, m - 1, kind) / _gamma(dom, m, kind))
+
+
+class TestOneScalePerLevel:
+    """Level m is the level below times the coset sum, scaled once: the
+    only other scale is c R on two legs."""
+
+    @pytest.mark.parametrize("n, q0, kind, m", [
+        (2, None, "S", 3), (2, None, "S", 5), (2, None, "A", 4),
+        (3, Fraction(3, 5), "S", 3), (3, Fraction(3, 5), "A", 5),
+    ])
+    def test_one_full_size_scale(self, scale_sizes, n, q0, kind, m):
+        h = standard_hecke(n, SYMBOLIC if q0 is None else at_q(q0))
+        build = {"S": q_symmetrizer, "A": q_antisymmetrizer}[kind]
+        below = build(h, m - 1)
+        top, sizes = scale_sizes(lambda: build(h, m))
+        assert sorted(sizes) == [n ** 2, n ** m]
+        assert top == two_sided_step(below, m, h.r, h.domain, kind)
 
 
 class TestBeyondTwoSidedBudget:
