@@ -19,9 +19,9 @@ from .projectors import q_antisymmetrizer, q_symmetrizer
 from .reps import (Representation, fundamental_left, rescaled,
                    sym_power_left, sym_power_right_p2, sym_power_right_rea_p2,
                    tensor_power_left, verify_defining_relations, with_mass)
-from .casimir import (CasimirMatrix, TraceWeights, closed_form_p2,
-                      left_casimir_matrix, module_trace, q_dimension,
-                      split_casimir_matrix, trace_weights)
+from .casimir import (CasimirMatrix, closed_form_p2, left_casimir_matrix,
+                      module_trace, q_dimension, split_casimir_matrix,
+                      trace_weights)
 from .identities import (CentralValues, RootData, central_elements_in_rep,
                          ch_verify, ch_verify_coefficients, compositions,
                          conjecture_roots, newton_check, omega_roots_p2,

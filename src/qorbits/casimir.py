@@ -10,11 +10,12 @@ Conventions.  The operator stored in :class:`CasimirMatrix` acts on
 V_(k) (x) V_(m) in the compressed charts of the reps module; the abstract
 generator matrix is its full transpose, which leaves every quantity checked
 here (polynomial identities, spectra, idempotent ranks, weighted traces of
-powers) unchanged.  The quantum-trace weight on V_(m) is the m-fold product
-of the single-leg weight C compressed to the symmetric component; its
-calibration against q-dimensions fixes the normalization exponent p*m, and
-the trace map on V_(m)-endomorphisms carries the complementary factor
-q**(p*(m-1)) so that the single-leg case reduces to trace(C X).
+powers) unchanged.  The quantum-trace weight on V_(m) is one matrix: the
+m-fold product of the single-leg weight C compressed to the symmetric
+component, times q**(p*(m-1)).  It is calibrated as q**p trace(W_m) =
+q-dimension of V_(m), the statement q**p trace(C) = p_q at m = 1, so the
+trace over V_(m) is the single contraction trace(W_m X), which at m = 1 is
+trace(C X).
 """
 
 from __future__ import annotations
@@ -61,43 +62,29 @@ def q_dimension(lam: Sequence[int], p: int, domain: ScalarDomain):
 # trace weights on symmetric powers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceWeights:
-    """Quantum-trace data for V_(m): compressed weight and its normalization.
+def trace_weights(h, m: int) -> Mat:
+    """The calibrated weight W_m = q**(p(m-1)) compress(C**(x)m) on V_(m),
+    memoized with the symmetry's certification.
 
-    Invariant (asserted at construction): q**(p*m) * trace(weight) equals the
-    q-dimension of V_(m).  The extension of the single-leg trace map to
-    matrices over End(V_(m)) multiplies the weighted trace by
-    q**(p*(m-1)); at m = 1 this is literally trace(C X).
+    Invariant (asserted at construction): q**p trace(W_m) equals the
+    q-dimension of V_(m), as q**p trace(C) = p_q at m = 1, where W_1 = C.
     """
-    m: int
-    p: int
-    weight: Mat
-    norm_exponent: int
-    domain: ScalarDomain
-
-
-def trace_weights(h, m: int) -> TraceWeights:
-    """Calibrated weight on V_(m) (memoized with the symmetry's
-    certification)."""
     return h.memo(("weights", m), lambda: _calibrated_weights(h, m))
 
 
-def _calibrated_weights(h, m: int) -> TraceWeights:
+def _calibrated_weights(h, m: int) -> Mat:
     dom = h.domain
     cw = h.c
     for _ in range(m - 1):
         cw = cw.kron(h.c)
-    compressed = sym_chart(h, m).compress(cw)
-    w = TraceWeights(m=m, p=h.p, weight=compressed, norm_exponent=h.p * m,
-                     domain=dom)
-    total = compressed.trace() * dom.q_pow(w.norm_exponent)
+    weight = sym_chart(h, m).compress(cw).scale(dom.q_pow(h.p * (m - 1)))
+    total = weight.trace() * dom.q_pow(h.p)
     expected = q_dimension([m], h.p, dom)
     if total != expected:
         raise CasimirError(
-            f"weight calibration failed at m={m}: q**{w.norm_exponent} * "
-            f"trace = {total}, q-dimension = {expected}")
-    return w
+            f"weight calibration failed at m={m}: q**{h.p} * trace = "
+            f"{total}, q-dimension = {expected}")
+    return weight
 
 
 def generator_trace_identity(h, m: int) -> bool:
@@ -132,15 +119,14 @@ class CasimirMatrix:
         return self.dk * self.dm
 
 
-def module_trace(op: Mat, dk: int, dm: int, weights: TraceWeights):
+def module_trace(op: Mat, dk: int, dm: int, weight: Mat):
     """Certified quantum trace over the V_(m) factor of V_(k) (x) V_(m).
 
-    The partial trace against the calibrated weight must be a scalar on the
-    first factor (centrality of the traced element); returns that scalar
-    times q**(p*(m-1)).
+    The partial trace against the calibrated weight (:func:`trace_weights`)
+    must be a scalar on the first factor (centrality of the traced
+    element); returns that scalar.
     """
-    value = central_trace(op, {2}, weights.weight, (dk, dm), "module trace")
-    return value * weights.domain.q_pow(weights.p * (weights.m - 1))
+    return central_trace(op, {2}, weight, (dk, dm), "module trace")
 
 
 def _casimir_pairing(h, first: Representation, second: Representation,

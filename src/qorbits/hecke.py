@@ -364,15 +364,21 @@ def load_r_from_file(path, domain: ScalarDomain = SYMBOLIC) -> LegOperator:
         raise RFileError(f"{path}: field 'n' must be a positive integer")
     if data.get("parameter", "q") != "q":
         raise RFileError(f"{path}: unsupported parameter {data.get('parameter')!r}")
+    raw = data.get("entries", [])
+    if not isinstance(raw, list):
+        raise RFileError(f"{path}: field 'entries' must be a list")
     entries = []
     seen = set()
-    for idx, entry in enumerate(data.get("entries", [])):
+    for idx, entry in enumerate(raw):
         try:
             k, l = entry["out"]
             i, j = entry["in"]
             value = entry["value"]
         except (KeyError, TypeError, ValueError) as exc:
             raise RFileError(f"{path}: malformed entry #{idx}: {entry!r}") from exc
+        if not isinstance(value, str):
+            raise RFileError(f"{path}: entry #{idx}: value {value!r} "
+                             f"is not a string")
         for name, v in (("out", k), ("out", l), ("in", i), ("in", j)):
             if not isinstance(v, int) or not 1 <= v <= n:
                 raise RFileError(f"{path}: entry #{idx}: {name} index {v} "

@@ -195,6 +195,8 @@ class RootData:
         mode selects which family: the deformed root formula ("quantum") or
         the integer-coefficient classical one ("classical").
         """
+        if mode not in ("quantum", "classical"):
+            raise IdentityError(f"unknown mode {mode!r}")
         if not self.is_1_generic():
             return False
         if mode == "quantum":
@@ -264,17 +266,24 @@ def parametric_central_values(rd: RootData, p: int) -> CentralValues:
 # Cayley-Hamilton verification
 # ---------------------------------------------------------------------------
 
+def root_products(mat: Mat, roots: Sequence, domain: ScalarDomain):
+    """Yield P_0 = I and then P_j = P_(j-1) (M - r_j), one product per root."""
+    ident = Mat.identity(mat.nrows, domain.zero, domain.one)
+    prod = ident
+    yield prod
+    for r in roots:
+        prod = prod * (mat - ident.scale(domain.lift(r)))
+        yield prod
+
+
 def ch_verify(mat: Mat, roots: Sequence, domain: ScalarDomain) -> Tuple[bool, int]:
     """Exact product of (M - root I); passes iff identically zero.
 
     Returns (ok, support) where support counts nonzero residual entries.
     Repeated roots are allowed; the product is still checked.
     """
-    n = mat.nrows
-    ident = Mat.identity(n, domain.zero, domain.one)
-    prod = ident
-    for r in roots:
-        prod = prod * (mat - ident.scale(domain.lift(r)))
+    for prod in root_products(mat, roots, domain):
+        pass
     return prod.is_zero(), prod.support()
 
 

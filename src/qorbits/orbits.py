@@ -17,10 +17,10 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .scalars import ScalarDomain, as_integer
-from .tensor import Mat, row_reduce
+from .tensor import Mat
 from .identities import (RootData, ch_verify, classical_higher_eigenvalue,
                          compositions, conjecture_roots, multiplicity,
-                         repeated_pair)
+                         repeated_pair, root_products)
 from .casimir import (basic_roots, left_casimir_matrix, module_trace,
                       q_dimension, split_casimir_matrix, trace_weights)
 
@@ -176,10 +176,10 @@ def multiplicities(rd: RootData, m: int, mode: str) -> Dict[Tuple[int, ...], obj
     The quantum form is proven for rank 2; for p > 2 it is conditional
     evidence (it presumes the representation category is faithful).
     """
-    if not rd.is_m_generic(m, mode):
-        raise OrbitError(f"orbit is not {m}-generic")
     if mode not in ("classical", "quantum"):
         raise OrbitError(f"unknown mode {mode!r}")
+    if not rd.is_m_generic(m, mode):
+        raise OrbitError(f"orbit is not {m}-generic")
     qdom = rd.domain if mode == "quantum" else None
     return {kvec: multiplicity(kvec, rd.mu, rd.hbar, qdom)
             for kvec in compositions(m, rd.p)}
@@ -251,13 +251,13 @@ def higher_newton_quantum_p2(h, k: int, m: int, s_max: int,
     d_k = multiplicities(rd, m, "quantum")
     roots = dict(conjecture_roots(rd, m))
     cm = split_casimir_matrix(h, k, m, algebra)
-    weights = trace_weights(h, m)
+    weight = trace_weights(h, m)
     report = {}
     power = cm.op
     for s in range(1, s_max + 1):
         if s > 1:
             power = power * cm.op
-        lhs = module_trace(power, cm.dk, cm.dm, weights)
+        lhs = module_trace(power, cm.dk, cm.dm, weight)
         rhs = dom.zero
         for kvec, d_val in d_k.items():
             rhs = rhs + roots[kvec] ** s * d_val
@@ -284,8 +284,8 @@ class ScanReport:
 
     ``consistent`` is the certificate: the product of (M - r) over the
     distinct conjectured roots vanishes (``product_zero``), and the
-    multiplicities solved from the power traces of M are nonnegative
-    integers that sum to ``dim`` and satisfy one more trace row.
+    multiplicities solved from the traces of its partial products are
+    nonnegative integers that sum to ``dim``.
     ``eigen_dim_total`` sums the multiplicities that are nonnegative
     integers.
     """
@@ -301,35 +301,36 @@ class ScanReport:
     multiplicities: List[RootMultiplicity] = field(default_factory=list)
 
 
-def trace_multiplicities(mat: Mat, values: Sequence,
-                         domain: ScalarDomain) -> Tuple[list, bool]:
-    """Solve tr(M**j) = sum_r n_r r**j, j < R, for pairwise distinct values.
+def chain_multiplicities(mat: Mat, values: Sequence,
+                         domain: ScalarDomain) -> Tuple[list, bool, int]:
+    """Multiplicities of pairwise distinct values from one product chain.
 
-    One exact R x R Vandermonde solve V n = t, by reducing [V | t].  Returns
-    the n_r and whether the extra row j = R also holds, which makes the
-    system overdetermined.  When M is diagonalizable with spectrum inside the
-    values, the n_r are its eigenspace dimensions.  Repeated values leave V
-    singular and raise ValueError.
+    Walks P_j = (M - r_1)...(M - r_j) (:func:`root_products`), keeping the
+    traces of P_0 .. P_(R-1) and the last product as the certificate.  When
+    M is diagonalizable with spectrum among the values, its eigenspace
+    dimensions n_s solve the triangular system
+    tr P_j = sum_(s >= j) n_s prod_(i < j) (r_s - r_i), whose row 0 is
+    sum n_s = dim; they are read off by back-substitution.  Returns the n_s
+    and (ok, support) of P_R as :func:`qorbits.identities.ch_verify` does.
+    Repeated values leave the system singular and raise OrbitError.
     """
-    big_r = len(values)
-    traces = [domain.lift(mat.nrows)]
-    power = mat
-    for j in range(1, big_r + 1):
-        traces.append(power.trace())
-        if j < big_r:
-            power = power * mat
-    rows = [[domain.one] * big_r]
-    for _ in range(big_r):
-        rows.append([x * v for x, v in zip(rows[-1], values)])
-    pivots, reduced = row_reduce(
-        Mat([row + [t] for row, t in zip(rows, traces[:big_r])]), big_r)
-    if len(pivots) != big_r:
-        raise ValueError("trace multiplicities need pairwise distinct values")
-    counts = [reduced[i, big_r] for i in range(big_r)]
-    extra = domain.zero
-    for n, x in zip(counts, rows[big_r]):
-        extra = extra + n * x
-    return counts, extra == traces[big_r]
+    values = [domain.lift(v) for v in values]
+    if repeated_pair(values) is not None:
+        raise OrbitError("chain multiplicities need pairwise distinct values")
+    chain = root_products(mat, values, domain)
+    traces = [next(chain).trace() for _ in values]
+    last = next(chain)
+    coef = [[domain.one] for _ in values]    # coef[s][j]: the product above
+    for s, rs in enumerate(values):
+        for ri in values[:s]:
+            coef[s].append(coef[s][-1] * (rs - ri))
+    counts = [None] * len(values)
+    for j in reversed(range(len(values))):
+        acc = traces[j]
+        for s in range(j + 1, len(values)):
+            acc = acc - counts[s] * coef[s][j]
+        counts[j] = acc / coef[j][j]
+    return counts, last.is_zero(), last.support()
 
 
 def conjecture_scan(h, k: int, m: int) -> ScanReport:
@@ -339,10 +340,10 @@ def conjecture_scan(h, k: int, m: int) -> ScanReport:
     power of degree k and forms the conjectured roots from the module's
     basic eigenvalues (unit mass).  The certificate is that the product of
     (M - r) over the distinct root values vanishes, so M is diagonalizable
-    with its spectrum among them, and that the multiplicities solved from
-    the power traces of M (:func:`trace_multiplicities`) are nonnegative
-    integers summing to the module dimension.  For rank 2 this is a theorem;
-    beyond, a mismatch is a reportable finding, not an error.
+    with its spectrum among them, and that the multiplicities read off the
+    traces of the same product chain (:func:`chain_multiplicities`) are
+    nonnegative integers summing to the module dimension.  For rank 2 this
+    is a theorem; beyond, a mismatch is a reportable finding, not an error.
     """
     dom = h.domain
     cm = left_casimir_matrix(h, k, m)
@@ -351,9 +352,7 @@ def conjecture_scan(h, k: int, m: int) -> ScanReport:
     groups = {}                      # root value -> its compositions
     for kvec, r in conjecture_roots(rd, m):
         groups.setdefault(r, []).append(kvec)
-    values = list(groups)
-    ok, support = ch_verify(cm.op, values, dom)
-    counts, extra_ok = trace_multiplicities(cm.op, values, dom)
+    counts, ok, support = chain_multiplicities(cm.op, list(groups), dom)
     mults = []
     for (r, kvecs), n in zip(groups.items(), counts):
         as_int = as_integer(n)
@@ -361,14 +360,12 @@ def conjecture_scan(h, k: int, m: int) -> ScanReport:
                                       n if as_int is None else as_int))
     certified = [x.n for x in mults if isinstance(x.n, int) and x.n >= 0]
     total = sum(certified)
-    consistent = (ok and extra_ok and len(certified) == len(mults)
-                  and total == cm.dim)
+    consistent = ok and len(certified) == len(mults) and total == cm.dim
     witness = None
     if not consistent:
         listing = ", ".join("|".join(str(kv) for kv in x.compositions)
                             + f": {x.n}" for x in mults)
         witness = (f"root-product support {support}; multiplicities {listing}; "
-                   f"trace row {len(values)} {'holds' if extra_ok else 'fails'}; "
                    f"certified multiplicities sum to {total} of {cm.dim}")
     return ScanReport(k=k, m=m, p=h.p, dim=cm.dim, product_zero=ok,
                       eigen_dim_total=total, consistent=consistent,

@@ -225,6 +225,20 @@ class TestExitCodes:
             run_suite(["validate", "--r-file", "/definitely/not/here.json"])
         assert err.value.code == 3
 
+    @pytest.mark.parametrize("text", [
+        '{"n": 1, "entries": [{"out": [1, 1], "in": [1, 1], "value": 1}]}',
+        '{"n": 1, "entries": 5}',
+    ])
+    def test_wrongly_typed_r_file_is_file_error(self, tmp_path, capsys, text):
+        path = tmp_path / "typed.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as err:
+            run_suite(["validate", "--r-file", str(path), "--q", "2/3"])
+        assert err.value.code == 3
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"error: {path}: ")
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
+
     @pytest.mark.parametrize("suite", ["projectors", "all"])
     def test_non_hecke_r_file_is_file_error(self, tmp_path, capsys, suite):
         # R = I on one dimension satisfies Yang-Baxter but not the Hecke

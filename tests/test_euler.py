@@ -58,8 +58,8 @@ class TestQEuler:
             rd = RootData(mu=mu, hbar=Fraction(0), domain=dom)
             roots = omega_roots_p2(rd, m)
             es = spectral_idempotents(cm.op, [v for _, v in roots], dom)
-            wboth = trace_weights(h2, k).weight.kron(trace_weights(h2, m).weight)
-            prefactor = dom.q_pow(2 * (k + m))
+            wboth = trace_weights(h2, k).kron(trace_weights(h2, m))
+            prefactor = dom.q_pow(4)
             spec = RootData(mu=mu, hbar=Fraction(0), domain=dom)
             d_k = multiplicities(spec, m, "quantum")
             dim_module = q_dimension([k], 2, dom)

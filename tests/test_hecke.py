@@ -352,6 +352,18 @@ class TestRFiles:
         with pytest.raises(RFileError):
             load_r_from_file(path)
 
+    @pytest.mark.parametrize("data,match", [
+        ({"n": 1, "entries": [{"out": [1, 1], "in": [1, 1], "value": 1}]},
+         "value 1 is not a string"),
+        ({"n": 1, "entries": 5}, "'entries' must be a list"),
+    ])
+    def test_wrong_json_type(self, tmp_path, data, match):
+        # well-formed JSON of the wrong type is a file error, not a crash
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(RFileError, match=match):
+            load_r_from_file(path)
+
     def test_loaded_into_sampled_domain(self, tmp_path, h2):
         path = tmp_path / "r2.json"
         save_r_to_file(path, h2.r)

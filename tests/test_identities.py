@@ -19,7 +19,7 @@ from qorbits.identities import (CentralValues, IdentityError, RootData,
                                 elementary_symmetric_without, newton_check,
                                 omega_roots_p2, parametric_central_values,
                                 parametric_newton, repeated_pair,
-                                xi_symmetric)
+                                root_products, xi_symmetric)
 
 
 class TestRootData:
@@ -62,6 +62,13 @@ class TestRootData:
         flat = RootData(mu=[Fraction(1), Fraction(1)], hbar=Fraction(0),
                         domain=dom)
         assert not flat.is_1_generic() and not flat.is_m_generic(1)
+
+    def test_unknown_mode_rejected(self):
+        # any mode but the two families is an error, not the classical one
+        rd = RootData(mu=[Fraction(1), Fraction(1)], hbar=Fraction(0),
+                      domain=at_q(Fraction(2)))
+        with pytest.raises(IdentityError, match="unknown mode 'bogus'"):
+            rd.is_m_generic(2, "bogus")
 
 
 class TestCentralElements:
@@ -252,6 +259,16 @@ class TestChVerify:
         mat = Mat([[Fraction(3), Fraction(1)], [Fraction(0), Fraction(3)]])
         ok, _ = ch_verify(mat, [Fraction(3), Fraction(3)], dom)
         assert ok
+
+    def test_root_products_are_the_partial_products(self):
+        # P_0 = I, P_1 = M - 3, P_2 = (M - 3)(M - 5), one per root
+        dom = at_q(Fraction(2))
+        mat = Mat([[Fraction(3), Fraction(1)], [Fraction(0), Fraction(7)]])
+        ident = Mat.identity(2, dom.zero, dom.one)
+        chain = list(root_products(mat, [Fraction(3), Fraction(5)], dom))
+        first = mat - ident.scale(Fraction(3))
+        assert chain == [ident, first,
+                         first * (mat - ident.scale(Fraction(5)))]
 
     def test_coefficient_form(self):
         dom = at_q(Fraction(2))

@@ -8,15 +8,15 @@ from qorbits.tensor import Mat, row_reduce
 from qorbits.casimir import left_casimir_matrix, split_casimir_matrix
 from qorbits.hecke import standard_hecke
 from qorbits.identities import RootData, compositions, omega_roots_p2
-from qorbits.orbits import (OrbitError, classical_dim_ratio,
-                            classical_eigenvalues, classical_higher_eigenvalue,
+from qorbits.orbits import (OrbitError, chain_multiplicities,
+                            classical_dim_ratio, classical_eigenvalues,
+                            classical_higher_eigenvalue,
                             classical_higher_eigenvalue_s2, conjecture_scan,
                             frobenius_dim, higher_newton_classical,
                             higher_newton_quantum_p2, is_m_admissible,
                             multiplicities, quantum_dim_ratio,
                             rep_eigenvalues, signature_dual,
-                            spectral_idempotents, string_decompose,
-                            trace_multiplicities)
+                            spectral_idempotents, string_decompose)
 
 
 class TestSpectralIdempotents:
@@ -127,6 +127,13 @@ class TestMultiplicities:
                         domain=at_q(Fraction(2)))
         with pytest.raises(OrbitError):
             multiplicities(spec, 1, "classical")
+
+    def test_unknown_mode_rejected_before_genericity(self):
+        # mu = (0, 1) at hbar = 1 is not 2-generic classically; the mode is
+        # checked first, so "bogus" is named, not the genericity
+        spec = RootData(mu=[0, 1], hbar=1, domain=at_q(Fraction(2, 3)))
+        with pytest.raises(OrbitError, match="unknown mode 'bogus'"):
+            multiplicities(spec, 2, "bogus")
 
     def test_quantum_equal_parts_at_zero_mass(self):
         dom = at_q(Fraction(5, 3))
@@ -258,10 +265,11 @@ class TestConjectureScan:
                        for s in range(m, -1, -1)}
 
     @pytest.mark.parametrize("p,k,m", [(3, 2, 2), (3, 3, 2), (2, 2, 2),
-                                       (2, 3, 2), (2, 3, 3)])
+                                       (2, 3, 2), (2, 3, 3), (2, 4, 3)])
     def test_multiplicities_match_elimination(self, h2, p, k, m):
-        # the trace solve agrees with the kernel dimension of M - r by
-        # Gauss-Jordan elimination, value by value
+        # the chain's back-substitution agrees with the kernel dimension of
+        # M - r by Gauss-Jordan elimination, value by value (rank 2 over
+        # symbolic q, rank 3 at a sampled q)
         h = h2 if p == 2 else standard_hecke(3, at_q(Fraction(4, 7)))
         rep = conjecture_scan(h, k, m)
         cm = left_casimir_matrix(h, k, m)
@@ -286,30 +294,54 @@ class TestConjectureScan:
         assert not rep.product_zero and not rep.consistent
         assert "multiplicities" in rep.witness
 
+    def test_one_product_per_value(self, h2_sampled, monkeypatch):
+        # with the Casimir matrix memoized, the scan makes exactly one
+        # matrix product per distinct root value: the certificate's chain
+        h = h2_sampled
+        k, m = 3, 2
+        left_casimir_matrix(h, k, m)
+        calls = []
+        real = Mat.__mul__
+
+        def counting(a, b):
+            calls.append((a.nrows, b.ncols))
+            return real(a, b)
+        monkeypatch.setattr(Mat, "__mul__", counting)
+        rep = conjecture_scan(h, k, m)
+        assert rep.consistent
+        assert len(calls) == len(rep.multiplicities) == m + 1
+        assert set(calls) == {(rep.dim, rep.dim)}
+
 
 class TestTraceMultiplicities:
+    """Back-substitution in the traces of the root-product chain."""
+
     def test_diagonal(self):
         dom = at_q(Fraction(2))
         mat = Mat([[Fraction(v) if i == j else Fraction(0) for j in range(4)]
                    for i, v in enumerate((3, 5, 3, 3))])
-        counts, extra = trace_multiplicities(mat, [Fraction(5), Fraction(3)], dom)
-        assert counts == [1, 3] and extra
+        counts, ok, support = chain_multiplicities(
+            mat, [Fraction(5), Fraction(3)], dom)
+        assert counts == [1, 3] and ok and support == 0
 
     def test_repeated_value_raises(self):
         dom = at_q(Fraction(2))
         mat = Mat.identity(3, dom.zero, dom.one)
         with pytest.raises(ValueError, match="distinct"):
-            trace_multiplicities(mat, [Fraction(1), Fraction(2), Fraction(1)], dom)
+            chain_multiplicities(mat, [Fraction(1), Fraction(2), Fraction(1)],
+                                 dom)
 
-    def test_extra_row_catches_a_missing_value(self):
+    def test_root_product_catches_a_missing_value(self):
         # spectrum {1, 1, 2} against the values {1, 3}: the square system
-        # solves to n = 5/2, 1/2 and the row j = 2 fails
+        # solves to n = 5/2, 1/2 and the root product (M - 1)(M - 3) is not
+        # zero, so the chain's certificate fails
         dom = at_q(Fraction(2))
         mat = Mat([[Fraction(v) if i == j else Fraction(0) for j in range(3)]
                    for i, v in enumerate((1, 1, 2))])
-        counts, extra = trace_multiplicities(mat, [Fraction(1), Fraction(3)], dom)
+        counts, ok, support = chain_multiplicities(
+            mat, [Fraction(1), Fraction(3)], dom)
         assert counts == [Fraction(5, 2), Fraction(1, 2)]
-        assert not extra
+        assert not ok and support == 1
 
 
 class TestStrings:
