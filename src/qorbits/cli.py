@@ -108,16 +108,21 @@ def _domains(args, rng) -> list:
     return [at_q(Fraction(args.q))]
 
 
+def _r_file(args) -> tuple:
+    """(n, entries) of the --r-file, not built (exit 3 on a file error)."""
+    try:
+        return hecke_mod.read_r_file(args.r_file)
+    except (OSError, hecke_mod.RFileError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(3)
+
+
 def _r_matrix(args, domain, n: int):
     """The --r-file R-matrix (exit 3 on a file error), else the standard one
     on an n-dimensional space."""
     if not args.r_file:
         return hecke_mod.standard_r(n, domain)
-    try:
-        return hecke_mod.load_r_from_file(args.r_file, domain)
-    except (OSError, hecke_mod.RFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(3)
+    return hecke_mod.build_r(*_r_file(args), domain)
 
 
 def _hecke(args, domain, n: int, standard: bool = False) -> hecke_mod.HeckeSymmetry:
@@ -139,7 +144,9 @@ def _hecke(args, domain, n: int, standard: bool = False) -> hecke_mod.HeckeSymme
 
 
 def _largest_spaces(args, file_n) -> dict:
-    """suite -> dimension of the largest operator the suite builds.
+    """suite -> (dim, legs, pair): the largest operator the suite builds
+    acts on dim**legs dimensions or, when pair is (k, m), on those of
+    V (x) V_(k) (x) V_(m) for V of dimension dim, if more.
 
     n is the dimension of the symmetry the suite really runs on: the
     R-file's when one is given, else --n, 2 for the rank-2 suites and the
@@ -156,25 +163,35 @@ def _largest_spaces(args, file_n) -> dict:
     m_ch = min(k, args.m or 3)
     m_scan = min(k, args.m or 2)
     n_scan = file_n or args.p or 3
-
-    def pairing(n, k, m):
-        return n * comb(n + k - 1, k) * comb(n + m - 1, m)
-    # (n, legs, largest split Casimir product)
     sizes = {
-        "validate": (n, n + 1, 0),
-        "projectors": (n, args.m or n + 1, 0),
-        "reps": (n, (args.m or 3) + 2, 0),              # modules of degree m
+        "validate": (n, n + 1, None),
+        "projectors": (n, args.m or n + 1, None),
+        "reps": (n, (args.m or 3) + 2, None),           # modules of degree m
         # modules of degree k, closed form on k + m legs
-        "ch": (rank2, k + max(2, m_ch), pairing(rank2, k, m_ch)),
-        "newton": (rank2, k + 2, 0),                     # modules of degree k
+        "ch": (rank2, k + max(2, m_ch), (k, m_ch)),
+        "newton": (rank2, k + 2, None),                  # modules of degree k
         # scan on k + m legs with modules of degree k
-        "conjecture": ((n_scan, k + m_scan, pairing(n_scan, k, m_scan))
-                       if m_scan >= 2 else (n_scan, 0, 0)),
-        "orbit": (2, 3 + 2, pairing(2, 3, 2)),           # modules of degree 3
-        "calibrate-trace": (rank2, (args.m or 3) + 2, 0),  # modules of degree m
+        "conjecture": ((n_scan, k + m_scan, (k, m_scan))
+                       if m_scan >= 2 else (n_scan, 0, None)),
+        "orbit": (2, 3 + 2, (3, 2)),                     # modules of degree 3
+        "calibrate-trace": (rank2, (args.m or 3) + 2, None),  # degree m
     }
-    return {suite: max(dim ** max(legs, dim + 1), pair)
+    return {suite: (dim, max(legs, dim + 1), pair)
             for suite, (dim, legs, pair) in sizes.items()}
+
+
+def _size_above(bound: int, dim: int, legs: int, pair) -> str | None:
+    """A :func:`_largest_spaces` size as text if it is above bound, else None.
+    No int much above bound is formed: the pair's is at most dim**(legs+1)."""
+    size = 1
+    for _ in range(legs if dim > 1 else 0):
+        size *= dim
+        if size > bound:
+            return f"{dim}**{legs}"
+    if pair:
+        k, m = pair
+        size = max(size, dim * comb(dim + k - 1, k) * comb(dim + m - 1, m))
+    return str(size) if size > bound else None
 
 
 # ---------------------------------------------------------------------------
@@ -708,10 +725,12 @@ def _check_args(parser, args) -> None:
             parser.error(f"--{flag} must be at least {low} when given, got {value}")
     if args.max_size < 1:
         parser.error(f"--max-size must be at least 1, got {args.max_size}")
-    file_n = _r_matrix(args, SYMBOLIC, args.n).n if args.r_file else None
-    for suite, dim in _largest_spaces(args, file_n).items():
-        if args.suite in (suite, "all") and dim > args.max_size:
-            parser.error(f"{suite} builds operators on {dim} dimensions, "
+    file_n = _r_file(args)[0] if args.r_file else None
+    for suite, space in _largest_spaces(args, file_n).items():
+        size = (args.suite in (suite, "all")
+                and _size_above(args.max_size, *space))
+        if size:
+            parser.error(f"{suite} builds operators on {size} dimensions, "
                          f"above --max-size {args.max_size}")
 
 

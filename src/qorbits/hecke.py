@@ -28,6 +28,7 @@ from typing import Mapping, Optional
 
 from .scalars import (ScalarDomain, SYMBOLIC, as_integer, format_scalar,
                       parse_scalar)
+from .projectors import _level
 from .tensor import LegOperator, Mat, embed_on_legs, inverse, weighted_partial_trace
 
 
@@ -169,40 +170,37 @@ def symmetry_rank(r: LegOperator, domain: ScalarDomain,
     Ranks come from the trace of the certified projectors (exact, since an
     idempotent's rank equals its trace in characteristic zero).
     """
-    return _certified_antisymmetrizers(r, domain, max_p)[0]
+    return _certified_rank(r, domain, {}, max_p)
 
 
-def _certified_antisymmetrizers(r: LegOperator, domain: ScalarDomain,
-                                max_p: Optional[int] = None):
-    """(p, (A(1), .., A(p+1))) from one pass up the antisymmetrizer tower.
+def _certified_rank(r: LegOperator, domain: ScalarDomain, memo: dict,
+                    max_p: Optional[int] = None) -> Optional[int]:
+    """p from one pass up the antisymmetrizer tower kept in memo.
 
     Every A(m) below the collapse is certified idempotent with an integer
     trace; p is None when the tower does not collapse right after a rank-one
     projector within max_p + 1 legs.
     """
-    from .projectors import antisymmetrizer_tower
     if max_p is None:
         max_p = r.n + 1
     prev_rank = None
-    tower = []
-    for m, a_m in antisymmetrizer_tower(r, domain, max_p + 1):
-        tower.append(a_m)
+    for m in range(1, max_p + 2):
+        a_m = _level(memo, r, domain, "A", m)
         if a_m.is_zero():
-            return (m - 1 if prev_rank == 1 else None), tuple(tower)
+            return m - 1 if prev_rank == 1 else None
         if not ((a_m * a_m) == a_m):
             raise HeckeError(f"antisymmetrizer at height {m} is not idempotent")
-        rk = as_integer(a_m.mat.trace())
-        if rk is None:
+        prev_rank = as_integer(a_m.mat.trace())
+        if prev_rank is None:
             raise HeckeError(f"projector trace at height {m} is not an integer")
-        prev_rank = rk
-    return None, tuple(tower)
+    return None
 
 
 def _certify(r: LegOperator, domain: ScalarDomain):
-    """(report, (Psi, B, C) or None, (A(1), ..)): every axiom, checked once.
+    """(report, (Psi, B, C) or None, memo): every axiom, checked once.
 
-    The tower is built only for a Yang-Baxter Hecke operator, and the B C
-    normalization is checked only when the skew inverse and the rank exist.
+    The tower goes into the memo only for a Yang-Baxter Hecke operator; the
+    B C normalization is checked only when the skew inverse and rank exist.
     """
     ybe = check_ybe(r)
     hecke = check_hecke(r, domain)
@@ -214,10 +212,10 @@ def _certify(r: LegOperator, domain: ScalarDomain):
         details["trace_c"] = weights[2].trace()
     except HeckeError as exc:
         details["skew_error"] = str(exc)
-    p, tower = None, ()
+    p, memo = None, {}
     if ybe and hecke:
         try:
-            p, tower = _certified_antisymmetrizers(r, domain)
+            p = _certified_rank(r, domain, memo)
         except HeckeError as exc:
             details["rank_error"] = str(exc)
         if p is None:
@@ -239,7 +237,7 @@ def _certify(r: LegOperator, domain: ScalarDomain):
                               skew_invertible=weights is not None,
                               even=p is not None, rank=p, bc_product=bc_product,
                               bc_trace=bc_trace, details=details)
-    return report, weights, tower
+    return report, weights, memo
 
 
 # An `all` run certifies 6 symmetries at its default 3 q samples (ranks 2
@@ -264,12 +262,10 @@ class _Content(tuple):
 
 @lru_cache(maxsize=_CERTIFICATES)
 def _certified(content: _Content):
-    """:func:`_certify` at most once per exact (R, q) in a process, and the
-    memo of (R, q), seeded with the tower; an exception is never stored.
-    ``_certified.cache_clear()`` empties the table, memos included."""
-    report, weights, tower = _certify(content.r, content.domain)
-    return (report, weights, tower,
-            {("A", m): a_m for m, a_m in enumerate(tower, 1)})
+    """:func:`_certify` at most once per exact (R, q) in a process; the memo
+    it returns already holds the certified tower.  An exception is never
+    stored.  ``_certified.cache_clear()`` empties the table, memos included."""
+    return _certify(content.r, content.domain)
 
 
 def validate_hecke_symmetry(r: LegOperator,
@@ -296,12 +292,12 @@ class HeckeSymmetry:
     (R, q) was not certified before in the process, and raises HeckeError
     naming the first failed axiom.  The bundle is immutable.  Everything
     derived from it (projectors, charts, modules, trace weights, Casimir
-    pairings) lives in its certification's memo, seeded with the certified
-    tower A(1)..A(p+1) and shared by every symmetry of the same exact (R, q).
+    pairings) lives in its certification's memo, which holds the certified
+    tower A(1)..A(p+1) and is shared by every symmetry of the same (R, q).
     """
 
     def __init__(self, r: LegOperator, domain: ScalarDomain = SYMBOLIC):
-        report, weights, _, self._memo = _certified(_Content(r, domain))
+        report, weights, self._memo = _certified(_Content(r, domain))
         if not report.passed:
             raise HeckeError(report.first_failure())
         self.n = r.n
@@ -351,6 +347,12 @@ def load_r_from_file(path, domain: ScalarDomain = SYMBOLIC) -> LegOperator:
     entries are zero.  The entry multiplies x_k (x) x_l in the image of
     x_i (x) x_j.
     """
+    return build_r(*read_r_file(path), domain)
+
+
+def read_r_file(path) -> tuple:
+    """(n, [(row, column, symbolic value)]) of an R-matrix file, every field
+    checked and no matrix built, so its cost does not grow with n."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -360,7 +362,7 @@ def load_r_from_file(path, domain: ScalarDomain = SYMBOLIC) -> LegOperator:
     if not isinstance(data, dict) or "n" not in data:
         raise RFileError(f"{path}: missing required field 'n'")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:     # a JSON boolean is a bool, not an int
         raise RFileError(f"{path}: field 'n' must be a positive integer")
     if data.get("parameter", "q") != "q":
         raise RFileError(f"{path}: unsupported parameter {data.get('parameter')!r}")
@@ -380,9 +382,9 @@ def load_r_from_file(path, domain: ScalarDomain = SYMBOLIC) -> LegOperator:
             raise RFileError(f"{path}: entry #{idx}: value {value!r} "
                              f"is not a string")
         for name, v in (("out", k), ("out", l), ("in", i), ("in", j)):
-            if not isinstance(v, int) or not 1 <= v <= n:
-                raise RFileError(f"{path}: entry #{idx}: {name} index {v} "
-                                 f"outside 1..{n}")
+            if type(v) is not int or not 1 <= v <= n:
+                raise RFileError(f"{path}: entry #{idx}: {name} index "
+                                 f"{json.dumps(v)} outside 1..{n}")
         key = (k, l, i, j)
         if key in seen:
             raise RFileError(f"{path}: duplicate entry for out={k},{l} in={i},{j}")
@@ -391,9 +393,15 @@ def load_r_from_file(path, domain: ScalarDomain = SYMBOLIC) -> LegOperator:
             scal = parse_scalar(value)
         except ValueError as exc:
             raise RFileError(f"{path}: entry #{idx}: {exc}") from exc
-        entries.append(((k - 1) * n + (l - 1), (i - 1) * n + (j - 1),
-                        domain.lift(scal)))
-    return LegOperator(n, 2, Mat.from_entries(n * n, n * n, domain.zero, entries))
+        entries.append(((k - 1) * n + (l - 1), (i - 1) * n + (j - 1), scal))
+    return n, entries
+
+
+def build_r(n: int, entries, domain: ScalarDomain) -> LegOperator:
+    """The R-matrix of :func:`read_r_file`'s (n, entries) over the domain."""
+    return LegOperator(n, 2, Mat.from_entries(
+        n * n, n * n, domain.zero,
+        ((out, inp, domain.lift(v)) for out, inp, v in entries)))
 
 
 def save_r_to_file(path, r: LegOperator) -> None:

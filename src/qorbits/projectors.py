@@ -16,16 +16,14 @@ by gamma_{m-1}/gamma_m = 1/(q**(+-(m-1)) [m]_q).  Nothing is taken on
 faith: the certifier checks each A(m) idempotent with integer trace and
 A(p+1) = 0, so a wrong factor fails construction.
 
-Every projector, plain or embedded, is kept in the memo of the symmetry's
-certification under ("S" | "A", m) or ("S" | "A", m, start, total).  The
-certification seeds the memo with the antisymmetrizers A(1)..A(p+1) that
-the symmetry-rank certificate built, so those are never built twice; every
-other level is built on first request from the memoized level below.
+Each level is kept in the memo of the symmetry's certification under
+("S" | "A", m) and built on first request from the memoized level below.
+The certifier walks the same memo up to the collapse, so A(1)..A(p+1) are
+never built twice.  An embedded projector is a copy of its level placed
+between identities (no arithmetic) and is not kept.
 """
 
 from __future__ import annotations
-
-from typing import Iterator, Tuple
 
 from .scalars import ScalarDomain
 from .tensor import LegOperator, embed_on_legs
@@ -48,38 +46,27 @@ def _unnormalized(x_prev: LegOperator, m: int, r: LegOperator,
     return x
 
 
-def _next_level(prev: LegOperator, m: int, r: LegOperator,
-                domain: ScalarDomain, kind: str) -> LegOperator:
-    """The projector on m legs from the projector on m - 1 legs."""
-    return _unnormalized(prev, m, r, domain, kind).scale(
-        _level_factor(domain, m, kind))
-
-
-def antisymmetrizer_tower(r: LegOperator, domain: ScalarDomain,
-                          max_m: int) -> Iterator[Tuple[int, LegOperator]]:
-    x = LegOperator.identity(r.n, 1, domain)
-    yield 1, x
-    for m in range(2, max_m + 1):
-        x = _next_level(x, m, r, domain, "A")
-        yield m, x
-
-
-def _base(h, m: int, kind: str) -> LegOperator:
-    def build():
+def _level(memo: dict, r: LegOperator, domain: ScalarDomain, kind: str,
+           m: int) -> LegOperator:
+    """The projector on m legs, kept in memo under (kind, m); an absent
+    level is built from the level below, and only a built level is stored."""
+    if (kind, m) not in memo:
         if m == 1:
-            return LegOperator.identity(h.n, 1, h.domain)
-        return _next_level(_base(h, m - 1, kind), m, h.r, h.domain, kind)
-    return h.memo((kind, m), build)
+            x = LegOperator.identity(r.n, 1, domain)
+        else:
+            x = _unnormalized(_level(memo, r, domain, kind, m - 1), m, r,
+                              domain, kind).scale(_level_factor(domain, m, kind))
+        memo[kind, m] = x
+    return memo[kind, m]
 
 
 def _projector(h, m: int, total_legs, start: int, kind: str) -> LegOperator:
     if m < 1:
         raise ValueError("m must be positive")
-    base = _base(h, m, kind)
+    base = _level(h._memo, h.r, h.domain, kind, m)
     if total_legs is None or (total_legs == m and start == 1):
         return base
-    return h.memo((kind, m, start, total_legs),
-                  lambda: embed_on_legs(base, start, total_legs))
+    return embed_on_legs(base, start, total_legs)
 
 
 def q_symmetrizer(h, m: int, total_legs: int | None = None,

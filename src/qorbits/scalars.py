@@ -235,9 +235,11 @@ class QScalar:
 
     ``num`` and ``den`` are Fraction views (:class:`FractionView`) of the
     same value, scaled so that the lowest-degree coefficient of ``den`` is
-    1; a Laurent polynomial has ``den`` a pure power of q.
-    ``QScalar(num, den)`` accepts int or Fraction coefficient tuples and
-    canonicalizes them.
+    1; a Laurent polynomial has ``den`` a pure power of q.  Two integer
+    Laurent polynomials (``d`` a monic q**k) meet in ``+ - *`` and ``/`` by
+    q**j with no gcd: the coefficients are aligned or multiplied and the
+    zero ends trimmed.  ``QScalar(num, den)`` accepts int or Fraction
+    coefficient tuples and canonicalizes them.
     """
 
     __slots__ = ("_n", "_d", "_hash")
@@ -413,6 +415,13 @@ def _make(n: tuple, d: tuple) -> QScalar:
     return s
 
 
+def _laurent(n: tuple, low: int) -> QScalar:
+    """sum_i n[i] q**(low + i) for integer coefficients, n[0] != 0."""
+    if low < 0:
+        return _make(n, _q_pow_poly(-low))
+    return _make((0,) * low + n, (1,))
+
+
 def _content_and_sign(n: tuple, d: tuple) -> tuple:
     """Divide a coprime pair by its joint content; make low(d) positive."""
     g = math.gcd(*n, *d)
@@ -436,6 +445,11 @@ def _reduced(n: tuple, d: tuple) -> tuple:
     return _content_and_sign(*_cancel(n, d, _pgcd(n, d)))
 
 
+def _is_q_power(d: tuple) -> bool:
+    """True for q**k: the denominator of an integer Laurent polynomial."""
+    return d[-1] == 1 and d.count(0) == len(d) - 1
+
+
 def _sum(x: QScalar, n2: tuple, d2: tuple) -> QScalar:
     """x + n2/d2 for a canonical pair (n2, d2)."""
     n1, d1 = x._n, x._d
@@ -443,6 +457,16 @@ def _sum(x: QScalar, n2: tuple, d2: tuple) -> QScalar:
         return _make(n2, d2) if n2 else Q_ZERO
     if not n2:
         return x
+    if _is_q_power(d1) and _is_q_power(d2):
+        # integer Laurent polynomials: add at aligned exponents and trim
+        # both ends, with no gcd (a pair over q**k has content 1)
+        k = max(len(d1), len(d2)) - 1
+        num = _padd((0,) * (k + 1 - len(d1)) + n1,
+                    (0,) * (k + 1 - len(d2)) + n2)
+        if not num:
+            return Q_ZERO
+        lo = _plow(num)
+        return _laurent(num[lo:], lo - k)
     if d1 == d2:
         num = _padd(n1, n2)
         return _make(*_reduced(num, d1)) if num else Q_ZERO
@@ -462,6 +486,11 @@ def _sum(x: QScalar, n2: tuple, d2: tuple) -> QScalar:
 
 def _cross_cancelled_product(n1, d1, n2, d2) -> QScalar:
     """(n1/d1)(n2/d2) for coprime pairs, cancelling across before multiplying."""
+    if _is_q_power(d1) and _is_q_power(d2):
+        # both over powers of q: multiply and trim the low zeros, no gcd
+        n = _pmul(n1, n2)
+        lo = _plow(n)
+        return _laurent(n[lo:], lo - len(d1) - len(d2) + 2)
     n1, d2 = _cancel(n1, d2, _pgcd(n1, d2))
     n2, d1 = _cancel(n2, d1, _pgcd(n2, d1))
     return _make(*_content_and_sign(_pmul(n1, n2), _pmul(d1, d2)))
@@ -478,7 +507,8 @@ Q = QScalar.q_power(1)
 #
 # The numerators are QScalars over a monic q**k (integer Laurent
 # polynomials); the denominator is a QScalar over 1 whose constant term is
-# positive (an integer polynomial that q does not divide).  Products of
+# positive (an integer polynomial that q does not divide).  Sums and scalings
+# of numerators are QScalar's own gcd-free + - *.  Products of
 # numerators run on Python ints by Kronecker substitution (Kronecker 1882;
 # Schoenhage 1982): a numerator becomes its value at X = 2**bits, relative to
 # a low exponent, and a sum of products is read back from balanced base-X
@@ -487,13 +517,6 @@ Q = QScalar.q_power(1)
 
 def _poly(n: tuple) -> QScalar:
     return Q_ONE if n == (1,) else _make(n, (1,))
-
-
-def _laurent(n: tuple, low: int) -> QScalar:
-    """sum_i n[i] q**(low + i) for integer coefficients, n[0] != 0."""
-    if low < 0:
-        return _make(n, _q_pow_poly(-low))
-    return _make((0,) * low + n, (1,))
 
 
 def laurent_split(s: QScalar) -> tuple:
@@ -564,47 +587,6 @@ def divide_exact(v: QScalar, g: QScalar) -> QScalar:
     """v / g for an integer Laurent polynomial or a denominator v and a
     denominator g that divides it in Z[q]."""
     return _make(_int_div_exact(v._n, g._n), v._d)
-
-
-def laurent_scaled(rows, s: QScalar) -> list:
-    """Rows of integer Laurent polynomials, each times the integer Laurent
-    polynomial s."""
-    sn, sk = s._n, len(s._d) - 1
-    out = []
-    for row in rows:
-        new = {}
-        for c, v in row.items():
-            n = _pmul(v._n, sn)
-            skip = 0
-            while not n[skip]:
-                skip += 1
-            new[c] = _laurent(n[skip:], skip - sk - len(v._d) + 1)
-        out.append(new)
-    return out
-
-
-def laurent_sum(a: QScalar, b: QScalar) -> QScalar:
-    """a + b for integer Laurent polynomials: the coefficients are added at
-    aligned exponents and both ends trimmed, with no gcd."""
-    an, bn = a._n, b._n
-    ka, kb = len(a._d) - 1, len(b._d) - 1      # the low exponents are -ka, -kb
-    if ka < kb:
-        an, bn, ka, kb = bn, an, kb, ka
-    out = list(an)
-    top = len(bn) + ka - kb
-    if top > len(out):
-        out.extend([0] * (top - len(out)))
-    for i, y in enumerate(bn, ka - kb):
-        out[i] += y
-    hi = len(out)
-    while hi and not out[hi - 1]:
-        hi -= 1
-    if not hi:
-        return Q_ZERO
-    lo = 0
-    while not out[lo]:
-        lo += 1
-    return _laurent(tuple(out[lo:hi]), lo - ka)
 
 
 def pack_width(arows, brows) -> int:

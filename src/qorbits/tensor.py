@@ -9,9 +9,10 @@ content.  An embedding I (x) X (x) I (``Mat.embed``, the one way a block is
 placed between identities) copies the numerators into place and does no
 integer arithmetic.  In symbolic mode (QScalar entries) the numerators
 are integer Laurent polynomials in q and ``den`` is an integer polynomial
-with positive constant term; a product packs the numerators into ints at
-q = 2**B (Kronecker substitution, with B taken from the operands so that it
-is exact), runs the same integer kernel and reads the result back from
+with positive constant term; sums and scalings use the numerators' own
++ - * as in evaluated mode, and a product packs them into ints at q = 2**B
+(Kronecker substitution, with B taken from the operands so that it is
+exact), runs the same integer kernel and reads the result back from
 balanced base-2**B digits.  R-matrices, q-(anti)symmetrizers, their
 embeddings and the module operators are all very sparse, so every operation
 touches nonzeros only; the product is the row-wise sparse product
@@ -29,13 +30,12 @@ is ordinary matrix multiplication acting on column vectors.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import gcd, lcm
 
 from .scalars import (Q_ONE, common_divisor, divide_exact, laurent_rows,
-                      laurent_scaled, laurent_split, laurent_sum, lcm_factors,
-                      pack_rows, pack_width, unpack_rows)
+                      laurent_split, lcm_factors, pack_rows, pack_width,
+                      unpack_rows)
 
 
 class Mat:
@@ -168,20 +168,14 @@ class Mat:
 
     def _combine(self, other, subtract: bool) -> "Mat":
         """Sum or difference over lcm(den_a, den_b): the numerators, times
-        the lcm cofactors, are combined as ints or, in symbolic mode, added
-        as integer Laurent polynomials with no gcd (a difference negates
-        the cofactor of the second operand)."""
+        the lcm cofactors, are combined with their own + and - (ints, or
+        integer Laurent polynomials, which QScalar adds with no gcd)."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("matrix shape mismatch")
         zero = self.zero
-        rational = _rational(zero)
         den, fa, fb = _lcm(zero, self.den, other.den)
-        if subtract and not rational:
-            fb, subtract = -fb, False
-        add = operator.add if rational else laurent_sum
         out = []
-        for ra, rb in zip(_rescaled(zero, self.data, fa),
-                          _rescaled(zero, other.data, fb)):
+        for ra, rb in zip(_rescaled(self.data, fa), _rescaled(other.data, fb)):
             row = dict(ra)
             grew = False
             for c, b in rb.items():
@@ -190,7 +184,7 @@ class Mat:
                     row[c] = -b if subtract else b
                     grew = True
                 else:
-                    s = a - b if subtract else add(a, b)
+                    s = a - b if subtract else a + b
                     if s:
                         row[c] = s
                     else:
@@ -208,11 +202,8 @@ class Mat:
         if not s:
             return Mat.zeros(self.nrows, self.ncols, self.zero)
         num, den = _split(self.zero, s)
-        if _rational(self.zero):
-            data = [{c: num * v for c, v in row.items()} for row in self.data]
-        else:
-            data = laurent_scaled(self.data, num)
-        return _reduced(data, self.den * den, self.nrows, self.ncols, self.zero)
+        return _reduced(_rescaled(self.data, num), self.den * den,
+                        self.nrows, self.ncols, self.zero)
 
     def __mul__(self, other):
         if not isinstance(other, Mat):
@@ -282,7 +273,8 @@ def _check_index(i: int, j: int, nrows: int, ncols: int) -> None:
 
 
 # The domain-specific steps: an entry to a numerator and back, the lcm of two
-# denominators and the content reduction.  Evaluated mode is recognised by a
+# denominators and the content reduction (sums and scalings are not: ints and
+# integer Laurent QScalars share + - *).  Evaluated mode is recognised by a
 # rational zero; every other domain is symbolic (QScalar) and uses the
 # numerator helpers of the scalars module.
 
@@ -336,13 +328,10 @@ def _reduce(data, den) -> tuple:
             Q_ONE if den == Q_ONE else den)
 
 
-def _rescaled(zero, data, f) -> list:
-    """The numerator rows times the factor f, an int or in symbolic mode
-    an integer Laurent polynomial (the rows themselves if f is 1)."""
+def _rescaled(data, f) -> list:
+    """The numerator rows times the numerator f (the rows themselves if 1)."""
     if f == 1:
         return data
-    if not _rational(zero):
-        return laurent_scaled(data, f)
     return [{c: v * f for c, v in row.items()} for row in data]
 
 

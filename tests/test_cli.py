@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -97,12 +98,13 @@ class TestReports:
         # one certification per q: the validation report carries all six
         # checks, so no second antisymmetrizer tower is built for B and C
         calls = []
-        real = projectors.antisymmetrizer_tower
+        real = projectors._unnormalized
 
-        def counting(r, dom, max_m):
-            calls.append(dom.describe())
-            return real(r, dom, max_m)
-        monkeypatch.setattr(projectors, "antisymmetrizer_tower", counting)
+        def counting(x_prev, m, r, dom, kind):
+            if kind == "A" and m == 2:      # the first level a tower builds
+                calls.append(dom.describe())
+            return real(x_prev, m, r, dom, kind)
+        monkeypatch.setattr(projectors, "_unnormalized", counting)
         code, report = run_json(tmp_path, ["validate", "--seed", "7"])
         assert code == 0
         assert len(report["checks"]) == 18
@@ -207,9 +209,15 @@ class TestExitCodes:
         ["orbit", "--q", "2/3", "--mu", "1,1,2"],
         ["euler", "--p", "1", "--q", "2/3"],
         ["newton", "--p", "1", "--q", "2/3"],
+        # sizes far above --max-size, whose digits Python would refuse to
+        # print: the guard never multiplies them out
+        ["validate", "--n", "2000"],
+        ["ch", "--k", "20000", "--q", "2/3"],
+        ["projectors", "--m", "20000", "--q", "2/3"],
     ], ids=["q0", "q1", "q-1", "n0", "samples0", "samples-1", "m0", "k0",
             "p-2", "max-size0", "hbar-abc", "hbar-1/0", "mu-1,x", "mu-1,1,2",
-            "euler-p1", "newton-p1"])
+            "euler-p1", "newton-p1", "validate-n2000", "ch-k20000",
+            "projectors-m20000"])
     def test_bad_argument_is_usage_error_before_any_check(
             self, tmp_path, capsys, argv):
         out = tmp_path / "report.json"
@@ -228,6 +236,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("text", [
         '{"n": 1, "entries": [{"out": [1, 1], "in": [1, 1], "value": 1}]}',
         '{"n": 1, "entries": 5}',
+        '{"n": true, "entries": [{"out": [true, 1], "in": [1, 1], '
+        '"value": "q"}]}',
+        '{"n": 1, "entries": [{"out": [true, 1], "in": [1, 1], '
+        '"value": "q"}]}',
     ])
     def test_wrongly_typed_r_file_is_file_error(self, tmp_path, capsys, text):
         path = tmp_path / "typed.json"
@@ -263,8 +275,10 @@ class TestExitCodes:
         assert status["validate.q2/3.hecke"] == "fail"
         assert status["validate.q2/3.ybe"] == "pass"
 
-    def test_max_size_guard(self, tmp_path):
+    def test_max_size_guard(self, tmp_path, capsys, largest_built):
         out = tmp_path / "report.json"
+        big = tmp_path / "big.json"
+        big.write_text('{"n": 1000, "entries": []}')
         for argv in (
                 ["conjecture", "--p", "3", "--n", "3", "--k", "9", "--m", "9",
                  "--max-size", "10", "--samples", "1"],
@@ -288,23 +302,28 @@ class TestExitCodes:
                 # the rank-3 scan
                 ["ch", "--q", "2/3", "--k", "2", "--max-size", "16"],
                 ["conjecture", "--q", "2/3", "--k", "2", "--m", "2",
-                 "--max-size", "81"]):
+                 "--max-size", "81"],
+                # n is read off the R-file, not off its 10**6-row matrix
+                ["validate", "--q", "2/3", "--max-size", "100",
+                 "--r-file", str(big)]):
             with pytest.raises(SystemExit) as err:
                 run_suite(argv + ["--out", str(out)])
             assert err.value.code == 2, argv
             assert not out.exists()
+        # a refused run builds no matrix, and names a size above the bound
+        # as n**legs
+        assert largest_built[0] == 0
+        assert "validate builds operators on 1000**1001 dimensions" in (
+            capsys.readouterr().err)
 
     def test_max_size_guard_admits_defaults(self):
         parser = build_parser()
         for suite in list(SUITES) + ["all"]:
             _check_args(parser, parser.parse_args([suite]))
 
-    @pytest.mark.parametrize(
-        "argv", [[suite] for suite in SUITES]
-        + [["ch", "--k", "2"], ["conjecture", "--k", "2", "--m", "2"]],
-        ids=list(SUITES) + ["ch-k2", "conjecture-k2-m2"])
-    def test_max_size_guard_bounds_every_matrix_built(self, tmp_path,
-                                                      monkeypatch, argv):
+    @pytest.fixture()
+    def largest_built(self, monkeypatch):
+        """[the largest row or column count of any Mat built meanwhile]"""
         # every Mat is made by Mat.__init__ or tensor._mat
         built = [0]
         make, init = tensor._mat, tensor.Mat.__init__
@@ -319,13 +338,25 @@ class TestExitCodes:
 
         monkeypatch.setattr(tensor, "_mat", lambda *a: record(make(*a)))
         monkeypatch.setattr(tensor.Mat, "__init__", init_and_record)
+        return built
+
+    @pytest.mark.parametrize(
+        "argv", [[suite] for suite in SUITES]
+        + [["ch", "--k", "2"], ["conjecture", "--k", "2", "--m", "2"]],
+        ids=list(SUITES) + ["ch-k2", "conjecture-k2-m2"])
+    def test_max_size_guard_bounds_every_matrix_built(self, tmp_path,
+                                                      largest_built, argv):
         argv = argv + ["--q", "2/3"]
         assert run_suite(argv + ["--out", str(tmp_path / "r.json")]) == 0
         spaces = _largest_spaces(build_parser().parse_args(argv), None)
         if argv[0] not in spaces:
-            assert built[0] == 0
+            assert largest_built[0] == 0
         else:
-            assert 0 < built[0] <= spaces[argv[0]]
+            dim, legs, pair = spaces[argv[0]]
+            k, m = pair or (0, 0)
+            largest = max(dim ** legs,
+                          dim * comb(dim + k - 1, k) * comb(dim + m - 1, m))
+            assert 0 < largest_built[0] <= largest
 
     def test_r_file_round_trip_through_cli(self, tmp_path):
         path = tmp_path / "r.json"

@@ -96,12 +96,13 @@ class TestCertificateCache:
 
     def test_validate_then_construct_builds_one_tower(self, monkeypatch):
         builds = []
-        real = projectors.antisymmetrizer_tower
+        real = projectors._unnormalized
 
-        def counting(r, dom, max_m):
-            builds.append(dom.describe())
-            return real(r, dom, max_m)
-        monkeypatch.setattr(projectors, "antisymmetrizer_tower", counting)
+        def counting(x_prev, m, r, dom, kind):
+            if kind == "A" and m == 2:      # the first level a tower builds
+                builds.append(dom.describe())
+            return real(x_prev, m, r, dom, kind)
+        monkeypatch.setattr(projectors, "_unnormalized", counting)
         dom = at_q(Fraction(2, 3))
         rep = validate_hecke_symmetry(standard_r(3, dom), dom)
         h = standard_hecke(3, dom)
@@ -192,7 +193,7 @@ class TestCertificateCache:
                    for i, j, v in h.r.mat.entries()]
         bumped = LegOperator(2, 2, Mat.from_entries(4, 4, dom.zero, entries))
         others = [standard_hecke(2, at_q(Fraction(3, 2)))._memo,
-                  hecke._certified(hecke._Content(bumped, dom))[3],
+                  hecke._certified(hecke._Content(bumped, dom))[2],
                   standard_hecke(2)._memo]
         assert all(memo is not h._memo and ("S", 2) not in memo
                    for memo in others)
@@ -223,14 +224,15 @@ class TestCertificateCache:
         dom = at_q(Fraction(2, 3))
         r = standard_r(3, dom)
         assert validate_hecke_symmetry(r, dom).passed
-        tower = hecke._certified(hecke._Content(r, dom))[2]
+        tower = dict(hecke._certified(hecke._Content(r, dom))[2])
 
-        def no_tower(*args):
+        def no_level(*args):
             raise AssertionError("tower rebuilt")
-        monkeypatch.setattr(projectors, "antisymmetrizer_tower", no_tower)
+        monkeypatch.setattr(projectors, "_unnormalized", no_level)
         h = HeckeSymmetry(r, dom)
         assert sorted(h._memo) == [("A", m) for m in range(1, h.p + 2)]
-        for m, a_m in enumerate(tower, 1):
+        assert sorted(tower) == sorted(h._memo)
+        for (_, m), a_m in tower.items():
             assert q_antisymmetrizer(h, m) is a_m
 
     def test_report_is_read_only(self):
@@ -356,6 +358,13 @@ class TestRFiles:
         ({"n": 1, "entries": [{"out": [1, 1], "in": [1, 1], "value": 1}]},
          "value 1 is not a string"),
         ({"n": 1, "entries": 5}, "'entries' must be a list"),
+        # a JSON boolean is not an integer, though Python's bool is an int
+        ({"n": True, "entries": [{"out": [True, 1], "in": [1, 1],
+                                  "value": "q"}]},
+         "'n' must be a positive integer"),
+        ({"n": 1, "entries": [{"out": [True, 1], "in": [1, 1],
+                               "value": "q"}]},
+         "out index true outside 1..1"),
     ])
     def test_wrong_json_type(self, tmp_path, data, match):
         # well-formed JSON of the wrong type is a file error, not a crash

@@ -4,12 +4,12 @@ from math import comb
 import pytest
 
 from qorbits import projectors
+from qorbits.casimir import closed_form_p2
 from qorbits.hecke import (HeckeError, standard_hecke, standard_r,
                            validate_hecke_symmetry)
 from qorbits.scalars import SYMBOLIC, at_q, eval_at, random_q
 from qorbits.tensor import LegOperator, embed_on_legs, row_reduce
-from qorbits.projectors import (antisymmetrizer_tower, q_antisymmetrizer,
-                                q_symmetrizer)
+from qorbits.projectors import q_antisymmetrizer, q_symmetrizer
 
 
 def two_sided_step(prev, m, r, domain, kind):
@@ -112,8 +112,18 @@ class TestConstructionTower:
         assert q_antisymmetrizer(h, h.p + 1).is_zero()
 
     def test_seeded_tower_matches_a_rebuild(self, h2):
-        for m, a_m in antisymmetrizer_tower(h2.r, h2.domain, h2.p + 1):
-            assert h2._memo[("A", m)] == a_m
+        rebuilt = {}
+        for m in range(1, h2.p + 2):
+            assert h2._memo[("A", m)] == projectors._level(
+                rebuilt, h2.r, h2.domain, "A", m)
+
+    def test_embedded_projectors_are_not_kept(self):
+        # an embedded projector is a copy of its level: the memo keeps
+        # levels (kind, m), charts and modules, never (kind, m, start, total)
+        h = standard_hecke(2)
+        closed_form_p2(h, 2, 2)
+        assert ("S", 3) in h._memo
+        assert not [key for key in h._memo if len(key) == 4]
 
 
 class TestSymbolicAgainstSampled:

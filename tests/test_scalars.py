@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, assume, find, given, settings, strategies as st
 
+from qorbits import scalars
 from qorbits.scalars import (Q, QScalar, Q_ONE, Q_ZERO, QEvalError,
                              ScalarParseError, at_q, eval_at, format_scalar,
                              parse_scalar, q_binomial, q_int,
@@ -121,10 +122,15 @@ nonzero_laurents = laurents.filter(lambda x: not x.is_zero())
 rational_functions = st.tuples(laurents, nonzero_laurents).map(
     lambda pair: pair[0] / pair[1])
 nonzero_coeffs = coeffs.filter(bool)
+# integer Laurent polynomials, which + - * / combine with no gcd;
+# rational_functions seldom draws two of them
+integer_laurents = st.lists(st.tuples(st.integers(-5, 5), st.integers(-10, 10)),
+                            max_size=5).map(brute_q_pow_sum)
+operands = st.one_of(rational_functions, integer_laurents)
 
 
 class TestRationalFunctions:
-    @given(rational_functions, rational_functions,
+    @given(operands, operands,
            st.fractions(min_value=-20, max_value=20, max_denominator=20))
     @settings(max_examples=60, deadline=None)
     def test_field_homomorphism(self, x, y, q0):
@@ -145,7 +151,7 @@ class TestRationalFunctions:
         assert (x / y) * y == x
         assert (x * y) / y == x
 
-    @given(rational_functions, nonzero_coeffs)
+    @given(operands, nonzero_coeffs)
     @settings(max_examples=60, deadline=None)
     def test_canonical_uniqueness(self, x, c):
         scaled = QScalar(tuple(c * a for a in x.num), tuple(c * a for a in x.den))
@@ -182,6 +188,26 @@ class TestCanonicalForm:
         a = (Q ** 2 - Q ** -2) / (Q - Q ** -1)
         assert a == q_int(2)
         assert a.num == q_int(2).num and a.den == q_int(2).den
+
+    def test_integer_laurent_results_are_trimmed(self, rng, monkeypatch):
+        # results of the gcd-free branch whose ends need trimming
+        def no_gcd(*args):
+            raise AssertionError("gcd taken")
+        p1, m1, m2, p2, p3, p5 = Q, Q ** -1, Q ** -2, Q ** 2, Q ** 3, Q ** 5
+        with monkeypatch.context() as patch:
+            patch.setattr(scalars, "_pgcd", no_gcd)
+            cases = [((p1 + m1) - m1, Q, lambda q: q),
+                     (m2 * p2, Q_ONE, lambda q: 1),
+                     (p1 - p1, Q_ZERO, lambda q: 0),
+                     (p3 / p5, m2, lambda q: q ** -2)]
+        assert cases[0][0].den == (1,)
+        for got, want, value in cases:
+            assert got == want
+            # the constructor's general canonicalization agrees
+            assert QScalar(tuple(got.num), tuple(got.den)) == got
+            for _ in range(5):
+                q0 = random_q(rng)
+                assert eval_at(got, q0) == value(q0)
 
     def test_denominator_normalization(self):
         # lowest-degree denominator coefficient is one after any arithmetic
