@@ -447,7 +447,7 @@ def _reduced(n: tuple, d: tuple) -> tuple:
 
 def _is_q_power(d: tuple) -> bool:
     """True for q**k: the denominator of an integer Laurent polynomial."""
-    return d[-1] == 1 and d.count(0) == len(d) - 1
+    return d[-1] == 1 and _is_monomial(d)
 
 
 def _sum(x: QScalar, n2: tuple, d2: tuple) -> QScalar:

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from math import comb
 from pathlib import Path
 
 import pytest
@@ -10,7 +9,7 @@ import pytest
 import qorbits
 from qorbits import hecke, orbits, projectors, tensor
 from qorbits.cli import (ANCHORS, SUITES, _check_args, _largest_spaces,
-                         build_parser, run_suite)
+                         _size_above, build_parser, run_suite)
 from qorbits.hecke import standard_hecke, save_r_to_file
 
 
@@ -352,11 +351,9 @@ class TestExitCodes:
         if argv[0] not in spaces:
             assert largest_built[0] == 0
         else:
-            dim, legs, pair = spaces[argv[0]]
-            k, m = pair or (0, 0)
-            largest = max(dim ** legs,
-                          dim * comb(dim + k - 1, k) * comb(dim + m - 1, m))
-            assert 0 < largest_built[0] <= largest
+            # the guard's own count reaches every matrix built
+            assert 0 < largest_built[0]
+            assert _size_above(largest_built[0] - 1, *spaces[argv[0]])
 
     def test_r_file_round_trip_through_cli(self, tmp_path):
         path = tmp_path / "r.json"

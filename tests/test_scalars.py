@@ -127,12 +127,14 @@ nonzero_coeffs = coeffs.filter(bool)
 integer_laurents = st.lists(st.tuples(st.integers(-5, 5), st.integers(-10, 10)),
                             max_size=5).map(brute_q_pow_sum)
 operands = st.one_of(rational_functions, integer_laurents)
+# a test on operands draws a general rational function half of the time, so
+# it takes twice the examples per operand to keep the gcd paths' coverage
 
 
 class TestRationalFunctions:
     @given(operands, operands,
            st.fractions(min_value=-20, max_value=20, max_denominator=20))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=240, deadline=None)
     def test_field_homomorphism(self, x, y, q0):
         try:
             ex, ey = eval_at(x, q0), eval_at(y, q0)
@@ -152,7 +154,7 @@ class TestRationalFunctions:
         assert (x * y) / y == x
 
     @given(operands, nonzero_coeffs)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     def test_canonical_uniqueness(self, x, c):
         scaled = QScalar(tuple(c * a for a in x.num), tuple(c * a for a in x.den))
         assert scaled.num == x.num and scaled.den == x.den
