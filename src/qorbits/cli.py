@@ -151,9 +151,10 @@ def _largest_spaces(args, file_n) -> dict:
     n is the dimension of the symmetry the suite really runs on: the
     R-file's when one is given, else --n, 2 for the rank-2 suites and the
     rank p for the conjecture scan.  Every symmetry a suite builds or
-    validates certifies its antisymmetrizer tower up to the collapse on
-    n + 1 legs, so no suite builds fewer legs than that.  A module of
-    degree m, tensor or symmetric power, has its relations checked on
+    validates is certified on n**3 dimensions (the Yang-Baxter equation on
+    three legs) and on its nested antisymmetrizer levels, which
+    :func:`_size_above` counts, so no suite counts fewer than 3 legs.  A
+    module of degree m, tensor or symmetric power, has its relations checked on
     V (x) V (x) M when it is built, so it counts m + 2 legs.  A split
     Casimir of degrees (k, m) traces a product on V (x) V_(k) (x) V_(m).
     """
@@ -164,7 +165,7 @@ def _largest_spaces(args, file_n) -> dict:
     m_scan = min(k, args.m or 2)
     n_scan = file_n or args.p or 3
     sizes = {
-        "validate": (n, n + 1, None),
+        "validate": (n, 3, None),
         "projectors": (n, args.m or n + 1, None),
         "reps": (n, (args.m or 3) + 2, None),           # modules of degree m
         # modules of degree k, closed form on k + m legs
@@ -176,18 +177,21 @@ def _largest_spaces(args, file_n) -> dict:
         "orbit": (2, 3 + 2, (3, 2)),                     # modules of degree 3
         "calibrate-trace": (rank2, (args.m or 3) + 2, None),  # degree m
     }
-    return {suite: (dim, max(legs, dim + 1), pair)
+    return {suite: (dim, max(legs, 3), pair)
             for suite, (dim, legs, pair) in sizes.items()}
 
 
 def _size_above(bound: int, dim: int, legs: int, pair) -> str | None:
     """A :func:`_largest_spaces` size as text if it is above bound, else None.
-    No int much above bound is formed: the pair's is at most dim**(legs+1)."""
+    The certifier's step into antisymmetrizer level m counts too: it acts on
+    C(dim, m - 2) dim**2 <= C(dim, dim // 2) dim**2 dimensions.  No int much
+    above bound is formed: legs >= 3 caps dim before the binomials are."""
     size = 1
     for _ in range(legs if dim > 1 else 0):
         size *= dim
         if size > bound:
             return f"{dim}**{legs}"
+    size = max(size, comb(dim, dim // 2) * dim * dim)
     if pair:
         k, m = pair
         size = max(size, dim * comb(dim + k - 1, k) * comb(dim + m - 1, m))
@@ -238,12 +242,13 @@ def suite_projectors(args, rec, rng, domains):
             rec.run(f"projectors.q{tag}.m{m}.ranks", "proj_ranks", params, ranks)
 
             def absorb(h=h, s=s, a=a, m=m, dom=dom):
+                # R_i P = P R_i = c P pins both the image and the kernel
                 for i in range(1, m):
                     r_i = h.r_on(i, m)
-                    if not (r_i * s == s.scale(dom.q)):
-                        return False, f"symmetric absorption fails at leg {i}"
-                    if not (r_i * a == a.scale(-dom.q_pow(-1))):
-                        return False, f"antisymmetric absorption fails at leg {i}"
+                    for name, p, c in (("symmetric", s, dom.q),
+                                       ("antisymmetric", a, -dom.q_pow(-1))):
+                        if not (r_i * p == p.scale(c) == p * r_i):
+                            return False, f"{name} absorption fails at leg {i}"
                 return True, None
             rec.run(f"projectors.q{tag}.m{m}.absorption", "sym_proj", params,
                     absorb)

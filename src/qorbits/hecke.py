@@ -28,12 +28,8 @@ from typing import Mapping, Optional
 
 from .scalars import (ScalarDomain, SYMBOLIC, as_integer, format_scalar,
                       parse_scalar)
-from .projectors import _level
+from .projectors import HeckeError, _level
 from .tensor import LegOperator, Mat, embed_on_legs, inverse, weighted_partial_trace
-
-
-class HeckeError(ValueError):
-    pass
 
 
 class RFileError(ValueError):
@@ -167,30 +163,33 @@ def symmetry_rank(r: LegOperator, domain: ScalarDomain,
                   max_p: Optional[int] = None) -> Optional[int]:
     """Smallest p with rank A**(p) = 1 and A**(p+1) = 0, or None.
 
-    Ranks come from the trace of the certified projectors (exact, since an
-    idempotent's rank equals its trace in characteristic zero).
+    Read off the certification of (R, q): the levels are the
+    antisymmetrizers only for a Yang-Baxter Hecke operator, so a failed
+    axiom raises HeckeError before any level is walked.  Ranks are traces
+    of certified idempotents, exact in characteristic zero.
     """
-    return _certified_rank(r, domain, {}, max_p)
+    report, _, memo = _certified(_Content(r, domain))
+    if not (report.ybe and report.hecke):
+        raise HeckeError(report.first_failure())
+    return _certified_rank(r, domain, memo, max_p)
 
 
 def _certified_rank(r: LegOperator, domain: ScalarDomain, memo: dict,
                     max_p: Optional[int] = None) -> Optional[int]:
-    """p from one pass up the antisymmetrizer tower kept in memo.
+    """p from one pass up the nested antisymmetrizer levels kept in memo.
 
-    Every A(m) below the collapse is certified idempotent with an integer
-    trace; p is None when the tower does not collapse right after a rank-one
-    projector within max_p + 1 legs.
+    Every level is certified idempotent when it is built, and every level
+    below the collapse has an integer trace; p is None when the levels do
+    not collapse right after a rank-one level within max_p + 1 legs.
     """
     if max_p is None:
         max_p = r.n + 1
     prev_rank = None
     for m in range(1, max_p + 2):
-        a_m = _level(memo, r, domain, "A", m)
-        if a_m.is_zero():
+        trace, basis, _ = _level(memo, r, domain, "A", m)
+        if not basis.ncols:             # p_m = b_m l_m = 0
             return m - 1 if prev_rank == 1 else None
-        if not ((a_m * a_m) == a_m):
-            raise HeckeError(f"antisymmetrizer at height {m} is not idempotent")
-        prev_rank = as_integer(a_m.mat.trace())
+        prev_rank = as_integer(trace)
         if prev_rank is None:
             raise HeckeError(f"projector trace at height {m} is not an integer")
     return None
@@ -199,8 +198,9 @@ def _certified_rank(r: LegOperator, domain: ScalarDomain, memo: dict,
 def _certify(r: LegOperator, domain: ScalarDomain):
     """(report, (Psi, B, C) or None, memo): every axiom, checked once.
 
-    The tower goes into the memo only for a Yang-Baxter Hecke operator; the
-    B C normalization is checked only when the skew inverse and rank exist.
+    The antisymmetrizer levels go into the memo only for a Yang-Baxter
+    Hecke operator (the absorption they rest on needs both); the B C
+    normalization is checked only when the skew inverse and rank exist.
     """
     ybe = check_ybe(r)
     hecke = check_hecke(r, domain)
@@ -263,7 +263,7 @@ class _Content(tuple):
 @lru_cache(maxsize=_CERTIFICATES)
 def _certified(content: _Content):
     """:func:`_certify` at most once per exact (R, q) in a process; the memo
-    it returns already holds the certified tower.  An exception is never
+    it returns already holds the certified levels.  An exception is never
     stored.  ``_certified.cache_clear()`` empties the table, memos included."""
     return _certify(content.r, content.domain)
 
@@ -293,7 +293,7 @@ class HeckeSymmetry:
     naming the first failed axiom.  The bundle is immutable.  Everything
     derived from it (projectors, charts, modules, trace weights, Casimir
     pairings) lives in its certification's memo, which holds the certified
-    tower A(1)..A(p+1) and is shared by every symmetry of the same (R, q).
+    levels of A(1)..A(p+1) and is shared by every symmetry of the same (R, q).
     """
 
     def __init__(self, r: LegOperator, domain: ScalarDomain = SYMBOLIC):

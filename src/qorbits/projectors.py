@@ -1,32 +1,45 @@
-"""q-symmetrizers and q-antisymmetrizers on tensor powers.
+"""q-symmetrizers and q-antisymmetrizers, each level built in the chart of
+the level below.
 
-Both towers come from the factorization over the minimal coset
-representatives of S_{m-1} in S_m (Dipper-James 1986; Jimbo 1986):
+Write P(m) for S(m) or A(m), c for q (S) or -1/q (A), and d_m for the rank
+of P(m).  The coset factorization (Dipper-James 1986; Jimbo 1986) gives
+P(m) = x_m / gamma_m with x_m = x_{m-1} (I + sum_j c**j R_{m-1} .. R_{m-j})
+and gamma_m = q**(+-m(m-1)/2) [m]_q!.  The Yang-Baxter equation and the
+Hecke condition give absorption, R_i P(m-1) = P(m-1) R_i = c P(m-1) for
+i < m - 1, which collapses the coset sum to
 
-    x_1 = I,
-    x_m = x_{m-1}|_{1..m-1} (I + sum_{j=1}^{m-1} c**j R_{m-1} R_{m-2} .. R_{m-j}),
+    P(m) = (gamma_{m-1}/gamma_m) P(m-1) (I + c_m R_{m-1}) P(m-1),
 
-with c = q for S and c = -1/q for A, so x_m = sum_w c**l(w) R_w and
-x_m x_m = gamma_m x_m with gamma_m = q**(+-m(m-1)/2) [m]_q! (plus for S,
-minus for A).  The projector is x_m / gamma_m, and one recurrence builds
-level m from the normalized level m - 1: c is folded into R once per
-level, so y_j = y_{j-1} (c R)_{m-j} makes m - 1 products with a sparse
-embedded cR and no scale of a large operator, and the sum is scaled once
-by gamma_{m-1}/gamma_m = 1/(q**(+-(m-1)) [m]_q).  Nothing is taken on
-faith: the certifier checks each A(m) idempotent with integer trace and
-A(p+1) = 0, so a wrong factor fails construction.
+c_m = q**(m-1) [m-1]_q (S) or -q**(1-m) [m-1]_q (A).  With the chart
+P(m-1) = B_{m-1} L_{m-1}, L_{m-1} B_{m-1} = I, this is P(m) =
+(B_{m-1} (x) I) p_m (L_{m-1} (x) I) for the level on d_{m-1} n dimensions
 
-Each level is kept in the memo of the symmetry's certification under
-("S" | "A", m) and built on first request from the memoized level below.
-The certifier walks the same memo up to the collapse, so A(1)..A(p+1) are
-never built twice.  An embedded projector is a copy of its level placed
-between identities (no arithmetic) and is not kept.
+    p_m = (gamma_{m-1}/gamma_m) (I + c_m rho_m),
+    rho_m = (l_{m-1} (x) I) (I_{d_{m-2}} (x) R) (b_{m-1} (x) I).
+
+One reduction of p_m gives its chart: b_m is its pivot columns and l_m the
+nonzero rows of its reduced form, so p_m = b_m l_m, and the chart on m legs
+is B_m = (B_{m-1} (x) I) b_m, L_m = l_m (L_{m-1} (x) I).  Given
+l_{m-1} b_{m-1} = I, p_m**2 = p_m holds if and only if P(m)**2 = P(m),
+tr p_m = tr P(m), and p_m = 0 if and only if P(m) = 0 (so p_{p+1} = 0 if
+and only if A(p+1) = 0).  Every level checks p_m**2 = p_m and l_m b_m = I
+when it is built, so a wrong factor fails construction; the certifier, which
+checks the Yang-Baxter equation and the Hecke condition first, reads the
+integer traces and the collapse off the levels.
+
+Level m is kept in the memo of the symmetry's certification under
+("S" | "A", m); the chart on m legs and P(m) = B_m L_m, built on request,
+under (kind, m, "chart") and (kind, m, "projector"); embeddings are not.
 """
 
 from __future__ import annotations
 
 from .scalars import ScalarDomain
-from .tensor import LegOperator, embed_on_legs
+from .tensor import LegOperator, Mat, embed_on_legs, row_reduce
+
+
+class HeckeError(ValueError):
+    """R fails a certificate of a Hecke symmetry (see :mod:`hecke`)."""
 
 
 def _level_factor(domain: ScalarDomain, m: int, kind: str):
@@ -35,35 +48,48 @@ def _level_factor(domain: ScalarDomain, m: int, kind: str):
     return domain.q_pow(-sign * (m - 1)) / domain.q_int(m)
 
 
-def _unnormalized(x_prev: LegOperator, m: int, r: LegOperator,
-                  domain: ScalarDomain, kind: str) -> LegOperator:
-    """x_{m-1}|_{1..m-1} (I + sum_{j<m} (cR)_{m-1} (cR)_{m-2} .. (cR)_{m-j})."""
-    cr = r.scale(domain.q if kind == "S" else -domain.q_pow(-1))
-    y = x = embed_on_legs(x_prev, 1, m)
-    for j in range(1, m):
-        y = y * embed_on_legs(cr, m - j, m)
-        x = x + y
-    return x
-
-
 def _level(memo: dict, r: LegOperator, domain: ScalarDomain, kind: str,
-           m: int) -> LegOperator:
-    """The projector on m legs, kept in memo under (kind, m); an absent
-    level is built from the level below, and only a built level is stored."""
+           m: int) -> tuple:
+    """(tr p_m, b_m, l_m), kept in memo under (kind, m); an absent level is
+    built from the level below and certified, and only then stored."""
+    n = r.n
+    if m == 1:
+        ident = Mat.identity(n, domain.zero, domain.one)
+        memo.setdefault((kind, 1), (ident.trace(), ident, ident))
     if (kind, m) not in memo:
-        if m == 1:
-            x = LegOperator.identity(r.n, 1, domain)
-        else:
-            x = _unnormalized(_level(memo, r, domain, kind, m - 1), m, r,
-                              domain, kind).scale(_level_factor(domain, m, kind))
-        memo[kind, m] = x
+        _, b, l = _level(memo, r, domain, kind, m - 1)
+        rho = r.mat if m == 2 else (l.embed(1, n) * r.mat.embed(
+            b.nrows // n, 1) * b.embed(1, n))    # l_1 = b_1 = I at m = 2
+        f = _level_factor(domain, m, kind)
+        c = domain.q_pow(m - 1) if kind == "S" else -domain.q_pow(1 - m)
+        op = (Mat.identity(rho.nrows, domain.zero, f)
+              + rho.scale(c * domain.q_int(m - 1) * f))
+        cols, left_inverse = row_reduce(op)
+        basis = op.transpose().take_rows(cols).transpose()
+        if not (op * op == op and left_inverse * basis
+                == Mat.identity(len(cols), domain.zero, domain.one)):
+            name = "symmetrizer" if kind == "S" else "antisymmetrizer"
+            raise HeckeError(f"{name} at height {m} is not idempotent")
+        memo[kind, m] = op.trace(), basis, left_inverse
     return memo[kind, m]
+
+
+def _chart(h, kind: str, m: int) -> tuple:
+    """(B_m, L_m), the chart of the image of P(m) on m legs."""
+    def build():
+        _, b, l = _level(h._memo, h.r, h.domain, kind, m)
+        if m <= 2:                  # B_1 = L_1 = I
+            return b, l
+        basis, left_inverse = _chart(h, kind, m - 1)
+        return basis.embed(1, h.n) * b, l * left_inverse.embed(1, h.n)
+    return h.memo((kind, m, "chart"), build)
 
 
 def _projector(h, m: int, total_legs, start: int, kind: str) -> LegOperator:
     if m < 1:
         raise ValueError("m must be positive")
-    base = _level(h._memo, h.r, h.domain, kind, m)
+    base = h.memo((kind, m, "projector"), lambda: LegOperator(
+        h.n, m, Mat.__mul__(*_chart(h, kind, m))))
     if total_legs is None or (total_legs == m and start == 1):
         return base
     return embed_on_legs(base, start, total_legs)

@@ -29,8 +29,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .scalars import ScalarDomain
-from .tensor import LegOperator, Mat, embed_on_legs, row_reduce
-from .projectors import q_symmetrizer, q_antisymmetrizer
+from .tensor import Mat, embed_on_legs
+from .projectors import _chart, q_antisymmetrizer, q_symmetrizer
 
 
 class RepresentationError(ValueError):
@@ -42,31 +42,23 @@ class RepresentationError(ValueError):
 # ---------------------------------------------------------------------------
 
 class Compression:
-    """Deterministic exact chart for the image of a projector P.
+    """Deterministic exact chart (B, L) for the image of a projector P.
 
-    One reduction of P gives both halves of the chart: the basis B is the
-    pivot columns of P and the left inverse L is the nonzero rows of P's
-    reduced row echelon form.  P = B L is then the rank factorization, and
-    P**2 = P gives L B = I.  Compressing an image-preserving operator X is
-    the product L X B, and the round trip B Y = X B is asserted, so a wrong
-    chart fails loudly.  The chart of a tensor product of images is the
-    Kronecker product of the charts.
+    P = B L is a rank factorization with L B = I: B is a basis of the image
+    and L a left inverse on it.  The chart of the q-symmetric component on
+    m legs is built level by level (:mod:`projectors`): B_m = (B_{m-1} (x) I)
+    b_m and L_m = l_m (L_{m-1} (x) I), where b_m is the pivot columns of the
+    level p_m on d_{m-1} n dimensions and l_m the nonzero rows of its
+    reduced form.  Compressing an image-preserving operator X is the product
+    L X B, and the round trip B Y = X B is asserted, so a wrong chart fails
+    loudly.  The chart of a tensor product of images is the Kronecker
+    product of the charts.
     """
-
-    projector: Optional[LegOperator] = None    # set by of_projector
 
     def __init__(self, basis: Mat, left_inverse: Mat):
         self.basis = basis
         self.left_inverse = left_inverse
         self.dim = basis.ncols
-
-    @staticmethod
-    def of_projector(proj: LegOperator) -> "Compression":
-        cols, reduced = row_reduce(proj.mat)
-        basis = proj.mat.transpose().take_rows(cols).transpose()
-        chart = Compression(basis, reduced)
-        chart.projector = proj
-        return chart
 
     @staticmethod
     def product(a: "Compression", b: "Compression") -> "Compression":
@@ -88,8 +80,7 @@ class Compression:
 
 def sym_chart(h, m: int) -> Compression:
     """Chart for the q-symmetric component on m legs (memoized)."""
-    return h.memo(("chart", m),
-                  lambda: Compression.of_projector(q_symmetrizer(h, m)))
+    return h.memo(("chart", m), lambda: Compression(*_chart(h, "S", m)))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +210,7 @@ def _sym_power(h, m: int, side: str, single: Mat, label: str) -> Representation:
         raise RepresentationError("m must be positive")
     n, dom = h.n, h.domain
     chart = sym_chart(h, m)
-    s = chart.projector.mat.embed(n, 1)
+    s = q_symmetrizer(h, m).mat.embed(n, 1)
     rest = n ** (m - 1)
     x = single.embed(1, rest) if side == "left" else place_blocks(single, n, rest)
     scale = dom.q_pow(1 - m) * dom.q_int(m)

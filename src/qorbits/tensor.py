@@ -405,10 +405,13 @@ def row_reduce(mat: Mat, ncols=None) -> tuple:
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = one / rows[r][c]
         prow = rows[r] = [x * inv for x in rows[r]]
+        support = [(j, y) for j, y in enumerate(prow) if y]
         for i in range(nr):
             f = rows[i][c]
             if i != r and f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
+                row = rows[i]
+                for j, y in support:    # zeros of the pivot row change nothing
+                    row[j] -= f * y
         pivots.append(c)
     return pivots, Mat.from_entries(
         len(pivots), mat.ncols, zero,

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from qorbits import hecke
+from qorbits import hecke, tensor
 from qorbits.scalars import at_q
 from qorbits.hecke import standard_hecke
 from qorbits.tensor import Mat
@@ -61,3 +61,23 @@ def scale_sizes(monkeypatch):
             out = fn()
         return out, sizes
     return run
+
+
+@pytest.fixture()
+def largest_built(monkeypatch):
+    """[the largest row or column count of any Mat built meanwhile]"""
+    # every Mat is made by Mat.__init__ or tensor._mat
+    built = [0]
+    make, init = tensor._mat, Mat.__init__
+
+    def record(mat):
+        built[0] = max(built[0], mat.nrows, mat.ncols)
+        return mat
+
+    def init_and_record(self, *args):
+        init(self, *args)
+        record(self)
+
+    monkeypatch.setattr(tensor, "_mat", lambda *a: record(make(*a)))
+    monkeypatch.setattr(Mat, "__init__", init_and_record)
+    return built

@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 
 import qorbits
-from qorbits import hecke, orbits, projectors, tensor
+from qorbits import hecke, orbits, projectors
 from qorbits.cli import (ANCHORS, SUITES, _check_args, _largest_spaces,
                          _size_above, build_parser, run_suite)
 from qorbits.hecke import standard_hecke, save_r_to_file
+from qorbits.tensor import LegOperator, Mat
 
 
 def run_json(tmp_path, args):
@@ -97,18 +98,39 @@ class TestReports:
         # one certification per q: the validation report carries all six
         # checks, so no second antisymmetrizer tower is built for B and C
         calls = []
-        real = projectors._unnormalized
+        real = projectors._level_factor
 
-        def counting(x_prev, m, r, dom, kind):
-            if kind == "A" and m == 2:      # the first level a tower builds
+        def counting(dom, m, kind):
+            if kind == "A" and m == 2:      # the first nested level scaled
                 calls.append(dom.describe())
-            return real(x_prev, m, r, dom, kind)
-        monkeypatch.setattr(projectors, "_unnormalized", counting)
+            return real(dom, m, kind)
+        monkeypatch.setattr(projectors, "_level_factor", counting)
         code, report = run_json(tmp_path, ["validate", "--seed", "7"])
         assert code == 0
         assert len(report["checks"]) == 18
         assert len(calls) == 3
         assert sorted(calls) == sorted(report["q"])
+
+    def test_absorption_pins_the_kernel(self, tmp_path, monkeypatch):
+        # S(2) T keeps R_1 S(2) T = q S(2) T for any T; only the right-hand
+        # absorption S(2) T R_1 = q S(2) T sees the changed kernel
+        real = projectors.q_symmetrizer
+
+        def skewed(h, m, total_legs=None, start=1):
+            s = real(h, m, total_legs, start)
+            if m != 2 or total_legs is not None:
+                return s
+            dom = h.domain
+            t = Mat.identity(4, dom.zero, dom.one) + Mat.from_entries(
+                4, 4, dom.zero, [(0, 1, dom.one)])
+            return LegOperator(h.n, 2, s.mat * t)
+        monkeypatch.setattr(projectors, "q_symmetrizer", skewed)
+        code, report = run_json(tmp_path, ["projectors", "--q", "2/3"])
+        assert code == 1
+        status = {c["id"]: c for c in report["checks"]}
+        check = status["projectors.q2/3.m2.absorption"]
+        assert check["status"] == "fail"
+        assert check["witness"] == "symmetric absorption fails at leg 1"
 
     def test_validate_failed_normalization_fails_both_checks(
             self, tmp_path, monkeypatch):
@@ -286,8 +308,11 @@ class TestExitCodes:
                  "--max-size", "300"],
                 # conjecture (3**5) and ch (2**6) exceed it: nothing runs
                 ["all", "--max-size", "20"],
-                # the rank certificate builds A(6) on 5**6 dimensions
+                # the Yang-Baxter check acts on 5**3 = 125 dimensions
                 ["validate", "--n", "5", "--q", "2/3", "--max-size", "100"],
+                # the step into the fourth nested antisymmetrizer level
+                # acts on C(8, 4) 8**2 = 4480 dimensions, though 8**3 fits
+                ["validate", "--n", "8", "--q", "2/3", "--max-size", "4000"],
                 # the relation check of tensor_power_left(h, 3) acts on
                 # 2 + 3 legs: 3**5 = 243
                 ["reps", "--n", "3", "--q", "2/3", "--max-size", "81"],
@@ -312,32 +337,13 @@ class TestExitCodes:
         # a refused run builds no matrix, and names a size above the bound
         # as n**legs
         assert largest_built[0] == 0
-        assert "validate builds operators on 1000**1001 dimensions" in (
+        assert "validate builds operators on 1000**3 dimensions" in (
             capsys.readouterr().err)
 
     def test_max_size_guard_admits_defaults(self):
         parser = build_parser()
         for suite in list(SUITES) + ["all"]:
             _check_args(parser, parser.parse_args([suite]))
-
-    @pytest.fixture()
-    def largest_built(self, monkeypatch):
-        """[the largest row or column count of any Mat built meanwhile]"""
-        # every Mat is made by Mat.__init__ or tensor._mat
-        built = [0]
-        make, init = tensor._mat, tensor.Mat.__init__
-
-        def record(mat):
-            built[0] = max(built[0], mat.nrows, mat.ncols)
-            return mat
-
-        def init_and_record(self, *args):
-            init(self, *args)
-            record(self)
-
-        monkeypatch.setattr(tensor, "_mat", lambda *a: record(make(*a)))
-        monkeypatch.setattr(tensor.Mat, "__init__", init_and_record)
-        return built
 
     @pytest.mark.parametrize(
         "argv", [[suite] for suite in SUITES]
@@ -354,6 +360,17 @@ class TestExitCodes:
             # the guard's own count reaches every matrix built
             assert 0 < largest_built[0]
             assert _size_above(largest_built[0] - 1, *spaces[argv[0]])
+
+    def test_rank5_validate_runs_under_the_default_bound(self, tmp_path,
+                                                         largest_built):
+        # the certifier builds nothing on n + 1 legs (5**6 > 4096), and
+        # its nested levels fit
+        argv = ["validate", "--q", "3/5", "--n", "5"]
+        code, report = run_json(tmp_path, argv)
+        assert code == 0 and len(report["checks"]) == 6
+        space = _largest_spaces(build_parser().parse_args(argv), None)
+        assert not _size_above(4096, *space["validate"])
+        assert _size_above(largest_built[0] - 1, *space["validate"])
 
     def test_r_file_round_trip_through_cli(self, tmp_path):
         path = tmp_path / "r.json"

@@ -6,7 +6,7 @@ import pytest
 
 from qorbits import hecke, projectors
 from qorbits.scalars import SYMBOLIC, at_q, q_int, QScalar, Q
-from qorbits.tensor import LegOperator, Mat
+from qorbits.tensor import LegOperator, Mat, inverse
 from qorbits.hecke import (HeckeError, HeckeSymmetry, RFileError,
                            load_r_from_file, save_r_to_file, skew_inverse_bc,
                            standard_hecke, standard_r, symmetry_rank,
@@ -96,13 +96,13 @@ class TestCertificateCache:
 
     def test_validate_then_construct_builds_one_tower(self, monkeypatch):
         builds = []
-        real = projectors._unnormalized
+        real = projectors._level_factor
 
-        def counting(x_prev, m, r, dom, kind):
-            if kind == "A" and m == 2:      # the first level a tower builds
+        def counting(dom, m, kind):
+            if kind == "A" and m == 2:      # the first nested level scaled
                 builds.append(dom.describe())
-            return real(x_prev, m, r, dom, kind)
-        monkeypatch.setattr(projectors, "_unnormalized", counting)
+            return real(dom, m, kind)
+        monkeypatch.setattr(projectors, "_level_factor", counting)
         dom = at_q(Fraction(2, 3))
         rep = validate_hecke_symmetry(standard_r(3, dom), dom)
         h = standard_hecke(3, dom)
@@ -196,8 +196,9 @@ class TestCertificateCache:
                   hecke._certified(hecke._Content(bumped, dom))[2],
                   standard_hecke(2)._memo]
         assert all(memo is not h._memo and ("S", 2) not in memo
-                   for memo in others)
-        assert standard_hecke(2, at_q(Fraction(2, 3)))._memo[("S", 2)] is s2
+                   and ("S", 2, "projector") not in memo for memo in others)
+        again = standard_hecke(2, at_q(Fraction(2, 3)))
+        assert again._memo[("S", 2, "projector")] is s2
 
     def test_cache_clear_gives_a_fresh_memo(self):
         dom = at_q(Fraction(2, 3))
@@ -228,12 +229,14 @@ class TestCertificateCache:
 
         def no_level(*args):
             raise AssertionError("tower rebuilt")
-        monkeypatch.setattr(projectors, "_unnormalized", no_level)
+        monkeypatch.setattr(projectors, "_level_factor", no_level)
+        monkeypatch.setattr(projectors, "row_reduce", no_level)
         h = HeckeSymmetry(r, dom)
         assert sorted(h._memo) == [("A", m) for m in range(1, h.p + 2)]
         assert sorted(tower) == sorted(h._memo)
-        for (_, m), a_m in tower.items():
-            assert q_antisymmetrizer(h, m) is a_m
+        for (_, m), level in tower.items():
+            assert q_antisymmetrizer(h, m) is q_antisymmetrizer(h, m)
+            assert h._memo[("A", m)] is level
 
     def test_report_is_read_only(self):
         dom = at_q(Fraction(3, 4))
@@ -303,6 +306,24 @@ class TestSymmetryRank:
 
     def test_max_p_bound(self, h2):
         assert symmetry_rank(h2.r, h2.domain, max_p=4) == 2
+
+    def test_hecke_without_yang_baxter_is_refused(self, monkeypatch):
+        # a generic G that is not g (x) g keeps the Hecke condition of
+        # G R G**-1 and breaks the Yang-Baxter equation, without which the
+        # nested levels are not the antisymmetrizers: no level is walked
+        dom = at_q(Fraction(2, 5))
+        g = Mat([[Fraction(x) for x in row] for row in
+                 ([2, 1, 0, 3], [1, 1, 1, 0], [0, 2, 1, 1], [1, 0, 0, 1])])
+        r = LegOperator(2, 2, g * standard_r(2, dom).mat * inverse(g))
+        assert check_hecke(r, dom) and not check_ybe(r)
+
+        def no_level(*args):
+            raise AssertionError("a level was walked")
+        monkeypatch.setattr(projectors, "row_reduce", no_level)
+        with pytest.raises(HeckeError, match="^Yang-Baxter equation fails$"):
+            symmetry_rank(r, dom)
+        with pytest.raises(HeckeError, match="^Yang-Baxter equation fails$"):
+            symmetry_rank(r, dom, max_p=4)
 
 
 class TestRFiles:

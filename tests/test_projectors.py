@@ -12,6 +12,18 @@ from qorbits.tensor import LegOperator, embed_on_legs, row_reduce
 from qorbits.projectors import q_antisymmetrizer, q_symmetrizer
 
 
+def unnormalized(x_prev, m, r, domain, kind):
+    """Reference oracle, the coset factorization (Dipper-James; Jimbo):
+    x_m = x_{m-1}|_{1..m-1} (I + sum_{j<m} (cR)_{m-1} (cR)_{m-2} .. (cR)_{m-j})
+    with c = q for S and -1/q for A, so x_m = sum_w c**l(w) R_w."""
+    cr = r.scale(domain.q if kind == "S" else -domain.q_pow(-1))
+    y = x = embed_on_legs(x_prev, 1, m)
+    for j in range(1, m):
+        y = y * embed_on_legs(cr, m - j, m)
+        x = x + y
+    return x
+
+
 def two_sided_step(prev, m, r, domain, kind):
     """Reference oracle, independent of the coset factorization: the
     two-sided recursion
@@ -103,13 +115,16 @@ class TestProjectorProperties:
 class TestConstructionTower:
     @pytest.mark.parametrize("n", [2, 3])
     def test_requests_return_the_certified_tower(self, n):
-        # construction seeds A(1)..A(p+1); requests hand back those objects
+        # construction seeds the levels of A(1)..A(p+1); requests expand
+        # those level objects, and a repeat request returns the same object
         h = standard_hecke(n, at_q(Fraction(5, 3)))
         seeded = dict(h._memo)
         assert sorted(seeded) == [("A", m) for m in range(1, h.p + 2)]
         for m in range(1, h.p + 2):
-            assert q_antisymmetrizer(h, m) is seeded[("A", m)]
+            assert q_antisymmetrizer(h, m) is q_antisymmetrizer(h, m)
+            assert h._memo[("A", m)] is seeded[("A", m)]
         assert q_antisymmetrizer(h, h.p + 1).is_zero()
+        assert seeded[("A", h.p + 1)][1].ncols == 0
 
     def test_seeded_tower_matches_a_rebuild(self, h2):
         rebuilt = {}
@@ -141,6 +156,27 @@ class TestSymbolicAgainstSampled:
                 evaluated = [[eval_at(x, q0) for x in row]
                              for row in sym.mat.rows]
                 assert evaluated == sampled.mat.rows
+
+
+class TestAgreementWithCosetSum:
+    @pytest.mark.parametrize("n, q0, tops", [
+        (3, Fraction(3, 5), {"S": 5, "A": 4}),
+        (2, None, {"S": 6, "A": 3}),
+        (3, Fraction(-77, 101), {"S": 4, "A": 4}),
+        (4, Fraction(2, 15), {"A": 5}),
+    ])
+    def test_nested_levels_expand_to_the_coset_sum(self, n, q0, tops):
+        h = standard_hecke(n, SYMBOLIC if q0 is None else at_q(q0))
+        dom = h.domain
+        build = {"S": q_symmetrizer, "A": q_antisymmetrizer}
+        for kind, top in tops.items():
+            x = h.identity(1)
+            for m in range(2, top + 1):
+                x = unnormalized(x, m, h.r, dom, kind)
+                gamma = _gamma(dom, m, kind)
+                assert build[kind](h, m) == x.scale(dom.one / gamma), (kind, m)
+        if n == 4:
+            assert q_antisymmetrizer(h, 5).is_zero()
 
 
 class TestAgreementWithTwoSidedRecursion:
@@ -192,7 +228,7 @@ class TestNormalization:
         build = {"S": q_symmetrizer, "A": q_antisymmetrizer}[kind]
         x = h2.identity(1)
         for m in range(2, 6):
-            x = projectors._unnormalized(x, m, h2.r, dom, kind)
+            x = unnormalized(x, m, h2.r, dom, kind)
             gamma = _gamma(dom, m, kind)
             assert x * x == x.scale(gamma)
             for i in range(1, m):
@@ -209,8 +245,8 @@ class TestNormalization:
 
 
 class TestOneScalePerLevel:
-    """Level m is the level below times the coset sum, scaled once: the
-    only other scale is c R on two legs."""
+    """Each level is built in the chart of the one below and scaled once,
+    on its own d_{m-1} n dimensions: no operator on m legs is scaled."""
 
     @pytest.mark.parametrize("n, q0, kind, m", [
         (2, None, "S", 3), (2, None, "S", 5), (2, None, "A", 4),
@@ -218,11 +254,23 @@ class TestOneScalePerLevel:
     ])
     def test_one_full_size_scale(self, scale_sizes, n, q0, kind, m):
         h = standard_hecke(n, SYMBOLIC if q0 is None else at_q(q0))
+        rank = {"S": lambda j: comb(n + j - 1, j), "A": lambda j: comb(n, j)}
+        _, sizes = scale_sizes(
+            lambda: projectors._level({}, h.r, h.domain, kind, m))
+        assert sizes == [rank[kind](k - 1) * n for k in range(2, m + 1)]
         build = {"S": q_symmetrizer, "A": q_antisymmetrizer}[kind]
-        below = build(h, m - 1)
-        top, sizes = scale_sizes(lambda: build(h, m))
-        assert sorted(sizes) == [n ** 2, n ** m]
-        assert top == two_sided_step(below, m, h.r, h.domain, kind)
+        assert build(h, m) == two_sided_step(build(h, m - 1), m, h.r,
+                                             h.domain, kind)
+
+    def test_certifier_builds_on_level_dimensions(self, largest_built):
+        # the certifier's largest operators: the Yang-Baxter check on three
+        # legs and (I_{d_{m-2}} (x) R)(b_{m-1} (x) I) on d_{m-2} n**2
+        # dimensions, far below A(5) on 4**5
+        n, dom = 4, at_q(Fraction(2, 15))
+        assert validate_hecke_symmetry(standard_r(n, dom), dom).rank == n
+        bound = max([n ** 3] + [comb(n, m - 2) * n ** 2
+                                for m in range(2, n + 2)])
+        assert n ** 3 <= largest_built[0] <= bound
 
 
 class TestBeyondTwoSidedBudget:

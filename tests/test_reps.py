@@ -120,7 +120,7 @@ class TestCharts:
             chart = sym_chart(h, m)
             assert (chart.left_inverse * chart.basis
                     == Mat.identity(chart.dim, dom.zero, dom.one))
-            assert chart.basis * chart.left_inverse == chart.projector.mat
+            assert chart.basis * chart.left_inverse == q_symmetrizer(h, m).mat
 
     def test_left_inverse_of_product_chart(self, h2, h2_sampled):
         for h in (h2, h2_sampled):
@@ -237,7 +237,7 @@ class TestPrintedClosedFormFinding:
         chart = sym_chart(h, m)
         scale = dom.q_pow(1 - m) * dom.q_int(m)
         ident_rest = Mat.identity(n ** (m - 1), dom.zero, dom.one)
-        s = Mat.identity(n, dom.zero, dom.one).kron(chart.projector.mat)
+        s = Mat.identity(n, dom.zero, dom.one).kron(q_symmetrizer(h, m).mat)
         x = Mat.zeros(n ** (m + 1), n ** (m + 1), dom.zero)
         for i in range(n):
             for j in range(n):
