@@ -12,10 +12,13 @@ generator matrix is its full transpose, which leaves every quantity checked
 here (polynomial identities, spectra, idempotent ranks, weighted traces of
 powers) unchanged.  The quantum-trace weight on V_(m) is one matrix: the
 m-fold product of the single-leg weight C compressed to the symmetric
-component, times q**(p*(m-1)).  It is calibrated as q**p trace(W_m) =
-q-dimension of V_(m), the statement q**p trace(C) = p_q at m = 1, so the
-trace over V_(m) is the single contraction trace(W_m X), which at m = 1 is
-trace(C X).
+component, times q**(p*(m-1)), built on the levels as W_1 = C and
+W_m = q**p l_m (W_{m-1} (x) C) b_m.  Its round trip is checked on the level,
+b_m W_m = q**p (W_{m-1} (x) C) b_m: given the full-leg one at m - 1, the
+one at m reads (B_{m-1} (x) I)(b_m W_m - q**p (W_{m-1} (x) C) b_m) = 0, and
+B_{m-1} (x) I has a left inverse.  It is calibrated as q**p trace(W_m) =
+dim_q V_(m), as q**p trace(C) = p_q at m = 1, so the trace over V_(m) is
+the single contraction trace(W_m X), which at m = 1 is trace(C X).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .tensor import Mat, weighted_partial_trace
 from .identities import RootData, central_trace
 from .projectors import q_symmetrizer
 from .reps import (Compression, Representation, place_blocks, sym_chart,
-                   sym_power_left, sym_power_right_rea_p2)
+                   sym_level, sym_power_left, sym_power_right_rea_p2)
 
 
 class CasimirError(ValueError):
@@ -63,21 +66,15 @@ def q_dimension(lam: Sequence[int], p: int, domain: ScalarDomain):
 # ---------------------------------------------------------------------------
 
 def trace_weights(h, m: int) -> Mat:
-    """The calibrated weight W_m = q**(p(m-1)) compress(C**(x)m) on V_(m),
-    memoized with the symmetry's certification.
-
-    Invariant (asserted at construction): q**p trace(W_m) equals the
-    q-dimension of V_(m), as q**p trace(C) = p_q at m = 1, where W_1 = C.
-    """
+    """The calibrated weight W_m on V_(m) (see the module docstring), memoized
+    with the symmetry's certification; its calibration is asserted."""
     return h.memo(("weights", m), lambda: _calibrated_weights(h, m))
 
 
 def _calibrated_weights(h, m: int) -> Mat:
     dom = h.domain
-    cw = h.c
-    for _ in range(m - 1):
-        cw = cw.kron(h.c)
-    weight = sym_chart(h, m).compress(cw).scale(dom.q_pow(h.p * (m - 1)))
+    weight = h.c if m == 1 else sym_level(h, m).compress(
+        trace_weights(h, m - 1).kron(h.c)).scale(dom.q_pow(h.p))
     total = weight.trace() * dom.q_pow(h.p)
     expected = q_dimension([m], h.p, dom)
     if total != expected:

@@ -154,9 +154,10 @@ def _largest_spaces(args, file_n) -> dict:
     validates is certified on n**3 dimensions (the Yang-Baxter equation on
     three legs) and on its nested antisymmetrizer levels, which
     :func:`_size_above` counts, so no suite counts fewer than 3 legs.  A
-    module of degree m, tensor or symmetric power, has its relations checked on
-    V (x) V (x) M when it is built, so it counts m + 2 legs.  A split
-    Casimir of degrees (k, m) traces a product on V (x) V_(k) (x) V_(m).
+    tensor power of degree m has its relations checked on V (x) V (x) V**m,
+    so it counts m + 2 legs; a symmetric power on V (x) V (x) V_(m), the
+    pair (m, 1), and its levels build nothing larger.  A split Casimir of
+    degrees (k, m) traces a product on V (x) V_(k) (x) V_(m).
     """
     k = args.k or 3
     n = file_n or args.n
@@ -167,15 +168,13 @@ def _largest_spaces(args, file_n) -> dict:
     sizes = {
         "validate": (n, 3, None),
         "projectors": (n, args.m or n + 1, None),
-        "reps": (n, (args.m or 3) + 2, None),           # modules of degree m
-        # modules of degree k, closed form on k + m legs
+        "reps": (n, (args.m or 3) + 2, None),           # tensor powers
+        # closed form on k + m legs
         "ch": (rank2, k + max(2, m_ch), (k, m_ch)),
-        "newton": (rank2, k + 2, None),                  # modules of degree k
-        # scan on k + m legs with modules of degree k
-        "conjecture": ((n_scan, k + m_scan, (k, m_scan))
-                       if m_scan >= 2 else (n_scan, 0, None)),
-        "orbit": (2, 3 + 2, (3, 2)),                     # modules of degree 3
-        "calibrate-trace": (rank2, (args.m or 3) + 2, None),  # degree m
+        "newton": (rank2, 3, (k, 1)),
+        "conjecture": (n_scan, 3, (k, m_scan) if m_scan >= 2 else None),
+        "orbit": (2, 3, (3, 2)),
+        "calibrate-trace": (rank2, 3, (args.m or 3, 1)),
     }
     return {suite: (dim, max(legs, 3), pair)
             for suite, (dim, legs, pair) in sizes.items()}
@@ -184,8 +183,9 @@ def _largest_spaces(args, file_n) -> dict:
 def _size_above(bound: int, dim: int, legs: int, pair) -> str | None:
     """A :func:`_largest_spaces` size as text if it is above bound, else None.
     The certifier's step into antisymmetrizer level m counts too: it acts on
-    C(dim, m - 2) dim**2 <= C(dim, dim // 2) dim**2 dimensions.  No int much
-    above bound is formed: legs >= 3 caps dim before the binomials are."""
+    C(dim, m - 2) dim**2 <= C(dim, dim // 2) dim**2 dimensions.  No int of
+    unbounded size is formed: legs >= 3 caps dim before the binomials are,
+    and a degree j above bound is refused before C(dim + j - 1, j) > j is."""
     size = 1
     for _ in range(legs if dim > 1 else 0):
         size *= dim
@@ -194,6 +194,8 @@ def _size_above(bound: int, dim: int, legs: int, pair) -> str | None:
     size = max(size, comb(dim, dim // 2) * dim * dim)
     if pair:
         k, m = pair
+        if dim > 1 and max(k, m) > bound:
+            return f"{dim} C({dim + k - 1}, {k}) C({dim + m - 1}, {m})"
         size = max(size, dim * comb(dim + k - 1, k) * comb(dim + m - 1, m))
     return str(size) if size > bound else None
 
@@ -295,8 +297,8 @@ def suite_reps(args, rec, rng, domains):
             def sym_eq(h=h, m=m):
                 sym = reps_mod.sym_power_left(h, m)
                 tp = reps_mod.tensor_power_left(h, m)
-                return (sym.chart.on_blocks(h.n).compress(tp.blocks)
-                        == sym.blocks), None
+                basis = reps_mod.sym_chart(h, m).basis.embed(h.n, 1)
+                return tp.blocks * basis == basis * sym.blocks, None
             rec.run(f"reps.q{tag}.sym_eq_compressed.m{m}", "sym_module", pm,
                     sym_eq)
 

@@ -28,8 +28,9 @@ checks the Yang-Baxter equation and the Hecke condition first, reads the
 integer traces and the collapse off the levels.
 
 Level m is kept in the memo of the symmetry's certification under
-("S" | "A", m); the chart on m legs and P(m) = B_m L_m, built on request,
-under (kind, m, "chart") and (kind, m, "projector"); embeddings are not.
+("S" | "A", m), and modules and trace weights read it alone (:mod:`reps`);
+the chart on m legs and P(m) = B_m L_m, built on request, under
+(kind, m, "chart") and (kind, m, "projector"); embeddings are not.
 """
 
 from __future__ import annotations

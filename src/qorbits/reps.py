@@ -13,7 +13,13 @@ The defining relations live on V (x) V with operator-valued entries:
 
     R L1 R L1 - L1 R L1 R = hbar (R L1 - L1 R),   L1 = L (x) I.
 
-A module carries its mass hbar and nothing else about the algebra: hbar = 0
+Symmetric powers are built on the levels (b_j, l_j) of the q-symmetrizer
+tower (:func:`sym_level`): left, q**(1-m) m_q Y_m with Y_1 the fundamental
+blocks and Y_j = (I (x) l_j)(Y_{j-1} (x) I)(I (x) b_j); right, q**(1-m) m_q
+(I (x) l_m) X (I (x) b_m), X the single-leg blocks on the last leg.  As
+B_m = (B_{m-1} (x) I) b_m and L_m = l_m (L_{m-1} (x) I), both are L_m X B_m,
+the compression of the full-leg sandwich (I (x) S(m)) X (I (x) S(m)).  A
+module carries its mass hbar and nothing else about the algebra: hbar = 0
 is the REA.  Every constructor in this module verifies the relations once,
 when first built; the module is kept in the memo of its symmetry's
 certification under the constructor's name and arguments, so every symmetry
@@ -24,13 +30,12 @@ write into its blocks.  The shifts :func:`with_mass` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
 
 from .scalars import ScalarDomain
 from .tensor import Mat, embed_on_legs
-from .projectors import _chart, q_antisymmetrizer, q_symmetrizer
+from .projectors import _chart, _level, q_antisymmetrizer
 
 
 class RepresentationError(ValueError):
@@ -45,14 +50,10 @@ class Compression:
     """Deterministic exact chart (B, L) for the image of a projector P.
 
     P = B L is a rank factorization with L B = I: B is a basis of the image
-    and L a left inverse on it.  The chart of the q-symmetric component on
-    m legs is built level by level (:mod:`projectors`): B_m = (B_{m-1} (x) I)
-    b_m and L_m = l_m (L_{m-1} (x) I), where b_m is the pivot columns of the
-    level p_m on d_{m-1} n dimensions and l_m the nonzero rows of its
-    reduced form.  Compressing an image-preserving operator X is the product
-    L X B, and the round trip B Y = X B is asserted, so a wrong chart fails
-    loudly.  The chart of a tensor product of images is the Kronecker
-    product of the charts.
+    and L a left inverse on it.  Compressing an image-preserving operator X
+    is the product L X B, and the round trip B Y = X B is asserted, so a
+    wrong chart fails loudly.  The chart of a tensor product of images is
+    the Kronecker product of the charts.
     """
 
     def __init__(self, basis: Mat, left_inverse: Mat):
@@ -65,11 +66,6 @@ class Compression:
         return Compression(a.basis.kron(b.basis),
                            a.left_inverse.kron(b.left_inverse))
 
-    def on_blocks(self, n: int) -> "Compression":
-        """The chart of V (x) image for an n-dimensional V: it compresses a
-        block matrix sum_ij E_ij (x) X_ij block by block."""
-        return Compression(self.basis.embed(n, 1), self.left_inverse.embed(n, 1))
-
     def compress(self, x: Mat) -> Mat:
         xt = x * self.basis
         y = self.left_inverse * xt
@@ -81,6 +77,11 @@ class Compression:
 def sym_chart(h, m: int) -> Compression:
     """Chart for the q-symmetric component on m legs (memoized)."""
     return h.memo(("chart", m), lambda: Compression(*_chart(h, "S", m)))
+
+
+def sym_level(h, m: int) -> Compression:
+    """Chart (b_m, l_m) of V_(m) inside V_(m-1) (x) V, certified level m."""
+    return Compression(*_level(h._memo, h.r, h.domain, "S", m)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +98,6 @@ class Representation:
     blocks: Mat                     # sum_ij E_ij (x) rho_ij on V (x) M
     label: str
     domain: ScalarDomain
-    chart: Optional[Compression] = field(default=None, repr=False)
 
     def generator_matrix(self, aux_legs: int = 1) -> Mat:
         """sum_ij E_ij (x) I (x) B_ij on V**aux_legs (x) M.
@@ -202,28 +202,23 @@ def tensor_power_left(h, m: int) -> Representation:
                           f"tensor_power m={m}", h.domain)
 
 
-def _sym_power(h, m: int, side: str, single: Mat, label: str) -> Representation:
-    """m_q q**(1-m) (I (x) S(m)) X (I (x) S(m)) compressed to V (x) the
-    q-symmetric component, where X places the single-leg block matrix
-    sum_ij E_ij (x) B_ij on leg 1 (side="left") or on leg m (side="right")."""
-    if m < 1:
-        raise RepresentationError("m must be positive")
-    n, dom = h.n, h.domain
-    chart = sym_chart(h, m)
-    s = q_symmetrizer(h, m).mat.embed(n, 1)
-    rest = n ** (m - 1)
-    x = single.embed(1, rest) if side == "left" else place_blocks(single, n, rest)
-    scale = dom.q_pow(1 - m) * dom.q_int(m)
-    blocks = chart.on_blocks(n).compress((s * x * s).scale(scale))
-    return Representation(side, Fraction(1), n, chart.dim, blocks, label,
-                          dom, chart=chart)
+def _on_level(h, m: int, x: Mat) -> Mat:
+    """(I (x) l_m) x (I (x) b_m), x on V (x) V_(m-1) (x) V."""
+    chart = sym_level(h, m)
+    return chart.left_inverse.embed(h.n, 1) * x * chart.basis.embed(h.n, 1)
 
 
 @_built_once
 def sym_power_left(h, m: int) -> Representation:
     """Compression of the tensor power to the q-symmetric component."""
-    return _sym_power(h, m, "left", fundamental_left(h).blocks,
-                      f"sym_power m={m}")
+    if m < 1:
+        raise RepresentationError("m must be positive")
+    blocks = fundamental_left(h).blocks
+    for j in range(2, m + 1):
+        blocks = _on_level(h, j, blocks.embed(1, h.n))
+    blocks = blocks.scale(h.domain.q_pow(1 - m) * h.domain.q_int(m))
+    return Representation("left", Fraction(1), h.n, blocks.nrows // h.n,
+                          blocks, f"sym_power m={m}", h.domain)
 
 
 def right_fundamental_blocks(h) -> Mat:
@@ -242,8 +237,14 @@ def sym_power_right_p2(h, m: int) -> Representation:
     """Right module on the q-symmetric component; rank-2 symmetries only."""
     if h.p != 2:
         raise RepresentationError("requires symmetry rank 2")
-    return _sym_power(h, m, "right", right_fundamental_blocks(h),
-                      f"sym_power_right m={m}")
+    if m < 1:
+        raise RepresentationError("m must be positive")
+    x = place_blocks(right_fundamental_blocks(h), h.n,
+                     sym_level(h, m).basis.nrows // h.n)     # d_{m-1}
+    blocks = _on_level(h, m, x).scale(
+        h.domain.q_pow(1 - m) * h.domain.q_int(m))
+    return Representation("right", Fraction(1), h.n, blocks.nrows // h.n,
+                          blocks, f"sym_power_right m={m}", h.domain)
 
 
 @_built_once
@@ -263,8 +264,7 @@ def sym_power_right_rea_p2(h, m: int) -> Representation:
     blocks = (base.blocks.scale(-dom.zeta)
               + Mat.identity(base.blocks.nrows, dom.zero, dom.one))
     return Representation("right", Fraction(0), h.n, base.d, blocks,
-                          f"sym_power_right m={m} [rea, spectral scale]", dom,
-                          chart=base.chart)
+                          f"sym_power_right m={m} [rea, spectral scale]", dom)
 
 
 def with_mass(rep: Representation, hbar, h) -> Representation:

@@ -17,7 +17,7 @@ from qorbits.tensor import Mat
 from qorbits.hecke import (HeckeSymmetry, standard_hecke, standard_r,
                            validate_hecke_symmetry)
 from qorbits.projectors import q_antisymmetrizer
-from qorbits.reps import (fundamental_left, sym_power_left,
+from qorbits.reps import (fundamental_left, sym_chart, sym_power_left,
                           sym_power_right_p2, sym_power_right_rea_p2,
                           tensor_power_left, verify_defining_relations)
 from qorbits.casimir import closed_form_p2, q_dimension, split_casimir_matrix
@@ -82,12 +82,14 @@ def test_criterion_02_representations():
         rep = sym_power_right_p2(h2, m)
         assert rep.side == "right"
         assert verify_defining_relations(rep, h2) == []
-    # symmetric power equals the compressed tensor power
+    # symmetric power equals the compressed tensor power: the tensor power
+    # intertwines with it through I (x) B_m
     for h, m_top in ((h2, 4), (h3, 3)):
         for m in range(1, m_top + 1):
+            basis = sym_chart(h, m).basis.embed(h.n, 1)
             sym = sym_power_left(h, m)
             tp = tensor_power_left(h, m)
-            assert sym.chart.on_blocks(h.n).compress(tp.blocks) == sym.blocks
+            assert tp.blocks * basis == basis * sym.blocks
     report(2, "left/right representations and compressions", t0)
 
 

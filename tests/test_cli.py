@@ -235,10 +235,11 @@ class TestExitCodes:
         ["validate", "--n", "2000"],
         ["ch", "--k", "20000", "--q", "2/3"],
         ["projectors", "--m", "20000", "--q", "2/3"],
+        ["conjecture", "--k", "1" + "0" * 2200, "--q", "2/3"],
     ], ids=["q0", "q1", "q-1", "n0", "samples0", "samples-1", "m0", "k0",
             "p-2", "max-size0", "hbar-abc", "hbar-1/0", "mu-1,x", "mu-1,1,2",
             "euler-p1", "newton-p1", "validate-n2000", "ch-k20000",
-            "projectors-m20000"])
+            "projectors-m20000", "conjecture-k10**2200"])
     def test_bad_argument_is_usage_error_before_any_check(
             self, tmp_path, capsys, argv):
         out = tmp_path / "report.json"
@@ -303,10 +304,11 @@ class TestExitCodes:
         for argv in (
                 ["conjecture", "--p", "3", "--n", "3", "--k", "9", "--m", "9",
                  "--max-size", "10", "--samples", "1"],
-                # rank-3 scan on 3 + 3 legs: 3**6 = 729, though 2**6 fits
+                # the rank-3 (3, 3) scan's Casimir product acts on
+                # V (x) V_(3) (x) V_(3): 3 * 10 * 10 = 300
                 ["conjecture", "--p", "3", "--k", "3", "--m", "3",
-                 "--max-size", "300"],
-                # conjecture (3**5) and ch (2**6) exceed it: nothing runs
+                 "--max-size", "299"],
+                # conjecture (3**3) and ch (2**6) exceed it: nothing runs
                 ["all", "--max-size", "20"],
                 # the Yang-Baxter check acts on 5**3 = 125 dimensions
                 ["validate", "--n", "5", "--q", "2/3", "--max-size", "100"],
@@ -322,8 +324,8 @@ class TestExitCodes:
                 ["orbit", "--q", "2/3", "--max-size", "8"],
                 ["calibrate-trace", "--q", "2/3", "--max-size", "8"],
                 # the split Casimir product on V (x) V_(2) (x) V_(2):
-                # 2 * 3 * 3 = 18 > 2**4, and 3 * 6 * 6 = 108 > 3**4 for
-                # the rank-3 scan
+                # 2 * 3 * 3 = 18 > 2**4, and 3 * 6 * 6 = 108 for the
+                # rank-3 scan
                 ["ch", "--q", "2/3", "--k", "2", "--max-size", "16"],
                 ["conjecture", "--q", "2/3", "--k", "2", "--m", "2",
                  "--max-size", "81"],

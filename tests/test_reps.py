@@ -5,11 +5,12 @@ import pytest
 
 from qorbits import casimir, reps
 from qorbits.hecke import standard_hecke
-from qorbits.scalars import at_q
+from qorbits.scalars import SYMBOLIC, at_q
 from qorbits.tensor import Mat
 from qorbits.projectors import q_antisymmetrizer, q_symmetrizer
-from qorbits.reps import (Representation, RepresentationError,
-                          corollary_phi_blocks, fundamental_left, rescaled,
+from qorbits.reps import (Compression, Representation, RepresentationError,
+                          corollary_phi_blocks, fundamental_left,
+                          place_blocks, rescaled, right_fundamental_blocks,
                           sym_chart, sym_power_left, sym_power_right_p2,
                           sym_power_right_rea_p2, tensor_power_left,
                           verify_defining_relations, with_mass)
@@ -29,6 +30,19 @@ def _block(blocks, d, i, j):
                             ((r - i * d, c - j * d, v)
                              for r, c, v in blocks.entries()
                              if r // d == i and c // d == j))
+
+
+def sandwiched(h, m, x):
+    """Reference oracle, the full-leg route: q**(1-m) m_q (I (x) S(m)) x
+    (I (x) S(m)) for x on V (x) V**m, compressed to V (x) V_(m) by the chart
+    I (x) B_m, I (x) L_m of the image of I (x) S(m)."""
+    dom, n = h.domain, h.n
+    chart = sym_chart(h, m)
+    s = q_symmetrizer(h, m).mat.embed(n, 1)
+    on_blocks = Compression(chart.basis.embed(n, 1),
+                            chart.left_inverse.embed(n, 1))
+    return on_blocks.compress((s * x * s).scale(dom.q_pow(1 - m)
+                                                * dom.q_int(m)))
 
 
 class TestFundamental:
@@ -89,22 +103,64 @@ class TestSymPower:
     def test_dimension(self, h2):
         assert sym_power_left(h2, 2).d == 3
 
+    # the tensor power intertwines with the symmetric power through I (x) B_m,
+    # which with L_m B_m = I says that it compresses to it
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_equals_compressed_tensor_power_n2(self, h2, m):
+        basis = sym_chart(h2, m).basis.embed(2, 1)
         sym = sym_power_left(h2, m)
-        tp = tensor_power_left(h2, m)
-        assert sym.chart.on_blocks(2).compress(tp.blocks) == sym.blocks
+        assert tensor_power_left(h2, m).blocks * basis == basis * sym.blocks
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_equals_compressed_tensor_power_n3(self, h3, m):
+        basis = sym_chart(h3, m).basis.embed(3, 1)
         sym = sym_power_left(h3, m)
-        tp = tensor_power_left(h3, m)
-        assert sym.chart.on_blocks(3).compress(tp.blocks) == sym.blocks
+        assert tensor_power_left(h3, m).blocks * basis == basis * sym.blocks
 
     def test_relations_n3(self, h3):
         for m in (2, 3):
             rep = sym_power_left(h3, m)
             assert verify_defining_relations(rep, h3) == []
+
+
+class TestNestedAgainstFullLegs:
+    """Modules and trace weights built on the nested levels equal, entry by
+    entry, the full-leg sandwich and the compression of C**(x)m."""
+
+    CASES = [(3, Fraction(3, 5), 5), (4, Fraction(2, 7), 4),
+             (3, Fraction(-77, 101), 4), (2, None, 5), (2, Fraction(2, 3), 5),
+             (3, None, 3)]
+
+    @staticmethod
+    def _hecke(n, q0):
+        return standard_hecke(n, SYMBOLIC if q0 is None else at_q(q0))
+
+    @pytest.mark.parametrize("n, q0, top", CASES)
+    def test_left_modules_and_weights(self, n, q0, top):
+        h = self._hecke(n, q0)
+        dom, cw = h.domain, h.c
+        for m in range(1, top + 1):
+            x = fundamental_left(h).blocks.embed(1, n ** (m - 1))
+            assert sym_power_left(h, m).blocks == sandwiched(h, m, x), m
+            weight = sym_chart(h, m).compress(cw)
+            assert (casimir.trace_weights(h, m)
+                    == weight.scale(dom.q_pow(h.p * (m - 1)))), m
+            cw = cw.kron(h.c)
+
+    @pytest.mark.parametrize("q0", [None, Fraction(2, 3)])
+    def test_right_modules(self, q0):
+        h = self._hecke(2, q0)
+        for m in range(1, 6):
+            x = place_blocks(right_fundamental_blocks(h), 2, 2 ** (m - 1))
+            assert sym_power_right_p2(h, m).blocks == sandwiched(h, m, x), m
+
+    def test_left_module_builds_nothing_on_full_legs(self, largest_built):
+        # the largest operator is the relation check on V (x) V (x) V_(5),
+        # n**2 d_5 = 189 at rank 3; the sandwich acts on 3**6 = 729
+        h = standard_hecke(3, at_q(Fraction(3, 5)))
+        assert sym_power_left(h, 5).d == 21
+        assert 0 < largest_built[0] <= 189
+        assert ("S", 5, "chart") not in h._memo
 
 
 class TestCharts:
@@ -234,18 +290,15 @@ class TestPrintedClosedFormFinding:
         # sandwiched by I (x) S(m) and compressed
         dom, n = h.domain, h.n
         single = corollary_phi_blocks(h, m)
-        chart = sym_chart(h, m)
-        scale = dom.q_pow(1 - m) * dom.q_int(m)
         ident_rest = Mat.identity(n ** (m - 1), dom.zero, dom.one)
-        s = Mat.identity(n, dom.zero, dom.one).kron(q_symmetrizer(h, m).mat)
         x = Mat.zeros(n ** (m + 1), n ** (m + 1), dom.zero)
         for i in range(n):
             for j in range(n):
                 unit = Mat.from_entries(n, n, dom.zero, [(i, j, dom.one)])
                 x = x + unit.kron(ident_rest.kron(_block(single, n, i, j)))
-        blocks = chart.on_blocks(n).compress((s * x * s).scale(scale))
-        return Representation("right", Fraction(0), n, chart.dim, blocks,
-                              f"printed closed form m={m}", dom, chart=chart)
+        blocks = sandwiched(h, m, x)
+        return Representation("right", Fraction(0), n, blocks.nrows // n,
+                              blocks, f"printed closed form m={m}", dom)
 
     def test_degree_one_agrees_up_to_scale(self, h2):
         lit = self._assemble(h2, 1)
@@ -293,8 +346,11 @@ class TestMemo:
     def test_charts_and_weights_are_memoized(self):
         h = standard_hecke(2, at_q(Fraction(5, 3)))
         assert sym_chart(h, 2) is sym_chart(h, 2)
-        assert sym_power_left(h, 2).chart is sym_chart(h, 2)
         assert casimir.trace_weights(h, 2) is casimir.trace_weights(h, 2)
+        # modules and weights are built on the levels: no chart on full legs
+        sym_power_left(h, 3)
+        casimir.trace_weights(h, 3)
+        assert ("S", 3, "chart") not in h._memo and ("chart", 3) not in h._memo
 
     def test_shared_module_is_frozen(self):
         h = standard_hecke(2, at_q(Fraction(5, 3)))
