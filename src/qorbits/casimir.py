@@ -10,15 +10,13 @@ Conventions.  The operator stored in :class:`CasimirMatrix` acts on
 V_(k) (x) V_(m) in the compressed charts of the reps module; the abstract
 generator matrix is its full transpose, which leaves every quantity checked
 here (polynomial identities, spectra, idempotent ranks, weighted traces of
-powers) unchanged.  The quantum-trace weight on V_(m) is one matrix: the
-m-fold product of the single-leg weight C compressed to the symmetric
-component, times q**(p*(m-1)), built on the levels as W_1 = C and
+powers) unchanged.  The quantum-trace weight on V_(m), the compression of
+C**(x)m times q**(p*(m-1)), is built on the levels: W_1 = C and
 W_m = q**p l_m (W_{m-1} (x) C) b_m.  Its round trip is checked on the level,
-b_m W_m = q**p (W_{m-1} (x) C) b_m: given the full-leg one at m - 1, the
-one at m reads (B_{m-1} (x) I)(b_m W_m - q**p (W_{m-1} (x) C) b_m) = 0, and
-B_{m-1} (x) I has a left inverse.  It is calibrated as q**p trace(W_m) =
-dim_q V_(m), as q**p trace(C) = p_q at m = 1, so the trace over V_(m) is
-the single contraction trace(W_m X), which at m = 1 is trace(C X).
+b_m W_m = q**p (W_{m-1} (x) C) b_m, which times B_{m-1} (x) I, a map with a
+left inverse, is the full-leg one given that at m - 1.  It is calibrated as
+q**p trace(W_m) = dim_q V_(m) (q**p trace(C) = p_q at m = 1), so the trace
+over V_(m) is the single contraction trace(W_m X).
 """
 
 from __future__ import annotations

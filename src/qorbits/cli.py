@@ -21,7 +21,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from . import euler as euler_mod
 from . import hecke as hecke_mod
@@ -148,16 +148,17 @@ def _largest_spaces(args, file_n) -> dict:
     acts on dim**legs dimensions or, when pair is (k, m), on those of
     V (x) V_(k) (x) V_(m) for V of dimension dim, if more.
 
-    n is the dimension of the symmetry the suite really runs on: the
-    R-file's when one is given, else --n, 2 for the rank-2 suites and the
-    rank p for the conjecture scan.  Every symmetry a suite builds or
-    validates is certified on n**3 dimensions (the Yang-Baxter equation on
-    three legs) and on its nested antisymmetrizer levels, which
-    :func:`_size_above` counts, so no suite counts fewer than 3 legs.  A
-    tensor power of degree m has its relations checked on V (x) V (x) V**m,
-    so it counts m + 2 legs; a symmetric power on V (x) V (x) V_(m), the
-    pair (m, 1), and its levels build nothing larger.  A split Casimir of
-    degrees (k, m) traces a product on V (x) V_(k) (x) V_(m).
+    n is the dimension of the symmetry the suite really runs on: the R-file's
+    when one is given, else --n, 2 for the rank-2 suites and the rank p for the
+    conjecture scan.  Every symmetry a suite builds or validates is certified
+    on n**3 dimensions (the Yang-Baxter equation on three legs) and on its
+    nested antisymmetrizer levels, which :func:`_size_above` counts, so no
+    suite counts fewer than 3 legs.  A tensor power of degree m has its
+    relations checked on V (x) V (x) V**m, m + 2 legs; a symmetric power on
+    V (x) V (x) V_(m), the pair (m, 1), and its levels build nothing larger;
+    a split Casimir of degrees (k, m) traces a product on
+    V (x) V_(k) (x) V_(m).  Off the standard symmetries dim V_(m) is no
+    binomial but at most n**m, so R-file runs count a pair as 1 + k + m legs.
     """
     k = args.k or 3
     n = file_n or args.n
@@ -165,16 +166,19 @@ def _largest_spaces(args, file_n) -> dict:
     m_ch = min(k, args.m or 3)
     m_scan = min(k, args.m or 2)
     n_scan = file_n or args.p or 3
+
+    def paired(legs, k, m):
+        return (max(legs, 1 + k + m), None) if file_n else (legs, (k, m))
     sizes = {
         "validate": (n, 3, None),
         "projectors": (n, args.m or n + 1, None),
         "reps": (n, (args.m or 3) + 2, None),           # tensor powers
-        # closed form on k + m legs
-        "ch": (rank2, k + max(2, m_ch), (k, m_ch)),
-        "newton": (rank2, 3, (k, 1)),
-        "conjecture": (n_scan, 3, (k, m_scan) if m_scan >= 2 else None),
-        "orbit": (2, 3, (3, 2)),
-        "calibrate-trace": (rank2, 3, (args.m or 3, 1)),
+        "ch": (rank2, *paired(k + max(2, m_ch), k, m_ch)),  # closed form
+        "newton": (rank2, *paired(3, k, 1)),
+        "conjecture": ((n_scan, *paired(3, k, m_scan)) if m_scan >= 2
+                       else (n_scan, 3, None)),
+        "orbit": (2, 3, (3, 2)),                        # standard only
+        "calibrate-trace": (rank2, *paired(3, args.m or 3, 1)),
     }
     return {suite: (dim, max(legs, 3), pair)
             for suite, (dim, legs, pair) in sizes.items()}
@@ -183,20 +187,18 @@ def _largest_spaces(args, file_n) -> dict:
 def _size_above(bound: int, dim: int, legs: int, pair) -> str | None:
     """A :func:`_largest_spaces` size as text if it is above bound, else None.
     The certifier's step into antisymmetrizer level m counts too: it acts on
-    C(dim, m - 2) dim**2 <= C(dim, dim // 2) dim**2 dimensions.  No int of
-    unbounded size is formed: legs >= 3 caps dim before the binomials are,
-    and a degree j above bound is refused before C(dim + j - 1, j) > j is."""
+    C(dim, m - 2) dim**2 <= C(dim, dim // 2) dim**2 dimensions.  A degree
+    above bound is refused unformed and legs >= 3 caps dim before the
+    binomials are, so no int of unbounded size is formed."""
+    if dim > 1 and max((legs, *(pair or ()))) > bound:
+        return f"more than {bound}"
     size = 1
     for _ in range(legs if dim > 1 else 0):
         size *= dim
         if size > bound:
             return f"{dim}**{legs}"
-    size = max(size, comb(dim, dim // 2) * dim * dim)
-    if pair:
-        k, m = pair
-        if dim > 1 and max(k, m) > bound:
-            return f"{dim} C({dim + k - 1}, {k}) C({dim + m - 1}, {m})"
-        size = max(size, dim * comb(dim + k - 1, k) * comb(dim + m - 1, m))
+    size = max(size, comb(dim, dim // 2) * dim * dim,
+               dim * prod(comb(dim + j - 1, j) for j in pair or ()))
     return str(size) if size > bound else None
 
 

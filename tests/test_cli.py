@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from qorbits import hecke, orbits, projectors
 from qorbits.cli import (ANCHORS, SUITES, _check_args, _largest_spaces,
                          _size_above, build_parser, run_suite)
 from qorbits.hecke import standard_hecke, save_r_to_file
+from qorbits.scalars import SYMBOLIC, at_q
 from qorbits.tensor import LegOperator, Mat
 
 
@@ -236,10 +238,13 @@ class TestExitCodes:
         ["ch", "--k", "20000", "--q", "2/3"],
         ["projectors", "--m", "20000", "--q", "2/3"],
         ["conjecture", "--k", "1" + "0" * 2200, "--q", "2/3"],
+        # the largest int argparse reads: k + 2 has one digit too many
+        ["conjecture", "--k", "9" * 4300, "--q", "2/3"],
     ], ids=["q0", "q1", "q-1", "n0", "samples0", "samples-1", "m0", "k0",
             "p-2", "max-size0", "hbar-abc", "hbar-1/0", "mu-1,x", "mu-1,1,2",
             "euler-p1", "newton-p1", "validate-n2000", "ch-k20000",
-            "projectors-m20000", "conjecture-k10**2200"])
+            "projectors-m20000", "conjecture-k10**2200",
+            "conjecture-k4300-nines"])
     def test_bad_argument_is_usage_error_before_any_check(
             self, tmp_path, capsys, argv):
         out = tmp_path / "report.json"
@@ -341,6 +346,47 @@ class TestExitCodes:
         assert largest_built[0] == 0
         assert "validate builds operators on 1000**3 dimensions" in (
             capsys.readouterr().err)
+
+    def test_max_size_guard_counts_n_to_the_degree_on_an_r_file(
+            self, tmp_path, capsys, largest_built):
+        # dvl3 (Dubois-Violette--Launer): R = q I + e on n = 3 with
+        # e_(ij),(kl) = (E**-1)_ij E_kl, E = [[1, q, q], [-1, 0, 0],
+        # [0, -1, 0]].  Its rank is 2 and dim V_(m) are 3, 8, 21, 55, ...,
+        # the coefficients of 1/(1 - 3t + t**2), not the binomials
+        # C(m + 2, 2): the guard counts dim V_(m) <= 3**m instead
+        dom = SYMBOLIC
+        q, one, zero = dom.q, dom.one, dom.zero
+        e = [[one, q, q], [-one, zero, zero], [zero, -one, zero]]
+        e_inv = [[zero, -one, zero], [zero, zero, -one],
+                 [dom.q_pow(-1), dom.q_pow(-1), one]]
+        pairs = [(i, j) for i in range(3) for j in range(3)]
+        path = tmp_path / "dvl3.json"
+        save_r_to_file(path, LegOperator(3, 2, Mat.from_entries(
+            9, 9, zero, ((3 * i + j, 3 * k + l, e_inv[i][j] * e[k][l]
+                          + (q if (i, j) == (k, l) else zero))
+                         for i, j in pairs for k, l in pairs))))
+        h = hecke.HeckeSymmetry(hecke.load_r_from_file(path, at_q(
+            Fraction(2, 3))), at_q(Fraction(2, 3)))
+        assert (h.n, h.p) == (3, 2)
+        built = largest_built[0]
+        out = tmp_path / "report.json"
+        for argv, size in (
+                # the relation check of the degree-8 module acts on
+                # V (x) V (x) V_(8): 9 * 2584 dimensions, not 9 * C(10, 2)
+                (["calibrate-trace", "--m", "8"], "3**10"),
+                (["newton", "--k", "8"], "3**10"),
+                # the (6, 4) scan's Casimir product on V (x) V_(6) (x) V_(4)
+                (["conjecture", "--k", "6", "--m", "4"], "3**11"),
+                (["conjecture", "--k", "9" * 4300], "more than 4096")):
+            with pytest.raises(SystemExit) as err:
+                run_suite(argv + ["--q", "2/3", "--r-file", str(path),
+                                  "--out", str(out)])
+            assert err.value.code == 2, argv
+            assert not out.exists()
+            stderr = capsys.readouterr().err
+            assert f"{argv[0]} builds operators on {size} dimensions" in stderr
+            assert "Traceback" not in stderr
+        assert largest_built[0] == built
 
     def test_max_size_guard_admits_defaults(self):
         parser = build_parser()
