@@ -17,6 +17,15 @@ b_m W_m = q**p (W_{m-1} (x) C) b_m, which times B_{m-1} (x) I, a map with a
 left inverse, is the full-leg one given that at m - 1.  It is calibrated as
 q**p trace(W_m) = dim_q V_(m) (q**p trace(C) = p_q at m = 1), so the trace
 over V_(m) is the single contraction trace(W_m X).
+
+The rank-2 closed form (:func:`closed_form_p2`) is compressed by the chart
+(B_k (x) B_m, L_k (x) L_m) of V_(k) (x) V_(m) with nothing built on k+m
+legs.  Its first term, S(k) S(m), compresses to I, as L_j B_j = I is
+certified on every level.  In its second, (L_k (x) I) S(k+1) (B_k (x) I)
+is the certified level p_{k+1} (B_{k+1} = (B_k (x) I) b_{k+1}, L_{k+1} =
+l_{k+1} (L_k (x) I)): it is the compression of (I (x) S(m)) (p_{k+1} (x) I)
+by (I (x) B_m, I (x) L_m) on d_k n**m dimensions, whose round trip, as
+B_k (x) I has a left inverse, is the one on k+m legs.
 """
 
 from __future__ import annotations
@@ -209,9 +218,9 @@ def closed_form_p2(h, k: int, m: int) -> CasimirMatrix:
     q**(m-1) L = (m_q / q**(2k+2)) S(k) S(m)
                + (zeta m_q (k+1)_q / q**(k+1)) S(m) S(k+1) S(m)
 
-    on k+m legs.  Each product is compressed to the product basis of
-    V_(k) (x) V_(m) first, with its own round-trip check, and only then
-    scaled, so no operator above dk*dm is scaled; must equal
+    on k+m legs, compressed on the levels (see the module docstring): the
+    first term to the identity, the second from (I (x) S(m)) (p_{k+1} (x) I),
+    each scaled once compressed.  Must equal
     :func:`split_casimir_matrix` exactly.
     """
     if h.p != 2:
@@ -219,16 +228,14 @@ def closed_form_p2(h, k: int, m: int) -> CasimirMatrix:
     if not k >= m >= 1:
         raise CasimirError("closed form requires k >= m >= 1")
     dom = h.domain
-    total = k + m
-    sk = q_symmetrizer(h, k, total, 1)
-    sm = q_symmetrizer(h, m, total, k + 1)
-    sk1 = q_symmetrizer(h, k + 1, total, 1)
+    dk, level = sym_level(h, k).dim, sym_level(h, k + 1)
+    chart = sym_chart(h, m)
     # the two coefficients above, each times q**(1-m)
     c1 = dom.q_int(m) / dom.q_pow(2 * k + m + 1)
     c2 = dom.zeta * dom.q_int(m) * dom.q_int(k + 1) / dom.q_pow(k + m)
-    chart = Compression.product(sym_chart(h, k), sym_chart(h, m))
-    compressed = (chart.compress(sk.mat * sm.mat).scale(c1)
-                  + chart.compress(sm.mat * sk1.mat * sm.mat).scale(c2))
-    dk = sym_chart(h, k).dim
-    dm = sym_chart(h, m).dim
-    return CasimirMatrix(k=k, m=m, op=compressed, dk=dk, dm=dm)
+    x = (q_symmetrizer(h, m).mat.embed(dk, 1)
+         * (level.basis * level.left_inverse).embed(1, h.n ** (m - 1)))
+    second = Compression(chart.basis.embed(dk, 1),
+                         chart.left_inverse.embed(dk, 1)).compress(x)
+    return CasimirMatrix(k=k, m=m, op=second.scale(c2) + Mat.identity(
+        second.nrows, dom.zero, c1), dk=dk, dm=chart.dim)

@@ -144,21 +144,17 @@ def _hecke(args, domain, n: int, standard: bool = False) -> hecke_mod.HeckeSymme
 
 
 def _largest_spaces(args, file_n) -> dict:
-    """suite -> (dim, legs, pair): the largest operator the suite builds
-    acts on dim**legs dimensions or, when pair is (k, m), on those of
-    V (x) V_(k) (x) V_(m) for V of dimension dim, if more.
-
-    n is the dimension of the symmetry the suite really runs on: the R-file's
-    when one is given, else --n, 2 for the rank-2 suites and the rank p for the
-    conjecture scan.  Every symmetry a suite builds or validates is certified
-    on n**3 dimensions (the Yang-Baxter equation on three legs) and on its
-    nested antisymmetrizer levels, which :func:`_size_above` counts, so no
-    suite counts fewer than 3 legs.  A tensor power of degree m has its
-    relations checked on V (x) V (x) V**m, m + 2 legs; a symmetric power on
-    V (x) V (x) V_(m), the pair (m, 1), and its levels build nothing larger;
-    a split Casimir of degrees (k, m) traces a product on
-    V (x) V_(k) (x) V_(m).  Off the standard symmetries dim V_(m) is no
-    binomial but at most n**m, so R-file runs count a pair as 1 + k + m legs.
+    """suite -> (dim, spaces): the largest operators the suite builds act on
+    V**legs (x) V_(j1) (x) V_(j2) ... for (legs, (j1, j2, ...)) in spaces,
+    beside the certifier's (:func:`_size_above`).  V is of the dimension of
+    the symmetry the suite really runs on: the R-file's when one is given,
+    else --n, 2 for the rank-2 suites and the rank p for the conjecture
+    scan.  A tensor power of degree m has its relations checked on
+    V (x) V (x) V**m, m + 2 legs; a symmetric power on V (x) V (x) V_(m),
+    and its levels build nothing larger; a split Casimir of degrees (k, m)
+    traces a product on V (x) V_(k) (x) V_(m), and its closed form
+    compresses on V_(k) (x) V**m.  Off the standard symmetries dim V_(m) is
+    no binomial but at most n**m, so R-file runs count V_(m) as m legs.
     """
     k = args.k or 3
     n = file_n or args.n
@@ -167,38 +163,41 @@ def _largest_spaces(args, file_n) -> dict:
     m_scan = min(k, args.m or 2)
     n_scan = file_n or args.p or 3
 
-    def paired(legs, k, m):
-        return (max(legs, 1 + k + m), None) if file_n else (legs, (k, m))
-    sizes = {
-        "validate": (n, 3, None),
-        "projectors": (n, args.m or n + 1, None),
-        "reps": (n, (args.m or 3) + 2, None),           # tensor powers
-        "ch": (rank2, *paired(k + max(2, m_ch), k, m_ch)),  # closed form
-        "newton": (rank2, *paired(3, k, 1)),
-        "conjecture": ((n_scan, *paired(3, k, m_scan)) if m_scan >= 2
-                       else (n_scan, 3, None)),
-        "orbit": (2, 3, (3, 2)),                        # standard only
-        "calibrate-trace": (rank2, *paired(3, args.m or 3, 1)),
+    def space(legs, *degrees):
+        return (legs + sum(degrees), ()) if file_n else (legs, degrees)
+    return {
+        "validate": (n, ()),
+        "projectors": (n, ((args.m or n + 1, ()),)),
+        "reps": (n, (((args.m or 3) + 2, ()),)),        # tensor powers
+        "ch": (rank2, (space(1, k, m_ch), space(m_ch, k))),
+        "newton": (rank2, (space(1, k, 1),)),
+        "conjecture": (n_scan, (space(1, k, m_scan),) if m_scan >= 2 else ()),
+        "orbit": (2, ((1, (3, 2)),)),                   # standard only
+        "calibrate-trace": (rank2, (space(1, args.m or 3, 1),)),
     }
-    return {suite: (dim, max(legs, 3), pair)
-            for suite, (dim, legs, pair) in sizes.items()}
 
 
-def _size_above(bound: int, dim: int, legs: int, pair) -> str | None:
+def _size_above(bound: int, dim: int, spaces) -> str | None:
     """A :func:`_largest_spaces` size as text if it is above bound, else None.
-    The certifier's step into antisymmetrizer level m counts too: it acts on
-    C(dim, m - 2) dim**2 <= C(dim, dim // 2) dim**2 dimensions.  A degree
-    above bound is refused unformed and legs >= 3 caps dim before the
-    binomials are, so no int of unbounded size is formed."""
-    if dim > 1 and max((legs, *(pair or ()))) > bound:
+    Every symmetry a suite builds or validates is certified, so the
+    Yang-Baxter check on 3 legs counts too, and so does the step into
+    antisymmetrizer level m, on C(dim, m - 2) dim**2 <= C(dim, dim // 2)
+    dim**2 dimensions.  A degree above bound is refused unformed and 3 legs
+    cap dim before the binomials are formed, so no int of unbounded size is
+    formed."""
+    spaces = ((3, ()), *spaces)
+    if dim > 1 and any(j > bound for legs, degrees in spaces
+                       for j in (legs, *degrees)):
         return f"more than {bound}"
     size = 1
-    for _ in range(legs if dim > 1 else 0):
-        size *= dim
-        if size > bound:
-            return f"{dim}**{legs}"
-    size = max(size, comb(dim, dim // 2) * dim * dim,
-               dim * prod(comb(dim + j - 1, j) for j in pair or ()))
+    for legs, degrees in spaces:
+        power = 1
+        for _ in range(legs if dim > 1 else 0):
+            power *= dim
+            if power > bound:
+                return f"{dim}**{legs}"
+        size = max(size, power * prod(comb(dim + j - 1, j) for j in degrees))
+    size = max(size, comb(dim, dim // 2) * dim * dim)
     return str(size) if size > bound else None
 
 

@@ -22,10 +22,10 @@ nonzero rows of its reduced form, so p_m = b_m l_m, and the chart on m legs
 is B_m = (B_{m-1} (x) I) b_m, L_m = l_m (L_{m-1} (x) I).  Given
 l_{m-1} b_{m-1} = I, p_m**2 = p_m holds if and only if P(m)**2 = P(m),
 tr p_m = tr P(m), and p_m = 0 if and only if P(m) = 0 (so p_{p+1} = 0 if
-and only if A(p+1) = 0).  Every level checks p_m**2 = p_m and l_m b_m = I
-when it is built, so a wrong factor fails construction; the certifier, which
-checks the Yang-Baxter equation and the Hecke condition first, reads the
-integer traces and the collapse off the levels.
+and only if A(p+1) = 0).  Every level checks p_m = b_m l_m and l_m b_m = I,
+hence p_m**2 = p_m, when built, so a wrong factor fails construction; the
+certifier, which checks the Yang-Baxter equation and the Hecke condition
+first, reads the integer traces and the collapse off the levels.
 
 Level m is kept in the memo of the symmetry's certification under
 ("S" | "A", m), and modules and trace weights read it alone (:mod:`reps`);
@@ -67,7 +67,7 @@ def _level(memo: dict, r: LegOperator, domain: ScalarDomain, kind: str,
               + rho.scale(c * domain.q_int(m - 1) * f))
         cols, left_inverse = row_reduce(op)
         basis = op.transpose().take_rows(cols).transpose()
-        if not (op * op == op and left_inverse * basis
+        if not (op == basis * left_inverse and left_inverse * basis
                 == Mat.identity(len(cols), domain.zero, domain.one)):
             name = "symmetrizer" if kind == "S" else "antisymmetrizer"
             raise HeckeError(f"{name} at height {m} is not idempotent")

@@ -52,19 +52,13 @@ class Compression:
     P = B L is a rank factorization with L B = I: B is a basis of the image
     and L a left inverse on it.  Compressing an image-preserving operator X
     is the product L X B, and the round trip B Y = X B is asserted, so a
-    wrong chart fails loudly.  The chart of a tensor product of images is
-    the Kronecker product of the charts.
+    wrong chart fails loudly.
     """
 
     def __init__(self, basis: Mat, left_inverse: Mat):
         self.basis = basis
         self.left_inverse = left_inverse
         self.dim = basis.ncols
-
-    @staticmethod
-    def product(a: "Compression", b: "Compression") -> "Compression":
-        return Compression(a.basis.kron(b.basis),
-                           a.left_inverse.kron(b.left_inverse))
 
     def compress(self, x: Mat) -> Mat:
         xt = x * self.basis

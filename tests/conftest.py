@@ -8,7 +8,7 @@ from hypothesis import settings
 from qorbits import hecke, tensor
 from qorbits.scalars import at_q
 from qorbits.hecke import standard_hecke
-from qorbits.tensor import Mat
+from qorbits.tensor import LegOperator, Mat
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run and prints the
 # blob that replays a failing one, so a CI failure reproduces locally.
@@ -81,3 +81,22 @@ def largest_built(monkeypatch):
     monkeypatch.setattr(tensor, "_mat", lambda *a: record(make(*a)))
     monkeypatch.setattr(Mat, "__init__", init_and_record)
     return built
+
+
+@pytest.fixture(scope="session")
+def dvl3():
+    """dvl3(domain): the Dubois-Violette--Launer R = q I + e on n = 3 with
+    e_(ij),(kl) = (E**-1)_ij E_kl, E = [[1, q, q], [-1, 0, 0], [0, -1, 0]].
+    Its rank is 2 and dim V_(m) are 3, 8, 21, 55, ..., the coefficients of
+    1/(1 - 3t + t**2), not the binomials C(m + 2, 2)."""
+    def build(dom):
+        q, one, zero = dom.q, dom.one, dom.zero
+        e = [[one, q, q], [-one, zero, zero], [zero, -one, zero]]
+        e_inv = [[zero, -one, zero], [zero, zero, -one],
+                 [dom.q_pow(-1), dom.q_pow(-1), one]]
+        pairs = [(i, j) for i in range(3) for j in range(3)]
+        return LegOperator(3, 2, Mat.from_entries(
+            9, 9, zero, ((3 * i + j, 3 * k + l, e_inv[i][j] * e[k][l]
+                          + (q if (i, j) == (k, l) else zero))
+                         for i, j in pairs for k, l in pairs)))
+    return build

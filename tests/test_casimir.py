@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from qorbits import casimir
-from qorbits.hecke import standard_hecke
+from qorbits.hecke import HeckeSymmetry, standard_hecke
 from qorbits.scalars import SYMBOLIC, at_q, eval_at, q_binomial, random_q
 from qorbits.tensor import Mat, row_reduce, weighted_partial_trace
 from qorbits.casimir import (CasimirError, basic_roots, closed_form_p2,
@@ -14,8 +14,8 @@ from qorbits.casimir import (CasimirError, basic_roots, closed_form_p2,
                              module_trace, q_dimension, split_casimir_matrix,
                              trace_weights)
 from qorbits.projectors import q_symmetrizer
-from qorbits.reps import (Compression, sym_chart, sym_power_left,
-                          sym_power_right_rea_p2)
+from qorbits.reps import (Compression, RepresentationError, sym_chart,
+                          sym_power_left, sym_power_right_rea_p2)
 from qorbits.identities import RootData, ch_verify, omega_roots_p2
 from qorbits.orbits import frobenius_dim
 
@@ -348,7 +348,9 @@ def _one_compression(h, k, m):
     sk1 = q_symmetrizer(h, k + 1, total, 1).mat
     c1 = dom.q_int(m) / dom.q_pow(2 * k + 2)
     c2 = dom.zeta * dom.q_int(m) * dom.q_int(k + 1) / dom.q_pow(k + 1)
-    chart = Compression.product(sym_chart(h, k), sym_chart(h, m))
+    a, b = sym_chart(h, k), sym_chart(h, m)
+    chart = Compression(a.basis.kron(b.basis),
+                        a.left_inverse.kron(b.left_inverse))
     big = (sk * sm).scale(c1) + (sm * sk1 * sm).scale(c2)
     return chart.compress(big).scale(dom.q_pow(1 - m))
 
@@ -358,12 +360,42 @@ class TestClosedFormCompression:
 
     KM = [(k, m) for k in range(1, 4) for m in range(1, k + 1)]
 
-    @pytest.mark.parametrize("seed", [None, 1, 2])
-    def test_equals_one_compression(self, h2, seed):
-        h = h2 if seed is None else standard_hecke(
-            2, at_q(random_q(random.Random(seed))))
+    @pytest.mark.parametrize("seed", [None, 1, 2, "dvl3"])
+    def test_equals_one_compression(self, h2, dvl3, seed):
+        # dvl3 at 2/3: a rank-2 symmetry on n = 3 whose V_(m) are not the
+        # standard ones
+        if seed == "dvl3":
+            dom = at_q(Fraction(2, 3))
+            h = HeckeSymmetry(dvl3(dom), dom)
+            assert (h.n, h.p) == (3, 2)
+        else:
+            h = h2 if seed is None else standard_hecke(
+                2, at_q(random_q(random.Random(seed))))
         for k, m in self.KM:
             assert closed_form_p2(h, k, m).op == _one_compression(h, k, m), (k, m)
+
+    @pytest.mark.parametrize("k, m, rows", [(3, 3, 32), (3, 2, 16)])
+    def test_builds_nothing_on_k_plus_m_legs(self, largest_built, k, m, rows):
+        # the largest operator is p_4 (x) I on V_(3) (x) V**m, d_3 2**m
+        # rows, not 2**(3 + m); neither S(4) nor its chart on 4 legs is
+        # built, and d_3 comes off level 3, not off the chart of V_(3) on
+        # 3 legs (which at m = 3 is the chart of V_(m))
+        h = standard_hecke(2)
+        closed_form_p2(h, k, m)
+        assert 0 < largest_built[0] <= rows
+        absent = {("S", 4, "chart"), ("S", 4, "projector")}
+        if m < k:
+            absent.add(("S", k, "chart"))
+        assert not absent & set(h._memo)
+
+    def test_round_trip_is_checked(self, monkeypatch):
+        # with S(m) taken for the identity, p_{k+1} (x) I leaves
+        # V_(k) (x) V_(m), and the compression says so
+        h = standard_hecke(2, at_q(Fraction(2, 3)))
+        monkeypatch.setattr(casimir, "q_symmetrizer",
+                            lambda h, m: h.identity(m))
+        with pytest.raises(RepresentationError, match="preserve the image"):
+            closed_form_p2(h, 2, 2)
 
     @pytest.mark.parametrize("km", KM)
     def test_scales_only_compressed_operators(self, scale_sizes, km):

@@ -313,7 +313,8 @@ class TestExitCodes:
                 # V (x) V_(3) (x) V_(3): 3 * 10 * 10 = 300
                 ["conjecture", "--p", "3", "--k", "3", "--m", "3",
                  "--max-size", "299"],
-                # conjecture (3**3) and ch (2**6) exceed it: nothing runs
+                # reps (2**5), conjecture (3**3) and ch (2 * 4 * 4 = 32,
+                # and d_3 * 2**3 = 32) exceed it: nothing runs
                 ["all", "--max-size", "20"],
                 # the Yang-Baxter check acts on 5**3 = 125 dimensions
                 ["validate", "--n", "5", "--q", "2/3", "--max-size", "100"],
@@ -348,23 +349,11 @@ class TestExitCodes:
             capsys.readouterr().err)
 
     def test_max_size_guard_counts_n_to_the_degree_on_an_r_file(
-            self, tmp_path, capsys, largest_built):
-        # dvl3 (Dubois-Violette--Launer): R = q I + e on n = 3 with
-        # e_(ij),(kl) = (E**-1)_ij E_kl, E = [[1, q, q], [-1, 0, 0],
-        # [0, -1, 0]].  Its rank is 2 and dim V_(m) are 3, 8, 21, 55, ...,
-        # the coefficients of 1/(1 - 3t + t**2), not the binomials
-        # C(m + 2, 2): the guard counts dim V_(m) <= 3**m instead
-        dom = SYMBOLIC
-        q, one, zero = dom.q, dom.one, dom.zero
-        e = [[one, q, q], [-one, zero, zero], [zero, -one, zero]]
-        e_inv = [[zero, -one, zero], [zero, zero, -one],
-                 [dom.q_pow(-1), dom.q_pow(-1), one]]
-        pairs = [(i, j) for i in range(3) for j in range(3)]
+            self, tmp_path, capsys, largest_built, dvl3):
+        # off the standard symmetries dim V_(m) is no binomial (dvl3 has
+        # 3, 8, 21, 55, ...): the guard counts dim V_(m) <= 3**m instead
         path = tmp_path / "dvl3.json"
-        save_r_to_file(path, LegOperator(3, 2, Mat.from_entries(
-            9, 9, zero, ((3 * i + j, 3 * k + l, e_inv[i][j] * e[k][l]
-                          + (q if (i, j) == (k, l) else zero))
-                         for i, j in pairs for k, l in pairs))))
+        save_r_to_file(path, dvl3(SYMBOLIC))
         h = hecke.HeckeSymmetry(hecke.load_r_from_file(path, at_q(
             Fraction(2, 3))), at_q(Fraction(2, 3)))
         assert (h.n, h.p) == (3, 2)
@@ -408,6 +397,18 @@ class TestExitCodes:
             # the guard's own count reaches every matrix built
             assert 0 < largest_built[0]
             assert _size_above(largest_built[0] - 1, *spaces[argv[0]])
+
+    def test_ch_counts_the_closed_form_on_the_levels(self, tmp_path,
+                                                     largest_built):
+        # the (8, 6) closed form compresses p_9 (x) I on V_(8) (x) V**6,
+        # d_8 * 2**6 = 576 dimensions, not 2**14; the split products act on
+        # 2 * 9 * 7 = 126
+        argv = ["ch", "--q", "2/3", "--k", "8", "--m", "6"]
+        code, report = run_json(tmp_path, argv)
+        assert code == 0 and report["checks"]
+        assert 0 < largest_built[0] <= 576
+        space = _largest_spaces(build_parser().parse_args(argv), None)
+        assert _size_above(575, *space["ch"]) == "576"
 
     def test_rank5_validate_runs_under_the_default_bound(self, tmp_path,
                                                          largest_built):
