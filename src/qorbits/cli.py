@@ -275,25 +275,26 @@ def suite_projectors(args, rec, rng, domains):
                 {"n": n, "q": tag}, nested)
 
 
+def _built(constructor, *args) -> tuple:
+    """A module constructor checks the defining relations as it builds and
+    raises RepresentationError if they fail: building it is the check."""
+    constructor(*args)
+    return True, None
+
+
 def suite_reps(args, rec, rng, domains):
     m_max = args.m or 3
     for dom in domains:
         tag = dom.describe()
         h = _hecke(args, dom, args.n)
         params = {"n": h.n, "q": tag}
-
-        def fundamental(h=h):
-            rep = reps_mod.fundamental_left(h)
-            return not reps_mod.verify_defining_relations(rep, h), None
-        rec.run(f"reps.q{tag}.fundamental", "relations", params, fundamental)
+        rec.run(f"reps.q{tag}.fundamental", "relations", params,
+                lambda h=h: _built(reps_mod.fundamental_left, h))
 
         for m in range(2, m_max + 1):
             pm = dict(params, m=m)
-
-            def tensor(h=h, m=m):
-                rep = reps_mod.tensor_power_left(h, m)
-                return not reps_mod.verify_defining_relations(rep, h), None
-            rec.run(f"reps.q{tag}.tensor.m{m}", "relations", pm, tensor)
+            rec.run(f"reps.q{tag}.tensor.m{m}", "relations", pm,
+                    lambda h=h, m=m: _built(reps_mod.tensor_power_left, h, m))
 
             def sym_eq(h=h, m=m):
                 sym = reps_mod.sym_power_left(h, m)
@@ -312,11 +313,9 @@ def suite_reps(args, rec, rng, domains):
 
         if h.p == 2:
             for m in range(1, m_max + 1):
-                def right(h=h, m=m):
-                    rep = reps_mod.sym_power_right_p2(h, m)
-                    return not reps_mod.verify_defining_relations(rep, h), None
                 rec.run(f"reps.q{tag}.right.m{m}", "right_module",
-                        dict(params, m=m), right)
+                        dict(params, m=m), lambda h=h, m=m: _built(
+                            reps_mod.sym_power_right_p2, h, m))
 
         def shifts(h=h):
             f = reps_mod.fundamental_left(h)

@@ -178,9 +178,7 @@ def _pstr(a: tuple) -> str:
 
 
 def _term_str(c: Fraction, e: int, lead: bool) -> str:
-    sign = "-" if c < 0 else ("" if lead else "+")
-    if not lead:
-        sign = " - " if c < 0 else " + "
+    sign = ("-" if c < 0 else "") if lead else (" - " if c < 0 else " + ")
     mag = abs(c)
     if e == 0:
         body = str(mag)
@@ -508,12 +506,13 @@ Q = QScalar.q_power(1)
 # The numerators are QScalars over a monic q**k (integer Laurent
 # polynomials); the denominator is a QScalar over 1 whose constant term is
 # positive (an integer polynomial that q does not divide).  Sums and scalings
-# of numerators are QScalar's own gcd-free + - *.  Products of
-# numerators run on Python ints by Kronecker substitution (Kronecker 1882;
-# Schoenhage 1982): a numerator becomes its value at X = 2**bits, relative to
-# a low exponent, and a sum of products is read back from balanced base-X
-# digits, which is exact while every coefficient is below 2**(bits - 1) in
-# absolute value.
+# of numerators are QScalar's own gcd-free + - *.  Products of numerators run
+# on Python ints by Kronecker substitution (Kronecker 1882; Schoenhage 1982):
+# a numerator becomes its value at X = 2**bits, relative to a low exponent,
+# and a sum of products is read back from balanced base-X digits, which is
+# exact while every coefficient is below 2**(bits - 1) in absolute value.
+# Numerators take few distinct values, so a product packs, decodes and
+# divides by the content each distinct value once (:func:`each_distinct`).
 
 def _poly(n: tuple) -> QScalar:
     return Q_ONE if n == (1,) else _make(n, (1,))
@@ -594,55 +593,68 @@ def pack_width(arows, brows) -> int:
     Laurent numerators is exact: 2**(B - 1) > H, where H = max_i sum_k
     |a_ik|_1 * max_kj |b_kj|_inf bounds every coefficient of the product;
     at least 2, the least width :func:`unpack_rows` reads."""
-    top = max((sum(sum(map(abs, v._n)) for v in row.values()) for row in arows),
-              default=0)
-    big = max((max(map(abs, v._n)) for row in brows for v in row.values()),
-              default=0)
+    l1 = each_distinct(arows, lambda v: sum(map(abs, v._n)))
+    top = max(map(sum, map(dict.values, l1)), default=0)
+    big = max((max(map(abs, v._n))
+               for v in {v for row in brows for v in row.values()}), default=0)
     return max(2, (top * big).bit_length() + 1)
 
 
-def pack_rows(rows, bits: int) -> tuple:
-    """(rows of each numerator's value at X = 2**bits times X**-low, low),
-    where q**low, low <= 0, is the lowest negative power in the rows."""
-    top = max((len(v._d) for row in rows for v in row.values()), default=1)
+def each_distinct(rows, f) -> list:
+    """Rows of column -> f(value), f called once per distinct value (an int,
+    or a QScalar, whose hash is cached); equal entries share the result,
+    which is safe because no Mat is written into."""
+    table = {}
     out = []
     for row in rows:
         new = {}
         for c, v in row.items():
-            acc = 0
-            for x in reversed(v._n):
-                acc = (acc << bits) + x
-            new[c] = acc << (bits * (top - len(v._d)))
+            y = table.get(v)
+            if y is None:
+                y = table[v] = f(v)
+            new[c] = y
         out.append(new)
-    return out, 1 - top
+    return out
+
+
+def pack_rows(rows, bits: int) -> tuple:
+    """(rows of each numerator's value at X = 2**bits times X**-low, low),
+    where q**low, low <= 0, is the lowest negative power in the rows; each
+    distinct numerator is packed once."""
+    top = max((len(v._d) for row in rows for v in row.values()), default=1)
+
+    def pack(v):
+        acc = 0
+        for x in reversed(v._n):
+            acc = (acc << bits) + x
+        return acc << (bits * (top - len(v._d)))
+    return each_distinct(rows, pack), 1 - top
 
 
 def unpack_rows(rows, bits: int, low: int) -> list:
     """Inverse of :func:`pack_rows` on nonzero values whose balanced base
     2**bits digits, in [-2**(bits - 1), 2**(bits - 1)), are the coefficients
-    from q**low up.  Every int has such digits when bits >= 2."""
+    from q**low up; each distinct value is decoded once.  Every int has such
+    digits when bits >= 2."""
     if bits < 2:
         raise ValueError("balanced digits need at least 2 bits")
     mask = (1 << bits) - 1
     half = 1 << (bits - 1)
     full = 1 << bits
-    out = []
-    for row in rows:
-        new = {}
-        for c, acc in row.items():
-            digits = []
-            while acc:
-                x = acc & mask
-                if x >= half:
-                    x -= full
-                digits.append(x)
-                acc = (acc - x) >> bits
-            skip = 0
-            while not digits[skip]:
-                skip += 1
-            new[c] = _laurent(tuple(digits[skip:]), low + skip)
-        out.append(new)
-    return out
+
+    def unpack(acc):
+        digits = []
+        while acc:
+            x = acc & mask
+            if x >= half:
+                x -= full
+            digits.append(x)
+            acc = (acc - x) >> bits
+        skip = 0
+        while not digits[skip]:
+            skip += 1
+        return _laurent(tuple(digits[skip:]), low + skip)
+    return each_distinct(rows, unpack)
 
 
 # ---------------------------------------------------------------------------

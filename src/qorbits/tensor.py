@@ -33,9 +33,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import (Q_ONE, common_divisor, divide_exact, laurent_rows,
-                      laurent_split, lcm_factors, pack_rows, pack_width,
-                      unpack_rows)
+from .scalars import (Q_ONE, common_divisor, divide_exact, each_distinct,
+                      laurent_rows, laurent_split, lcm_factors, pack_rows,
+                      pack_width, unpack_rows)
 
 
 class Mat:
@@ -307,7 +307,7 @@ def _lcm(zero, a, b) -> tuple:
 def _reduce(data, den) -> tuple:
     """Divide the numerators and den by their content; returns (data, den).
     The content is a running gcd that stops once it is 1, and exits at once
-    when den is 1."""
+    when den is 1; a symbolic numerator is divided once per distinct value."""
     if isinstance(den, int):
         if den == 1:
             return data, den
@@ -324,7 +324,7 @@ def _reduce(data, den) -> tuple:
     if g is Q_ONE:
         return data, den
     den = divide_exact(den, g)
-    return ([{c: divide_exact(v, g) for c, v in row.items()} for row in data],
+    return (each_distinct(data, lambda v: divide_exact(v, g)),
             Q_ONE if den == Q_ONE else den)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import qorbits
-from qorbits import hecke, orbits, projectors
+from qorbits import hecke, orbits, projectors, reps
 from qorbits.cli import (ANCHORS, SUITES, _check_args, _largest_spaces,
                          _size_above, build_parser, run_suite)
 from qorbits.hecke import standard_hecke, save_r_to_file
@@ -163,6 +163,39 @@ class TestReports:
         assert code == 0
         assert all(c["status"] == "pass" for c in report["checks"])
         assert {c["params"]["n"] for c in report["checks"]} == {3}
+
+    def test_reps_relation_checks_report_the_construction_verdict(
+            self, tmp_path, monkeypatch):
+        # the module constructors verify the defining relations once, as they
+        # build; one bad block there must fail the relation checks, so the
+        # verdict the suite reports is live
+        monkeypatch.setattr(reps, "verify_defining_relations",
+                            lambda rep, h: [((0, 1), (1, 0))])
+        code, report = run_json(tmp_path, ["reps", "--seed", "1"])
+        assert code == 1
+        assert len(report["checks"]) == 36
+        relations = [c for c in report["checks"]
+                     if c["anchor"] in (ANCHORS["relations"],
+                                        ANCHORS["right_module"])]
+        # reps.q<tag>.<check> for three q values
+        assert sorted(c["id"].split(".", 2)[2] for c in relations) == sorted(
+            ["fundamental", "tensor.m2", "tensor.m3",
+             "right.m1", "right.m2", "right.m3"] * 3)
+        for c in relations:
+            assert c["status"] == "fail"
+            assert "defining relations fail at 1 block(s)" in c["witness"]
+
+    def test_reps_verifies_each_module_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = reps.verify_defining_relations
+
+        def counting(rep, h):
+            calls.append((rep.label, h.domain.describe()))
+            return real(rep, h)
+        monkeypatch.setattr(reps, "verify_defining_relations", counting)
+        code, _ = run_json(tmp_path, ["reps", "--seed", "1"])
+        assert code == 0
+        assert calls and len(calls) == len(set(calls))
 
     def test_symbolic_mode(self, tmp_path):
         code, report = run_json(tmp_path, ["euler", "--symbolic"])

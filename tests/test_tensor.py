@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qorbits import scalars, tensor
 from qorbits.hecke import standard_hecke, standard_r
 from qorbits.projectors import q_antisymmetrizer, q_symmetrizer
 from qorbits.scalars import (Q, Q_ZERO, SYMBOLIC, QScalar, at_q, pack_rows,
@@ -180,6 +181,31 @@ def dense(draw, zero, pool, nr, nc):
 def domain_case(draw):
     zero, pool = DOMAINS[draw(st.sampled_from(sorted(DOMAINS)))]
     return zero, pool, lambda nr, nc: dense(draw, zero, pool, nr, nc)
+
+
+@st.composite
+def repeating_operands(draw):
+    """(repeat, a, b, c, s): symbolic dense rows a (nr x nk), b (nk x nc),
+    c (nr x nk) and a scalar s.  With repeat, the nonzero entries come from a
+    pool of 2-4 values, so equal numerators are common; without, they are all
+    distinct, the k-th a value of QSCALAR_POOL plus 10 * k (no two pool
+    values differ by a nonzero multiple of 10).  About half are zero."""
+    nr, nk, nc = (draw(st.integers(1, 4)) for _ in range(3))
+    repeat = draw(st.booleans())
+    pool = QSCALAR_POOL
+    if repeat:
+        pool = draw(st.lists(st.sampled_from(QSCALAR_POOL), min_size=2,
+                             max_size=4, unique=True))
+    shift = count()
+
+    def entry():
+        if not draw(st.booleans()):
+            return Q_ZERO
+        x = draw(st.sampled_from(pool))
+        return x if repeat else x + 10 * next(shift)
+    a, b, c = ([[entry() for _ in range(cols)] for _ in range(rows)]
+               for rows, cols in ((nr, nk), (nk, nc), (nr, nk)))
+    return repeat, a, b, c, draw(st.sampled_from(pool))
 
 
 def qpoly_gcd(a, b):
@@ -476,6 +502,52 @@ class TestSymbolicLayout:
         value = sum(pa[0][k] * pb[k][0] for k in (0, 1))
         short = unpack_rows([{0: value}], 20, low_a + low_b)[0][0]
         assert short == want - 2 ** 20 * Q ** 2 + Q ** 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(repeating_operands())
+    def test_repeated_and_distinct_numerators(self, case):
+        # a product packs, decodes and divides each distinct numerator once,
+        # and equal entries share the result; dense QScalar arithmetic is the
+        # oracle, whether the entries repeat or not
+        repeat, a, b, c, s = case
+        if not repeat:
+            nonzero = [v for m in (a, b, c) for row in m for v in row if v]
+            assert len(set(nonzero)) == len(nonzero)
+        ma, mb, mc = Mat(a, Q_ZERO), Mat(b, Q_ZERO), Mat(c, Q_ZERO)
+        for got, want in ((ma * mb, ref_mul(a, b, Q_ZERO)),
+                          (ma + mc, [[x + y for x, y in zip(ra, rc)]
+                                     for ra, rc in zip(a, c)]),
+                          (ma - mc, [[x - y for x, y in zip(ra, rc)]
+                                     for ra, rc in zip(a, c)]),
+                          (ma.scale(s), [[s * x for x in ra] for ra in a])):
+            assert_canonical(got)
+            assert got.rows == want
+
+    def test_square_of_s6_transforms_each_distinct_value_once(
+            self, h2, monkeypatch):
+        # S(6) has 924 nonzeros but 48 distinct numerators: squaring it
+        # decodes (scalars._laurent) and divides by the content
+        # (tensor.divide_exact) each distinct value once, and the
+        # denominator once more; one call per nonzero would make 925
+        s6 = q_symmetrizer(h2, 6).mat
+        distinct = {v for row in s6.data for v in row.values()}
+        assert (s6.support(), len(distinct)) == (924, 48)
+        calls = {"laurent": 0, "divide": 0}
+
+        def counting(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+        with monkeypatch.context() as patch:
+            patch.setattr(scalars, "_laurent",
+                          counting("laurent", scalars._laurent))
+            patch.setattr(tensor, "divide_exact",
+                          counting("divide", tensor.divide_exact))
+            square = s6 * s6
+        assert square == s6
+        assert 0 < calls["laurent"] <= len(distinct) + 1
+        assert 0 < calls["divide"] <= len(distinct) + 1
 
 
 def test_sampled_antisymmetrizer_against_dense_oracle():
