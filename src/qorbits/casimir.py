@@ -60,12 +60,9 @@ def q_dimension(lam: Sequence[int], p: int, domain: ScalarDomain):
     if len(lam) > p:
         raise CasimirError(f"signature {lam} has more than p={p} parts")
     lam = lam + [0] * (p - len(lam))
-    out = domain.one
-    for i in range(p):
-        for j in range(i + 1, p):
-            out = out * domain.q_int(lam[i] - lam[j] - (i + 1) + (j + 1))
-            out = out / domain.q_int(j - i)
-    return out
+    pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    return domain.ratio([domain.q_int(lam[i] - lam[j] + j - i) for i, j in pairs],
+                        [domain.q_int(j - i) for i, j in pairs])
 
 
 # ---------------------------------------------------------------------------

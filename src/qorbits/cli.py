@@ -30,7 +30,7 @@ from . import orbits as orbit_mod
 from . import casimir as casimir_mod
 from . import projectors as proj_mod
 from . import reps as reps_mod
-from .scalars import SYMBOLIC, at_q, random_q, random_rationals
+from .scalars import SYMBOLIC, at_q, eval_at, random_q, random_rationals
 from .tensor import Mat
 
 SCHEMA_VERSION = 1
@@ -430,22 +430,27 @@ def suite_newton(args, rec, rng, domains):
     def esp_props():
         t = random_rationals(rng, 5)
         n = len(t)
-        es = ident_mod.elementary_symmetric
-        esw = ident_mod.elementary_symmetric_without
+        # one e-vector of t per deleted set of at most two, zero-padded to e_n
+        skips = [()] + [(i,) for i in range(n)] + [
+            (i, j) for i in range(n) for j in range(i + 1, n)]
+        esw = {frozenset(skip): ident_mod.elementary_symmetric_all(
+                   [v for i, v in enumerate(t) if i not in skip])
+               + [Fraction(0)] * len(skip) for skip in skips}
         for k in range(1, n + 1):
             for i in range(n):
-                if es(t, k) != esw(t, k, [i]) + t[i] * esw(t, k - 1, [i]):
+                without_i = esw[frozenset({i})]
+                if esw[frozenset()][k] != without_i[k] + t[i] * without_i[k - 1]:
                     return False, f"deletion recurrence fails at k={k}, i={i}"
                 for j in range(n):
                     if j == i:
                         continue
-                    lhs = esw(t, k, [i]) - esw(t, k, [j])
-                    rhs = (t[j] - t[i]) * esw(t, k - 1, [i, j])
+                    lhs = without_i[k] - esw[frozenset({j})][k]
+                    rhs = (t[j] - t[i]) * esw[frozenset({i, j})][k - 1]
                     if lhs != rhs:
                         return False, f"difference identity fails k={k}"
-            total = sum((t[i] * esw(t, k - 1, [i]) for i in range(n)),
+            total = sum((t[i] * esw[frozenset({i})][k - 1] for i in range(n)),
                         Fraction(0))
-            if Fraction(k) * es(t, k) != total:
+            if Fraction(k) * esw[frozenset()][k] != total:
                 return False, f"weighted sum identity fails at k={k}"
         return True, None
     rec.run("newton.esp_props", "esp", {}, esp_props)
@@ -620,7 +625,6 @@ def suite_euler(args, rec, rng, domains):
                 p = rng.randint(2, 4)
                 k = [rng.randint(-4, 4) for _ in range(p)]
                 sym = euler_mod.q_index_and_euler(k, p, SYMBOLIC)
-                from .scalars import eval_at
                 lim = eval_at(sym, Fraction(1))
                 if lim != euler_mod.classical_euler(k, p):
                     return False, f"classical limit fails at k={k}"

@@ -33,19 +33,22 @@ class IdentityError(ValueError):
 # symmetric-function utilities
 # ---------------------------------------------------------------------------
 
+def elementary_symmetric_all(values: Sequence, zero=Fraction(0),
+                             one=Fraction(1)) -> list:
+    """[e_0, ..., e_n] of n values from one run of the triangular recurrence."""
+    acc = [one] + [zero] * len(values)
+    for t, v in enumerate(values, start=1):
+        for j in range(t, 0, -1):
+            acc[j] = acc[j] + v * acc[j - 1]
+    return acc
+
+
 def elementary_symmetric(values: Sequence, k: int, zero=Fraction(0),
                          one=Fraction(1)):
-    """e_k of the given values by the stable triangular recurrence."""
-    n = len(values)
-    if k < 0 or k > n:
+    """e_k of the given values, read off :func:`elementary_symmetric_all`."""
+    if k < 0 or k > len(values):
         return zero
-    if k == 0:
-        return one
-    acc = [one] + [zero] * k
-    for v in values:
-        for j in range(min(k, len(acc) - 1), 0, -1):
-            acc[j] = acc[j] + v * acc[j - 1]
-    return acc[k]
+    return elementary_symmetric_all(values, zero, one)[k]
 
 
 def elementary_symmetric_without(values: Sequence, k: int, skip: Sequence[int],
@@ -219,46 +222,48 @@ def multiplicity(kvec: Sequence[int], mu: Sequence, hbar, domain=None):
         (q**(k_i-k_j) mu_i - q**(k_j-k_i) mu_j - hbar (k_i-k_j)_q) / (mu_i - mu_j);
     with domain None it is that form at q = 1, the classical one
         (mu_i - mu_j - hbar (k_i - k_j)) / (mu_i - mu_j),
-    over any exact scalars.
+    over any exact scalars.  The quantum product is one ScalarDomain.ratio.
     """
-    acc = Fraction(1) if domain is None else domain.one
-    for i in range(len(mu)):
-        for j in range(i + 1, len(mu)):
-            diff = kvec[i] - kvec[j]
-            if domain is None:
-                num = mu[i] - mu[j] - hbar * diff
-            else:
-                num = (domain.q_pow(diff) * mu[i] - domain.q_pow(-diff) * mu[j]
-                       - hbar * domain.q_int(diff))
-            acc = acc * num / (mu[i] - mu[j])
+    pairs = [(i, j, kvec[i] - kvec[j])
+             for i in range(len(mu)) for j in range(i + 1, len(mu))]
+    if domain is not None:
+        q = domain.q_pow
+        return domain.ratio([q(d) * mu[i] - q(-d) * mu[j] - hbar * domain.q_int(d)
+                             for i, j, d in pairs], [mu[i] - mu[j] for i, j, _ in pairs])
+    acc = Fraction(1)
+    for i, j, d in pairs:
+        acc = acc * (mu[i] - mu[j] - hbar * d) / (mu[i] - mu[j])
     return acc
 
 
-def parametric_newton(rd: RootData, k: int):
-    """trace_R(L**k) = q**(-p) sum_i mu_i**k d_i.
-
-    The Vandermonde-ratio weights d_i = prod_(j != i) (q mu_i - mu_j / q)
-    / (mu_i - mu_j) are the degree-1 quantum multiplicities at hbar = 0.
-    """
+def _newton_weights(rd: RootData) -> list:
+    """The weights d_i = prod_(j != i) (q mu_i - mu_j / q) / (mu_i - mu_j), the
+    degree-1 quantum multiplicities at hbar = 0; they do not depend on k."""
     pair = repeated_pair(rd.mu)
     if pair is not None:
         raise IdentityError("repeated eigenvalue at positions %d, %d" % pair)
     dom = rd.domain
-    total = dom.zero
-    for kvec in compositions(1, rd.p):
-        d_i = multiplicity(kvec, rd.mu, dom.zero, dom)
-        total = total + rd.mu[kvec.index(1)] ** k * d_i
-    return dom.q_pow(-rd.p) * total
+    return [multiplicity(kvec, rd.mu, dom.zero, dom) for kvec in compositions(1, rd.p)]
+
+
+def parametric_newton(rd: RootData, k: int):
+    """trace_R(L**k) = q**(-p) sum_i mu_i**k d_i, d_i from :func:`_newton_weights`."""
+    dom = rd.domain
+    terms = (v ** k * d for v, d in zip(rd.mu, _newton_weights(rd)))
+    return dom.q_pow(-rd.p) * sum(terms, dom.zero)
 
 
 def parametric_central_values(rd: RootData, p: int) -> CentralValues:
-    """CentralValues built from eigenvalue data instead of a module."""
+    """CentralValues from eigenvalue data instead of a module: sigma_k from one
+    e-vector, s_k = q trace_R(L**k) from the weights d_i, built once, times
+    mu_i**k kept as running products."""
     dom = rd.domain
-    sigma = [dom.one]
+    sigma = (elementary_symmetric_all(rd.mu, dom.zero, dom.one) + [dom.zero] * p)[:p + 1]
     s_vals = [dom.one]
-    for k in range(1, p + 1):
-        sigma.append(elementary_symmetric(rd.mu, k, dom.zero, dom.one))
-        s_vals.append(dom.q_pow(1) * parametric_newton(rd, k))
+    terms = _newton_weights(rd)
+    for _ in range(p):
+        terms = [t * v for t, v in zip(terms, rd.mu)]
+        s_vals.append(dom.q_pow(1 - rd.p) * sum(terms, dom.zero))
     return CentralValues(sigma=sigma, s=s_vals, provenance="parametric")
 
 

@@ -43,13 +43,13 @@ def signature_dual(lam: Sequence[int]) -> Tuple[int, ...]:
 
 
 def frobenius_dim(lam: Sequence[int]) -> Fraction:
-    """Classical dimension: product over pairs of (l_i - l_j - i + j)/(j - i)."""
-    n = len(lam)
-    out = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out *= Fraction(lam[i] - lam[j] - (i + 1) + (j + 1), j - i)
-    return out
+    """Classical dimension: product over pairs of (l_i - l_j - i + j)/(j - i),
+    one Fraction of two integer products."""
+    num = den = 1
+    for i in range(len(lam)):
+        for j in range(i + 1, len(lam)):
+            num, den = num * (lam[i] - lam[j] + j - i), den * (j - i)
+    return Fraction(num, den)
 
 
 def add_vectors(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:

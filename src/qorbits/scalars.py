@@ -19,7 +19,8 @@ function whose numerator has degree d vanishes at the drawn q with
 probability at most 64 d / 32512 < d / 500; k independent samples pass a
 false identity of that degree with probability at most (d / 500)**k.
 Symbolic and evaluated modes share one code path through
-:class:`ScalarDomain`.
+:class:`ScalarDomain`; a sampled domain builds each q-number once, the
+shared symbolic one keeps no table.
 
 All values are immutable.
 """
@@ -794,6 +795,9 @@ class ScalarDomain:
     (QScalar in symbolic mode, Fraction in evaluated mode), which supports
     the randomized identity-testing workflow: rebuild the same computation
     at sampled rational q and compare exactly.
+
+    A sampled domain builds each q_int(m) and q_pow(k) once, into tables of
+    its own; SYMBOLIC keeps none, as it is shared by every certification.
     """
 
     def __init__(self, q0=None):
@@ -810,6 +814,7 @@ class ScalarDomain:
             self.q = q0
             self.zero = _F0
             self.one = _F1
+            self._q_pows, self._q_ints = {}, {}
 
     @property
     def symbolic(self) -> bool:
@@ -828,20 +833,33 @@ class ScalarDomain:
     def q_pow(self, k: int):
         if self.symbolic:
             return QScalar.q_power(k)
-        return self.q0 ** k
+        if k not in self._q_pows:
+            self._q_pows[k] = self.q0 ** k
+        return self._q_pows[k]
 
     def q_int(self, m: int):
         """[m]_q; at q0 = a/b it is (a**2m - b**2m) / (a**(m-1) b**(m-1) (a**2 - b**2)),
-        one Fraction built from integer powers."""
+        one Fraction built from integer powers, once per m."""
         if self.symbolic:
             return q_int(m)
-        if m == 0:
-            return _F0
-        if m < 0:
-            return -self.q_int(-m)
-        a, b = self.q0.numerator, self.q0.denominator
-        return Fraction(a ** (2 * m) - b ** (2 * m),
-                        (a * b) ** (m - 1) * (a * a - b * b))
+        if m not in self._q_ints:
+            a, b = self.q0.numerator, self.q0.denominator
+            self._q_ints[m] = (_F0 if m == 0 else -self.q_int(-m) if m < 0 else
+                               Fraction(a ** (2 * m) - b ** (2 * m),
+                                        (a * b) ** (m - 1) * (a * a - b * b)))
+        return self._q_ints[m]
+
+    def ratio(self, nums, dens):
+        """prod(nums) / prod(dens); at sampled q one Fraction of the products
+        of the integer numerators and denominators, so one reduction."""
+        if self.symbolic:
+            return math.prod(nums, start=self.one) / math.prod(dens, start=self.one)
+        n = d = 1
+        for x in nums:
+            n, d = n * x.numerator, d * x.denominator
+        for x in dens:
+            n, d = n * x.denominator, d * x.numerator
+        return Fraction(n, d)
 
     def q_factorial(self, m: int):
         out = self.one

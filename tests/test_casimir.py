@@ -4,6 +4,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qorbits import casimir
 from qorbits.hecke import HeckeSymmetry, standard_hecke
@@ -20,7 +21,44 @@ from qorbits.identities import RootData, ch_verify, omega_roots_p2
 from qorbits.orbits import frobenius_dim
 
 
+def pairwise_q_dimension(lam, p, domain):
+    """Oracle: the Weyl product multiplied and divided one pair at a time."""
+    lam = list(lam) + [0] * (p - len(lam))
+    out = domain.one
+    for i in range(p):
+        for j in range(i + 1, p):
+            out = out * domain.q_int(lam[i] - lam[j] - (i + 1) + (j + 1))
+            out = out / domain.q_int(j - i)
+    return out
+
+
 class TestQDimension:
+    @given(st.integers(1, 4).flatmap(lambda p: st.tuples(
+               st.just(p), st.lists(st.integers(-6, 6), max_size=p))),
+           st.fractions(max_denominator=128).filter(lambda q: q not in (0, 1, -1)))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_pairwise_product(self, p_lam, q0):
+        # any integer label, so negative differences and zero factors occur
+        p, lam = p_lam
+        dom = at_q(q0)
+        assert q_dimension(lam, p, dom) == pairwise_q_dimension(lam, p, dom)
+
+    def test_matches_the_pairwise_product_at_fixed_seeds(self):
+        for seed in range(4):
+            rng = random.Random(seed)
+            p = rng.randint(1, 4)
+            lam = [rng.randint(-6, 6) for _ in range(p)]
+            for dom in (SYMBOLIC, at_q(random_q(rng))):
+                assert (q_dimension(lam, p, dom)
+                        == pairwise_q_dimension(lam, p, dom))
+
+    def test_zero_factor(self):
+        # lam_1 - lam_2 + 1 = 0: the shifted label (0, 1) has q-dimension 0
+        for dom in (SYMBOLIC, at_q(Fraction(2, 3))):
+            assert q_dimension([0, 1], 2, dom) == dom.zero
+            assert q_dimension([3, 0, 1], 3, dom) == dom.zero
+            assert pairwise_q_dimension([3, 0, 1], 3, dom) == dom.zero
+
     def test_fundamental(self):
         for p in (2, 3, 4):
             assert q_dimension([1], p, SYMBOLIC) == SYMBOLIC.q_int(p)

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import qorbits
-from qorbits import hecke, orbits, projectors, reps
-from qorbits.cli import (ANCHORS, SUITES, _check_args, _largest_spaces,
-                         _size_above, build_parser, run_suite)
+from qorbits import hecke, identities, orbits, projectors, reps
+from qorbits.cli import (ANCHORS, SUITES, CheckRecorder, _check_args,
+                         _largest_spaces, _size_above, build_parser, run_suite)
 from qorbits.hecke import standard_hecke, save_r_to_file
 from qorbits.scalars import SYMBOLIC, at_q
 from qorbits.tensor import LegOperator, Mat
@@ -196,6 +196,53 @@ class TestReports:
         code, _ = run_json(tmp_path, ["reps", "--seed", "1"])
         assert code == 0
         assert calls and len(calls) == len(set(calls))
+
+    def test_esp_check_runs_one_recurrence_per_value_set(self, tmp_path,
+                                                         monkeypatch):
+        # the full set, 5 singletons and 10 pairs: 16 e-vectors per call
+        calls, per_check = [0], {}
+        real_all, real_run = identities.elementary_symmetric_all, CheckRecorder.run
+
+        def counting(*args):
+            calls[0] += 1
+            return real_all(*args)
+
+        def run(rec, check_id, *args, **kwargs):
+            before = calls[0]
+            real_run(rec, check_id, *args, **kwargs)
+            per_check[check_id] = calls[0] - before
+        monkeypatch.setattr(identities, "elementary_symmetric_all", counting)
+        monkeypatch.setattr(CheckRecorder, "run", run)
+        for seed in ("1", "2"):
+            code, _ = run_json(tmp_path, ["newton", "--seed", seed])
+            assert code == 0
+            assert 0 < per_check["newton.esp_props"] <= 16
+
+    def test_esp_check_reads_the_vectors(self, tmp_path, monkeypatch):
+        # a wrong e_1 of the full set breaks the first deletion recurrence
+        real = identities.elementary_symmetric_all
+
+        def skewed(values, *args):
+            out = real(values, *args)
+            return out[:1] + [out[1] + 1] + out[2:] if len(values) == 5 else out
+        monkeypatch.setattr(identities, "elementary_symmetric_all", skewed)
+        code, report = run_json(tmp_path, ["newton", "--seed", "1"])
+        assert code == 1
+        esp = {c["id"]: c for c in report["checks"]}["newton.esp_props"]
+        assert esp["status"] == "fail"
+        assert esp["witness"] == "deletion recurrence fails at k=1, i=0"
+
+    def test_symbolic_run_leaves_no_q_number_table(self, tmp_path):
+        # every op of the benchmark is a one-shot certification: the shared
+        # symbolic domain keeps no table, and no two sampled domains share one
+        code, _ = run_json(tmp_path, ["all", "--symbolic"])
+        assert code == 0
+        assert not hasattr(SYMBOLIC, "_q_ints") and not hasattr(SYMBOLIC, "_q_pows")
+        one, other = at_q(Fraction(2, 3)), at_q(Fraction(2, 3))
+        one.q_int(3), one.q_pow(3)
+        assert other._q_ints == {} and other._q_pows == {}
+        assert one._q_ints is not other._q_ints
+        assert one._q_pows is not other._q_pows
 
     def test_symbolic_mode(self, tmp_path):
         code, report = run_json(tmp_path, ["euler", "--symbolic"])

@@ -5,7 +5,9 @@ from itertools import combinations
 from math import comb, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qorbits import identities
 from qorbits.scalars import (SYMBOLIC, QScalar, at_q, eval_at, random_q,
                              random_rationals)
 from qorbits.tensor import Mat
@@ -16,10 +18,43 @@ from qorbits.identities import (CentralValues, IdentityError, RootData,
                                 central_elements_in_rep, ch_verify,
                                 ch_verify_coefficients, compositions,
                                 conjecture_roots, elementary_symmetric,
-                                elementary_symmetric_without, newton_check,
+                                elementary_symmetric_all,
+                                elementary_symmetric_without, multiplicity,
+                                newton_check,
                                 omega_roots_p2, parametric_central_values,
                                 parametric_newton, repeated_pair,
                                 root_products, xi_symmetric)
+
+
+def pairwise_multiplicity(kvec, mu, hbar, domain):
+    """Oracle: the quantum multiplicity multiplied and divided pair by pair."""
+    acc = domain.one
+    for i in range(len(mu)):
+        for j in range(i + 1, len(mu)):
+            diff = kvec[i] - kvec[j]
+            num = (domain.q_pow(diff) * mu[i] - domain.q_pow(-diff) * mu[j]
+                   - hbar * domain.q_int(diff))
+            acc = acc * num / (mu[i] - mu[j])
+    return acc
+
+
+def per_k_newton(rd, k):
+    """Oracle: trace_R(L**k) with every weight d_i rebuilt for this k."""
+    dom = rd.domain
+    total = dom.zero
+    for kvec in compositions(1, rd.p):
+        d_i = pairwise_multiplicity(kvec, rd.mu, dom.zero, dom)
+        total = total + rd.mu[kvec.index(1)] ** k * d_i
+    return dom.q_pow(-rd.p) * total
+
+
+def distinct_fractions(size):
+    return st.lists(st.fractions(max_denominator=50).filter(bool),
+                    min_size=size, max_size=size, unique=True)
+
+
+sample_points = st.fractions(max_denominator=128).filter(
+    lambda q: q not in (0, 1, -1))
 
 
 class TestRootData:
@@ -167,14 +202,107 @@ class TestNewton:
                       domain=at_q(Fraction(2)))
         with pytest.raises(IdentityError, match="positions 0, 1"):
             parametric_newton(rd, 1)
+        with pytest.raises(IdentityError, match="positions 0, 1"):
+            parametric_central_values(rd, 2)
         rd = RootData(mu=[Fraction(1), Fraction(2), Fraction(3), Fraction(2)],
                       hbar=Fraction(0), domain=SYMBOLIC)
-        with pytest.raises(IdentityError) as err:
-            parametric_newton(rd, 1)
-        assert str(err.value) == "repeated eigenvalue at positions 1, 3"
+        for build in (lambda: parametric_newton(rd, 1),
+                      lambda: parametric_central_values(rd, 4)):
+            with pytest.raises(IdentityError) as err:
+                build()
+            assert str(err.value) == "repeated eigenvalue at positions 1, 3"
+
+    @given(st.integers(2, 4).flatmap(distinct_fractions), sample_points)
+    @settings(max_examples=40, deadline=None)
+    def test_parametric_values_match_the_per_k_loop(self, mu, q0):
+        dom = at_q(q0)
+        rd = RootData(mu=mu, hbar=Fraction(0), domain=dom)
+        p = len(mu)
+        cv = parametric_central_values(rd, p)
+        assert cv.s == [dom.one] + [dom.q * per_k_newton(rd, k)
+                                    for k in range(1, p + 1)]
+        assert cv.sigma == [sum((prod(c, start=Fraction(1))
+                                 for c in combinations(mu, k)), Fraction(0))
+                            for k in range(p + 1)]
+        assert parametric_newton(rd, p + 1) == per_k_newton(rd, p + 1)
+
+    def test_parametric_values_match_the_per_k_loop_at_fixed_seeds(self):
+        for seed in range(3):
+            rng = random.Random(seed)
+            mu = random_rationals(rng, 3)
+            for dom in (SYMBOLIC, at_q(random_q(rng))):
+                rd = RootData(mu=mu, hbar=Fraction(0), domain=dom)
+                cv = parametric_central_values(rd, 3)
+                assert cv.s[1:] == [dom.q_pow(1) * per_k_newton(rd, k)
+                                    for k in (1, 2, 3)]
+                assert parametric_newton(rd, 2) == per_k_newton(rd, 2)
+
+    def test_sigma_past_the_rank_is_zero(self):
+        dom = at_q(Fraction(3, 7))
+        rd = RootData(mu=[Fraction(2), Fraction(5)], hbar=Fraction(0), domain=dom)
+        cv = parametric_central_values(rd, 3)
+        assert cv.sigma == [1, 7, 10, 0]
+        assert cv.s[3] == dom.q * per_k_newton(rd, 3)
+
+    def test_newton_weights_are_built_once(self, monkeypatch):
+        # p multiplicities for all p power sums, not p per power sum
+        calls = []
+        real = identities.multiplicity
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+        monkeypatch.setattr(identities, "multiplicity", counting)
+        for p in (2, 3, 4):
+            calls.clear()
+            rd = RootData(mu=random_rationals(random.Random(p), p),
+                          hbar=Fraction(0), domain=at_q(Fraction(3, 5)))
+            parametric_central_values(rd, p)
+            assert len(calls) == p
+
+
+class TestMultiplicityProduct:
+    @given(st.integers(2, 4).flatmap(lambda p: st.tuples(
+               distinct_fractions(p),
+               st.lists(st.integers(-4, 4), min_size=p, max_size=p))),
+           st.fractions(max_denominator=20), sample_points)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_pairwise_loop(self, mu_kvec, hbar, q0):
+        # kvec entries of either sign give negative differences both ways
+        mu, kvec = mu_kvec
+        dom = at_q(q0)
+        assert (multiplicity(kvec, mu, hbar, dom)
+                == pairwise_multiplicity(kvec, mu, hbar, dom))
+
+    def test_matches_the_pairwise_loop_at_fixed_seeds(self):
+        for seed in range(3):
+            rng = random.Random(seed)
+            p = rng.randint(2, 4)
+            kvec = [rng.randint(-3, 3) for _ in range(p)]
+            for dom in (SYMBOLIC, at_q(random_q(rng))):
+                rd = RootData(mu=random_rationals(rng, p),
+                              hbar=Fraction(rng.randint(-3, 3)), domain=dom)
+                assert (multiplicity(kvec, rd.mu, rd.hbar, dom)
+                        == pairwise_multiplicity(kvec, rd.mu, rd.hbar, dom))
+
+    def test_zero_factor(self):
+        # mu_2 = q**2 mu_1 cancels the (1, 0) numerator q mu_1 - mu_2 / q
+        for dom in (SYMBOLIC, at_q(Fraction(2, 3))):
+            mu = [dom.one, dom.q_pow(2), dom.lift(5)]
+            assert multiplicity((1, 0, 0), mu, dom.zero, dom) == dom.zero
+            assert pairwise_multiplicity((1, 0, 0), mu, dom.zero, dom) == dom.zero
 
 
 class TestElementarySymmetric:
+    @given(st.lists(st.fractions(max_denominator=30), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_all_is_every_e_k(self, t):
+        assert elementary_symmetric_all(t) == [
+            sum((prod(c, start=Fraction(1)) for c in combinations(t, k)),
+                Fraction(0)) for k in range(len(t) + 1)]
+        assert [elementary_symmetric(t, k) for k in range(-1, len(t) + 2)] == (
+            [0] + elementary_symmetric_all(t) + [0])
+
     @pytest.mark.parametrize("skip", [[], [2], [4, 0]])
     def test_without_deletes_the_positions(self, rng, skip):
         t = random_rationals(rng, 5)

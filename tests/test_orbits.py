@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qorbits.scalars import SYMBOLIC, at_q, eval_at, random_rationals
 from qorbits import orbits
@@ -17,6 +18,15 @@ from qorbits.orbits import (OrbitError, chain_multiplicities,
                             multiplicities, quantum_dim_ratio,
                             rep_eigenvalues, signature_dual,
                             spectral_idempotents, string_decompose)
+
+
+def pairwise_frobenius_dim(lam):
+    """Oracle: the classical Weyl product, one Fraction factor per pair."""
+    out = Fraction(1)
+    for i in range(len(lam)):
+        for j in range(i + 1, len(lam)):
+            out *= Fraction(lam[i] - lam[j] - (i + 1) + (j + 1), j - i)
+    return out
 
 
 class TestSpectralIdempotents:
@@ -477,3 +487,13 @@ class TestSignatureHelpers:
         assert frobenius_dim([2, 0]) == 3
         assert frobenius_dim([1, 1, 0]) == 3
         assert frobenius_dim([0, 0, 0]) == 1
+
+    @given(st.lists(st.integers(-8, 8), max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_frobenius_matches_the_pairwise_product(self, lam):
+        # any integer label: negative differences and zero factors included
+        assert frobenius_dim(lam) == pairwise_frobenius_dim(lam)
+
+    def test_frobenius_zero_factor(self):
+        assert frobenius_dim([0, 1]) == pairwise_frobenius_dim([0, 1]) == 0
+        assert frobenius_dim([-2, 4, 5]) == pairwise_frobenius_dim([-2, 4, 5]) == 0

@@ -278,6 +278,44 @@ class TestDomain:
                 assert isinstance(got, Fraction)
                 assert got == eval_at(q_int(m), q0)
 
+    def test_sampled_q_numbers_match_the_closed_form(self):
+        # each table entry against (a**2m - b**2m) / ((ab)**(m-1) (a**2 - b**2))
+        # over Fractions and against the symbolic value evaluated at q0
+        for q0 in (Fraction(2, 15), Fraction(-77, 101), Fraction(-3, 2)):
+            dom = at_q(q0)
+            a, b = Fraction(q0.numerator), Fraction(q0.denominator)
+            for m in range(-10, 11):
+                closed = (a ** (2 * m) - b ** (2 * m)) / (
+                    (a * b) ** (m - 1) * (a * a - b * b))
+                assert dom.q_int(m) == closed == eval_at(q_int(m), q0)
+                assert dom.q_pow(m) == q0 ** m == eval_at(QScalar.q_power(m), q0)
+
+    def test_sampled_q_numbers_are_built_once(self):
+        dom = at_q(Fraction(5, 7))
+        for m in range(-10, 11):
+            assert dom.q_int(m) is dom.q_int(m)
+            assert dom.q_pow(m) is dom.q_pow(m)
+
+    @given(st.lists(st.fractions(), max_size=4),
+           st.lists(st.fractions().filter(bool), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_ratio_is_the_quotient_of_products(self, nums, dens):
+        dom = at_q(Fraction(3, 5))
+        expect = Fraction(1)
+        for x in nums:
+            expect *= x
+        for x in dens:
+            expect /= x
+        assert dom.ratio(nums, dens) == expect
+        sym = SYMBOLIC.ratio([SYMBOLIC.lift(x) for x in nums],
+                             [SYMBOLIC.lift(x) for x in dens])
+        assert sym == SYMBOLIC.lift(expect)
+
+    def test_ratio_rejects_a_zero_denominator(self):
+        for dom in (at_q(Fraction(3, 5)), SYMBOLIC):
+            with pytest.raises(ZeroDivisionError):
+                dom.ratio([dom.one], [dom.q_int(2), dom.zero])
+
     def test_rejects_degenerate_points(self):
         for bad in (0, 1, -1):
             with pytest.raises(ValueError):
