@@ -10,11 +10,10 @@ in the deformation parameter q).
 """
 
 from .scalars import (Q, QScalar, ScalarDomain, SYMBOLIC, at_q, eval_at,
-                      format_scalar, parse_scalar, q_binomial, q_int)
+                      format_scalar, parse_scalar, q_int)
 from .tensor import LegOperator, Mat, embed_on_legs, weighted_partial_trace
-from .hecke import (HeckeSymmetry, load_r_from_file, save_r_to_file,
-                    skew_inverse_bc, standard_hecke, standard_r,
-                    symmetry_rank, validate_hecke_symmetry)
+from .hecke import (HeckeSymmetry, save_r_to_file, skew_inverse_bc,
+                    standard_hecke, standard_r, validate_hecke_symmetry)
 from .projectors import q_antisymmetrizer, q_symmetrizer
 from .reps import (Representation, fundamental_left, rescaled,
                    sym_power_left, sym_power_right_p2, sym_power_right_rea_p2,
@@ -25,7 +24,7 @@ from .casimir import (CasimirMatrix, closed_form_p2, left_casimir_matrix,
 from .identities import (CentralValues, RootData, central_elements_in_rep,
                          ch_verify, ch_verify_coefficients, compositions,
                          conjecture_roots, newton_check, omega_roots_p2,
-                         parametric_central_values, parametric_newton)
+                         parametric_central_values)
 from .orbits import (conjecture_scan, higher_newton_classical,
                      higher_newton_quantum_p2, multiplicities,
                      rep_eigenvalues, spectral_idempotents, string_decompose)

@@ -93,14 +93,15 @@ def generator_trace_identity(h, m: int) -> bool:
 
     This is the contraction that converts the unit-element shift of the
     abstract generator matrix into a plain scalar shift of the Casimir
-    operator; it is asserted rather than assumed.
+    operator; it is asserted rather than assumed.  The contraction is
+    certified scalar by :func:`qorbits.identities.central_trace`, which
+    raises IdentityError when it is not.
     """
     dom = h.domain
     rep = sym_power_left(h, m)
-    acc = weighted_partial_trace(rep.generator_matrix(), {1}, h.c.transpose(),
-                                 (h.n, rep.d))
-    acc = acc.scale(dom.q_pow(2 * h.p))
-    return acc == Mat.identity(rep.d, dom.zero, dom.q_pow(1 - m) * dom.q_int(m))
+    value = central_trace(rep.generator_matrix(), {1}, h.c.transpose(),
+                          (h.n, rep.d), f"the generator trace at m={m}")
+    return value * dom.q_pow(2 * h.p) == dom.q_pow(1 - m) * dom.q_int(m)
 
 
 # ---------------------------------------------------------------------------

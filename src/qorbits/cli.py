@@ -31,7 +31,7 @@ from . import casimir as casimir_mod
 from . import projectors as proj_mod
 from . import reps as reps_mod
 from .scalars import SYMBOLIC, at_q, eval_at, random_q, random_rationals
-from .tensor import Mat
+from .tensor import Mat, embed_on_legs
 
 SCHEMA_VERSION = 1
 
@@ -267,7 +267,7 @@ def suite_projectors(args, rec, rng, domains):
             for m in range(2, m_max + 1):
                 s_m = proj_mod.q_symmetrizer(h, m)
                 for k in range(1, m):
-                    s_k = proj_mod.q_symmetrizer(h, k, m, 1)
+                    s_k = embed_on_legs(proj_mod.q_symmetrizer(h, k), 1, m)
                     if not (s_m * s_k == s_m):
                         return False, f"nested absorption fails at ({m},{k})"
             return True, None

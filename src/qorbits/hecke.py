@@ -142,50 +142,34 @@ def skew_inverse_bc(r: LegOperator, domain: ScalarDomain):
     psi = LegOperator(n, 2, Mat.from_entries(dim, dim, domain.zero, psi_entries))
 
     ident_w = Mat.identity(n, domain.zero, domain.one)
-    flip = LegOperator.flip(n, domain)
+    flip = LegOperator.flip(n, domain).mat
     r12 = embed_on_legs(r, 1, 3)
     psi23 = embed_on_legs(psi, 2, 3)
-    first = weighted_partial_trace(r12 * psi23, {2}, ident_w)
+    first = weighted_partial_trace((r12 * psi23).mat, {2}, ident_w, (n,) * 3)
     if not (first == flip):
         raise HeckeError("skew inverse failed the defining contraction")
     psi12 = embed_on_legs(psi, 1, 3)
     r23 = embed_on_legs(r, 2, 3)
-    second = weighted_partial_trace(psi12 * r23, {2}, ident_w)
+    second = weighted_partial_trace((psi12 * r23).mat, {2}, ident_w, (n,) * 3)
     if not (second == flip):
         raise HeckeError("skew inverse failed the second contraction")
 
-    b = weighted_partial_trace(psi, {1}, ident_w).mat
-    c = weighted_partial_trace(psi, {2}, ident_w).mat
+    b = weighted_partial_trace(psi.mat, {1}, ident_w, (n, n))
+    c = weighted_partial_trace(psi.mat, {2}, ident_w, (n, n))
     return psi, b, c
 
 
-def symmetry_rank(r: LegOperator, domain: ScalarDomain,
-                  max_p: Optional[int] = None) -> Optional[int]:
-    """Smallest p with rank A**(p) = 1 and A**(p+1) = 0, or None.
-
-    Read off the certification of (R, q): the levels are the
-    antisymmetrizers only for a Yang-Baxter Hecke operator, so a failed
-    axiom raises HeckeError before any level is walked.  Ranks are traces
-    of certified idempotents, exact in characteristic zero.
-    """
-    report, _, memo = _certified(_Content(r, domain))
-    if not (report.ybe and report.hecke):
-        raise HeckeError(report.first_failure())
-    return _certified_rank(r, domain, memo, max_p)
-
-
-def _certified_rank(r: LegOperator, domain: ScalarDomain, memo: dict,
-                    max_p: Optional[int] = None) -> Optional[int]:
+def _certified_rank(r: LegOperator, domain: ScalarDomain,
+                    memo: dict) -> Optional[int]:
     """p from one pass up the nested antisymmetrizer levels kept in memo.
 
     Every level is certified idempotent when it is built, and every level
     below the collapse has an integer trace; p is None when the levels do
-    not collapse right after a rank-one level within max_p + 1 legs.
+    not collapse right after a rank-one level within n + 2 legs.  Ranks are
+    traces of certified idempotents, exact in characteristic zero.
     """
-    if max_p is None:
-        max_p = r.n + 1
     prev_rank = None
-    for m in range(1, max_p + 2):
+    for m in range(1, r.n + 3):
         trace, basis, _ = _level(memo, r, domain, "A", m)
         if not basis.ncols:             # p_m = b_m l_m = 0
             return m - 1 if prev_rank == 1 else None
@@ -339,20 +323,15 @@ def standard_hecke(n: int, domain: ScalarDomain = SYMBOLIC) -> HeckeSymmetry:
 # R-matrix files
 # ---------------------------------------------------------------------------
 
-def load_r_from_file(path, domain: ScalarDomain = SYMBOLIC) -> LegOperator:
-    """Load an R-matrix from the JSON interchange format.
+def read_r_file(path) -> tuple:
+    """(n, [(row, column, symbolic value)]) of an R-matrix file, every field
+    checked and no matrix built, so its cost does not grow with n.
 
     Format: {"n": int, "parameter": "q", "entries": [{"out": [k, l],
     "in": [i, j], "value": "<scalar>"}, ...]} with 1-based indices; absent
     entries are zero.  The entry multiplies x_k (x) x_l in the image of
-    x_i (x) x_j.
+    x_i (x) x_j.  :func:`build_r` makes the R-matrix over a domain.
     """
-    return build_r(*read_r_file(path), domain)
-
-
-def read_r_file(path) -> tuple:
-    """(n, [(row, column, symbolic value)]) of an R-matrix file, every field
-    checked and no matrix built, so its cost does not grow with n."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)

@@ -43,22 +43,6 @@ def elementary_symmetric_all(values: Sequence, zero=Fraction(0),
     return acc
 
 
-def elementary_symmetric(values: Sequence, k: int, zero=Fraction(0),
-                         one=Fraction(1)):
-    """e_k of the given values, read off :func:`elementary_symmetric_all`."""
-    if k < 0 or k > len(values):
-        return zero
-    return elementary_symmetric_all(values, zero, one)[k]
-
-
-def elementary_symmetric_without(values: Sequence, k: int, skip: Sequence[int],
-                                 zero=Fraction(0), one=Fraction(1)):
-    """e_k with the listed positions deleted."""
-    skip = set(skip)
-    kept = [v for i, v in enumerate(values) if i not in skip]
-    return elementary_symmetric(kept, k, zero, one)
-
-
 def compositions(m: int, parts: int) -> List[Tuple[int, ...]]:
     """All nonnegative integer vectors of the given length summing to m.
 
@@ -236,31 +220,19 @@ def multiplicity(kvec: Sequence[int], mu: Sequence, hbar, domain=None):
     return acc
 
 
-def _newton_weights(rd: RootData) -> list:
-    """The weights d_i = prod_(j != i) (q mu_i - mu_j / q) / (mu_i - mu_j), the
-    degree-1 quantum multiplicities at hbar = 0; they do not depend on k."""
+def parametric_central_values(rd: RootData, p: int) -> CentralValues:
+    """CentralValues from eigenvalue data instead of a module: sigma_k from one
+    e-vector, s_k = q trace_R(L**k) = q**(1-p) sum_i mu_i**k d_i.  The weights
+    d_i = prod_(j != i) (q mu_i - mu_j / q) / (mu_i - mu_j), the degree-1
+    quantum multiplicities at hbar = 0, are built once, and mu_i**k d_i are
+    kept as running products."""
     pair = repeated_pair(rd.mu)
     if pair is not None:
         raise IdentityError("repeated eigenvalue at positions %d, %d" % pair)
     dom = rd.domain
-    return [multiplicity(kvec, rd.mu, dom.zero, dom) for kvec in compositions(1, rd.p)]
-
-
-def parametric_newton(rd: RootData, k: int):
-    """trace_R(L**k) = q**(-p) sum_i mu_i**k d_i, d_i from :func:`_newton_weights`."""
-    dom = rd.domain
-    terms = (v ** k * d for v, d in zip(rd.mu, _newton_weights(rd)))
-    return dom.q_pow(-rd.p) * sum(terms, dom.zero)
-
-
-def parametric_central_values(rd: RootData, p: int) -> CentralValues:
-    """CentralValues from eigenvalue data instead of a module: sigma_k from one
-    e-vector, s_k = q trace_R(L**k) from the weights d_i, built once, times
-    mu_i**k kept as running products."""
-    dom = rd.domain
     sigma = (elementary_symmetric_all(rd.mu, dom.zero, dom.one) + [dom.zero] * p)[:p + 1]
     s_vals = [dom.one]
-    terms = _newton_weights(rd)
+    terms = [multiplicity(kvec, rd.mu, dom.zero, dom) for kvec in compositions(1, rd.p)]
     for _ in range(p):
         terms = [t * v for t, v in zip(terms, rd.mu)]
         s_vals.append(dom.q_pow(1 - rd.p) * sum(terms, dom.zero))
@@ -272,12 +244,14 @@ def parametric_central_values(rd: RootData, p: int) -> CentralValues:
 # ---------------------------------------------------------------------------
 
 def root_products(mat: Mat, roots: Sequence, domain: ScalarDomain):
-    """Yield P_0 = I and then P_j = P_(j-1) (M - r_j), one product per root."""
-    ident = Mat.identity(mat.nrows, domain.zero, domain.one)
-    prod = ident
+    """Yield P_0 = I and then P_j = P_(j-1) (M - r_j), with P_1 = M - r_1: one
+    product per root after the first."""
+    n, zero = mat.nrows, domain.zero
+    prod = Mat.identity(n, zero, domain.one)
     yield prod
-    for r in roots:
-        prod = prod * (mat - ident.scale(domain.lift(r)))
+    for j, r in enumerate(roots):
+        factor = mat - Mat.identity(n, zero, domain.lift(r))
+        prod = factor if j == 0 else prod * factor
         yield prod
 
 

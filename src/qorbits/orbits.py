@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .scalars import ScalarDomain, as_integer
 from .tensor import Mat
-from .identities import (RootData, ch_verify, classical_higher_eigenvalue,
+from .identities import (RootData, classical_higher_eigenvalue,
                          compositions, conjecture_roots, multiplicity,
                          repeated_pair, root_products)
 from .casimir import (basic_roots, left_casimir_matrix, module_trace,
@@ -95,12 +96,13 @@ def classical_higher_eigenvalue_s2(lam: Sequence[int], kvec: Sequence[int],
 
 
 def rep_eigenvalues(lam: Sequence[int], p: int, mode: str,
-                    domain: Optional[ScalarDomain] = None) -> list:
+                    domain: ScalarDomain) -> list:
     """Eigenvalue family attached to a signature with at most p parts.
 
-    mode="classical": lam_(p-i+1) + i - 1 (unit mass scale);
-    mode="rea_q":     eta q**(-2(lam_(p-i+1) + i)) with eta = -q**2/zeta;
-    mode="mrea_q":    (lam_(p-i+1) + i - 1)_q / q**(lam_(p-i+1) + i - 1).
+    mode="rea_q":  eta q**(-2(lam_(p-i+1) + i)) with eta = -q**2/zeta;
+    mode="mrea_q": (lam_(p-i+1) + i - 1)_q / q**(lam_(p-i+1) + i - 1).
+    Their classical limit, lam_(p-i+1) + i - 1 at unit mass scale, is
+    :func:`classical_eigenvalues`.
     """
     lam = list(lam)
     if len(lam) > p:
@@ -108,10 +110,6 @@ def rep_eigenvalues(lam: Sequence[int], p: int, mode: str,
     if not is_signature(lam):
         raise OrbitError(f"not a signature: {lam}")
     lam = lam + [0] * (p - len(lam))
-    if mode == "classical":
-        return classical_eigenvalues(lam)
-    if domain is None:
-        raise OrbitError("q modes need a scalar domain")
     out = []
     if mode == "rea_q":
         eta = -domain.q_pow(2) / domain.zeta
@@ -135,28 +133,27 @@ def spectral_idempotents(mat: Mat, roots: Sequence,
     """Lagrange idempotents of a matrix with verified polynomial identity.
 
     e_j = prod_{i != j} (M - r_i)/(r_j - r_i); requires pairwise distinct
-    roots and an exactly vanishing product over all of them.
+    roots and an exactly vanishing product over all of them.  Each factor
+    M - r_i is formed once, and each idempotent is scaled once.
     """
     roots = [domain.lift(r) for r in roots]
     pair = repeated_pair(roots)
     if pair is not None:
         raise OrbitError("repeated roots at positions %d, %d" % pair)
-    ok, support = ch_verify(mat, roots, domain)
-    if not ok:
+    n, zero = mat.nrows, domain.zero
+    ident = Mat.identity(n, zero, domain.one)
+
+    def product(factors):           # the empty product is I, never a factor
+        return reduce(Mat.__mul__, factors) if factors else ident
+    factors = [mat - Mat.identity(n, zero, r) for r in roots]
+    residual = product(factors)
+    if not residual.is_zero():
         raise OrbitError(
             f"matrix does not satisfy the polynomial identity "
-            f"(residual support {support})")
-    n = mat.nrows
-    ident = Mat.identity(n, domain.zero, domain.one)
-    out = []
-    for j, rj in enumerate(roots):
-        e = ident
-        for i, ri in enumerate(roots):
-            if i == j:
-                continue
-            e = (e * (mat - ident.scale(ri))).scale(domain.one / (rj - ri))
-        out.append(e)
-    return out
+            f"(residual support {residual.support()})")
+    return [product(factors[:j] + factors[j + 1:]).scale(domain.ratio(
+                [domain.one], [rj - ri for i, ri in enumerate(roots) if i != j]))
+            for j, rj in enumerate(roots)]
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,15 @@ first, reads the integer traces and the collapse off the levels.
 Level m is kept in the memo of the symmetry's certification under
 ("S" | "A", m), and modules and trace weights read it alone (:mod:`reps`);
 the chart on m legs and P(m) = B_m L_m, built on request, under
-(kind, m, "chart") and (kind, m, "projector"); embeddings are not.
+(kind, m, "chart") and (kind, m, "projector").  A projector on more legs
+is embed_on_legs of P(m), built by the caller and not kept.
 """
 
 from __future__ import annotations
 
 from .scalars import ScalarDomain
-from .tensor import LegOperator, Mat, embed_on_legs, row_reduce
+# unused here; perfbench/selftest.py checks the tracer rebinds it in this module
+from .tensor import LegOperator, Mat, embed_on_legs, row_reduce  # noqa: F401
 
 
 class HeckeError(ValueError):
@@ -86,23 +88,18 @@ def _chart(h, kind: str, m: int) -> tuple:
     return h.memo((kind, m, "chart"), build)
 
 
-def _projector(h, m: int, total_legs, start: int, kind: str) -> LegOperator:
+def _projector(h, m: int, kind: str) -> LegOperator:
     if m < 1:
         raise ValueError("m must be positive")
-    base = h.memo((kind, m, "projector"), lambda: LegOperator(
+    return h.memo((kind, m, "projector"), lambda: LegOperator(
         h.n, m, Mat.__mul__(*_chart(h, kind, m))))
-    if total_legs is None or (total_legs == m and start == 1):
-        return base
-    return embed_on_legs(base, start, total_legs)
 
 
-def q_symmetrizer(h, m: int, total_legs: int | None = None,
-                  start: int = 1) -> LegOperator:
-    """S(m) embedded at legs start..start+m-1 of a total_legs space."""
-    return _projector(h, m, total_legs, start, "S")
+def q_symmetrizer(h, m: int) -> LegOperator:
+    """S(m) on m legs; embed_on_legs places it among more."""
+    return _projector(h, m, "S")
 
 
-def q_antisymmetrizer(h, m: int, total_legs: int | None = None,
-                      start: int = 1) -> LegOperator:
-    """A(m) embedded at legs start..start+m-1 of a total_legs space."""
-    return _projector(h, m, total_legs, start, "A")
+def q_antisymmetrizer(h, m: int) -> LegOperator:
+    """A(m) on m legs; embed_on_legs places it among more."""
+    return _projector(h, m, "A")

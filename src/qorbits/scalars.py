@@ -659,7 +659,7 @@ def unpack_rows(rows, bits: int, low: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# q-integers and q-binomials
+# q-integers
 # ---------------------------------------------------------------------------
 
 def q_int(m: int) -> QScalar:
@@ -669,13 +669,6 @@ def q_int(m: int) -> QScalar:
     if m < 0:
         return -q_int(-m)
     return _make((1, 0) * (m - 1) + (1,), _q_pow_poly(m - 1))
-
-
-def q_binomial(p: int, k: int) -> QScalar:
-    """q-binomial p_q!/(k_q! (p-k)_q!); zero outside 0 <= k <= p."""
-    if p < 0:
-        raise ValueError("p must be nonnegative")
-    return SYMBOLIC.q_binomial(p, k)
 
 
 class QEvalError(ZeroDivisionError):
@@ -868,6 +861,7 @@ class ScalarDomain:
         return out
 
     def q_binomial(self, p: int, k: int):
+        """p_q! / (k_q! (p-k)_q!); zero outside 0 <= k <= p."""
         if k < 0 or k > p:
             return self.zero
         return self.q_factorial(p) / (self.q_factorial(k) * self.q_factorial(p - k))

@@ -18,8 +18,10 @@ embeddings and the module operators are all very sparse, so every operation
 touches nonzeros only; the product is the row-wise sparse product
 (Gustavson 1978).  Exact solves go through one
 routine, ``row_reduce`` (Gauss-Jordan on a dense copy of the entries, at most
-a few hundred rows in scope): ``inverse`` reduces [A | I], and a projector's
-reduction yields both its pivot columns and a left inverse on its image.
+a few hundred rows in scope): ``inverse`` reduces [A | I] and requires the
+pivots to be the columns of A, and a projector's reduction yields both its
+pivot columns and a left inverse on its image.  A weighted partial trace
+acts on the Mat of an operator, with the dimensions of its factors given.
 
 Index encoding for leg operators is frozen package-wide: the row (column)
 index of an m-leg operator on an n-dimensional space is the mixed-radix
@@ -380,22 +382,21 @@ def _reduced(data, den, nrows: int, ncols: int, zero) -> Mat:
 # exact elimination
 # ---------------------------------------------------------------------------
 
-def row_reduce(mat: Mat, ncols=None) -> tuple:
+def row_reduce(mat: Mat) -> tuple:
     """Gauss-Jordan elimination over the field, on a dense copy.
 
-    Pivots are sought in the first ``ncols`` columns only (all of them by
-    default), each the first nonzero at or below the current row, so the
-    result is deterministic.  Returns (pivot columns, the reduced rows that
-    hold them as a Mat).  With every column eligible these are the nonzero
-    rows of the reduced row echelon form; with ``ncols`` short of the width
-    the other columns ride along, so reducing [A | B] solves A X = B.
+    Pivots are sought column by column, each the first nonzero at or below
+    the current row, so the result is deterministic.  Returns (pivot
+    columns, the nonzero rows of the reduced row echelon form as a Mat).
+    Reducing [A | I] solves A X = I: A is invertible if and only if the
+    pivots are its n columns, and then the right half is A**-1.
     """
     zero = mat.zero
     one = zero + 1
     rows = _dense(mat)
     nr = len(rows)
     pivots = []
-    for c in range(mat.ncols if ncols is None else ncols):
+    for c in range(mat.ncols):
         r = len(pivots)
         if r == nr:
             break
@@ -427,8 +428,8 @@ def inverse(mat: Mat) -> Mat:
     zero, one = mat.zero, mat.zero + 1
     pivots, rows = row_reduce(Mat(
         [row + [one if j == i else zero for j in range(n)]
-         for i, row in enumerate(_dense(mat))], zero), n)
-    if len(pivots) != n:
+         for i, row in enumerate(_dense(mat))], zero))
+    if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return Mat.from_entries(n, n, zero, ((i, j - n, v)
                                          for i, j, v in rows.entries() if j >= n))
@@ -508,24 +509,21 @@ def embed_on_legs(op: LegOperator, start: int, total: int) -> LegOperator:
                                               n ** (total - start - m0 + 1)))
 
 
-def weighted_partial_trace(op, legs, weight: Mat, dims=None):
+def weighted_partial_trace(mat: Mat, legs, weight: Mat, dims) -> Mat:
     """Contract the listed legs of an operator against a weight matrix.
 
-    op is a LegOperator, or a Mat on a tensor product of factors with the
-    given dims (V**k (x) M, V_(k) (x) V_(m), ...), indexed like a leg
-    operator: mixed radix with leg 1 most significant, output index on
-    rows.  Each traced leg contributes sum_{a,b} weight[a][b] times the
-    entry with output index b and input index a on that leg, i.e. tr(W X)
-    leg by leg: weight = I is the ordinary partial trace, weight = C the
-    quantum trace.  Every traced leg must have the weight's dimension.
-    Returns the operator on the kept legs, of the same kind as op.
+    mat acts on a tensor product of factors with the given dims (V**k,
+    V**k (x) M, V_(k) (x) V_(m), ...), indexed like a leg operator: mixed
+    radix with leg 1 most significant, output index on rows.  Each traced
+    leg contributes sum_{a,b} weight[a][b] times the entry with output
+    index b and input index a on that leg, i.e. tr(W X) leg by leg:
+    weight = I is the ordinary partial trace, weight = C the quantum trace.
+    Every traced leg must have the weight's dimension.  Returns the
+    operator on the kept factors.
     """
-    mat = op.mat if isinstance(op, LegOperator) else op
-    if dims is None:
-        dims = [op.n] * op.m
     legs = sorted(set(legs))
     if not legs:
-        return op
+        return mat
     if legs[0] < 1 or legs[-1] > len(dims):
         raise LegError(f"trace legs {legs} out of range 1..{len(dims)}")
     w = weight.nrows
@@ -561,8 +559,5 @@ def weighted_partial_trace(op, legs, weight: Mat, dims=None):
             if pv is not None:
                 x = orow.get(kc)
                 orow[kc] = pv * v if x is None else x + pv * v
-    out = _reduced([{c: row[c] for c in sorted(row) if row[c]} for row in acc],
-                   mat.den * weight.den ** len(legs), dim_out, dim_out, mat.zero)
-    if isinstance(op, LegOperator):
-        return LegOperator(op.n, op.m - len(legs), out)
-    return out
+    return _reduced([{c: row[c] for c in sorted(row) if row[c]} for row in acc],
+                    mat.den * weight.den ** len(legs), dim_out, dim_out, mat.zero)

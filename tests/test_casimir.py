@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 import random
 from types import SimpleNamespace
@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from qorbits import casimir
 from qorbits.hecke import HeckeSymmetry, standard_hecke
-from qorbits.scalars import SYMBOLIC, at_q, eval_at, q_binomial, random_q
-from qorbits.tensor import Mat, row_reduce, weighted_partial_trace
+from qorbits.scalars import SYMBOLIC, at_q, eval_at, random_q
+from qorbits.tensor import Mat, embed_on_legs, row_reduce, weighted_partial_trace
 from qorbits.casimir import (CasimirError, basic_roots, closed_form_p2,
                              generator_trace_identity, left_casimir_matrix,
                              module_trace, q_dimension, split_casimir_matrix,
@@ -17,7 +17,8 @@ from qorbits.casimir import (CasimirError, basic_roots, closed_form_p2,
 from qorbits.projectors import q_symmetrizer
 from qorbits.reps import (Compression, RepresentationError, sym_chart,
                           sym_power_left, sym_power_right_rea_p2)
-from qorbits.identities import RootData, ch_verify, omega_roots_p2
+from qorbits.identities import (IdentityError, RootData, ch_verify,
+                                omega_roots_p2)
 from qorbits.orbits import frobenius_dim
 
 
@@ -70,7 +71,7 @@ class TestQDimension:
     def test_wedge_columns_are_q_binomials(self):
         for p in (2, 3, 4):
             for k in range(0, p + 1):
-                assert q_dimension([1] * k, p, SYMBOLIC) == q_binomial(p, k)
+                assert q_dimension([1] * k, p, SYMBOLIC) == SYMBOLIC.q_binomial(p, k)
 
     def test_classical_limit_is_frobenius(self, rng):
         for _ in range(12):
@@ -132,6 +133,21 @@ class TestTraceWeights:
 
     def test_generator_trace_identity_n3(self, h3):
         assert generator_trace_identity(h3, 2)
+
+    def test_generator_trace_that_is_not_scalar_raises(self, h2, monkeypatch):
+        # one off-diagonal entry added to block (0, 0) leaves C[0][0] times it
+        # in the contraction: a witness, not a plain False
+        real = casimir.sym_power_left
+
+        def perturbed(h, m):
+            rep = real(h, m)
+            dim = rep.blocks.nrows
+            return replace(rep, blocks=rep.blocks + Mat.from_entries(
+                dim, dim, h.domain.zero, [(0, 1, h.domain.one)]))
+        monkeypatch.setattr(casimir, "sym_power_left", perturbed)
+        with pytest.raises(IdentityError, match="^centrality violation: the "
+                           "generator trace at m=2 is not scalar$"):
+            generator_trace_identity(h2, 2)
 
 
 class TestSplitCasimir:
@@ -381,9 +397,9 @@ def _one_compression(h, k, m):
     compress(c1 S(k) S(m) + c2 S(m) S(k+1) S(m)) q**(1-m)."""
     dom = h.domain
     total = k + m
-    sk = q_symmetrizer(h, k, total, 1).mat
-    sm = q_symmetrizer(h, m, total, k + 1).mat
-    sk1 = q_symmetrizer(h, k + 1, total, 1).mat
+    sk = embed_on_legs(q_symmetrizer(h, k), 1, total).mat
+    sm = embed_on_legs(q_symmetrizer(h, m), k + 1, total).mat
+    sk1 = embed_on_legs(q_symmetrizer(h, k + 1), 1, total).mat
     c1 = dom.q_int(m) / dom.q_pow(2 * k + 2)
     c2 = dom.zeta * dom.q_int(m) * dom.q_int(k + 1) / dom.q_pow(k + 1)
     a, b = sym_chart(h, k), sym_chart(h, m)

@@ -118,9 +118,9 @@ class TestReports:
         # absorption S(2) T R_1 = q S(2) T sees the changed kernel
         real = projectors.q_symmetrizer
 
-        def skewed(h, m, total_legs=None, start=1):
-            s = real(h, m, total_legs, start)
-            if m != 2 or total_legs is not None:
+        def skewed(h, m):
+            s = real(h, m)
+            if m != 2:
                 return s
             dom = h.domain
             t = Mat.identity(4, dom.zero, dom.one) + Mat.from_entries(
@@ -434,8 +434,9 @@ class TestExitCodes:
         # 3, 8, 21, 55, ...): the guard counts dim V_(m) <= 3**m instead
         path = tmp_path / "dvl3.json"
         save_r_to_file(path, dvl3(SYMBOLIC))
-        h = hecke.HeckeSymmetry(hecke.load_r_from_file(path, at_q(
-            Fraction(2, 3))), at_q(Fraction(2, 3)))
+        dom = at_q(Fraction(2, 3))
+        h = hecke.HeckeSymmetry(hecke.build_r(*hecke.read_r_file(path), dom),
+                                dom)
         assert (h.n, h.p) == (3, 2)
         built = largest_built[0]
         out = tmp_path / "report.json"

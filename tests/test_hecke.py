@@ -7,9 +7,9 @@ import pytest
 from qorbits import hecke, projectors
 from qorbits.scalars import SYMBOLIC, at_q, q_int, QScalar, Q
 from qorbits.tensor import LegOperator, Mat, inverse
-from qorbits.hecke import (HeckeError, HeckeSymmetry, RFileError,
-                           load_r_from_file, save_r_to_file, skew_inverse_bc,
-                           standard_hecke, standard_r, symmetry_rank,
+from qorbits.hecke import (HeckeError, HeckeSymmetry, RFileError, build_r,
+                           read_r_file, save_r_to_file, skew_inverse_bc,
+                           standard_hecke, standard_r,
                            validate_hecke_symmetry, check_ybe, check_hecke)
 from qorbits.projectors import q_antisymmetrizer, q_symmetrizer
 from qorbits.reps import sym_chart
@@ -257,12 +257,14 @@ class TestSkewInverse:
         # construction already asserts both equalities; do it again in the open
         psi, b, c = skew_inverse_bc(h2.r, h2.domain)
         from qorbits.tensor import embed_on_legs, weighted_partial_trace
-        flip = LegOperator.flip(2, h2.domain)
+        flip = LegOperator.flip(2, h2.domain).mat
         w = Mat.identity(2, h2.domain.zero, h2.domain.one)
         lhs = weighted_partial_trace(
-            embed_on_legs(h2.r, 1, 3) * embed_on_legs(psi, 2, 3), {2}, w)
+            (embed_on_legs(h2.r, 1, 3) * embed_on_legs(psi, 2, 3)).mat, {2}, w,
+            (2, 2, 2))
         rhs = weighted_partial_trace(
-            embed_on_legs(psi, 1, 3) * embed_on_legs(h2.r, 2, 3), {2}, w)
+            (embed_on_legs(psi, 1, 3) * embed_on_legs(h2.r, 2, 3)).mat, {2}, w,
+            (2, 2, 2))
         assert lhs == flip and rhs == flip
 
     def test_trace_normalization(self, h2):
@@ -296,16 +298,13 @@ class TestSymmetryRank:
         assert a3.is_zero()
 
     def test_rank_outcome_none(self):
-        # the flip passes neither precondition; force the tower on it anyway
         dom = at_q(Fraction(2, 5))
         p = LegOperator.flip(2, dom)
-        # P is a Hecke symmetry only at q = 1; the tower at generic q never
-        # collapses cleanly, reported as None (not even)
+        # P is a Hecke symmetry only at q = 1: no rank is certified at
+        # generic q, and the bundle is refused
+        assert validate_hecke_symmetry(p, dom).rank is None
         with pytest.raises(HeckeError):
-            symmetry_rank(p, dom, max_p=3)
-
-    def test_max_p_bound(self, h2):
-        assert symmetry_rank(h2.r, h2.domain, max_p=4) == 2
+            HeckeSymmetry(p, dom)
 
     def test_hecke_without_yang_baxter_is_refused(self, monkeypatch):
         # a generic G that is not g (x) g keeps the Hecke condition of
@@ -321,16 +320,16 @@ class TestSymmetryRank:
             raise AssertionError("a level was walked")
         monkeypatch.setattr(projectors, "row_reduce", no_level)
         with pytest.raises(HeckeError, match="^Yang-Baxter equation fails$"):
-            symmetry_rank(r, dom)
-        with pytest.raises(HeckeError, match="^Yang-Baxter equation fails$"):
-            symmetry_rank(r, dom, max_p=4)
+            HeckeSymmetry(r, dom)
+        report = validate_hecke_symmetry(r, dom)
+        assert report.rank is None and not report.even
 
 
 class TestRFiles:
     def test_round_trip(self, tmp_path, h2):
         path = tmp_path / "r2.json"
         save_r_to_file(path, h2.r)
-        loaded = load_r_from_file(path)
+        loaded = build_r(*read_r_file(path), SYMBOLIC)
         assert loaded == h2.r
         rep = validate_hecke_symmetry(loaded, SYMBOLIC)
         assert rep.passed
@@ -343,7 +342,7 @@ class TestRFiles:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"entries": []}))
         with pytest.raises(RFileError, match="'n'"):
-            load_r_from_file(path)
+            read_r_file(path)
 
     def test_duplicate_entry(self, tmp_path):
         path = tmp_path / "dup.json"
@@ -351,7 +350,7 @@ class TestRFiles:
         path.write_text(json.dumps({"n": 2, "parameter": "q",
                                     "entries": [entry, entry]}))
         with pytest.raises(RFileError, match="duplicate"):
-            load_r_from_file(path)
+            read_r_file(path)
 
     def test_index_out_of_range(self, tmp_path):
         path = tmp_path / "oob.json"
@@ -359,13 +358,13 @@ class TestRFiles:
             "n": 2, "parameter": "q",
             "entries": [{"out": [1, 3], "in": [1, 1], "value": "q"}]}))
         with pytest.raises(RFileError, match="outside"):
-            load_r_from_file(path)
+            read_r_file(path)
 
     def test_parse_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\n  \"n\": 2,\n")
         with pytest.raises(RFileError, match="line"):
-            load_r_from_file(path)
+            read_r_file(path)
 
     def test_bad_scalar(self, tmp_path):
         path = tmp_path / "scal.json"
@@ -373,7 +372,7 @@ class TestRFiles:
             "n": 2, "parameter": "q",
             "entries": [{"out": [1, 1], "in": [1, 1], "value": "zz"}]}))
         with pytest.raises(RFileError):
-            load_r_from_file(path)
+            read_r_file(path)
 
     @pytest.mark.parametrize("data,match", [
         ({"n": 1, "entries": [{"out": [1, 1], "in": [1, 1], "value": 1}]},
@@ -392,11 +391,11 @@ class TestRFiles:
         path = tmp_path / "typed.json"
         path.write_text(json.dumps(data))
         with pytest.raises(RFileError, match=match):
-            load_r_from_file(path)
+            read_r_file(path)
 
     def test_loaded_into_sampled_domain(self, tmp_path, h2):
         path = tmp_path / "r2.json"
         save_r_to_file(path, h2.r)
         dom = at_q(Fraction(4, 3))
-        loaded = load_r_from_file(path, dom)
+        loaded = build_r(*read_r_file(path), dom)
         assert check_ybe(loaded) and check_hecke(loaded, dom)

@@ -17,13 +17,10 @@ from qorbits.reps import (fundamental_left, sym_power_left,
 from qorbits.identities import (CentralValues, IdentityError, RootData,
                                 central_elements_in_rep, ch_verify,
                                 ch_verify_coefficients, compositions,
-                                conjecture_roots, elementary_symmetric,
-                                elementary_symmetric_all,
-                                elementary_symmetric_without, multiplicity,
-                                newton_check,
+                                conjecture_roots, elementary_symmetric_all,
+                                multiplicity, newton_check,
                                 omega_roots_p2, parametric_central_values,
-                                parametric_newton, repeated_pair,
-                                root_products, xi_symmetric)
+                                repeated_pair, root_products, xi_symmetric)
 
 
 def pairwise_multiplicity(kvec, mu, hbar, domain):
@@ -184,32 +181,30 @@ class TestNewton:
         dom = at_q(Fraction(3, 2))
         mu = [Fraction(5), Fraction(-2)]
         rd = RootData(mu=mu, hbar=Fraction(0), domain=dom)
-        got = parametric_newton(rd, 1)
+        got = parametric_central_values(rd, 1).s[1]
         d1 = (dom.q * mu[0] - mu[1] / dom.q) / (mu[0] - mu[1])
         d2 = (dom.q * mu[1] - mu[0] / dom.q) / (mu[1] - mu[0])
-        assert got == dom.q_pow(-2) * (mu[0] * d1 + mu[1] * d2)
+        assert got == dom.q_pow(-1) * (mu[0] * d1 + mu[1] * d2)
 
     def test_classical_limit_of_weights(self, rng):
         # at q -> 1 every Vandermonde ratio becomes 1: the power sums
         mu = random_rationals(rng, 3)
         rd = RootData(mu=mu, hbar=Fraction(0), domain=SYMBOLIC)
+        cv = parametric_central_values(rd, 3)
         for k in (1, 2, 3):
-            sym = parametric_newton(rd, k) * SYMBOLIC.q_pow(3)
+            sym = cv.s[k] * SYMBOLIC.q_pow(2)
             assert eval_at(sym, 1) == sum(v ** k for v in mu)
 
     def test_repeated_mu_rejected(self):
         rd = RootData(mu=[Fraction(1), Fraction(1)], hbar=Fraction(0),
                       domain=at_q(Fraction(2)))
         with pytest.raises(IdentityError, match="positions 0, 1"):
-            parametric_newton(rd, 1)
-        with pytest.raises(IdentityError, match="positions 0, 1"):
             parametric_central_values(rd, 2)
         rd = RootData(mu=[Fraction(1), Fraction(2), Fraction(3), Fraction(2)],
                       hbar=Fraction(0), domain=SYMBOLIC)
-        for build in (lambda: parametric_newton(rd, 1),
-                      lambda: parametric_central_values(rd, 4)):
+        for p in (1, 4):
             with pytest.raises(IdentityError) as err:
-                build()
+                parametric_central_values(rd, p)
             assert str(err.value) == "repeated eigenvalue at positions 1, 3"
 
     @given(st.integers(2, 4).flatmap(distinct_fractions), sample_points)
@@ -218,13 +213,12 @@ class TestNewton:
         dom = at_q(q0)
         rd = RootData(mu=mu, hbar=Fraction(0), domain=dom)
         p = len(mu)
-        cv = parametric_central_values(rd, p)
+        cv = parametric_central_values(rd, p + 1)
         assert cv.s == [dom.one] + [dom.q * per_k_newton(rd, k)
-                                    for k in range(1, p + 1)]
+                                    for k in range(1, p + 2)]
         assert cv.sigma == [sum((prod(c, start=Fraction(1))
                                  for c in combinations(mu, k)), Fraction(0))
-                            for k in range(p + 1)]
-        assert parametric_newton(rd, p + 1) == per_k_newton(rd, p + 1)
+                            for k in range(p + 2)]
 
     def test_parametric_values_match_the_per_k_loop_at_fixed_seeds(self):
         for seed in range(3):
@@ -235,7 +229,6 @@ class TestNewton:
                 cv = parametric_central_values(rd, 3)
                 assert cv.s[1:] == [dom.q_pow(1) * per_k_newton(rd, k)
                                     for k in (1, 2, 3)]
-                assert parametric_newton(rd, 2) == per_k_newton(rd, 2)
 
     def test_sigma_past_the_rank_is_zero(self):
         dom = at_q(Fraction(3, 7))
@@ -293,6 +286,13 @@ class TestMultiplicityProduct:
             assert pairwise_multiplicity((1, 0, 0), mu, dom.zero, dom) == dom.zero
 
 
+def esp_without(values, skip):
+    """[e_0, ..., e_n] of the values with the listed positions deleted, padded
+    with zeros to the length of the full vector (as newton.esp_props reads it)."""
+    kept = [v for i, v in enumerate(values) if i not in skip]
+    return elementary_symmetric_all(kept) + [Fraction(0)] * (len(values) - len(kept))
+
+
 class TestElementarySymmetric:
     @given(st.lists(st.fractions(max_denominator=30), max_size=6))
     @settings(max_examples=60, deadline=None)
@@ -300,8 +300,6 @@ class TestElementarySymmetric:
         assert elementary_symmetric_all(t) == [
             sum((prod(c, start=Fraction(1)) for c in combinations(t, k)),
                 Fraction(0)) for k in range(len(t) + 1)]
-        assert [elementary_symmetric(t, k) for k in range(-1, len(t) + 2)] == (
-            [0] + elementary_symmetric_all(t) + [0])
 
     @pytest.mark.parametrize("skip", [[], [2], [4, 0]])
     def test_without_deletes_the_positions(self, rng, skip):
@@ -312,15 +310,15 @@ class TestElementarySymmetric:
         for k in range(len(t) + 1):
             expect = sum((prod(c, start=Fraction(1))
                           for c in combinations(kept, k)), Fraction(0))
-            assert elementary_symmetric_without(t, k, skip) == expect
+            assert esp_without(t, skip)[k] == expect
 
     def test_deletion_recurrence(self, rng):
         t = random_rationals(rng, 6)
         for k in range(1, 7):
             for i in range(6):
-                assert (elementary_symmetric(t, k)
-                        == elementary_symmetric_without(t, k, [i])
-                        + t[i] * elementary_symmetric_without(t, k - 1, [i]))
+                without_i = esp_without(t, [i])
+                assert (elementary_symmetric_all(t)[k]
+                        == without_i[k] + t[i] * without_i[k - 1])
 
     def test_difference_identity(self, rng):
         t = random_rationals(rng, 5)
@@ -329,24 +327,22 @@ class TestElementarySymmetric:
                 for j in range(5):
                     if i == j:
                         continue
-                    lhs = (elementary_symmetric_without(t, k, [i])
-                           - elementary_symmetric_without(t, k, [j]))
-                    rhs = (t[j] - t[i]) * elementary_symmetric_without(
-                        t, k - 1, [i, j])
+                    lhs = esp_without(t, [i])[k] - esp_without(t, [j])[k]
+                    rhs = (t[j] - t[i]) * esp_without(t, [i, j])[k - 1]
                     assert lhs == rhs
 
     def test_weighted_sum(self, rng):
         t = random_rationals(rng, 5)
         for k in range(1, 6):
-            total = sum((t[i] * elementary_symmetric_without(t, k - 1, [i])
+            total = sum((t[i] * esp_without(t, [i])[k - 1]
                          for i in range(5)), Fraction(0))
-            assert Fraction(k) * elementary_symmetric(t, k) == total
+            assert Fraction(k) * elementary_symmetric_all(t)[k] == total
 
     def test_hatted_vandermonde_determinant(self, rng):
         # the deleted-variable matrix has the reversed Vandermonde determinant
         for n in (2, 3, 4, 5):
             t = random_rationals(rng, n)
-            rows = [[elementary_symmetric_without(t, k, [i]) for i in range(n)]
+            rows = [[esp_without(t, [i])[k] for i in range(n)]
                     for k in range(n)]
             det = _det(rows)
             expect = Fraction(1)

@@ -49,6 +49,25 @@ class TestSpectralIdempotents:
         with pytest.raises(OrbitError, match="identity"):
             spectral_idempotents(mat, [Fraction(3), Fraction(5)], dom)
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_each_idempotent_is_scaled_once(self, monkeypatch, p):
+        # one Mat.scale per idempotent: no scaled identity per factor and no
+        # scale after every factor of the product
+        dom = at_q(Fraction(2, 3))
+        roots = [Fraction(2 * i + 1) for i in range(p)]
+        mat = Mat.from_entries(p, p, dom.zero, [(i, i, r) for i, r in enumerate(roots)])
+        calls = []
+        real = Mat.scale
+
+        def counting(self, s):
+            calls.append(s)
+            return real(self, s)
+        monkeypatch.setattr(Mat, "scale", counting)
+        es = spectral_idempotents(mat, roots, dom)
+        assert len(calls) <= p
+        assert es == [Mat.from_entries(p, p, dom.zero, [(i, i, dom.one)])
+                      for i in range(p)]
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_basic_idempotent_ranks(self, h2, k):
         # ranks of the two basic idempotents are the two-row dimensions
@@ -85,7 +104,7 @@ class TestSpectralIdempotents:
 
 class TestEigenvalueFormulas:
     def test_classical_example(self):
-        assert rep_eigenvalues((1, 0), 2, "classical") == [0, 2]
+        assert classical_eigenvalues((1, 0)) == [0, 2]
 
     def test_mrea_zero_signature(self):
         dom = SYMBOLIC
@@ -105,13 +124,13 @@ class TestEigenvalueFormulas:
     def test_classical_is_q_to_one_limit(self):
         lam = (5, 3, 1)
         mrea = rep_eigenvalues(lam, 3, "mrea_q", SYMBOLIC)
-        classical = rep_eigenvalues(lam, 3, "classical")
+        classical = classical_eigenvalues(lam)
         for a, b in zip(mrea, classical):
             assert eval_at(a, 1) == b
 
     def test_malformed_signature(self):
         with pytest.raises(OrbitError):
-            rep_eigenvalues((1, 2), 2, "classical")
+            rep_eigenvalues((1, 2), 2, "mrea_q", SYMBOLIC)
 
 
 class TestMultiplicities:
@@ -306,7 +325,8 @@ class TestConjectureScan:
 
     def test_one_product_per_value(self, h2_sampled, monkeypatch):
         # with the Casimir matrix memoized, the scan makes exactly one
-        # matrix product per distinct root value: the certificate's chain
+        # matrix product per distinct root value after the first, whose
+        # factor M - r_1 is the chain's P_1: the certificate's chain
         h = h2_sampled
         k, m = 3, 2
         left_casimir_matrix(h, k, m)
@@ -319,7 +339,7 @@ class TestConjectureScan:
         monkeypatch.setattr(Mat, "__mul__", counting)
         rep = conjecture_scan(h, k, m)
         assert rep.consistent
-        assert len(calls) == len(rep.multiplicities) == m + 1
+        assert len(calls) == len(rep.multiplicities) - 1 == m
         assert set(calls) == {(rep.dim, rep.dim)}
 
 

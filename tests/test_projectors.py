@@ -96,13 +96,16 @@ class TestProjectorProperties:
         for m in (2, 3, 4):
             s_m = q_symmetrizer(h2, m)
             for k in range(1, m):
-                s_k = q_symmetrizer(h2, k, m, 1)
+                s_k = embed_on_legs(q_symmetrizer(h2, k), 1, m)
                 assert s_m * s_k == s_m
                 assert s_k * s_m == s_m
 
     def test_embedded_at_offset(self, h3):
-        s = q_symmetrizer(h3, 2, 3, 2)
-        assert s == embed_on_legs(q_symmetrizer(h3, 2), 2, 3)
+        # S(2) on legs 2, 3 of three is an idempotent that absorbs R_2 only
+        s = embed_on_legs(q_symmetrizer(h3, 2), 2, 3)
+        assert s * s == s
+        assert h3.r_on(2, 3) * s == s.scale(h3.q) == s * h3.r_on(2, 3)
+        assert not h3.r_on(1, 3) * s == s.scale(h3.q)
 
     def test_cache_returns_same_object(self, h2):
         assert q_symmetrizer(h2, 3) is q_symmetrizer(h2, 3)

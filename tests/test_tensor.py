@@ -58,28 +58,29 @@ class TestPartialTrace:
         dom = SYMBOLIC
         p = LegOperator.flip(2, dom)
         w = Mat.identity(2, dom.zero, dom.one)
-        assert weighted_partial_trace(p, {2}, w) == LegOperator.identity(2, 1, dom)
+        assert (weighted_partial_trace(p.mat, {2}, w, (2, 2))
+                == LegOperator.identity(2, 1, dom).mat)
 
     def test_full_trace_of_identity(self):
         dom = SYMBOLIC
         ident = LegOperator.identity(2, 3, dom)
         w = Mat.identity(2, dom.zero, dom.one)
-        out = weighted_partial_trace(ident, {1, 2, 3}, w)
-        assert out.m == 0 and out.mat.rows[0][0] == dom.lift(8)
+        out = weighted_partial_trace(ident.mat, {1, 2, 3}, w, (2, 2, 2))
+        assert out.rows == [[dom.lift(8)]]
 
     def test_single_leg_weight_is_weighted_trace(self, h2):
         dom = h2.domain
         ident = LegOperator.identity(2, 1, dom)
-        out = weighted_partial_trace(ident, {1}, h2.c)
-        assert out.mat.rows[0][0] == h2.c.trace()
+        out = weighted_partial_trace(ident.mat, {1}, h2.c, (2,))
+        assert out.rows == [[h2.c.trace()]]
 
     def test_disjoint_trace_order_commutes(self, rng):
         dom = at_q(Fraction(2, 7))
-        op = random_legop(rng, 2, 3, dom)
+        op = random_legop(rng, 2, 3, dom).mat
         w = Mat.identity(2, dom.zero, dom.one)
         one_then_three = weighted_partial_trace(
-            weighted_partial_trace(op, {1}, w), {2}, w)  # old leg 3
-        both = weighted_partial_trace(op, {1, 3}, w)
+            weighted_partial_trace(op, {1}, w, (2, 2, 2)), {2}, w, (2, 2))  # old leg 3
+        both = weighted_partial_trace(op, {1, 3}, w, (2, 2, 2))
         assert one_then_three == both
 
     def test_unequal_factors(self, rng):
@@ -104,7 +105,7 @@ class TestPartialTrace:
         op = LegOperator.identity(2, 2, dom)
         w = Mat.identity(2, dom.zero, dom.one)
         with pytest.raises(LegError):
-            weighted_partial_trace(op, {3}, w)
+            weighted_partial_trace(op.mat, {3}, w, (2, 2))
 
 
 class TestExactLinearAlgebra:
@@ -138,6 +139,15 @@ class TestExactLinearAlgebra:
         mat = Mat([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
         with pytest.raises(ValueError):
             inverse(mat)
+
+    def test_singular_with_a_zero_first_column_raises(self):
+        # [A | I] reduces with the pivots [1, 2], as many as A has columns:
+        # only the check that they are A's own columns refuses A
+        f = Fraction
+        augmented = Mat([[f(0), f(1), f(1), f(0)], [f(0), f(2), f(0), f(1)]])
+        assert row_reduce(augmented)[0] == [1, 2]
+        with pytest.raises(ValueError, match="singular"):
+            inverse(Mat([[f(0), f(1)], [f(0), f(2)]]))
 
     def test_pivot_columns_deterministic(self):
         mat = Mat([[Fraction(0), Fraction(1), Fraction(2)],
