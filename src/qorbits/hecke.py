@@ -203,7 +203,8 @@ def _certify(r: LegOperator, domain: ScalarDomain):
         except HeckeError as exc:
             details["rank_error"] = str(exc)
         if p is None:
-            details["rank_outcome"] = f"not even up to max_p={r.n + 1}"
+            details["rank_outcome"] = (
+                f"no collapse after a rank-one level within {r.n + 2} legs")
     bc_product = bc_trace = False
     if weights is None or p is None:
         details["bc_product_error"] = details["bc_trace_error"] = (

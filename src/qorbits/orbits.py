@@ -202,20 +202,22 @@ def classical_dim_ratio(lam: Sequence[int], kvec: Sequence[int],
 # higher Newton identities
 # ---------------------------------------------------------------------------
 
-def higher_newton_classical(lam: Sequence[int], m: int, s_max: int,
-                            hbar=Fraction(1)) -> dict:
-    """Two-route check of the classical higher Newton identities.
+def higher_newton_classical(lam: Sequence[int], m: int, s_max: int) -> dict:
+    """Two-route check of the classical higher Newton identities at unit
+    mass, hbar = 1.
 
     Route A: trace formula sum_k mu_k(m)**s d_k(m) with the multiplicity
     products at mu = mu(lam).  Route B (oracle): the same sum with the
-    quadratic-Casimir eigenvalues and Frobenius dimension ratios.  Both are
-    exact rationals; the report maps s to (equal?, value).
+    quadratic-Casimir eigenvalues and Frobenius dimension ratios, which
+    carry no mass, so the mass is a constant.  Both are exact rationals;
+    the report maps s to (equal?, value).
     """
     p = len(lam)
     mu = classical_eigenvalues(list(lam))
     if repeated_pair(mu) is not None:
         raise OrbitError("orbit is not 1-generic")
-    d_formula = {kvec: multiplicity(kvec, mu, Fraction(hbar))
+    hbar = Fraction(1)
+    d_formula = {kvec: multiplicity(kvec, mu, hbar)
                  for kvec in compositions(m, p)}
     report = {}
     for s in range(1, s_max + 1):

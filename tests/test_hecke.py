@@ -305,6 +305,13 @@ class TestSymmetryRank:
         assert validate_hecke_symmetry(p, dom).rank is None
         with pytest.raises(HeckeError):
             HeckeSymmetry(p, dom)
+        # q I on two dimensions is a Yang-Baxter Hecke operator whose levels
+        # collapse at A(2) after a rank-two level: the outcome names the walk
+        q_identity = LegOperator.identity(2, 2, dom).scale(dom.q)
+        rep = validate_hecke_symmetry(q_identity, dom)
+        assert rep.ybe and rep.hecke and rep.rank is None
+        assert rep.details["rank_outcome"] == (
+            "no collapse after a rank-one level within 4 legs")
 
     def test_hecke_without_yang_baxter_is_refused(self, monkeypatch):
         # a generic G that is not g (x) g keeps the Hecke condition of

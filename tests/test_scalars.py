@@ -126,15 +126,19 @@ nonzero_coeffs = coeffs.filter(bool)
 # rational_functions seldom draws two of them
 integer_laurents = st.lists(st.tuples(st.integers(-5, 5), st.integers(-10, 10)),
                             max_size=5).map(brute_q_pow_sum)
-operands = st.one_of(rational_functions, integer_laurents)
-# a test on operands draws a general rational function half of the time, so
-# it takes twice the examples per operand to keep the gcd paths' coverage
+# monomials c*q**k, which every operation handles on its general path
+monomials = st.builds(lambda c, k: c * QScalar.q_power(k),
+                      st.integers(-9, 9).filter(bool), st.integers(-5, 5))
+operands = st.one_of(rational_functions, integer_laurents, monomials)
+# a test on operands draws a general rational function a third of the time,
+# so it takes three times the examples per operand to keep the gcd paths'
+# coverage
 
 
 class TestRationalFunctions:
     @given(operands, operands,
            st.fractions(min_value=-20, max_value=20, max_denominator=20))
-    @settings(max_examples=240, deadline=None)
+    @settings(max_examples=360, deadline=None)
     def test_field_homomorphism(self, x, y, q0):
         try:
             ex, ey = eval_at(x, q0), eval_at(y, q0)
@@ -146,15 +150,15 @@ class TestRationalFunctions:
         if ey:
             assert eval_at(x / y, q0) == ex / ey
 
-    @given(rational_functions, rational_functions)
-    @settings(max_examples=60, deadline=None)
+    @given(operands, operands)
+    @settings(max_examples=180, deadline=None)
     def test_division_roundtrip(self, x, y):
         assume(not y.is_zero())
         assert (x / y) * y == x
         assert (x * y) / y == x
 
     @given(operands, nonzero_coeffs)
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=180, deadline=None)
     def test_canonical_uniqueness(self, x, c):
         scaled = QScalar(tuple(c * a for a in x.num), tuple(c * a for a in x.den))
         assert scaled.num == x.num and scaled.den == x.den
@@ -225,6 +229,9 @@ class TestCanonicalForm:
         assert s ** 5 == acc
         assert s ** 0 == Q_ONE
         assert s ** -2 == Q_ONE / (s * s)
+        assert Q_ZERO ** 0 == Q_ONE and Q_ZERO ** 3 == Q_ZERO
+        with pytest.raises(ZeroDivisionError):
+            Q_ZERO ** -1
 
 
 class TestGrammar:
