@@ -488,8 +488,9 @@ def suite_orbit(args, rec, rng, domains):
                                     domain=at_q(Fraction(2)))
             for m in range(1, m_max + 1):
                 d = orbit_mod.multiplicities(rd, m, "classical")
+                ratios = orbit_mod.classical_dim_ratios(lam, m, p)
                 for kv, val in d.items():
-                    if val != orbit_mod.classical_dim_ratio(lam, kv, p):
+                    if val != ratios[kv]:
                         return False, f"mismatch at {kv}, m={m}"
             return True, None
         rec.run(f"orbit.q{tag}.mult_classical", "mult_classical",
@@ -501,8 +502,9 @@ def suite_orbit(args, rec, rng, domains):
             rd = ident_mod.RootData(mu=mu, hbar=Fraction(0), domain=dom)
             for m in range(1, m_max + 1):
                 d = orbit_mod.multiplicities(rd, m, "quantum")
+                ratios = orbit_mod.quantum_dim_ratios(lam, m, p, dom)
                 for kv, val in d.items():
-                    if val != orbit_mod.quantum_dim_ratio(lam, kv, p, dom):
+                    if val != ratios[kv]:
                         return False, f"mismatch at {kv}, m={m}"
             return True, None
         rec.run(f"orbit.q{tag}.mult_quantum", "mult_quantum",

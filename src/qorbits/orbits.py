@@ -182,20 +182,22 @@ def multiplicities(rd: RootData, m: int, mode: str) -> Dict[Tuple[int, ...], obj
             for kvec in compositions(m, rd.p)}
 
 
-def quantum_dim_ratio(lam: Sequence[int], kvec: Sequence[int], p: int,
-                      domain: ScalarDomain):
-    """Oracle for the quantum multiplicities at zero mass: a ratio of
-    q-dimensions of the dual-shifted labels."""
+def quantum_dim_ratios(lam: Sequence[int], m: int, p: int,
+                       domain: ScalarDomain) -> dict:
+    """Oracle for the quantum multiplicities at zero mass: composition k of
+    m -> qdim(lam* + k) / qdim(lam*), with qdim(lam*) computed once."""
     lam_star = signature_dual(list(lam) + [0] * (p - len(lam)))
-    shifted = add_vectors(lam_star, kvec)
-    return (q_dimension(shifted, p, domain)
-            / q_dimension(lam_star, p, domain))
+    base = q_dimension(lam_star, p, domain)
+    return {kvec: q_dimension(add_vectors(lam_star, kvec), p, domain) / base
+            for kvec in compositions(m, p)}
 
 
-def classical_dim_ratio(lam: Sequence[int], kvec: Sequence[int],
-                        p: int) -> Fraction:
+def classical_dim_ratios(lam: Sequence[int], m: int, p: int) -> dict:
+    """Composition k of m -> dim(lam* + k) / dim(lam*), Frobenius dimensions."""
     lam_star = list(signature_dual(list(lam) + [0] * (p - len(lam))))
-    return frobenius_dim(list(add_vectors(lam_star, kvec))) / frobenius_dim(lam_star)
+    base = frobenius_dim(lam_star)
+    return {kvec: frobenius_dim(list(add_vectors(lam_star, kvec))) / base
+            for kvec in compositions(m, p)}
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +221,7 @@ def higher_newton_classical(lam: Sequence[int], m: int, s_max: int) -> dict:
     hbar = Fraction(1)
     d_formula = {kvec: multiplicity(kvec, mu, hbar)
                  for kvec in compositions(m, p)}
+    d_ratio = classical_dim_ratios(lam, m, p)
     report = {}
     for s in range(1, s_max + 1):
         route_a = Fraction(0)
@@ -227,7 +230,7 @@ def higher_newton_classical(lam: Sequence[int], m: int, s_max: int) -> dict:
             mu_k = classical_higher_eigenvalue(kvec, mu, hbar)
             mu_k_s2 = classical_higher_eigenvalue_s2(list(lam), kvec, m)
             route_a += mu_k ** s * d_formula[kvec]
-            route_b += mu_k_s2 ** s * classical_dim_ratio(lam, kvec, p)
+            route_b += mu_k_s2 ** s * d_ratio[kvec]
         report[s] = (route_a == route_b, route_a)
     return report
 

@@ -115,17 +115,9 @@ class Representation:
 def place_blocks(blocks: Mat, d: int, rest: int,
                  transpose: bool = False) -> Mat:
     """sum_ij E_ij (x) I_rest (x) B_ij from blocks = sum_ij E_ij (x) B_ij with
-    d x d blocks B_ij, each transposed when transpose is set.  Entries are
-    copied into place: no products are formed."""
-    out = []
-    for r, c, v in blocks.entries():
-        (i, s), (j, k) = divmod(r, d), divmod(c, d)
-        if transpose:
-            s, k = k, s
-        for t in range(rest):
-            out.append(((i * rest + t) * d + s, (j * rest + t) * d + k, v))
-    dim = blocks.nrows * rest
-    return Mat.from_entries(dim, dim, blocks.zero, out)
+    d x d blocks B_ij, each transposed when transpose is set
+    (``Mat.embed_blocks``: the numerators are copied into place)."""
+    return blocks.embed_blocks(d, rest, transpose)
 
 
 def verify_defining_relations(rep: Representation, h) -> list:

@@ -515,6 +515,15 @@ def common_divisor(den: QScalar, nums) -> QScalar:
     return _poly(tuple(c * x for x in p) if c > 1 else p)
 
 
+def laurent_content(nums) -> QScalar:
+    """gcd in Z[q] of nonzero integer Laurent polynomials, each taken after
+    removing its lowest power of q, as a denominator (Q_ONE if it is 1):
+    :func:`common_divisor` started from the first one, so stripped."""
+    nums = iter(nums)
+    n = next(nums)._n
+    return common_divisor(_poly(n[_plow(n):]), nums)
+
+
 def divide_exact(v: QScalar, g: QScalar) -> QScalar:
     """v / g for an integer Laurent polynomial or a denominator v and a
     denominator g that divides it in Z[q]."""

@@ -16,12 +16,15 @@ exact), runs the same integer kernel and reads the result back from
 balanced base-2**B digits.  R-matrices, q-(anti)symmetrizers, their
 embeddings and the module operators are all very sparse, so every operation
 touches nonzeros only; the product is the row-wise sparse product
-(Gustavson 1978).  Exact solves go through one
-routine, ``row_reduce`` (Gauss-Jordan on a dense copy of the entries, at most
-a few hundred rows in scope): ``inverse`` reduces [A | I] and requires the
-pivots to be the columns of A, and a projector's reduction yields both its
-pivot columns and a left inverse on its image.  A weighted partial trace
-acts on the Mat of an operator, with the dimensions of its factors given.
+(Gustavson 1978).  Exact solves go through one routine, ``row_reduce``:
+fraction-free Gauss-Jordan on the numerator rows, in Z or Z[q], touching
+only the rows with a nonzero in the pivot column and dividing each updated
+row by its content (where Bareiss 1968 divides every row by the previous
+pivot), so that a field division is made once per entry of the result.
+``inverse`` reduces [N | den * I] and requires the pivots to be the columns
+of A, and a projector's reduction yields both its pivot columns and a left
+inverse on its image.  A weighted partial trace acts on the Mat of an
+operator, with the dimensions of its factors given.
 
 Index encoding for leg operators is frozen package-wide: the row (column)
 index of an m-leg operator on an n-dimensional space is the mixed-radix
@@ -36,8 +39,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .scalars import (Q_ONE, common_divisor, divide_exact, each_distinct,
-                      laurent_rows, laurent_split, lcm_factors, pack_rows,
-                      pack_width, unpack_rows)
+                      laurent_content, laurent_rows, laurent_split,
+                      lcm_factors, pack_rows, pack_width, unpack_rows)
 
 
 class Mat:
@@ -69,8 +72,8 @@ class Mat:
     __slots__ = ("data", "den", "nrows", "ncols", "zero")
 
     def __init__(self, rows, zero=None):
-        """From dense rows (small literal matrices, elimination results);
-        the zero defaults to that of the first entry."""
+        """From dense rows (small literal matrices); the zero defaults to
+        that of the first entry."""
         if zero is None:
             if not rows or not rows[0]:
                 raise ValueError("an empty matrix needs its zero")
@@ -130,7 +133,9 @@ class Mat:
     @property
     def rows(self) -> list:
         """Dense copy of the entries (a view for reading and comparing)."""
-        return _dense(self)
+        zero, den, cols = self.zero, self.den, range(self.ncols)
+        return [[_entry(zero, row[c], den) if c in row else zero
+                 for c in cols] for row in self.data]
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -248,6 +253,26 @@ class Mat:
         return _mat(out, self.den, left * self.nrows * right, left * ncols,
                     self.zero)
 
+    def embed_blocks(self, d: int, rest: int, transpose: bool = False) -> "Mat":
+        """sum_ij E_ij (x) I_rest (x) B_ij for self = sum_ij E_ij (x) B_ij
+        with d x d blocks B_ij, each transposed when transpose is set.  As
+        in ``embed``, the numerators and ``den`` are copied into place."""
+        stride = rest * d
+        out = []
+        for top in range(0, self.nrows, d):
+            block = self.data[top:top + d]
+            if transpose:
+                flipped = [{} for _ in range(d)]
+                for s, row in enumerate(block):
+                    for c, v in row.items():
+                        flipped[c % d][c - c % d + s] = v
+                block = [{c: row[c] for c in sorted(row)} for row in flipped]
+            for shift in range(0, stride, d):
+                out.extend({c // d * stride + shift + c % d: v
+                            for c, v in row.items()} for row in block)
+        return _mat(out, self.den, self.nrows * rest, self.ncols * rest,
+                    self.zero)
+
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols})"
 
@@ -330,6 +355,19 @@ def _reduce(data, den) -> tuple:
             Q_ONE if den == Q_ONE else den)
 
 
+def _primitive(row) -> dict:
+    """A numerator row divided by its content: the gcd of its ints, or the
+    gcd in Z[q] of its Laurent numerators with their lowest power of q
+    removed (:func:`laurent_content`), each numerator divided exactly."""
+    values = row.values()
+    if isinstance(next(iter(values), 0), int):      # an empty row too
+        g = gcd(*values)
+        return row if g == 1 else {c: v // g for c, v in row.items()}
+    g = laurent_content(values)
+    return row if g is Q_ONE else {c: divide_exact(v, g)
+                                   for c, v in row.items()}
+
+
 def _rescaled(data, f) -> list:
     """The numerator rows times the numerator f (the rows themselves if 1)."""
     if f == 1:
@@ -352,12 +390,6 @@ def _numerators(rows, zero) -> tuple:
         return [{c: v.numerator for c, v in row.items()} for row in rows], 1
     return [{c: v.numerator * (den // v.denominator) for c, v in row.items()}
             for row in rows], den
-
-
-def _dense(mat: Mat) -> list:
-    zero, den, cols = mat.zero, mat.den, range(mat.ncols)
-    return [[_entry(zero, row[c], den) if c in row else zero for c in cols]
-            for row in mat.data]
 
 
 def _mat(data, den, nrows: int, ncols: int, zero) -> Mat:
@@ -383,56 +415,67 @@ def _reduced(data, den, nrows: int, ncols: int, zero) -> Mat:
 # ---------------------------------------------------------------------------
 
 def row_reduce(mat: Mat) -> tuple:
-    """Gauss-Jordan elimination over the field, on a dense copy.
+    """Gauss-Jordan elimination over the field, fraction-free on the
+    numerator rows.
 
     Pivots are sought column by column, each the first nonzero at or below
-    the current row, so the result is deterministic.  Returns (pivot
-    columns, the nonzero rows of the reduced row echelon form as a Mat).
-    Reducing [A | I] solves A X = I: A is invertible if and only if the
-    pivots are its n columns, and then the right half is A**-1.
+    the current row, so the result is deterministic.  Scaling every row by
+    den leaves the reduced row echelon form as it is, so den is ignored: a
+    row with f in the pivot column becomes p * row - f * (pivot row), p the
+    pivot, over its content (:func:`_primitive`), and each pivot row is
+    divided by its pivot at the end.  Returns (pivot columns, the nonzero
+    rows of the reduced row echelon form as a Mat).  Reducing [A | I]
+    solves A X = I: A is invertible if and only if the pivots are its n
+    columns, and then the right half is A**-1.
     """
-    zero = mat.zero
-    one = zero + 1
-    rows = _dense(mat)
+    rows = list(mat.data)
     nr = len(rows)
     pivots = []
     for c in range(mat.ncols):
         r = len(pivots)
         if r == nr:
             break
-        piv = next((i for i in range(r, nr) if rows[i][c]), None)
+        piv = next((i for i in range(r, nr) if c in rows[i]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = one / rows[r][c]
-        prow = rows[r] = [x * inv for x in rows[r]]
-        support = [(j, y) for j, y in enumerate(prow) if y]
-        for i in range(nr):
-            f = rows[i][c]
-            if i != r and f:
-                row = rows[i]
-                for j, y in support:    # zeros of the pivot row change nothing
-                    row[j] -= f * y
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            new = {j: p * v for j, v in row.items()}
+            for j, y in prow.items():
+                x = new.get(j)
+                x = -f * y if x is None else x - f * y
+                if x:
+                    new[j] = x
+                else:               # only an entry of row cancels
+                    del new[j]
+            rows[i] = _primitive(new)
         pivots.append(c)
-    return pivots, Mat.from_entries(
-        len(pivots), mat.ncols, zero,
-        ((i, j, v) for i, row in enumerate(rows[:len(pivots)])
-         for j, v in enumerate(row) if v))
+    zero = mat.zero
+    out = [{j: _entry(zero, row[j], row[c]) for j in sorted(row)}
+           for row, c in zip(rows, pivots)]
+    return pivots, _reduced(*_numerators(out, zero), len(pivots), mat.ncols,
+                            zero)
 
 
 def inverse(mat: Mat) -> Mat:
-    """A**-1, the right half of the reduced [A | I]."""
+    """A**-1, the right half of the reduced [A | I], which is built as
+    [N | den * I] on the numerator rows N of A over its den."""
     n = mat.nrows
     if n != mat.ncols:
         raise ValueError("inverse needs a square matrix")
-    zero, one = mat.zero, mat.zero + 1
-    pivots, rows = row_reduce(Mat(
-        [row + [one if j == i else zero for j in range(n)]
-         for i, row in enumerate(_dense(mat))], zero))
+    den = mat.den
+    pivots, reduced = row_reduce(_mat(
+        [{**row, n + i: den} for i, row in enumerate(mat.data)], den, n,
+        2 * n, mat.zero))
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return Mat.from_entries(n, n, zero, ((i, j - n, v)
-                                         for i, j, v in rows.entries() if j >= n))
+    return _reduced([{j - n: v for j, v in row.items() if j >= n}
+                     for row in reduced.data], reduced.den, n, n, mat.zero)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ from qorbits.casimir import left_casimir_matrix, split_casimir_matrix
 from qorbits.hecke import standard_hecke
 from qorbits.identities import RootData, compositions, omega_roots_p2
 from qorbits.orbits import (OrbitError, chain_multiplicities,
-                            classical_dim_ratio, classical_eigenvalues,
+                            classical_dim_ratios, classical_eigenvalues,
                             classical_higher_eigenvalue,
                             classical_higher_eigenvalue_s2, conjecture_scan,
                             frobenius_dim, higher_newton_classical,
                             higher_newton_quantum_p2, is_m_admissible,
-                            multiplicities, quantum_dim_ratio,
+                            multiplicities, quantum_dim_ratios,
                             rep_eigenvalues, signature_dual,
                             spectral_idempotents, string_decompose)
 
@@ -180,8 +180,20 @@ class TestMultiplicities:
         mu = rep_eigenvalues(lam, p, "rea_q", dom)
         spec = RootData(mu=mu, hbar=Fraction(0), domain=dom)
         d = multiplicities(spec, m, "quantum")
-        for kvec, val in d.items():
-            assert val == quantum_dim_ratio(lam, kvec, p, dom)
+        assert d == quantum_dim_ratios(lam, m, p, dom)
+
+    def test_dimension_ratios_take_the_base_dimension_once(self, monkeypatch):
+        # qdim(lam*) does not depend on k: one call for it, one per k
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        real = orbits.q_dimension
+        monkeypatch.setattr(orbits, "q_dimension", counting)
+        ratios = quantum_dim_ratios((6, 3, 0), 3, 3, at_q(Fraction(2, 7)))
+        assert len(ratios) == len(compositions(3, 3)) == 10
+        assert len(calls) == len(ratios) + 1
 
     @pytest.mark.parametrize("n,m", [(2, 4), (3, 3), (4, 4)])
     def test_classical_against_frobenius_ratio(self, n, m):
@@ -192,8 +204,7 @@ class TestMultiplicities:
         mu = classical_eigenvalues(list(lam))
         spec = RootData(mu=mu, hbar=Fraction(1), domain=at_q(Fraction(2)))
         d = multiplicities(spec, m, "classical")
-        for kvec, val in d.items():
-            assert val == classical_dim_ratio(lam, kvec, n)
+        assert d == classical_dim_ratios(lam, m, n)
 
     def test_classical_sum_rule(self):
         # all multiplicities over weight m sum to the symmetric power dim

@@ -472,6 +472,118 @@ class TestSparseAgainstDense:
             assert Mat.zeros(3, 3, zero).trace() == zero
 
 
+# ---------------------------------------------------------------------------
+# elimination against the dense Gauss-Jordan it replaced
+# ---------------------------------------------------------------------------
+
+def dense_row_reduce(mat):
+    """Gauss-Jordan over the field on a dense copy of the entries, with one
+    field operation per entry: the oracle for the fraction-free row_reduce."""
+    zero = mat.zero
+    one = zero + 1
+    rows = mat.rows
+    nr = len(rows)
+    pivots = []
+    for c in range(mat.ncols):
+        r = len(pivots)
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = one / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nr):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots, Mat.from_entries(
+        len(pivots), mat.ncols, zero,
+        ((i, j, v) for i, row in enumerate(rows[:len(pivots)])
+         for j, v in enumerate(row) if v))
+
+
+@st.composite
+def elimination_case(draw):
+    """(zero, dense rows) for row_reduce: pool entries in about half of the
+    positions (over den != 1, with negative and non-unit pivots; Laurent and
+    rational-function entries over symbolic q), made rank-deficient by
+    repeated or scaled rows, zero rows and zero columns, and on request
+    widened to [A | I]."""
+    zero, pool = DOMAINS[draw(st.sampled_from(sorted(DOMAINS)))]
+    nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = dense(draw, zero, pool, nr, nc)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("scaled row", "zero row", "zero column")))
+        i = draw(st.integers(0, nr - 1))
+        if kind == "scaled row":
+            s = draw(st.sampled_from(pool))
+            rows[i] = [s * x for x in rows[draw(st.integers(0, nr - 1))]]
+        elif kind == "zero row":
+            rows[i] = [zero] * nc
+        else:
+            for row in rows:
+                row[draw(st.integers(0, nc - 1))] = zero
+    if draw(st.booleans()):
+        one = zero + 1
+        rows = [row + [one if j == i else zero for j in range(nr)]
+                for i, row in enumerate(rows)]
+    return zero, rows
+
+
+def placed_blocks(blocks, d, rest, transpose):
+    """sum_ij E_ij (x) I_rest (x) B_ij entry by entry through from_entries,
+    the route reps.place_blocks took before Mat.embed_blocks."""
+    out = []
+    for r, c, v in blocks.entries():
+        (i, s), (j, k) = divmod(r, d), divmod(c, d)
+        if transpose:
+            s, k = k, s
+        for t in range(rest):
+            out.append(((i * rest + t) * d + s, (j * rest + t) * d + k, v))
+    dim = blocks.nrows * rest
+    return Mat.from_entries(dim, dim, blocks.zero, out)
+
+
+class TestNumeratorRoutesAgainstEntries:
+    @settings(max_examples=120, deadline=None)
+    @given(elimination_case())
+    def test_row_reduce(self, case):
+        zero, rows = case
+        mat = Mat(rows, zero)
+        pivots, reduced = row_reduce(mat)
+        assert_canonical(reduced)
+        assert (pivots, reduced) == dense_row_reduce(mat)
+
+    @pytest.mark.parametrize("domain", sorted(DOMAINS))
+    def test_inverse_round_trip(self, domain):
+        # a 4 x 4 matrix over a den other than 1, with rational-function
+        # entries over symbolic q
+        zero, pool = DOMAINS[domain]
+        rng = random.Random(29)
+        one = zero + 1
+        while True:
+            mat = Mat([[rng.choice(pool) if rng.random() < 0.6 else zero
+                        for _ in range(4)] for _ in range(4)], zero)
+            if mat.den != 1 and len(row_reduce(mat)[0]) == 4:
+                break
+        inv = inverse(mat)
+        assert_canonical(inv)
+        assert mat * inv == inv * mat == Mat.identity(4, zero, one)
+
+    @settings(max_examples=40, deadline=None)
+    @given(domain_case(), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3), st.booleans())
+    def test_embed_blocks(self, case, n, d, rest, transpose):
+        zero, _, draw = case
+        blocks = Mat(draw(n * d, n * d), zero)
+        got = blocks.embed_blocks(d, rest, transpose)
+        assert_canonical(got)
+        assert got == placed_blocks(blocks, d, rest, transpose)
+
+
 class TestSymbolicLayout:
     def test_symmetrizer_over_one_polynomial(self, h2):
         # row 1 of S(2) is (0, q**2, q, 0) / (q**2 + 1): integer Laurent
