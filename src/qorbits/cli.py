@@ -108,21 +108,13 @@ def _domains(args, rng) -> list:
     return [at_q(Fraction(args.q))]
 
 
-def _r_file(args) -> tuple:
-    """(n, entries) of the --r-file, not built (exit 3 on a file error)."""
-    try:
-        return hecke_mod.read_r_file(args.r_file)
-    except (OSError, hecke_mod.RFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(3)
-
-
 def _r_matrix(args, domain, n: int):
-    """The --r-file R-matrix (exit 3 on a file error), else the standard one
-    on an n-dimensional space."""
+    """The R-matrix of the --r-file, built from the one parse that
+    :func:`_check_args` kept (``args.r_data``), else the standard one on an
+    n-dimensional space."""
     if not args.r_file:
         return hecke_mod.standard_r(n, domain)
-    return hecke_mod.build_r(*_r_file(args), domain)
+    return hecke_mod.build_r(*args.r_data, domain)
 
 
 def _hecke(args, domain, n: int, standard: bool = False) -> hecke_mod.HeckeSymmetry:
@@ -738,7 +730,17 @@ def _check_args(parser, args) -> None:
             parser.error(f"--{flag} must be at least {low} when given, got {value}")
     if args.max_size < 1:
         parser.error(f"--max-size must be at least 1, got {args.max_size}")
-    file_n = _r_file(args)[0] if args.r_file else None
+    # the R-file is read once per run, unbuilt (exit 3 on a file error):
+    # every suite builds its R from this parse, so the suites run on the
+    # file checked here
+    file_n = None
+    if args.r_file:
+        try:
+            args.r_data = hecke_mod.read_r_file(args.r_file)
+        except (OSError, hecke_mod.RFileError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            raise SystemExit(3)
+        file_n = args.r_data[0]
     for suite, space in _largest_spaces(args, file_n).items():
         size = (args.suite in (suite, "all")
                 and _size_above(args.max_size, *space))

@@ -1,18 +1,18 @@
 """q-index pairing, q-Euler characteristic and the class algebra shadow.
 
 Projective module classes are integer vectors up to a common shift; the
-q-index pairs a class with a signature, and at the trivial signature it
-becomes the q-Euler characteristic, a shift-invariant q-deformation of the
-classical Euler number of flag-variety line bundles.  The class algebra is
-checked only through its numeric shadow: the relation values are
-q-binomials and the characteristic is additive across fixed total weight.
+q-index of a class at the trivial signature is its q-Euler characteristic,
+a shift-invariant q-deformation of the classical Euler number of
+flag-variety line bundles.  The class algebra is checked only through its
+numeric shadow: the relation values are q-binomials and the characteristic
+is additive across fixed total weight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .scalars import ScalarDomain
 from .casimir import q_dimension
@@ -47,26 +47,19 @@ class ModuleClass:
         return ModuleClass(tuple(a + b for a, b in zip(self.k, other.k)))
 
 
-def q_index_and_euler(k: Sequence[int], p: int, domain: ScalarDomain,
-                      lam: Optional[Sequence[int]] = None):
-    """Product over pairs of (lam_i - lam_j + k_i - k_j + i - j)_q / (i - j)_q.
+def q_index_and_euler(k: Sequence[int], p: int, domain: ScalarDomain):
+    """Product over pairs of (k_i - k_j + i - j)_q / (i - j)_q.
 
-    This is the q-dimension of the signature -(lam + k) (the Weyl dimension
-    formula evaluated there), computed by :func:`qorbits.casimir.q_dimension`.
-    With lam omitted it is the q-Euler characteristic chi_q, invariant under
+    This is the q-Euler characteristic chi_q of the class k: the q-dimension
+    of the signature -k (the Weyl dimension formula evaluated there),
+    computed by :func:`qorbits.casimir.q_dimension`.  It is invariant under
     shifting k by a common integer; the classical Euler number is its value
     at q -> 1.
     """
     k = list(k)
     if len(k) != p:
         raise EulerError(f"expected a length-{p} vector, got {len(k)}")
-    if lam is None:
-        lam = [0] * p
-    else:
-        lam = list(lam)
-        if len(lam) != p:
-            raise EulerError("signature length mismatch")
-    return q_dimension([-(a + b) for a, b in zip(lam, k)], p, domain)
+    return q_dimension([-x for x in k], p, domain)
 
 
 def classical_euler(k: Sequence[int], p: int) -> Fraction:

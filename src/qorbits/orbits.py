@@ -219,18 +219,16 @@ def higher_newton_classical(lam: Sequence[int], m: int, s_max: int) -> dict:
     if repeated_pair(mu) is not None:
         raise OrbitError("orbit is not 1-generic")
     hbar = Fraction(1)
-    d_formula = {kvec: multiplicity(kvec, mu, hbar)
-                 for kvec in compositions(m, p)}
     d_ratio = classical_dim_ratios(lam, m, p)
+    # (mu_k, d_k) of each route, once per composition: neither depends on s
+    terms = [(classical_higher_eigenvalue(kvec, mu, hbar),
+              multiplicity(kvec, mu, hbar),
+              classical_higher_eigenvalue_s2(list(lam), kvec, m),
+              d_ratio[kvec]) for kvec in compositions(m, p)]
     report = {}
     for s in range(1, s_max + 1):
-        route_a = Fraction(0)
-        route_b = Fraction(0)
-        for kvec in compositions(m, p):
-            mu_k = classical_higher_eigenvalue(kvec, mu, hbar)
-            mu_k_s2 = classical_higher_eigenvalue_s2(list(lam), kvec, m)
-            route_a += mu_k ** s * d_formula[kvec]
-            route_b += mu_k_s2 ** s * d_ratio[kvec]
+        route_a = sum((a ** s * da for a, da, _, _ in terms), Fraction(0))
+        route_b = sum((b ** s * db for _, _, b, db in terms), Fraction(0))
         report[s] = (route_a == route_b, route_a)
     return report
 

@@ -2,16 +2,18 @@
 
 The ground field is the rationals (stdlib ``fractions.Fraction``).  On top of
 it sits :class:`QScalar`, the field of rational functions in one variable q.
-A QScalar stores two integer polynomials n/d in a unique canonical form, so
-that equality of values is equality of representations, and all of its
-arithmetic runs on integer coefficient tuples: gcds are primitive
-pseudo-remainder sequences over Z[q] and divisions by a gcd are exact
-integer divisions (Gauss's lemma).  Laurent polynomials in q (the common
-case: q-integers, q-binomials, R-matrix entries) are rational functions whose
-denominator is a monomial c*q**k.  Each operation has one general path;
-monomials take it too.  The one exception is a sum or product of two
-integer Laurent polynomials (over a monic q**k), done with no gcd, because
-every symbolic Mat sum and scaling is one.
+A QScalar stores its value as q**s * n/d: an exponent s and two integer
+polynomials n and d with nonzero constant terms, in a unique canonical form,
+so that equality of values is equality of representations.  All of its
+arithmetic runs on integer coefficient tuples: a sum aligns the two
+exponents, a product adds them, gcds are primitive pseudo-remainder
+sequences over Z[q] and divisions by a gcd are exact integer divisions
+(Gauss's lemma).  Since the power of q is kept apart, no gcd ever meets it.
+Laurent polynomials in q (the common case: q-integers, q-binomials,
+R-matrix entries) are the values with d a constant.  Each operation has one
+general path; monomials take it too.  The one exception is a sum or product
+of two integer Laurent polynomials (d = 1), done with no gcd, because every
+symbolic Mat sum and scaling is one.
 
 Identities claimed "for symbolic q" may alternatively be checked by exact
 evaluation at random rational points (see :func:`random_q`).  Such a check
@@ -49,6 +51,14 @@ def _ptrim(c: list) -> tuple:
     return tuple(c[:n])
 
 
+def _low(a) -> int:
+    """Index of the lowest nonzero coefficient of a nonzero polynomial."""
+    i = 0
+    while not a[i]:
+        i += 1
+    return i
+
+
 def _padd(a: tuple, b: tuple) -> tuple:
     if len(a) < len(b):
         a, b = b, a
@@ -61,11 +71,6 @@ def _pneg(a: tuple) -> tuple:
     return tuple(-x for x in a)
 
 
-def _is_monomial(a: tuple) -> bool:
-    """True for c*q**k with c != 0."""
-    return a.count(0) == len(a) - 1
-
-
 def _pmul(a: tuple, b: tuple) -> tuple:
     """Product of nonzero integer polynomials (Z is a domain: no trim)."""
     out = [0] * (len(a) + len(b) - 1)
@@ -76,23 +81,9 @@ def _pmul(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-def _low_coeff(a: tuple) -> int:
-    """Lowest-degree nonzero coefficient of a nonzero polynomial."""
-    return next(filter(None, a))
-
-
-def _plow(a: tuple) -> int:
-    """Degree of the lowest nonzero term of a nonzero polynomial."""
-    return a.index(_low_coeff(a))
-
-
-def _q_pow_poly(k: int) -> tuple:
-    return (0,) * k + (1,)
-
-
 def _int_div_exact(f: tuple, g: tuple) -> tuple:
-    """Exact quotient of integer polynomials by long division, q**k divisors
-    included; ArithmeticError if g does not divide f in Z[q]."""
+    """Exact quotient of integer polynomials by long division;
+    ArithmeticError if g does not divide f in Z[q]."""
     dg, lg = len(g) - 1, g[-1]
     r = list(f)
     q = [0] * (len(f) - dg)
@@ -136,7 +127,7 @@ def _int_prem(f: list, g: list) -> list:
 
 def _pgcd(a: tuple, b: tuple) -> tuple:
     """Primitive gcd of nonzero integer polynomials, up to sign, by primitive
-    remainder sequences; with a monomial c*q**k this is q**min(k, low(f))."""
+    remainder sequences."""
     f = _int_primitive(a)
     g = _int_primitive(b)
     if len(f) < len(g):
@@ -177,23 +168,25 @@ def _term_str(c: Fraction, e: int, lead: bool) -> str:
 class QScalar:
     """Rational function in q over the rationals, in unique canonical form.
 
-    Storage is a pair of integer polynomials n/d (coefficient tuples indexed
-    by degree) with n and d coprime in Q[q], the coefficients of n and d
-    together of gcd 1, and the lowest nonzero coefficient of d positive;
-    zero is ``((), (1,))``.  Equal values have equal (n, d), so ``==`` and
-    ``hash`` are structural.
+    Storage is an exponent s and a pair of integer polynomials n, d
+    (coefficient tuples indexed by degree), the value being q**s * n/d.  In
+    the canonical form n and d have nonzero constant terms, they are coprime
+    in Q[q], their coefficients together have gcd 1, and d(0) > 0; zero is
+    ``((), (1,), 0)``.  Equal values have equal (n, d, s), so ``==`` and
+    ``hash`` are structural.  A Laurent polynomial has d of length 1.
 
     ``num`` and ``den`` are tuples of Fraction coefficients of the same
-    value, scaled so that the lowest-degree coefficient of ``den`` is 1; a
-    Laurent polynomial has ``den`` a pure power of q.  No arithmetic reads
-    them: they serve formatting and error text.  Two integer Laurent
-    polynomials (``d`` a monic q**k) meet in ``+ - *`` and ``/`` by q**j
-    with no gcd: the coefficients are aligned or multiplied and the zero
-    ends trimmed.  ``QScalar(num, den)`` accepts int or Fraction
-    coefficient tuples and canonicalizes them.
+    value with the power of q put back, in ``num`` when s > 0 and in
+    ``den`` when s < 0, scaled so that the lowest-degree coefficient of
+    ``den`` is 1; a Laurent polynomial has ``den`` a pure power of q.  No
+    arithmetic reads them: they serve formatting and error text.  Two
+    integer Laurent polynomials (d = 1) meet in ``+ - *`` and ``/`` by q**j
+    with no gcd: the coefficients are aligned or multiplied.  ``QScalar(num,
+    den)`` accepts int or Fraction coefficient tuples and canonicalizes
+    them.
     """
 
-    __slots__ = ("_n", "_d", "_hash")
+    __slots__ = ("_n", "_d", "_s", "_hash")
 
     def __init__(self, num, den=(1,)):
         num, den = tuple(num), tuple(den)
@@ -202,21 +195,26 @@ class QScalar:
         d = _ptrim([int(c * scale) for c in den])
         if not d:
             raise ZeroDivisionError("zero denominator")
-        n, d = _reduced(n, d) if n else ((), (1,))
+        ln, ld = (_low(n), _low(d)) if n else (0, 0)
+        n, d = n[ln:], d[ld:]
+        # cancel the gcd, then the joint content and the sign
+        n, d = (_content_and_sign(*_cancel(n, d, _pgcd(n, d))) if n
+                else ((), (1,)))
         self._n = n
         self._d = d
+        self._s = ln - ld
         self._hash = None
 
     # -- Fraction coefficients ----------------------------------------------
     @property
     def num(self) -> tuple:
-        low = _low_coeff(self._d)
-        return tuple(Fraction(c, low) for c in self._n)
+        low = self._d[0]
+        return tuple(Fraction(c, low) for c in (0,) * self._s + self._n)
 
     @property
     def den(self) -> tuple:
-        low = _low_coeff(self._d)
-        return tuple(Fraction(c, low) for c in self._d)
+        low = self._d[0]
+        return tuple(Fraction(c, low) for c in (0,) * -self._s + self._d)
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -225,13 +223,11 @@ class QScalar:
             r = Fraction(r)
         if not r:
             return Q_ZERO
-        return _make((r.numerator,), (r.denominator,))
+        return _make((r.numerator,), (r.denominator,), 0)
 
     @staticmethod
     def q_power(k: int) -> "QScalar":
-        if k >= 0:
-            return _make(_q_pow_poly(k), (1,))
-        return _make((1,), _q_pow_poly(-k))
+        return _make((1,), (1,), k)
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
@@ -239,10 +235,10 @@ class QScalar:
 
     def is_laurent(self) -> bool:
         """True when the denominator is a pure power of q."""
-        return _is_monomial(self._d)
+        return len(self._d) == 1
 
     def is_rational(self) -> bool:
-        return len(self._d) == 1 and len(self._n) <= 1
+        return len(self._d) == 1 and len(self._n) <= 1 and not self._s
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
@@ -261,26 +257,26 @@ class QScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _sum(self, o._n, o._d)
+        return _sum(self, o._n, o._d, o._s)
 
     __radd__ = __add__
 
     def __neg__(self):
         if not self._n:
             return self
-        return _make(_pneg(self._n), self._d)
+        return _make(_pneg(self._n), self._d, self._s)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _sum(self, _pneg(o._n), o._d)
+        return _sum(self, _pneg(o._n), o._d, o._s)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _sum(o, _pneg(self._n), self._d)
+        return _sum(o, _pneg(self._n), self._d, self._s)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -288,7 +284,8 @@ class QScalar:
             return NotImplemented
         if not self._n or not o._n:
             return Q_ZERO
-        return _cross_cancelled_product(self._n, self._d, o._n, o._d)
+        return _cross_cancelled_product(self._n, self._d, o._n, o._d,
+                                        self._s + o._s)
 
     __rmul__ = __mul__
 
@@ -300,7 +297,8 @@ class QScalar:
             raise ZeroDivisionError("division by zero QScalar")
         if not self._n:
             return Q_ZERO
-        return _cross_cancelled_product(self._n, self._d, o._d, o._n)
+        return _cross_cancelled_product(self._n, self._d, o._d, o._n,
+                                        self._s - o._s)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -317,11 +315,11 @@ class QScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._n == o._n and self._d == o._d
+        return self._n == o._n and self._d == o._d and self._s == o._s
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self._n, self._d))
+            self._hash = hash((self._n, self._d, self._s))
         return self._hash
 
     def __bool__(self):
@@ -337,29 +335,23 @@ class QScalar:
 _new = object.__new__
 
 
-def _make(n: tuple, d: tuple) -> QScalar:
-    """A QScalar from a pair already in canonical form."""
-    s = _new(QScalar)
-    s._n = n
-    s._d = d
-    s._hash = None
-    return s
-
-
-def _laurent(n: tuple, low: int) -> QScalar:
-    """sum_i n[i] q**(low + i) for integer coefficients, n[0] != 0."""
-    if low < 0:
-        return _make(n, _q_pow_poly(-low))
-    return _make((0,) * low + n, (1,))
+def _make(n: tuple, d: tuple, s: int) -> QScalar:
+    """The QScalar q**s * n/d from a pair already in canonical form."""
+    x = _new(QScalar)
+    x._n = n
+    x._d = d
+    x._s = s
+    x._hash = None
+    return x
 
 
 def _content_and_sign(n: tuple, d: tuple) -> tuple:
-    """Divide a coprime pair by its joint content; make low(d) positive."""
+    """Divide a coprime pair by its joint content; make d(0) positive."""
     g = math.gcd(*n, *d)
     if g != 1:
         n = tuple(c // g for c in n)
         d = tuple(c // g for c in d)
-    if _low_coeff(d) < 0:
+    if d[0] < 0:
         n, d = _pneg(n), _pneg(d)
     return n, d
 
@@ -371,34 +363,26 @@ def _cancel(a: tuple, b: tuple, g: tuple) -> tuple:
     return a, b
 
 
-def _reduced(n: tuple, d: tuple) -> tuple:
-    """Canonical pair for n/d (n != 0): cancel the gcd, then content and sign."""
-    return _content_and_sign(*_cancel(n, d, _pgcd(n, d)))
-
-
-def _is_q_power(d: tuple) -> bool:
-    """True for q**k: the denominator of an integer Laurent polynomial."""
-    return d[-1] == 1 and _is_monomial(d)
-
-
-def _sum(x: QScalar, n2: tuple, d2: tuple) -> QScalar:
-    """x + n2/d2 for a canonical pair (n2, d2)."""
-    n1, d1 = x._n, x._d
+def _sum(x: QScalar, n2: tuple, d2: tuple, s2: int) -> QScalar:
+    """x + q**s2 * n2/d2 for a canonical (n2, d2, s2)."""
+    n1, d1, s1 = x._n, x._d, x._s
     if not n1:
-        return _make(n2, d2) if n2 else Q_ZERO
+        return _make(n2, d2, s2) if n2 else Q_ZERO
     if not n2:
         return x
+    # align the exponents: both terms over q**low
+    low = min(s1, s2)
+    n1 = (0,) * (s1 - low) + n1
+    n2 = (0,) * (s2 - low) + n2
     # 1,762 of 1,913 sums of a symbolic-rank2 batch; both off: wall_s +10 %
-    if _is_q_power(d1) and _is_q_power(d2):
-        # integer Laurent polynomials: add at aligned exponents and trim
-        # both ends, with no gcd (a pair over q**k has content 1)
-        k = max(len(d1), len(d2)) - 1
-        num = _padd((0,) * (k + 1 - len(d1)) + n1,
-                    (0,) * (k + 1 - len(d2)) + n2)
+    if d1 == d2 == (1,):
+        # integer Laurent polynomials: add the aligned coefficients and
+        # strip the low zeros, with no gcd (a pair over 1 has content 1)
+        num = _padd(n1, n2)
         if not num:
             return Q_ZERO
-        lo = _plow(num)
-        return _laurent(num[lo:], lo - k)
+        k = _low(num)
+        return _make(num[k:], d1, low + k)
     # textbook rational addition: after splitting off the denominator
     # gcd, the only factor the sum can share with the denominator is
     # that gcd itself
@@ -407,27 +391,28 @@ def _sum(x: QScalar, n2: tuple, d2: tuple) -> QScalar:
     num = _padd(_pmul(n1, d2p), _pmul(n2, d1p))
     if not num:
         return Q_ZERO
+    k = _low(num)
+    num = num[k:]
     den = _pmul(d1, d2p)
     if len(g) > 1:
         num, den = _cancel(num, den, _pgcd(num, g))
-    return _make(*_content_and_sign(num, den))
+    return _make(*_content_and_sign(num, den), low + k)
 
 
-def _cross_cancelled_product(n1, d1, n2, d2) -> QScalar:
-    """(n1/d1)(n2/d2) for coprime pairs, cancelling across before multiplying."""
+def _cross_cancelled_product(n1, d1, n2, d2, s) -> QScalar:
+    """q**s (n1/d1)(n2/d2) for coprime pairs with nonzero constant terms,
+    cancelling across before multiplying; the product keeps them nonzero."""
     # 1,647 of 2,015 products of a symbolic-rank2 batch; both off: wall_s +10 %
-    if _is_q_power(d1) and _is_q_power(d2):
-        # both over powers of q: multiply and trim the low zeros, no gcd
-        n = _pmul(n1, n2)
-        lo = _plow(n)
-        return _laurent(n[lo:], lo - len(d1) - len(d2) + 2)
+    if d1 == d2 == (1,):
+        # both integer Laurent polynomials: multiply, no gcd
+        return _make(_pmul(n1, n2), d1, s)
     n1, d2 = _cancel(n1, d2, _pgcd(n1, d2))
     n2, d1 = _cancel(n2, d1, _pgcd(n2, d1))
-    return _make(*_content_and_sign(_pmul(n1, n2), _pmul(d1, d2)))
+    return _make(*_content_and_sign(_pmul(n1, n2), _pmul(d1, d2)), s)
 
 
-Q_ZERO = _make((), (1,))
-Q_ONE = _make((1,), (1,))
+Q_ZERO = _make((), (1,), 0)
+Q_ONE = _make((1,), (1,), 0)
 Q = QScalar.q_power(1)
 
 
@@ -435,19 +420,19 @@ Q = QScalar.q_power(1)
 # a symbolic matrix as integer Laurent numerators over one denominator
 # ---------------------------------------------------------------------------
 #
-# The numerators are QScalars over a monic q**k (integer Laurent
-# polynomials); the denominator is a QScalar over 1 whose constant term is
-# positive (an integer polynomial that q does not divide).  Sums and scalings
-# of numerators are QScalar's own gcd-free + - *.  Products of numerators run
+# The numerators are QScalars with d = 1 (integer Laurent polynomials); the
+# denominator is a QScalar with d = 1 and s = 0 (an integer polynomial with
+# positive constant term, so q does not divide it).  Sums and scalings of
+# numerators are QScalar's own gcd-free + - *.  Products of numerators run
 # on Python ints by Kronecker substitution (Kronecker 1882; Schoenhage 1982):
-# a numerator becomes its value at X = 2**bits, relative to a low exponent,
+# a numerator becomes its value at X = 2**bits, relative to the least exponent,
 # and a sum of products is read back from balanced base-X digits, which is
 # exact while every coefficient is below 2**(bits - 1) in absolute value.
 # Numerators take few distinct values, so a product packs, decodes and
 # divides by the content each distinct value once (:func:`each_distinct`).
 
 def _poly(n: tuple) -> QScalar:
-    return Q_ONE if n == (1,) else _make(n, (1,))
+    return Q_ONE if n == (1,) else _make(n, (1,), 0)
 
 
 def laurent_split(s: QScalar) -> tuple:
@@ -455,11 +440,7 @@ def laurent_split(s: QScalar) -> tuple:
     polynomial with D(0) > 0, coprime in Z[q]; s may be a rational."""
     if not isinstance(s, QScalar):
         s = QScalar.from_rational(s)
-    d = s._d
-    k = _plow(d)
-    if not k:
-        return _make(s._n, (1,)), _poly(d)
-    return _make(s._n, _q_pow_poly(k)), _poly(d[k:])
+    return _make(s._n, (1,), s._s), _poly(s._d)
 
 
 def laurent_rows(rows) -> tuple:
@@ -500,7 +481,7 @@ def common_divisor(den: QScalar, nums) -> QScalar:
         if c == 1 and len(p) == 1:
             return Q_ONE
         n = v._n
-        # skips 1,687 of 2,409 per symbolic-rank2 batch; wall_s +25 % without
+        # skips 1,814 of 2,217 per symbolic-rank2 batch; wall_s +25 % without
         if n in seen:
             continue
         seen.add(n)
@@ -516,18 +497,17 @@ def common_divisor(den: QScalar, nums) -> QScalar:
 
 
 def laurent_content(nums) -> QScalar:
-    """gcd in Z[q] of nonzero integer Laurent polynomials, each taken after
-    removing its lowest power of q, as a denominator (Q_ONE if it is 1):
-    :func:`common_divisor` started from the first one, so stripped."""
+    """gcd in Z[q] of the n of nonzero integer Laurent polynomials (each
+    without its power of q), as a denominator (Q_ONE if it is 1):
+    :func:`common_divisor` started from the first one."""
     nums = iter(nums)
-    n = next(nums)._n
-    return common_divisor(_poly(n[_plow(n):]), nums)
+    return common_divisor(_poly(next(nums)._n), nums)
 
 
 def divide_exact(v: QScalar, g: QScalar) -> QScalar:
     """v / g for an integer Laurent polynomial or a denominator v and a
     denominator g that divides it in Z[q]."""
-    return _make(_int_div_exact(v._n, g._n), v._d)
+    return _make(_int_div_exact(v._n, g._n), v._d, v._s)
 
 
 def pack_width(arows, brows) -> int:
@@ -561,16 +541,16 @@ def each_distinct(rows, f) -> list:
 
 def pack_rows(rows, bits: int) -> tuple:
     """(rows of each numerator's value at X = 2**bits times X**-low, low),
-    where q**low, low <= 0, is the lowest negative power in the rows; each
-    distinct numerator is packed once."""
-    top = max((len(v._d) for row in rows for v in row.values()), default=1)
+    where q**low is the least power of q in the rows (low may be positive);
+    each distinct numerator is packed once."""
+    low = min((v._s for row in rows for v in row.values()), default=0)
 
     def pack(v):
         acc = 0
         for x in reversed(v._n):
             acc = (acc << bits) + x
-        return acc << (bits * (top - len(v._d)))
-    return each_distinct(rows, pack), 1 - top
+        return acc << (bits * (v._s - low))
+    return each_distinct(rows, pack), low
 
 
 def unpack_rows(rows, bits: int, low: int) -> list:
@@ -592,10 +572,8 @@ def unpack_rows(rows, bits: int, low: int) -> list:
                 x -= full
             digits.append(x)
             acc = (acc - x) >> bits
-        skip = 0
-        while not digits[skip]:
-            skip += 1
-        return _laurent(tuple(digits[skip:]), low + skip)
+        skip = _low(digits)
+        return _make(tuple(digits[skip:]), (1,), low + skip)
     return each_distinct(rows, unpack)
 
 
@@ -609,7 +587,7 @@ def q_int(m: int) -> QScalar:
         return Q_ZERO
     if m < 0:
         return -q_int(-m)
-    return _make((1, 0) * (m - 1) + (1,), _q_pow_poly(m - 1))
+    return _make((1, 0) * (m - 1) + (1,), (1,), 1 - m)
 
 
 class QEvalError(ZeroDivisionError):
@@ -628,7 +606,7 @@ def eval_at(s: QScalar, q0) -> Fraction:
     if den == 0:
         raise QEvalError(
             f"denominator {_pstr(s.den)} vanishes at q = {q0}")
-    return Fraction(_hom_eval(s._n, a, b, top), den)
+    return Fraction(_hom_eval(s._n, a, b, top), den) * q0 ** s._s
 
 
 def _hom_eval(f: tuple, a: int, b: int, top: int) -> int:
@@ -693,14 +671,12 @@ def format_scalar(s: QScalar) -> str:
         return "0"
     if not s.is_laurent():
         raise ValueError("only Laurent scalars have a canonical text form")
-    shift = _plow(s._d)
-    num = s.num
+    low = s._d[0]
     parts = []
-    for d in range(len(num) - 1, -1, -1):
-        c = num[d]
-        if not c:
-            continue
-        parts.append(_term_str(c, d - shift, lead=not parts))
+    for e in range(len(s._n) - 1, -1, -1):
+        c = s._n[e]
+        if c:
+            parts.append(_term_str(Fraction(c, low), e + s._s, lead=not parts))
     return "".join(parts)
 
 

@@ -7,16 +7,17 @@ entries) the numerators are ints and ``den`` is a positive int, so products,
 sums and kron run on integers and each result is reduced once by its
 content.  An embedding I (x) X (x) I (``Mat.embed``, the one way a block is
 placed between identities) copies the numerators into place and does no
-integer arithmetic.  In symbolic mode (QScalar entries) the numerators
-are integer Laurent polynomials in q and ``den`` is an integer polynomial
-with positive constant term; sums and scalings use the numerators' own
-+ - * as in evaluated mode, and a product packs them into ints at q = 2**B
-(Kronecker substitution, with B taken from the operands so that it is
-exact), runs the same integer kernel and reads the result back from
-balanced base-2**B digits.  R-matrices, q-(anti)symmetrizers, their
-embeddings and the module operators are all very sparse, so every operation
-touches nonzeros only; the product is the row-wise sparse product
-(Gustavson 1978).  Exact solves go through one routine, ``row_reduce``:
+integer arithmetic.  In symbolic mode (QScalar entries) the numerators are
+integer Laurent polynomials q**s * n, their power of q kept apart, and
+``den`` is an integer polynomial with positive constant term; sums and
+scalings use the numerators' own + - * as in evaluated mode, and a product
+packs them into ints at q = 2**B (Kronecker substitution, with B taken from
+the operands so that it is exact), runs the same integer kernel and reads
+the result back from balanced base-2**B digits.  R-matrices,
+q-(anti)symmetrizers, their embeddings and the module operators are all very
+sparse, so every operation touches nonzeros only; the product is the
+row-wise sparse product (Gustavson 1978).  Exact solves go through one
+routine, ``row_reduce``:
 fraction-free Gauss-Jordan on the numerator rows, in Z or Z[q], touching
 only the rows with a nonzero in the pivot column and dividing each updated
 row by its content (where Bareiss 1968 divides every row by the previous
@@ -48,10 +49,10 @@ class Mat:
 
     ``data[i]`` maps column -> numerator for row i and ``den`` is the common
     denominator: ints over a positive int for Fraction entries; in symbolic
-    mode integer Laurent polynomials (QScalars over a monic power of q) over
-    an integer polynomial (a QScalar over 1) whose constant term is
-    positive, so that q does not divide it.  Every operation keeps four
-    invariants:
+    mode integer Laurent polynomials (QScalars q**s * n/d with d = 1) over
+    an integer polynomial (a QScalar with d = 1 and s = 0) whose constant
+    term is positive, so that q does not divide it.  Every operation keeps
+    four invariants:
 
     * no zero is stored;
     * the keys of each row are in ascending column order;

@@ -510,6 +510,23 @@ class TestExitCodes:
                           "--out", str(tmp_path / "o.json")])
         assert code == 0
 
+    def test_all_reads_the_r_file_once(self, tmp_path, monkeypatch):
+        # the usage checks parse the R-file and every suite, at every q,
+        # builds its R from that parse, so no suite can run on a file other
+        # than the one the checks admitted
+        path = tmp_path / "r.json"
+        save_r_to_file(path, standard_hecke(2).r)
+        reads = []
+
+        def counting(p, real=hecke.read_r_file):
+            reads.append(p)
+            return real(p)
+        monkeypatch.setattr(hecke, "read_r_file", counting)
+        code = run_suite(["all", "--seed", "1", "--r-file", str(path),
+                          "--out", str(tmp_path / "o.json")])
+        assert code == 0
+        assert reads == [str(path)]
+
     def test_module_entrypoint(self, tmp_path):
         # the installed console path: python -m qorbits.cli, importing the
         # same package these tests import

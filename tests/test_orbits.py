@@ -241,6 +241,19 @@ class TestHigherNewton:
             rep = higher_newton_classical(lam, m, 3)
             assert all(ok for ok, _ in rep.values())
 
+    def test_classical_eigenvalues_once_per_composition(self, monkeypatch):
+        # neither route's eigenvalue depends on s, so each is computed once
+        # per composition of m, not once per s
+        names = ("classical_higher_eigenvalue", "classical_higher_eigenvalue_s2")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counting(*args, name=name, real=getattr(orbits, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(orbits, name, counting)
+        higher_newton_classical((5, 2), 3, 4)
+        assert calls == dict.fromkeys(names, len(compositions(3, 2)))
+
     def test_admissibility_gate(self):
         assert is_m_admissible((5, 2), 3)
         assert not is_m_admissible((5, 4), 3)

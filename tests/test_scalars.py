@@ -9,6 +9,7 @@ from qorbits.scalars import (Q, QScalar, Q_ONE, Q_ZERO, QEvalError,
                              ScalarParseError, at_q, eval_at, format_scalar,
                              parse_scalar, q_int,
                              random_q, SYMBOLIC)
+from test_tensor import assert_canonical_scalar
 
 
 def brute_q_pow_sum(exps):
@@ -144,23 +145,30 @@ class TestRationalFunctions:
             ex, ey = eval_at(x, q0), eval_at(y, q0)
         except QEvalError:
             assume(False)
-        assert eval_at(x + y, q0) == ex + ey
-        assert eval_at(x - y, q0) == ex - ey
-        assert eval_at(x * y, q0) == ex * ey
+        results = [x + y, x - y, x * y] + ([x / y] if y else [])
+        for z in results:
+            assert_canonical_scalar(z)
+        assert eval_at(results[0], q0) == ex + ey
+        assert eval_at(results[1], q0) == ex - ey
+        assert eval_at(results[2], q0) == ex * ey
         if ey:
-            assert eval_at(x / y, q0) == ex / ey
+            assert eval_at(results[3], q0) == ex / ey
 
     @given(operands, operands)
     @settings(max_examples=180, deadline=None)
     def test_division_roundtrip(self, x, y):
         assume(not y.is_zero())
-        assert (x / y) * y == x
-        assert (x * y) / y == x
+        quotient, product = x / y, x * y
+        for z in (quotient, product, quotient * y, product / y):
+            assert_canonical_scalar(z)
+        assert quotient * y == x
+        assert product / y == x
 
     @given(operands, nonzero_coeffs)
     @settings(max_examples=180, deadline=None)
     def test_canonical_uniqueness(self, x, c):
         scaled = QScalar(tuple(c * a for a in x.num), tuple(c * a for a in x.den))
+        assert_canonical_scalar(scaled)
         assert scaled.num == x.num and scaled.den == x.den
         assert scaled == x and hash(scaled) == hash(x)
 

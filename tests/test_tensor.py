@@ -235,15 +235,28 @@ def qpoly_gcd(a, b):
     return [x / a[-1] for x in a]
 
 
+def assert_canonical_scalar(x):
+    """The stored form q**s * n/d of a QScalar: n and d with nonzero constant
+    and leading terms, coprime in Q[q], of joint content 1 and with
+    d(0) > 0; zero is ((), (1,), 0)."""
+    n, d, s = x._n, x._d, x._s
+    if not n:
+        assert (d, s) == ((1,), 0)
+        return
+    assert n[0] and n[-1] and d[-1] and d[0] > 0
+    assert gcd(*n, *d) == 1
+    assert len(qpoly_gcd([Fraction(c) for c in n], [Fraction(c) for c in d])) == 1
+
+
 def assert_canonical(mat):
     """No stored zero, keys in ascending column order and in range, and the
     reduced form, so that equal matrices have equal ``den`` and ``data``.
 
     Evaluated mode: int numerators over an int den > 0 with gcd 1.  Symbolic
-    mode: integer Laurent numerators (QScalars over a monic power of q) over
-    an integer polynomial den with positive constant term, with gcd 1 in
-    Z[q]: no common integer content and no common factor in Q[q].  The zero
-    matrix has den 1 in both."""
+    mode: integer Laurent numerators (canonical QScalars with d = 1) over an
+    integer polynomial den (d = 1 and s = 0) with positive constant term,
+    with gcd 1 in Z[q]: no common integer content and no common factor in
+    Q[q].  The zero matrix has den 1 in both."""
     assert len(mat.data) == mat.nrows
     for row in mat.data:
         keys = list(row)
@@ -262,6 +275,9 @@ def assert_canonical(mat):
     if mat.is_zero():
         assert den == 1
     coeffs = [list(den.num)]
+    for v in (den, *nums):
+        assert_canonical_scalar(v)
+        assert v._d == (1,)
     for v in nums:
         shift = len(v.den) - 1
         assert tuple(v.den) == (0,) * shift + (1,)
@@ -648,27 +664,32 @@ class TestSymbolicLayout:
     def test_square_of_s6_transforms_each_distinct_value_once(
             self, h2, monkeypatch):
         # S(6) has 924 nonzeros but 48 distinct numerators: squaring it
-        # decodes (scalars._laurent) and divides by the content
+        # decodes (the unpack function that unpack_rows hands to
+        # scalars.each_distinct) and divides by the content
         # (tensor.divide_exact) each distinct value once, and the
         # denominator once more; one call per nonzero would make 925
         s6 = q_symmetrizer(h2, 6).mat
         distinct = {v for row in s6.data for v in row.values()}
         assert (s6.support(), len(distinct)) == (924, 48)
-        calls = {"laurent": 0, "divide": 0}
+        calls = {"unpack": 0, "divide": 0}
 
         def counting(name, real):
             def wrapper(*args):
                 calls[name] += 1
                 return real(*args)
             return wrapper
+
+        def each_distinct(rows, f, real=scalars.each_distinct):
+            if f.__name__ == "unpack":
+                f = counting("unpack", f)
+            return real(rows, f)
         with monkeypatch.context() as patch:
-            patch.setattr(scalars, "_laurent",
-                          counting("laurent", scalars._laurent))
+            patch.setattr(scalars, "each_distinct", each_distinct)
             patch.setattr(tensor, "divide_exact",
                           counting("divide", tensor.divide_exact))
             square = s6 * s6
         assert square == s6
-        assert 0 < calls["laurent"] <= len(distinct) + 1
+        assert 0 < calls["unpack"] <= len(distinct) + 1
         assert 0 < calls["divide"] <= len(distinct) + 1
 
 
