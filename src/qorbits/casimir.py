@@ -35,10 +35,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .scalars import ScalarDomain
-from .tensor import Mat, weighted_partial_trace
+from .tensor import Mat, block_pairing
 from .identities import RootData, central_trace
 from .projectors import q_symmetrizer
-from .reps import (Compression, Representation, place_blocks, sym_chart,
+from .reps import (Compression, Representation, sym_chart,
                    sym_level, sym_power_left, sym_power_right_rea_p2)
 
 
@@ -133,18 +133,17 @@ def module_trace(op: Mat, dk: int, dm: int, weight: Mat):
 
 def _casimir_pairing(h, first: Representation, second: Representation,
                      transpose: bool) -> Mat:
-    """q**(2p) C_j^i (L1 L2)_i^j = q**(2p) sum_ij C[i][j] sum_a F_ia (x) B_aj.
+    """q**(2p) C_j^i (L1 L2)_i^j = q**(2p) sum_ja F'_ja (x) B_aj.
 
-    The C-weighted trace over the auxiliary index of the product of
-    L1 = sum_ia E_ia (x) F_ia (x) I and L2 = sum_aj E_aj (x) I (x) B_aj on
-    V (x) V_first (x) V_second: F are the first module's blocks, B the
-    second's, transposed when transpose is set.  Its callers memoize it
-    under ("pairing", k, m, transpose)."""
-    d1, d2 = first.d, second.d
-    product = (first.blocks.embed(1, d2)
-               * place_blocks(second.blocks, d2, d1, transpose))
-    acc = weighted_partial_trace(product, {1}, h.c.transpose(),
-                                 (h.n, d1 * d2))
+    F are the first module's blocks and F' those of (C^T (x) I) F, which
+    carries the weight of the C-weighted trace over the auxiliary index of
+    the product of L1 = sum_ia E_ia (x) F_ia (x) I and L2 = sum_aj E_aj (x)
+    I (x) B_aj; B are the second module's blocks, transposed when transpose
+    is set.  The pairing (:func:`qorbits.tensor.block_pairing`) builds
+    nothing on V (x) V_first (x) V_second.  Its callers memoize it under
+    ("pairing", k, m, transpose)."""
+    weighted = h.c.transpose().embed(1, first.d) * first.blocks
+    acc = block_pairing(weighted, second.blocks, h.n, transpose)
     return acc.scale(h.domain.q_pow(2 * h.p))
 
 

@@ -21,6 +21,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from math import comb, prod
 
 from . import euler as euler_mod
@@ -144,8 +145,9 @@ def _largest_spaces(args, file_n) -> dict:
     scan.  A tensor power of degree m has its relations checked on
     V (x) V (x) V**m, m + 2 legs; a symmetric power on V (x) V (x) V_(m),
     and its levels build nothing larger; a split Casimir of degrees (k, m)
-    traces a product on V (x) V_(k) (x) V_(m), and its closed form
-    compresses on V_(k) (x) V**m.  Off the standard symmetries dim V_(m) is
+    is counted on V (x) V_(k) (x) V_(m), which bounds its modules and its
+    pairing (on V_(k) (x) V_(m)), and its closed form compresses on
+    V_(k) (x) V**m.  Off the standard symmetries dim V_(m) is
     no binomial but at most n**m, so R-file runs count V_(m) as m legs.
     """
     k = args.k or 3
@@ -468,23 +470,35 @@ def suite_conjecture(args, rec, rng, domains):
 def suite_orbit(args, rec, rng, domains):
     p = args.p or 3
     m_max = args.m or 3
+
+    # the classical checks do not depend on q: each verdict is computed at
+    # the first q and recorded again under every q's id
+    @cache
+    def mult_classical():
+        # super-increasing gaps keep every derived eigenvalue distinct
+        gaps = [m_max + 5 ** (i + 2) for i in range(p - 1)]
+        lam = tuple(sum(gaps[i:]) for i in range(p - 1)) + (0,)
+        mu = orbit_mod.classical_eigenvalues(list(lam))
+        rd = ident_mod.RootData(mu=mu, hbar=Fraction(1),
+                                domain=at_q(Fraction(2)))
+        for m in range(1, m_max + 1):
+            d = orbit_mod.multiplicities(rd, m, "classical")
+            ratios = orbit_mod.classical_dim_ratios(lam, m, p)
+            for kv, val in d.items():
+                if val != ratios[kv]:
+                    return False, f"mismatch at {kv}, m={m}"
+        return True, None
+
+    @cache
+    def hn_classical():
+        for lam in [(5, 2), (7, 3)]:
+            rep = orbit_mod.higher_newton_classical(lam, 2, 3)
+            if not all(v[0] for v in rep.values()):
+                return False, f"disagreement at lam={lam}"
+        return True, None
+
     for dom in domains:
         tag = dom.describe()
-
-        def mult_classical(p=p, m_max=m_max):
-            # super-increasing gaps keep every derived eigenvalue distinct
-            gaps = [m_max + 5 ** (i + 2) for i in range(p - 1)]
-            lam = tuple(sum(gaps[i:]) for i in range(p - 1)) + (0,)
-            mu = orbit_mod.classical_eigenvalues(list(lam))
-            rd = ident_mod.RootData(mu=mu, hbar=Fraction(1),
-                                    domain=at_q(Fraction(2)))
-            for m in range(1, m_max + 1):
-                d = orbit_mod.multiplicities(rd, m, "classical")
-                ratios = orbit_mod.classical_dim_ratios(lam, m, p)
-                for kv, val in d.items():
-                    if val != ratios[kv]:
-                        return False, f"mismatch at {kv}, m={m}"
-            return True, None
         rec.run(f"orbit.q{tag}.mult_classical", "mult_classical",
                 {"p": p, "q": tag}, mult_classical)
 
@@ -501,13 +515,6 @@ def suite_orbit(args, rec, rng, domains):
             return True, None
         rec.run(f"orbit.q{tag}.mult_quantum", "mult_quantum",
                 {"p": p, "q": tag}, mult_quantum, finding=(p > 2))
-
-        def hn_classical():
-            for lam in [(5, 2), (7, 3)]:
-                rep = orbit_mod.higher_newton_classical(lam, 2, 3)
-                if not all(v[0] for v in rep.values()):
-                    return False, f"disagreement at lam={lam}"
-            return True, None
         rec.run(f"orbit.q{tag}.hn_classical", "hn_classical", {"q": tag},
                 hn_classical)
 
@@ -675,7 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="symmetry rank for rank-parametrized checks "
                              "(at least 2)")
     parser.add_argument("--q", type=str, default="random",
-                        help="rational like 2/3, or 'random' (default)")
+                        help="rational like 2/3, or 'random' (default); a "
+                             "negative value is written --q=-2/3")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for sampled parameters (default 0)")
     parser.add_argument("--samples", type=int, default=3,
@@ -683,9 +691,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--m", type=int, default=None)
     parser.add_argument("--k", type=int, default=None)
     parser.add_argument("--mu", type=str, default=None,
-                        help="comma-separated distinct rational eigenvalues")
+                        help="comma-separated distinct rational "
+                             "eigenvalues; a list that starts with a minus "
+                             "sign is written --mu=-3,4")
     parser.add_argument("--hbar", type=str, default="1",
-                        help="rational mass parameter (default 1)")
+                        help="rational mass parameter (default 1); a "
+                             "negative fraction is written --hbar=-1/2")
     parser.add_argument("--r-file", type=str, default=None)
     parser.add_argument("--out", type=str, default=None)
     parser.add_argument("--symbolic", action="store_true",

@@ -11,7 +11,10 @@ engine on transposed blocks, :func:`place_blocks`).
 
 The defining relations live on V (x) V with operator-valued entries:
 
-    R L1 R L1 - L1 R L1 R = hbar (R L1 - L1 R),   L1 = L (x) I.
+    R L1 R L1 - L1 R L1 R = hbar (R L1 - L1 R),   L1 = L (x) I,
+
+which is the commutator form R W = W R with W = L1 R L1 - hbar L1, the
+form :func:`verify_defining_relations` checks.
 
 Symmetric powers are built on the levels (b_j, l_j) of the q-symmetrizer
 tower (:func:`sym_level`): left, q**(1-m) m_q Y_m with Y_1 the fundamental
@@ -124,21 +127,27 @@ def verify_defining_relations(rep: Representation, h) -> list:
     """Exact check of the (m)REA relations at the module's mass rep.hbar;
     empty list iff valid.
 
-    Returns the block positions ((i, j), (k, l)) at which the relation matrix
-    is nonzero.  For side="right" the products are evaluated in the opposite
-    multiplication order, as befits an anti-homomorphism.
+    The relation matrix is the commutator R~ W - W R~ with R~ = R (x) I_d
+    and W = L1 R~ L1 - hbar L1: one product of two generator matrices, and
+    two by R~, which has at most two nonzeros per row on the standard
+    symmetries.  The relations hold iff R~ W == W R~ (the reduced form
+    makes == exact); otherwise returns the block positions ((i, j),
+    (k, l)) at which R~ W - W R~ is nonzero.  For side="right" the
+    products are evaluated in the opposite multiplication order, as
+    befits an anti-homomorphism.
     """
     n, d = rep.n, rep.d
     dom = rep.domain
     hbar = dom.lift(rep.hbar)
     l1 = rep.generator_matrix(2)
     rbig = h.r.mat.embed(1, d)
-    rl = rbig * l1
-    lr = l1 * rbig
-    e = rl * rl - lr * lr
+    w = l1 * (rbig * l1)
     if hbar:
-        e = e - (rl - lr).scale(hbar)
-    bad = sorted({(r // d, c // d) for r, c, _ in e.entries()})
+        w = w - l1.scale(hbar)
+    rw, wr = rbig * w, w * rbig
+    if rw == wr:
+        return []
+    bad = sorted({(r // d, c // d) for r, c, _ in (rw - wr).entries()})
     return [((a // n, a % n), (b // n, b % n)) for a, b in bad]
 
 

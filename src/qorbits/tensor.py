@@ -25,7 +25,9 @@ pivot), so that a field division is made once per entry of the result.
 ``inverse`` reduces [N | den * I] and requires the pivots to be the columns
 of A, and a projector's reduction yields both its pivot columns and a left
 inverse on its image.  A weighted partial trace acts on the Mat of an
-operator, with the dimensions of its factors given.
+operator, with the dimensions of its factors given; ``block_pairing`` is
+the partial trace over the generator leg of a product of two block
+matrices, accumulated without that product.
 
 Index encoding for leg operators is frozen package-wide: the row (column)
 index of an m-leg operator on an n-dimensional space is the mixed-radix
@@ -218,6 +220,8 @@ class Mat:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch")
+        if self.is_zero() or other.is_zero():
+            return Mat.zeros(self.nrows, other.ncols, self.zero)
         if _rational(self.zero):
             out = _product(self.data, other.data)
         else:
@@ -283,15 +287,23 @@ _new = object.__new__
 
 def _product(adata, bdata) -> list:
     """Rows of the product of two matrices of numerators, with no zero
-    stored and each row in column order."""
+    stored and each row in column order.  A row of one term a at k is a
+    times row k of b, already in column order, and a product of nonzero
+    ints is nonzero, so it needs no sort and no zero test."""
     out = []
     for arow in adata:
-        acc = {}
-        for k, a in arow.items():
-            for j, b in bdata[k].items():
-                x = acc.get(j)
-                acc[j] = a * b if x is None else x + a * b
-        out.append({j: acc[j] for j in sorted(acc) if acc[j]})
+        if len(arow) > 1:
+            acc = {}
+            for k, a in arow.items():
+                for j, b in bdata[k].items():
+                    x = acc.get(j)
+                    acc[j] = a * b if x is None else x + a * b
+            out.append({j: acc[j] for j in sorted(acc) if acc[j]})
+        elif arow:
+            for k, a in arow.items():
+                out.append({j: a * b for j, b in bdata[k].items()})
+        else:
+            out.append({})
     return out
 
 
@@ -605,3 +617,52 @@ def weighted_partial_trace(mat: Mat, legs, weight: Mat, dims) -> Mat:
                 orow[kc] = pv * v if x is None else x + pv * v
     return _reduced([{c: row[c] for c in sorted(row) if row[c]} for row in acc],
                     mat.den * weight.den ** len(legs), dim_out, dim_out, mat.zero)
+
+
+def block_pairing(f: Mat, g: Mat, n: int, transpose: bool) -> Mat:
+    """sum_(j,a) F_ja (x) G_aj for f = sum_ij E_ij (x) F_ij and
+    g = sum_ij E_ij (x) G_ij, i, j < n, each G_aj transposed when transpose
+    is set.
+
+    This is the partial trace over the generator leg of the product
+    (f (x) I)(sum_aj E_aj (x) I (x) G_aj), formed on the d_f d_g dimensions
+    of the result, not on the n d_f d_g of that product; a weight W on the
+    traced leg, as in :func:`weighted_partial_trace`, is applied to f
+    beforehand, as (W (x) I) f.  The numerators are accumulated as in a
+    product, packed into ints in symbolic mode.
+    """
+    if f.nrows != f.ncols or g.nrows != g.ncols or f.nrows % n or g.nrows % n:
+        raise ValueError("block pairing needs two n x n grids of square blocks")
+    d1, d2 = f.nrows // n, g.nrows // n
+    zero = f.zero
+    fdata, gdata = f.data, g.data
+    if not _rational(zero):
+        # a coefficient sums n rows of f against g: n times a product's bound
+        bits = pack_width(fdata, gdata) + n.bit_length()
+        fdata, flow = pack_rows(fdata, bits)
+        gdata, glow = pack_rows(gdata, bits)
+    blocks = [[[{} for _ in range(d2)] for _ in range(n)] for _ in range(n)]
+    for r, row in enumerate(gdata):         # blocks[a][j][s]: row s of G_aj
+        a, s = divmod(r, d2)
+        for c, v in row.items():
+            j, t = divmod(c, d2)
+            if transpose:
+                blocks[a][j][t][s] = v
+            else:
+                blocks[a][j][s][t] = v
+    out = []
+    for r1 in range(d1):
+        accs = [{} for _ in range(d2)]      # the rows (r1, 0..d2-1)
+        for j in range(n):
+            for c, x in fdata[j * d1 + r1].items():
+                a, c1 = divmod(c, d1)
+                base = c1 * d2
+                for acc, grow in zip(accs, blocks[a][j]):
+                    for c2, y in grow.items():
+                        col = base + c2
+                        z = acc.get(col)
+                        acc[col] = x * y if z is None else z + x * y
+        out.extend({c: acc[c] for c in sorted(acc) if acc[c]} for acc in accs)
+    if not _rational(zero):
+        out = unpack_rows(out, bits, flow + glow)
+    return _reduced(out, f.den * g.den, d1 * d2, d1 * d2, zero)

@@ -15,8 +15,8 @@ from qorbits.casimir import (CasimirError, basic_roots, closed_form_p2,
                              module_trace, q_dimension, split_casimir_matrix,
                              trace_weights)
 from qorbits.projectors import q_symmetrizer
-from qorbits.reps import (Compression, RepresentationError, sym_chart,
-                          sym_power_left, sym_power_right_rea_p2)
+from qorbits.reps import (Compression, RepresentationError, place_blocks,
+                          sym_chart, sym_power_left, sym_power_right_rea_p2)
 from qorbits.identities import (IdentityError, RootData, ch_verify,
                                 omega_roots_p2)
 from qorbits.orbits import frobenius_dim
@@ -268,6 +268,18 @@ def _pairing_oracle(h, first, second, transpose):
     return acc.scale(h.domain.q_pow(2 * h.p))
 
 
+def _traced_product_oracle(h, first, second, transpose):
+    """The product-then-trace route: q**(2p) times the C-weighted trace over
+    the auxiliary leg of (F (x) I)(sum_aj E_aj (x) I (x) B_aj) on
+    V (x) V_first (x) V_second."""
+    d1, d2 = first.d, second.d
+    product = (first.blocks.embed(1, d2)
+               * place_blocks(second.blocks, d2, d1, transpose))
+    return weighted_partial_trace(product, {1}, h.c.transpose(),
+                                  (h.n, d1 * d2)).scale(
+        h.domain.q_pow(2 * h.p))
+
+
 class TestPairingFormula:
     """The split Casimir as the C-weighted trace of a product of generator
     matrices equals the sum of block krons it stands for."""
@@ -292,6 +304,24 @@ class TestPairingFormula:
         expect = _pairing_oracle(h, sym_power_left(h, k), sym_power_left(h, m),
                                  True)
         assert left_casimir_matrix(h, k, m).op.rows == expect.rows
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("q0", [None, Fraction(3, 5)])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_fused_pairing_against_the_traced_product(self, n, q0,
+                                                      transpose):
+        # the fused pairing equals the product-then-trace route and the
+        # sum of block krons, on left modules of ranks 2-5 and, at rank 2,
+        # on the right module the split Casimir pairs
+        h = standard_hecke(n, SYMBOLIC if q0 is None else at_q(q0))
+        pairs = [(sym_power_left(h, k), sym_power_left(h, m))
+                 for k, m in ((2, 1), (1, 2), (2, 2))]
+        if n == 2:
+            pairs += [(sym_power_right_rea_p2(h, 3), sym_power_left(h, 2))]
+        for first, second in pairs:
+            got = casimir._casimir_pairing(h, first, second, transpose)
+            assert got == _traced_product_oracle(h, first, second, transpose)
+            assert got == _pairing_oracle(h, first, second, transpose)
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_weight_orientation(self, transpose):

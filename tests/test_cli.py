@@ -232,6 +232,31 @@ class TestReports:
         assert esp["status"] == "fail"
         assert esp["witness"] == "deletion recurrence fails at k=1, i=0"
 
+    def test_orbit_classical_checks_run_once_per_report(self, tmp_path,
+                                                        monkeypatch):
+        # mult_classical and hn_classical do not depend on q: their work
+        # does not grow with the q samples, and each verdict is recorded
+        # under every q's id
+        calls = []
+        for name in ("higher_newton_classical", "classical_dim_ratios"):
+            def counting(*args, real=getattr(orbits, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(orbits, name, counting)
+        counts = []
+        for samples in ("1", "3"):
+            calls.clear()
+            code, report = run_json(tmp_path, ["orbit", "--seed", "1",
+                                               "--samples", samples])
+            assert code == 0 and len(report["q"]) == int(samples)
+            counts.append(sorted(calls))
+            status = {c["id"]: c["status"] for c in report["checks"]}
+            for tag in report["q"]:
+                assert status[f"orbit.q{tag}.mult_classical"] == "pass"
+                assert status[f"orbit.q{tag}.hn_classical"] == "pass"
+        assert counts[0].count("higher_newton_classical") == 2
+        assert counts[1] == counts[0]
+
     def test_symbolic_run_leaves_no_q_number_table(self, tmp_path):
         # every op of the benchmark is a one-shot certification: the shared
         # symbolic domain keeps no table, and no two sampled domains share one
@@ -335,6 +360,23 @@ class TestExitCodes:
         stderr = capsys.readouterr().err
         assert "usage:" in stderr and "Traceback" not in stderr
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--q", "-2/3"), ("--mu", "-3,4"), ("--hbar", "-1/2")])
+    def test_negative_value_is_written_with_an_equals_sign(
+            self, tmp_path, capsys, flag, value):
+        # argparse takes a separate word that starts with "-" and is not a
+        # plain negative number for an option: that form stays a usage
+        # error, and the "=" form runs
+        argv = ["orbit"] + ([] if flag == "--q" else ["--q", "2/3"])
+        code, _ = run_json(tmp_path, argv + [f"{flag}={value}"])
+        assert code == 0
+        out = tmp_path / "separate.json"
+        with pytest.raises(SystemExit) as err:
+            run_suite(argv + [flag, value, "--out", str(out)])
+        assert err.value.code == 2
+        assert not out.exists()
+        assert "usage:" in capsys.readouterr().err
+
     def test_missing_r_file_is_file_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             run_suite(["validate", "--r-file", "/definitely/not/here.json"])
@@ -389,8 +431,8 @@ class TestExitCodes:
         for argv in (
                 ["conjecture", "--p", "3", "--n", "3", "--k", "9", "--m", "9",
                  "--max-size", "10", "--samples", "1"],
-                # the rank-3 (3, 3) scan's Casimir product acts on
-                # V (x) V_(3) (x) V_(3): 3 * 10 * 10 = 300
+                # the guard counts the rank-3 (3, 3) scan's Casimir pair
+                # on V (x) V_(3) (x) V_(3): 3 * 10 * 10 = 300
                 ["conjecture", "--p", "3", "--k", "3", "--m", "3",
                  "--max-size", "299"],
                 # reps (2**5), conjecture (3**3) and ch (2 * 4 * 4 = 32,
@@ -409,7 +451,7 @@ class TestExitCodes:
                 ["newton", "--q", "2/3", "--max-size", "8"],
                 ["orbit", "--q", "2/3", "--max-size", "8"],
                 ["calibrate-trace", "--q", "2/3", "--max-size", "8"],
-                # the split Casimir product on V (x) V_(2) (x) V_(2):
+                # the split Casimir pair, counted on V (x) V_(2) (x) V_(2):
                 # 2 * 3 * 3 = 18 > 2**4, and 3 * 6 * 6 = 108 for the
                 # rank-3 scan
                 ["ch", "--q", "2/3", "--k", "2", "--max-size", "16"],
@@ -445,7 +487,8 @@ class TestExitCodes:
                 # V (x) V (x) V_(8): 9 * 2584 dimensions, not 9 * C(10, 2)
                 (["calibrate-trace", "--m", "8"], "3**10"),
                 (["newton", "--k", "8"], "3**10"),
-                # the (6, 4) scan's Casimir product on V (x) V_(6) (x) V_(4)
+                # the (6, 4) scan's Casimir pair, counted on
+                # V (x) V_(6) (x) V_(4)
                 (["conjecture", "--k", "6", "--m", "4"], "3**11"),
                 (["conjecture", "--k", "9" * 4300], "more than 4096")):
             with pytest.raises(SystemExit) as err:

@@ -45,6 +45,18 @@ def sandwiched(h, m, x):
                                                 * dom.q_int(m)))
 
 
+def four_product_relations(rep, h):
+    """Reference oracle, the four-product form: the block positions at which
+    R L1 R L1 - L1 R L1 R - hbar (R L1 - L1 R) is nonzero."""
+    n, d = rep.n, rep.d
+    l1 = rep.generator_matrix(2)
+    rbig = h.r.mat.embed(1, d)
+    rl, lr = rbig * l1, l1 * rbig
+    e = rl * rl - lr * lr - (rl - lr).scale(rep.domain.lift(rep.hbar))
+    bad = sorted({(r // d, c // d) for r, c, _ in e.entries()})
+    return [((a // n, a % n), (b // n, b % n)) for a, b in bad]
+
+
 class TestFundamental:
     def test_action_matches_weight_entries(self, h2):
         rep = fundamental_left(h2)
@@ -64,6 +76,25 @@ class TestFundamental:
         rep = _bumped(fundamental_left(h2), 0, 1)
         assert verify_defining_relations(rep, h2) != []
         assert verify_defining_relations(fundamental_left(h2), h2) == []
+
+    @pytest.mark.parametrize("q0", [None, Fraction(3, 5)])
+    @pytest.mark.parametrize("hbar", [0, 1])
+    def test_commutator_form_matches_four_products(self, q0, hbar):
+        # the one-commutator check returns the four-product oracle's exact
+        # block list on valid modules ([]) and on each with one block
+        # entry perturbed
+        h = standard_hecke(2, SYMBOLIC if q0 is None else at_q(q0))
+        for rep in (fundamental_left(h), sym_power_left(h, 2),
+                    sym_power_right_p2(h, 2)):
+            if rep.hbar != hbar:
+                rep = with_mass(rep, hbar, h)
+            assert verify_defining_relations(rep, h) == []
+            assert four_product_relations(rep, h) == []
+            for i, j in ((0, 0), (0, 1), (1, 0)):
+                bad = _bumped(rep, i, j)
+                expect = four_product_relations(bad, h)
+                assert expect
+                assert verify_defining_relations(bad, h) == expect
 
     def test_zero_rep_solves_massless_relations(self, h2):
         rep = Representation("left", Fraction(0), 2, 3,

@@ -11,8 +11,9 @@ from qorbits.hecke import standard_hecke, standard_r
 from qorbits.projectors import q_antisymmetrizer, q_symmetrizer
 from qorbits.scalars import (Q, Q_ZERO, SYMBOLIC, QScalar, at_q, pack_rows,
                              pack_width, q_int, unpack_rows)
-from qorbits.tensor import (LegOperator, LegError, Mat, embed_on_legs,
-                            inverse, row_reduce, weighted_partial_trace)
+from qorbits.tensor import (LegOperator, LegError, Mat, block_pairing,
+                            embed_on_legs, inverse, row_reduce,
+                            weighted_partial_trace)
 
 
 def random_legop(rng, n, m, dom):
@@ -365,6 +366,54 @@ class TestSparseAgainstDense:
             assert got.is_zero() == (got.support() == 0)
             assert got.zero == zero
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(DOMAINS)), st.integers(0, 3),
+           st.integers(0, 3), st.integers(0, 3),
+           st.sampled_from(["dense", "zero", "one term"]),
+           st.sampled_from(["dense", "zero", "one term"]), st.data())
+    def test_product_of_empty_and_one_term_rows(self, domain, nr, nk, nc,
+                                                kind_a, kind_b, data):
+        # shapes with no rows or a 0 inner dimension, all-zero operands and
+        # rows with exactly one nonzero
+        zero, pool = DOMAINS[domain]
+
+        def operand(kind, rows, cols):
+            if kind == "dense":
+                return dense(data.draw, zero, pool, rows, cols)
+            out = [[zero] * cols for _ in range(rows)]
+            if kind == "one term" and cols:
+                for row in out:
+                    row[data.draw(st.integers(0, cols - 1))] = data.draw(
+                        st.sampled_from(pool))
+            return out
+
+        def mat(rows, nrows, ncols):
+            return Mat.from_entries(nrows, ncols, zero, (
+                (i, j, v) for i, row in enumerate(rows)
+                for j, v in enumerate(row)))
+        a, b = operand(kind_a, nr, nk), operand(kind_b, nk, nc)
+        got = mat(a, nr, nk) * mat(b, nk, nc)
+        assert_canonical(got)
+        assert (got.nrows, got.ncols) == (nr, nc)
+        assert got.rows == [[sum((a[i][k] * b[k][j] for k in range(nk)), zero)
+                             for j in range(nc)] for i in range(nr)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(domain_case(), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3), st.booleans())
+    def test_block_pairing(self, case, n, d1, d2, transpose):
+        # sum_ja F_ja (x) G_aj is the partial trace over the generator leg
+        # of (f (x) I)(sum_aj E_aj (x) I (x) G_aj)
+        zero, _, draw = case
+        f = Mat(draw(n * d1, n * d1), zero)
+        g = Mat(draw(n * d2, n * d2), zero)
+        got = block_pairing(f, g, n, transpose)
+        assert_canonical(got)
+        expect = weighted_partial_trace(
+            f.embed(1, d2) * g.embed_blocks(d2, d1, transpose), {1},
+            Mat.identity(n, zero, zero + 1), (n, d1 * d2))
+        assert got == expect
+
     @settings(max_examples=60, deadline=None)
     @given(domain_case(), st.integers(1, 4), st.integers(1, 4))
     def test_cancellation(self, case, nr, nc):
@@ -640,6 +689,18 @@ class TestSymbolicLayout:
         value = sum(pa[0][k] * pb[k][0] for k in (0, 1))
         short = unpack_rows([{0: value}], 20, low_a + low_b)[0][0]
         assert short == want - 2 ** 20 * Q ** 2 + Q ** 3
+
+    def test_block_pairing_coefficient_above_a_products_bound(self):
+        # every block is c q with 2c = 2**20 - 2: a product's bound
+        # |row|_1 * max|g| = 2c asks for 21 bits, but each coefficient of
+        # the pairing sums n = 2 rows of f, here 4c = 2**21 - 4 at q
+        c = 2 ** 19 - 1
+        f = Mat([[c * Q] * 2] * 2)
+        g = Mat([[Q ** 0] * 2] * 2)
+        assert pack_width(f.data, g.data) == 21
+        got = block_pairing(f, g, 2, False)
+        assert_canonical(got)
+        assert got[0, 0] == 4 * c * Q
 
     @settings(max_examples=60, deadline=None)
     @given(repeating_operands())
