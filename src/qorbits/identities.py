@@ -245,11 +245,15 @@ def parametric_central_values(rd: RootData, p: int) -> CentralValues:
 
 def root_products(mat: Mat, roots: Sequence, domain: ScalarDomain):
     """Yield P_0 = I and then P_j = P_(j-1) (M - r_j), with P_1 = M - r_1: one
-    product per root after the first."""
+    product per root after the first.  The chain ends at its first zero
+    product, since every later one is zero too, so the last product yielded
+    is zero if and only if the full product is."""
     n, zero = mat.nrows, domain.zero
     prod = Mat.identity(n, zero, domain.one)
     yield prod
     for j, r in enumerate(roots):
+        if prod.is_zero():
+            return
         factor = mat - Mat.identity(n, zero, domain.lift(r))
         prod = factor if j == 0 else prod * factor
         yield prod
@@ -258,8 +262,10 @@ def root_products(mat: Mat, roots: Sequence, domain: ScalarDomain):
 def ch_verify(mat: Mat, roots: Sequence, domain: ScalarDomain) -> Tuple[bool, int]:
     """Exact product of (M - root I); passes iff identically zero.
 
-    Returns (ok, support) where support counts nonzero residual entries.
-    Repeated roots are allowed; the product is still checked.
+    Returns (ok, support) where support counts nonzero entries of the last
+    product of :func:`root_products`: the full product, or a leading
+    sub-product that is already zero.  Repeated roots are allowed; the
+    product is still checked.
     """
     for prod in root_products(mat, roots, domain):
         pass

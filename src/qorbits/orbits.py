@@ -285,7 +285,9 @@ class ScanReport:
     ``consistent`` is the certificate: the product of (M - r) over the
     distinct conjectured roots vanishes (``product_zero``), and the
     multiplicities solved from the traces of its partial products are
-    nonnegative integers that sum to ``dim``.
+    nonnegative integers that sum to ``dim``.  The vanishing product may be
+    a leading sub-product of the scan's chain, over the values it took
+    first; the values after it have multiplicity 0.
     ``eigen_dim_total`` sums the multiplicities that are nonnegative
     integers.
     """
@@ -305,32 +307,43 @@ def chain_multiplicities(mat: Mat, values: Sequence,
                          domain: ScalarDomain) -> Tuple[list, bool, int]:
     """Multiplicities of pairwise distinct values from one product chain.
 
-    Walks P_j = (M - r_1)...(M - r_j) (:func:`root_products`), keeping the
-    traces of P_0 .. P_(R-1) and the last product as the certificate.  When
-    M is diagonalizable with spectrum among the values, its eigenspace
+    Walks P_j = (M - r_1)...(M - r_j) (:func:`root_products`) up to its
+    first zero product P_t, or to P_R when none is zero, keeping the traces
+    of P_0 .. P_(t-1) and P_t as the certificate.  When P_t = 0, M is
+    diagonalizable with spectrum among r_1 .. r_t, and its eigenspace
     dimensions n_s solve the triangular system
-    tr P_j = sum_(s >= j) n_s prod_(i < j) (r_s - r_i), whose row 0 is
-    sum n_s = dim; they are read off by back-substitution.  Returns the n_s
-    and (ok, support) of P_R as :func:`qorbits.identities.ch_verify` does.
-    Repeated values leave the system singular and raise OrbitError.
+    tr P_j = sum_(j <= s < t) n_s prod_(i < j) (r_s - r_i), whose row 0 is
+    sum n_s = dim; they are read off by back-substitution, and every later
+    value has n_s = 0.  Returns the n_s and (ok, support) of P_t as
+    :func:`qorbits.identities.ch_verify` does.  Repeated values leave the
+    system singular and raise OrbitError.
     """
     values = [domain.lift(v) for v in values]
     if repeated_pair(values) is not None:
         raise OrbitError("chain multiplicities need pairwise distinct values")
     chain = root_products(mat, values, domain)
-    traces = [next(chain).trace() for _ in values]
-    last = next(chain)
-    coef = [[domain.one] for _ in values]    # coef[s][j]: the product above
-    for s, rs in enumerate(values):
-        for ri in values[:s]:
+    last, traces = next(chain), []
+    for prod in chain:
+        traces.append(last.trace())
+        last = prod
+    used = values[:len(traces)]
+    coef = [[domain.one] for _ in used]      # coef[s][j]: the product above
+    for s, rs in enumerate(used):
+        for ri in used[:s]:
             coef[s].append(coef[s][-1] * (rs - ri))
-    counts = [None] * len(values)
-    for j in reversed(range(len(values))):
+    counts = [domain.zero] * len(values)
+    for j in reversed(range(len(used))):
         acc = traces[j]
-        for s in range(j + 1, len(values)):
+        for s in range(j + 1, len(used)):
             acc = acc - counts[s] * coef[s][j]
         counts[j] = acc / coef[j][j]
     return counts, last.is_zero(), last.support()
+
+
+def _pieri_live(kvec: Sequence[int], k: int, m: int) -> bool:
+    """Whether Pieri's rule lets the composition occur in V_(k) (x) V_(m):
+    only (j, 0, ..., 0, m - j) with j >= m - k do."""
+    return not any(kvec[1:-1]) and kvec[0] >= m - k
 
 
 def conjecture_scan(h, k: int, m: int) -> ScanReport:
@@ -338,12 +351,16 @@ def conjecture_scan(h, k: int, m: int) -> ScanReport:
 
     Builds the generator matrix M of degree m inside the left symmetric
     power of degree k and forms the conjectured roots from the module's
-    basic eigenvalues (unit mass).  The certificate is that the product of
-    (M - r) over the distinct root values vanishes, so M is diagonalizable
+    basic eigenvalues (unit mass).  The certificate is that a product of
+    (M - r) over distinct root values vanishes, so M is diagonalizable
     with its spectrum among them, and that the multiplicities read off the
     traces of the same product chain (:func:`chain_multiplicities`) are
-    nonnegative integers summing to the module dimension.  For rank 2 this
-    is a theorem; beyond, a mismatch is a reportable finding, not an error.
+    nonnegative integers summing to the module dimension.  The chain takes
+    the values that Pieri's rule admits first and stops at its first zero
+    product, so the vanishing product may be a leading sub-product; the
+    order only decides where the chain can stop, never the verdict.  For
+    rank 2 this is a theorem; beyond, a mismatch is a reportable finding,
+    not an error.
     """
     dom = h.domain
     cm = left_casimir_matrix(h, k, m)
@@ -352,12 +369,15 @@ def conjecture_scan(h, k: int, m: int) -> ScanReport:
     groups = {}                      # root value -> its compositions
     for kvec, r in conjecture_roots(rd, m):
         groups.setdefault(r, []).append(kvec)
-    counts, ok, support = chain_multiplicities(cm.op, list(groups), dom)
+    chained = sorted(groups, key=lambda r: not any(     # live values first
+        _pieri_live(kvec, k, m) for kvec in groups[r]))
+    counts, ok, support = chain_multiplicities(cm.op, chained, dom)
+    count = dict(zip(chained, counts))
     mults = []
-    for (r, kvecs), n in zip(groups.items(), counts):
-        as_int = as_integer(n)
+    for r, kvecs in groups.items():
+        as_int = as_integer(count[r])
         mults.append(RootMultiplicity(tuple(kvecs), r,
-                                      n if as_int is None else as_int))
+                                      count[r] if as_int is None else as_int))
     certified = [x.n for x in mults if isinstance(x.n, int) and x.n >= 0]
     total = sum(certified)
     consistent = ok and len(certified) == len(mults) and total == cm.dim

@@ -78,11 +78,16 @@ def _level(memo: dict, r: LegOperator, domain: ScalarDomain, kind: str,
 
 
 def _chart(h, kind: str, m: int) -> tuple:
-    """(B_m, L_m), the chart of the image of P(m) on m legs."""
+    """(B_m, L_m), the chart of the image of P(m) on m legs.  Past the
+    collapse (d_m = 0) it is n**m x 0 and 0 x n**m, with no chart below it
+    built and nothing embedded."""
     def build():
         _, b, l = _level(h._memo, h.r, h.domain, kind, m)
         if m <= 2:                  # B_1 = L_1 = I
             return b, l
+        if not b.ncols:
+            size, zero = h.n ** m, h.domain.zero
+            return Mat.zeros(size, 0, zero), Mat.zeros(0, size, zero)
         basis, left_inverse = _chart(h, kind, m - 1)
         return basis.embed(1, h.n) * b, l * left_inverse.embed(1, h.n)
     return h.memo((kind, m, "chart"), build)

@@ -394,6 +394,22 @@ class TestChVerify:
         assert chain == [ident, first,
                          first * (mat - ident.scale(Fraction(5)))]
 
+    def test_chain_stops_at_the_first_zero_product(self, monkeypatch):
+        # (M - 1)(M - 2) = 0 for M = diag(1, 2): the chain ends there, with
+        # one product, and the factor M - 5 is never multiplied in
+        dom = at_q(Fraction(2))
+        mat = Mat([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]])
+        calls = []
+        real = Mat.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+        monkeypatch.setattr(Mat, "__mul__", counting)
+        assert ch_verify(mat, [Fraction(1), Fraction(2), Fraction(5)],
+                         dom) == (True, 0)
+        assert len(calls) == 1
+
     def test_coefficient_form(self):
         dom = at_q(Fraction(2))
         mat = Mat([[Fraction(3), Fraction(0)], [Fraction(0), Fraction(7)]])

@@ -349,22 +349,51 @@ class TestConjectureScan:
 
     def test_one_product_per_value(self, h2_sampled, monkeypatch):
         # with the Casimir matrix memoized, the scan makes exactly one
-        # matrix product per distinct root value after the first, whose
-        # factor M - r_1 is the chain's P_1: the certificate's chain
-        h = h2_sampled
-        k, m = 3, 2
-        left_casimir_matrix(h, k, m)
-        calls = []
-        real = Mat.__mul__
+        # matrix product per Pieri-live root value after the first, whose
+        # factor M - r_1 is the chain's P_1: the chain stops at the zero
+        # product over the min(k, m) + 1 live values (all 3 values at rank
+        # 2, 3 of 5 at rank 3)
+        h3 = standard_hecke(3, at_q(Fraction(4, 7)))
+        for h, k, m, counts in [(h2_sampled, 3, 2, [6, 4, 2]),
+                                (h3, 2, 2, [27, 0, 8, 0, 1])]:
+            left_casimir_matrix(h, k, m)
+            calls = []
+            real = Mat.__mul__
 
-        def counting(a, b):
-            calls.append((a.nrows, b.ncols))
-            return real(a, b)
-        monkeypatch.setattr(Mat, "__mul__", counting)
-        rep = conjecture_scan(h, k, m)
-        assert rep.consistent
-        assert len(calls) == len(rep.multiplicities) - 1 == m
-        assert set(calls) == {(rep.dim, rep.dim)}
+            def counting(a, b):
+                calls.append((a.nrows, b.ncols))
+                return real(a, b)
+            with monkeypatch.context() as patch:
+                patch.setattr(Mat, "__mul__", counting)
+                rep = conjecture_scan(h, k, m)
+            assert rep.consistent
+            assert [x.n for x in rep.multiplicities] == counts
+            assert len(calls) == min(k, m)
+            assert set(calls) == {(rep.dim, rep.dim)}
+
+    @pytest.mark.parametrize("patch", ["never_live", "dead_first"])
+    @pytest.mark.parametrize("p,q0,k,m", [
+        (2, None, 1, 2), (2, None, 2, 3), (2, None, 2, 4),
+        (2, Fraction(3, 5), 1, 3), (2, Fraction(3, 5), 2, 3),
+        (3, None, 1, 2), (3, None, 2, 2), (3, Fraction(4, 7), 1, 1),
+        (3, Fraction(4, 7), 2, 2), (3, Fraction(4, 7), 2, 3),
+        (4, None, 1, 1), (4, Fraction(3, 5), 1, 2), (4, Fraction(3, 5), 2, 2)])
+    def test_report_does_not_rest_on_the_pieri_order(self, monkeypatch, patch,
+                                                     p, q0, k, m):
+        # the Pieri predicate only orders the chain: a predicate that admits
+        # nothing (the chain in composition order) or only a dead composition
+        # (a value of multiplicity 0 first) gives the same report
+        h = standard_hecke(p, SYMBOLIC if q0 is None else at_q(q0))
+        real = orbits._pieri_live
+        expected = conjecture_scan(h, k, m)
+        dead = next(kv for kv in compositions(m, p) if not real(kv, k, m))
+        if patch == "never_live":
+            monkeypatch.setattr(orbits, "_pieri_live", lambda kv, k, m: False)
+        else:
+            monkeypatch.setattr(orbits, "_pieri_live",
+                                lambda kv, k, m: kv == dead)
+        assert expected.consistent
+        assert conjecture_scan(h, k, m) == expected
 
 
 class TestTraceMultiplicities:
@@ -377,6 +406,25 @@ class TestTraceMultiplicities:
         counts, ok, support = chain_multiplicities(
             mat, [Fraction(5), Fraction(3)], dom)
         assert counts == [1, 3] and ok and support == 0
+
+    def test_values_after_the_zero_product_have_multiplicity_zero(
+            self, monkeypatch):
+        # (M - 5)(M - 3) = 0 after one product, so 7 gets multiplicity 0
+        # and M - 7 is never multiplied in
+        dom = at_q(Fraction(2))
+        mat = Mat([[Fraction(v) if i == j else Fraction(0) for j in range(4)]
+                   for i, v in enumerate((3, 5, 3, 3))])
+        calls = []
+        real = Mat.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+        monkeypatch.setattr(Mat, "__mul__", counting)
+        counts, ok, support = chain_multiplicities(
+            mat, [Fraction(5), Fraction(3), Fraction(7)], dom)
+        assert counts == [1, 3, 0] and ok and support == 0
+        assert len(calls) == 1
 
     def test_repeated_value_raises(self):
         dom = at_q(Fraction(2))

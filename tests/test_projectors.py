@@ -8,7 +8,7 @@ from qorbits.casimir import closed_form_p2
 from qorbits.hecke import (HeckeError, standard_hecke, standard_r,
                            validate_hecke_symmetry)
 from qorbits.scalars import SYMBOLIC, at_q, eval_at, random_q
-from qorbits.tensor import LegOperator, embed_on_legs, row_reduce
+from qorbits.tensor import LegOperator, Mat, embed_on_legs, row_reduce
 from qorbits.projectors import q_antisymmetrizer, q_symmetrizer
 
 
@@ -134,6 +134,26 @@ class TestConstructionTower:
         for m in range(1, h2.p + 2):
             assert h2._memo[("A", m)] == projectors._level(
                 rebuilt, h2.r, h2.domain, "A", m)
+
+    def test_empty_level_ends_the_chart(self, monkeypatch):
+        # A(5) at n = 4 lies past the collapse: its chart is 1024 x 0 and
+        # 0 x 1024, with nothing embedded, and A(3) at n = 2 builds no chart
+        # of A(2)
+        h4 = standard_hecke(4, at_q(Fraction(2, 15)))
+        q_antisymmetrizer(h4, 4)
+        calls = []
+        real = Mat.embed
+
+        def counting(mat, left, right):
+            calls.append((left, right))
+            return real(mat, left, right)
+        monkeypatch.setattr(Mat, "embed", counting)
+        a5 = q_antisymmetrizer(h4, 5)
+        assert not calls
+        assert (a5.mat.nrows, a5.mat.ncols) == (1024, 1024) and a5.is_zero()
+        h2 = standard_hecke(2, at_q(Fraction(2, 15)))
+        assert q_antisymmetrizer(h2, 3).is_zero()
+        assert ("A", 2, "chart") not in h2._memo
 
     def test_embedded_projectors_are_not_kept(self):
         # an embedded projector is a copy of its level: the memo keeps

@@ -232,7 +232,7 @@ def qpoly_gcd(a, b):
                 r[shift + i] -= f * y
             while r and not r[-1]:
                 r.pop()
-        a, b = b, r
+        a, b = b, [x / r[-1] for x in r] if r else r
     return [x / a[-1] for x in a]
 
 
