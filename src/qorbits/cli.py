@@ -11,6 +11,14 @@ Reports are deterministic for fixed (arguments, seed) up to the timing
 fields; checks are sorted by id.  Exit code 0 means no failed check (open
 questions surface as status "finding", never as failures; a check that
 raises is a failure all the same), 2 is a usage error, 3 a file error.
+
+Each suite is a body run once per q sample by :func:`_run_samples`, which
+hands it the sample's domain and a ``check`` helper.  The helper records
+one check under the id ``<suite>.q<tag>.<name>`` (``calibrate`` for
+``calibrate-trace``) with ``q`` added to its params; a check that does
+not depend on q runs once and is recorded under every q's id, and
+newton's parametric samples, which carry their own q, run after the
+samples under ids without one.
 """
 
 from __future__ import annotations
@@ -196,77 +204,66 @@ def _size_above(bound: int, dim: int, spaces) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: each body runs at one q sample and records through check()
 # ---------------------------------------------------------------------------
 
-def suite_validate(args, rec, rng, domains):
-    for dom in domains:
-        tag = dom.describe()
-        r = _r_matrix(args, dom, args.n)
-        rep = hecke_mod.validate_hecke_symmetry(r, dom)
-        params = {"n": r.n, "q": tag}
-        for name, ok, reason in (
-                ("ybe", rep.ybe, None),
-                ("hecke", rep.hecke, None),
-                ("skew", rep.skew_invertible, "skew_error"),
-                ("rank", rep.rank == r.n, "rank_outcome"),
-                ("bc_product", rep.bc_product, "bc_product_error"),
-                ("bc_trace", rep.bc_trace, "bc_trace_error")):
-            rec.run(f"validate.q{tag}.{name}", name, params,
-                    lambda ok=ok, reason=reason: (ok, rep.details.get(reason)))
+def suite_validate(args, check, rng, dom):
+    r = _r_matrix(args, dom, args.n)
+    rep = hecke_mod.validate_hecke_symmetry(r, dom)
+    for name, ok, reason in (
+            ("ybe", rep.ybe, None),
+            ("hecke", rep.hecke, None),
+            ("skew", rep.skew_invertible, "skew_error"),
+            ("rank", rep.rank == r.n, "rank_outcome"),
+            ("bc_product", rep.bc_product, "bc_product_error"),
+            ("bc_trace", rep.bc_trace, "bc_trace_error")):
+        check(name, name, lambda: (ok, rep.details.get(reason)), n=r.n)
 
 
-def suite_projectors(args, rec, rng, domains):
-    for dom in domains:
-        tag = dom.describe()
-        h = _hecke(args, dom, args.n)
-        n = h.n
-        m_max = args.m or (n + 1)
-        for m in range(1, m_max + 1):
-            s = proj_mod.q_symmetrizer(h, m)
-            a = proj_mod.q_antisymmetrizer(h, m)
-            params = {"n": n, "m": m, "q": tag}
-            rec.run(f"projectors.q{tag}.m{m}.idempotent", "sym_proj", params,
-                    lambda s=s, a=a: ((s * s == s) and (a * a == a), None))
-            exp_s = comb(n + m - 1, m)
-            exp_a = comb(n, m)
+def suite_projectors(args, check, rng, dom):
+    h = _hecke(args, dom, args.n)
+    n = h.n
+    m_max = args.m or (n + 1)
+    for m in range(1, m_max + 1):
+        s = proj_mod.q_symmetrizer(h, m)
+        a = proj_mod.q_antisymmetrizer(h, m)
+        check(f"m{m}.idempotent", "sym_proj",
+              lambda: ((s * s == s) and (a * a == a), None), n=n, m=m)
 
-            def ranks(s=s, a=a, exp_s=exp_s, exp_a=exp_a, dom=dom):
-                rs = s.mat.trace()
-                ra = a.mat.trace()
-                ok = (dom.lift(exp_s) == rs and dom.lift(exp_a) == ra)
-                return ok, None if ok else f"traces {rs}, {ra}"
-            rec.run(f"projectors.q{tag}.m{m}.ranks", "proj_ranks", params, ranks)
+        def ranks():
+            rs = s.mat.trace()
+            ra = a.mat.trace()
+            ok = (dom.lift(comb(n + m - 1, m)) == rs
+                  and dom.lift(comb(n, m)) == ra)
+            return ok, None if ok else f"traces {rs}, {ra}"
+        check(f"m{m}.ranks", "proj_ranks", ranks, n=n, m=m)
 
-            def absorb(h=h, s=s, a=a, m=m, dom=dom):
-                # R_i P = P R_i = c P pins both the image and the kernel
-                for i in range(1, m):
-                    r_i = h.r_on(i, m)
-                    for name, p, c in (("symmetric", s, dom.q),
-                                       ("antisymmetric", a, -dom.q_pow(-1))):
-                        if not (r_i * p == p.scale(c) == p * r_i):
-                            return False, f"{name} absorption fails at leg {i}"
-                return True, None
-            rec.run(f"projectors.q{tag}.m{m}.absorption", "sym_proj", params,
-                    absorb)
-
-        def complement(h=h, dom=dom):
-            s2 = proj_mod.q_symmetrizer(h, 2)
-            a2 = proj_mod.q_antisymmetrizer(h, 2)
-            return (s2 + a2 == h.identity(2)), None
-        rec.run(f"projectors.q{tag}.complement", "sym_proj",
-                {"n": n, "q": tag}, complement)
-
-        def nested(h=h, m_max=m_max):
-            for m in range(2, m_max + 1):
-                s_m = proj_mod.q_symmetrizer(h, m)
-                for k in range(1, m):
-                    s_k = embed_on_legs(proj_mod.q_symmetrizer(h, k), 1, m)
-                    if not (s_m * s_k == s_m):
-                        return False, f"nested absorption fails at ({m},{k})"
+        def absorb():
+            # R_i P = P R_i = c P pins both the image and the kernel
+            for i in range(1, m):
+                r_i = h.r_on(i, m)
+                for name, p, c in (("symmetric", s, dom.q),
+                                   ("antisymmetric", a, -dom.q_pow(-1))):
+                    if not (r_i * p == p.scale(c) == p * r_i):
+                        return False, f"{name} absorption fails at leg {i}"
             return True, None
-        rec.run(f"projectors.q{tag}.nested", "sym_proj",
-                {"n": n, "q": tag}, nested)
+        check(f"m{m}.absorption", "sym_proj", absorb, n=n, m=m)
+
+    def complement():
+        s2 = proj_mod.q_symmetrizer(h, 2)
+        a2 = proj_mod.q_antisymmetrizer(h, 2)
+        return (s2 + a2 == h.identity(2)), None
+    check("complement", "sym_proj", complement, n=n)
+
+    def nested():
+        for m in range(2, m_max + 1):
+            s_m = proj_mod.q_symmetrizer(h, m)
+            for k in range(1, m):
+                s_k = embed_on_legs(proj_mod.q_symmetrizer(h, k), 1, m)
+                if not (s_m * s_k == s_m):
+                    return False, f"nested absorption fails at ({m},{k})"
+        return True, None
+    check("nested", "sym_proj", nested, n=n)
 
 
 def _built(constructor, *args) -> tuple:
@@ -276,147 +273,139 @@ def _built(constructor, *args) -> tuple:
     return True, None
 
 
-def suite_reps(args, rec, rng, domains):
+def suite_reps(args, check, rng, dom):
     m_max = args.m or 3
-    for dom in domains:
-        tag = dom.describe()
-        h = _hecke(args, dom, args.n)
-        params = {"n": h.n, "q": tag}
-        rec.run(f"reps.q{tag}.fundamental", "relations", params,
-                lambda h=h: _built(reps_mod.fundamental_left, h))
+    h = _hecke(args, dom, args.n)
+    n = h.n
+    check("fundamental", "relations",
+          lambda: _built(reps_mod.fundamental_left, h), n=n)
 
-        for m in range(2, m_max + 1):
-            pm = dict(params, m=m)
-            rec.run(f"reps.q{tag}.tensor.m{m}", "relations", pm,
-                    lambda h=h, m=m: _built(reps_mod.tensor_power_left, h, m))
+    for m in range(2, m_max + 1):
+        check(f"tensor.m{m}", "relations",
+              lambda: _built(reps_mod.tensor_power_left, h, m), n=n, m=m)
 
-            def sym_eq(h=h, m=m):
-                sym = reps_mod.sym_power_left(h, m)
-                tp = reps_mod.tensor_power_left(h, m)
-                basis = reps_mod.sym_chart(h, m).basis.embed(h.n, 1)
-                return tp.blocks * basis == basis * sym.blocks, None
-            rec.run(f"reps.q{tag}.sym_eq_compressed.m{m}", "sym_module", pm,
-                    sym_eq)
+        def sym_eq():
+            sym = reps_mod.sym_power_left(h, m)
+            tp = reps_mod.tensor_power_left(h, m)
+            basis = reps_mod.sym_chart(h, m).basis.embed(h.n, 1)
+            return tp.blocks * basis == basis * sym.blocks, None
+        check(f"sym_eq_compressed.m{m}", "sym_module", sym_eq, n=n, m=m)
 
-            def invariance(h=h, m=m):
-                x = reps_mod.tensor_power_left(h, m).blocks
-                s = proj_mod.q_symmetrizer(h, m).mat.embed(h.n, 1)
-                return (s * x * s == x * s), None
-            rec.run(f"reps.q{tag}.invariance.m{m}", "sym_module", pm,
-                    invariance)
+        def invariance():
+            x = reps_mod.tensor_power_left(h, m).blocks
+            s = proj_mod.q_symmetrizer(h, m).mat.embed(h.n, 1)
+            return (s * x * s == x * s), None
+        check(f"invariance.m{m}", "sym_module", invariance, n=n, m=m)
 
-        if h.p == 2:
-            for m in range(1, m_max + 1):
-                rec.run(f"reps.q{tag}.right.m{m}", "right_module",
-                        dict(params, m=m), lambda h=h, m=m: _built(
-                            reps_mod.sym_power_right_p2, h, m))
+    if h.p == 2:
+        for m in range(1, m_max + 1):
+            check(f"right.m{m}", "right_module",
+                  lambda: _built(reps_mod.sym_power_right_p2, h, m), n=n, m=m)
 
-        def shifts(h=h):
-            f = reps_mod.fundamental_left(h)
-            back = reps_mod.with_mass(reps_mod.with_mass(f, 0, h), 1, h)
-            return back.blocks == f.blocks, None
-        rec.run(f"reps.q{tag}.shift_round_trip", "shift", params, shifts)
+    def shifts():
+        f = reps_mod.fundamental_left(h)
+        back = reps_mod.with_mass(reps_mod.with_mass(f, 0, h), 1, h)
+        return back.blocks == f.blocks, None
+    check("shift_round_trip", "shift", shifts, n=n)
 
-        def z_action(h=h):
-            f = reps_mod.fundamental_left(h)
-            a = reps_mod.rescaled(reps_mod.rescaled(f, 3, h), 2, h)
-            b = reps_mod.rescaled(f, 6, h)
-            return a.blocks == b.blocks, None
-        rec.run(f"reps.q{tag}.z_shift_action", "z_shift", params, z_action)
+    def z_action():
+        f = reps_mod.fundamental_left(h)
+        a = reps_mod.rescaled(reps_mod.rescaled(f, 3, h), 2, h)
+        b = reps_mod.rescaled(f, 6, h)
+        return a.blocks == b.blocks, None
+    check("z_shift_action", "z_shift", z_action, n=n)
 
 
-def suite_ch(args, rec, rng, domains):
+def suite_ch(args, check, rng, dom):
     k_max = args.k or 3
     m_max = args.m or min(k_max, 3)
-    for dom in domains:
-        tag = dom.describe()
-        h = _hecke(args, dom, 2)
-        for k in range(1, k_max + 1):
-            pm = {"k": k, "q": tag}
+    h = _hecke(args, dom, 2)
+    for k in range(1, k_max + 1):
+        def basic():
+            cm = casimir_mod.split_casimir_matrix(h, k, 1, "rea")
+            roots = casimir_mod.basic_roots(dom, k).mu
+            ok, support = ident_mod.ch_verify(cm.op, roots, dom)
+            return ok, None if ok else f"residual support {support}"
+        check(f"basic.k{k}", "ch_basic", basic, k=k)
 
-            def basic(h=h, k=k, dom=dom):
-                cm = casimir_mod.split_casimir_matrix(h, k, 1, "rea")
-                roots = casimir_mod.basic_roots(dom, k).mu
-                ok, support = ident_mod.ch_verify(cm.op, roots, dom)
-                return ok, None if ok else f"residual support {support}"
-            rec.run(f"ch.q{tag}.basic.k{k}", "ch_basic", pm, basic)
+        def sigma_values():
+            rep = reps_mod.sym_power_right_rea_p2(h, k)
+            cv = ident_mod.central_elements_in_rep(h, rep, 2)
+            mu = casimir_mod.basic_roots(dom, k).mu
+            ok = (cv.sigma[1] == mu[0] + mu[1]
+                  and cv.sigma[2] == mu[0] * mu[1])
+            return ok, None
+        check(f"basic_sigma.k{k}", "ch_basic", sigma_values, k=k)
 
-            def sigma_values(h=h, k=k, dom=dom):
-                rep = reps_mod.sym_power_right_rea_p2(h, k)
-                cv = ident_mod.central_elements_in_rep(h, rep, 2)
-                mu = casimir_mod.basic_roots(dom, k).mu
-                ok = (cv.sigma[1] == mu[0] + mu[1]
-                      and cv.sigma[2] == mu[0] * mu[1])
-                return ok, None
-            rec.run(f"ch.q{tag}.basic_sigma.k{k}", "ch_basic", pm, sigma_values)
+        def coeff_form():
+            cm = casimir_mod.split_casimir_matrix(h, k, 1, "mrea")
+            w = casimir_mod.trace_weights(h, 1)
+            tr1 = casimir_mod.module_trace(cm.op, cm.dk, cm.dm, w)
+            power = cm.op * cm.op
+            tr2 = casimir_mod.module_trace(power, cm.dk, cm.dm, w)
+            q = dom.q_pow(1)
+            two_q = dom.q_int(2)
+            sig1 = q * tr1 + dom.q_pow(-1)
+            sig2 = (dom.q_pow(2) / two_q * (q * tr1 * tr1 - tr2)
+                    + q / two_q * tr1)
+            ok, support = ident_mod.ch_verify_coefficients(
+                cm.op, [dom.one, sig1, sig2], dom)
+            return ok, None if ok else f"residual support {support}"
+        check(f"coeff_form.k{k}", "ch_coeff", coeff_form, k=k)
 
-            def coeff_form(h=h, k=k, dom=dom):
-                cm = casimir_mod.split_casimir_matrix(h, k, 1, "mrea")
-                w = casimir_mod.trace_weights(h, 1)
-                tr1 = casimir_mod.module_trace(cm.op, cm.dk, cm.dm, w)
-                power = cm.op * cm.op
-                tr2 = casimir_mod.module_trace(power, cm.dk, cm.dm, w)
-                q = dom.q_pow(1)
-                two_q = dom.q_int(2)
-                sig1 = q * tr1 + dom.q_pow(-1)
-                sig2 = (dom.q_pow(2) / two_q * (q * tr1 * tr1 - tr2)
-                        + q / two_q * tr1)
-                ok, support = ident_mod.ch_verify_coefficients(
-                    cm.op, [dom.one, sig1, sig2], dom)
-                return ok, None if ok else f"residual support {support}"
-            rec.run(f"ch.q{tag}.coeff_form.k{k}", "ch_coeff", pm, coeff_form)
+    for k in range(1, k_max + 1):
+        for m in range(1, min(k, m_max) + 1):
+            for algebra in ("rea", "mrea"):
+                def higher():
+                    cm = casimir_mod.split_casimir_matrix(h, k, m, algebra)
+                    rd = casimir_mod.basic_roots(dom, k, algebra)
+                    roots = ident_mod.omega_roots_p2(rd, m)
+                    ok, support = ident_mod.ch_verify(
+                        cm.op, [v for _, v in roots], dom)
+                    return ok, None if ok else f"residual support {support}"
+                check(f"higher.k{k}.m{m}.{algebra}", "ch_higher", higher,
+                      k=k, m=m, algebra=algebra)
 
-        for k in range(1, k_max + 1):
-            for m in range(1, min(k, m_max) + 1):
-                pm = {"k": k, "m": m, "q": tag}
-                for algebra in ("rea", "mrea"):
-                    def higher(h=h, k=k, m=m, algebra=algebra, dom=dom):
-                        cm = casimir_mod.split_casimir_matrix(h, k, m, algebra)
-                        rd = casimir_mod.basic_roots(dom, k, algebra)
-                        roots = ident_mod.omega_roots_p2(rd, m)
-                        ok, support = ident_mod.ch_verify(
-                            cm.op, [v for _, v in roots], dom)
-                        return ok, None if ok else f"residual support {support}"
-                    rec.run(f"ch.q{tag}.higher.k{k}.m{m}.{algebra}",
-                            "ch_higher", dict(pm, algebra=algebra), higher)
-
-                def closed(h=h, k=k, m=m):
-                    a = casimir_mod.split_casimir_matrix(h, k, m, "rea")
-                    b = casimir_mod.closed_form_p2(h, k, m)
-                    return (a.op == b.op), None
-                rec.run(f"ch.q{tag}.closed_form.k{k}.m{m}", "closed_form", pm,
-                        closed)
+            def closed():
+                a = casimir_mod.split_casimir_matrix(h, k, m, "rea")
+                b = casimir_mod.closed_form_p2(h, k, m)
+                return (a.op == b.op), None
+            check(f"closed_form.k{k}.m{m}", "closed_form", closed, k=k, m=m)
 
 
-def suite_newton(args, rec, rng, domains):
-    k_max = args.k or 3
-    p_max = args.p or 4
-    for dom in domains:
-        tag = dom.describe()
-        h = _hecke(args, dom, 2)
-        for k in range(1, k_max + 1):
-            def rows(h=h, k=k, dom=dom):
-                rep = reps_mod.sym_power_right_rea_p2(h, k)
-                cv = ident_mod.central_elements_in_rep(h, rep, 2)
-                rep_rows = ident_mod.newton_check(cv, 2, dom)
-                bad = [r for r, ok in rep_rows.items() if not ok]
-                return not bad, None if not bad else f"rows {bad} fail"
-            rec.run(f"newton.q{tag}.rep.k{k}", "newton_rows",
-                    {"k": k, "q": tag}, rows)
+def _newton_rows(cv, p: int, dom) -> tuple:
+    """Newton rows 1..p of the central values cv: every row present and
+    every row holding."""
+    rows = ident_mod.newton_check(cv, p, dom)
+    if sorted(rows) != list(range(1, p + 1)):
+        return False, f"rows {sorted(rows)} checked, expected 1..{p}"
+    bad = [r for r, ok in rows.items() if not ok]
+    return not bad, f"rows {bad} fail" if bad else None
 
-    # parametric resolution: exact random samples of (mu, q)
-    for p in range(2, p_max + 1):
+
+def suite_newton(args, check, rng, dom):
+    h = _hecke(args, dom, 2)
+    for k in range(1, (args.k or 3) + 1):
+        def rows():
+            rep = reps_mod.sym_power_right_rea_p2(h, k)
+            cv = ident_mod.central_elements_in_rep(h, rep, 2)
+            return _newton_rows(cv, 2, dom)
+        check(f"rep.k{k}", "newton_rows", rows, k=k)
+
+
+def _newton_samples(args, rec, rng):
+    """newton's checks that do not depend on the q samples, drawn from rng
+    after every sample: the parametric resolution at exact random (mu, q)
+    and the elementary symmetric recurrences."""
+    for p in range(2, (args.p or 4) + 1):
         for trial in range(3):
-            q0 = random_q(rng)
-            dom = at_q(q0)
+            dom = at_q(random_q(rng))
             mu = random_rationals(rng, p)
 
-            def param(p=p, dom=dom, mu=mu):
+            def param():
                 rd = ident_mod.RootData(mu=mu, hbar=Fraction(0), domain=dom)
                 cv = ident_mod.parametric_central_values(rd, p)
-                rep_rows = ident_mod.newton_check(cv, p, dom)
-                bad = [r for r, ok in rep_rows.items() if not ok]
-                return not bad, None if not bad else f"rows {bad} fail"
+                return _newton_rows(cv, p, dom)
             rec.run(f"newton.parametric.p{p}.sample{trial}", "newton_param",
                     {"p": p, "q": str(dom.q0), "mu": [str(v) for v in mu]},
                     param)
@@ -450,30 +439,44 @@ def suite_newton(args, rec, rng, domains):
     rec.run("newton.esp_props", "esp", {}, esp_props)
 
 
-def suite_conjecture(args, rec, rng, domains):
+def suite_conjecture(args, check, rng, dom):
     p = args.p or 3
-    k_max = args.k or 3
-    m_max = args.m or 2
-    for dom in domains:
-        tag = dom.describe()
-        h = _hecke(args, dom, p)
-        for m in range(2, m_max + 1):
-            for k in range(m, k_max + 1):
-                def scan(h=h, k=k, m=m):
-                    rep = orbit_mod.conjecture_scan(h, k, m)
-                    return rep.consistent, rep.witness
-                rec.run(f"conjecture.q{tag}.k{k}.m{m}", "conjecture",
-                        {"p": p, "k": k, "m": m, "q": tag}, scan,
-                        finding=(p > 2))
+    h = _hecke(args, dom, p)
+    for m in range(2, (args.m or 2) + 1):
+        for k in range(m, (args.k or 3) + 1):
+            def scan():
+                rep = orbit_mod.conjecture_scan(h, k, m)
+                return rep.consistent, rep.witness
+            check(f"k{k}.m{m}", "conjecture", scan, finding=(p > 2),
+                  p=p, k=k, m=m)
 
 
-def suite_orbit(args, rec, rng, domains):
+def _multiplicities_match(rd, mode: str, m_max: int, ratios) -> tuple:
+    """multiplicities(rd, m, mode) equals the oracle dict ratios(m), key set
+    included, for m = 1..m_max."""
+    for m in range(1, m_max + 1):
+        got, want = orbit_mod.multiplicities(rd, m, mode), ratios(m)
+        if got != want:
+            kv = min(kv for kv in got.keys() | want.keys()
+                     if got.get(kv) != want.get(kv))
+            return False, f"mismatch at {kv}, m={m}"
+    return True, None
+
+
+def _hn_classical():
+    for lam in [(5, 2), (7, 3)]:
+        rep = orbit_mod.higher_newton_classical(lam, 2, 3)
+        if not all(v[0] for v in rep.values()):
+            return False, f"disagreement at lam={lam}"
+    return True, None
+
+
+def suite_orbit(args, check, rng, dom):
     p = args.p or 3
     m_max = args.m or 3
 
-    # the classical checks do not depend on q: each verdict is computed at
-    # the first q and recorded again under every q's id
-    @cache
+    # the classical checks do not depend on q (once=True): each verdict is
+    # computed at the first q and recorded again under every q's id
     def mult_classical():
         # super-increasing gaps keep every derived eigenvalue distinct
         gaps = [m_max + 5 ** (i + 2) for i in range(p - 1)]
@@ -481,175 +484,133 @@ def suite_orbit(args, rec, rng, domains):
         mu = orbit_mod.classical_eigenvalues(list(lam))
         rd = ident_mod.RootData(mu=mu, hbar=Fraction(1),
                                 domain=at_q(Fraction(2)))
-        for m in range(1, m_max + 1):
-            d = orbit_mod.multiplicities(rd, m, "classical")
-            ratios = orbit_mod.classical_dim_ratios(lam, m, p)
-            for kv, val in d.items():
-                if val != ratios[kv]:
-                    return False, f"mismatch at {kv}, m={m}"
-        return True, None
+        return _multiplicities_match(
+            rd, "classical", m_max,
+            lambda m: orbit_mod.classical_dim_ratios(lam, m, p))
+    check("mult_classical", "mult_classical", mult_classical, once=True, p=p)
 
-    @cache
-    def hn_classical():
-        for lam in [(5, 2), (7, 3)]:
-            rep = orbit_mod.higher_newton_classical(lam, 2, 3)
+    def mult_quantum():
+        lam = tuple(range(3 * (p - 1), -1, -3))[:p]
+        mu = orbit_mod.rep_eigenvalues(lam, p, "rea_q", dom)
+        rd = ident_mod.RootData(mu=mu, hbar=Fraction(0), domain=dom)
+        return _multiplicities_match(
+            rd, "quantum", m_max,
+            lambda m: orbit_mod.quantum_dim_ratios(lam, m, p, dom))
+    check("mult_quantum", "mult_quantum", mult_quantum, finding=(p > 2), p=p)
+    check("hn_classical", "hn_classical", _hn_classical, once=True)
+
+    h2 = _hecke(args, dom, 2, standard=True)
+
+    def hn_quantum():
+        for algebra in ("rea", "mrea"):
+            rep = orbit_mod.higher_newton_quantum_p2(h2, 2, 2, 3, algebra)
             if not all(v[0] for v in rep.values()):
-                return False, f"disagreement at lam={lam}"
+                return False, f"disagreement in {algebra} form"
         return True, None
+    check("hn_quantum", "hn_quantum", hn_quantum, k=2, m=2)
 
-    for dom in domains:
-        tag = dom.describe()
-        rec.run(f"orbit.q{tag}.mult_classical", "mult_classical",
-                {"p": p, "q": tag}, mult_classical)
+    def idempotents():
+        for (k, m) in [(2, 2), (3, 2)]:
+            cm = casimir_mod.split_casimir_matrix(h2, k, m, "rea")
+            rd = casimir_mod.basic_roots(dom, k)
+            roots = [v for _, v in ident_mod.omega_roots_p2(rd, m)]
+            es = orbit_mod.spectral_idempotents(cm.op, roots, dom)
+            total = Mat.zeros(cm.dim, cm.dim, dom.zero)
+            recon = Mat.zeros(cm.dim, cm.dim, dom.zero)
+            for e, r in zip(es, roots):
+                if not (e * e == e):
+                    return False, "not idempotent"
+                total = total + e
+                recon = recon + e.scale(r)
+            ident = Mat.identity(cm.dim, dom.zero, dom.one)
+            if not (total == ident):
+                return False, "idempotents do not resolve the identity"
+            if not (recon == cm.op):
+                return False, "spectral reconstruction fails"
+        return True, None
+    check("idempotents", "idempotents", idempotents)
 
-        def mult_quantum(dom=dom, p=p, m_max=m_max):
-            lam = tuple(range(3 * (p - 1), -1, -3))[:p]
-            mu = orbit_mod.rep_eigenvalues(lam, p, "rea_q", dom)
-            rd = ident_mod.RootData(mu=mu, hbar=Fraction(0), domain=dom)
-            for m in range(1, m_max + 1):
-                d = orbit_mod.multiplicities(rd, m, "quantum")
-                ratios = orbit_mod.quantum_dim_ratios(lam, m, p, dom)
-                for kv, val in d.items():
-                    if val != ratios[kv]:
-                        return False, f"mismatch at {kv}, m={m}"
-            return True, None
-        rec.run(f"orbit.q{tag}.mult_quantum", "mult_quantum",
-                {"p": p, "q": tag}, mult_quantum, finding=(p > 2))
-        rec.run(f"orbit.q{tag}.hn_classical", "hn_classical", {"q": tag},
-                hn_classical)
+    def strings():
+        hb = Fraction(args.hbar)
+        generic = ident_mod.RootData(mu=[5, 100, 7], hbar=hb, domain=dom)
+        a, b, _ = generic.mu
+        sd = orbit_mod.string_decompose(ident_mod.RootData(
+            mu=[a, generic.successor(a), b], hbar=hb, domain=dom))
+        lens = sorted(l for _, l in sd.strings)
+        if lens != [1, 2]:
+            return False, f"string lengths {lens}"
+        if len(sd.minimal_roots) != 2:
+            return False, "wrong number of minimal roots"
+        sd2 = orbit_mod.string_decompose(generic)
+        if sorted(l for _, l in sd2.strings) != [1, 1, 1]:
+            return False, "generic set should give singleton strings"
+        return True, None
+    check("strings", "strings", strings)
 
-        h2 = _hecke(args, dom, 2, standard=True)
-
-        def hn_quantum(h2=h2):
-            for algebra in ("rea", "mrea"):
-                rep = orbit_mod.higher_newton_quantum_p2(h2, 2, 2, 3, algebra)
-                if not all(v[0] for v in rep.values()):
-                    return False, f"disagreement in {algebra} form"
-            return True, None
-        rec.run(f"orbit.q{tag}.hn_quantum", "hn_quantum",
-                {"k": 2, "m": 2, "q": tag}, hn_quantum)
-
-        def idempotents(h2=h2, dom=dom):
-            for (k, m) in [(2, 2), (3, 2)]:
-                cm = casimir_mod.split_casimir_matrix(h2, k, m, "rea")
-                rd = casimir_mod.basic_roots(dom, k)
-                roots = [v for _, v in ident_mod.omega_roots_p2(rd, m)]
-                es = orbit_mod.spectral_idempotents(cm.op, roots, dom)
-                total = Mat.zeros(cm.dim, cm.dim, dom.zero)
-                recon = Mat.zeros(cm.dim, cm.dim, dom.zero)
-                for e, r in zip(es, roots):
-                    if not (e * e == e):
-                        return False, "not idempotent"
-                    total = total + e
-                    recon = recon + e.scale(r)
-                ident = Mat.identity(cm.dim, dom.zero, dom.one)
-                if not (total == ident):
-                    return False, "idempotents do not resolve the identity"
-                if not (recon == cm.op):
-                    return False, "spectral reconstruction fails"
-            return True, None
-        rec.run(f"orbit.q{tag}.idempotents", "idempotents", {"q": tag},
-                idempotents)
-
-        def strings(dom=dom):
-            hb = Fraction(args.hbar)
-            generic = ident_mod.RootData(mu=[5, 100, 7], hbar=hb, domain=dom)
-            a, b, _ = generic.mu
-            sd = orbit_mod.string_decompose(ident_mod.RootData(
-                mu=[a, generic.successor(a), b], hbar=hb, domain=dom))
-            lens = sorted(l for _, l in sd.strings)
-            if lens != [1, 2]:
-                return False, f"string lengths {lens}"
-            if len(sd.minimal_roots) != 2:
-                return False, "wrong number of minimal roots"
-            sd2 = orbit_mod.string_decompose(generic)
-            if sorted(l for _, l in sd2.strings) != [1, 1, 1]:
-                return False, "generic set should give singleton strings"
-            return True, None
-        rec.run(f"orbit.q{tag}.strings", "strings", {"q": tag}, strings)
-
-        if args.mu:
-            def user_strings(dom=dom):
-                mu = [Fraction(x) for x in args.mu.split(",")]
-                rd = ident_mod.RootData(mu=mu, hbar=Fraction(args.hbar),
-                                        domain=dom)
-                sd = orbit_mod.string_decompose(rd)
-                return True, ", ".join(f"{v}:{n}" for v, n in sd.strings)
-            rec.run(f"orbit.q{tag}.user_strings", "strings",
-                    {"q": tag, "mu": args.mu, "hbar": args.hbar},
-                    user_strings, finding=True)
+    if args.mu:
+        def user_strings():
+            mu = [Fraction(x) for x in args.mu.split(",")]
+            rd = ident_mod.RootData(mu=mu, hbar=Fraction(args.hbar),
+                                    domain=dom)
+            sd = orbit_mod.string_decompose(rd)
+            return True, ", ".join(f"{v}:{n}" for v, n in sd.strings)
+        check("user_strings", "strings", user_strings, finding=True,
+              mu=args.mu, hbar=args.hbar)
 
 
-def suite_euler(args, rec, rng, domains):
-    p_max = args.p or 4
-    m_max = args.m or 5
-    for dom in domains:
-        tag = dom.describe()
+def suite_euler(args, check, rng, dom):
+    def shift_invariance():
+        for _ in range(25):
+            p = rng.randint(2, args.p or 4)
+            k = [rng.randint(-6, 6) for _ in range(p)]
+            a = rng.randint(-5, 5)
+            v1 = euler_mod.q_index_and_euler(k, p, dom)
+            v2 = euler_mod.q_index_and_euler([x + a for x in k], p, dom)
+            if v1 != v2:
+                return False, f"shift breaks at k={k}, a={a}"
+        return True, None
+    check("shift_invariance", "euler", shift_invariance)
 
-        def shift_invariance(dom=dom, p_max=p_max):
-            for _ in range(25):
-                p = rng.randint(2, p_max)
-                k = [rng.randint(-6, 6) for _ in range(p)]
-                a = rng.randint(-5, 5)
-                v1 = euler_mod.q_index_and_euler(k, p, dom)
-                v2 = euler_mod.q_index_and_euler([x + a for x in k], p, dom)
-                if v1 != v2:
-                    return False, f"shift breaks at k={k}, a={a}"
-            return True, None
-        rec.run(f"euler.q{tag}.shift_invariance", "euler", {"q": tag},
-                shift_invariance)
+    def p3_example():
+        three = dom.q_int(3)
+        vals = [euler_mod.q_dimension([1] * k, 3, dom) for k in (1, 2, 3)]
+        return vals == [three, three, dom.one], None
+    check("p3_example", "q_algebra", p3_example)
 
-        def p3_example(dom=dom):
-            three = dom.q_int(3)
-            vals = [euler_mod.q_dimension([1] * k, 3, dom) for k in (1, 2, 3)]
-            ok = vals == [three, three, dom.one]
-            return ok, None
-        rec.run(f"euler.q{tag}.p3_example", "q_algebra", {"q": tag},
-                p3_example)
+    def asym():
+        a = euler_mod.q_index_and_euler([0, 0, 1], 3, dom)
+        b = euler_mod.q_index_and_euler([0, 1, 0], 3, dom)
+        return (a == dom.q_int(3) and b == dom.zero), None
+    check("asymmetry", "euler", asym)
 
-        def asym(dom=dom):
-            a = euler_mod.q_index_and_euler([0, 0, 1], 3, dom)
-            b = euler_mod.q_index_and_euler([0, 1, 0], 3, dom)
-            return (a == dom.q_int(3) and b == dom.zero), None
-        rec.run(f"euler.q{tag}.asymmetry", "euler", {"q": tag}, asym)
+    for p in range(2, min(args.p or 4, 3) + 1):
+        def algebra():
+            rep = euler_mod.q_algebra_check(p, dom, args.m or 5)
+            bad = [k for k, ok in rep.items() if not ok]
+            return not bad, None if not bad else f"failed: {bad}"
+        check(f"q_algebra.p{p}", "q_algebra", algebra, p=p)
 
-        for p in range(2, min(p_max, 3) + 1):
-            def algebra(p=p, dom=dom, m_max=m_max):
-                rep = euler_mod.q_algebra_check(p, dom, m_max)
-                bad = [k for k, ok in rep.items() if not ok]
-                return not bad, None if not bad else f"failed: {bad}"
-            rec.run(f"euler.q{tag}.q_algebra.p{p}", "q_algebra",
-                    {"p": p, "q": tag}, algebra)
-
-        def classical_limit(dom=dom):
-            for _ in range(10):
-                p = rng.randint(2, 4)
-                k = [rng.randint(-4, 4) for _ in range(p)]
-                sym = euler_mod.q_index_and_euler(k, p, SYMBOLIC)
-                lim = eval_at(sym, Fraction(1))
-                if lim != euler_mod.classical_euler(k, p):
-                    return False, f"classical limit fails at k={k}"
-            return True, None
-        rec.run(f"euler.q{tag}.classical_limit", "euler", {"q": tag},
-                classical_limit)
+    def classical_limit():
+        for _ in range(10):
+            p = rng.randint(2, 4)
+            k = [rng.randint(-4, 4) for _ in range(p)]
+            sym = euler_mod.q_index_and_euler(k, p, SYMBOLIC)
+            lim = eval_at(sym, Fraction(1))
+            if lim != euler_mod.classical_euler(k, p):
+                return False, f"classical limit fails at k={k}"
+        return True, None
+    check("classical_limit", "euler", classical_limit)
 
 
-def suite_calibrate(args, rec, rng, domains):
-    m_max = args.m or 3
-    for dom in domains:
-        tag = dom.describe()
-        h = _hecke(args, dom, 2)
-        for m in range(1, m_max + 1):
-            def weights(h=h, m=m):
-                casimir_mod.trace_weights(h, m)
-                return True, f"exponent {h.p * m}"
-            rec.run(f"calibrate.q{tag}.weights.m{m}", "calibration",
-                    {"m": m, "q": tag}, weights, finding=True)
-
-            def gen_trace(h=h, m=m):
-                return casimir_mod.generator_trace_identity(h, m), None
-            rec.run(f"calibrate.q{tag}.generator_trace.m{m}", "calibration",
-                    {"m": m, "q": tag}, gen_trace)
+def suite_calibrate(args, check, rng, dom):
+    h = _hecke(args, dom, 2)
+    for m in range(1, (args.m or 3) + 1):
+        def weights():
+            casimir_mod.trace_weights(h, m)
+            return True, f"exponent {h.p * m}"
+        check(f"weights.m{m}", "calibration", weights, finding=True, m=m)
+        check(f"generator_trace.m{m}", "calibration",
+              lambda: (casimir_mod.generator_trace_identity(h, m), None), m=m)
 
 
 SUITES = {
@@ -663,6 +624,30 @@ SUITES = {
     "euler": suite_euler,
     "calibrate-trace": suite_calibrate,
 }
+
+
+def _run_samples(args, rec, suite: str) -> list:
+    """Run one suite's body once per q sample and return the samples'
+    domains.  The domains come first from a fresh rng seeded with --seed,
+    as in a standalone run; ``check`` forms ids and params as the module
+    docstring says, and ``once=True`` marks a check that does not depend
+    on q."""
+    rng = random.Random(args.seed)
+    domains = _domains(args, rng)
+    prefix = suite.removesuffix("-trace")
+    shared = {}
+    for dom in domains:
+        tag = dom.describe()
+
+        def check(name, anchor_key, fn, finding=False, once=False, **params):
+            if once:
+                fn = shared.setdefault(name, cache(fn))
+            rec.run(f"{prefix}.q{tag}.{name}", anchor_key,
+                    dict(params, q=tag), fn, finding)
+        SUITES[suite](args, check, rng, dom)
+    if suite == "newton":               # its q-free checks draw after every q
+        _newton_samples(args, rec, rng)
+    return domains
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +703,9 @@ def _fraction(text: str):
 
 def _check_args(parser, args) -> None:
     """Reject bad arguments with a usage error (exit 2) before any check runs."""
+    if args.symbolic and args.q != "random":
+        parser.error(f"--symbolic runs over symbolic q; it takes no --q, "
+                     f"got --q {args.q}")
     if args.q != "random":
         q0 = _fraction(args.q)
         if q0 is None:
@@ -739,6 +727,12 @@ def _check_args(parser, args) -> None:
         value = getattr(args, flag)
         if value is not None and value < low:
             parser.error(f"--{flag} must be at least {low} when given, got {value}")
+    # a conjecture run alone must scan something (under `all` the other
+    # suites still check)
+    if args.suite == "conjecture":
+        k, m = args.k or 3, args.m or 2
+        if not 2 <= m <= k:
+            parser.error(f"conjecture scans 2 <= m <= k, got k = {k}, m = {m}")
     if args.max_size < 1:
         parser.error(f"--max-size must be at least 1, got {args.max_size}")
     # the R-file is read once per run, unbuilt (exit 3 on a file error):
@@ -766,11 +760,7 @@ def run_suite(argv=None) -> int:
     _check_args(parser, args)
     rec = CheckRecorder()
     for name in SUITES if args.suite == "all" else [args.suite]:
-        # every suite gets the fresh rng a standalone run gets and draws its
-        # domains from it first
-        rng = random.Random(args.seed)
-        domains = _domains(args, rng)
-        SUITES[name](args, rec, rng, domains)
+        domains = _run_samples(args, rec, name)
     q_labels = [d.describe() for d in domains]
     if args.suite == "all":
         q_labels = sorted(set(q_labels))

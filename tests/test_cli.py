@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -257,6 +258,57 @@ class TestReports:
         assert counts[0].count("higher_newton_classical") == 2
         assert counts[1] == counts[0]
 
+    def test_all_seed1_report_is_pinned(self, tmp_path):
+        # 247 checks of every suite at three sampled q, each with its id,
+        # anchor, params, status and witness
+        code, report = run_json(tmp_path, ["all", "--seed", "1"])
+        assert code == 0
+        for c in report["checks"]:
+            c.pop("ms")
+        golden = Path(__file__).parent / "data" / "all_seed1_report.json"
+        assert report == json.loads(golden.read_text())
+        suites = Counter(c["id"].split(".")[0] for c in report["checks"])
+        assert suites == {"ch": 81, "reps": 36, "projectors": 33,
+                          "newton": 19, "conjecture": 6, "validate": 18,
+                          "orbit": 18, "euler": 18, "calibrate": 18}
+        assert Counter(c["status"] for c in report["checks"]) == {
+            "pass": 229, "finding": 18}
+
+    def test_newton_rows_must_all_be_checked(self, tmp_path, monkeypatch):
+        # an empty row report compares nothing: it fails, it does not pass
+        monkeypatch.setattr(identities, "newton_check", lambda cv, p, dom: {})
+        code, report = run_json(tmp_path, ["newton", "--seed", "1"])
+        assert code == 1
+        rows = [c for c in report["checks"] if ".rep.k" in c["id"]]
+        assert len(rows) == 9
+        for c in rows:
+            assert c["id"].startswith("newton.q")
+            assert c["status"] == "fail"
+            assert c["witness"] == "rows [] checked, expected 1..2"
+
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_multiplicities_must_cover_every_composition(
+            self, tmp_path, monkeypatch, change):
+        # a composition missing from the multiplicities, or one the oracle
+        # does not know, fails the comparison
+        real = orbits.multiplicities
+
+        def changed(rd, m, mode):
+            d = dict(real(rd, m, mode))
+            if change == "missing":
+                d.pop(max(d))
+            else:
+                d[(m + 1,) + (0,) * (len(max(d)) - 1)] = 1
+            return d
+        monkeypatch.setattr(orbits, "multiplicities", changed)
+        code, report = run_json(tmp_path, ["orbit", "--p", "2", "--q", "2/3"])
+        assert code == 1
+        status = {c["id"]: (c["status"], c["witness"])
+                  for c in report["checks"]}
+        for name in ("mult_classical", "mult_quantum"):
+            assert status[f"orbit.q2/3.{name}"][0] == "fail"
+            assert status[f"orbit.q2/3.{name}"][1].endswith(", m=1")
+
     def test_symbolic_run_leaves_no_q_number_table(self, tmp_path):
         # every op of the benchmark is a one-shot certification: the shared
         # symbolic domain keeps no table, and no two sampled domains share one
@@ -359,6 +411,28 @@ class TestExitCodes:
         assert not out.exists()
         stderr = capsys.readouterr().err
         assert "usage:" in stderr and "Traceback" not in stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--symbolic", "--q", "2/3"],
+        ["all", "--symbolic", "--q", "2/3"],
+        ["conjecture", "--k", "1", "--q", "2/3"],
+        ["conjecture", "--m", "1", "--q", "2/3"],
+        ["conjecture", "--m", "4", "--q", "2/3"],      # --k defaults to 3
+    ], ids=["validate-symbolic-q", "all-symbolic-q", "conjecture-k1",
+            "conjecture-m1", "conjecture-m4"])
+    def test_ignored_q_or_empty_scan_is_usage_error(
+            self, tmp_path, capsys, argv):
+        # --symbolic would ignore an explicit --q, and a conjecture run
+        # with no (k, m) to scan would pass having checked nothing
+        self.test_bad_argument_is_usage_error_before_any_check(
+            tmp_path, capsys, argv)
+
+    @pytest.mark.parametrize("flag", ["--k", "--m"])
+    def test_all_without_a_scan_still_checks(self, tmp_path, flag):
+        code, report = run_json(tmp_path, ["all", flag, "1", "--q", "2/3"])
+        assert code == 0
+        suites = {c["id"].split(".")[0] for c in report["checks"]}
+        assert "conjecture" not in suites and len(suites) == 8
 
     @pytest.mark.parametrize("flag, value", [
         ("--q", "-2/3"), ("--mu", "-3,4"), ("--hbar", "-1/2")])
