@@ -230,7 +230,7 @@ def closed_form_p2(h, k: int, m: int) -> CasimirMatrix:
     # the two coefficients above, each times q**(1-m)
     c1 = dom.q_int(m) / dom.q_pow(2 * k + m + 1)
     c2 = dom.zeta * dom.q_int(m) * dom.q_int(k + 1) / dom.q_pow(k + m)
-    x = (q_symmetrizer(h, m).mat.embed(dk, 1)
+    x = (q_symmetrizer(h, m).embed(dk, 1)
          * (level.basis * level.left_inverse).embed(1, h.n ** (m - 1)))
     second = Compression(chart.basis.embed(dk, 1),
                          chart.left_inverse.embed(dk, 1)).compress(x)

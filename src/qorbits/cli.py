@@ -208,16 +208,16 @@ def _size_above(bound: int, dim: int, spaces) -> str | None:
 # ---------------------------------------------------------------------------
 
 def suite_validate(args, check, rng, dom):
-    r = _r_matrix(args, dom, args.n)
-    rep = hecke_mod.validate_hecke_symmetry(r, dom)
+    n = args.r_data[0] if args.r_file else args.n
+    rep = hecke_mod.validate_hecke_symmetry(_r_matrix(args, dom, n), dom)
     for name, ok, reason in (
             ("ybe", rep.ybe, None),
             ("hecke", rep.hecke, None),
             ("skew", rep.skew_invertible, "skew_error"),
-            ("rank", rep.rank == r.n, "rank_outcome"),
+            ("rank", rep.rank == n, "rank_outcome"),
             ("bc_product", rep.bc_product, "bc_product_error"),
             ("bc_trace", rep.bc_trace, "bc_trace_error")):
-        check(name, name, lambda: (ok, rep.details.get(reason)), n=r.n)
+        check(name, name, lambda: (ok, rep.details.get(reason)), n=n)
 
 
 def suite_projectors(args, check, rng, dom):
@@ -231,8 +231,8 @@ def suite_projectors(args, check, rng, dom):
               lambda: ((s * s == s) and (a * a == a), None), n=n, m=m)
 
         def ranks():
-            rs = s.mat.trace()
-            ra = a.mat.trace()
+            rs = s.trace()
+            ra = a.trace()
             ok = (dom.lift(comb(n + m - 1, m)) == rs
                   and dom.lift(comb(n, m)) == ra)
             return ok, None if ok else f"traces {rs}, {ra}"
@@ -293,7 +293,7 @@ def suite_reps(args, check, rng, dom):
 
         def invariance():
             x = reps_mod.tensor_power_left(h, m).blocks
-            s = proj_mod.q_symmetrizer(h, m).mat.embed(h.n, 1)
+            s = proj_mod.q_symmetrizer(h, m).embed(h.n, 1)
             return (s * x * s == x * s), None
         check(f"invariance.m{m}", "sym_module", invariance, n=n, m=m)
 
@@ -671,8 +671,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "negative value is written --q=-2/3")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for sampled parameters (default 0)")
-    parser.add_argument("--samples", type=int, default=3,
-                        help="number of random q samples (default 3)")
+    parser.add_argument("--samples", type=int, default=None,
+                        help="number of random q samples (default 3); not "
+                             "with --symbolic or an explicit --q")
     parser.add_argument("--m", type=int, default=None)
     parser.add_argument("--k", type=int, default=None)
     parser.add_argument("--mu", type=str, default=None,
@@ -721,7 +722,13 @@ def _check_args(parser, args) -> None:
                          f"got {args.mu!r}")
     if args.n < 1:
         parser.error(f"--n must be at least 1, got {args.n}")
-    if args.samples < 1:
+    # an explicit --samples draws random q, which --symbolic and --q replace
+    if args.samples is None:
+        args.samples = 3
+    elif args.symbolic or args.q != "random":
+        parser.error(f"--samples counts random q samples; it takes no "
+                     f"--symbolic or --q, got --samples {args.samples}")
+    elif args.samples < 1:
         parser.error(f"--samples must be at least 1, got {args.samples}")
     for flag, low in (("m", 1), ("k", 1), ("p", 2)):
         value = getattr(args, flag)

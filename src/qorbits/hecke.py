@@ -8,10 +8,11 @@ collapses to a rank-one projector and then to zero).
 
 Conventions frozen here once and used everywhere downstream:
 
-* a LegOperator's entry at row (k, l), column (i, j) is the structure
-  constant multiplying x_k (x) x_l in the image of x_i (x) x_j; the same
-  array serves as the two-leg left automorphism, so the Hecke inverse is the
-  closed form R - (q - 1/q) I;
+* R is any square Mat on n**2 dimensions, n = dim V read off its shape;
+  its entry at row (k, l), column (i, j) is the structure constant
+  multiplying x_k (x) x_l in the image of x_i (x) x_j; the same array serves
+  as the two-leg left automorphism, so the Hecke inverse is the closed form
+  R - (q - 1/q) I;
 * B and C are stored as operators (row = output index): B = partial trace of
   Psi over leg 1, C = partial trace of Psi over leg 2, and the quantum trace
   of an operator matrix X is trace(C X).
@@ -23,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -40,7 +42,7 @@ class RFileError(ValueError):
 # construction
 # ---------------------------------------------------------------------------
 
-def standard_r(n: int, domain: ScalarDomain = SYMBOLIC) -> LegOperator:
+def standard_r(n: int, domain: ScalarDomain = SYMBOLIC) -> Mat:
     """The Drinfeld-Jimbo Hecke symmetry of rank n on an n-dimensional space.
 
     Entries: q on (i,i;i,i), 1 on the transpositions (j,i;i,j) for i != j,
@@ -60,7 +62,7 @@ def standard_r(n: int, domain: ScalarDomain = SYMBOLIC) -> LegOperator:
                 entries.append((j * n + i, i * n + j, domain.one))
             if i < j:
                 entries.append((i * n + j, i * n + j, zeta))
-    return LegOperator(n, 2, Mat.from_entries(n * n, n * n, domain.zero, entries))
+    return Mat.from_entries(n * n, n * n, domain.zero, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -104,19 +106,29 @@ class ValidationReport:
         return None
 
 
-def check_ybe(r: LegOperator) -> bool:
-    r12 = embed_on_legs(r, 1, 3)
-    r23 = embed_on_legs(r, 2, 3)
+def _dim_v(r: Mat) -> int:
+    """n = dim V for R on V (x) V, read off its n**2 x n**2 shape; any other
+    shape is a HeckeError."""
+    n = isqrt(r.nrows)
+    if n < 1 or n * n != r.nrows or r.ncols != r.nrows:
+        raise HeckeError(f"R is {r.nrows}x{r.ncols}, not n**2 x n**2")
+    return n
+
+
+def check_ybe(r: Mat) -> bool:
+    n = _dim_v(r)
+    r12, r23 = r.embed(1, n), r.embed(n, 1)
     return (r12 * r23 * r12) == (r23 * r12 * r23)
 
 
-def check_hecke(r: LegOperator, domain: ScalarDomain) -> bool:
-    ident = LegOperator.identity(r.n, 2, domain)
-    lhs = (r - ident.scale(domain.q)) * (r + ident.scale(domain.q_pow(-1)))
+def check_hecke(r: Mat, domain: ScalarDomain) -> bool:
+    dim = _dim_v(r) ** 2
+    lhs = ((r - Mat.identity(dim, domain.zero, domain.q))
+           * (r + Mat.identity(dim, domain.zero, domain.q_pow(-1))))
     return lhs.is_zero()
 
 
-def skew_inverse_bc(r: LegOperator, domain: ScalarDomain):
+def skew_inverse_bc(r: Mat, domain: ScalarDomain):
     """Solve for the skew inverse Psi and the weights B, C.
 
     The defining contraction says that the second-factor transpose of Psi
@@ -124,11 +136,11 @@ def skew_inverse_bc(r: LegOperator, domain: ScalarDomain):
     n**2 x n**2 inversion after reindexing.  The independent second identity
     (tracing Psi against R on the other side) is asserted, not assumed.
     """
-    n = r.n
+    n = _dim_v(r)
     dim = n * n
     # row (i,j), col (a,b) holds the entry with output (j,b) and input (i,a)
     a = []
-    for jb, ia, v in r.mat.entries():
+    for jb, ia, v in r.entries():
         (j, b), (i, aa) = divmod(jb, n), divmod(ia, n)
         a.append((i * n + j, aa * n + b, v))
     try:
@@ -139,23 +151,22 @@ def skew_inverse_bc(r: LegOperator, domain: ScalarDomain):
     for ab, sk, v in ainv.entries():
         (aa, b), (s, k) = divmod(ab, n), divmod(sk, n)
         psi_entries.append((aa * n + s, b * n + k, v))
-    psi = LegOperator(n, 2, Mat.from_entries(dim, dim, domain.zero, psi_entries))
+    psi = Mat.from_entries(dim, dim, domain.zero, psi_entries)
 
     ident_w = Mat.identity(n, domain.zero, domain.one)
-    flip = LegOperator.flip(n, domain).mat
-    r12 = embed_on_legs(r, 1, 3)
-    psi23 = embed_on_legs(psi, 2, 3)
-    first = weighted_partial_trace((r12 * psi23).mat, {2}, ident_w, (n,) * 3)
+    flip = Mat.from_entries(dim, dim, domain.zero, (
+        (k, (k % n) * n + k // n, domain.one) for k in range(dim)))
+    first = weighted_partial_trace(r.embed(1, n) * psi.embed(n, 1), {2},
+                                   ident_w, (n,) * 3)
     if not (first == flip):
         raise HeckeError("skew inverse failed the defining contraction")
-    psi12 = embed_on_legs(psi, 1, 3)
-    r23 = embed_on_legs(r, 2, 3)
-    second = weighted_partial_trace((psi12 * r23).mat, {2}, ident_w, (n,) * 3)
+    second = weighted_partial_trace(psi.embed(1, n) * r.embed(n, 1), {2},
+                                    ident_w, (n,) * 3)
     if not (second == flip):
         raise HeckeError("skew inverse failed the second contraction")
 
-    b = weighted_partial_trace(psi.mat, {1}, ident_w, (n, n))
-    c = weighted_partial_trace(psi.mat, {2}, ident_w, (n, n))
+    b = weighted_partial_trace(psi, {1}, ident_w, (n, n))
+    c = weighted_partial_trace(psi, {2}, ident_w, (n, n))
     return psi, b, c
 
 
@@ -233,15 +244,17 @@ _CERTIFICATES = 32
 
 class _Content(tuple):
     """The exact content of (R, q) as a key: q (None when symbolic), n, the
-    number of legs, the common denominator and every stored (row, column,
-    numerator).  It carries R and the domain to the certifier."""
+    common denominator and every stored (row, column, numerator).  It
+    carries R, tagged as an operator on two legs, and the domain to the
+    certifier; a shape that is not n**2 x n**2 is a HeckeError."""
 
-    def __new__(cls, r: LegOperator, domain: ScalarDomain):
+    def __new__(cls, r: Mat, domain: ScalarDomain):
+        n = _dim_v(r)
         key = super().__new__(cls, (
-            domain.q0, r.n, r.m, r.mat.den,
-            tuple((i, j, v) for i, row in enumerate(r.mat.data)
+            domain.q0, n, r.den,
+            tuple((i, j, v) for i, row in enumerate(r.data)
                   for j, v in row.items())))
-        key.r, key.domain = r, domain
+        key.r, key.domain = LegOperator(n, 2, r), domain
         return key
 
 
@@ -253,7 +266,7 @@ def _certified(content: _Content):
     return _certify(content.r, content.domain)
 
 
-def validate_hecke_symmetry(r: LegOperator,
+def validate_hecke_symmetry(r: Mat,
                             domain: ScalarDomain) -> ValidationReport:
     """Independent axiom checks; failures are report entries, not faults.
 
@@ -281,18 +294,19 @@ class HeckeSymmetry:
     levels of A(1)..A(p+1) and is shared by every symmetry of the same (R, q).
     """
 
-    def __init__(self, r: LegOperator, domain: ScalarDomain = SYMBOLIC):
-        report, weights, self._memo = _certified(_Content(r, domain))
+    def __init__(self, r: Mat, domain: ScalarDomain = SYMBOLIC):
+        content = _Content(r, domain)
+        report, weights, self._memo = _certified(content)
         if not report.passed:
             raise HeckeError(report.first_failure())
-        self.n = r.n
+        self.r = content.r
+        n = self.n = self.r.n
         self.domain = domain
-        self.r = r
         self.psi, self.b, self.c = weights
         self.p = report.rank
         # R**-1 = R - (q - 1/q) I, forced by the Hecke condition
-        self.r_inv = r - LegOperator(
-            r.n, 2, Mat.identity(r.n ** 2, domain.zero, domain.zeta))
+        self.r_inv = LegOperator(n, 2, r - Mat.identity(n * n, domain.zero,
+                                                        domain.zeta))
 
     def memo(self, key, build):
         """The derived object stored under key; build() makes it on first
@@ -305,8 +319,8 @@ class HeckeSymmetry:
     def q(self):
         return self.domain.q
 
-    def identity(self, m: int) -> LegOperator:
-        return LegOperator.identity(self.n, m, self.domain)
+    def identity(self, m: int) -> Mat:
+        return Mat.identity(self.n ** m, self.domain.zero, self.domain.one)
 
     def r_on(self, i: int, total: int) -> LegOperator:
         """R acting on legs (i, i+1) of a total-leg space."""
@@ -377,18 +391,17 @@ def read_r_file(path) -> tuple:
     return n, entries
 
 
-def build_r(n: int, entries, domain: ScalarDomain) -> LegOperator:
+def build_r(n: int, entries, domain: ScalarDomain) -> Mat:
     """The R-matrix of :func:`read_r_file`'s (n, entries) over the domain."""
-    return LegOperator(n, 2, Mat.from_entries(
-        n * n, n * n, domain.zero,
-        ((out, inp, domain.lift(v)) for out, inp, v in entries)))
+    return Mat.from_entries(n * n, n * n, domain.zero,
+                            ((out, inp, domain.lift(v)) for out, inp, v in entries))
 
 
-def save_r_to_file(path, r: LegOperator) -> None:
+def save_r_to_file(path, r: Mat) -> None:
     """Write an R-matrix in canonical form (sorted entries, canonical scalars)."""
-    n = r.n
+    n = _dim_v(r)
     entries = []
-    for out, inp, v in r.mat.entries():
+    for out, inp, v in r.entries():
         (ko, lo), (ki, li) = divmod(out, n), divmod(inp, n)
         text = str(v) if isinstance(v, Fraction) else format_scalar(v)
         entries.append({

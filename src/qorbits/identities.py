@@ -114,11 +114,11 @@ def _sigma_k(h, rep: Representation, k: int, c_gen: Mat) -> object:
     l_cur = rep.generator_matrix(k)
     product = l_cur
     for t in range(1, k):
-        r_t = embed_on_legs(h.r, t, k).mat.embed(1, d)
-        rinv_t = embed_on_legs(h.r_inv, t, k).mat.embed(1, d)
+        r_t = embed_on_legs(h.r, t, k).embed(1, d)
+        rinv_t = embed_on_legs(h.r_inv, t, k).embed(1, d)
         l_cur = r_t * l_cur * rinv_t
         product = product * l_cur
-    product = q_antisymmetrizer(h, k).mat.embed(1, d) * product
+    product = q_antisymmetrizer(h, k).embed(1, d) * product
     value = central_trace(product, range(1, k + 1), c_gen, [h.n] * k + [d],
                           f"sigma_{k}")
     return dom.q_pow(k) * value

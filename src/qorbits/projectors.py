@@ -30,8 +30,10 @@ first, reads the integer traces and the collapse off the levels.
 Level m is kept in the memo of the symmetry's certification under
 ("S" | "A", m), and modules and trace weights read it alone (:mod:`reps`);
 the chart on m legs and P(m) = B_m L_m, built on request, under
-(kind, m, "chart") and (kind, m, "projector").  A projector on more legs
-is embed_on_legs of P(m), built by the caller and not kept.
+(kind, m, "chart") and (kind, m, "projector").  P(m) is a LegOperator,
+a Mat tagged with its m legs; its products and sums are plain Mats.  A
+projector on more legs is embed_on_legs of P(m), built by the caller and
+not kept.  The levels and charts are plain Mats on level dimensions.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _level(memo: dict, r: LegOperator, domain: ScalarDomain, kind: str,
         memo.setdefault((kind, 1), (ident.trace(), ident, ident))
     if (kind, m) not in memo:
         _, b, l = _level(memo, r, domain, kind, m - 1)
-        rho = r.mat if m == 2 else (l.embed(1, n) * r.mat.embed(
+        rho = r if m == 2 else (l.embed(1, n) * r.embed(
             b.nrows // n, 1) * b.embed(1, n))    # l_1 = b_1 = I at m = 2
         f = _level_factor(domain, m, kind)
         c = domain.q_pow(m - 1) if kind == "S" else -domain.q_pow(1 - m)

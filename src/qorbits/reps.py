@@ -7,7 +7,7 @@ block map is an algebra homomorphism under matrix product).  Right blocks
 are stored in the same column-action convention, which makes the block map
 an anti-homomorphism; the relations engine therefore evaluates all products
 in the opposite order for side="right" (implemented by running the one
-engine on transposed blocks, :func:`place_blocks`).
+engine on transposed blocks, ``Mat.embed_blocks``).
 
 The defining relations live on V (x) V with operator-valued entries:
 
@@ -107,20 +107,12 @@ class Representation:
         """
         if aux_legs == 1 and self.side == "left":
             return self.blocks
-        return place_blocks(self.blocks, self.d, self.n ** (aux_legs - 1),
-                            self.side == "right")
+        return self.blocks.embed_blocks(self.d, self.n ** (aux_legs - 1),
+                                        self.side == "right")
 
     def __repr__(self):
         return (f"Representation({self.label}, side={self.side}, "
                 f"hbar={self.hbar}, d={self.d})")
-
-
-def place_blocks(blocks: Mat, d: int, rest: int,
-                 transpose: bool = False) -> Mat:
-    """sum_ij E_ij (x) I_rest (x) B_ij from blocks = sum_ij E_ij (x) B_ij with
-    d x d blocks B_ij, each transposed when transpose is set
-    (``Mat.embed_blocks``: the numerators are copied into place)."""
-    return blocks.embed_blocks(d, rest, transpose)
 
 
 def verify_defining_relations(rep: Representation, h) -> list:
@@ -140,7 +132,7 @@ def verify_defining_relations(rep: Representation, h) -> list:
     dom = rep.domain
     hbar = dom.lift(rep.hbar)
     l1 = rep.generator_matrix(2)
-    rbig = h.r.mat.embed(1, d)
+    rbig = h.r.embed(1, d)
     w = l1 * (rbig * l1)
     if hbar:
         w = w - l1.scale(hbar)
@@ -190,7 +182,7 @@ def tensor_power_left(h, m: int) -> Representation:
     n = h.n
     cur = total = fundamental_left(h).blocks.embed(1, n ** (m - 1))
     for r in range(1, m):
-        rinv = embed_on_legs(h.r_inv, r, m).mat.embed(n, 1)
+        rinv = embed_on_legs(h.r_inv, r, m).embed(n, 1)
         cur = rinv * cur * rinv
         total = total + cur
     return Representation("left", Fraction(1), n, n ** m, total,
@@ -220,7 +212,7 @@ def right_fundamental_blocks(h) -> Mat:
     """Single-leg right action: x_k picks up the antisymmetrizer contraction."""
     n, dom = h.n, h.domain
     entries = []
-    for r, c, v in q_antisymmetrizer(h, 2).mat.entries():
+    for r, c, v in q_antisymmetrizer(h, 2).entries():
         (s, j), (k, i) = divmod(r, n), divmod(c, n)
         entries.append((i * n + s, j * n + k, v))
     return Mat.from_entries(n * n, n * n, dom.zero, entries).scale(
@@ -234,8 +226,8 @@ def sym_power_right_p2(h, m: int) -> Representation:
         raise RepresentationError("requires symmetry rank 2")
     if m < 1:
         raise RepresentationError("m must be positive")
-    x = place_blocks(right_fundamental_blocks(h), h.n,
-                     sym_level(h, m).basis.nrows // h.n)     # d_{m-1}
+    x = right_fundamental_blocks(h).embed_blocks(
+        h.n, sym_level(h, m).basis.nrows // h.n)            # d_{m-1}
     blocks = _on_level(h, m, x).scale(
         h.domain.q_pow(1 - m) * h.domain.q_int(m))
     return Representation("right", Fraction(1), h.n, blocks.nrows // h.n,

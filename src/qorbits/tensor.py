@@ -29,11 +29,15 @@ operator, with the dimensions of its factors given; ``block_pairing`` is
 the partial trace over the generator leg of a product of two block
 matrices, accumulated without that product.
 
-Index encoding for leg operators is frozen package-wide: the row (column)
-index of an m-leg operator on an n-dimensional space is the mixed-radix
-base-n encoding of the 0-based leg tuple with leg 1 most significant.  Rows
-carry the output multi-index, columns the input multi-index, so composition
-is ordinary matrix multiplication acting on column vectors.
+Every operator is a Mat: R on V (x) V, the projectors on V**m, the module
+and Casimir matrices.  A ``LegOperator`` is a Mat tagged with n = dim V and
+its number of legs m, which ``embed_on_legs`` reads; its arithmetic is
+Mat's, and returns plain Mats.  Index encoding for operators on V**m is
+frozen package-wide: the row (column) index of an m-leg operator on an
+n-dimensional space is the mixed-radix base-n encoding of the 0-based leg
+tuple with leg 1 most significant.  Rows carry the output multi-index,
+columns the input multi-index, so composition is ordinary matrix
+multiplication acting on column vectors.
 """
 
 from __future__ import annotations
@@ -68,24 +72,12 @@ class Mat:
     numerators: ``mat[i, j]``, ``entries()``, ``trace()`` and ``rows``, a
     dense list-of-lists copy built on each access (writing into it changes
     nothing, and no library hot path uses it).  A matrix is never written
-    into: every operation returns a new one, and ``from_entries`` builds one
-    in a single pass.
+    into: every operation returns a new one.  The constructors are
+    ``from_entries`` (one pass over (row, column, value) triples),
+    ``zeros`` and ``identity``.
     """
 
     __slots__ = ("data", "den", "nrows", "ncols", "zero")
-
-    def __init__(self, rows, zero=None):
-        """From dense rows (small literal matrices); the zero defaults to
-        that of the first entry."""
-        if zero is None:
-            if not rows or not rows[0]:
-                raise ValueError("an empty matrix needs its zero")
-            zero = rows[0][0] * 0
-        self.data, self.den = _numerators(
-            [{c: v for c, v in enumerate(row) if v} for row in rows], zero)
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        self.zero = zero
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -499,60 +491,25 @@ class LegError(ValueError):
     pass
 
 
-class LegOperator:
-    """Exact square operator on V**m with the frozen leg-index encoding."""
+class LegOperator(Mat):
+    """A square Mat on V**m, n = dim V, tagged with its legs for
+    :func:`embed_on_legs`.  Arithmetic is Mat's and returns plain Mats."""
 
-    __slots__ = ("n", "m", "mat")
+    __slots__ = ("n", "m")
 
     def __init__(self, n: int, m: int, mat: Mat):
         dim = n ** m
         if mat.nrows != dim or mat.ncols != dim:
             raise LegError(f"matrix is {mat.nrows}x{mat.ncols}, expected {dim}x{dim}")
+        self.data, self.den, self.zero = mat.data, mat.den, mat.zero
+        self.nrows = self.ncols = dim
         self.n = n
         self.m = m
-        self.mat = mat
 
-    @staticmethod
-    def identity(n: int, m: int, domain) -> "LegOperator":
-        return LegOperator(n, m, Mat.identity(n ** m, domain.zero, domain.one))
-
-    @staticmethod
-    def flip(n: int, domain) -> "LegOperator":
-        """The permutation operator P on two legs (P**2 = I)."""
-        return LegOperator(n, 2, Mat.from_entries(
-            n * n, n * n, domain.zero,
-            ((r, (r % n) * n + r // n, domain.one) for r in range(n * n))))
-
-    def __mul__(self, other):
-        if isinstance(other, LegOperator):
-            if (self.n, self.m) != (other.n, other.m):
-                raise LegError("leg mismatch in composition")
-            return LegOperator(self.n, self.m, self.mat * other.mat)
-        return NotImplemented
-
-    def __add__(self, other):
-        if (self.n, self.m) != (other.n, other.m):
-            raise LegError("leg mismatch in sum")
-        return LegOperator(self.n, self.m, self.mat + other.mat)
-
-    def __sub__(self, other):
-        if (self.n, self.m) != (other.n, other.m):
-            raise LegError("leg mismatch in difference")
-        return LegOperator(self.n, self.m, self.mat - other.mat)
-
-    def scale(self, s) -> "LegOperator":
-        return LegOperator(self.n, self.m, self.mat.scale(s))
-
-    def __eq__(self, other):
-        if not isinstance(other, LegOperator):
-            return NotImplemented
-        return (self.n, self.m) == (other.n, other.m) and self.mat == other.mat
-
-    def is_zero(self) -> bool:
-        return self.mat.is_zero()
-
-    def __repr__(self):
-        return f"LegOperator(n={self.n}, m={self.m})"
+    @property
+    def mat(self) -> Mat:
+        """The operator itself."""
+        return self
 
 
 def embed_on_legs(op: LegOperator, start: int, total: int) -> LegOperator:
@@ -561,8 +518,8 @@ def embed_on_legs(op: LegOperator, start: int, total: int) -> LegOperator:
     if start < 1 or start + m0 - 1 > total:
         raise LegError(f"legs [{start}, {start + m0 - 1}] do not fit in {total}")
     n = op.n
-    return LegOperator(n, total, op.mat.embed(n ** (start - 1),
-                                              n ** (total - start - m0 + 1)))
+    return LegOperator(n, total, op.embed(n ** (start - 1),
+                                          n ** (total - start - m0 + 1)))
 
 
 def weighted_partial_trace(mat: Mat, legs, weight: Mat, dims) -> Mat:

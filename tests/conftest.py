@@ -10,6 +10,27 @@ from qorbits.scalars import at_q
 from qorbits.hecke import standard_hecke
 from qorbits.tensor import LegOperator, Mat
 
+def from_rows(rows, zero=None) -> Mat:
+    """A Mat from dense rows (a literal matrix); the zero defaults to that of
+    the first entry."""
+    if zero is None:
+        zero = rows[0][0] * 0
+    return Mat.from_entries(len(rows), len(rows[0]) if rows else 0, zero,
+                            ((i, j, v) for i, row in enumerate(rows)
+                             for j, v in enumerate(row)))
+
+
+def leg_identity(n: int, m: int, dom) -> LegOperator:
+    """The identity on m legs of an n-dimensional space."""
+    return LegOperator(n, m, Mat.identity(n ** m, dom.zero, dom.one))
+
+
+def flip(n: int, dom) -> Mat:
+    """The permutation operator P on two legs (P**2 = I)."""
+    return Mat.from_entries(n * n, n * n, dom.zero, (
+        (k, (k % n) * n + k // n, dom.one) for k in range(n * n)))
+
+
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run and prints the
 # blob that replays a failing one, so a CI failure reproduces locally.
 settings.register_profile("ci", derandomize=True, print_blob=True)
@@ -66,20 +87,15 @@ def scale_sizes(monkeypatch):
 @pytest.fixture()
 def largest_built(monkeypatch):
     """[the largest row or column count of any Mat built meanwhile]"""
-    # every Mat is made by Mat.__init__ or tensor._mat
+    # every Mat is made by tensor._mat; a LegOperator tags one already made
     built = [0]
-    make, init = tensor._mat, Mat.__init__
+    make = tensor._mat
 
     def record(mat):
         built[0] = max(built[0], mat.nrows, mat.ncols)
         return mat
 
-    def init_and_record(self, *args):
-        init(self, *args)
-        record(self)
-
     monkeypatch.setattr(tensor, "_mat", lambda *a: record(make(*a)))
-    monkeypatch.setattr(Mat, "__init__", init_and_record)
     return built
 
 
@@ -95,8 +111,8 @@ def dvl3():
         e_inv = [[zero, -one, zero], [zero, zero, -one],
                  [dom.q_pow(-1), dom.q_pow(-1), one]]
         pairs = [(i, j) for i in range(3) for j in range(3)]
-        return LegOperator(3, 2, Mat.from_entries(
+        return Mat.from_entries(
             9, 9, zero, ((3 * i + j, 3 * k + l, e_inv[i][j] * e[k][l]
                           + (q if (i, j) == (k, l) else zero))
-                         for i, j in pairs for k, l in pairs)))
+                         for i, j in pairs for k, l in pairs))
     return build

@@ -53,7 +53,7 @@ def test_criterion_01_hecke_axioms():
             assert h.b.trace() == expect and h.c.trace() == expect
             a_n = q_antisymmetrizer(h, n)
             assert (a_n * a_n) == a_n
-            assert a_n.mat.trace() == dom.one
+            assert a_n.trace() == dom.one
             assert q_antisymmetrizer(h, n + 1).is_zero()
     report(1, "Hecke axioms n=2,3,4 at 3 random q", t0)
 

@@ -15,7 +15,7 @@ from qorbits.casimir import (CasimirError, basic_roots, closed_form_p2,
                              module_trace, q_dimension, split_casimir_matrix,
                              trace_weights)
 from qorbits.projectors import q_symmetrizer
-from qorbits.reps import (Compression, RepresentationError, place_blocks,
+from qorbits.reps import (Compression, RepresentationError,
                           sym_chart, sym_power_left, sym_power_right_rea_p2)
 from qorbits.identities import (IdentityError, RootData, ch_verify,
                                 omega_roots_p2)
@@ -274,7 +274,7 @@ def _traced_product_oracle(h, first, second, transpose):
     V (x) V_first (x) V_second."""
     d1, d2 = first.d, second.d
     product = (first.blocks.embed(1, d2)
-               * place_blocks(second.blocks, d2, d1, transpose))
+               * second.blocks.embed_blocks(d2, d1, transpose))
     return weighted_partial_trace(product, {1}, h.c.transpose(),
                                   (h.n, d1 * d2)).scale(
         h.domain.q_pow(2 * h.p))
@@ -427,9 +427,9 @@ def _one_compression(h, k, m):
     compress(c1 S(k) S(m) + c2 S(m) S(k+1) S(m)) q**(1-m)."""
     dom = h.domain
     total = k + m
-    sk = embed_on_legs(q_symmetrizer(h, k), 1, total).mat
-    sm = embed_on_legs(q_symmetrizer(h, m), k + 1, total).mat
-    sk1 = embed_on_legs(q_symmetrizer(h, k + 1), 1, total).mat
+    sk = embed_on_legs(q_symmetrizer(h, k), 1, total)
+    sm = embed_on_legs(q_symmetrizer(h, m), k + 1, total)
+    sk1 = embed_on_legs(q_symmetrizer(h, k + 1), 1, total)
     c1 = dom.q_int(m) / dom.q_pow(2 * k + 2)
     c2 = dom.zeta * dom.q_int(m) * dom.q_int(k + 1) / dom.q_pow(k + 1)
     a, b = sym_chart(h, k), sym_chart(h, m)

@@ -126,7 +126,7 @@ class TestReports:
             dom = h.domain
             t = Mat.identity(4, dom.zero, dom.one) + Mat.from_entries(
                 4, 4, dom.zero, [(0, 1, dom.one)])
-            return LegOperator(h.n, 2, s.mat * t)
+            return LegOperator(h.n, 2, s * t)
         monkeypatch.setattr(projectors, "q_symmetrizer", skewed)
         code, report = run_json(tmp_path, ["projectors", "--q", "2/3"])
         assert code == 1
@@ -418,12 +418,17 @@ class TestExitCodes:
         ["conjecture", "--k", "1", "--q", "2/3"],
         ["conjecture", "--m", "1", "--q", "2/3"],
         ["conjecture", "--m", "4", "--q", "2/3"],      # --k defaults to 3
+        ["validate", "--symbolic", "--samples", "5"],
+        ["validate", "--q", "2/3", "--samples", "5"],
+        ["all", "--q", "2/3", "--samples", "3"],      # even at the default
     ], ids=["validate-symbolic-q", "all-symbolic-q", "conjecture-k1",
-            "conjecture-m1", "conjecture-m4"])
+            "conjecture-m1", "conjecture-m4", "symbolic-samples",
+            "q-samples", "all-q-samples"])
     def test_ignored_q_or_empty_scan_is_usage_error(
             self, tmp_path, capsys, argv):
-        # --symbolic would ignore an explicit --q, and a conjecture run
-        # with no (k, m) to scan would pass having checked nothing
+        # --symbolic would ignore an explicit --q, one q an explicit
+        # --samples, and a conjecture run with no (k, m) to scan would pass
+        # having checked nothing
         self.test_bad_argument_is_usage_error_before_any_check(
             tmp_path, capsys, argv)
 

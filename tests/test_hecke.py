@@ -13,20 +13,21 @@ from qorbits.hecke import (HeckeError, HeckeSymmetry, RFileError, build_r,
                            validate_hecke_symmetry, check_ybe, check_hecke)
 from qorbits.projectors import q_antisymmetrizer, q_symmetrizer
 from qorbits.reps import sym_chart
+from conftest import flip, from_rows
 
 
 class TestStandardR:
     def test_n1_is_q(self):
         r = standard_r(1)
-        assert r.mat.rows[0][0] == Q
+        assert r.rows[0][0] == Q
         assert validate_hecke_symmetry(r, SYMBOLIC).passed
 
     def test_n2_spectral_multiplicities(self, h2):
         # rank S(2) = 3 and rank A(2) = 1 force the eigenvalue multiplicities
         s2 = q_symmetrizer(h2, 2)
         a2 = q_antisymmetrizer(h2, 2)
-        assert s2.mat.trace() == SYMBOLIC.lift(3)
-        assert a2.mat.trace() == SYMBOLIC.lift(1)
+        assert s2.trace() == SYMBOLIC.lift(3)
+        assert a2.trace() == SYMBOLIC.lift(1)
         zero = (h2.r - s2.scale(SYMBOLIC.q) + a2.scale(SYMBOLIC.q_pow(-1)))
         assert zero.is_zero()   # R = q S(2) - (1/q) A(2)
 
@@ -43,7 +44,7 @@ class TestStandardR:
 
 class TestValidation:
     def test_flip_fails_hecke(self):
-        p = LegOperator.flip(2, SYMBOLIC)
+        p = flip(2, SYMBOLIC)
         rep = validate_hecke_symmetry(p, SYMBOLIC)
         assert rep.ybe and not rep.hecke
 
@@ -51,7 +52,7 @@ class TestValidation:
         dom = at_q(Fraction(5, 2))
         mat = Mat.from_entries(4, 4, dom.zero, ((i, i, Fraction(v))
                                                 for i, v in enumerate((1, 2, 3, 4))))
-        rep = validate_hecke_symmetry(LegOperator(2, 2, mat), dom)
+        rep = validate_hecke_symmetry(mat, dom)
         assert not rep.ybe
 
     def test_report_checks_are_independent(self, h2):
@@ -61,7 +62,7 @@ class TestValidation:
 
     def test_zero_operator_reports_unchecked_normalization(self):
         dom = at_q(Fraction(3, 4))
-        zero = LegOperator(2, 2, Mat.zeros(4, 4, dom.zero))
+        zero = Mat.zeros(4, 4, dom.zero)
         rep = validate_hecke_symmetry(zero, dom)
         assert not rep.bc_product and not rep.bc_trace and not rep.passed
         assert rep.details["bc_product_error"].startswith("not checked")
@@ -70,13 +71,39 @@ class TestValidation:
 
     def test_constructor_names_first_failed_axiom(self):
         dom = at_q(Fraction(3, 4))
-        zero = LegOperator(2, 2, Mat.zeros(4, 4, dom.zero))
+        zero = Mat.zeros(4, 4, dom.zero)
         with pytest.raises(HeckeError, match="^Hecke condition fails$"):
             HeckeSymmetry(zero, dom)
 
     def test_constructor_asserts(self):
         with pytest.raises(HeckeError):
-            HeckeSymmetry(LegOperator.flip(2, SYMBOLIC), SYMBOLIC)
+            HeckeSymmetry(flip(2, SYMBOLIC), SYMBOLIC)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 2), (0, 0)])
+    def test_shape_not_n_squared_is_refused_before_any_product(
+            self, monkeypatch, tmp_path, shape):
+        # R is any Mat whose shape is n**2 x n**2; n is read off that shape
+        dom = at_q(Fraction(2, 3))
+        r = Mat.zeros(*shape, dom.zero)
+
+        def no_product(*args):
+            raise AssertionError("a product was formed")
+        monkeypatch.setattr(Mat, "__mul__", no_product)
+        for call in (lambda: validate_hecke_symmetry(r, dom),
+                     lambda: HeckeSymmetry(r, dom),
+                     lambda: check_ybe(r), lambda: check_hecke(r, dom),
+                     lambda: skew_inverse_bc(r, dom),
+                     lambda: save_r_to_file(tmp_path / "r.json", r)):
+            with pytest.raises(HeckeError, match=r"not n\*\*2 x n\*\*2"):
+                call()
+        assert not (tmp_path / "r.json").exists()
+
+    def test_symmetry_tags_r_with_two_legs(self, h2):
+        assert isinstance(standard_r(2), Mat)
+        assert not isinstance(standard_r(2), LegOperator)
+        for op in (h2.r, h2.r_inv):
+            assert isinstance(op, LegOperator) and (op.n, op.m) == (2, 2)
+        assert h2.r * h2.r_inv == Mat.identity(4, SYMBOLIC.zero, SYMBOLIC.one)
 
 
 class TestCertificateCache:
@@ -115,8 +142,8 @@ class TestCertificateCache:
         dom = at_q(Fraction(2, 3))
         good = standard_r(2, dom)
         entries = [(i, j, v + 1 if (i, j) == (0, 0) else v)
-                   for i, j, v in good.mat.entries()]
-        bad = LegOperator(2, 2, Mat.from_entries(4, 4, dom.zero, entries))
+                   for i, j, v in good.entries()]
+        bad = Mat.from_entries(4, 4, dom.zero, entries)
         assert validate_hecke_symmetry(good, dom).passed
         rep = validate_hecke_symmetry(bad, dom)
         assert not rep.hecke and not rep.passed
@@ -127,8 +154,8 @@ class TestCertificateCache:
     def test_same_numerators_over_another_denominator(self, certify_calls):
         dom = at_q(Fraction(2))
         r = standard_r(2, dom)
-        half = LegOperator(2, 2, r.mat.scale(Fraction(1, 2)))
-        assert half.mat.data == r.mat.data and half.mat.den == 2 * r.mat.den
+        half = r.scale(Fraction(1, 2))
+        assert half.data == r.data and half.den == 2 * r.den
         assert validate_hecke_symmetry(r, dom).passed
         assert not validate_hecke_symmetry(half, dom).hecke
         assert len(certify_calls) == 2
@@ -190,8 +217,8 @@ class TestCertificateCache:
         h = standard_hecke(2, dom)
         s2 = q_symmetrizer(h, 2)
         entries = [(i, j, v + 1 if (i, j) == (0, 0) else v)
-                   for i, j, v in h.r.mat.entries()]
-        bumped = LegOperator(2, 2, Mat.from_entries(4, 4, dom.zero, entries))
+                   for i, j, v in h.r.entries()]
+        bumped = Mat.from_entries(4, 4, dom.zero, entries)
         others = [standard_hecke(2, at_q(Fraction(3, 2)))._memo,
                   hecke._certified(hecke._Content(bumped, dom))[2],
                   standard_hecke(2)._memo]
@@ -240,7 +267,7 @@ class TestCertificateCache:
 
     def test_report_is_read_only(self):
         dom = at_q(Fraction(3, 4))
-        zero = LegOperator(2, 2, Mat.zeros(4, 4, dom.zero))
+        zero = Mat.zeros(4, 4, dom.zero)
         rep = validate_hecke_symmetry(zero, dom)
         with pytest.raises(FrozenInstanceError):
             rep.rank = 2
@@ -256,16 +283,17 @@ class TestSkewInverse:
     def test_both_contractions_hold(self, h2):
         # construction already asserts both equalities; do it again in the open
         psi, b, c = skew_inverse_bc(h2.r, h2.domain)
+        psi = LegOperator(2, 2, psi)
         from qorbits.tensor import embed_on_legs, weighted_partial_trace
-        flip = LegOperator.flip(2, h2.domain).mat
+        p = flip(2, h2.domain)
         w = Mat.identity(2, h2.domain.zero, h2.domain.one)
         lhs = weighted_partial_trace(
-            (embed_on_legs(h2.r, 1, 3) * embed_on_legs(psi, 2, 3)).mat, {2}, w,
+            embed_on_legs(h2.r, 1, 3) * embed_on_legs(psi, 2, 3), {2}, w,
             (2, 2, 2))
         rhs = weighted_partial_trace(
-            (embed_on_legs(psi, 1, 3) * embed_on_legs(h2.r, 2, 3)).mat, {2}, w,
+            embed_on_legs(psi, 1, 3) * embed_on_legs(h2.r, 2, 3), {2}, w,
             (2, 2, 2))
-        assert lhs == flip and rhs == flip
+        assert lhs == p and rhs == p
 
     def test_trace_normalization(self, h2):
         expect = q_int(2) * QScalar.q_power(-2)
@@ -287,19 +315,19 @@ class TestSkewInverse:
         dom = at_q(Fraction(3, 4))
         mat = Mat.zeros(4, 4, dom.zero)   # the zero operator has no skew inverse
         with pytest.raises(HeckeError, match="not skew-invertible"):
-            skew_inverse_bc(LegOperator(2, 2, mat), dom)
+            skew_inverse_bc(mat, dom)
 
 
 class TestSymmetryRank:
     def test_lowest_antisymmetrizer_data(self, h2):
         a2 = q_antisymmetrizer(h2, 2)
         a3 = q_antisymmetrizer(h2, 3)
-        assert a2.mat.trace() == SYMBOLIC.lift(1)
+        assert a2.trace() == SYMBOLIC.lift(1)
         assert a3.is_zero()
 
     def test_rank_outcome_none(self):
         dom = at_q(Fraction(2, 5))
-        p = LegOperator.flip(2, dom)
+        p = flip(2, dom)
         # P is a Hecke symmetry only at q = 1: no rank is certified at
         # generic q, and the bundle is refused
         assert validate_hecke_symmetry(p, dom).rank is None
@@ -307,7 +335,7 @@ class TestSymmetryRank:
             HeckeSymmetry(p, dom)
         # q I on two dimensions is a Yang-Baxter Hecke operator whose levels
         # collapse at A(2) after a rank-two level: the outcome names the walk
-        q_identity = LegOperator.identity(2, 2, dom).scale(dom.q)
+        q_identity = Mat.identity(4, dom.zero, dom.q)
         rep = validate_hecke_symmetry(q_identity, dom)
         assert rep.ybe and rep.hecke and rep.rank is None
         assert rep.details["rank_outcome"] == (
@@ -318,9 +346,9 @@ class TestSymmetryRank:
         # G R G**-1 and breaks the Yang-Baxter equation, without which the
         # nested levels are not the antisymmetrizers: no level is walked
         dom = at_q(Fraction(2, 5))
-        g = Mat([[Fraction(x) for x in row] for row in
+        g = from_rows([[Fraction(x) for x in row] for row in
                  ([2, 1, 0, 3], [1, 1, 1, 0], [0, 2, 1, 1], [1, 0, 0, 1])])
-        r = LegOperator(2, 2, g * standard_r(2, dom).mat * inverse(g))
+        r = g * standard_r(2, dom) * inverse(g)
         assert check_hecke(r, dom) and not check_ybe(r)
 
         def no_level(*args):

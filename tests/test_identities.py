@@ -21,6 +21,7 @@ from qorbits.identities import (CentralValues, IdentityError, RootData,
                                 multiplicity, newton_check,
                                 omega_roots_p2, parametric_central_values,
                                 repeated_pair, root_products, xi_symmetric)
+from conftest import from_rows
 
 
 def pairwise_multiplicity(kvec, mu, hbar, domain):
@@ -368,26 +369,26 @@ def _det(rows):
 class TestChVerify:
     def test_diagonal(self):
         dom = at_q(Fraction(2))
-        mat = Mat([[Fraction(3), Fraction(0)], [Fraction(0), Fraction(7)]])
+        mat = from_rows([[Fraction(3), Fraction(0)], [Fraction(0), Fraction(7)]])
         ok, support = ch_verify(mat, [Fraction(3), Fraction(7)], dom)
         assert ok and support == 0
 
     def test_failure_reports_support(self):
         dom = at_q(Fraction(2))
-        mat = Mat([[Fraction(3), Fraction(1)], [Fraction(0), Fraction(7)]])
+        mat = from_rows([[Fraction(3), Fraction(1)], [Fraction(0), Fraction(7)]])
         ok, support = ch_verify(mat, [Fraction(3), Fraction(5)], dom)
         assert not ok and support > 0
 
     def test_repeated_roots_allowed(self):
         dom = at_q(Fraction(2))
-        mat = Mat([[Fraction(3), Fraction(1)], [Fraction(0), Fraction(3)]])
+        mat = from_rows([[Fraction(3), Fraction(1)], [Fraction(0), Fraction(3)]])
         ok, _ = ch_verify(mat, [Fraction(3), Fraction(3)], dom)
         assert ok
 
     def test_root_products_are_the_partial_products(self):
         # P_0 = I, P_1 = M - 3, P_2 = (M - 3)(M - 5), one per root
         dom = at_q(Fraction(2))
-        mat = Mat([[Fraction(3), Fraction(1)], [Fraction(0), Fraction(7)]])
+        mat = from_rows([[Fraction(3), Fraction(1)], [Fraction(0), Fraction(7)]])
         ident = Mat.identity(2, dom.zero, dom.one)
         chain = list(root_products(mat, [Fraction(3), Fraction(5)], dom))
         first = mat - ident.scale(Fraction(3))
@@ -398,7 +399,7 @@ class TestChVerify:
         # (M - 1)(M - 2) = 0 for M = diag(1, 2): the chain ends there, with
         # one product, and the factor M - 5 is never multiplied in
         dom = at_q(Fraction(2))
-        mat = Mat([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]])
+        mat = from_rows([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]])
         calls = []
         real = Mat.__mul__
 
@@ -412,7 +413,7 @@ class TestChVerify:
 
     def test_coefficient_form(self):
         dom = at_q(Fraction(2))
-        mat = Mat([[Fraction(3), Fraction(0)], [Fraction(0), Fraction(7)]])
+        mat = from_rows([[Fraction(3), Fraction(0)], [Fraction(0), Fraction(7)]])
         sigmas = [Fraction(1), Fraction(10), Fraction(21)]
         ok, _ = ch_verify_coefficients(mat, sigmas, dom)
         assert ok

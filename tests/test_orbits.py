@@ -18,6 +18,7 @@ from qorbits.orbits import (OrbitError, chain_multiplicities,
                             multiplicities, quantum_dim_ratios,
                             rep_eigenvalues, signature_dual,
                             spectral_idempotents, string_decompose)
+from conftest import from_rows
 
 
 def pairwise_frobenius_dim(lam):
@@ -32,20 +33,20 @@ def pairwise_frobenius_dim(lam):
 class TestSpectralIdempotents:
     def test_diagonal(self):
         dom = at_q(Fraction(2))
-        mat = Mat([[Fraction(3), Fraction(0)], [Fraction(0), Fraction(7)]])
+        mat = from_rows([[Fraction(3), Fraction(0)], [Fraction(0), Fraction(7)]])
         e1, e2 = spectral_idempotents(mat, [Fraction(3), Fraction(7)], dom)
-        assert e1 == Mat([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]])
-        assert e2 == Mat([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(1)]])
+        assert e1 == from_rows([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]])
+        assert e2 == from_rows([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(1)]])
 
     def test_repeated_roots_rejected(self):
         dom = at_q(Fraction(2))
-        mat = Mat([[Fraction(3), Fraction(0)], [Fraction(0), Fraction(3)]])
+        mat = from_rows([[Fraction(3), Fraction(0)], [Fraction(0), Fraction(3)]])
         with pytest.raises(OrbitError, match="repeated"):
             spectral_idempotents(mat, [Fraction(3), Fraction(3)], dom)
 
     def test_ch_failure_rejected(self):
         dom = at_q(Fraction(2))
-        mat = Mat([[Fraction(3), Fraction(0)], [Fraction(0), Fraction(7)]])
+        mat = from_rows([[Fraction(3), Fraction(0)], [Fraction(0), Fraction(7)]])
         with pytest.raises(OrbitError, match="identity"):
             spectral_idempotents(mat, [Fraction(3), Fraction(5)], dom)
 
@@ -401,7 +402,7 @@ class TestTraceMultiplicities:
 
     def test_diagonal(self):
         dom = at_q(Fraction(2))
-        mat = Mat([[Fraction(v) if i == j else Fraction(0) for j in range(4)]
+        mat = from_rows([[Fraction(v) if i == j else Fraction(0) for j in range(4)]
                    for i, v in enumerate((3, 5, 3, 3))])
         counts, ok, support = chain_multiplicities(
             mat, [Fraction(5), Fraction(3)], dom)
@@ -412,7 +413,7 @@ class TestTraceMultiplicities:
         # (M - 5)(M - 3) = 0 after one product, so 7 gets multiplicity 0
         # and M - 7 is never multiplied in
         dom = at_q(Fraction(2))
-        mat = Mat([[Fraction(v) if i == j else Fraction(0) for j in range(4)]
+        mat = from_rows([[Fraction(v) if i == j else Fraction(0) for j in range(4)]
                    for i, v in enumerate((3, 5, 3, 3))])
         calls = []
         real = Mat.__mul__
@@ -438,7 +439,7 @@ class TestTraceMultiplicities:
         # solves to n = 5/2, 1/2 and the root product (M - 1)(M - 3) is not
         # zero, so the chain's certificate fails
         dom = at_q(Fraction(2))
-        mat = Mat([[Fraction(v) if i == j else Fraction(0) for j in range(3)]
+        mat = from_rows([[Fraction(v) if i == j else Fraction(0) for j in range(3)]
                    for i, v in enumerate((1, 1, 2))])
         counts, ok, support = chain_multiplicities(
             mat, [Fraction(1), Fraction(3)], dom)

@@ -10,7 +10,7 @@ from qorbits.tensor import Mat
 from qorbits.projectors import q_antisymmetrizer, q_symmetrizer
 from qorbits.reps import (Compression, Representation, RepresentationError,
                           corollary_phi_blocks, fundamental_left,
-                          place_blocks, rescaled, right_fundamental_blocks,
+                          rescaled, right_fundamental_blocks,
                           sym_chart, sym_power_left, sym_power_right_p2,
                           sym_power_right_rea_p2, tensor_power_left,
                           verify_defining_relations, with_mass)
@@ -38,7 +38,7 @@ def sandwiched(h, m, x):
     I (x) B_m, I (x) L_m of the image of I (x) S(m)."""
     dom, n = h.domain, h.n
     chart = sym_chart(h, m)
-    s = q_symmetrizer(h, m).mat.embed(n, 1)
+    s = q_symmetrizer(h, m).embed(n, 1)
     on_blocks = Compression(chart.basis.embed(n, 1),
                             chart.left_inverse.embed(n, 1))
     return on_blocks.compress((s * x * s).scale(dom.q_pow(1 - m)
@@ -50,7 +50,7 @@ def four_product_relations(rep, h):
     R L1 R L1 - L1 R L1 R - hbar (R L1 - L1 R) is nonzero."""
     n, d = rep.n, rep.d
     l1 = rep.generator_matrix(2)
-    rbig = h.r.mat.embed(1, d)
+    rbig = h.r.embed(1, d)
     rl, lr = rbig * l1, l1 * rbig
     e = rl * rl - lr * lr - (rl - lr).scale(rep.domain.lift(rep.hbar))
     bad = sorted({(r // d, c // d) for r, c, _ in e.entries()})
@@ -113,7 +113,7 @@ class TestTensorPower:
         t2 = tensor_power_left(h2, 2)
         f = fundamental_left(h2)
         ident = Mat.identity(2, h2.domain.zero, h2.domain.one)
-        rinv = ident.kron(h2.r_inv.mat)
+        rinv = ident.kron(h2.r_inv)
         single = f.blocks.kron(ident)
         assert t2.blocks == single + rinv * single * rinv
 
@@ -126,7 +126,7 @@ class TestTensorPower:
     def test_symmetric_subspace_invariant(self, h2, m):
         x = tensor_power_left(h2, m).blocks
         ident = Mat.identity(2, h2.domain.zero, h2.domain.one)
-        s = ident.kron(q_symmetrizer(h2, m).mat)
+        s = ident.kron(q_symmetrizer(h2, m))
         assert s * x * s == x * s
 
 
@@ -182,7 +182,7 @@ class TestNestedAgainstFullLegs:
     def test_right_modules(self, q0):
         h = self._hecke(2, q0)
         for m in range(1, 6):
-            x = place_blocks(right_fundamental_blocks(h), 2, 2 ** (m - 1))
+            x = right_fundamental_blocks(h).embed_blocks(2, 2 ** (m - 1))
             assert sym_power_right_p2(h, m).blocks == sandwiched(h, m, x), m
 
     def test_left_module_builds_nothing_on_full_legs(self, largest_built):
@@ -207,7 +207,7 @@ class TestCharts:
             chart = sym_chart(h, m)
             assert (chart.left_inverse * chart.basis
                     == Mat.identity(chart.dim, dom.zero, dom.one))
-            assert chart.basis * chart.left_inverse == q_symmetrizer(h, m).mat
+            assert chart.basis * chart.left_inverse == q_symmetrizer(h, m)
 
     def test_left_inverse_of_product_chart(self, h2, h2_sampled):
         for h in (h2, h2_sampled):
@@ -239,7 +239,7 @@ class TestRightModules:
             for j in range(2):
                 for s in range(2):
                     for k in range(2):
-                        expect = coeff * a2.mat.rows[s * 2 + j][k * 2 + i]
+                        expect = coeff * a2.rows[s * 2 + j][k * 2 + i]
                         assert rep.blocks[i * 2 + s, j * 2 + k] == expect
 
     def test_rank_requirement(self, h3):

@@ -14,10 +14,11 @@ from qorbits.scalars import (Q, Q_ZERO, SYMBOLIC, QScalar, at_q, pack_rows,
 from qorbits.tensor import (LegOperator, LegError, Mat, block_pairing,
                             embed_on_legs, inverse, row_reduce,
                             weighted_partial_trace)
+from conftest import flip, from_rows, leg_identity
 
 
 def random_legop(rng, n, m, dom):
-    mat = Mat([[dom.lift(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    mat = from_rows([[dom.lift(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
                 for _ in range(n ** m)] for _ in range(n ** m)])
     return LegOperator(n, m, mat)
 
@@ -25,29 +26,41 @@ def random_legop(rng, n, m, dom):
 class TestFlipAndEmbedding:
     def test_flip_squares_to_identity(self):
         for n in (2, 3):
-            p = LegOperator.flip(n, SYMBOLIC)
-            assert p * p == LegOperator.identity(n, 2, SYMBOLIC)
+            p = flip(n, SYMBOLIC)
+            assert p * p == leg_identity(n, 2, SYMBOLIC)
 
     def test_identity_embeds_to_identity(self):
-        ident = LegOperator.identity(2, 1, SYMBOLIC)
-        assert embed_on_legs(ident, 2, 3) == LegOperator.identity(2, 3, SYMBOLIC)
+        ident = leg_identity(2, 1, SYMBOLIC)
+        assert embed_on_legs(ident, 2, 3) == leg_identity(2, 3, SYMBOLIC)
 
     def test_r12_is_r_tensor_identity(self, h2):
         r12 = embed_on_legs(h2.r, 1, 3)
-        expect = Mat(h2.r.mat.rows).kron(
+        expect = from_rows(h2.r.rows).kron(
             Mat.identity(2, h2.domain.zero, h2.domain.one))
-        assert r12.mat == expect
+        assert r12 == expect
 
     def test_embedding_is_homomorphism(self, rng):
         dom = at_q(Fraction(5, 3))
         a = random_legop(rng, 2, 2, dom)
         b = random_legop(rng, 2, 2, dom)
         lhs = embed_on_legs(a, 2, 4) * embed_on_legs(b, 2, 4)
-        rhs = embed_on_legs(a * b, 2, 4)
+        rhs = embed_on_legs(LegOperator(2, 2, a * b), 2, 4)
         assert lhs == rhs
 
+    def test_leg_operator_is_a_tagged_mat(self, h2):
+        dom = h2.domain
+        s = q_symmetrizer(h2, 2)
+        assert isinstance(s, Mat) and (s.n, s.m) == (2, 2) and s.mat is s
+        for out in (s * s, s + s, s - s, s.scale(dom.q), -s, s.embed(1, 2)):
+            assert type(out) is Mat
+        assert s * s == s and s.trace() == dom.lift(3)
+        with pytest.raises(LegError):
+            LegOperator(2, 2, Mat.identity(8, dom.zero, dom.one))
+        with pytest.raises(LegError):
+            LegOperator(2, 1, Mat.zeros(2, 3, dom.zero))
+
     def test_leg_range_violation(self):
-        ident = LegOperator.identity(2, 2, SYMBOLIC)
+        ident = leg_identity(2, 2, SYMBOLIC)
         with pytest.raises(LegError):
             embed_on_legs(ident, 3, 3)
         with pytest.raises(LegError):
@@ -57,27 +70,27 @@ class TestFlipAndEmbedding:
 class TestPartialTrace:
     def test_flip_traces_to_identity(self):
         dom = SYMBOLIC
-        p = LegOperator.flip(2, dom)
+        p = flip(2, dom)
         w = Mat.identity(2, dom.zero, dom.one)
-        assert (weighted_partial_trace(p.mat, {2}, w, (2, 2))
-                == LegOperator.identity(2, 1, dom).mat)
+        assert (weighted_partial_trace(p, {2}, w, (2, 2))
+                == leg_identity(2, 1, dom))
 
     def test_full_trace_of_identity(self):
         dom = SYMBOLIC
-        ident = LegOperator.identity(2, 3, dom)
+        ident = leg_identity(2, 3, dom)
         w = Mat.identity(2, dom.zero, dom.one)
-        out = weighted_partial_trace(ident.mat, {1, 2, 3}, w, (2, 2, 2))
+        out = weighted_partial_trace(ident, {1, 2, 3}, w, (2, 2, 2))
         assert out.rows == [[dom.lift(8)]]
 
     def test_single_leg_weight_is_weighted_trace(self, h2):
         dom = h2.domain
-        ident = LegOperator.identity(2, 1, dom)
-        out = weighted_partial_trace(ident.mat, {1}, h2.c, (2,))
+        ident = leg_identity(2, 1, dom)
+        out = weighted_partial_trace(ident, {1}, h2.c, (2,))
         assert out.rows == [[h2.c.trace()]]
 
     def test_disjoint_trace_order_commutes(self, rng):
         dom = at_q(Fraction(2, 7))
-        op = random_legop(rng, 2, 3, dom).mat
+        op = random_legop(rng, 2, 3, dom)
         w = Mat.identity(2, dom.zero, dom.one)
         one_then_three = weighted_partial_trace(
             weighted_partial_trace(op, {1}, w, (2, 2, 2)), {2}, w, (2, 2))  # old leg 3
@@ -88,10 +101,10 @@ class TestPartialTrace:
         # A (x) B on a 2-dim and a 3-dim factor: tracing either factor
         # against a weight W leaves the other one times tr(W X)
         dom = at_q(Fraction(2, 7))
-        a = random_legop(rng, 2, 1, dom).mat
-        b = random_legop(rng, 3, 1, dom).mat
-        wa = random_legop(rng, 2, 1, dom).mat
-        wb = random_legop(rng, 3, 1, dom).mat
+        a = random_legop(rng, 2, 1, dom)
+        b = random_legop(rng, 3, 1, dom)
+        wa = random_legop(rng, 2, 1, dom)
+        wb = random_legop(rng, 3, 1, dom)
         op = a.kron(b)
         assert weighted_partial_trace(op, {2}, wb, (2, 3)) == a.scale((wb * b).trace())
         assert weighted_partial_trace(op, {1}, wa, (2, 3)) == b.scale((wa * a).trace())
@@ -103,41 +116,41 @@ class TestPartialTrace:
 
     def test_out_of_range_leg(self):
         dom = SYMBOLIC
-        op = LegOperator.identity(2, 2, dom)
+        op = leg_identity(2, 2, dom)
         w = Mat.identity(2, dom.zero, dom.one)
         with pytest.raises(LegError):
-            weighted_partial_trace(op.mat, {3}, w, (2, 2))
+            weighted_partial_trace(op, {3}, w, (2, 2))
 
 
 class TestExactLinearAlgebra:
     def test_rank_of_identity(self):
         for m in (1, 2, 3):
-            ident = LegOperator.identity(2, m, SYMBOLIC)
-            assert len(row_reduce(ident.mat)[0]) == 2 ** m
+            ident = leg_identity(2, m, SYMBOLIC)
+            assert len(row_reduce(ident)[0]) == 2 ** m
 
     def test_rank_fraction_matrix(self):
-        mat = Mat([[Fraction(1), Fraction(2), Fraction(3)],
+        mat = from_rows([[Fraction(1), Fraction(2), Fraction(3)],
                    [Fraction(2), Fraction(4), Fraction(6)],
                    [Fraction(0), Fraction(1), Fraction(1)]])
         assert len(row_reduce(mat)[0]) == 2
 
     def test_rank_symbolic(self, h2):
         # the Hecke operator is invertible: full rank symbolically
-        assert len(row_reduce(h2.r.mat)[0]) == 4
+        assert len(row_reduce(h2.r)[0]) == 4
 
     def test_inverse_roundtrip(self, rng):
         dom = at_q(Fraction(3, 2))
         while True:
             op = random_legop(rng, 2, 2, dom)
             try:
-                inv = inverse(op.mat)
+                inv = inverse(op)
                 break
             except ValueError:
                 continue
-        assert op.mat * inv == Mat.identity(4, dom.zero, dom.one)
+        assert op * inv == Mat.identity(4, dom.zero, dom.one)
 
     def test_singular_inverse_raises(self):
-        mat = Mat([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
+        mat = from_rows([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
         with pytest.raises(ValueError):
             inverse(mat)
 
@@ -145,13 +158,13 @@ class TestExactLinearAlgebra:
         # [A | I] reduces with the pivots [1, 2], as many as A has columns:
         # only the check that they are A's own columns refuses A
         f = Fraction
-        augmented = Mat([[f(0), f(1), f(1), f(0)], [f(0), f(2), f(0), f(1)]])
+        augmented = from_rows([[f(0), f(1), f(1), f(0)], [f(0), f(2), f(0), f(1)]])
         assert row_reduce(augmented)[0] == [1, 2]
         with pytest.raises(ValueError, match="singular"):
-            inverse(Mat([[f(0), f(1)], [f(0), f(2)]]))
+            inverse(from_rows([[f(0), f(1)], [f(0), f(2)]]))
 
     def test_pivot_columns_deterministic(self):
-        mat = Mat([[Fraction(0), Fraction(1), Fraction(2)],
+        mat = from_rows([[Fraction(0), Fraction(1), Fraction(2)],
                    [Fraction(0), Fraction(2), Fraction(4)]])
         assert row_reduce(mat)[0] == [1]
 
@@ -353,7 +366,7 @@ class TestSparseAgainstDense:
     def test_product_sum_difference(self, case, nr, nk, nc):
         zero, _, draw = case
         a, b, c = draw(nr, nk), draw(nk, nc), draw(nr, nk)
-        ma, mb, mc = Mat(a, zero), Mat(b, zero), Mat(c, zero)
+        ma, mb, mc = from_rows(a, zero), from_rows(b, zero), from_rows(c, zero)
         for got, want in ((ma * mb, ref_mul(a, b, zero)),
                           (ma + mc, [[x + y for x, y in zip(ra, rc)]
                                      for ra, rc in zip(a, c)]),
@@ -405,8 +418,8 @@ class TestSparseAgainstDense:
         # sum_ja F_ja (x) G_aj is the partial trace over the generator leg
         # of (f (x) I)(sum_aj E_aj (x) I (x) G_aj)
         zero, _, draw = case
-        f = Mat(draw(n * d1, n * d1), zero)
-        g = Mat(draw(n * d2, n * d2), zero)
+        f = from_rows(draw(n * d1, n * d1), zero)
+        g = from_rows(draw(n * d2, n * d2), zero)
         got = block_pairing(f, g, n, transpose)
         assert_canonical(got)
         expect = weighted_partial_trace(
@@ -418,7 +431,7 @@ class TestSparseAgainstDense:
     @given(domain_case(), st.integers(1, 4), st.integers(1, 4))
     def test_cancellation(self, case, nr, nc):
         zero, _, draw = case
-        ma = Mat(draw(nr, nc), zero)
+        ma = from_rows(draw(nr, nc), zero)
         for diff in (ma - ma, ma + (-ma), ma.scale(zero), ma * Mat.zeros(nc, 2, zero)):
             assert_canonical(diff)
             assert diff.is_zero() and diff.support() == 0
@@ -430,7 +443,7 @@ class TestSparseAgainstDense:
         # the reduced form is canonical: equal matrices reached by different
         # routes compare equal structurally
         zero, _, draw = case
-        ma = Mat(draw(nr, nc), zero)
+        ma = from_rows(draw(nr, nc), zero)
         third = zero + Fraction(1, 3)
         for got in (ma.scale(3).scale(Fraction(1, 3)), (ma + ma) - ma,
                     ma * Mat.identity(nc, zero, third).scale(3),
@@ -447,7 +460,7 @@ class TestSparseAgainstDense:
         a, b = draw(nr, nc), draw(nr2, nc2)
         s = data.draw(st.sampled_from(pool))
         left, right = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
-        ma, mb = Mat(a, zero), Mat(b, zero)
+        ma, mb = from_rows(a, zero), from_rows(b, zero)
 
         def ident(k):
             return [[zero + 1 if i == j else zero for j in range(k)]
@@ -461,7 +474,7 @@ class TestSparseAgainstDense:
             assert got.rows == want
         assert ma.embed(left, right).den == ma.den
         sq = draw(nr, nr)
-        assert Mat(sq, zero).trace() == sum((sq[i][i] for i in range(nr)), zero)
+        assert from_rows(sq, zero).trace() == sum((sq[i][i] for i in range(nr)), zero)
 
     @settings(max_examples=40, deadline=None)
     @given(domain_case(), st.integers(1, 2), st.integers(1, 3), st.data())
@@ -471,9 +484,9 @@ class TestSparseAgainstDense:
         total = max(total, m0)
         start = data.draw(st.integers(1, total - m0 + 1))
         op = draw(n ** m0, n ** m0)
-        got = embed_on_legs(LegOperator(n, m0, Mat(op, zero)), start, total)
-        assert_canonical(got.mat)
-        assert got.mat.rows == ref_embed(op, n, m0, start, total, zero)
+        got = embed_on_legs(LegOperator(n, m0, from_rows(op, zero)), start, total)
+        assert_canonical(got)
+        assert got.rows == ref_embed(op, n, m0, start, total, zero)
 
     @settings(max_examples=40, deadline=None)
     @given(domain_case(), st.integers(1, 2), st.lists(st.booleans(), min_size=1,
@@ -487,7 +500,7 @@ class TestSparseAgainstDense:
         for d in dims:
             dim *= d
         x, weight = draw(dim, dim), draw(w, w)
-        got = weighted_partial_trace(Mat(x, zero), legs, Mat(weight, zero), dims)
+        got = weighted_partial_trace(from_rows(x, zero), legs, from_rows(weight, zero), dims)
         if not legs:
             assert got.rows == x
             return
@@ -533,7 +546,7 @@ class TestSparseAgainstDense:
     def test_trace_of_empty_matrix_is_zero(self):
         for zero in (Fraction(0), Q_ZERO):
             assert Mat.zeros(0, 0, zero).trace() == zero
-            assert Mat([], zero).trace() == zero
+            assert from_rows([], zero).trace() == zero
             assert Mat.zeros(3, 3, zero).trace() == zero
 
 
@@ -600,7 +613,7 @@ def elimination_case(draw):
 
 def placed_blocks(blocks, d, rest, transpose):
     """sum_ij E_ij (x) I_rest (x) B_ij entry by entry through from_entries,
-    the route reps.place_blocks took before Mat.embed_blocks."""
+    the route block placement took before Mat.embed_blocks."""
     out = []
     for r, c, v in blocks.entries():
         (i, s), (j, k) = divmod(r, d), divmod(c, d)
@@ -617,7 +630,7 @@ class TestNumeratorRoutesAgainstEntries:
     @given(elimination_case())
     def test_row_reduce(self, case):
         zero, rows = case
-        mat = Mat(rows, zero)
+        mat = from_rows(rows, zero)
         pivots, reduced = row_reduce(mat)
         assert_canonical(reduced)
         assert (pivots, reduced) == dense_row_reduce(mat)
@@ -630,7 +643,7 @@ class TestNumeratorRoutesAgainstEntries:
         rng = random.Random(29)
         one = zero + 1
         while True:
-            mat = Mat([[rng.choice(pool) if rng.random() < 0.6 else zero
+            mat = from_rows([[rng.choice(pool) if rng.random() < 0.6 else zero
                         for _ in range(4)] for _ in range(4)], zero)
             if mat.den != 1 and len(row_reduce(mat)[0]) == 4:
                 break
@@ -643,7 +656,7 @@ class TestNumeratorRoutesAgainstEntries:
            st.integers(1, 3), st.booleans())
     def test_embed_blocks(self, case, n, d, rest, transpose):
         zero, _, draw = case
-        blocks = Mat(draw(n * d, n * d), zero)
+        blocks = from_rows(draw(n * d, n * d), zero)
         got = blocks.embed_blocks(d, rest, transpose)
         assert_canonical(got)
         assert got == placed_blocks(blocks, d, rest, transpose)
@@ -653,7 +666,7 @@ class TestSymbolicLayout:
     def test_symmetrizer_over_one_polynomial(self, h2):
         # row 1 of S(2) is (0, q**2, q, 0) / (q**2 + 1): integer Laurent
         # numerators over the polynomial part of gamma_2 = q [2]_q
-        s2 = q_symmetrizer(h2, 2).mat
+        s2 = q_symmetrizer(h2, 2)
         assert_canonical(s2)
         assert s2.den == Q ** 2 + 1
         assert s2.data[1] == {1: Q ** 2, 2: Q}
@@ -663,8 +676,8 @@ class TestSymbolicLayout:
         # numerators are added as integer Laurent polynomials, over the lcm
         # of the two denominators; the scalar sum is the oracle
         for x, y in product(QSCALAR_POOL, repeat=2):
-            a = Mat([[x, y, Q_ZERO]], Q_ZERO)
-            b = Mat([[y, -y, x]], Q_ZERO)
+            a = from_rows([[x, y, Q_ZERO]], Q_ZERO)
+            b = from_rows([[y, -y, x]], Q_ZERO)
             for got, want in ((a + b, [x + y, Q_ZERO, x]),
                               (a - b, [x - y, 2 * y, -x])):
                 assert_canonical(got)
@@ -674,8 +687,8 @@ class TestSymbolicLayout:
         # H = max_i sum_k |a_ik|_1 * max_kj |b_kj|_inf = 1025 * 1023
         # = 2**20 - 1, and the q**2 coefficient of the product is H itself:
         # 21 bits are the least with 2**(bits - 1) > H
-        a = Mat([[1000 * Q ** -2, 25 * Q ** 3], [Q, Q_ZERO]])
-        b = Mat([[1023 * Q ** 4 - 17 * Q ** -1], [1023 * Q ** -1 + 5 * Q ** 2]])
+        a = from_rows([[1000 * Q ** -2, 25 * Q ** 3], [Q, Q_ZERO]])
+        b = from_rows([[1023 * Q ** 4 - 17 * Q ** -1], [1023 * Q ** -1 + 5 * Q ** 2]])
         h = 2 ** 20 - 1
         want = h * Q ** 2 - 17000 * Q ** -3 + 125 * Q ** 5
         bits = pack_width(a.data, b.data)
@@ -695,8 +708,8 @@ class TestSymbolicLayout:
         # |row|_1 * max|g| = 2c asks for 21 bits, but each coefficient of
         # the pairing sums n = 2 rows of f, here 4c = 2**21 - 4 at q
         c = 2 ** 19 - 1
-        f = Mat([[c * Q] * 2] * 2)
-        g = Mat([[Q ** 0] * 2] * 2)
+        f = from_rows([[c * Q] * 2] * 2)
+        g = from_rows([[Q ** 0] * 2] * 2)
         assert pack_width(f.data, g.data) == 21
         got = block_pairing(f, g, 2, False)
         assert_canonical(got)
@@ -712,7 +725,7 @@ class TestSymbolicLayout:
         if not repeat:
             nonzero = [v for m in (a, b, c) for row in m for v in row if v]
             assert len(set(nonzero)) == len(nonzero)
-        ma, mb, mc = Mat(a, Q_ZERO), Mat(b, Q_ZERO), Mat(c, Q_ZERO)
+        ma, mb, mc = from_rows(a, Q_ZERO), from_rows(b, Q_ZERO), from_rows(c, Q_ZERO)
         for got, want in ((ma * mb, ref_mul(a, b, Q_ZERO)),
                           (ma + mc, [[x + y for x, y in zip(ra, rc)]
                                      for ra, rc in zip(a, c)]),
@@ -729,7 +742,7 @@ class TestSymbolicLayout:
         # scalars.each_distinct) and divides by the content
         # (tensor.divide_exact) each distinct value once, and the
         # denominator once more; one call per nonzero would make 925
-        s6 = q_symmetrizer(h2, 6).mat
+        s6 = q_symmetrizer(h2, 6)
         distinct = {v for row in s6.data for v in row.values()}
         assert (s6.support(), len(distinct)) == (924, 48)
         calls = {"unpack": 0, "divide": 0}
@@ -761,7 +774,7 @@ def test_sampled_antisymmetrizer_against_dense_oracle():
     q0 = Fraction(-77, 101)
     dom = at_q(q0)
     n, zero = 3, Fraction(0)
-    r = standard_r(n, dom).mat.rows
+    r = standard_r(n, dom).rows
     c = -1 / q0
 
     def q_int_at(m):
@@ -780,6 +793,6 @@ def test_sampled_antisymmetrizer_against_dense_oracle():
         x = total
     gamma = q0 ** -3 * q_int_at(2) * q_int_at(3)
     want = [[v / gamma for v in row] for row in x]
-    got = q_antisymmetrizer(standard_hecke(n, dom), 3).mat
+    got = q_antisymmetrizer(standard_hecke(n, dom), 3)
     assert_canonical(got)
     assert got.den > 1 and got.rows == want
