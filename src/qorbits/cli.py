@@ -373,14 +373,19 @@ def suite_ch(args, check, rng, dom):
             check(f"closed_form.k{k}.m{m}", "closed_form", closed, k=k, m=m)
 
 
+def _verdicts(report: dict, keys, what: str, expected: str) -> tuple:
+    """(ok, witness) of key -> verdict: exactly the expected keys, all holding."""
+    if sorted(report) != sorted(keys):
+        return False, f"{what} {sorted(report)} checked, expected {expected}"
+    bad = [k for k, ok in report.items() if not ok]
+    return not bad, f"{what} {bad} fail" if bad else None
+
+
 def _newton_rows(cv, p: int, dom) -> tuple:
     """Newton rows 1..p of the central values cv: every row present and
     every row holding."""
-    rows = ident_mod.newton_check(cv, p, dom)
-    if sorted(rows) != list(range(1, p + 1)):
-        return False, f"rows {sorted(rows)} checked, expected 1..{p}"
-    bad = [r for r, ok in rows.items() if not ok]
-    return not bad, f"rows {bad} fail" if bad else None
+    return _verdicts(ident_mod.newton_check(cv, p, dom), range(1, p + 1),
+                     "rows", f"1..{p}")
 
 
 def suite_newton(args, check, rng, dom):
@@ -463,11 +468,13 @@ def _multiplicities_match(rd, mode: str, m_max: int, ratios) -> tuple:
     return True, None
 
 
-def _hn_classical():
-    for lam in [(5, 2), (7, 3)]:
-        rep = orbit_mod.higher_newton_classical(lam, 2, 3)
-        if not all(v[0] for v in rep.values()):
-            return False, f"disagreement at lam={lam}"
+def _higher_newton(reports) -> tuple:
+    """(ok, witness) of (where, s -> (routes equal?, value)) over s = 1..3."""
+    for where, rep in reports:
+        ok, witness = _verdicts({s: eq for s, (eq, _) in rep.items()},
+                                range(1, 4), "powers", "1..3")
+        if not ok:
+            return ok, f"{witness} {where}"
     return True, None
 
 
@@ -497,17 +504,14 @@ def suite_orbit(args, check, rng, dom):
             rd, "quantum", m_max,
             lambda m: orbit_mod.quantum_dim_ratios(lam, m, p, dom))
     check("mult_quantum", "mult_quantum", mult_quantum, finding=(p > 2), p=p)
-    check("hn_classical", "hn_classical", _hn_classical, once=True)
+    check("hn_classical", "hn_classical", lambda: _higher_newton(
+        (f"at lam={lam}", orbit_mod.higher_newton_classical(lam, 2, 3))
+        for lam in [(5, 2), (7, 3)]), once=True)
 
     h2 = _hecke(args, dom, 2, standard=True)
-
-    def hn_quantum():
-        for algebra in ("rea", "mrea"):
-            rep = orbit_mod.higher_newton_quantum_p2(h2, 2, 2, 3, algebra)
-            if not all(v[0] for v in rep.values()):
-                return False, f"disagreement in {algebra} form"
-        return True, None
-    check("hn_quantum", "hn_quantum", hn_quantum, k=2, m=2)
+    check("hn_quantum", "hn_quantum", lambda: _higher_newton(
+        (f"in {a} form", orbit_mod.higher_newton_quantum_p2(h2, 2, 2, 3, a))
+        for a in ("rea", "mrea")), k=2, m=2)
 
     def idempotents():
         for (k, m) in [(2, 2), (3, 2)]:
@@ -585,9 +589,11 @@ def suite_euler(args, check, rng, dom):
 
     for p in range(2, min(args.p or 4, 3) + 1):
         def algebra():
-            rep = euler_mod.q_algebra_check(p, dom, args.m or 5)
-            bad = [k for k, ok in rep.items() if not ok]
-            return not bad, None if not bad else f"failed: {bad}"
+            m_max = args.m or 5
+            keys = ([f"wedge_dim_k{k}" for k in range(p + 1)]
+                    + [f"euler_sum_m{m}" for m in range(1, m_max + 1)])
+            return _verdicts(euler_mod.q_algebra_check(p, dom, m_max), keys,
+                             "keys", f"wedge_dim_k0..k{p}, euler_sum_m1..m{m_max}")
         check(f"q_algebra.p{p}", "q_algebra", algebra, p=p)
 
     def classical_limit():

@@ -428,8 +428,8 @@ Q = QScalar.q_power(1)
 # a numerator becomes its value at X = 2**bits, relative to the least exponent,
 # and a sum of products is read back from balanced base-X digits, which is
 # exact while every coefficient is below 2**(bits - 1) in absolute value.
-# Numerators take few distinct values, so a product packs, decodes and
-# divides by the content each distinct value once (:func:`each_distinct`).
+# Numerators take few distinct values: a product packs, decodes and divides
+# each distinct value once (:func:`pack_operands`, :func:`unpack_reduced`).
 
 def _poly(n: tuple) -> QScalar:
     return Q_ONE if n == (1,) else _make(n, (1,), 0)
@@ -510,71 +510,79 @@ def divide_exact(v: QScalar, g: QScalar) -> QScalar:
     return _make(_int_div_exact(v._n, g._n), v._d, v._s)
 
 
-def pack_width(arows, brows) -> int:
-    """Bits B of a packing in which the product of two matrices of integer
-    Laurent numerators is exact: 2**(B - 1) > H, where H = max_i sum_k
-    |a_ik|_1 * max_kj |b_kj|_inf bounds every coefficient of the product;
-    at least 2, the least width :func:`unpack_rows` reads."""
-    l1 = each_distinct(arows, lambda v: sum(map(abs, v._n)))
-    top = max(map(sum, map(dict.values, l1)), default=0)
-    big = max((max(map(abs, v._n))
-               for v in {v for row in brows for v in row.values()}), default=0)
-    return max(2, (top * big).bit_length() + 1)
-
-
-def each_distinct(rows, f) -> list:
-    """Rows of column -> f(value), f called once per distinct value (an int,
-    or a QScalar, whose hash is cached); equal entries share the result,
-    which is safe because no Mat is written into."""
-    table = {}
+def mapped_rows(rows, table) -> list:
+    """Rows of column -> table[value], equal entries sharing the result (no
+    Mat is written into); a loop, as most rows hold 1-3 entries."""
     out = []
     for row in rows:
         new = {}
         for c, v in row.items():
-            y = table.get(v)
-            if y is None:
-                y = table[v] = f(v)
-            new[c] = y
+            new[c] = table[v]
         out.append(new)
     return out
 
 
-def pack_rows(rows, bits: int) -> tuple:
-    """(rows of each numerator's value at X = 2**bits times X**-low, low),
-    where q**low is the least power of q in the rows (low may be positive);
-    each distinct numerator is packed once."""
-    low = min((v._s for row in rows for v in row.values()), default=0)
-
-    def pack(v):
-        acc = 0
-        for x in reversed(v._n):
-            acc = (acc << bits) + x
-        return acc << (bits * (v._s - low))
-    return each_distinct(rows, pack), low
+def pack_value(v: QScalar, bits: int, low: int) -> int:
+    """The numerator v at X = 2**bits, times X**-low (low <= v's least power)."""
+    acc = 0
+    for x in reversed(v._n):
+        acc = (acc << bits) + x
+    return acc << (bits * (v._s - low))
 
 
-def unpack_rows(rows, bits: int, low: int) -> list:
-    """Inverse of :func:`pack_rows` on nonzero values whose balanced base
+def unpack_value(acc: int, bits: int, low: int) -> QScalar:
+    """Inverse of :func:`pack_value` on a nonzero int whose balanced base
     2**bits digits, in [-2**(bits - 1), 2**(bits - 1)), are the coefficients
-    from q**low up; each distinct value is decoded once.  Every int has such
-    digits when bits >= 2."""
+    from q**low up, the zero ones below the least power skipped at once."""
     if bits < 2:
         raise ValueError("balanced digits need at least 2 bits")
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
-    full = 1 << bits
+    mask, half, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
+    skip = ((acc & -acc).bit_length() - 1) // bits
+    acc >>= bits * skip
+    digits = []
+    while acc:
+        x = acc & mask
+        if x >= half:
+            x -= full
+        digits.append(x)
+        acc = (acc - x) >> bits
+    return _make(tuple(digits), (1,), low + skip)
 
-    def unpack(acc):
-        digits = []
-        while acc:
-            x = acc & mask
-            if x >= half:
-                x -= full
-            digits.append(x)
-            acc = (acc - x) >> bits
-        skip = _low(digits)
-        return _make(tuple(digits[skip:]), (1,), low + skip)
-    return each_distinct(rows, unpack)
+
+def pack_operands(arows, brows, extra: int = 0) -> tuple:
+    """(a, b, bits, low): a product's operands, each distinct numerator
+    packed once, a and b each from its least power of q, low their sum.
+    bits is extra plus the least B >= 2 with 2**(B - 1) > H = max_i sum_k
+    |a_ik|_1 * max_kj |b_kj|_inf, a bound on every product coefficient."""
+    l1, top = {}, 0
+    for row in arows:
+        s = 0
+        for v in row.values():
+            x = l1.get(v)
+            if x is None:
+                x = l1[v] = sum(map(abs, v._n))
+            s += x
+        top = max(top, s)
+    bvals = {v for row in brows for v in row.values()}
+    big = max([max(max(v._n), -min(v._n)) for v in bvals], default=0)
+    bits = max(2, (top * big).bit_length() + 1) + extra
+    alow = min([v._s for v in l1], default=0)
+    blow = min([v._s for v in bvals], default=0)
+    return (mapped_rows(arows, {v: pack_value(v, bits, alow) for v in l1}),
+            mapped_rows(brows, {v: pack_value(v, bits, blow) for v in bvals}),
+            bits, alow + blow)
+
+
+def unpack_reduced(rows, bits: int, low: int, den: QScalar) -> tuple:
+    """(numerator rows, den) of packed product rows over den, reduced: each
+    distinct int decoded, and divided by the content, once."""
+    table = {x: unpack_value(x, bits, low)
+             for x in {x for row in rows for x in row.values()}}
+    g = common_divisor(den, table.values())
+    if g is not Q_ONE:
+        den = divide_exact(den, g)
+        table = {x: divide_exact(v, g) for x, v in table.items()}
+    return mapped_rows(rows, table), Q_ONE if den == Q_ONE else den
 
 
 # ---------------------------------------------------------------------------

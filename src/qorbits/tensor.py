@@ -11,9 +11,10 @@ integer arithmetic.  In symbolic mode (QScalar entries) the numerators are
 integer Laurent polynomials q**s * n, their power of q kept apart, and
 ``den`` is an integer polynomial with positive constant term; sums and
 scalings use the numerators' own + - * as in evaluated mode, and a product
-packs them into ints at q = 2**B (Kronecker substitution, with B taken from
-the operands so that it is exact), runs the same integer kernel and reads
-the result back from balanced base-2**B digits.  R-matrices,
+packs each distinct numerator once into an int at q = 2**B (Kronecker
+substitution, with B taken from the operands so that it is exact), runs the
+same integer kernel, and decodes each distinct result from balanced
+base-2**B digits and divides it by the content once.  R-matrices,
 q-(anti)symmetrizers, their embeddings and the module operators are all very
 sparse, so every operation touches nonzeros only; the product is the
 row-wise sparse product (Gustavson 1978).  Exact solves go through one
@@ -45,9 +46,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import (Q_ONE, common_divisor, divide_exact, each_distinct,
-                      laurent_content, laurent_rows, laurent_split,
-                      lcm_factors, pack_rows, pack_width, unpack_rows)
+from .scalars import (Q_ONE, common_divisor, divide_exact, laurent_content,
+                      laurent_rows, laurent_split, lcm_factors, mapped_rows,
+                      pack_operands, unpack_reduced)
 
 
 class Mat:
@@ -214,16 +215,14 @@ class Mat:
             raise ValueError("matrix shape mismatch")
         if self.is_zero() or other.is_zero():
             return Mat.zeros(self.nrows, other.ncols, self.zero)
+        den = self.den * other.den
         if _rational(self.zero):
-            out = _product(self.data, other.data)
-        else:
-            # Kronecker substitution: exact at a width taken from the operands
-            bits = pack_width(self.data, other.data)
-            adata, alow = pack_rows(self.data, bits)
-            bdata, blow = pack_rows(other.data, bits)
-            out = unpack_rows(_product(adata, bdata), bits, alow + blow)
-        return _reduced(out, self.den * other.den, self.nrows, other.ncols,
-                        self.zero)
+            return _reduced(_product(self.data, other.data), den, self.nrows,
+                            other.ncols, self.zero)
+        # Kronecker substitution: exact at a width taken from the operands
+        adata, bdata, bits, low = pack_operands(self.data, other.data)
+        return _mat(*unpack_reduced(_product(adata, bdata), bits, low, den),
+                    self.nrows, other.ncols, self.zero)
 
     def kron(self, other: "Mat") -> "Mat":
         bdata, bcols = other.data, other.ncols
@@ -356,8 +355,9 @@ def _reduce(data, den) -> tuple:
     if g is Q_ONE:
         return data, den
     den = divide_exact(den, g)
-    return (each_distinct(data, lambda v: divide_exact(v, g)),
-            Q_ONE if den == Q_ONE else den)
+    table = {v: divide_exact(v, g)
+             for v in {v for row in data for v in row.values()}}
+    return mapped_rows(data, table), Q_ONE if den == Q_ONE else den
 
 
 def _primitive(row) -> dict:
@@ -491,11 +491,22 @@ class LegError(ValueError):
     pass
 
 
+def _untagged(name: str) -> staticmethod:
+    def refuse(*args, **kwargs):
+        raise TypeError(f"LegOperator.{name} would build an untagged Mat; "
+                        f"tag one: LegOperator(n, m, Mat.{name}(...))")
+    return staticmethod(refuse)
+
+
 class LegOperator(Mat):
     """A square Mat on V**m, n = dim V, tagged with its legs for
-    :func:`embed_on_legs`.  Arithmetic is Mat's and returns plain Mats."""
+    :func:`embed_on_legs`.  Arithmetic returns plain Mats; Mat's constructors
+    are refused (they build untagged Mats)."""
 
     __slots__ = ("n", "m")
+
+    identity, zeros, from_entries = map(
+        _untagged, ("identity", "zeros", "from_entries"))
 
     def __init__(self, n: int, m: int, mat: Mat):
         dim = n ** m
@@ -595,9 +606,7 @@ def block_pairing(f: Mat, g: Mat, n: int, transpose: bool) -> Mat:
     fdata, gdata = f.data, g.data
     if not _rational(zero):
         # a coefficient sums n rows of f against g: n times a product's bound
-        bits = pack_width(fdata, gdata) + n.bit_length()
-        fdata, flow = pack_rows(fdata, bits)
-        gdata, glow = pack_rows(gdata, bits)
+        fdata, gdata, bits, low = pack_operands(fdata, gdata, n.bit_length())
     blocks = [[[{} for _ in range(d2)] for _ in range(n)] for _ in range(n)]
     for r, row in enumerate(gdata):         # blocks[a][j][s]: row s of G_aj
         a, s = divmod(r, d2)
@@ -620,6 +629,7 @@ def block_pairing(f: Mat, g: Mat, n: int, transpose: bool) -> Mat:
                         z = acc.get(col)
                         acc[col] = x * y if z is None else z + x * y
         out.extend({c: acc[c] for c in sorted(acc) if acc[c]} for acc in accs)
-    if not _rational(zero):
-        out = unpack_rows(out, bits, flow + glow)
-    return _reduced(out, f.den * g.den, d1 * d2, d1 * d2, zero)
+    if _rational(zero):
+        return _reduced(out, f.den * g.den, d1 * d2, d1 * d2, zero)
+    return _mat(*unpack_reduced(out, bits, low, f.den * g.den), d1 * d2,
+                d1 * d2, zero)

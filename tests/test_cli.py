@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qorbits
-from qorbits import hecke, identities, orbits, projectors, reps
+from qorbits import euler, hecke, identities, orbits, projectors, reps
 from qorbits.cli import (ANCHORS, SUITES, CheckRecorder, _check_args,
                          _largest_spaces, _size_above, build_parser, run_suite)
 from qorbits.hecke import standard_hecke, save_r_to_file
@@ -274,6 +274,18 @@ class TestReports:
         assert Counter(c["status"] for c in report["checks"]) == {
             "pass": 229, "finding": 18}
 
+    def test_all_symbolic_report_is_pinned(self, tmp_path):
+        # 89 checks over symbolic q: every symbolic product and block
+        # pairing of the suites, compared whole with the report
+        code, report = run_json(tmp_path, ["all", "--symbolic"])
+        assert code == 0
+        for c in report["checks"]:
+            c.pop("ms")
+        golden = Path(__file__).parent / "data" / "all_symbolic_report.json"
+        assert report == json.loads(golden.read_text())
+        assert Counter(c["status"] for c in report["checks"]) == {
+            "pass": 83, "finding": 6}
+
     def test_newton_rows_must_all_be_checked(self, tmp_path, monkeypatch):
         # an empty row report compares nothing: it fails, it does not pass
         monkeypatch.setattr(identities, "newton_check", lambda cv, p, dom: {})
@@ -308,6 +320,55 @@ class TestReports:
         for name in ("mult_classical", "mult_quantum"):
             assert status[f"orbit.q2/3.{name}"][0] == "fail"
             assert status[f"orbit.q2/3.{name}"][1].endswith(", m=1")
+
+    @pytest.mark.parametrize("change", ["empty", "short"])
+    def test_higher_newton_powers_must_all_be_checked(
+            self, tmp_path, monkeypatch, change):
+        # a higher Newton report of no powers, or of s = 1, 2 only, compares
+        # less than the rows s = 1..3: it fails, it does not pass
+        def changed(real):
+            def report(*args):
+                rep = real(*args)
+                return {} if change == "empty" else {1: rep[1], 2: rep[2]}
+            return report
+        for name in ("higher_newton_classical", "higher_newton_quantum_p2"):
+            monkeypatch.setattr(orbits, name, changed(getattr(orbits, name)))
+        code, report = run_json(tmp_path, ["orbit", "--seed", "1"])
+        assert code == 1
+        checked = "[]" if change == "empty" else "[1, 2]"
+        hn = [c for c in report["checks"] if ".hn_" in c["id"]]
+        assert len(hn) == 6
+        for c in hn:
+            where = ("at lam=(5, 2)" if c["id"].endswith("hn_classical")
+                     else "in rea form")
+            assert (c["status"], c["witness"]) == (
+                "fail", f"powers {checked} checked, expected 1..3 {where}")
+
+    @pytest.mark.parametrize("change", ["empty", "short"])
+    def test_q_algebra_keys_must_all_be_checked(
+            self, tmp_path, monkeypatch, change):
+        # a class-algebra report without its wedge dimensions and Euler sums,
+        # or without the sum at m_max, fails
+        real = euler.q_algebra_check
+
+        def changed(p, dom, m_max):
+            rep = real(p, dom, m_max)
+            if change == "empty":
+                return {}
+            del rep[f"euler_sum_m{m_max}"]
+            return rep
+        monkeypatch.setattr(euler, "q_algebra_check", changed)
+        code, report = run_json(tmp_path, ["euler", "--seed", "1"])
+        assert code == 1
+        algebra = [c for c in report["checks"] if ".q_algebra.p" in c["id"]]
+        assert len(algebra) == 6
+        for c in algebra:
+            p = c["params"]["p"]
+            assert c["status"] == "fail"
+            assert c["witness"].startswith("keys [] checked" if change == "empty"
+                                           else "keys ['euler_sum_m1', ")
+            assert c["witness"].endswith(
+                f"checked, expected wedge_dim_k0..k{p}, euler_sum_m1..m5")
 
     def test_symbolic_run_leaves_no_q_number_table(self, tmp_path):
         # every op of the benchmark is a one-shot certification: the shared

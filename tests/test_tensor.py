@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from qorbits import scalars, tensor
 from qorbits.hecke import standard_hecke, standard_r
 from qorbits.projectors import q_antisymmetrizer, q_symmetrizer
-from qorbits.scalars import (Q, Q_ZERO, SYMBOLIC, QScalar, at_q, pack_rows,
-                             pack_width, q_int, unpack_rows)
+from qorbits.scalars import (Q, Q_ZERO, SYMBOLIC, QScalar, at_q,
+                             pack_operands, pack_value, q_int, unpack_value)
 from qorbits.tensor import (LegOperator, LegError, Mat, block_pairing,
                             embed_on_legs, inverse, row_reduce,
                             weighted_partial_trace)
@@ -58,6 +58,19 @@ class TestFlipAndEmbedding:
             LegOperator(2, 2, Mat.identity(8, dom.zero, dom.one))
         with pytest.raises(LegError):
             LegOperator(2, 1, Mat.zeros(2, 3, dom.zero))
+
+    def test_mat_constructors_are_refused_on_leg_operators(self):
+        # LegOperator.identity(2, 1, dom) was the leg-operator signature;
+        # Mat's constructors build untagged Mats, so each is refused at once
+        # and the error names the tagging call
+        dom = at_q(2)
+        for name, args in (("identity", (2, 1, dom)),
+                           ("zeros", (4, 4, dom.zero)),
+                           ("from_entries", (2, 2, dom.zero, []))):
+            with pytest.raises(TypeError,
+                               match=fr"LegOperator\(n, m, Mat\.{name}"):
+                getattr(LegOperator, name)(*args)
+        assert type(Mat.zeros(4, 4, dom.zero)) is Mat
 
     def test_leg_range_violation(self):
         ident = leg_identity(2, 2, SYMBOLIC)
@@ -691,16 +704,17 @@ class TestSymbolicLayout:
         b = from_rows([[1023 * Q ** 4 - 17 * Q ** -1], [1023 * Q ** -1 + 5 * Q ** 2]])
         h = 2 ** 20 - 1
         want = h * Q ** 2 - 17000 * Q ** -3 + 125 * Q ** 5
-        bits = pack_width(a.data, b.data)
-        assert bits == 21
+        _, _, bits, low = pack_operands(a.data, b.data)
+        assert (bits, low) == (21, -3)
         got = a * b
         assert_canonical(got)
         assert got.rows == ref_mul(a.rows, b.rows, Q_ZERO)
         assert got[0, 0] == want
-        # one bit less reads the digit H as H - 2**20 and carries 1 into q**3
-        (pa, low_a), (pb, low_b) = pack_rows(a.data, 20), pack_rows(b.data, 20)
-        value = sum(pa[0][k] * pb[k][0] for k in (0, 1))
-        short = unpack_rows([{0: value}], 20, low_a + low_b)[0][0]
+        # one bit less reads the digit H as H - 2**20 and carries 1 into q**3;
+        # a and b are packed from their least powers q**-2 and q**-1
+        value = sum(pack_value(a.data[0][k], 20, -2)
+                    * pack_value(b.data[k][0], 20, -1) for k in (0, 1))
+        short = unpack_value(value, 20, low)
         assert short == want - 2 ** 20 * Q ** 2 + Q ** 3
 
     def test_block_pairing_coefficient_above_a_products_bound(self):
@@ -710,7 +724,8 @@ class TestSymbolicLayout:
         c = 2 ** 19 - 1
         f = from_rows([[c * Q] * 2] * 2)
         g = from_rows([[Q ** 0] * 2] * 2)
-        assert pack_width(f.data, g.data) == 21
+        assert pack_operands(f.data, g.data)[2] == 21
+        assert pack_operands(f.data, g.data, (2).bit_length())[2] == 23
         got = block_pairing(f, g, 2, False)
         assert_canonical(got)
         assert got[0, 0] == 4 * c * Q
@@ -735,36 +750,87 @@ class TestSymbolicLayout:
             assert_canonical(got)
             assert got.rows == want
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 12), st.integers(-6, 6), st.integers(0, 3),
+           st.data())
+    def test_value_digits_round_trip(self, bits, least, gap, data):
+        # every coefficient in [-2**(bits - 1), 2**(bits - 1)) is one
+        # balanced digit; the zero digits of the gap below the least power
+        # are skipped in the decode
+        half = 2 ** (bits - 1)
+        coeffs = data.draw(st.lists(st.integers(-half, half - 1), min_size=1,
+                                    max_size=6).filter(any))
+        v = sum((c * Q ** (least + i) for i, c in enumerate(coeffs)), Q_ZERO)
+        packed = pack_value(v, bits, least - gap)
+        assert unpack_value(packed, bits, least - gap) == v
+
+    def test_packing_width_is_the_coefficient_bound(self, h2):
+        # the width of a product's packing is the least B >= 2 with
+        # 2**(B - 1) > H, H = max_i sum_k |a_ik|_1 * max_kj |b_kj|_inf,
+        # computed here entry by entry on seeded operands and tower products
+        def least_power(v):
+            # v.num holds q**s for s > 0, v.den is q**-s for s < 0
+            return (next(i for i, c in enumerate(v.num) if c)
+                    - len(v.den) + 1)
+
+        def width(a, b):
+            top = max((sum(abs(c) for v in row.values() for c in v.num)
+                       for row in a.data), default=0)
+            big = max((abs(c) for row in b.data for v in row.values()
+                       for c in v.num), default=0)
+            return max(2, int(top * big).bit_length() + 1)
+        rng = random.Random(35)
+        pairs = []
+        for _ in range(40):
+            nr, nk, nc = (rng.randint(1, 4) for _ in range(3))
+            a, b = ([[rng.choice(QSCALAR_POOL) if rng.random() < 0.5
+                      else Q_ZERO for _ in range(cols)] for _ in range(rows)]
+                    for rows, cols in ((nr, nk), (nk, nc)))
+            pairs.append((from_rows(a, Q_ZERO), from_rows(b, Q_ZERO)))
+        s3, s4 = q_symmetrizer(h2, 3), q_symmetrizer(h2, 4)
+        pairs += [(s3, s3), (s4, s4), (embed_on_legs(h2.r, 2, 3), s3)]
+        for a, b in pairs:
+            packed_a, packed_b, bits, low = pack_operands(a.data, b.data)
+            assert bits == width(a, b)
+            assert pack_operands(a.data, b.data, 3)[2] == bits + 3
+            # each numerator is packed from its operand's least power of q
+            lows = []
+            for rows, packed in ((a.data, packed_a), (b.data, packed_b)):
+                least = min((least_power(v) for row in rows
+                             for v in row.values()), default=0)
+                lows.append(least)
+                assert packed == [{c: pack_value(v, bits, least)
+                                   for c, v in row.items()} for row in rows]
+            assert low == sum(lows)
+            if not (a.is_zero() or b.is_zero()):
+                assert a * b == from_rows(ref_mul(a.rows, b.rows, Q_ZERO),
+                                          Q_ZERO)
+
     def test_square_of_s6_transforms_each_distinct_value_once(
             self, h2, monkeypatch):
         # S(6) has 924 nonzeros but 48 distinct numerators: squaring it
-        # decodes (the unpack function that unpack_rows hands to
-        # scalars.each_distinct) and divides by the content
-        # (tensor.divide_exact) each distinct value once, and the
+        # decodes (scalars.unpack_value) and divides by the content
+        # (scalars.divide_exact) each distinct value once, and the
         # denominator once more; one call per nonzero would make 925
         s6 = q_symmetrizer(h2, 6)
         distinct = {v for row in s6.data for v in row.values()}
         assert (s6.support(), len(distinct)) == (924, 48)
-        calls = {"unpack": 0, "divide": 0}
+        calls = {"unpack_value": 0, "divide_exact": 0}
 
-        def counting(name, real):
+        def counting(name):
+            real = getattr(scalars, name)
+
             def wrapper(*args):
                 calls[name] += 1
                 return real(*args)
             return wrapper
-
-        def each_distinct(rows, f, real=scalars.each_distinct):
-            if f.__name__ == "unpack":
-                f = counting("unpack", f)
-            return real(rows, f)
         with monkeypatch.context() as patch:
-            patch.setattr(scalars, "each_distinct", each_distinct)
-            patch.setattr(tensor, "divide_exact",
-                          counting("divide", tensor.divide_exact))
+            for name in calls:
+                patch.setattr(scalars, name, counting(name))
             square = s6 * s6
         assert square == s6
-        assert 0 < calls["unpack"] <= len(distinct) + 1
-        assert 0 < calls["divide"] <= len(distinct) + 1
+        assert 0 < calls["unpack_value"] <= len(distinct) + 1
+        assert 0 < calls["divide_exact"] <= len(distinct) + 1
 
 
 def test_sampled_antisymmetrizer_against_dense_oracle():
