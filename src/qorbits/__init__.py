@@ -28,7 +28,6 @@ from .identities import (CentralValues, RootData, central_elements_in_rep,
 from .orbits import (conjecture_scan, higher_newton_classical,
                      higher_newton_quantum_p2, multiplicities,
                      rep_eigenvalues, spectral_idempotents, string_decompose)
-from .euler import ModuleClass, classical_euler, q_algebra_check, \
-    q_index_and_euler
+from .euler import classical_euler, q_algebra_check, q_index_and_euler
 
 __version__ = "0.1.0"

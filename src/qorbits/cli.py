@@ -210,14 +210,19 @@ def _size_above(bound: int, dim: int, spaces) -> str | None:
 def suite_validate(args, check, rng, dom):
     n = args.r_data[0] if args.r_file else args.n
     rep = hecke_mod.validate_hecke_symmetry(_r_matrix(args, dom, n), dom)
-    for name, ok, reason in (
+    d = rep.details
+    rank = None if rep.rank == n else f"rank {rep.rank}, expected {n}"
+    if rep.rank is None:
+        rank = f"no rank, expected {n}: " + d.get("rank_error", d.get(
+            "rank_outcome", "not checked: needs Yang-Baxter and Hecke"))
+    for name, ok, witness in (
             ("ybe", rep.ybe, None),
             ("hecke", rep.hecke, None),
-            ("skew", rep.skew_invertible, "skew_error"),
-            ("rank", rep.rank == n, "rank_outcome"),
-            ("bc_product", rep.bc_product, "bc_product_error"),
-            ("bc_trace", rep.bc_trace, "bc_trace_error")):
-        check(name, name, lambda: (ok, rep.details.get(reason)), n=n)
+            ("skew", rep.skew_invertible, d.get("skew_error")),
+            ("rank", rep.rank == n, rank),
+            ("bc_product", rep.bc_product, d.get("bc_product_error")),
+            ("bc_trace", rep.bc_trace, d.get("bc_trace_error"))):
+        check(name, name, lambda: (ok, witness), n=n)
 
 
 def suite_projectors(args, check, rng, dom):
@@ -660,6 +665,7 @@ def _run_samples(args, rec, suite: str) -> list:
 # argument handling and report emission
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qorbits",

@@ -3,16 +3,15 @@
 Projective module classes are integer vectors up to a common shift; the
 q-index of a class at the trivial signature is its q-Euler characteristic,
 a shift-invariant q-deformation of the classical Euler number of
-flag-variety line bundles.  The class algebra is checked only through its
-numeric shadow: the relation values are q-binomials and the characteristic
-is additive across fixed total weight.
+flag-variety line bundles.  The class algebra has no type of its own here,
+only its numeric shadow: the relation values are q-binomials and the
+characteristic is additive across fixed total weight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from .scalars import ScalarDomain
 from .casimir import q_dimension
@@ -22,29 +21,6 @@ from .orbits import frobenius_dim
 
 class EulerError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ModuleClass:
-    """Integer vector modulo common shifts; equality is on canonical form."""
-    k: Tuple[int, ...]
-
-    def canonical(self) -> Tuple[int, ...]:
-        low = min(self.k)
-        return tuple(x - low for x in self.k)
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleClass):
-            return NotImplemented
-        return self.canonical() == other.canonical()
-
-    def __hash__(self):
-        return hash(self.canonical())
-
-    def __mul__(self, other: "ModuleClass") -> "ModuleClass":
-        if len(self.k) != len(other.k):
-            raise EulerError("class length mismatch")
-        return ModuleClass(tuple(a + b for a, b in zip(self.k, other.k)))
 
 
 def q_index_and_euler(k: Sequence[int], p: int, domain: ScalarDomain):

@@ -274,17 +274,13 @@ def ch_verify(mat: Mat, roots: Sequence, domain: ScalarDomain) -> Tuple[bool, in
 
 def ch_verify_coefficients(mat: Mat, sigmas: Sequence,
                            domain: ScalarDomain) -> Tuple[bool, int]:
-    """Coefficient form: sum_k (-M)**(p-k) sigma_k = 0 with sigma_0 = 1."""
+    """Coefficient form: sum_k (-M)**(p-k) sigma_k = 0 with sigma_0 = 1,
+    evaluated by Horner's rule in -M with p products."""
     n = mat.nrows
-    p = len(sigmas) - 1
-    ident = Mat.identity(n, domain.zero, domain.one)
     neg = -mat
-    powers = [ident]
-    for _ in range(p):
-        powers.append(powers[-1] * neg)
-    acc = Mat.zeros(n, n, domain.zero)
-    for k in range(p + 1):
-        acc = acc + powers[p - k].scale(sigmas[k])
+    acc = Mat.identity(n, domain.zero, sigmas[0])
+    for sigma in sigmas[1:]:
+        acc = acc * neg + Mat.identity(n, domain.zero, sigma)
     return acc.is_zero(), acc.support()
 
 

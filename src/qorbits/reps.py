@@ -27,8 +27,8 @@ is the REA.  Every constructor in this module verifies the relations once,
 when first built; the module is kept in the memo of its symmetry's
 certification under the constructor's name and arguments, so every symmetry
 of the same exact (R, q) shares it.  A module is frozen, and nobody may
-write into its blocks.  The shifts :func:`with_mass` and
-:func:`rescaled` verify every module they return.
+write into its blocks.  The shifts :func:`with_mass` and :func:`rescaled`
+verify every module they return.  :func:`sym_chart` wraps the memo's chart.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ class Compression:
 
 
 def sym_chart(h, m: int) -> Compression:
-    """Chart for the q-symmetric component on m legs (memoized)."""
-    return h.memo(("chart", m), lambda: Compression(*_chart(h, "S", m)))
+    """Chart for the q-symmetric component on m legs."""
+    return Compression(*_chart(h, "S", m))
 
 
 def sym_level(h, m: int) -> Compression:
@@ -282,18 +282,3 @@ def rescaled(rep: Representation, z, h) -> Representation:
     blocks = rep.blocks.scale(zl) + Mat.identity(rep.blocks.nrows, dom.zero, c)
     return _checked(replace(rep, blocks=blocks, label=rep.label + f" [z={z}]"),
                     h)
-
-
-def corollary_phi_blocks(h, m: int) -> Mat:
-    """Single-leg block matrix of the printed closed form for the shifted
-    right action: q**(1-m) m_q delta_ij I - zeta * (single-leg right action).
-
-    Kept verbatim as a cross-check: the shift route through
-    :func:`sym_power_right_p2` is authoritative, and the comparison test
-    records how this form deviates (overall -zeta scale at m = 1, an extra
-    unit-matrix summand beyond).
-    """
-    dom = h.domain
-    return (right_fundamental_blocks(h).scale(-dom.zeta)
-            + Mat.identity(h.n * h.n, dom.zero,
-                           dom.q_pow(1 - m) * dom.q_int(m)))

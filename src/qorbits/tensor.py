@@ -349,8 +349,6 @@ def _reduce(data, den) -> tuple:
                 if g == 1:
                     return data, den
         return [{c: v // g for c, v in row.items()} for row in data], den // g
-    if den == Q_ONE:
-        return data, Q_ONE
     g = common_divisor(den, (v for row in data for v in row.values()))
     if g is Q_ONE:
         return data, den
@@ -574,8 +572,6 @@ def weighted_partial_trace(mat: Mat, legs, weight: Mat, dims) -> Mat:
     for r, row in enumerate(mat.data):
         ko, to = split[r]
         prow = pair[to]
-        if not prow:
-            continue
         orow = acc[ko]
         for c, v in row.items():
             kc, tc = split[c]

@@ -17,6 +17,9 @@ from qorbits.scalars import SYMBOLIC, at_q
 from qorbits.tensor import LegOperator, Mat
 
 
+DVL3 = Path(__file__).parent / "data" / "dvl3.json"
+
+
 def run_json(tmp_path, args):
     out = tmp_path / "report.json"
     code = run_suite(args + ["--out", str(out)])
@@ -164,6 +167,22 @@ class TestReports:
         assert code == 0
         assert all(c["status"] == "pass" for c in report["checks"])
         assert {c["params"]["n"] for c in report["checks"]} == {3}
+
+    def test_dvl3_r_file_is_the_fixture_written_out(self, tmp_path, dvl3):
+        path = tmp_path / "dvl3.json"
+        save_r_to_file(path, dvl3(SYMBOLIC))
+        assert DVL3.read_text() == path.read_text()
+
+    def test_rank_fail_names_the_rank_and_n(self, tmp_path):
+        # dvl3 has rank 2 on n = 3; every other axiom holds
+        code, report = run_json(tmp_path, ["validate", "--q", "2/3",
+                                           "--r-file", str(DVL3)])
+        assert code == 1
+        status = {c["id"].rsplit(".", 1)[1]: c for c in report["checks"]}
+        assert status["rank"]["status"] == "fail"
+        assert status["rank"]["witness"] == "rank 2, expected 3"
+        assert all(c["status"] == "pass" for name, c in status.items()
+                   if name != "rank")
 
     def test_reps_relation_checks_report_the_construction_verdict(
             self, tmp_path, monkeypatch):
@@ -563,6 +582,10 @@ class TestExitCodes:
         status = {c["id"]: c["status"] for c in report["checks"]}
         assert status["validate.q2/3.hecke"] == "fail"
         assert status["validate.q2/3.ybe"] == "pass"
+        rank = next(c for c in report["checks"]
+                    if c["id"] == "validate.q2/3.rank")
+        assert rank["witness"] == (
+            "no rank, expected 1: not checked: needs Yang-Baxter and Hecke")
 
     def test_max_size_guard(self, tmp_path, capsys, largest_built):
         out = tmp_path / "report.json"

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from qorbits.scalars import SYMBOLIC, eval_at, q_int
-from qorbits.euler import (EulerError, ModuleClass, classical_euler,
-                           q_algebra_check, q_index_and_euler)
+from qorbits.euler import (EulerError, classical_euler, q_algebra_check,
+                           q_index_and_euler)
 from qorbits.casimir import q_dimension
 from qorbits.identities import compositions
 
@@ -99,26 +99,3 @@ class TestQAlgebra:
     def test_p_lower_bound(self):
         with pytest.raises(EulerError):
             q_algebra_check(1, SYMBOLIC)
-
-
-class TestModuleClass:
-    def test_shift_equivalence(self):
-        assert ModuleClass((1, 2, 3)) == ModuleClass((0, 1, 2))
-        assert ModuleClass((1, 2, 3)) != ModuleClass((0, 2, 2))
-        assert hash(ModuleClass((1, 2, 3))) == hash(ModuleClass((-4, -3, -2)))
-
-    def test_product_respects_classes(self):
-        a = ModuleClass((1, 0))
-        b = ModuleClass((0, 2))
-        shifted_a = ModuleClass((3, 2))
-        assert a * b == shifted_a * b
-
-    def test_euler_constant_on_classes(self):
-        k = ModuleClass((2, 0, 1))
-        shifted = ModuleClass((5, 3, 4))
-        assert (q_index_and_euler(list(k.k), 3, SYMBOLIC)
-                == q_index_and_euler(list(shifted.k), 3, SYMBOLIC))
-
-    def test_length_mismatch(self):
-        with pytest.raises(EulerError):
-            ModuleClass((1, 2)) * ModuleClass((1, 2, 3))

@@ -12,6 +12,7 @@ from qorbits.scalars import (SYMBOLIC, QScalar, at_q, eval_at, random_q,
                              random_rationals)
 from qorbits.tensor import Mat
 from qorbits.hecke import standard_hecke
+from qorbits.casimir import basic_roots, split_casimir_matrix
 from qorbits.reps import (fundamental_left, sym_power_left,
                           sym_power_right_rea_p2, with_mass)
 from qorbits.identities import (CentralValues, IdentityError, RootData,
@@ -366,6 +367,22 @@ def _det(rows):
     return out
 
 
+def power_form(mat, sigmas, domain):
+    """Oracle: sum_k (-M)**(p-k) sigma_k from the list of powers
+    (-M)**0..(-M)**p, each scaled by its sigma; (ok, support)."""
+    n = mat.nrows
+    p = len(sigmas) - 1
+    ident = Mat.identity(n, domain.zero, domain.one)
+    neg = -mat
+    powers = [ident]
+    for _ in range(p):
+        powers.append(powers[-1] * neg)
+    acc = Mat.zeros(n, n, domain.zero)
+    for k in range(p + 1):
+        acc = acc + powers[p - k].scale(sigmas[k])
+    return acc.is_zero(), acc.support()
+
+
 class TestChVerify:
     def test_diagonal(self):
         dom = at_q(Fraction(2))
@@ -417,6 +434,36 @@ class TestChVerify:
         sigmas = [Fraction(1), Fraction(10), Fraction(21)]
         ok, _ = ch_verify_coefficients(mat, sigmas, dom)
         assert ok
+
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_horner_equals_the_power_form_on_casimir_matrices(self, seed):
+        # sigma_k = e_k of the basic roots makes the sum (-1)**p prod (M - r)
+        dom = SYMBOLIC if seed is None else at_q(random_q(random.Random(seed)))
+        h = standard_hecke(2, dom)
+        for k in (1, 2, 3):
+            for algebra in ("rea", "mrea"):
+                mat = split_casimir_matrix(h, k, 1, algebra).op
+                sigmas = elementary_symmetric_all(
+                    basic_roots(dom, k, algebra).mu, dom.zero, dom.one)
+                bumped = [sigmas[0], sigmas[1] + dom.one, sigmas[2]]
+                scaled = [sigmas[0], sigmas[1], sigmas[2] * dom.q]
+                for sig, ok in ((sigmas, True), (bumped, False),
+                                (scaled, False)):
+                    got = ch_verify_coefficients(mat, sig, dom)
+                    assert got == power_form(mat, sig, dom), (k, algebra)
+                    assert got[0] is ok
+
+    def test_horner_equals_the_power_form_on_seeded_matrices(self):
+        rng = random.Random(5)
+        dom = at_q(Fraction(2, 3))
+        for _ in range(30):
+            n, p = rng.randint(1, 4), rng.randint(0, 4)
+            mat = from_rows([[Fraction(rng.randint(-3, 3)) for _ in range(n)]
+                             for _ in range(n)])
+            sigmas = [Fraction(1)] + [Fraction(rng.randint(-5, 5))
+                                      for _ in range(p)]
+            assert (ch_verify_coefficients(mat, sigmas, dom)
+                    == power_form(mat, sigmas, dom))
 
 
 class TestConjectureRoots:

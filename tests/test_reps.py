@@ -9,8 +9,8 @@ from qorbits.scalars import SYMBOLIC, at_q
 from qorbits.tensor import Mat
 from qorbits.projectors import q_antisymmetrizer, q_symmetrizer
 from qorbits.reps import (Compression, Representation, RepresentationError,
-                          corollary_phi_blocks, fundamental_left,
-                          rescaled, right_fundamental_blocks,
+                          fundamental_left, rescaled,
+                          right_fundamental_blocks,
                           sym_chart, sym_power_left, sym_power_right_p2,
                           sym_power_right_rea_p2, tensor_power_left,
                           verify_defining_relations, with_mass)
@@ -314,6 +314,21 @@ class TestShifts:
         assert verify_defining_relations(rea, h2) == []
 
 
+def corollary_phi_blocks(h, m: int) -> Mat:
+    """Single-leg block matrix of the printed closed form for the shifted
+    right action: q**(1-m) m_q delta_ij I - zeta * (single-leg right action).
+
+    Kept verbatim as a cross-check: the shift route through
+    :func:`sym_power_right_p2` is authoritative, and the comparison test
+    records how this form deviates (overall -zeta scale at m = 1, an extra
+    unit-matrix summand beyond).
+    """
+    dom = h.domain
+    return (right_fundamental_blocks(h).scale(-dom.zeta)
+            + Mat.identity(h.n * h.n, dom.zero,
+                           dom.q_pow(1 - m) * dom.q_int(m)))
+
+
 class TestPrintedClosedFormFinding:
     """The printed single-leg closed form for the shifted right action is a
     cross-check, not the authority.  This test pins exactly how it deviates."""
@@ -378,7 +393,8 @@ class TestMemo:
 
     def test_charts_and_weights_are_memoized(self):
         h = standard_hecke(2, at_q(Fraction(5, 3)))
-        assert sym_chart(h, 2) is sym_chart(h, 2)
+        a, b = sym_chart(h, 2), sym_chart(h, 2)
+        assert a.basis is b.basis and a.left_inverse is b.left_inverse
         assert casimir.trace_weights(h, 2) is casimir.trace_weights(h, 2)
         # modules and weights are built on the levels: no chart on full legs
         sym_power_left(h, 3)
