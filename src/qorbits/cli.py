@@ -216,8 +216,8 @@ def suite_validate(args, check, rng, dom):
         rank = f"no rank, expected {n}: " + d.get("rank_error", d.get(
             "rank_outcome", "not checked: needs Yang-Baxter and Hecke"))
     for name, ok, witness in (
-            ("ybe", rep.ybe, None),
-            ("hecke", rep.hecke, None),
+            ("ybe", rep.ybe, d.get("ybe_error")),
+            ("hecke", rep.hecke, d.get("hecke_error")),
             ("skew", rep.skew_invertible, d.get("skew_error")),
             ("rank", rep.rank == n, rank),
             ("bc_product", rep.bc_product, d.get("bc_product_error")),

@@ -95,8 +95,8 @@ class ValidationReport:
     def first_failure(self) -> Optional[str]:
         """The first failed axiom in certification order, or None."""
         d = self.details
-        for ok, reason in ((self.ybe, "Yang-Baxter equation fails"),
-                           (self.hecke, "Hecke condition fails"),
+        for ok, reason in ((self.ybe, d.get("ybe_error")),
+                           (self.hecke, d.get("hecke_error")),
                            (self.skew_invertible, d.get("skew_error")),
                            (self.even, d.get("rank_error", d.get("rank_outcome"))),
                            (self.bc_product, d.get("bc_product_error")),
@@ -200,6 +200,10 @@ def _certify(r: LegOperator, domain: ScalarDomain):
     ybe = check_ybe(r)
     hecke = check_hecke(r, domain)
     details: dict = {}
+    if not ybe:
+        details["ybe_error"] = "Yang-Baxter equation fails"
+    if not hecke:
+        details["hecke_error"] = "Hecke condition fails"
     weights = None
     try:
         weights = skew_inverse_bc(r, domain)

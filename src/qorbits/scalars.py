@@ -138,16 +138,13 @@ def _pgcd(a: tuple, b: tuple) -> tuple:
     return tuple(f)
 
 
-def _pstr(a: tuple) -> str:
-    if not a:
-        return "0"
+def _pstr(a, shift: int = 0) -> str:
+    """The coefficients a, of q**shift up, in descending powers of q."""
     parts = []
     for d in range(len(a) - 1, -1, -1):
-        c = a[d]
-        if not c:
-            continue
-        parts.append(_term_str(c, d, lead=not parts))
-    return "".join(parts)
+        if a[d]:
+            parts.append(_term_str(a[d], d + shift, lead=not parts))
+    return "".join(parts) or "0"
 
 
 def _term_str(c: Fraction, e: int, lead: bool) -> str:
@@ -422,7 +419,8 @@ Q = QScalar.q_power(1)
 #
 # The numerators are QScalars with d = 1 (integer Laurent polynomials); the
 # denominator is a QScalar with d = 1 and s = 0 (an integer polynomial with
-# positive constant term, so q does not divide it).  Sums and scalings of
+# positive constant term, so q does not divide it); every lcm and content
+# is :func:`lcm_factors` and :func:`common_divisor`.  Sums and scalings of
 # numerators are QScalar's own gcd-free + - *.  Products of numerators run
 # on Python ints by Kronecker substitution (Kronecker 1882; Schoenhage 1982):
 # a numerator becomes its value at X = 2**bits, relative to the least exponent,
@@ -441,19 +439,6 @@ def laurent_split(s: QScalar) -> tuple:
     if not isinstance(s, QScalar):
         s = QScalar.from_rational(s)
     return _make(s._n, (1,), s._s), _poly(s._d)
-
-
-def laurent_rows(rows) -> tuple:
-    """Rows of column -> nonzero QScalar as (rows of integer Laurent
-    numerators over their least common denominator, that denominator)."""
-    split = [{c: laurent_split(v) for c, v in row.items()} for row in rows]
-    dens = {d._n: d for row in split for _, d in row.values()}
-    den = Q_ONE
-    for d in dens.values():
-        den = lcm_factors(den, d)[0]
-    factor = {k: _poly(_int_div_exact(den._n, k)) for k in dens}
-    return [{c: n if factor[d._n] is Q_ONE else n * factor[d._n]
-             for c, (n, d) in row.items()} for row in split], den
 
 
 def lcm_factors(a: QScalar, b: QScalar) -> tuple:
@@ -494,14 +479,6 @@ def common_divisor(den: QScalar, nums) -> QScalar:
     if p[0] < 0:
         p = _pneg(p)
     return _poly(tuple(c * x for x in p) if c > 1 else p)
-
-
-def laurent_content(nums) -> QScalar:
-    """gcd in Z[q] of the n of nonzero integer Laurent polynomials (each
-    without its power of q), as a denominator (Q_ONE if it is 1):
-    :func:`common_divisor` started from the first one."""
-    nums = iter(nums)
-    return common_divisor(_poly(next(nums)._n), nums)
 
 
 def divide_exact(v: QScalar, g: QScalar) -> QScalar:
@@ -675,17 +652,9 @@ def parse_scalar(text: str) -> QScalar:
 
 def format_scalar(s: QScalar) -> str:
     """Canonical string for a Laurent QScalar (descending powers of q)."""
-    if s.is_zero():
-        return "0"
     if not s.is_laurent():
         raise ValueError("only Laurent scalars have a canonical text form")
-    low = s._d[0]
-    parts = []
-    for e in range(len(s._n) - 1, -1, -1):
-        c = s._n[e]
-        if c:
-            parts.append(_term_str(Fraction(c, low), e + s._s, lead=not parts))
-    return "".join(parts)
+    return _pstr([Fraction(c, s._d[0]) for c in s._n], s._s)
 
 
 def as_integer(x):

@@ -18,11 +18,11 @@ base-2**B digits and divides it by the content once.  R-matrices,
 q-(anti)symmetrizers, their embeddings and the module operators are all very
 sparse, so every operation touches nonzeros only; the product is the
 row-wise sparse product (Gustavson 1978).  Exact solves go through one
-routine, ``row_reduce``:
-fraction-free Gauss-Jordan on the numerator rows, in Z or Z[q], touching
-only the rows with a nonzero in the pivot column and dividing each updated
-row by its content (where Bareiss 1968 divides every row by the previous
-pivot), so that a field division is made once per entry of the result.
+routine, ``row_reduce``: fraction-free Gauss-Jordan on the numerator rows,
+in Z or Z[q], touching only the rows with a nonzero in the pivot column and
+dividing each updated row by its content, by the same reduction as every
+result (where Bareiss 1968 divides every row by the previous pivot), so
+that a field division is made once per entry of the result.
 ``inverse`` reduces [N | den * I] and requires the pivots to be the columns
 of A, and a projector's reduction yields both its pivot columns and a left
 inverse on its image.  A weighted partial trace acts on the Mat of an
@@ -46,9 +46,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import (Q_ONE, common_divisor, divide_exact, laurent_content,
-                      laurent_rows, laurent_split, lcm_factors, mapped_rows,
-                      pack_operands, unpack_reduced)
+from .scalars import (Q_ONE, common_divisor, divide_exact, laurent_split,
+                      lcm_factors, mapped_rows, pack_operands, unpack_reduced)
 
 
 class Mat:
@@ -303,11 +302,11 @@ def _check_index(i: int, j: int, nrows: int, ncols: int) -> None:
         raise IndexError(f"entry ({i}, {j}) outside a {nrows}x{ncols} matrix")
 
 
-# The domain-specific steps: an entry to a numerator and back, the lcm of two
-# denominators and the content reduction (sums and scalings are not: ints and
-# integer Laurent QScalars share + - *).  Evaluated mode is recognised by a
-# rational zero; every other domain is symbolic (QScalar) and uses the
-# numerator helpers of the scalars module.
+# The domain-specific steps, which _numerators and _primitive are built on:
+# an entry to a numerator and back, the lcm of two denominators and the
+# content reduction (sums and scalings are not: ints and integer Laurent
+# QScalars share + - *).  Evaluated mode is recognised by a rational zero (in
+# _reduce by an int den); every other domain is symbolic (QScalar).
 
 def _rational(zero) -> bool:
     return isinstance(zero, (int, Fraction))
@@ -359,16 +358,11 @@ def _reduce(data, den) -> tuple:
 
 
 def _primitive(row) -> dict:
-    """A numerator row divided by its content: the gcd of its ints, or the
-    gcd in Z[q] of its Laurent numerators with their lowest power of q
-    removed (:func:`laurent_content`), each numerator divided exactly."""
-    values = row.values()
-    if isinstance(next(iter(values), 0), int):      # an empty row too
-        g = gcd(*values)
-        return row if g == 1 else {c: v // g for c, v in row.items()}
-    g = laurent_content(values)
-    return row if g is Q_ONE else {c: divide_exact(v, g)
-                                   for c, v in row.items()}
+    """A numerator row divided by its content, which is its gcd with its
+    first numerator in Z or Z[q] (q is a unit there); an empty row as it is."""
+    if not row:
+        return row
+    return _reduce([row], next(iter(row.values())))[0][0]
 
 
 def _rescaled(data, f) -> list:
@@ -380,19 +374,16 @@ def _rescaled(data, f) -> list:
 
 def _numerators(rows, zero) -> tuple:
     """Rows of column -> nonzero entry as (rows of numerators over their
-    least common denominator, that denominator)."""
-    if not _rational(zero):
-        return laurent_rows(rows)
-    den = 1
-    for row in rows:
-        for v in row.values():
-            d = v.denominator
-            if den % d:
-                den = lcm(den, d)
-    if den == 1:
-        return [{c: v.numerator for c, v in row.items()} for row in rows], 1
-    return [{c: v.numerator * (den // v.denominator) for c, v in row.items()}
-            for row in rows], den
+    least common denominator, that denominator), one cofactor per distinct
+    denominator; entries in lowest terms make the form reduced."""
+    split = [[(c, _split(zero, v)) for c, v in row.items()] for row in rows]
+    dens = {d for row in split for _, (_, d) in row}
+    den = _split(zero, zero)[1]                     # 1 in the domain
+    for d in dens:
+        den = _lcm(zero, den, d)[0]
+    factor = {d: _lcm(zero, den, d)[2] for d in dens}
+    return [{c: n if d == den else n * factor[d] for c, (n, d) in row}
+            for row in split], den
 
 
 def _mat(data, den, nrows: int, ncols: int, zero) -> Mat:
@@ -461,8 +452,7 @@ def row_reduce(mat: Mat) -> tuple:
     zero = mat.zero
     out = [{j: _entry(zero, row[j], row[c]) for j in sorted(row)}
            for row, c in zip(rows, pivots)]
-    return pivots, _reduced(*_numerators(out, zero), len(pivots), mat.ncols,
-                            zero)
+    return pivots, _mat(*_numerators(out, zero), len(pivots), mat.ncols, zero)
 
 
 def inverse(mat: Mat) -> Mat:

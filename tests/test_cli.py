@@ -582,6 +582,8 @@ class TestExitCodes:
         status = {c["id"]: c["status"] for c in report["checks"]}
         assert status["validate.q2/3.hecke"] == "fail"
         assert status["validate.q2/3.ybe"] == "pass"
+        witness = {c["id"]: c["witness"] for c in report["checks"]}
+        assert witness["validate.q2/3.hecke"] == "Hecke condition fails"
         rank = next(c for c in report["checks"]
                     if c["id"] == "validate.q2/3.rank")
         assert rank["witness"] == (

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import count, product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -624,6 +624,101 @@ def elimination_case(draw):
     return zero, rows
 
 
+# the per-domain bodies that tensor._numerators and tensor._primitive had
+# before both ran on tensor._split, _lcm and _reduce, kept as oracles
+
+def old_numerators(rows, zero):
+    if not isinstance(zero, (int, Fraction)):
+        return old_laurent_rows(rows)
+    den = 1
+    for row in rows:
+        for v in row.values():
+            d = v.denominator
+            if den % d:
+                den = lcm(den, d)
+    if den == 1:
+        return [{c: v.numerator for c, v in row.items()} for row in rows], 1
+    return [{c: v.numerator * (den // v.denominator) for c, v in row.items()}
+            for row in rows], den
+
+
+def old_laurent_rows(rows):
+    split = [{c: scalars.laurent_split(v) for c, v in row.items()}
+             for row in rows]
+    dens = {d._n: d for row in split for _, d in row.values()}
+    den = scalars.Q_ONE
+    for d in dens.values():
+        den = scalars.lcm_factors(den, d)[0]
+    factor = {k: scalars._poly(scalars._int_div_exact(den._n, k))
+              for k in dens}
+    return [{c: n if factor[d._n] is scalars.Q_ONE else n * factor[d._n]
+             for c, (n, d) in row.items()} for row in split], den
+
+
+def old_primitive(row):
+    values = row.values()
+    if isinstance(next(iter(values), 0), int):      # an empty row too
+        g = gcd(*values)
+        return row if g == 1 else {c: v // g for c, v in row.items()}
+    g = old_laurent_content(values)
+    return row if g is scalars.Q_ONE else {
+        c: scalars.divide_exact(v, g) for c, v in row.items()}
+
+
+def old_laurent_content(nums):
+    nums = iter(nums)
+    return scalars.common_divisor(scalars._poly(next(nums)._n), nums)
+
+
+# first entries of a numerator row: negative, +-1 and monomials +-q**s among
+# them; the rest of the row is drawn from a few values, so repeats are
+# common, and the whole row is scaled by a common factor on request
+INT_FIRSTS = [-12, -3, -1, 1, 2, 6]
+INT_NUMERATORS = [-9, -4, -2, -1, 1, 2, 3, 6, 10, 2 ** 70 - 1]
+INT_FACTORS = [2, -3, 6]
+LAURENT_FIRSTS = [-Q ** 0, Q ** 0, Q ** 3, -Q ** -2, -3 * Q, Q ** 2 + 1,
+                  q_int(3)]
+LAURENT_NUMERATORS = [Q, -Q ** -2, q_int(2), Q - 1, Q ** 2 + 1, -(Q + 1),
+                      3 * Q ** 3, 6 * Q ** 0, -Q ** 0,
+                      (2 ** 70 - 1) * Q ** -1 - (2 ** 70 - 3) * Q ** 2]
+LAURENT_FACTORS = [Q + 1, 3 * Q ** 0, -(Q ** 2 + 1) * Q ** -1, 2 * Q ** 2,
+                   q_int(2) * (Q - 1)]
+
+
+@st.composite
+def entry_rows(draw):
+    """(zero, sparse rows of column -> nonzero entry) from a few pool values,
+    so repeats are common; empty rows among them."""
+    zero, pool = DOMAINS[draw(st.sampled_from(sorted(DOMAINS)))]
+    pool = draw(st.lists(st.sampled_from(pool + [zero + 1, zero - 1]),
+                         min_size=1, max_size=4, unique=True))
+    nr, nc = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    return zero, [{c: v for c, v in enumerate(row) if v}
+                  for row in dense(draw, zero, pool, nr, nc)]
+
+
+@st.composite
+def numerator_row(draw):
+    """A sparse row of ints or of integer Laurent numerators, empty or led
+    by a drawn first entry, maybe scaled by a common factor."""
+    firsts, rest, factors = draw(st.sampled_from((
+        (INT_FIRSTS, INT_NUMERATORS, INT_FACTORS),
+        (LAURENT_FIRSTS, LAURENT_NUMERATORS, LAURENT_FACTORS))))
+    size = draw(st.integers(0, 5))
+    if not size:
+        return {}
+    rest = draw(st.lists(st.sampled_from(rest), min_size=1, max_size=3,
+                         unique=True))
+    values = [draw(st.sampled_from(firsts))] + [
+        draw(st.sampled_from(rest)) for _ in range(size - 1)]
+    if draw(st.booleans()):
+        f = draw(st.sampled_from(factors))
+        values = [f * v for v in values]
+    cols = sorted(draw(st.sets(st.integers(0, 9), min_size=size,
+                               max_size=size)))
+    return dict(zip(cols, values))
+
+
 def placed_blocks(blocks, d, rest, transpose):
     """sum_ij E_ij (x) I_rest (x) B_ij entry by entry through from_entries,
     the route block placement took before Mat.embed_blocks."""
@@ -647,6 +742,20 @@ class TestNumeratorRoutesAgainstEntries:
         pivots, reduced = row_reduce(mat)
         assert_canonical(reduced)
         assert (pivots, reduced) == dense_row_reduce(mat)
+
+    @settings(max_examples=150, deadline=None)
+    @given(entry_rows(), numerator_row())
+    def test_numerators_and_primitive_match_the_domain_bodies(self, case, row):
+        # the generic common denominator and row content give the data, key
+        # order included, and den of the per-domain bodies they replaced
+        zero, rows = case
+        data, den = tensor._numerators(rows, zero)
+        want_data, want_den = old_numerators(rows, zero)
+        assert den == want_den and type(den) is type(want_den)
+        assert [list(r.items()) for r in data] == [
+            list(r.items()) for r in want_data]
+        got = tensor._primitive(row)
+        assert list(got.items()) == list(old_primitive(row).items())
 
     @pytest.mark.parametrize("domain", sorted(DOMAINS))
     def test_inverse_round_trip(self, domain):
