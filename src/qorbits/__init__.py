@@ -24,7 +24,7 @@ from .casimir import (CasimirMatrix, closed_form_p2, left_casimir_matrix,
 from .identities import (CentralValues, RootData, central_elements_in_rep,
                          ch_verify, ch_verify_coefficients, compositions,
                          conjecture_roots, newton_check, omega_roots_p2,
-                         parametric_central_values)
+                         parametric_central_values, rea_central_values)
 from .orbits import (conjecture_scan, higher_newton_classical,
                      higher_newton_quantum_p2, multiplicities,
                      rep_eigenvalues, spectral_idempotents, string_decompose)

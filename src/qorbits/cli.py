@@ -257,7 +257,7 @@ def suite_projectors(args, check, rng, dom):
     def complement():
         s2 = proj_mod.q_symmetrizer(h, 2)
         a2 = proj_mod.q_antisymmetrizer(h, 2)
-        return (s2 + a2 == h.identity(2)), None
+        return _equal(s2 + a2, h.identity(2))
     check("complement", "sym_proj", complement, n=n)
 
     def nested():
@@ -269,6 +269,21 @@ def suite_projectors(args, check, rng, dom):
                     return False, f"nested absorption fails at ({m},{k})"
         return True, None
     check("nested", "sym_proj", nested, n=n)
+
+
+def _equal(a: Mat, b: Mat) -> tuple:
+    """(a == b, witness): the first entry, in row order, where two matrices
+    differ, as (i, j) with both values."""
+    if a == b:
+        return True, None
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        return False, f"shapes {a.nrows}x{a.ncols} and {b.nrows}x{b.ncols}"
+    for i, (ra, rb) in enumerate(zip(a.data, b.data)):
+        for j in sorted(ra.keys() | rb.keys()):
+            x, y = a[i, j], b[i, j]
+            if x != y:
+                return False, f"entry ({i}, {j}): {x} != {y}"
+    raise AssertionError("unequal matrices with equal entries")
 
 
 def _built(constructor, *args) -> tuple:
@@ -293,13 +308,13 @@ def suite_reps(args, check, rng, dom):
             sym = reps_mod.sym_power_left(h, m)
             tp = reps_mod.tensor_power_left(h, m)
             basis = reps_mod.sym_chart(h, m).basis.embed(h.n, 1)
-            return tp.blocks * basis == basis * sym.blocks, None
+            return _equal(tp.blocks * basis, basis * sym.blocks)
         check(f"sym_eq_compressed.m{m}", "sym_module", sym_eq, n=n, m=m)
 
         def invariance():
             x = reps_mod.tensor_power_left(h, m).blocks
             s = proj_mod.q_symmetrizer(h, m).embed(h.n, 1)
-            return (s * x * s == x * s), None
+            return _equal(s * x * s, x * s)
         check(f"invariance.m{m}", "sym_module", invariance, n=n, m=m)
 
     if h.p == 2:
@@ -310,14 +325,14 @@ def suite_reps(args, check, rng, dom):
     def shifts():
         f = reps_mod.fundamental_left(h)
         back = reps_mod.with_mass(reps_mod.with_mass(f, 0, h), 1, h)
-        return back.blocks == f.blocks, None
+        return _equal(back.blocks, f.blocks)
     check("shift_round_trip", "shift", shifts, n=n)
 
     def z_action():
         f = reps_mod.fundamental_left(h)
         a = reps_mod.rescaled(reps_mod.rescaled(f, 3, h), 2, h)
         b = reps_mod.rescaled(f, 6, h)
-        return a.blocks == b.blocks, None
+        return _equal(a.blocks, b.blocks)
     check("z_shift_action", "z_shift", z_action, n=n)
 
 
@@ -334,8 +349,7 @@ def suite_ch(args, check, rng, dom):
         check(f"basic.k{k}", "ch_basic", basic, k=k)
 
         def sigma_values():
-            rep = reps_mod.sym_power_right_rea_p2(h, k)
-            cv = ident_mod.central_elements_in_rep(h, rep, 2)
+            cv = ident_mod.rea_central_values(h, k)
             mu = casimir_mod.basic_roots(dom, k).mu
             ok = (cv.sigma[1] == mu[0] + mu[1]
                   and cv.sigma[2] == mu[0] * mu[1])
@@ -374,7 +388,7 @@ def suite_ch(args, check, rng, dom):
             def closed():
                 a = casimir_mod.split_casimir_matrix(h, k, m, "rea")
                 b = casimir_mod.closed_form_p2(h, k, m)
-                return (a.op == b.op), None
+                return _equal(a.op, b.op)
             check(f"closed_form.k{k}.m{m}", "closed_form", closed, k=k, m=m)
 
 
@@ -397,9 +411,7 @@ def suite_newton(args, check, rng, dom):
     h = _hecke(args, dom, 2)
     for k in range(1, (args.k or 3) + 1):
         def rows():
-            rep = reps_mod.sym_power_right_rea_p2(h, k)
-            cv = ident_mod.central_elements_in_rep(h, rep, 2)
-            return _newton_rows(cv, 2, dom)
+            return _newton_rows(ident_mod.rea_central_values(h, k), 2, dom)
         check(f"rep.k{k}", "newton_rows", rows, k=k)
 
 

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 from .scalars import ScalarDomain
 from .tensor import Mat, embed_on_legs, weighted_partial_trace
 from .projectors import q_antisymmetrizer
-from .reps import Representation
+from .reps import Representation, sym_power_right_rea_p2
 
 
 class IdentityError(ValueError):
@@ -106,6 +106,17 @@ def central_elements_in_rep(h, rep: Representation, up_to: int) -> CentralValues
     for k in range(1, up_to + 1):
         sigma.append(_sigma_k(h, rep, k, c_gen))
     return CentralValues(sigma=sigma, s=s_vals, provenance=rep.label)
+
+
+def rea_central_values(h, k: int) -> CentralValues:
+    """sigma_k and s_k, k = 1, 2, in the right REA module
+    ``sym_power_right_rea_p2(h, k)`` of a rank-2 symmetry, computed once per
+    certification of h's (R, q).  The memo key names the constructor and k,
+    never a module or its label, so a module built elsewhere is never
+    answered from it; :func:`central_elements_in_rep` itself keeps no cache."""
+    return h.memo(
+        ("central_elements_in_rep", sym_power_right_rea_p2.__name__, k),
+        lambda: central_elements_in_rep(h, sym_power_right_rea_p2(h, k), 2))
 
 
 def _sigma_k(h, rep: Representation, k: int, c_gen: Mat) -> object:

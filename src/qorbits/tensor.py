@@ -17,12 +17,15 @@ same integer kernel, and decodes each distinct result from balanced
 base-2**B digits and divides it by the content once.  R-matrices,
 q-(anti)symmetrizers, their embeddings and the module operators are all very
 sparse, so every operation touches nonzeros only; the product is the
-row-wise sparse product (Gustavson 1978).  Exact solves go through one
-routine, ``row_reduce``: fraction-free Gauss-Jordan on the numerator rows,
-in Z or Z[q], touching only the rows with a nonzero in the pivot column and
-dividing each updated row by its content, by the same reduction as every
-result (where Bareiss 1968 divides every row by the previous pivot), so
-that a field division is made once per entry of the result.
+row-wise sparse product (Gustavson 1978), which sums each row of several
+terms in one dense slot array per product, the sparse accumulator of
+Gilbert, Moler and Schreiber (1992): it lists the columns it touched and
+resets only those.  Exact solves go through one routine, ``row_reduce``:
+fraction-free Gauss-Jordan on the numerator rows, in Z or Z[q], touching
+only the rows with a nonzero in the pivot column and dividing each updated
+row by its content, by the same reduction as every result (where Bareiss
+1968 divides every row by the previous pivot), so that a field division is
+made once per entry of the result.
 ``inverse`` reduces [N | den * I] and requires the pivots to be the columns
 of A, and a projector's reduction yields both its pivot columns and a left
 inverse on its image.  A weighted partial trace acts on the Mat of an
@@ -216,12 +219,13 @@ class Mat:
             return Mat.zeros(self.nrows, other.ncols, self.zero)
         den = self.den * other.den
         if _rational(self.zero):
-            return _reduced(_product(self.data, other.data), den, self.nrows,
-                            other.ncols, self.zero)
+            return _reduced(_product(self.data, other.data, other.ncols), den,
+                            self.nrows, other.ncols, self.zero)
         # Kronecker substitution: exact at a width taken from the operands
         adata, bdata, bits, low = pack_operands(self.data, other.data)
-        return _mat(*unpack_reduced(_product(adata, bdata), bits, low, den),
-                    self.nrows, other.ncols, self.zero)
+        rows = _product(adata, bdata, other.ncols)
+        return _mat(*unpack_reduced(rows, bits, low, den), self.nrows,
+                    other.ncols, self.zero)
 
     def kron(self, other: "Mat") -> "Mat":
         bdata, bcols = other.data, other.ncols
@@ -275,20 +279,37 @@ class Mat:
 _new = object.__new__
 
 
-def _product(adata, bdata) -> list:
-    """Rows of the product of two matrices of numerators, with no zero
-    stored and each row in column order.  A row of one term a at k is a
-    times row k of b, already in column order, and a product of nonzero
-    ints is nonzero, so it needs no sort and no zero test."""
+def _product(adata, bdata, ncols: int) -> list:
+    """Rows of the product of two matrices of numerators, b with ncols
+    columns, with no zero stored and each row in column order.  A row of
+    several terms is summed in the sparse accumulator (Gilbert, Moler and
+    Schreiber 1992) ``acc``, one slot per column, allocated once: an
+    untouched slot (None) takes its first term and records its column, and
+    the recorded columns, sorted, give the row and are reset.  A row of one
+    term a at k is a times row k of b, already in column order, and a
+    product of nonzero ints is nonzero, so it needs no sort and no zero
+    test."""
     out = []
+    acc = [None] * ncols
     for arow in adata:
         if len(arow) > 1:
-            acc = {}
+            touched = []
             for k, a in arow.items():
                 for j, b in bdata[k].items():
-                    x = acc.get(j)
-                    acc[j] = a * b if x is None else x + a * b
-            out.append({j: acc[j] for j in sorted(acc) if acc[j]})
+                    x = acc[j]
+                    if x is None:
+                        acc[j] = a * b
+                        touched.append(j)
+                    else:
+                        acc[j] = x + a * b
+            touched.sort()
+            row = {}
+            for j in touched:
+                x = acc[j]
+                if x:
+                    row[j] = x
+                acc[j] = None
+            out.append(row)
         elif arow:
             for k, a in arow.items():
                 out.append({j: a * b for j, b in bdata[k].items()})
@@ -303,10 +324,11 @@ def _check_index(i: int, j: int, nrows: int, ncols: int) -> None:
 
 
 # The domain-specific steps, which _numerators and _primitive are built on:
-# an entry to a numerator and back, the lcm of two denominators and the
-# content reduction (sums and scalings are not: ints and integer Laurent
-# QScalars share + - *).  Evaluated mode is recognised by a rational zero (in
-# _reduce by an int den); every other domain is symbolic (QScalar).
+# an entry to a numerator and back, the lcm of two denominators, the exact
+# quotient of one by a divisor and the content reduction (sums and scalings
+# are not: ints and integer Laurent QScalars share + - *).  Evaluated mode is
+# recognised by a rational zero (in _reduce by an int den); every other
+# domain is symbolic (QScalar).
 
 def _rational(zero) -> bool:
     return isinstance(zero, (int, Fraction))
@@ -332,6 +354,13 @@ def _lcm(zero, a, b) -> tuple:
         den = lcm(a, b)
         return den, den // a, den // b
     return lcm_factors(a, b)
+
+
+def _quotient(zero, a, b):
+    """a / b for a denominator b that divides a: one exact division."""
+    if _rational(zero):
+        return a // b
+    return divide_exact(a, b)
 
 
 def _reduce(data, den) -> tuple:
@@ -381,7 +410,7 @@ def _numerators(rows, zero) -> tuple:
     den = _split(zero, zero)[1]                     # 1 in the domain
     for d in dens:
         den = _lcm(zero, den, d)[0]
-    factor = {d: _lcm(zero, den, d)[2] for d in dens}
+    factor = {d: _quotient(zero, den, d) for d in dens}
     return [{c: n if d == den else n * factor[d] for c, (n, d) in row}
             for row in split], den
 

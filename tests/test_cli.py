@@ -3,13 +3,15 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import qorbits
-from qorbits import euler, hecke, identities, orbits, projectors, reps
+from qorbits import (casimir, euler, hecke, identities, orbits, projectors,
+                     reps)
 from qorbits.cli import (ANCHORS, SUITES, CheckRecorder, _check_args,
                          _largest_spaces, _size_above, build_parser, run_suite)
 from qorbits.hecke import standard_hecke, save_r_to_file
@@ -216,6 +218,53 @@ class TestReports:
         code, _ = run_json(tmp_path, ["reps", "--seed", "1"])
         assert code == 0
         assert calls and len(calls) == len(set(calls))
+
+    def test_ch_and_newton_share_one_set_of_central_values(
+            self, tmp_path, monkeypatch):
+        # ch.basic_sigma.k* and newton.rep.k* read sigma_k and s_k of the
+        # right REA module at each (q, k) from the certification's memo
+        calls, got = [], {}
+        real_values = identities.central_elements_in_rep
+        real_accessor = identities.rea_central_values
+
+        def counting(h, rep, up_to):
+            calls.append((rep.label, h.domain.describe()))
+            return real_values(h, rep, up_to)
+
+        def recording(h, k):
+            cv = real_accessor(h, k)
+            got.setdefault(k, []).append(cv)
+            return cv
+        monkeypatch.setattr(identities, "central_elements_in_rep", counting)
+        monkeypatch.setattr(identities, "rea_central_values", recording)
+        for suite in ("ch", "newton"):
+            code, _ = run_json(tmp_path, [suite, "--q", "2/3"])
+            assert code == 0
+        assert len(calls) == len(set(calls)) == 3           # k = 1, 2, 3
+        assert sorted(got) == [1, 2, 3]
+        for ch_values, newton_values in got.values():
+            assert ch_values is newton_values
+
+    def test_equality_fail_names_the_first_differing_entry(
+            self, tmp_path, monkeypatch):
+        # a closed form off by one in entry (0, 1): the fail names that
+        # entry with both values
+        real = casimir.closed_form_p2
+
+        def off_by_one(h, k, m):
+            cm = real(h, k, m)
+            dom = h.domain
+            return replace(cm, op=cm.op + Mat.from_entries(
+                cm.dim, cm.dim, dom.zero, [(0, 1, dom.one)]))
+        monkeypatch.setattr(casimir, "closed_form_p2", off_by_one)
+        code, report = run_json(tmp_path, ["ch", "--q", "2/3", "--k", "1"])
+        assert code == 1
+        h = standard_hecke(2, at_q(Fraction(2, 3)))
+        x = casimir.split_casimir_matrix(h, 1, 1, "rea").op[0, 1]
+        status = {c["id"]: c for c in report["checks"]}
+        check = status["ch.q2/3.closed_form.k1.m1"]
+        assert check["status"] == "fail"
+        assert check["witness"] == f"entry (0, 1): {x} != {x + 1}"
 
     def test_esp_check_runs_one_recurrence_per_value_set(self, tmp_path,
                                                          monkeypatch):

@@ -564,6 +564,92 @@ class TestSparseAgainstDense:
 
 
 # ---------------------------------------------------------------------------
+# the integer product kernel against the dict accumulator it replaced
+# ---------------------------------------------------------------------------
+
+def old_product(adata, bdata) -> list:
+    """tensor._product as it was before the sparse accumulator: a dict per
+    row of several terms, its keys sorted at the end."""
+    out = []
+    for arow in adata:
+        if len(arow) > 1:
+            acc = {}
+            for k, a in arow.items():
+                for j, b in bdata[k].items():
+                    x = acc.get(j)
+                    acc[j] = a * b if x is None else x + a * b
+            out.append({j: acc[j] for j in sorted(acc) if acc[j]})
+        elif arow:
+            for k, a in arow.items():
+                out.append({j: a * b for j, b in bdata[k].items()})
+        else:
+            out.append({})
+    return out
+
+
+def ordered_rows(rows) -> list:
+    """Rows as lists of (column, value), so that key order is compared."""
+    return [list(row.items()) for row in rows]
+
+
+# small ints as at sampled q; wide signed ints as the Kronecker-packed
+# numerators of symbolic q
+KERNEL_NUMERATORS = {"int": st.integers(-6, 6).filter(bool),
+                     "packed": st.integers(-2 ** 90, 2 ** 90).filter(bool)}
+
+
+@st.composite
+def kernel_operands(draw):
+    """(a, b, ncols): numerator rows a (nr x nk) and b (nk x ncols), b with
+    rows k1 != k2 equal, so that a row a*e_k1 - a*e_k2 cancels in every
+    column it touches; a's rows are multi-term rows (of which consecutive
+    ones share columns through b), such cancelling rows each followed by a
+    row on the same columns, one-term rows and empty rows."""
+    value = KERNEL_NUMERATORS[draw(st.sampled_from(sorted(KERNEL_NUMERATORS)))]
+    nk, ncols = draw(st.integers(2, 8)), draw(st.integers(1, 40))
+
+    def sparse(width, most):
+        cols = draw(st.sets(st.integers(0, width - 1), max_size=most))
+        return {c: draw(value) for c in sorted(cols)}
+    b = [sparse(ncols, 12) for _ in range(nk)]
+    k1, k2 = sorted(draw(st.sets(st.integers(0, nk - 1), min_size=2,
+                                 max_size=2)))
+    b[k2] = dict(b[k1])
+    a = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("several", "cancelling", "one term",
+                                     "empty")))
+        if kind == "several":
+            a.append(sparse(nk, nk))
+        elif kind == "cancelling":
+            x = draw(value)
+            a += [{k1: x, k2: -x}, {k1: draw(value), k2: draw(value)}]
+        elif kind == "one term":
+            a.append({draw(st.integers(0, nk - 1)): draw(value)})
+        else:
+            a.append({})
+    return a, b, ncols
+
+
+class TestProductKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_operands())
+    def test_rows_and_key_order_match_the_dict_kernel(self, case):
+        a, b, ncols = case
+        assert ordered_rows(tensor._product(a, b, ncols)) == ordered_rows(
+            old_product(a, b))
+
+    def test_a_cancelled_row_leaves_no_slot_behind(self):
+        # row 0 cancels in columns 1 and 3; row 1 touches them again and
+        # must see no value of row 0
+        b = [{1: 5, 3: -2}, {1: 5, 3: -2}]
+        a = [{0: 7, 1: -7}, {0: 1, 1: 2}, {1: 1}, {}]
+        got = tensor._product(a, b, 4)
+        assert ordered_rows(got) == ordered_rows(old_product(a, b)) == [
+            [], [(1, 15), (3, -6)], [(1, 5), (3, -2)], []]
+
+
+# ---------------------------------------------------------------------------
 # elimination against the dense Gauss-Jordan it replaced
 # ---------------------------------------------------------------------------
 
